@@ -1,7 +1,7 @@
 //! `gridbank-bench` — the load-generation harness (EXPERIMENTS.md E16).
 //!
 //! `gridbank-bench loadgen` drives the Figure-1 payment flow against a
-//! *real* [`GridBankServer`] (authenticated handshakes, secure channels,
+//! *real* `GridBankServer` (authenticated handshakes, secure channels,
 //! pipelined RPC, bounded worker pool, group-commit journal) and reports
 //! end-to-end throughput plus p50/p95/p99 latency per payment strategy,
 //! sourced from `gridbank-obs` histograms. Results land in
@@ -9,26 +9,17 @@
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridbank_core::client::GridBankClient;
-use gridbank_core::clock::Clock;
-use gridbank_core::db::GroupCommitConfig;
-use gridbank_core::federation::{FederationRouter, RemotePeer};
-use gridbank_core::resilient::{Connector, ResilientBankClient};
-use gridbank_core::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials, ServerTuning,
-};
+use gridbank_core::server::{GridBankConfig, ServerTuning};
 use gridbank_core::BankError;
-use gridbank_crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_crypto::rng::DeterministicStream;
-use gridbank_net::retry::RetryPolicy;
-use gridbank_net::transport::{Address, Network};
+use gridbank_crypto::cert::SubjectName;
+use gridbank_crypto::keys::KeyMaterial;
 use gridbank_rur::record::{ChargeableItem, RurBuilder, UsageAmount};
 use gridbank_rur::units::Duration as RurDuration;
 use gridbank_rur::Credits;
+use gridbank_sim::deploy::{DeployConfig, Deployment};
 
 /// One payment strategy from §3.1 / Figure 1.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -227,193 +218,33 @@ fn mean_stddev(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-struct World {
-    network: Network,
-    ca: CertificateAuthority,
-    clock: Clock,
-    /// One per branch, index 0 = branch 1 (bound at address `bank`).
-    banks: Vec<Arc<GridBank>>,
-    /// Parallel to `banks`; empty when `--branches 1`.
-    routers: Vec<Arc<FederationRouter>>,
-    _servers: Vec<GridBankServer>,
+/// Boots the deployment under load (DESIGN.md §4 "Booting a bank"):
+/// `--branches` live servers, federated when there is more than one.
+fn start_world(cfg: &LoadgenConfig) -> Deployment {
+    Deployment::boot(DeployConfig {
+        seed: cfg.seed,
+        // 2^8 = 256 certificate issues: three per client thread (payer,
+        // payee, admin) plus the banks' own — plenty for any sane
+        // --clients.
+        ca_height: 8,
+        tuning: ServerTuning {
+            workers: cfg.workers,
+            queue_depth: (cfg.clients * cfg.pipeline * 2).max(64),
+            max_connections: (cfg.clients * 4).max(64),
+        },
+        ..DeployConfig::federated(cfg.branches as u16, |b| GridBankConfig {
+            signer_height: cfg.signer_height,
+            key_material: KeyMaterial { seed: 0xB4A2 ^ (b as u64) },
+            ..GridBankConfig::default()
+        })
+    })
+    .expect("deployment boots")
 }
 
-/// Address a branch's server is bound at. Branch 1 keeps the historical
-/// `bank` address so single-branch runs are byte-identical to earlier
-/// harness versions.
-fn branch_address(branch: u16) -> Address {
-    if branch == 1 {
-        Address::new("bank")
-    } else {
-        Address::new(format!("branch-{branch}"))
-    }
-}
-
-fn start_world(cfg: &LoadgenConfig) -> World {
-    // 2^8 = 256 certificate issues: three per client thread (payer,
-    // payee, admin) plus the bank's own — plenty for any sane --clients.
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_with_height(KeyMaterial { seed: cfg.seed ^ 1 }, "ca", 8),
-    );
-    let clock = Clock::new();
-    let network = Network::new();
-    let mut banks = Vec::new();
-    let mut servers = Vec::new();
-    for b in 1..=cfg.branches as u16 {
-        let bank = Arc::new(GridBank::new(
-            GridBankConfig {
-                branch: b,
-                gate_mode: GateMode::AllowEnrollment,
-                signer_height: cfg.signer_height,
-                group_commit: GroupCommitConfig::default(),
-                key_material: KeyMaterial { seed: 0xB4A2 ^ (b as u64) },
-                ..GridBankConfig::default()
-            },
-            clock.clone(),
-        ));
-        let bank_identity = Arc::new(SigningIdentity::generate(
-            KeyMaterial { seed: cfg.seed ^ (2 + b as u64 * 13) },
-            "bank-tls",
-        ));
-        let bank_cert = ca
-            .issue(
-                SubjectName::new("GridBank", "Server", &format!("gridbank-{b:04}")),
-                bank_identity.verifying_key(),
-                0,
-                u64::MAX / 2,
-            )
-            .expect("bank certificate");
-        let server = GridBankServer::start_tuned(
-            &network,
-            branch_address(b),
-            Arc::clone(&bank),
-            ServerCredentials {
-                certificate: bank_cert,
-                identity: bank_identity,
-                ca_key: ca.verifying_key(),
-            },
-            cfg.seed ^ 7 ^ (b as u64) << 8,
-            ServerTuning {
-                workers: cfg.workers,
-                queue_depth: (cfg.clients * cfg.pipeline * 2).max(64),
-                max_connections: (cfg.clients * 4).max(64),
-            },
-        )
-        .expect("server starts");
-        banks.push(bank);
-        servers.push(server);
-    }
-
-    // Federate every branch with a pooled resilient route to each peer.
-    let routers: Vec<Arc<FederationRouter>> = if cfg.branches > 1 {
-        let routers: Vec<_> = banks.iter().map(FederationRouter::install).collect();
-        for from in 1..=cfg.branches as u16 {
-            for to in 1..=cfg.branches as u16 {
-                if from == to {
-                    continue;
-                }
-                let dn = SubjectName::new("GridBank", "Settlement", &format!("branch-{from:04}"));
-                let id_seed = cfg.seed ^ 0x5E77_0000 ^ (from as u64);
-                let id = SigningIdentity::generate_small(KeyMaterial { seed: id_seed }, "settle");
-                let cert = ca
-                    .issue(dn, id.verifying_key(), 0, u64::MAX / 2)
-                    .expect("settlement certificate");
-                let (net, clk, ca_key) = (network.clone(), clock.clone(), ca.verifying_key());
-                let target = branch_address(to);
-                let mut attempt = 0u64;
-                let connector: Connector = Box::new(move || {
-                    attempt += 1;
-                    let id =
-                        SigningIdentity::generate_small(KeyMaterial { seed: id_seed }, "settle");
-                    let proxy_id = SigningIdentity::generate_small(
-                        KeyMaterial { seed: id_seed ^ (attempt << 16) ^ 0x9A },
-                        "proxy",
-                    );
-                    let proxy =
-                        create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)?;
-                    let mut nonces = DeterministicStream::from_u64(
-                        ((from as u64) << 32) | ((to as u64) << 16) | attempt,
-                        b"fed-nonce",
-                    );
-                    GridBankClient::connect(
-                        &net,
-                        Address::new(format!("fed-{from}-{to}-{attempt}")),
-                        &target,
-                        ca_key,
-                        clk.now_ms(),
-                        &proxy,
-                        &proxy_id,
-                        &mut nonces,
-                    )
-                });
-                let policy = RetryPolicy {
-                    base_delay_ms: 1,
-                    max_delay_ms: 16,
-                    max_attempts: 8,
-                    deadline_ms: 30_000,
-                    seed: cfg.seed ^ (from as u64),
-                };
-                let client = ResilientBankClient::new(
-                    connector,
-                    policy,
-                    clock.clone(),
-                    cfg.seed ^ ((from as u64) << 24) ^ (to as u64),
-                );
-                routers[(from - 1) as usize].add_peer(to, RemotePeer::new(client));
-            }
-        }
-        routers
-    } else {
-        Vec::new()
-    };
-
-    World { network, ca, clock, banks, routers, _servers: servers }
-}
-
-fn connect(w: &World, cn: &str, seed: u64) -> Result<GridBankClient, BankError> {
-    connect_to(w, cn, seed, 1)
-}
-
-fn connect_to(w: &World, cn: &str, seed: u64, branch: u16) -> Result<GridBankClient, BankError> {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, cn);
+fn connect(w: &Deployment, cn: &str, seed: u64, branch: u16) -> GridBankClient {
     let dn = SubjectName::new("Load", "Gen", cn);
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).expect("client certificate");
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed ^ 0x9999 }, "proxy");
-    let proxy =
-        create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).expect("proxy");
-    let mut nonces = DeterministicStream::from_u64(seed, b"loadgen-nonce");
-    GridBankClient::connect(
-        &w.network,
-        Address::new(format!("{cn}.host")),
-        &branch_address(branch),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-}
-
-fn admin(w: &World, seed: u64) -> GridBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, "operator");
-    let dn = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).expect("admin certificate");
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed ^ 0x8888 }, "proxy");
-    let proxy =
-        create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).expect("proxy");
-    let mut nonces = DeterministicStream::from_u64(seed, b"loadgen-admin-nonce");
-    GridBankClient::connect(
-        &w.network,
-        Address::new("ops.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .expect("admin connects")
+    let mut identity = w.identity(dn, seed).expect("client certificate");
+    identity.connect(branch).unwrap_or_else(|e| panic!("{cn} connects: {e}"))
 }
 
 fn rur(payee_cert: &str) -> gridbank_rur::ResourceUsageRecord {
@@ -441,15 +272,14 @@ struct Payer {
     next_key: u64,
 }
 
-fn setup_payer(w: &World, strategy: Strategy, thread: usize, seed: u64) -> Payer {
+fn setup_payer(w: &Deployment, strategy: Strategy, thread: usize, seed: u64) -> Payer {
     let tag = format!("{}-{thread}", strategy.name());
-    let mut payer = connect(w, &format!("payer-{tag}"), seed ^ (thread as u64 * 2 + 11))
-        .expect("payer connects");
+    let mut payer = connect(w, &format!("payer-{tag}"), seed ^ (thread as u64 * 2 + 11), 1);
     let payer_account = payer.create_account(None).expect("payer account");
     let payee_cn = format!("payee-{tag}");
-    let mut payee = connect(w, &payee_cn, seed ^ (thread as u64 * 2 + 12)).expect("payee connects");
+    let mut payee = connect(w, &payee_cn, seed ^ (thread as u64 * 2 + 12), 1);
     let payee_account = payee.create_account(None).expect("payee account");
-    let mut ops = admin(w, seed ^ (0xAD00 + thread as u64));
+    let mut ops = w.admin(1).expect("operator connects");
     ops.admin_deposit(payer_account, Credits::from_gd(10_000_000)).expect("funding");
     Payer {
         payer,
@@ -528,7 +358,12 @@ struct StrategyAgg {
 /// flight (pipelined for pay-before, request/response cycles otherwise)
 /// for the whole window. Throughput is "as fast as the system allows" at
 /// that concurrency; latency is send-to-response per op.
-fn run_closed(w: &World, cfg: &LoadgenConfig, strategy: Strategy, run: usize) -> StrategyResult {
+fn run_closed(
+    w: &Deployment,
+    cfg: &LoadgenConfig,
+    strategy: Strategy,
+    run: usize,
+) -> StrategyResult {
     let hist = gridbank_obs::registry().histogram(&format!("loadgen.op_ns.{}", strategy.name()));
     let ops = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
@@ -606,7 +441,7 @@ fn run_closed(w: &World, cfg: &LoadgenConfig, strategy: Strategy, run: usize) ->
 /// measured from the scheduled instant, so queueing delay shows up in
 /// the percentiles instead of being silently absorbed (no coordinated
 /// omission).
-fn run_open(w: &World, cfg: &LoadgenConfig, strategy: Strategy, run: usize) -> StrategyResult {
+fn run_open(w: &Deployment, cfg: &LoadgenConfig, strategy: Strategy, run: usize) -> StrategyResult {
     let hist = gridbank_obs::registry().histogram(&format!("loadgen.op_ns.{}", strategy.name()));
     let ops = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
@@ -670,7 +505,7 @@ struct FederationStats {
 /// federation (local debit into clearing + exactly-once `IbCredit` over
 /// RPC). Afterwards, one timed settlement pass nets the clearing
 /// accounts over the wire.
-fn run_federated(w: &World, cfg: &LoadgenConfig) -> FederationStats {
+fn run_federated(w: &Deployment, cfg: &LoadgenConfig) -> FederationStats {
     let hist = gridbank_obs::registry().histogram("loadgen.op_ns.federated");
     let ops = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
@@ -682,18 +517,16 @@ fn run_federated(w: &World, cfg: &LoadgenConfig) -> FederationStats {
             let (hist, ops, errors) = (&hist, &ops, &errors);
             let payee_branch = (thread % (cfg.branches - 1) + 2) as u16;
             let mut payer =
-                connect(w, &format!("fed-payer-{thread}"), cfg.seed ^ (0xF0 + thread as u64))
-                    .expect("payer connects");
+                connect(w, &format!("fed-payer-{thread}"), cfg.seed ^ (0xF0 + thread as u64), 1);
             let payer_account = payer.create_account(None).expect("payer account");
-            let mut payee = connect_to(
+            let mut payee = connect(
                 w,
                 &format!("fed-payee-{thread}"),
                 cfg.seed ^ (0xF100 + thread as u64),
                 payee_branch,
-            )
-            .expect("payee connects");
+            );
             let payee_account = payee.create_account(None).expect("payee account");
-            let mut ops_client = admin(w, cfg.seed ^ (0xFAD0 + thread as u64));
+            let mut ops_client = w.admin(1).expect("operator connects");
             ops_client.admin_deposit(payer_account, Credits::from_gd(10_000_000)).expect("funding");
             let mut next_key = (cfg.seed << 18) ^ ((thread as u64) << 44) ^ 0xFED;
             scope.spawn(move || {
@@ -731,21 +564,14 @@ fn run_federated(w: &World, cfg: &LoadgenConfig) -> FederationStats {
     let settle_start = Instant::now();
     let mut gross = Credits::ZERO;
     let mut net = Credits::ZERO;
-    for router in &w.routers {
+    for router in w.routers() {
         let report = router.settle_once().expect("settlement");
         gross = gross.saturating_add(report.total_gross());
         net = net.saturating_add(report.total_net());
     }
     let settle_elapsed = settle_start.elapsed();
 
-    let mut residual = Credits::ZERO;
-    let mut pending_after = 0;
-    for (i, router) in w.routers.iter().enumerate() {
-        for peer in router.peer_branches() {
-            residual = residual.saturating_add(router.clearing_balance(peer).abs());
-        }
-        pending_after += w.banks[i].accounts.db().ib_pending_snapshot().len();
-    }
+    let (residual, pending_after) = w.settlement_residue();
     let micro = |c: Credits| c.metric_micro();
     FederationStats {
         branches: cfg.branches,

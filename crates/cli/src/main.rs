@@ -25,10 +25,11 @@ use gridbank_core::clock::Clock;
 use gridbank_core::coop::BarterStats;
 use gridbank_core::db::{AccountId, Database};
 use gridbank_core::federation::FederationRouter;
-use gridbank_core::server::{GridBank, GridBankServer};
-use gridbank_crypto::cert::{CertificateAuthority, SubjectName};
-use gridbank_net::transport::{Address, Network};
+use gridbank_core::server::{GridBank, GridBankConfig};
+use gridbank_crypto::cert::SubjectName;
+use gridbank_crypto::keys::KeyMaterial;
 use gridbank_rur::Credits;
+use gridbank_sim::deploy::{DeployConfig, Deployment};
 
 const ADMIN_CERT: &str = "/O=GridBank/OU=Admin/CN=operator";
 
@@ -132,194 +133,28 @@ fn now_wallclock_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// A self-hosted federation over live RPC: one full [`GridBankServer`]
-/// stack per branch on a private in-process network, federated through
-/// pooled resilient clients, with the CLI's ops identity enrolled as an
-/// `OPS_ADMIN` on every branch. `settle`, `top`, and `metrics --remote`
-/// all observe this world — the in-process transport has no external
-/// listeners, so the "remote" commands boot the deployment they scrape.
-struct FederatedWorld {
-    network: Network,
-    clock: Clock,
-    ca: CertificateAuthority,
-    banks: Vec<Arc<GridBank>>,
-    routers: Vec<Arc<FederationRouter>>,
-    servers: Vec<GridBankServer>,
-}
-
-/// Boots `branches` federated server stacks: a CA, one `GridBankServer`
-/// per branch at address `branch-<b>`, and a full mesh of pooled
-/// resilient settlement routes. The CLI's ops identity
-/// (`/O=GridBank/OU=Ops/CN=cli`) is enrolled on every branch so
-/// ops-plane scrapes work against any of them.
-fn start_world(branches: u16) -> Result<FederatedWorld, String> {
-    use gridbank_core::federation::RemotePeer;
-    use gridbank_core::resilient::{Connector, ResilientBankClient};
-    use gridbank_core::server::{GateMode, GridBankConfig, ServerCredentials};
-    use gridbank_crypto::cert::create_proxy;
-    use gridbank_crypto::keys::{KeyMaterial, SigningIdentity};
-    use gridbank_crypto::rng::DeterministicStream;
-    use gridbank_net::retry::RetryPolicy;
-
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let network = Network::new();
-
-    // One full server stack per branch.
-    let mut banks = Vec::new();
-    let mut servers = Vec::new();
-    for b in 1..=branches {
-        let bank = Arc::new(GridBank::new(
-            GridBankConfig {
-                branch: b,
-                signer_height: 9,
-                gate_mode: GateMode::AllowEnrollment,
-                key_material: KeyMaterial { seed: 0xB4A2 + b as u64 },
-                ops_admins: vec![gridbank_core::server::ops_identity("cli")],
-                ..GridBankConfig::default()
-            },
-            clock.clone(),
-        ));
-        let tls = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 100 + b as u64 }, "tls"));
-        let cert = ca
-            .issue(
-                SubjectName::new("GridBank", "Server", &format!("branch-{b:04}")),
-                tls.verifying_key(),
-                0,
-                u64::MAX / 2,
-            )
-            .map_err(|e| e.to_string())?;
-        let server = GridBankServer::start(
-            &network,
-            Address::new(format!("branch-{b}")),
-            Arc::clone(&bank),
-            ServerCredentials { certificate: cert, identity: tls, ca_key: ca.verifying_key() },
-            b as u64,
-        )
-        .map_err(|e| e.to_string())?;
-        banks.push(bank);
-        servers.push(server);
-    }
-
-    // Federate: every branch gets a pooled resilient route to each peer,
-    // calling as its own settlement identity.
-    let routers: Vec<_> = banks.iter().map(FederationRouter::install).collect();
-    for from in 1..=branches {
-        for to in 1..=branches {
-            if from == to {
-                continue;
-            }
-            let id = SigningIdentity::generate_small(
-                KeyMaterial { seed: 0x5E77_0000 + from as u64 },
-                "settle",
-            );
-            let dn = SubjectName::new("GridBank", "Settlement", &format!("branch-{from:04}"));
-            let cert =
-                ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).map_err(|e| e.to_string())?;
-            let (net, clk, ca_key) = (network.clone(), clock.clone(), ca.verifying_key());
-            let target = Address::new(format!("branch-{to}"));
-            let mut attempt = 0u64;
-            let connector: Connector = Box::new(move || {
-                attempt += 1;
-                let id = SigningIdentity::generate_small(
-                    KeyMaterial { seed: 0x5E77_0000 + from as u64 },
-                    "settle",
-                );
-                let proxy_id = SigningIdentity::generate_small(
-                    KeyMaterial { seed: 0x9000 + (from as u64) * 977 + attempt },
-                    "proxy",
-                );
-                let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)?;
-                let mut nonces = DeterministicStream::from_u64(
-                    ((from as u64) << 32) | ((to as u64) << 16) | attempt,
-                    b"fed-nonce",
-                );
-                GridBankClient::connect(
-                    &net,
-                    Address::new(format!("fed-{from}-{to}-{attempt}")),
-                    &target,
-                    ca_key,
-                    clk.now_ms(),
-                    &proxy,
-                    &proxy_id,
-                    &mut nonces,
-                )
-            });
-            let policy = RetryPolicy {
-                base_delay_ms: 1,
-                max_delay_ms: 8,
-                max_attempts: 6,
-                deadline_ms: 10_000,
-                seed: from as u64,
-            };
-            let client = ResilientBankClient::new(
-                connector,
-                policy,
-                clock.clone(),
-                (from as u64) * 31 + to as u64,
-            );
-            routers[(from - 1) as usize].add_peer(to, RemotePeer::new(client));
-        }
-    }
-
-    Ok(FederatedWorld { network, clock, ca, banks, routers, servers })
-}
-
-impl FederatedWorld {
-    fn branches(&self) -> u16 {
-        self.servers.len() as u16
-    }
-
-    /// Connects an authenticated client as `dn` to `branch` through the
-    /// real handshake, with a fresh single-sign-on proxy certificate.
-    fn client(&self, dn: SubjectName, seed: u64, branch: u16) -> Result<GridBankClient, String> {
-        use gridbank_crypto::cert::create_proxy;
-        use gridbank_crypto::keys::{KeyMaterial, SigningIdentity};
-        use gridbank_crypto::rng::DeterministicStream;
-
-        let id = SigningIdentity::generate_small(KeyMaterial { seed }, "client");
-        let cert =
-            self.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).map_err(|e| e.to_string())?;
-        let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed + 5000 }, "proxy");
-        let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)
-            .map_err(|e| e.to_string())?;
-        let mut nonces = DeterministicStream::from_u64(seed, b"nonce");
-        GridBankClient::connect(
-            &self.network,
-            Address::new(format!("client-{seed}")),
-            &Address::new(format!("branch-{branch}")),
-            self.ca.verifying_key(),
-            self.clock.now_ms(),
-            &proxy,
-            &proxy_id,
-            &mut nonces,
-        )
-        .map_err(|e| e.to_string())
-    }
-
-    /// An ops-plane connection to `branch`: the base identity is the
-    /// CLI's enrolled `OPS_ADMIN`, trusted to read telemetry and
-    /// nothing more.
-    fn ops_client(&self, branch: u16) -> Result<GridBankClient, String> {
-        self.client(SubjectName::new("GridBank", "Ops", "cli"), 7_000 + branch as u64, branch)
-    }
+/// Boots the self-hosted federation `settle`, `top` and
+/// `metrics --remote` observe (DESIGN.md §4 "Booting a bank") — the
+/// in-process transport has no external listeners, so the "remote"
+/// commands boot the deployment they scrape.
+fn start_world(branches: u16) -> Result<Deployment, String> {
+    let config = DeployConfig::federated(branches, |b| GridBankConfig {
+        signer_height: 9,
+        key_material: KeyMaterial { seed: 0xB4A2 + b as u64 },
+        ..GridBankConfig::default()
+    });
+    Ok(Deployment::boot(config)?)
 }
 
 /// One funded payer per branch, connected through the real handshake.
-fn fund_payers(world: &FederatedWorld) -> Result<(Vec<GridBankClient>, Vec<AccountId>), String> {
+fn fund_payers(world: &Deployment) -> Result<(Vec<GridBankClient>, Vec<AccountId>), String> {
     let mut payers = Vec::new();
     let mut accounts = Vec::new();
-    for b in 1..=world.branches() {
-        let mut payer = world.client(
-            SubjectName::new("Demo", "Payers", &format!("payer-{b}")),
-            10 + b as u64,
-            b,
-        )?;
+    for b in world.branch_ids() {
+        let dn = SubjectName::new("Demo", "Payers", &format!("payer-{b}"));
+        let mut payer = world.identity(dn, 10 + b as u64)?.connect(b).map_err(|e| e.to_string())?;
         let account = payer.create_account(None).map_err(|e| e.to_string())?;
-        let mut admin = world.client(SubjectName(ADMIN_CERT.into()), 900 + b as u64, b)?;
+        let mut admin = world.admin(b)?;
         admin.admin_deposit(account, Credits::from_gd(1_000)).map_err(|e| e.to_string())?;
         payers.push(payer);
         accounts.push(account);
@@ -355,7 +190,6 @@ fn ring_payments(
 fn run_metrics(args: &Args) -> Result<String, String> {
     use gridbank_core::api::{BankRequest, BankResponse};
     use gridbank_core::federation::LocalPeer;
-    use gridbank_core::server::GridBankConfig;
 
     if args.get("remote").is_some() {
         // Scrape a live server's ops plane over RPC instead.
@@ -453,10 +287,9 @@ fn run_metrics(args: &Args) -> Result<String, String> {
 }
 
 /// `gridbank settle`: a self-contained federation demo over live RPC.
-/// Spawns one `GridBankServer` per branch on an in-process network,
-/// federates them with pooled resilient clients, drives cross-branch
-/// payments ring-wise through real authenticated client connections,
-/// then runs one §6 netting pass and prints the gross→net compression.
+/// Boots one live server per branch ([`start_world`]), drives
+/// cross-branch payments ring-wise through real authenticated client
+/// connections, then runs one §6 netting pass and prints the gross→net compression.
 /// Fails (non-zero exit) unless every clearing account nets to zero and
 /// no outbound credit is left unacknowledged.
 fn run_settle(args: &Args) -> Result<String, String> {
@@ -478,7 +311,6 @@ fn run_settle(args: &Args) -> Result<String, String> {
 
     // Ring of cross-branch payments: every branch pays the next one.
     ring_payments(&mut payers, &accounts, payments, amount)?;
-    let (banks, routers) = (&world.banks, &world.routers);
 
     // One netting pass (branch 1 proposes; remaining pairs drain too).
     let mut out = format!(
@@ -487,7 +319,7 @@ fn run_settle(args: &Args) -> Result<String, String> {
     );
     let mut gross = Credits::ZERO;
     let mut net = Credits::ZERO;
-    for router in routers {
+    for router in world.routers() {
         let report = router.settle_once().map_err(|e| e.to_string())?;
         for p in &report.pairs {
             out.push_str(&format!(
@@ -505,14 +337,7 @@ fn run_settle(args: &Args) -> Result<String, String> {
 
     // The acceptance check: clearing accounts net to zero and no credit
     // is stranded.
-    let mut residual = Credits::ZERO;
-    let mut stranded = 0;
-    for (i, router) in routers.iter().enumerate() {
-        for peer in router.peer_branches() {
-            residual = residual.saturating_add(router.clearing_balance(peer).abs());
-        }
-        stranded += banks[i].accounts.db().ib_pending_snapshot().len();
-    }
+    let (residual, stranded) = world.settlement_residue();
     if !residual.is_zero() || stranded > 0 {
         return Err(format!(
             "settlement left residue: clearing {residual}, {stranded} unacknowledged credits"
@@ -731,7 +556,7 @@ fn run_remote_metrics(args: &Args) -> Result<String, String> {
         other => return Err(format!("ops gate failed open for a payer: {other:?}")),
     };
 
-    let mut ops = world.ops_client(branch)?;
+    let mut ops = world.ops(branch)?;
     let health = match ops.ops_query(OpsQuery::Health).map_err(|e| e.to_string())? {
         OpsReport::Health(h) => h,
         other => return Err(format!("unexpected ops report: {other:?}")),
@@ -779,7 +604,7 @@ fn run_top(args: &Args) -> Result<String, String> {
     gridbank_obs::set_flight_recorder(true);
     let world = start_world(2)?;
     let (mut payers, accounts) = fund_payers(&world)?;
-    let mut ops = world.ops_client(1)?;
+    let mut ops = world.ops(1)?;
 
     let mut out = String::new();
     let mut trend: Vec<Vec<u64>> = vec![Vec::new(); STAGES.len()];

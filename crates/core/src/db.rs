@@ -497,14 +497,14 @@ impl CommitQueue {
     }
 }
 
-/// The write-ahead journal: an in-memory mirror plus, in durable mode,
-/// the on-disk segment log ([`crate::store::DiskLog`]).
+/// The write-ahead journal: a vector in memory mode, the on-disk
+/// segment log ([`crate::store::DiskLog`]) in durable mode.
 ///
 /// Every append holds the `mem` lock across the disk write, so LSN
-/// order on disk always equals in-memory journal order — the property
-/// that lets sharded recovery reassemble the exact commit interleaving.
-/// In durable mode the mirror holds only entries appended *since open*
-/// (a diagnostic tail); history before that lives in snapshots+segments.
+/// order on disk always equals commit order — the property that lets
+/// sharded recovery reassemble the exact commit interleaving. In
+/// durable mode the vector stays empty (a long-lived bank would grow it
+/// without bound); history lives in snapshots+segments.
 pub(crate) struct JournalStore {
     mem: OrderedMutex<Vec<JournalEntry>>,
     disk: Option<crate::store::DiskLog>,
@@ -519,15 +519,17 @@ impl JournalStore {
         }
     }
 
-    /// Appends one batch: LSN assignment + segment write + fsync happen
-    /// under the `mem` lock, then the mirror extends. Serialized, so
-    /// batches stay contiguous on disk exactly as in memory.
+    /// Appends one batch under the `mem` lock — the LSN-order and
+    /// snapshot-cut lock in both modes. A durable journal writes the
+    /// segment (LSN assignment + fsync) and keeps nothing in RAM; a
+    /// memory journal extends the vector. Serialized, so batches stay
+    /// contiguous on disk exactly as in memory.
     fn append(&self, entries: Vec<JournalEntry>) {
         let mut mem = self.mem.lock();
-        if let Some(disk) = &self.disk {
-            disk.append(&entries);
+        match &self.disk {
+            Some(disk) => disk.append(&entries),
+            None => mem.extend(entries),
         }
-        mem.extend(entries);
     }
 
     /// Appends one entry.
@@ -542,10 +544,10 @@ impl JournalStore {
     fn append_with(&self, entry: JournalEntry, apply: impl FnOnce()) {
         let mut mem = self.mem.lock();
         apply();
-        if let Some(disk) = &self.disk {
-            disk.append(std::slice::from_ref(&entry));
+        match &self.disk {
+            Some(disk) => disk.append(std::slice::from_ref(&entry)),
+            None => mem.push(entry),
         }
-        mem.push(entry);
     }
 }
 
@@ -1068,11 +1070,22 @@ impl Database {
         out
     }
 
-    /// Clones the in-memory journal mirror (crash-consistency
-    /// snapshots). In durable mode this holds only entries appended
-    /// since open — history before that lives in the on-disk store.
+    /// Clones the in-memory journal (crash-consistency snapshots).
+    /// Empty in durable mode: there the journal lives in the on-disk
+    /// store only — count it with [`Database::journal_len`].
     pub fn journal_snapshot(&self) -> Vec<JournalEntry> {
         self.journal.mem.lock().clone()
+    }
+
+    /// Journal entries so far: the vector's length in memory mode, the
+    /// disk log's last LSN — entries since the store was created — in
+    /// durable mode.
+    pub fn journal_len(&self) -> usize {
+        let mem = self.journal.mem.lock();
+        match &self.journal.disk {
+            Some(disk) => usize::try_from(disk.last_lsn()).unwrap_or(usize::MAX),
+            None => mem.len(),
+        }
     }
 
     /// Applies one journal entry to live state — the single replay

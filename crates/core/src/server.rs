@@ -15,9 +15,9 @@
 //! Request execution is **pipelined**: each connection keeps a cheap
 //! reader thread that decodes frames and submits them to a shared,
 //! bounded worker pool ([`ServerTuning`]); workers run the bank dispatch
-//! and hand results to the connection's `ResponseWriter`, which
-//! re-sequences them into arrival order. A full job queue blocks the
-//! readers — backpressure instead of unbounded thread growth.
+//! and send each result through the connection's `ResponseWriter` as
+//! soon as it is ready. A full job queue blocks the readers —
+//! backpressure instead of unbounded thread growth.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -970,19 +970,8 @@ pub struct GridBankServer {
 }
 
 impl GridBankServer {
-    /// Binds `address` on `network` and starts serving `bank` with
-    /// default [`ServerTuning`].
-    pub fn start(
-        network: &Network,
-        address: Address,
-        bank: Arc<GridBank>,
-        credentials: ServerCredentials,
-        nonce_seed: u64,
-    ) -> Result<Self, NetError> {
-        Self::start_tuned(network, address, bank, credentials, nonce_seed, ServerTuning::default())
-    }
-
-    /// [`GridBankServer::start`] with explicit pool and admission sizing.
+    /// Binds `address` on `network` and starts serving `bank` with the
+    /// given pool and admission sizing.
     ///
     /// Per connection, a reader thread decodes pipelined requests and
     /// submits them to the shared bounded worker pool; workers dispatch
@@ -1092,7 +1081,7 @@ impl GridBankServer {
                             // An error here means the peer hung up; the
                             // reader loop will notice and wind down.
                             let reply_timer = gridbank_obs::Stopwatch::start();
-                            let _ = writer.complete(req.seq, req.id, response);
+                            let _ = writer.complete(req.id, response);
                             reply_timer.record_named("server.stage.reply_ns");
                         });
                         // Blocking on a full queue is the backpressure

@@ -28,8 +28,8 @@
 //! * [`rpc`] — request/response correlation over a secure channel, the
 //!   shape every GridBank protocol message uses. Frame ids are
 //!   **correlation ids**: clients may pipeline many requests per
-//!   connection, and servers re-sequence worker completions so responses
-//!   leave in arrival order (see `docs/PROTOCOLS.md` §1).
+//!   connection, and servers send each response as its worker finishes
+//!   (see `docs/PROTOCOLS.md` §1).
 //! * [`fault`] — deterministic fault injection at the transport layer
 //!   (drop/duplicate/reorder/reset, seed-driven) for chaos testing.
 //! * [`retry`] — capped-exponential-backoff retry policy with

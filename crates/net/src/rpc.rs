@@ -8,19 +8,19 @@
 //! for other in-flight ids. [`RpcClient::call`] is the depth-1 special
 //! case.
 //!
-//! On the server, [`RpcServer::serve_pipelined`] splits the channel and
-//! hands each decoded request to an executor (typically a bounded worker
-//! pool); a [`ResponseWriter`] re-sequences completions so **responses
-//! always leave in request-arrival order** no matter how workers
-//! interleave. [`RpcServer::serve_connection`] remains the sequential
-//! reference implementation. See `docs/PROTOCOLS.md` §1 for the
+//! On the server, [`RpcServer::serve_pipelined`] — the one serve loop —
+//! splits the channel and hands each decoded request to an executor
+//! (typically a bounded worker pool); each worker sends its response
+//! through the shared [`ResponseWriter`] the moment it is ready, so
+//! **responses leave in completion order** and a slow request never
+//! holds back a fast one behind it. See `docs/PROTOCOLS.md` §1 for the
 //! pipelining state machine.
 //!
 //! Mutating requests may carry a client-generated **idempotency key**
 //! (flagged on the kind byte, like the trace context), which the server
 //! uses to deduplicate retries — see `docs/RESILIENCE.md`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -242,15 +242,9 @@ impl RpcClient {
     }
 }
 
-/// One decoded request handed to a pipelined executor.
-///
-/// `seq` is the arrival index on this connection (0, 1, 2, …); the
-/// [`ResponseWriter`] uses it to emit responses in arrival order. `id`
-/// is the client's correlation id, echoed verbatim on the response
-/// frame.
+/// One decoded request handed to a pipelined executor. `id` is the
+/// client's correlation id, echoed verbatim on the response frame.
 pub struct PipelinedRequest {
-    /// Arrival index on this connection — the response-ordering key.
-    pub seq: u64,
     /// Client correlation id to echo on the response.
     pub id: u64,
     /// Trace context carried by the frame, if any.
@@ -265,46 +259,20 @@ pub struct PipelinedRequest {
     pub enqueued: Option<std::time::Instant>,
 }
 
-/// Re-sequencing response sender shared by the workers serving one
-/// pipelined connection.
-///
-/// Workers complete requests in any order; `complete` parks finished
-/// responses until every earlier-arriving request has been sent, so the
-/// wire carries responses in request-arrival order (the per-caller
-/// ordering guarantee). Each request must be completed exactly once, or
-/// later responses stall forever.
+/// The response sender shared by the workers serving one pipelined
+/// connection. Workers complete requests in any order and each
+/// response goes on the wire at once; the client matches it to its
+/// request by correlation id.
 pub struct ResponseWriter {
-    state: Mutex<WriterState>,
-}
-
-struct WriterState {
-    sender: SecureSender,
-    /// Arrival index of the next response to go on the wire.
-    next_seq: u64,
-    /// Completions waiting for their turn, keyed by arrival index.
-    parked: BTreeMap<u64, (u64, Vec<u8>)>,
+    sender: Mutex<SecureSender>,
 }
 
 impl ResponseWriter {
-    /// Records the response for arrival index `seq` (correlation id `id`)
-    /// and sends every response that is now in order. An error means the
-    /// connection is gone; pending work for it can be abandoned.
-    pub fn complete(&self, seq: u64, id: u64, response: Vec<u8>) -> Result<(), NetError> {
-        let mut st = self.state.lock();
-        st.parked.insert(seq, (id, response));
-        loop {
-            let next = st.next_seq;
-            let Some((id, body)) = st.parked.remove(&next) else {
-                return Ok(());
-            };
-            st.sender.send(&encode(id, KIND_RESPONSE, None, None, &body))?;
-            st.next_seq += 1;
-        }
-    }
-
-    /// Responses parked out of order right now (diagnostics).
-    pub fn parked(&self) -> usize {
-        self.state.lock().parked.len()
+    /// Seals and sends the response to correlation id `id`. An error
+    /// means the connection is gone; pending work for it can be
+    /// abandoned.
+    pub fn complete(&self, id: u64, response: Vec<u8>) -> Result<(), NetError> {
+        self.sender.lock().send(&encode(id, KIND_RESPONSE, None, None, &response))
     }
 }
 
@@ -312,59 +280,19 @@ impl ResponseWriter {
 pub struct RpcServer;
 
 impl RpcServer {
-    /// Serves one connection sequentially: for each request, calls
-    /// `handler` with the authenticated peer, the request's idempotency
-    /// key (if any), and the payload, and sends back its response before
-    /// reading the next request. Returns when the peer disconnects;
-    /// propagates integrity errors. The sequential reference
-    /// implementation — production serving goes through
-    /// [`RpcServer::serve_pipelined`].
-    pub fn serve_connection<F>(
-        mut channel: SecureChannel,
-        peer: &PeerIdentity,
-        mut handler: F,
-    ) -> Result<(), NetError>
-    where
-        F: FnMut(&PeerIdentity, Option<u64>, &[u8]) -> Vec<u8>,
-    {
-        loop {
-            let msg = match channel.recv() {
-                Ok(m) => m,
-                Err(NetError::Disconnected) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            let (id, kind, trace, idem_key, payload) = decode(&msg)?;
-            if kind != KIND_REQUEST {
-                return Err(NetError::Malformed(format!("expected request, got kind {kind}")));
-            }
-            let response = {
-                // Join the client's trace (if the frame carried one) so
-                // everything the handler does nests under this span.
-                let mut span = gridbank_obs::span_under(trace, "net", "rpc_serve");
-                span.attr("peer", peer.base.0.clone());
-                handler(peer, idem_key, payload)
-            };
-            channel.send(&encode(id, KIND_RESPONSE, None, None, &response))?;
-        }
-    }
-
     /// Serves one connection with pipelining: the channel is split, the
     /// read loop decodes each request and hands it to `submit` together
     /// with the shared [`ResponseWriter`]. `submit` is expected to
     /// enqueue the request on an executor (e.g. a bounded worker pool)
-    /// whose workers eventually call [`ResponseWriter::complete`] exactly
-    /// once per request; the writer re-sequences completions into
-    /// arrival order. Returns when the peer disconnects; propagates
+    /// whose workers eventually call [`ResponseWriter::complete`] once
+    /// per request. Returns when the peer disconnects; propagates
     /// integrity and submit errors.
     pub fn serve_pipelined<S>(channel: SecureChannel, mut submit: S) -> Result<(), NetError>
     where
         S: FnMut(PipelinedRequest, &Arc<ResponseWriter>) -> Result<(), NetError>,
     {
         let (sender, mut receiver) = channel.split();
-        let writer = Arc::new(ResponseWriter {
-            state: Mutex::new(WriterState { sender, next_seq: 0, parked: BTreeMap::new() }),
-        });
-        let mut seq = 0u64;
+        let writer = Arc::new(ResponseWriter { sender: Mutex::new(sender) });
         loop {
             let msg = match receiver.recv() {
                 Ok(m) => m,
@@ -377,9 +305,7 @@ impl RpcServer {
             }
             gridbank_obs::count("rpc.server.pipelined_requests", 1);
             let enqueued = gridbank_obs::telemetry_enabled().then(std::time::Instant::now);
-            let req =
-                PipelinedRequest { seq, id, trace, idem_key, payload: payload.to_vec(), enqueued };
-            seq += 1;
+            let req = PipelinedRequest { id, trace, idem_key, payload: payload.to_vec(), enqueued };
             submit(req, &writer)?;
         }
     }
@@ -407,18 +333,31 @@ mod tests {
         PeerIdentity { base: subject.clone(), subject }
     }
 
+    /// Serves `channel` with an inline executor: `handler` runs on the
+    /// read loop and its answer goes out before the next request is
+    /// read.
+    fn serve_inline(
+        channel: SecureChannel,
+        mut handler: impl FnMut(Option<u64>, &[u8]) -> Vec<u8>,
+    ) {
+        RpcServer::serve_pipelined(channel, |req, writer| {
+            writer.complete(req.id, handler(req.idem_key, &req.payload))
+        })
+        .unwrap();
+    }
+
     #[test]
     fn echo_round_trips() {
         let (c, s) = channel_pair();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                RpcServer::serve_connection(s, &peer("alice"), |p, _key, payload| {
+                let p = peer("alice");
+                serve_inline(s, |_key, payload| {
                     let mut out = p.base.common_name().unwrap().as_bytes().to_vec();
                     out.push(b':');
                     out.extend_from_slice(payload);
                     out
-                })
-                .unwrap();
+                });
             });
             let mut client = RpcClient::new(c, peer("bank"));
             assert_eq!(client.call(b"ping").unwrap(), b"alice:ping");
@@ -431,10 +370,7 @@ mod tests {
     fn many_sequential_calls_keep_ids_aligned() {
         let (c, s) = channel_pair();
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                RpcServer::serve_connection(s, &peer("x"), |_p, _key, payload| payload.to_vec())
-                    .unwrap();
-            });
+            scope.spawn(|| serve_inline(s, |_key, payload| payload.to_vec()));
             let mut client = RpcClient::new(c, peer("bank"));
             for i in 0..100u32 {
                 let msg = i.to_be_bytes();
@@ -448,10 +384,7 @@ mod tests {
         let (c, s) = channel_pair();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                RpcServer::serve_connection(s, &peer("x"), |_p, key, _payload| {
-                    key.unwrap_or(0).to_be_bytes().to_vec()
-                })
-                .unwrap();
+                serve_inline(s, |key, _payload| key.unwrap_or(0).to_be_bytes().to_vec());
             });
             let mut client = RpcClient::new(c, peer("bank"));
             assert_eq!(client.call(b"no-key").unwrap(), 0u64.to_be_bytes());
@@ -509,40 +442,38 @@ mod tests {
     }
 
     #[test]
-    fn serve_pipelined_emits_responses_in_arrival_order() {
-        const N: u64 = 8;
+    fn slow_first_request_does_not_delay_a_fast_second() {
         let (c, s) = channel_pair();
+        let (release, held) = std::sync::mpsc::channel::<()>();
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                // Executor: run every request on its own thread, finishing
-                // in roughly reverse order; the ResponseWriter must still
-                // emit responses in arrival order.
-                let mut workers = Vec::new();
+                // Executor: "slow" runs on its own thread and finishes
+                // only once released; everything else answers inline.
+                let mut slow = None;
+                let mut held = Some(held);
                 RpcServer::serve_pipelined(s, |req, writer| {
+                    let held = held.take().filter(|_| req.payload == b"slow");
+                    let Some(held) = held else {
+                        return writer.complete(req.id, req.payload);
+                    };
                     let writer = Arc::clone(writer);
-                    workers.push(std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_millis(2 * (N - req.seq)));
-                        let mut out = req.payload.clone();
-                        out.push(b'!');
-                        writer.complete(req.seq, req.id, out).map(|_| ())
+                    slow = Some(std::thread::spawn(move || {
+                        held.recv().expect("the client releases the slow request");
+                        writer.complete(req.id, req.payload)
                     }));
                     Ok(())
                 })
                 .unwrap();
-                for w in workers {
-                    let _ = w.join();
-                }
+                slow.expect("slow request seen").join().unwrap().unwrap();
             });
             let mut client = RpcClient::new(c, peer("bank"));
-            let ids: Vec<u64> = (0..N)
-                .map(|i| client.send_request(format!("req{i}").as_bytes()).unwrap())
-                .collect();
-            // Raw wire order check: claim ids in reverse — each claim may
-            // only buffer responses that arrived before it, so in-order
-            // emission means the LAST id claimed first forces reading all.
-            for (i, id) in ids.iter().enumerate() {
-                assert_eq!(client.recv_response(*id).unwrap(), format!("req{i}!").as_bytes());
-            }
+            let slow = client.send_request(b"slow").unwrap();
+            let fast = client.send_request(b"fast").unwrap();
+            // The fast answer arrives while the slow one is still held.
+            assert_eq!(client.recv_response(fast).unwrap(), b"fast");
+            assert_eq!(client.in_flight(), 1);
+            release.send(()).unwrap();
+            assert_eq!(client.recv_response(slow).unwrap(), b"slow");
         });
     }
 

@@ -1,11 +1,11 @@
 //! Chaos harness: Figure-1 payment flows over a fault-injected link.
 //!
-//! Builds a real networked world — CA, bank server, consumers, one GSP,
-//! all speaking the authenticated channel — then pushes payments through
-//! a [`FaultInjector`] that drops, duplicates, reorders, and resets
-//! frames deterministically under a seed. Consumers and the GSP use
-//! [`ResilientBankClient`], so every logical operation retries over
-//! fresh handshakes with a stable idempotency key.
+//! Boots a single-branch [`Deployment`] (DESIGN.md §4 "Booting a
+//! bank") with consumers and one GSP, then pushes payments through a
+//! [`gridbank_net::FaultInjector`] that drops, duplicates, reorders, and
+//! resets frames deterministically under a seed. Consumers and the GSP
+//! use [`Identity::resilient`] clients, so every logical operation
+//! retries over fresh handshakes with a stable idempotency key.
 //!
 //! The harness returns a [`ChaosReport`] with the raw material for the
 //! conservation assertions the E15 experiment makes:
@@ -18,25 +18,16 @@
 //! * **conservation** — Σ(available+locked) is the same before and
 //!   after the storm.
 
-use std::sync::Arc;
-
-use gridbank_core::client::GridBankClient;
-use gridbank_core::clock::Clock;
 use gridbank_core::db::AccountId;
 use gridbank_core::port::BankPort;
-use gridbank_core::resilient::{Connector, ResilientBankClient};
-use gridbank_core::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
-};
-use gridbank_crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_crypto::rng::DeterministicStream;
-use gridbank_net::retry::{CircuitBreaker, RetryPolicy};
-use gridbank_net::transport::{Address, Network};
-use gridbank_net::{FaultCounts, FaultInjector, FaultPlan, FaultRates};
+use gridbank_core::server::GridBankConfig;
+use gridbank_crypto::cert::SubjectName;
+use gridbank_net::{FaultCounts, FaultPlan, FaultRates};
 use gridbank_rur::record::{ChargeableItem, RurBuilder, UsageAmount};
 use gridbank_rur::units::Duration as RurDuration;
 use gridbank_rur::Credits;
+
+use crate::deploy::{DeployConfig, Deployment, Identity};
 
 /// Knobs for one chaos run.
 #[derive(Clone, Copy, Debug)]
@@ -122,110 +113,10 @@ impl ChaosReport {
     }
 }
 
-struct ChaosWorld {
-    network: Network,
-    ca: CertificateAuthority,
-    clock: Clock,
-    bank: Arc<GridBank>,
-    injector: Arc<FaultInjector>,
-    _server: GridBankServer,
-}
-
-fn build_world(cfg: &ChaosConfig) -> ChaosWorld {
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let bank = Arc::new(GridBank::new(
-        GridBankConfig {
-            gate_mode: GateMode::AllowEnrollment,
-            signer_height: 9,
-            idem_capacity: cfg.idem_capacity,
-            ..GridBankConfig::default()
-        },
-        clock.clone(),
-    ));
-    let bank_identity = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 2 }, "bank-tls"));
-    let bank_cert = ca
-        .issue(
-            SubjectName::new("GridBank", "Server", "gridbank"),
-            bank_identity.verifying_key(),
-            0,
-            u64::MAX / 2,
-        )
-        .expect("bank cert");
-    let network = Network::new();
-    let injector =
-        FaultInjector::new(FaultPlan::symmetric(cfg.seed, FaultRates::uniform(cfg.fault_rate_pm)));
-    network.install_faults(Arc::clone(&injector));
-    let server = GridBankServer::start(
-        &network,
-        Address::new("bank"),
-        Arc::clone(&bank),
-        ServerCredentials {
-            certificate: bank_cert,
-            identity: bank_identity,
-            ca_key: ca.verifying_key(),
-        },
-        7,
-    )
-    .expect("server starts");
-    ChaosWorld { network, ca, clock, bank, injector, _server: server }
-}
-
-/// A reconnecting connector for `cn`: one long-lived proxy identity
-/// (MSS leaves advance across handshakes), a fresh nonce stream per
-/// attempt.
-fn connector_for(w: &ChaosWorld, cn: &str, seed: u64) -> Connector {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, cn);
-    let dn = SubjectName::new("Org", "Unit", cn);
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).expect("cert");
-    let proxy_id =
-        SigningIdentity::generate_with_height(KeyMaterial { seed: seed + 5_000 }, "proxy", 9);
-    let proxy =
-        create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).expect("proxy");
-    let network = w.network.clone();
-    let ca_key = w.ca.verifying_key();
-    let clock = w.clock.clone();
-    let from = Address::new(format!("{cn}.host"));
-    let mut attempt = 0u64;
-    Box::new(move || {
-        attempt += 1;
-        let mut nonces = DeterministicStream::from_u64(seed ^ (attempt << 32), b"nonce");
-        GridBankClient::connect(
-            &network,
-            from.clone(),
-            &Address::new("bank"),
-            ca_key,
-            clock.now_ms(),
-            &proxy,
-            &proxy_id,
-            &mut nonces,
-        )
-    })
-}
-
-fn resilient_for(w: &ChaosWorld, cn: &str, seed: u64) -> ResilientBankClient {
-    let policy = RetryPolicy {
-        base_delay_ms: 1,
-        max_delay_ms: 16,
-        max_attempts: 12,
-        deadline_ms: 1_000_000,
-        seed,
-    };
-    ResilientBankClient::new(connector_for(w, cn, seed), policy, w.clock.clone(), seed)
-        // Cooldown 0: the virtual clock does not advance during the
-        // storm, so any positive cooldown would pin an opened circuit
-        // shut forever. With 0 every admit after a trip is a probe.
-        .with_breaker(CircuitBreaker::new(8, 0))
-        .with_call_timeout(Some(std::time::Duration::from_millis(50)))
-}
-
-/// A plain (fault-free at setup time) client for world preparation.
-fn plain_client(w: &ChaosWorld, cn: &str, seed: u64) -> GridBankClient {
-    let mut connect = connector_for(w, cn, seed);
-    connect().expect("setup connect")
+/// Certifies `cn`; `connect` gives the plain client world preparation
+/// uses, `resilient` the retrying one the storm runs through.
+fn identity(w: &Deployment, cn: &str, seed: u64) -> Identity {
+    w.identity(SubjectName::new("Org", "Unit", cn), seed).expect("CA certifies the subject")
 }
 
 const GSP_CN: &str = "gsp-alpha";
@@ -246,31 +137,41 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     // its retained slow/errored traces ride along with the panic output
     // so the failing request's span tree is not lost with the process.
     gridbank_obs::install_panic_hook();
-    let w = build_world(cfg);
+    let w = Deployment::boot(DeployConfig::single(GridBankConfig {
+        signer_height: 9,
+        idem_capacity: cfg.idem_capacity,
+        ..GridBankConfig::default()
+    }))
+    .expect("world boots");
+    let injector =
+        w.install_faults(FaultPlan::symmetric(cfg.seed, FaultRates::uniform(cfg.fault_rate_pm)));
+    let bank = w.bank(1).expect("branch 1 runs");
     let mut report = ChaosReport::default();
 
     // ---- Setup on a quiet network: accounts and deposits. ----
     let mut consumer_accounts = Vec::new();
     for i in 0..cfg.consumers {
-        let mut c = plain_client(&w, &format!("consumer-{i}"), 100 + i as u64);
+        let mut c =
+            identity(&w, &format!("consumer-{i}"), 100 + i as u64).connect(1).expect("connects");
         consumer_accounts.push(c.create_account(Some("Org".into())).expect("account"));
     }
-    let mut gsp_setup = plain_client(&w, GSP_CN, 500);
+    let mut gsp_setup = identity(&w, GSP_CN, 500).connect(1).expect("connects");
     let gsp_account = gsp_setup.create_account(None).expect("gsp account");
-    let mut admin = admin_client(&w);
+    let mut admin = w.admin(1).expect("operator connects");
     for account in &consumer_accounts {
         admin.admin_deposit(*account, Credits::from_gd(1_000)).expect("deposit");
     }
-    report.initial_total_micro = w.bank.total_funds().micro();
+    report.initial_total_micro = bank.total_funds().micro();
 
     // ---- Storm. ----
-    w.injector.arm(true);
+    injector.arm(true);
     let mut acked_amounts: Vec<Credits> = Vec::new();
     for (i, _account) in consumer_accounts.iter().enumerate() {
-        let mut consumer = resilient_for(&w, &format!("consumer-{i}"), 0x5EED ^ ((i as u64) << 8));
+        let mut consumer =
+            identity(&w, &format!("consumer-{i}"), 0x5EED ^ ((i as u64) << 8)).resilient(1);
         // One GSP client per consumer; distinct key seeds keep their
         // idempotency keys from colliding under the shared GSP cert.
-        let mut gsp = resilient_for(&w, GSP_CN, 0x6500_0000 ^ ((i as u64) << 8));
+        let mut gsp = identity(&w, GSP_CN, 0x6500_0000 ^ ((i as u64) << 8)).resilient(1);
         for j in 0..cfg.transfers_per_consumer {
             let amount = op_amount(i, j);
             match consumer.direct_transfer(gsp_account, amount, "gsp.grid.org") {
@@ -330,15 +231,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             }
         }
     }
-    w.injector.arm(false);
-    report.faults = w.injector.counts();
+    injector.arm(false);
+    report.faults = injector.counts();
 
     // ---- Settle: expire unredeemed instruments, release locks. ----
     w.clock.advance(CHEQUE_VALIDITY_MS * 2);
-    w.bank.sweep_expired_instruments();
+    bank.sweep_expired_instruments();
 
     // ---- Evidence. ----
-    let transfers = w.bank.all_transfers();
+    let transfers = bank.all_transfers();
     let mut seen: std::collections::HashMap<(AccountId, AccountId, i128), usize> =
         std::collections::HashMap::new();
     for t in &transfers {
@@ -353,30 +254,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         }
     }
     report.stranded_locked_micro =
-        w.bank.all_accounts().iter().map(|a| a.locked.micro()).sum::<i128>();
-    report.final_total_micro = w.bank.total_funds().micro();
+        bank.all_accounts().iter().map(|a| a.locked.micro()).sum::<i128>();
+    report.final_total_micro = bank.total_funds().micro();
     report
-}
-
-fn admin_client(w: &ChaosWorld) -> GridBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed: 999 }, "operator");
-    let dn = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).expect("admin cert");
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: 998 }, "proxy");
-    let proxy =
-        create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).expect("proxy");
-    let mut nonces = DeterministicStream::from_u64(997, b"nonce");
-    GridBankClient::connect(
-        &w.network,
-        Address::new("ops.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .expect("admin connects")
 }
 
 #[cfg(test)]

@@ -18,6 +18,9 @@
 //!   end-to-end open-market scenario (Figure 1), the co-operative barter
 //!   community (Figure 4), and the competitive market with bank-assisted
 //!   price estimation (§4.2).
+//! * [`deploy`] — the one way to boot a bank: CA, network, clock, one
+//!   server per branch, the settlement mesh, and every authenticated
+//!   connection (DESIGN.md §4 "Booting a bank").
 //! * [`chaos`] — the E15 fault-injection harness: Figure-1 payment flows
 //!   over a seeded lossy network, with conservation evidence for the
 //!   exactly-once guarantees (see `docs/RESILIENCE.md`).
@@ -33,6 +36,7 @@
 //!   all ending in hard conservation evidence.
 
 pub mod chaos;
+pub mod deploy;
 pub mod engine;
 pub mod federation;
 pub mod market;
@@ -43,6 +47,7 @@ pub mod topology;
 pub mod workload;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
+pub use deploy::{BranchConfig, DeployConfig, DeployError, Deployment, Identity};
 pub use engine::Simulator;
 pub use federation::{run_federation, FederationConfig, FederationReport};
 pub use market::{run_market, EconomyConfig, EconomyReport};

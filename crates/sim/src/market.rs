@@ -3,9 +3,9 @@
 //!
 //! The paper's GRACE economic-model menu (§2.2: "commodity market,
 //! posted price, **bargaining, tendering and auction models**") meets
-//! the §6 federation here: two full [`GridBankServer`] stacks on a
-//! private in-process network, a population of accounts per branch, and
-//! four concurrent traffic classes driven by one deterministic clock:
+//! the §6 federation here: a two-branch [`Deployment`] (DESIGN.md §4
+//! "Booting a bank"), a population of accounts per branch, and four
+//! concurrent traffic classes driven by one deterministic clock:
 //!
 //! * **Spot payments** — Poisson arrivals modulated by a
 //!   [`DiurnalCurve`] rush-hour cycle, recipients drawn from a
@@ -43,33 +43,24 @@ use rand::{Rng, SeedableRng};
 use gridbank_broker::auction::{run_auction, settle_award, AuctionBidder};
 use gridbank_core::api::{BankRequest, BankResponse};
 use gridbank_core::client::{ClientHashChain, GridBankClient};
-use gridbank_core::clock::Clock;
 use gridbank_core::coop::{allocate_initial_credits, BarterStats};
 use gridbank_core::db::AccountId;
-use gridbank_core::federation::{FederationRouter, RemotePeer};
 use gridbank_core::port::{BankPort, InProcessBank};
-use gridbank_core::resilient::{Connector, ResilientBankClient};
-use gridbank_core::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
-};
-use gridbank_crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_crypto::rng::DeterministicStream;
+use gridbank_core::server::{GridBank, GridBankConfig};
+use gridbank_crypto::cert::SubjectName;
+use gridbank_crypto::keys::KeyMaterial;
 use gridbank_gsp::charging::PaymentInstrument;
 use gridbank_gsp::provider::{GridServiceProvider, GspConfig};
 use gridbank_meter::levels::AccountingLevel;
 use gridbank_meter::machine::{JobSpec, MachineSpec, OsFlavour};
-use gridbank_net::retry::RetryPolicy;
-use gridbank_net::transport::{Address, Network};
 use gridbank_rur::record::ChargeableItem;
 use gridbank_rur::Credits;
 use gridbank_trade::pricing::FlatPricing;
 use gridbank_trade::rates::ServiceRates;
 use gridbank_trade::session::{AuctionKind, AuctionSession};
 
+use crate::deploy::{DeployConfig, Deployment, OPERATOR};
 use crate::workload::{DiurnalCurve, JobSizeDistribution, WorkloadConfig, ZipfSampler};
-
-const OPERATOR: &str = "/O=GridBank/OU=Admin/CN=operator";
 
 /// Market scenario parameters.
 #[derive(Clone, Debug)]
@@ -230,152 +221,6 @@ impl EconomyReport {
     }
 }
 
-struct MarketWorld {
-    network: Network,
-    clock: Clock,
-    ca: CertificateAuthority,
-    banks: Vec<Arc<GridBank>>,
-    routers: Vec<Arc<FederationRouter>>,
-    _servers: Vec<GridBankServer>,
-}
-
-/// Boots two federated server stacks on a private network — the same
-/// shape the CLI's self-hosted world and `tests/federation_wire.rs`
-/// use: per-branch TLS identities under one CA, and a full mesh of
-/// pooled resilient settlement routes.
-fn boot_world(signer_height: usize) -> Result<MarketWorld, String> {
-    // The CA signs one certificate per server, settlement route, and
-    // wire identity — a population-scale world issues more than the
-    // 16 signatures a small test identity holds, so use full height.
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let network = Network::new();
-    let branches: u16 = 2;
-
-    let mut banks = Vec::new();
-    let mut servers = Vec::new();
-    for b in 1..=branches {
-        let bank = Arc::new(GridBank::new(
-            GridBankConfig {
-                branch: b,
-                signer_height,
-                gate_mode: GateMode::AllowEnrollment,
-                key_material: KeyMaterial { seed: 0x6B1D + b as u64 },
-                ..GridBankConfig::default()
-            },
-            clock.clone(),
-        ));
-        let tls = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 100 + b as u64 }, "tls"));
-        let cert = ca
-            .issue(
-                SubjectName::new("GridBank", "Server", &format!("branch-{b:04}")),
-                tls.verifying_key(),
-                0,
-                u64::MAX / 2,
-            )
-            .map_err(|e| e.to_string())?;
-        let server = GridBankServer::start(
-            &network,
-            Address::new(format!("branch-{b}")),
-            Arc::clone(&bank),
-            ServerCredentials { certificate: cert, identity: tls, ca_key: ca.verifying_key() },
-            b as u64,
-        )
-        .map_err(|e| e.to_string())?;
-        banks.push(bank);
-        servers.push(server);
-    }
-
-    let routers: Vec<_> = banks.iter().map(FederationRouter::install).collect();
-    for from in 1..=branches {
-        for to in 1..=branches {
-            if from == to {
-                continue;
-            }
-            let id = SigningIdentity::generate_small(
-                KeyMaterial { seed: 0x5E77_0000 + from as u64 },
-                "settle",
-            );
-            let dn = SubjectName::new("GridBank", "Settlement", &format!("branch-{from:04}"));
-            let cert =
-                ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).map_err(|e| e.to_string())?;
-            let (net, clk, ca_key) = (network.clone(), clock.clone(), ca.verifying_key());
-            let target = Address::new(format!("branch-{to}"));
-            let mut attempt = 0u64;
-            let connector: Connector = Box::new(move || {
-                attempt += 1;
-                let id = SigningIdentity::generate_small(
-                    KeyMaterial { seed: 0x5E77_0000 + from as u64 },
-                    "settle",
-                );
-                let proxy_id = SigningIdentity::generate_small(
-                    KeyMaterial { seed: 0x9000 + (from as u64) * 977 + attempt },
-                    "proxy",
-                );
-                let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)?;
-                let mut nonces = DeterministicStream::from_u64(
-                    ((from as u64) << 32) | ((to as u64) << 16) | attempt,
-                    b"mkt-nonce",
-                );
-                GridBankClient::connect(
-                    &net,
-                    Address::new(format!("mkt-fed-{from}-{to}-{attempt}")),
-                    &target,
-                    ca_key,
-                    clk.now_ms(),
-                    &proxy,
-                    &proxy_id,
-                    &mut nonces,
-                )
-            });
-            let policy = RetryPolicy {
-                base_delay_ms: 1,
-                max_delay_ms: 8,
-                max_attempts: 6,
-                deadline_ms: 10_000,
-                seed: from as u64,
-            };
-            let client = ResilientBankClient::new(
-                connector,
-                policy,
-                clock.clone(),
-                (from as u64) * 31 + to as u64,
-            );
-            routers[(from - 1) as usize].add_peer(to, RemotePeer::new(client));
-        }
-    }
-
-    Ok(MarketWorld { network, clock, ca, banks, routers, _servers: servers })
-}
-
-impl MarketWorld {
-    /// Connects an authenticated client as `dn` to `branch` through the
-    /// real handshake, with a fresh single-sign-on proxy certificate.
-    fn client(&self, dn: SubjectName, seed: u64, branch: u16) -> Result<GridBankClient, String> {
-        let id = SigningIdentity::generate_small(KeyMaterial { seed }, "client");
-        let cert =
-            self.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).map_err(|e| e.to_string())?;
-        let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed + 5_000 }, "proxy");
-        let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)
-            .map_err(|e| e.to_string())?;
-        let mut nonces = DeterministicStream::from_u64(seed, b"mkt-nonce");
-        GridBankClient::connect(
-            &self.network,
-            Address::new(format!("mkt-client-{seed}")),
-            &Address::new(format!("branch-{branch}")),
-            self.ca.verifying_key(),
-            self.clock.now_ms(),
-            &proxy,
-            &proxy_id,
-            &mut nonces,
-        )
-        .map_err(|e| e.to_string())
-    }
-}
-
 fn pop_dn(branch: usize, index: usize) -> SubjectName {
     SubjectName(format!("/O=Market/OU=Pop/CN=pop-{branch}-{index:06}"))
 }
@@ -389,7 +234,7 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
 
 /// FNV-1a over both branches' sorted account state plus journal
 /// lengths: the determinism witness.
-fn ledger_digest(banks: &[Arc<GridBank>]) -> u64 {
+fn ledger_digest(banks: &[&Arc<GridBank>]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for bank in banks {
         let mut accounts = bank.all_accounts();
@@ -405,10 +250,6 @@ fn ledger_digest(banks: &[Arc<GridBank>]) -> u64 {
         fnv(&mut h, &(bank.accounts.db().journal_snapshot().len() as u64).to_le_bytes());
     }
     h
-}
-
-fn total_funds(banks: &[Arc<GridBank>]) -> Credits {
-    banks.iter().map(|b| b.total_funds()).fold(Credits::ZERO, |a, c| a.saturating_add(c))
 }
 
 /// One scheduled interleave point in the spot-payment stream.
@@ -436,7 +277,21 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
         ));
     }
 
-    let world = boot_world(cfg.signer_height)?;
+    let world = Deployment::boot(DeployConfig {
+        seed: cfg.seed,
+        // The CA signs one certificate per server, settlement route and
+        // wire identity — more than a small test CA's 16 leaves.
+        ca_height: 10,
+        ..DeployConfig::federated(2, |b| GridBankConfig {
+            signer_height: cfg.signer_height,
+            key_material: KeyMaterial { seed: 0x6B1D + b as u64 },
+            ..GridBankConfig::default()
+        })
+    })?;
+    let banks: Vec<&Arc<GridBank>> = world.banks().collect();
+    let connect = |dn: SubjectName, seed: u64, branch: u16| -> Result<GridBankClient, String> {
+        world.identity(dn, seed)?.connect(branch).map_err(|e| e.to_string())
+    };
     let operator = SubjectName(OPERATOR.into());
 
     // Population: every account exists in the live ledger, bound to its
@@ -444,7 +299,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     // authorization path as the wire, no handshake per account — the
     // wire clients below re-attach to these identities).
     let mut population: Vec<Vec<AccountId>> = vec![Vec::new(), Vec::new()];
-    for (b, bank) in world.banks.iter().enumerate() {
+    for (b, bank) in banks.iter().enumerate() {
         for i in 0..cfg.population_per_branch {
             match bank.handle(&pop_dn(b, i), BankRequest::CreateAccount { organization: None }) {
                 BankResponse::AccountCreated { account } => population[b].push(account),
@@ -460,12 +315,11 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let mut payer_accounts: Vec<Vec<AccountId>> = vec![Vec::new(), Vec::new()];
     let mut payer_dns: Vec<Vec<String>> = vec![Vec::new(), Vec::new()];
     for b in 0..2usize {
-        let mut admin = world.client(operator.clone(), 30_000 + b as u64, b as u16 + 1)?;
+        let mut admin = world.admin(b as u16 + 1)?;
         for j in 0..cfg.payers_per_branch {
             let idx = cfg.population_per_branch - 1 - j;
             let dn = pop_dn(b, idx);
-            let client =
-                world.client(dn.clone(), 10_000 + (b as u64) * 1_000 + j as u64, b as u16 + 1)?;
+            let client = connect(dn.clone(), 10_000 + (b as u64) * 1_000 + j as u64, b as u16 + 1)?;
             admin
                 .admin_deposit(population[b][idx], Credits::from_gd(2_000))
                 .map_err(|e| format!("fund payer {b}/{j}: {e}"))?;
@@ -480,7 +334,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     // pool, charging module) behind the same certificate and account.
     let gsp_dn = SubjectName::new("Market", "GSP", "gsp-1");
     let gsp_cert = "/O=Market/OU=GSP/CN=gsp-1".to_string();
-    let mut gsp_client = world.client(gsp_dn.clone(), 40_000, 1)?;
+    let mut gsp_client = connect(gsp_dn.clone(), 40_000, 1)?;
     let gsp_account = gsp_client.create_account(None).map_err(|e| format!("gsp account: {e}"))?;
     let base_rates = ServiceRates::new()
         .with(ChargeableItem::Cpu, Credits::from_gd(2))
@@ -505,18 +359,18 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
             accounting_level: AccountingLevel::Standard,
             machine_seed: cfg.seed,
         },
-        world.banks[0].verifying_key(),
-        InProcessBank::new(Arc::clone(&world.banks[0]), gsp_dn),
+        banks[0].verifying_key(),
+        InProcessBank::new(Arc::clone(banks[0]), gsp_dn),
         Box::new(FlatPricing),
     );
 
     // The consumer whose cheque-paid job makes the provider scarce,
     // flipping later announcements from Dutch to English.
     let filler_dn = SubjectName::new("Market", "Occupy", "filler");
-    let mut filler_port = InProcessBank::new(Arc::clone(&world.banks[0]), filler_dn);
+    let mut filler_port = InProcessBank::new(Arc::clone(banks[0]), filler_dn);
     let filler_account =
         filler_port.create_account(None).map_err(|e| format!("filler account: {e}"))?;
-    world.banks[0].handle(
+    banks[0].handle(
         &operator,
         BankRequest::AdminDeposit { account: filler_account, amount: Credits::from_gd(500) },
     );
@@ -530,8 +384,8 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let mut redeemed: Vec<u32> = Vec::new();
     for s in 0..cfg.payword_streams {
         let idx = cfg.population_per_branch - 1 - cfg.payers_per_branch - s;
-        let mut client = world.client(pop_dn(0, idx), 20_000 + s as u64, 1)?;
-        world.banks[0].handle(
+        let mut client = connect(pop_dn(0, idx), 20_000 + s as u64, 1)?;
+        banks[0].handle(
             &operator,
             BankRequest::AdminDeposit {
                 account: population[0][idx],
@@ -558,25 +412,20 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let mut seed_rng = StdRng::seed_from_u64(cfg.seed ^ 0x0BA7_7E12);
     for m in 0..cfg.barter_members {
         let idx = cfg.population_per_branch - 1 - cfg.payers_per_branch - m;
-        let client = world.client(pop_dn(1, idx), 25_000 + m as u64, 2)?;
+        let client = connect(pop_dn(1, idx), 25_000 + m as u64, 2)?;
         barter_clients.push(client);
         barter_accounts.push(population[1][idx]);
         barter_allocs.push((population[1][idx], seed_rng.random_range(10u64..30)));
     }
     if !barter_allocs.is_empty() {
-        allocate_initial_credits(
-            &world.banks[1].admin,
-            OPERATOR,
-            &barter_allocs,
-            Credits::from_gd(1),
-        )
-        .map_err(|e| format!("barter allocation: {e}"))?;
+        allocate_initial_credits(&banks[1].admin, OPERATOR, &barter_allocs, Credits::from_gd(1))
+            .map_err(|e| format!("barter allocation: {e}"))?;
     }
 
     // Everything is minted; from here the economy must conserve.
     let stranded_before =
         gridbank_obs::registry().snapshot().counter("ib.credit.stranded").unwrap_or(0);
-    let initial_total = total_funds(&world.banks);
+    let initial_total = world.total_funds();
     let barter_window_start = world.clock.now_ms();
 
     // Spot-payment arrival schedule, with auctions / barter rounds /
@@ -782,28 +631,20 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
             .map_err(|e| format!("stream {s} close: {e}"))?;
         payword_released = payword_released.saturating_add(released);
     }
-    for bank in &world.banks {
+    for bank in &banks {
         bank.sweep_expired_instruments();
     }
     let mut settlement_net = Credits::ZERO;
-    for router in &world.routers {
+    for router in world.routers() {
         let report = router.settle_once().map_err(|e| format!("settlement: {e}"))?;
         settlement_net = settlement_net.saturating_add(report.total_net());
     }
 
     // Evidence.
-    let final_total = total_funds(&world.banks);
-    let mut residual_clearing = Credits::ZERO;
-    let mut pending_after = 0usize;
-    for (i, router) in world.routers.iter().enumerate() {
-        for peer in router.peer_branches() {
-            residual_clearing =
-                residual_clearing.saturating_add(router.clearing_balance(peer).abs());
-        }
-        pending_after += world.banks[i].accounts.db().ib_pending_snapshot().len();
-    }
+    let final_total = world.total_funds();
+    let (residual_clearing, pending_after) = world.settlement_residue();
     let stranded_locked_micro: i128 =
-        world.banks.iter().flat_map(|b| b.all_accounts()).map(|a| a.locked.micro()).sum();
+        banks.iter().flat_map(|b| b.all_accounts()).map(|a| a.locked.micro()).sum();
     let stranded_after =
         gridbank_obs::registry().snapshot().counter("ib.credit.stranded").unwrap_or(0);
 
@@ -816,7 +657,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
         *expected.entry((*drawer, *recipient, amount.micro())).or_default() += 1;
     }
     let mut observed: HashMap<(AccountId, AccountId, i128), usize> = HashMap::new();
-    for t in world.banks[0].accounts.db().all_transfers() {
+    for t in banks[0].accounts.db().all_transfers() {
         let key = (t.drawer, t.recipient, t.amount.micro());
         if expected.contains_key(&key) {
             *observed.entry(key).or_default() += 1;
@@ -825,7 +666,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let exactly_once_ok = expected == observed;
 
     let barter_stats =
-        BarterStats::compute(world.banks[1].accounts.db(), barter_window_start, barter_window_end);
+        BarterStats::compute(banks[1].accounts.db(), barter_window_start, barter_window_end);
     let barter_equilibrium_gap = barter_accounts
         .iter()
         .filter_map(|a| barter_stats.balances.get(a))
@@ -854,10 +695,10 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
         stranded_locked_micro,
         stranded_credit_delta: stranded_after.saturating_sub(stranded_before),
         journal_len: [
-            world.banks[0].accounts.db().journal_snapshot().len(),
-            world.banks[1].accounts.db().journal_snapshot().len(),
+            banks[0].accounts.db().journal_snapshot().len(),
+            banks[1].accounts.db().journal_snapshot().len(),
         ],
-        ledger_digest: ledger_digest(&world.banks),
+        ledger_digest: ledger_digest(&banks),
     })
 }
 

@@ -2,13 +2,13 @@
 //! rebooted, and the clock runs until a wire client gets answers again.
 //!
 //! The scenario measures the claim docs/STORAGE.md §5 makes — restart
-//! time is bounded by the journal *tail*, not by history. One full
-//! [`GridBankServer`] stack runs over the in-process network with its
-//! database in durable mode ([`GridBank::open_durable`]); seeded keyed
-//! payments flow through a real authenticated client; the shards are
-//! checkpointed; a further slice of payments forms the replay tail; the
-//! process state is dropped (the kill); and a fresh stack reopens the
-//! same store directory. The report carries both halves of the restart
+//! time is bounded by the journal *tail*, not by history. A one-branch
+//! durable [`Deployment`] (DESIGN.md §4 "Booting a bank") takes seeded
+//! keyed payments through a real authenticated client; the shards are
+//! checkpointed; a further slice of payments forms the replay tail;
+//! [`Deployment::kill`] stops the branch and waits until nothing holds
+//! its bank; and [`Deployment::reboot`] reopens the same store
+//! directory. The report carries both halves of the restart
 //! cost — storage recovery and server boot to first served RPC — plus
 //! the digest/conservation evidence that nothing was lost, feeding the
 //! `gridbank-bench --recovery` section and EXPERIMENTS.md §E19.
@@ -18,21 +18,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gridbank_core::api::{BankRequest, BankResponse};
-use gridbank_core::clock::Clock;
 use gridbank_core::db::AccountId;
-use gridbank_core::resilient::{Connector, ResilientBankClient};
-use gridbank_core::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
-};
+use gridbank_core::resilient::ResilientBankClient;
+use gridbank_core::server::GridBankConfig;
 use gridbank_core::store::StoreConfig;
-use gridbank_crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_crypto::rng::DeterministicStream;
-use gridbank_net::retry::RetryPolicy;
-use gridbank_net::transport::{Address, Network};
+use gridbank_crypto::cert::SubjectName;
+use gridbank_crypto::keys::KeyMaterial;
 use gridbank_rur::Credits;
 
-const OPERATOR: &str = "/O=GridBank/OU=Admin/CN=operator";
+use crate::deploy::{BranchConfig, DeployConfig, Deployment, OPERATOR};
 
 /// Parameters of the recovery drill.
 #[derive(Clone, Debug)]
@@ -111,113 +105,32 @@ impl RecoveryDrillReport {
     }
 }
 
-struct World {
-    network: Network,
-    clock: Clock,
-    ca: CertificateAuthority,
-    server: GridBankServer,
-    bank: Arc<GridBank>,
-}
-
-fn bank_config(signer_height: usize) -> GridBankConfig {
-    GridBankConfig {
-        signer_height,
-        gate_mode: GateMode::AllowEnrollment,
-        key_material: KeyMaterial { seed: 0xD15C },
-        ..GridBankConfig::default()
-    }
-}
-
-fn store_config(cfg: &RecoveryConfig) -> StoreConfig {
+fn deploy_config(cfg: &RecoveryConfig) -> DeployConfig {
     let base = StoreConfig::at(&cfg.store_dir);
-    StoreConfig {
-        // Tests drive checkpoints explicitly so the tail is exact.
+    let store = StoreConfig {
+        // The drill drives checkpoints explicitly so the tail is exact.
         snapshot_every: u64::MAX,
         ..if cfg.fsync { base } else { base.no_fsync() }
-    }
-}
-
-/// Boots the full stack over `network`, opening (or reopening) the
-/// durable store. Returns the world and the recovery evidence.
-fn boot(
-    network: Network,
-    clock: Clock,
-    cfg: &RecoveryConfig,
-) -> Result<(World, gridbank_core::store::RecoveryReport), String> {
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let (bank, report) =
-        GridBank::open_durable(bank_config(cfg.signer_height), clock.clone(), store_config(cfg))
-            .map_err(|e| e.to_string())?;
-    let bank = Arc::new(bank);
-    let tls = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 100 }, "tls"));
-    let cert = ca
-        .issue(
-            SubjectName::new("GridBank", "Server", "branch-0001"),
-            tls.verifying_key(),
-            0,
-            u64::MAX / 2,
-        )
-        .map_err(|e| e.to_string())?;
-    let server = GridBankServer::start(
-        &network,
-        Address::new("branch-1"),
-        Arc::clone(&bank),
-        ServerCredentials { certificate: cert, identity: tls, ca_key: ca.verifying_key() },
-        cfg.seed,
-    )
-    .map_err(|e| e.to_string())?;
-    Ok((World { network, clock, ca, server, bank }, report))
-}
-
-/// A resilient client for `dn`, reconnecting through the full handshake
-/// on every transport failure — the probe for "serving again".
-fn resilient_client(world: &World, dn: SubjectName, seed: u64) -> ResilientBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, "payer");
-    let cert = world
-        .ca
-        .issue(dn, id.verifying_key(), 0, u64::MAX / 2)
-        .expect("CA issues the payer certificate");
-    let (network, clock, ca_key) =
-        (world.network.clone(), world.clock.clone(), world.ca.verifying_key());
-    let mut attempt = 0u64;
-    let connector: Connector = Box::new(move || {
-        attempt += 1;
-        let id = SigningIdentity::generate_small(KeyMaterial { seed }, "payer");
-        let proxy_id =
-            SigningIdentity::generate_small(KeyMaterial { seed: seed + 7_000 + attempt }, "proxy");
-        let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)?;
-        let mut nonces = DeterministicStream::from_u64(seed ^ attempt, b"recovery-nonce");
-        gridbank_core::client::GridBankClient::connect(
-            &network,
-            Address::new(format!("payer-{seed}-{attempt}")),
-            &Address::new("branch-1"),
-            ca_key,
-            clock.now_ms(),
-            &proxy,
-            &proxy_id,
-            &mut nonces,
-        )
-    });
-    let policy = RetryPolicy {
-        base_delay_ms: 1,
-        max_delay_ms: 8,
-        max_attempts: 6,
-        deadline_ms: 30_000,
-        seed,
     };
-    ResilientBankClient::new(connector, policy, world.clock.clone(), seed)
+    let bank = GridBankConfig {
+        signer_height: cfg.signer_height,
+        key_material: KeyMaterial { seed: 0xD15C },
+        ..GridBankConfig::default()
+    };
+    DeployConfig {
+        seed: cfg.seed,
+        ca_height: 10,
+        branches: vec![BranchConfig { bank, store: Some(store) }],
+        ..DeployConfig::single(GridBankConfig::default())
+    }
 }
 
 /// Runs the drill: populate → pay → checkpoint → tail → kill →
 /// reboot → probe until serving.
 pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String> {
     let _ = std::fs::remove_dir_all(&cfg.store_dir);
-    let network = Network::new();
-    let clock = Clock::new();
-    let (world, _) = boot(network.clone(), clock.clone(), cfg)?;
+    let mut world = Deployment::boot(deploy_config(cfg))?;
+    let bank = Arc::clone(world.bank(1)?);
 
     // Population + funding, server-side (the wire carries payments;
     // enrollment volume is not what this drill measures).
@@ -225,12 +138,11 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String>
     let mut holders: Vec<(SubjectName, AccountId)> = Vec::with_capacity(cfg.accounts);
     for i in 0..cfg.accounts {
         let dn = SubjectName(format!("/O=Grid/OU=Pop/CN=holder-{i:06}"));
-        let account =
-            match world.bank.handle(&dn, BankRequest::CreateAccount { organization: None }) {
-                BankResponse::AccountCreated { account } => account,
-                other => return Err(format!("create holder {i}: {other:?}")),
-            };
-        world.bank.handle(
+        let account = match bank.handle(&dn, BankRequest::CreateAccount { organization: None }) {
+            BankResponse::AccountCreated { account } => account,
+            other => return Err(format!("create holder {i}: {other:?}")),
+        };
+        bank.handle(
             &operator,
             BankRequest::AdminDeposit { account, amount: Credits::from_gd(100) },
         );
@@ -239,12 +151,12 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String>
 
     // Keyed payments over the real wire.
     let payer_dn = SubjectName("/O=Grid/OU=Payer/CN=payer-0".into());
-    let mut payer = resilient_client(&world, payer_dn.clone(), cfg.seed);
+    let mut payer = world.identity(payer_dn.clone(), cfg.seed)?.resilient(1);
     let payer_account = match payer.call(&BankRequest::CreateAccount { organization: None }) {
         Ok(BankResponse::AccountCreated { account }) => account,
         other => return Err(format!("create payer: {other:?}")),
     };
-    world.bank.handle(
+    bank.handle(
         &operator,
         BankRequest::AdminDeposit { account: payer_account, amount: Credits::from_gd(1_000_000) },
     );
@@ -265,27 +177,29 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String>
     pay(&mut payer, cfg.payments, 1)?;
 
     // Checkpoint, then the tail the restart will have to replay.
-    world.bank.accounts.db().checkpoint().map_err(|e| e.to_string())?;
+    bank.accounts.db().checkpoint().map_err(|e| e.to_string())?;
     pay(&mut payer, cfg.tail_payments, 2)?;
 
-    let digest = world.bank.accounts.db().state_digest();
-    let funds = world.bank.total_funds();
-    let journal_entries_total = world.bank.journal_snapshot().len();
-    let accounts = world.bank.accounts.db().account_count();
+    let digest = bank.accounts.db().state_digest();
+    let funds = bank.total_funds();
+    let journal_entries_total = bank.accounts.db().journal_len();
+    let accounts = bank.accounts.db().account_count();
 
-    // The kill: tear the server down and drop every in-memory handle.
-    let World { mut server, bank, .. } = world;
-    server.shutdown();
-    drop(server);
+    // The kill: drop every handle of ours, stop the server, and wait
+    // until its connection threads have let go of the bank too.
     drop(bank);
     drop(payer);
+    world.kill(1)?;
 
-    // Reboot from disk and probe until the wire answers again.
+    // Reboot from disk and probe — reconnecting through the full
+    // handshake on every transport failure — until the wire answers.
     let restart_started = Instant::now();
-    let (world, recovery) = boot(network, clock, cfg)?;
-    let mut probe = resilient_client(&world, payer_dn, cfg.seed.wrapping_add(99));
+    world.reboot(1)?;
+    let mut probe = world.identity(payer_dn, cfg.seed.wrapping_add(99))?.resilient(1);
     probe.await_serving(64).map_err(|e| format!("never served again: {e}"))?;
     let restart_to_serving_ms = restart_started.elapsed().as_millis() as u64;
+    let recovery = world.recovery(1).ok_or("the rebooted branch reports no recovery")?;
+    let bank = world.bank(1)?;
 
     let report = RecoveryDrillReport {
         accounts,
@@ -294,8 +208,8 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String>
         snapshots_loaded: recovery.snapshots_loaded,
         recovery_ms: recovery.elapsed_ms,
         restart_to_serving_ms,
-        digest_match: world.bank.accounts.db().state_digest() == digest,
-        funds_match: world.bank.total_funds() == funds,
+        digest_match: bank.accounts.db().state_digest() == digest,
+        funds_match: bank.total_funds() == funds,
     };
     let _ = std::fs::remove_dir_all(&cfg.store_dir);
     Ok(report)

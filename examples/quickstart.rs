@@ -2,8 +2,9 @@
 //!
 //! One GridBank server, one consumer (Alice), one provider (gsp-alpha):
 //!
-//! 1. a CA issues certificates; Alice signs a *proxy* (single sign-on);
-//! 2. the bank server starts and gates connections on its account tables;
+//! 1. one `Deployment` boots the CA, the bank and its server, which
+//!    gates connections on its account tables;
+//! 2. a CA-certified Alice signs a *proxy* (single sign-on);
 //! 3. both parties open accounts over mutually-authenticated channels;
 //! 4. Alice buys a GridCheque; the provider validates it, executes her
 //!    job under a template account, meters usage into a GGF RUR,
@@ -17,54 +18,18 @@
 //! printed at the end, and whose trace id is stamped into the bank's
 //! transfer record — the audit trail and the trace correlate.
 
-use std::sync::Arc;
-
-use gridbank_suite::bank::client::GridBankClient;
-use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::server::{GridBank, GridBankConfig, GridBankServer, ServerCredentials};
+use gridbank_suite::bank::server::GridBankConfig;
 use gridbank_suite::broker::payment::PaymentModule;
-use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_suite::crypto::rng::DeterministicStream;
+use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::gsp::charging::PaymentInstrument;
 use gridbank_suite::gsp::provider::{GridServiceProvider, GspConfig};
 use gridbank_suite::meter::levels::AccountingLevel;
 use gridbank_suite::meter::machine::{JobSpec, MachineSpec, OsFlavour};
-use gridbank_suite::net::transport::{Address, Network};
 use gridbank_suite::rur::record::ChargeableItem;
 use gridbank_suite::rur::Credits;
+use gridbank_suite::sim::deploy::{self, DeployConfig, Deployment};
 use gridbank_suite::trade::pricing::FlatPricing;
 use gridbank_suite::trade::rates::ServiceRates;
-
-fn connect(
-    network: &Network,
-    from: &str,
-    ca: &CertificateAuthority,
-    user: &SigningIdentity,
-    user_subject: SubjectName,
-    clock: &Clock,
-    seed: u64,
-) -> GridBankClient {
-    // CA-issued long-term certificate, then a short-lived proxy signed by
-    // the *user* — the single sign-on credential everything else uses.
-    let cert =
-        ca.issue(user_subject, user.verifying_key(), 0, 1_000_000_000).expect("issue certificate");
-    let proxy_id = SigningIdentity::generate(KeyMaterial { seed }, "proxy");
-    let proxy = create_proxy(user, &cert, proxy_id.verifying_key(), 0, 1_000_000_000, 1)
-        .expect("sign proxy");
-    let mut nonces = DeterministicStream::from_u64(seed, b"client-nonce");
-    GridBankClient::connect(
-        network,
-        Address::new(from),
-        &Address::new("gridbank.grid.org"),
-        ca.verifying_key(),
-        clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .expect("handshake with the bank")
-}
 
 fn main() {
     println!("=== GridBank quickstart: Figure 1, end to end ===\n");
@@ -78,60 +43,35 @@ fn main() {
     let root = tracing.then(|| gridbank_suite::obs::root_span("quickstart", "figure1"));
     let root_trace_id = root.as_ref().map_or(0, |s| s.trace_id());
 
-    // --- Public-key infrastructure (the GSI substitute) ---------------
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate(KeyMaterial { seed: 1 }, "ca"),
-    );
-    println!("[pki ] CA online: {}", ca.name());
-
-    // --- The bank ------------------------------------------------------
-    let clock = Clock::new();
-    let bank = Arc::new(GridBank::new(GridBankConfig::default(), clock.clone()));
-    let bank_identity = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 2 }, "bank-tls"));
-    let bank_cert = ca
-        .issue(
-            SubjectName::new("GridBank", "Server", "gridbank"),
-            bank_identity.verifying_key(),
-            0,
-            1_000_000_000,
-        )
-        .expect("issue bank certificate");
-    let network = Network::new();
-    let _server = GridBankServer::start(
-        &network,
-        Address::new("gridbank.grid.org"),
-        bank.clone(),
-        ServerCredentials {
-            certificate: bank_cert,
-            identity: bank_identity,
-            ca_key: ca.verifying_key(),
-        },
-        7,
-    )
-    .expect("bank server starts");
-    println!("[bank] GridBank listening at gridbank.grid.org\n");
-
-    // --- Identities ------------------------------------------------------
-    let alice_id = SigningIdentity::generate(KeyMaterial { seed: 10 }, "alice");
-    let alice_dn = SubjectName::new("UWA", "CSSE", "alice");
-    let gsp_id = SigningIdentity::generate(KeyMaterial { seed: 11 }, "gsp-alpha");
-    let gsp_dn = SubjectName::new("UniMelb", "GRIDS", "gsp-alpha");
-    let admin_id = SigningIdentity::generate(KeyMaterial { seed: 12 }, "operator");
-    let admin_dn = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
+    // --- PKI, bank and server, booted the one way (DESIGN.md §4) ---------
+    // A CA everyone trusts, the bank, and its server gating connections
+    // on the account tables, all on a private in-process network.
+    let world =
+        Deployment::boot(DeployConfig::single(GridBankConfig::default())).expect("bank boots");
+    let (bank, clock) = (world.bank(1).expect("branch 1 runs"), &world.clock);
+    println!("[pki ] CA online: {}", world.ca.name());
+    println!("[bank] GridBank listening at {}\n", deploy::address(1).0);
 
     // --- Accounts over authenticated channels -------------------------
-    let mut alice =
-        connect(&network, "alice.uwa.edu.au", &ca, &alice_id, alice_dn.clone(), &clock, 100);
+    // Each party holds a CA-issued long-term certificate and connects
+    // with a short-lived proxy it signed itself — the single sign-on
+    // credential everything else uses.
+    let alice_dn = SubjectName::new("UWA", "CSSE", "alice");
+    let gsp_dn = SubjectName::new("UniMelb", "GRIDS", "gsp-alpha");
+    let connect = |dn: &SubjectName, seed: u64| {
+        let mut identity = world.identity(dn.clone(), seed).expect("issue certificate");
+        identity.connect(1).expect("handshake with the bank")
+    };
+
+    let mut alice = connect(&alice_dn, 10);
     let alice_account = alice.create_account(Some("UWA".into())).expect("alice account");
     println!("[gsc ] Alice opened account {alice_account}");
 
-    let mut gsp_client =
-        connect(&network, "gsp-alpha.grid.org", &ca, &gsp_id, gsp_dn.clone(), &clock, 101);
+    let mut gsp_client = connect(&gsp_dn, 11);
     let gsp_account = gsp_client.create_account(Some("UniMelb".into())).expect("gsp account");
     println!("[gsp ] gsp-alpha opened account {gsp_account}");
 
-    let mut operator = connect(&network, "ops.gridbank.org", &ca, &admin_id, admin_dn, &clock, 102);
+    let mut operator = world.admin(1).expect("operator connects");
     operator.admin_deposit(alice_account, Credits::from_gd(100)).expect("admin deposit");
     println!("[bank] operator deposited G$100 into Alice's account\n");
 

@@ -43,6 +43,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "gridbank-lint (deny violations; see docs/STATIC_ANALYSIS.md)"
 cargo run -q -p gridbank-lint
 
+# One way to boot a bank (DESIGN.md §4 "Booting a bank"): only the
+# server itself, the one Deployment and the standalone benchmark may
+# start a server, so a hand-rolled world cannot grow back. The
+# per-area line count is the number EXPERIMENTS.md E21 tracks.
+stage "one bootstrap guard + first-party line count (scripts/loc.sh)"
+if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
+  | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
+  echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
+  exit 1
+fi
+scripts/loc.sh
+
 stage "tier-1: cargo build --release && cargo test"
 cargo build --release
 # The root package's release build does not cover the workspace

@@ -1,0 +1,171 @@
+//! The one bootstrap (`gridbank_sim::deploy`, DESIGN.md §4 "Booting a
+//! bank"): a federated boot settles to zero before and after one branch
+//! is killed and rebooted, a durable branch survives kill + reboot on
+//! the same store without mirroring its journal in RAM, and a resilient client stays exactly-once through a
+//! reorder storm.
+
+// Test fixtures build inputs with plain arithmetic; the workspace
+// `clippy::arithmetic_side_effects` wall targets production money paths
+// (see docs/STATIC_ANALYSIS.md §lint wall).
+#![allow(clippy::arithmetic_side_effects)]
+
+use gridbank_suite::bank::api::{BankRequest, BankResponse};
+use gridbank_suite::bank::port::BankPort;
+use gridbank_suite::bank::server::GridBankConfig;
+use gridbank_suite::bank::store::StoreConfig;
+use gridbank_suite::crypto::cert::SubjectName;
+use gridbank_suite::net::fault::{FaultPlan, FaultRates};
+use gridbank_suite::rur::Credits;
+use gridbank_suite::sim::deploy::{BranchConfig, DeployConfig, Deployment};
+
+fn bank_config() -> GridBankConfig {
+    GridBankConfig { signer_height: 8, ..GridBankConfig::default() }
+}
+
+fn subject(cn: &str) -> SubjectName {
+    SubjectName::new("Test", "Deploy", cn)
+}
+
+/// A fresh store directory private to this process and test.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("gridbank-deploy-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs one netting pass on every router; returns the net moved.
+fn settle(world: &Deployment) -> Credits {
+    let mut net = Credits::ZERO;
+    for router in world.routers() {
+        net = net.saturating_add(router.settle_once().unwrap().total_net());
+    }
+    assert_eq!(world.settlement_residue(), (Credits::ZERO, 0));
+    net
+}
+
+#[test]
+fn two_branches_settle_keyed_cross_branch_transfers_across_a_reboot() {
+    let dir = scratch_dir("federated");
+    let mut config = DeployConfig::federated(2, |_| bank_config());
+    config.branches[1].store = Some(StoreConfig::at(&dir).no_fsync());
+    let mut world = Deployment::boot(config).unwrap();
+    let mut payee = world.identity(subject("payee"), 21).unwrap().connect(2).unwrap();
+    let payee_account = payee.create_account(None).unwrap();
+    let mut payer = world.identity(subject("payer"), 11).unwrap().connect(1).unwrap();
+    let payer_account = payer.create_account(None).unwrap();
+    world.admin(1).unwrap().admin_deposit(payer_account, Credits::from_gd(100)).unwrap();
+    let before = world.total_funds();
+
+    // The same key twice: the second send must replay the first answer.
+    let transfer = BankRequest::DirectTransfer {
+        to: payee_account,
+        amount: Credits::from_gd(7),
+        recipient_address: "payee.vo2.org".into(),
+    };
+    for _ in 0..2 {
+        let reply = payer.call_keyed(Some(0xFEED), &transfer).unwrap();
+        assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
+    }
+    assert_eq!(payee.my_account().unwrap().available, Credits::from_gd(7));
+    assert_eq!(payer.my_account().unwrap().available, Credits::from_gd(93));
+    assert_eq!(settle(&world), Credits::from_gd(7), "one obligation of G$7 was netted");
+    assert_eq!(world.total_funds(), before);
+
+    // Kill the payee's branch while branch 1 still holds a dialled
+    // route to it; the reboot must find the same ledger and rejoin.
+    let digest = world.bank(2).unwrap().accounts.db().state_digest();
+    drop(payee);
+    world.kill(2).unwrap();
+    world.reboot(2).unwrap();
+    assert_eq!(world.bank(2).unwrap().accounts.db().state_digest(), digest);
+    assert_eq!(world.total_funds(), before);
+    let reply = payer.call_keyed(Some(0xFEEE), &transfer).unwrap();
+    assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
+    assert_eq!(settle(&world), Credits::from_gd(7));
+    assert_eq!(world.total_funds(), before);
+    drop(world);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn durable_branch_survives_kill_and_reboot_without_a_journal_mirror() {
+    let dir = scratch_dir("single");
+    let store = StoreConfig::at(&dir).no_fsync();
+    let mut world = Deployment::boot(DeployConfig {
+        branches: vec![BranchConfig { bank: bank_config(), store: Some(store) }],
+        ..DeployConfig::single(bank_config())
+    })
+    .unwrap();
+
+    let mut alice = world.identity(subject("alice"), 10).unwrap().connect(1).unwrap();
+    let alice_account = alice.create_account(None).unwrap();
+    let mut bob = world.identity(subject("bob"), 11).unwrap().connect(1).unwrap();
+    let bob_account = bob.create_account(None).unwrap();
+    world.admin(1).unwrap().admin_deposit(alice_account, Credits::from_gd(50)).unwrap();
+
+    let db = |w: &Deployment| w.bank(1).unwrap().accounts.db().clone();
+    let before_payments = db(&world).journal_len();
+    assert!(before_payments > 0, "accounts and the deposit were journaled");
+    for k in 0..5 {
+        alice.direct_transfer(bob_account, Credits::from_gd(1), &format!("bob.host/{k}")).unwrap();
+    }
+    let entries = db(&world).journal_len();
+    assert!(entries >= before_payments + 5, "every payment reached the journal");
+    assert!(db(&world).journal_snapshot().is_empty(), "durable mode keeps no journal in RAM");
+    let digest = db(&world).state_digest();
+    let funds = world.total_funds();
+
+    drop((alice, bob));
+    world.kill(1).unwrap();
+    assert!(world.bank(1).is_err(), "a killed branch has no bank");
+    world.reboot(1).unwrap();
+
+    assert!(world.recovery(1).is_some(), "the reboot recovered from the store");
+    assert_eq!(db(&world).state_digest(), digest);
+    assert_eq!(world.total_funds(), funds);
+    assert_eq!(db(&world).journal_len(), entries, "the count survives the restart");
+
+    // The rebooted branch serves, and keeps counting where it stopped.
+    let mut alice = world.identity(subject("alice"), 12).unwrap().connect(1).unwrap();
+    alice.direct_transfer(bob_account, Credits::from_gd(1), "bob.host/after").unwrap();
+    assert!(db(&world).journal_len() > entries);
+    assert!(db(&world).journal_snapshot().is_empty());
+    drop(world);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resilient_retries_stay_exactly_once_under_a_reorder_storm() {
+    let world = Deployment::boot(DeployConfig::single(bank_config())).unwrap();
+    let mut bob = world.identity(subject("bob"), 31).unwrap().connect(1).unwrap();
+    let bob_account = bob.create_account(None).unwrap();
+    // Set up on a plain link, hung up before the storm so that every
+    // frame alice sends afterwards rides a link the injector can fault.
+    let mut setup = world.identity(subject("alice"), 30).unwrap().connect(1).unwrap();
+    let alice_account = setup.create_account(None).unwrap();
+    drop(setup);
+    world.admin(1).unwrap().admin_deposit(alice_account, Credits::from_gd(100)).unwrap();
+
+    // Reordered frames break the channel's sequence check, so every hit
+    // costs alice her connection; her connector dials a fresh one and
+    // the retry rides it under the same idempotency key.
+    let injector = world.install_faults(FaultPlan {
+        seed: 0xBEEF,
+        to_server: FaultRates { reorder_pm: 150, ..FaultRates::NONE },
+        to_client: FaultRates { reorder_pm: 150, ..FaultRates::NONE },
+        // Let each handshake through; fault only steady-state traffic.
+        skip_first: 12,
+    });
+    let mut alice = world.identity(subject("alice"), 32).unwrap().resilient(1);
+    injector.arm(true);
+    const N: i64 = 24;
+    for k in 0..N {
+        alice.direct_transfer(bob_account, Credits::from_gd(1), &format!("bob.host/{k}")).unwrap();
+    }
+    injector.arm(false);
+
+    assert!(injector.counts().total() > 0, "the storm never happened");
+    assert_eq!(world.bank(1).unwrap().all_transfers().len(), N as usize);
+    assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(N));
+    assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(100 - N));
+}

@@ -10,112 +10,58 @@
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
-use std::sync::Arc;
-
 use gridbank_suite::bank::client::GridBankClient;
-use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
+use gridbank_suite::bank::server::{GateMode, GridBankConfig};
+use gridbank_suite::bank::BankError;
+use gridbank_suite::crypto::cert::{
+    create_proxy, CertificateAuthority, ProxyCertificate, SubjectName,
 };
-use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
 use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
 use gridbank_suite::crypto::rng::DeterministicStream;
 use gridbank_suite::gsp::charging::PaymentInstrument;
 use gridbank_suite::gsp::provider::{GridServiceProvider, GspConfig};
 use gridbank_suite::meter::levels::AccountingLevel;
 use gridbank_suite::meter::machine::{JobSpec, MachineSpec, OsFlavour};
-use gridbank_suite::net::transport::{Address, Network};
+use gridbank_suite::net::transport::Address;
 use gridbank_suite::net::NetError;
 use gridbank_suite::rur::codec::Decode;
 use gridbank_suite::rur::record::{ChargeableItem, ResourceUsageRecord};
 use gridbank_suite::rur::Credits;
+use gridbank_suite::sim::deploy::{self, DeployConfig, Deployment};
 use gridbank_suite::trade::pricing::FlatPricing;
 use gridbank_suite::trade::rates::ServiceRates;
 
-struct World {
-    network: Network,
-    ca: CertificateAuthority,
-    clock: Clock,
-    bank: Arc<GridBank>,
-    _server: GridBankServer,
+fn world(gate_mode: GateMode) -> Deployment {
+    Deployment::boot(DeployConfig::single(GridBankConfig {
+        gate_mode,
+        signer_height: 9,
+        ..GridBankConfig::default()
+    }))
+    .unwrap()
 }
 
-fn world(gate_mode: GateMode) -> World {
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let bank = Arc::new(GridBank::new(
-        GridBankConfig { gate_mode, signer_height: 9, ..GridBankConfig::default() },
-        clock.clone(),
-    ));
-    let bank_identity = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 2 }, "bank-tls"));
-    let bank_cert = ca
-        .issue(
-            SubjectName::new("GridBank", "Server", "gridbank"),
-            bank_identity.verifying_key(),
-            0,
-            u64::MAX / 2,
-        )
-        .unwrap();
-    let network = Network::new();
-    let server = GridBankServer::start(
-        &network,
-        Address::new("bank"),
-        bank.clone(),
-        ServerCredentials {
-            certificate: bank_cert,
-            identity: bank_identity,
-            ca_key: ca.verifying_key(),
-        },
-        7,
-    )
-    .unwrap();
-    World { network, ca, clock, bank, _server: server }
+fn connect(w: &Deployment, cn: &str, seed: u64) -> Result<GridBankClient, BankError> {
+    w.identity(SubjectName::new("Org", "Unit", cn), seed).unwrap().connect(1)
 }
 
-fn connect(
-    w: &World,
-    cn: &str,
-    seed: u64,
-) -> Result<GridBankClient, gridbank_suite::bank::BankError> {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, cn);
-    let dn = SubjectName::new("Org", "Unit", cn);
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed + 5000 }, "proxy");
-    let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(seed, b"nonce");
+/// One handshake with a hand-minted (deliberately broken) credential,
+/// against the deployment's network and CA key.
+fn dial(
+    w: &Deployment,
+    proxy: &ProxyCertificate,
+    proxy_id: &SigningIdentity,
+    nonce_seed: u64,
+) -> Result<GridBankClient, BankError> {
     GridBankClient::connect(
         &w.network,
-        Address::new(format!("{cn}.host")),
-        &Address::new("bank"),
+        Address::new("intruder.host"),
+        &deploy::address(1),
         w.ca.verifying_key(),
         w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
+        proxy,
+        proxy_id,
+        &mut DeterministicStream::from_u64(nonce_seed, b"nonce"),
     )
-}
-
-fn admin_client(w: &World) -> GridBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed: 999 }, "operator");
-    let dn = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: 998 }, "proxy");
-    let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(997, b"nonce");
-    GridBankClient::connect(
-        &w.network,
-        Address::new("ops.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .expect("admin connects")
 }
 
 fn rates() -> ServiceRates {
@@ -135,7 +81,7 @@ fn figure1_interaction_over_the_wire() {
     let mut gsp_client = connect(&w, "gsp-alpha", 11).expect("gsp connects");
     gsp_client.create_account(None).unwrap();
 
-    let mut operator = admin_client(&w);
+    let mut operator = w.admin(1).unwrap();
     operator.admin_deposit(alice_account, Credits::from_gd(200)).unwrap();
 
     // Two providers, four resources between them (R1-R4 of Figure 1);
@@ -159,7 +105,7 @@ fn figure1_interaction_over_the_wire() {
             accounting_level: AccountingLevel::Standard,
             machine_seed: 7,
         },
-        w.bank.verifying_key(),
+        w.bank(1).unwrap().verifying_key(),
         gsp_client,
         Box::new(FlatPricing),
     );
@@ -208,14 +154,11 @@ fn strict_gate_refuses_unknown_subjects_at_connection() {
         Err(e) => e,
         Ok(_) => panic!("stranger should be refused"),
     };
-    assert!(
-        matches!(err, gridbank_suite::bank::BankError::Net(NetError::Refused { .. })),
-        "got {err:?}"
-    );
+    assert!(matches!(err, BankError::Net(NetError::Refused { .. })), "got {err:?}");
 
     // An admin is in the administrator table, so the gate admits them;
     // they can then act on the bank.
-    let mut operator = admin_client(&w);
+    let mut operator = w.admin(1).unwrap();
     // The admin has no account, and strict mode has no enrollment: the
     // protocol-level restriction still applies to account-less calls
     // other than account creation.
@@ -236,18 +179,7 @@ fn forged_client_chain_never_reaches_the_bank() {
     let cert = rogue_ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
     let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: 71 }, "proxy");
     let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(72, b"nonce");
-    let res = GridBankClient::connect(
-        &w.network,
-        Address::new("mallory.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    );
-    assert!(res.is_err());
+    assert!(dial(&w, &proxy, &proxy_id, 72).is_err());
 }
 
 #[test]
@@ -261,32 +193,10 @@ fn expired_proxy_is_rejected_later() {
     let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, 1_000, 1).unwrap();
 
     // Works now...
-    let mut nonces = DeterministicStream::from_u64(82, b"nonce");
-    let c = GridBankClient::connect(
-        &w.network,
-        Address::new("carol.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    );
-    assert!(c.is_ok());
+    assert!(dial(&w, &proxy, &proxy_id, 82).is_ok());
 
     // ...but not after the virtual clock passes the proxy expiry: single
     // sign-on credentials are short-lived by design.
     w.clock.advance(2_000);
-    let mut nonces = DeterministicStream::from_u64(83, b"nonce");
-    let c = GridBankClient::connect(
-        &w.network,
-        Address::new("carol2.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    );
-    assert!(c.is_err());
+    assert!(dial(&w, &proxy, &proxy_id, 83).is_err());
 }

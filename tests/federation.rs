@@ -16,142 +16,29 @@
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridbank_suite::bank::client::GridBankClient;
-use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::federation::{FederationRouter, RemotePeer};
-use gridbank_suite::bank::resilient::{Connector, ResilientBankClient};
-use gridbank_suite::bank::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
-};
-use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_suite::crypto::rng::DeterministicStream;
-use gridbank_suite::net::retry::RetryPolicy;
-use gridbank_suite::net::transport::{Address, Network};
+use gridbank_suite::bank::server::GridBankConfig;
+use gridbank_suite::crypto::cert::SubjectName;
+use gridbank_suite::crypto::keys::KeyMaterial;
 use gridbank_suite::obs::flight;
-
-struct World {
-    network: Network,
-    clock: Clock,
-    ca: CertificateAuthority,
-    banks: Vec<Arc<GridBank>>,
-    _servers: Vec<GridBankServer>,
-}
+use gridbank_suite::sim::deploy::{DeployConfig, Deployment};
 
 /// Two live server stacks federated over real RPC: branch 1 routes to
 /// branch 2 through a pooled resilient client, exactly like the CLI's
 /// `settle` world.
-fn two_branch_world() -> World {
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let network = Network::new();
-    let mut banks = Vec::new();
-    let mut servers = Vec::new();
-    for b in 1..=2u16 {
-        let bank = Arc::new(GridBank::new(
-            GridBankConfig {
-                branch: b,
-                signer_height: 8,
-                gate_mode: GateMode::AllowEnrollment,
-                key_material: KeyMaterial { seed: 0xFED0 + b as u64 },
-                ..GridBankConfig::default()
-            },
-            clock.clone(),
-        ));
-        let tls = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 100 + b as u64 }, "tls"));
-        let cert = ca
-            .issue(
-                SubjectName::new("GridBank", "Server", &format!("branch-{b:04}")),
-                tls.verifying_key(),
-                0,
-                u64::MAX / 2,
-            )
-            .unwrap();
-        let server = GridBankServer::start(
-            &network,
-            Address::new(format!("branch-{b}")),
-            Arc::clone(&bank),
-            ServerCredentials { certificate: cert, identity: tls, ca_key: ca.verifying_key() },
-            b as u64,
-        )
-        .unwrap();
-        banks.push(bank);
-        servers.push(server);
-    }
-
-    let routers: Vec<_> = banks.iter().map(FederationRouter::install).collect();
-    for (from, to) in [(1u16, 2u16), (2, 1)] {
-        let id =
-            SigningIdentity::generate_small(KeyMaterial { seed: 0x5E77 + from as u64 }, "settle");
-        let dn = SubjectName::new("GridBank", "Settlement", &format!("branch-{from:04}"));
-        let cert = ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-        let (net, clk, ca_key) = (network.clone(), clock.clone(), ca.verifying_key());
-        let target = Address::new(format!("branch-{to}"));
-        let mut attempt = 0u64;
-        let connector: Connector = Box::new(move || {
-            attempt += 1;
-            let id = SigningIdentity::generate_small(
-                KeyMaterial { seed: 0x5E77 + from as u64 },
-                "settle",
-            );
-            let proxy_id = SigningIdentity::generate_small(
-                KeyMaterial { seed: 0x9000 + (from as u64) * 977 + attempt },
-                "proxy",
-            );
-            let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1)?;
-            let mut nonces = DeterministicStream::from_u64(
-                ((from as u64) << 32) | ((to as u64) << 16) | attempt,
-                b"fed-nonce",
-            );
-            GridBankClient::connect(
-                &net,
-                Address::new(format!("fed-{from}-{to}-{attempt}")),
-                &target,
-                ca_key,
-                clk.now_ms(),
-                &proxy,
-                &proxy_id,
-                &mut nonces,
-            )
-        });
-        let policy = RetryPolicy {
-            base_delay_ms: 1,
-            max_delay_ms: 8,
-            max_attempts: 6,
-            deadline_ms: 10_000,
-            seed: from as u64,
-        };
-        let client =
-            ResilientBankClient::new(connector, policy, clock.clone(), (from as u64) * 31 + 7);
-        routers[(from - 1) as usize].add_peer(to, RemotePeer::new(client));
-    }
-
-    World { network, clock, ca, banks, _servers: servers }
+fn two_branch_world() -> Deployment {
+    Deployment::boot(DeployConfig::federated(2, |b| GridBankConfig {
+        signer_height: 8,
+        key_material: KeyMaterial { seed: 0xFED0 + b as u64 },
+        ..GridBankConfig::default()
+    }))
+    .unwrap()
 }
 
-fn connect(world: &World, dn: SubjectName, seed: u64, branch: u16) -> GridBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, "client");
-    let cert = world.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed + 5000 }, "proxy");
-    let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(seed, b"nonce");
-    GridBankClient::connect(
-        &world.network,
-        Address::new(format!("client-{seed}")),
-        &Address::new(format!("branch-{branch}")),
-        world.ca.verifying_key(),
-        world.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .unwrap()
+fn connect(world: &Deployment, dn: SubjectName, seed: u64, branch: u16) -> GridBankClient {
+    world.identity(dn, seed).unwrap().connect(branch).unwrap()
 }
 
 #[test]
@@ -166,7 +53,7 @@ fn trace_context_crosses_federated_forwarding() {
     let payee_account = payee.create_account(None).unwrap();
     let mut payer = connect(&world, SubjectName::new("Test", "Traces", "payer"), 11, 1);
     let payer_account = payer.create_account(None).unwrap();
-    let mut admin = connect(&world, SubjectName("/O=GridBank/OU=Admin/CN=operator".into()), 31, 1);
+    let mut admin = world.admin(1).unwrap();
     admin.admin_deposit(payer_account, gridbank_suite::rur::Credits::from_gd(100)).unwrap();
 
     // Retain everything: threshold 0 marks every request slow, so the
@@ -239,6 +126,6 @@ fn trace_context_crosses_federated_forwarding() {
     gridbank_suite::obs::set_flight_recorder(false);
 
     // Sanity: the credit really landed on branch 2.
-    let rec = world.banks[1].accounts.account_details(&payee_account).unwrap();
+    let rec = world.bank(2).unwrap().accounts.account_details(&payee_account).unwrap();
     assert_eq!(rec.available, gridbank_suite::rur::Credits::from_gd(1));
 }

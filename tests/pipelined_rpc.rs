@@ -8,113 +8,37 @@
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
-use std::sync::Arc;
-
+use gridbank_suite::bank::api::{BankRequest, BankResponse};
 use gridbank_suite::bank::client::GridBankClient;
-use gridbank_suite::bank::clock::Clock;
 use gridbank_suite::bank::db::GroupCommitConfig;
-use gridbank_suite::bank::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials, ServerTuning,
-};
+use gridbank_suite::bank::server::{GridBankConfig, ServerTuning};
 use gridbank_suite::bank::BankError;
-use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_suite::crypto::rng::DeterministicStream;
-use gridbank_suite::net::fault::{FaultInjector, FaultPlan, FaultRates};
-use gridbank_suite::net::transport::{Address, Network};
+use gridbank_suite::crypto::cert::SubjectName;
+use gridbank_suite::net::fault::{FaultPlan, FaultRates};
 use gridbank_suite::rur::Credits;
+use gridbank_suite::sim::deploy::{DeployConfig, Deployment, Identity};
 
-struct World {
-    network: Network,
-    ca: CertificateAuthority,
-    clock: Clock,
-    bank: Arc<GridBank>,
-    _server: GridBankServer,
-}
-
-fn world(tuning: ServerTuning) -> World {
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let bank = Arc::new(GridBank::new(
-        GridBankConfig {
-            gate_mode: GateMode::AllowEnrollment,
+fn world(tuning: ServerTuning) -> Deployment {
+    Deployment::boot(DeployConfig {
+        tuning,
+        ..DeployConfig::single(GridBankConfig {
             signer_height: 9,
             // A wide grouping window so pipelined workers share journal
             // flushes — the configuration this suite is meant to stress.
             group_commit: GroupCommitConfig { max_batch: 32, max_delay_micros: 500 },
             ..GridBankConfig::default()
-        },
-        clock.clone(),
-    ));
-    let bank_identity = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 2 }, "bank-tls"));
-    let bank_cert = ca
-        .issue(
-            SubjectName::new("GridBank", "Server", "gridbank"),
-            bank_identity.verifying_key(),
-            0,
-            u64::MAX / 2,
-        )
-        .unwrap();
-    let network = Network::new();
-    let server = GridBankServer::start_tuned(
-        &network,
-        Address::new("bank"),
-        bank.clone(),
-        ServerCredentials {
-            certificate: bank_cert,
-            identity: bank_identity,
-            ca_key: ca.verifying_key(),
-        },
-        7,
-        tuning,
-    )
-    .unwrap();
-    World { network, ca, clock, bank, _server: server }
+        })
+    })
+    .unwrap()
 }
 
-fn connect(w: &World, cn: &str, seed: u64) -> Result<GridBankClient, BankError> {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, cn);
-    let dn = SubjectName::new("Org", "Unit", cn);
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed + 5000 }, "proxy");
-    let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(seed, b"nonce");
-    GridBankClient::connect(
-        &w.network,
-        Address::new(format!("{cn}.host")),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
+fn identity(w: &Deployment, cn: &str, seed: u64) -> Identity {
+    w.identity(SubjectName::new("Org", "Unit", cn), seed).unwrap()
 }
 
-fn admin_client(w: &World) -> GridBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed: 999 }, "operator");
-    let dn = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: 998 }, "proxy");
-    let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(997, b"nonce");
-    GridBankClient::connect(
-        &w.network,
-        Address::new("ops.host"),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .expect("admin connects")
+fn connect(w: &Deployment, cn: &str, seed: u64) -> Result<GridBankClient, BankError> {
+    identity(w, cn, seed).connect(1)
 }
-
-use gridbank_suite::bank::api::{BankRequest, BankResponse};
 
 #[test]
 fn pipelined_transfers_settle_exactly_once() {
@@ -125,7 +49,7 @@ fn pipelined_transfers_settle_exactly_once() {
     let alice_account = alice.create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 11).unwrap();
     let bob_account = bob.create_account(None).unwrap();
-    let mut admin = admin_client(&w);
+    let mut admin = w.admin(1).unwrap();
     admin.admin_deposit(alice_account, Credits::from_gd(100)).unwrap();
 
     // Pipeline 20 keyed transfers plus interleaved reads on one
@@ -154,7 +78,7 @@ fn pipelined_transfers_settle_exactly_once() {
     assert_eq!(confirmed, N);
     assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(100 - N as i64));
     assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(N as i64));
-    assert_eq!(w.bank.all_transfers().len(), N as usize);
+    assert_eq!(w.bank(1).unwrap().all_transfers().len(), N as usize);
 }
 
 #[test]
@@ -168,7 +92,7 @@ fn duplicate_keys_in_one_pipeline_are_deduplicated() {
     let alice_account = alice.create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 21).unwrap();
     let bob_account = bob.create_account(None).unwrap();
-    let mut admin = admin_client(&w);
+    let mut admin = w.admin(1).unwrap();
     admin.admin_deposit(alice_account, Credits::from_gd(50)).unwrap();
 
     let transfer = BankRequest::DirectTransfer {
@@ -191,7 +115,7 @@ fn duplicate_keys_in_one_pipeline_are_deduplicated() {
     assert_eq!(t1, t2);
     assert_eq!(t2, t3);
     // Exactly one application: one transfer row, one debit.
-    assert_eq!(w.bank.all_transfers().len(), 1);
+    assert_eq!(w.bank(1).unwrap().all_transfers().len(), 1);
     assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(43));
     assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(7));
 }
@@ -204,21 +128,21 @@ fn pipelined_batch_survives_reorder_faults_with_keyed_retries() {
     // the whole batch with the *same* keys; dedup keeps every transfer
     // exactly-once no matter where the batch was cut.
     let w = world(ServerTuning::default());
-    let mut alice = connect(&w, "alice", 30).unwrap();
+    let mut alice_identity = identity(&w, "alice", 30);
+    let mut alice = alice_identity.connect(1).unwrap();
     let alice_account = alice.create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 31).unwrap();
     let bob_account = bob.create_account(None).unwrap();
-    let mut admin = admin_client(&w);
+    let mut admin = w.admin(1).unwrap();
     admin.admin_deposit(alice_account, Credits::from_gd(100)).unwrap();
 
-    let injector = FaultInjector::new(FaultPlan {
+    let injector = w.install_faults(FaultPlan {
         seed: 0xBEEF,
         to_server: FaultRates { reorder_pm: 120, ..FaultRates::NONE },
         to_client: FaultRates { reorder_pm: 120, ..FaultRates::NONE },
         // Let the handshake through; fault only steady-state traffic.
         skip_first: 12,
     });
-    w.network.install_faults(injector.clone());
     injector.arm(true);
 
     const N: u64 = 12;
@@ -263,14 +187,14 @@ fn pipelined_batch_survives_reorder_faults_with_keyed_retries() {
             // The channel is integrity-poisoned; reconnect (the fault
             // plan's skip_first window protects the new handshake).
             injector.arm(false);
-            alice = connect(&w, "alice", 32 + attempts).expect("reconnect");
+            alice = alice_identity.connect(1).expect("reconnect");
             injector.arm(true);
         }
     }
     injector.arm(false);
 
     // Every key applied exactly once despite arbitrary mid-batch cuts.
-    assert_eq!(w.bank.all_transfers().len(), N as usize);
+    assert_eq!(w.bank(1).unwrap().all_transfers().len(), N as usize);
     let mut check = connect(&w, "alice", 500).unwrap();
     assert_eq!(check.my_account().unwrap().available, Credits::from_gd(100 - N as i64));
     assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(N as i64));

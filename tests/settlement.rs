@@ -133,23 +133,15 @@ mod wire {
     use std::sync::Arc;
 
     use gridbank_suite::bank::api::{BankRequest, BankResponse};
-    use gridbank_suite::bank::client::GridBankClient;
-    use gridbank_suite::bank::clock::Clock;
     use gridbank_suite::bank::db::TransactionType;
-    use gridbank_suite::bank::federation::{FederationRouter, RemotePeer};
     use gridbank_suite::bank::port::BankPort;
-    use gridbank_suite::bank::resilient::{Connector, ResilientBankClient};
-    use gridbank_suite::bank::server::{
-        GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
-    };
+    use gridbank_suite::bank::server::GridBankConfig;
     use gridbank_suite::bank::BankError;
-    use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-    use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
-    use gridbank_suite::crypto::rng::DeterministicStream;
+    use gridbank_suite::crypto::cert::SubjectName;
+    use gridbank_suite::crypto::keys::KeyMaterial;
     use gridbank_suite::net::fault::{FaultInjector, FaultPlan, FaultRates};
-    use gridbank_suite::net::retry::{CircuitBreaker, RetryPolicy};
-    use gridbank_suite::net::transport::{Address, Network};
     use gridbank_suite::rur::Credits;
+    use gridbank_suite::sim::deploy::{DeployConfig, Deployment};
 
     const FAULT_RATE_PM: u32 = 160;
 
@@ -160,115 +152,16 @@ mod wire {
         vec![7, 23]
     }
 
-    struct Federation {
-        network: Network,
-        ca: CertificateAuthority,
-        clock: Clock,
-        banks: Vec<Arc<GridBank>>,
-        routers: Vec<Arc<FederationRouter>>,
-        injector: Arc<FaultInjector>,
-        _servers: Vec<GridBankServer>,
-    }
-
-    fn branch_address(b: u16) -> Address {
-        Address::new(format!("branch-{b}"))
-    }
-
-    fn build(seed: u64) -> Federation {
-        let ca = CertificateAuthority::new(
-            SubjectName::new("GridBank", "CA", "Root"),
-            SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-        );
-        let clock = Clock::new();
-        let network = Network::new();
-        let injector =
-            FaultInjector::new(FaultPlan::symmetric(seed, FaultRates::uniform(FAULT_RATE_PM)));
-        network.install_faults(Arc::clone(&injector));
-        let mut banks = Vec::new();
-        let mut servers = Vec::new();
-        for b in 1..=2u16 {
-            let bank = Arc::new(GridBank::new(
-                GridBankConfig {
-                    branch: b,
-                    gate_mode: GateMode::AllowEnrollment,
-                    signer_height: 9,
-                    key_material: KeyMaterial { seed: 0xB4A2 ^ b as u64 },
-                    ..GridBankConfig::default()
-                },
-                clock.clone(),
-            ));
-            let identity =
-                Arc::new(SigningIdentity::generate(KeyMaterial { seed: 2 + b as u64 }, "tls"));
-            let cert = ca
-                .issue(
-                    SubjectName::new("GridBank", "Server", &format!("branch-{b:04}")),
-                    identity.verifying_key(),
-                    0,
-                    u64::MAX / 2,
-                )
-                .unwrap();
-            let server = GridBankServer::start(
-                &network,
-                branch_address(b),
-                Arc::clone(&bank),
-                ServerCredentials { certificate: cert, identity, ca_key: ca.verifying_key() },
-                b as u64,
-            )
-            .unwrap();
-            banks.push(bank);
-            servers.push(server);
-        }
-        let routers: Vec<_> = banks.iter().map(FederationRouter::install).collect();
-        let fed = Federation { network, ca, clock, banks, routers, injector, _servers: servers };
-        for from in 1..=2u16 {
-            let to = 3 - from;
-            let dn = SubjectName::new("GridBank", "Settlement", &format!("branch-{from:04}"));
-            let client = resilient(&fed, &dn, to, 0x5E77 ^ (from as u64) << 8);
-            fed.routers[(from - 1) as usize].add_peer(to, RemotePeer::new(client));
-        }
-        fed
-    }
-
-    /// A reconnecting resilient client for `dn` against branch
-    /// `target`: retries ride fresh handshakes with stable keys, the
-    /// configuration the exactly-once guarantees are stated for.
-    fn resilient(f: &Federation, dn: &SubjectName, target: u16, seed: u64) -> ResilientBankClient {
-        let id = SigningIdentity::generate_small(KeyMaterial { seed }, "client");
-        let cert = f.ca.issue(dn.clone(), id.verifying_key(), 0, u64::MAX / 2).unwrap();
-        let proxy_id = SigningIdentity::generate_with_height(
-            KeyMaterial { seed: seed ^ 0x50_0000 },
-            "proxy",
-            9,
-        );
-        let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-        let (network, ca_key, clock) = (f.network.clone(), f.ca.verifying_key(), f.clock.clone());
-        let mut attempt = 0u64;
-        let connector: Connector = Box::new(move || {
-            attempt += 1;
-            let mut nonces = DeterministicStream::from_u64(seed ^ (attempt << 32), b"nonce");
-            GridBankClient::connect(
-                &network,
-                Address::new(format!("peer-{seed:x}.host")),
-                &branch_address(target),
-                ca_key,
-                clock.now_ms(),
-                &proxy,
-                &proxy_id,
-                &mut nonces,
-            )
-        });
-        let policy = RetryPolicy {
-            base_delay_ms: 1,
-            max_delay_ms: 16,
-            max_attempts: 12,
-            deadline_ms: 1_000_000,
-            seed,
-        };
-        ResilientBankClient::new(connector, policy, f.clock.clone(), seed)
-            // Cooldown 0: the virtual clock is frozen during the storm,
-            // so any positive cooldown would pin an open circuit shut.
-            .with_breaker(CircuitBreaker::new(8, 0))
-            .with_call_timeout(Some(std::time::Duration::from_millis(50)))
+    fn build(seed: u64) -> (Deployment, Arc<FaultInjector>) {
+        let f = Deployment::boot(DeployConfig::federated(2, |b| GridBankConfig {
+            signer_height: 9,
+            key_material: KeyMaterial { seed: 0xB4A2 ^ b as u64 },
+            ..GridBankConfig::default()
+        }))
+        .unwrap();
+        let plan = FaultPlan::symmetric(seed, FaultRates::uniform(FAULT_RATE_PM));
+        let injector = f.install_faults(plan);
+        (f, injector)
     }
 
     /// Unique per-payment amount: a repeated deposit amount at the payee
@@ -281,7 +174,7 @@ mod wire {
     #[test]
     fn federated_chaos_storm_settles_exactly_once() {
         for seed in seeds() {
-            let f = build(seed);
+            let (f, injector) = build(seed);
 
             // Quiet-network setup: one funded payer and one payee per
             // branch; traffic will flow both ways so netting is real.
@@ -289,13 +182,15 @@ mod wire {
             let mut payees = Vec::new();
             for b in 1..=2u16 {
                 let payer_dn = SubjectName::new("Org", "Unit", &format!("payer-{b}"));
-                let mut payer = resilient(&f, &payer_dn, b, 0x100 + b as u64);
+                // Retries ride fresh handshakes with stable keys, the
+                // configuration the exactly-once guarantees are stated for.
+                let mut payer = f.identity(payer_dn, 0x100 + b as u64).unwrap().resilient(b);
                 let payer_account = payer.create_account(None).unwrap();
                 let payee_dn = SubjectName::new("Org", "Unit", &format!("payee-{b}"));
-                let mut payee = resilient(&f, &payee_dn, b, 0x200 + b as u64);
+                let mut payee = f.identity(payee_dn, 0x200 + b as u64).unwrap().resilient(b);
                 payees.push(payee.create_account(None).unwrap());
                 let operator = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
-                let funded = f.banks[(b - 1) as usize].handle(
+                let funded = f.bank(b).unwrap().handle(
                     &operator,
                     BankRequest::AdminDeposit {
                         account: payer_account,
@@ -305,17 +200,11 @@ mod wire {
                 assert!(matches!(funded, BankResponse::Confirmation { .. }), "{funded:?}");
                 payers.push(payer);
             }
-            let total = |f: &Federation| {
-                f.banks
-                    .iter()
-                    .map(|b| b.total_funds())
-                    .fold(Credits::ZERO, |a, c| a.saturating_add(c))
-            };
-            let initial_total = total(&f);
+            let initial_total = f.total_funds();
 
             // Storm: cross-branch payments while the wire misbehaves —
             // including the inter-branch IbCredit hops.
-            f.injector.arm(true);
+            injector.arm(true);
             let mut acked: Vec<(u16, Credits)> = Vec::new();
             let mut gave_up = 0;
             for op in 0..6 {
@@ -330,9 +219,9 @@ mod wire {
                     }
                 }
             }
-            f.injector.arm(false);
+            injector.arm(false);
             assert!(
-                f.injector.counts().total() > 0,
+                injector.counts().total() > 0,
                 "seed {seed}: no faults fired; the storm never happened"
             );
             let _ = gave_up; // conservation must hold whatever the ack rate
@@ -342,7 +231,7 @@ mod wire {
             // credits the higher branch re-ships during its own pass
             // drain on the proposer's next round.
             for _ in 0..2 {
-                for router in &f.routers {
+                for router in f.routers() {
                     router.settle_once().unwrap_or_else(|e| panic!("seed {seed}: settle: {e}"));
                 }
             }
@@ -351,7 +240,9 @@ mod wire {
             // payee is unique, and every acked payment landed.
             for (i, payee) in payees.iter().enumerate() {
                 let branch = i as u16 + 1;
-                let mut amounts: Vec<Credits> = f.banks[i]
+                let mut amounts: Vec<Credits> = f
+                    .bank(branch)
+                    .unwrap()
                     .accounts
                     .db()
                     .transactions_in_range(payee, 0, u64::MAX)
@@ -376,8 +267,8 @@ mod wire {
             }
 
             // Conservation and zero stranded clearing.
-            assert_eq!(total(&f), initial_total, "seed {seed}: funds not conserved");
-            for (i, router) in f.routers.iter().enumerate() {
+            assert_eq!(f.total_funds(), initial_total, "seed {seed}: funds not conserved");
+            for (i, (bank, router)) in f.banks().zip(f.routers()).enumerate() {
                 for peer in router.peer_branches() {
                     assert_eq!(
                         router.clearing_balance(peer),
@@ -387,7 +278,7 @@ mod wire {
                     );
                 }
                 assert!(
-                    f.banks[i].accounts.db().ib_pending_snapshot().is_empty(),
+                    bank.accounts.db().ib_pending_snapshot().is_empty(),
                     "seed {seed}: unacknowledged credits left at branch {}",
                     i + 1
                 );

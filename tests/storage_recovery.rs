@@ -113,7 +113,7 @@ fn restart_replays_only_the_journal_tail() {
     }
 
     // Checkpoint, then a known number of journal entries on top.
-    let before_checkpoint = bank.journal_snapshot().len();
+    let before_checkpoint = bank.accounts.db().journal_len();
     let stats = bank.accounts.db().checkpoint().unwrap();
     assert!(stats.shards_snapshotted > 0);
     for key in 10..13u64 {
@@ -128,7 +128,7 @@ fn restart_replays_only_the_journal_tail() {
         );
         assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
     }
-    let tail_entries = bank.journal_snapshot().len() - before_checkpoint;
+    let tail_entries = bank.accounts.db().journal_len() - before_checkpoint;
     assert!(tail_entries > 0);
     let digest = bank.accounts.db().state_digest();
     let funds = bank.total_funds();
@@ -491,7 +491,7 @@ fn incremental_checkpoints_bound_the_tail_under_live_traffic() {
         );
         assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
     }
-    let total_entries = bank.journal_snapshot().len();
+    let total_entries = bank.accounts.db().journal_len();
     let digest = bank.accounts.db().state_digest();
     drop(bank);
 

@@ -7,79 +7,27 @@
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
-use std::sync::Arc;
-
 use gridbank_suite::bank::client::GridBankClient;
-use gridbank_suite::bank::clock::Clock;
 use gridbank_suite::bank::db::TransactionType;
 use gridbank_suite::bank::pricing::ResourceDescription;
-use gridbank_suite::bank::server::{
-    GateMode, GridBank, GridBankConfig, GridBankServer, ServerCredentials,
-};
+use gridbank_suite::bank::server::GridBankConfig;
 use gridbank_suite::bank::BankError;
-use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
-use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
-use gridbank_suite::crypto::rng::DeterministicStream;
-use gridbank_suite::net::transport::{Address, Network};
+use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::rur::record::{ChargeableItem, RurBuilder, UsageAmount};
 use gridbank_suite::rur::units::Duration;
 use gridbank_suite::rur::Credits;
+use gridbank_suite::sim::deploy::{DeployConfig, Deployment};
 
-struct World {
-    network: Network,
-    ca: CertificateAuthority,
-    clock: Clock,
-    bank: Arc<GridBank>,
-    _server: GridBankServer,
+fn world() -> Deployment {
+    Deployment::boot(DeployConfig::single(GridBankConfig {
+        signer_height: 10,
+        ..GridBankConfig::default()
+    }))
+    .unwrap()
 }
 
-fn world() -> World {
-    let ca = CertificateAuthority::new(
-        SubjectName::new("GridBank", "CA", "Root"),
-        SigningIdentity::generate_small(KeyMaterial { seed: 1 }, "ca"),
-    );
-    let clock = Clock::new();
-    let bank = Arc::new(GridBank::new(
-        GridBankConfig {
-            gate_mode: GateMode::AllowEnrollment,
-            signer_height: 10,
-            ..GridBankConfig::default()
-        },
-        clock.clone(),
-    ));
-    let id = Arc::new(SigningIdentity::generate(KeyMaterial { seed: 2 }, "tls"));
-    let cert = ca
-        .issue(SubjectName::new("GB", "Srv", "bank"), id.verifying_key(), 0, u64::MAX / 2)
-        .unwrap();
-    let network = Network::new();
-    let server = GridBankServer::start(
-        &network,
-        Address::new("bank"),
-        bank.clone(),
-        ServerCredentials { certificate: cert, identity: id, ca_key: ca.verifying_key() },
-        3,
-    )
-    .unwrap();
-    World { network, ca, clock, bank, _server: server }
-}
-
-fn connect(w: &World, dn: SubjectName, seed: u64) -> GridBankClient {
-    let id = SigningIdentity::generate_small(KeyMaterial { seed }, &dn.0);
-    let cert = w.ca.issue(dn, id.verifying_key(), 0, u64::MAX / 2).unwrap();
-    let proxy_id = SigningIdentity::generate_small(KeyMaterial { seed: seed + 9000 }, "p");
-    let proxy = create_proxy(&id, &cert, proxy_id.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
-    let mut nonces = DeterministicStream::from_u64(seed, b"n");
-    GridBankClient::connect(
-        &w.network,
-        Address::new(format!("h{seed}")),
-        &Address::new("bank"),
-        w.ca.verifying_key(),
-        w.clock.now_ms(),
-        &proxy,
-        &proxy_id,
-        &mut nonces,
-    )
-    .expect("connects")
+fn connect(w: &Deployment, dn: SubjectName, seed: u64) -> GridBankClient {
+    w.identity(dn, seed).unwrap().connect(1).expect("connects")
 }
 
 #[test]
@@ -116,7 +64,7 @@ fn every_listed_operation_works_over_the_wire() {
 
     // Request Direct Transfer with confirmation.
     let conf = alice.direct_transfer(gsp_acct, Credits::from_gd(7), "gsp.host").unwrap();
-    conf.verify(&w.bank.verifying_key()).unwrap();
+    conf.verify(&w.bank(1).unwrap().verifying_key()).unwrap();
 
     // Request + Redeem GridCheque.
     let cheque = alice.request_cheque(&gsp_cert, Credits::from_gd(20), 1_000_000).unwrap();
@@ -133,7 +81,7 @@ fn every_listed_operation_works_over_the_wire() {
 
     // Request + Redeem GridHash chain (incremental), then close at expiry.
     let chain = alice.request_hash_chain(&gsp_cert, 10, Credits::from_gd(1), 5_000).unwrap();
-    chain.verify(&w.bank.verifying_key()).unwrap();
+    chain.verify(&w.bank(1).unwrap().verifying_key()).unwrap();
     let pw = chain.payword(6).unwrap();
     let paid =
         gsp.redeem_payword(chain.commitment.clone(), chain.signature.clone(), pw, vec![]).unwrap();
@@ -193,7 +141,7 @@ fn every_listed_operation_works_over_the_wire() {
     assert!(alice_final.available >= expected, "{alice_final:?} vs {expected}");
 
     // Conservation: the bank's books still balance (withdrawals left).
-    assert!(w.bank.accounts.db().total_funds().is_positive());
+    assert!(w.bank(1).unwrap().accounts.db().total_funds().is_positive());
 }
 
 #[test]
