@@ -11,18 +11,12 @@
 //!    providers reprice under load.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use criterion::Criterion;
 
-use gridbank_bench::quick;
+use gridbank_bench::{quick, Federation};
 use gridbank_broker::job::{JobBatch, QosConstraints};
 use gridbank_broker::scheduling::Algorithm;
-use gridbank_core::accounts::GbAccounts;
-use gridbank_core::admin::GbAdmin;
-use gridbank_core::branch::{Branch, InterBank};
-use gridbank_core::clock::Clock;
-use gridbank_core::db::Database;
 use gridbank_meter::machine::JobSpec;
 use gridbank_rur::units::MS_PER_HOUR;
 use gridbank_rur::Credits;
@@ -81,37 +75,20 @@ fn netting_table() {
     println!("\n[ablation 2] pairwise netting benefit vs federation size");
     println!("{:>9} {:>10} {:>14} {:>14} {:>8}", "branches", "payments", "gross", "net", "saved%");
     for branches in [2u16, 4, 8] {
-        let mut ib = InterBank::new();
-        let mut members = Vec::new();
-        for b in 1..=branches {
-            let db = Arc::new(Database::new(1, b));
-            let acc = GbAccounts::new(db, Clock::new());
-            let admin = GbAdmin::new(acc.clone(), ["/CN=root".to_string()]);
-            let id = acc.create_account(&format!("/O=vo-{b}/CN=m"), None).unwrap();
-            admin.deposit("/CN=root", &id, Credits::from_gd(100_000)).unwrap();
-            ib.add_branch(Branch::new(b, acc, admin));
-            members.push(id);
-        }
+        let fed = Federation::new(branches, 100_000);
         let mut payments = 0u32;
         for round in 0..20u64 {
             for i in 0..branches as usize {
                 for j in 0..branches as usize {
                     if i != j {
-                        ib.cross_branch_transfer(
-                            members[i],
-                            members[j],
-                            Credits::from_milli(
-                                ((round * 7 + i as u64 * 3 + j as u64) % 50 + 1) as i64 * 100,
-                            ),
-                            Vec::new(),
-                        )
-                        .unwrap();
+                        let milli = ((round * 7 + i as u64 * 3 + j as u64) % 50 + 1) as i64 * 100;
+                        fed.pay(i, j, Credits::from_milli(milli));
                         payments += 1;
                     }
                 }
             }
         }
-        let report = ib.settle().unwrap();
+        let report = fed.settle();
         let gross = report.total_gross();
         let net = report.total_net();
         let saved_pct =

@@ -8,7 +8,6 @@ use std::hint::black_box;
 use criterion::{BenchmarkId, Criterion, Throughput};
 
 use gridbank_bench::{bank, funded, quick};
-use gridbank_core::port::BankPort;
 use gridbank_crypto::sha256::{iterate_hash, sha256};
 use gridbank_rur::Credits;
 

@@ -7,7 +7,6 @@ use std::hint::black_box;
 use criterion::{BenchmarkId, Criterion};
 
 use gridbank_bench::{bank, funded, quick};
-use gridbank_core::port::BankPort;
 use gridbank_rur::record::{ChargeableItem, RurBuilder, UsageAmount};
 use gridbank_rur::units::Duration;
 use gridbank_rur::Credits;

@@ -2,54 +2,26 @@
 //! netting cost as the federation grows.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 
-use gridbank_bench::quick;
-use gridbank_core::accounts::GbAccounts;
-use gridbank_core::admin::GbAdmin;
-use gridbank_core::branch::{Branch, InterBank};
-use gridbank_core::clock::Clock;
-use gridbank_core::db::{AccountId, Database};
+use gridbank_bench::{funded, quick, Federation};
 use gridbank_rur::Credits;
-
-const ADMIN: &str = "/CN=root";
-
-fn federation(branches: u16) -> (InterBank, Vec<AccountId>) {
-    let mut ib = InterBank::new();
-    let mut members = Vec::new();
-    for b in 1..=branches {
-        let db = Arc::new(Database::new(1, b));
-        let acc = GbAccounts::new(db, Clock::new());
-        let admin = GbAdmin::new(acc.clone(), [ADMIN.to_string()]);
-        let id = acc.create_account(&format!("/O=vo-{b}/CN=member"), None).unwrap();
-        admin.deposit(ADMIN, &id, Credits::from_gd(1_000_000)).unwrap();
-        ib.add_branch(Branch::new(b, acc, admin));
-        members.push(id);
-    }
-    (ib, members)
-}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("settlement");
 
     g.bench_function("cross_branch_transfer", |b| {
-        let (mut ib, members) = federation(2);
-        b.iter(|| {
-            ib.cross_branch_transfer(members[0], members[1], Credits::from_micro(10), Vec::new())
-                .unwrap()
-        });
+        let fed = Federation::new(2, 1_000_000);
+        b.iter(|| fed.pay(0, 1, Credits::from_micro(10)));
     });
 
     // Same-branch transfer for comparison (the local fast path).
     g.bench_function("local_transfer_baseline", |b| {
-        let (ib, _members) = federation(1);
-        let branch = ib.branch(1).unwrap();
-        let a = branch.accounts.create_account("/CN=a2", None).unwrap();
-        branch.admin.deposit(ADMIN, &a, Credits::from_gd(1_000_000)).unwrap();
-        let to = branch.accounts.create_account("/CN=b2", None).unwrap();
-        b.iter(|| branch.accounts.transfer(&a, &to, Credits::from_micro(10), Vec::new()).unwrap());
+        let bank = gridbank_bench::bank(2);
+        let (_, a) = funded(&bank, "a2", 1_000_000);
+        let (_, to) = funded(&bank, "b2", 0);
+        b.iter(|| bank.accounts.transfer(&a, &to, Credits::from_micro(10), Vec::new()).unwrap());
     });
 
     // Settlement cost vs federation size: all-pairs traffic, then net.
@@ -61,26 +33,21 @@ fn bench(c: &mut Criterion) {
             |b, &n| {
                 b.iter_with_setup(
                     || {
-                        let (mut ib, members) = federation(n);
+                        let fed = Federation::new(n, 1_000_000);
                         for i in 0..n as usize {
                             for j in 0..n as usize {
                                 if i != j {
-                                    ib.cross_branch_transfer(
-                                        members[i],
-                                        members[j],
+                                    fed.pay(
+                                        i,
+                                        j,
                                         Credits::from_gd(1 + (i as i64 * 3 + j as i64) % 7),
-                                        Vec::new(),
-                                    )
-                                    .unwrap();
+                                    );
                                 }
                             }
                         }
-                        ib
+                        fed
                     },
-                    |mut ib| {
-                        let report = ib.settle().unwrap();
-                        black_box(report.total_net())
-                    },
+                    |fed| black_box(fed.settle().total_net()),
                 )
             },
         );

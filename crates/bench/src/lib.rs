@@ -8,10 +8,11 @@ use std::sync::Arc;
 
 use criterion::Criterion;
 
-use gridbank_core::api::BankRequest;
+use gridbank_core::branch::SettlementReport;
 use gridbank_core::clock::Clock;
 use gridbank_core::db::AccountId;
-use gridbank_core::port::{BankPort, InProcessBank};
+use gridbank_core::federation::{direct_mesh, settle_all, FederationRouter};
+use gridbank_core::port::InProcessBank;
 use gridbank_core::server::{GridBank, GridBankConfig};
 use gridbank_crypto::cert::SubjectName;
 use gridbank_rur::Credits;
@@ -52,10 +53,49 @@ pub fn funded(bank: &Arc<GridBank>, cn: &str, gd: i64) -> (InProcessBank, Accoun
     let mut port = InProcessBank::new(bank.clone(), subject);
     let id = port.create_account(None).expect("fresh account");
     if gd > 0 {
-        bank.handle(
-            &admin(),
-            BankRequest::AdminDeposit { account: id, amount: Credits::from_gd(gd) },
-        );
+        InProcessBank::new(bank.clone(), admin())
+            .admin_deposit(id, Credits::from_gd(gd))
+            .expect("operator deposit");
     }
     (port, id)
+}
+
+/// Branches `1..=n` in one process, meshed over direct links (§6), each
+/// with one funded member.
+pub struct Federation {
+    /// The banks, branch `b` at index `b - 1`.
+    pub banks: Vec<Arc<GridBank>>,
+    /// Their routers, in the same order.
+    pub routers: Vec<Arc<FederationRouter>>,
+    /// One member account per branch.
+    pub members: Vec<AccountId>,
+}
+
+impl Federation {
+    /// Boots `branches` banks and funds one member on each with `gd`.
+    pub fn new(branches: u16, gd: i64) -> Federation {
+        let clock = Clock::new();
+        let banks: Vec<Arc<GridBank>> = (1..=branches)
+            .map(|branch| {
+                let config =
+                    GridBankConfig { branch, signer_height: 2, ..GridBankConfig::default() };
+                Arc::new(GridBank::new(config, clock.clone()))
+            })
+            .collect();
+        let members =
+            banks.iter().map(|bank| funded(bank, &format!("m{}", bank.branch()), gd).1).collect();
+        Federation { routers: direct_mesh(&banks), banks, members }
+    }
+
+    /// Member `i` pays member `j` across branches.
+    pub fn pay(&self, i: usize, j: usize, amount: Credits) {
+        self.routers[i]
+            .cross_branch_transfer(&self.members[i], &self.members[j], amount, Vec::new(), None)
+            .expect("cross-branch payment");
+    }
+
+    /// One settlement round on every branch.
+    pub fn settle(&self) -> SettlementReport {
+        settle_all(&self.routers).expect("settlement round")
+    }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 
-use gridbank_core::port::BankPort;
+use gridbank_core::client::BankLink;
 use gridbank_gsp::charging::PaymentInstrument;
 use gridbank_gsp::provider::{GridServiceProvider, JobOutcome};
 use gridbank_meter::machine::JobSpec;
@@ -54,9 +54,9 @@ impl GridAgent {
     /// Deploys and runs one job: overheads shift the start time, then the
     /// provider executes the §2 pipeline.
     #[allow(clippy::too_many_arguments)]
-    pub fn run<P: BankPort>(
+    pub fn run<L: BankLink>(
         &mut self,
-        provider: &mut GridServiceProvider<P>,
+        provider: &mut GridServiceProvider<L>,
         consumer_cert: &str,
         instrument: PaymentInstrument,
         job: &JobSpec,

@@ -8,7 +8,7 @@
 //! processing along with details of its chargeable account ID in the
 //! GridBank or GridCheque purchased from the GridBank."
 
-use gridbank_core::port::BankPort;
+use gridbank_core::client::BankLink;
 use gridbank_gsp::charging::PaymentInstrument;
 use gridbank_gsp::provider::{GridServiceProvider, JobOutcome};
 use gridbank_rur::Credits;
@@ -54,11 +54,11 @@ impl BrokerReport {
 }
 
 /// The broker.
-pub struct GridResourceBroker<P: BankPort> {
+pub struct GridResourceBroker<L: BankLink> {
     /// The consumer's certificate name.
     pub consumer_cert: String,
     /// The payment module.
-    pub gbpm: PaymentModule<P>,
+    pub gbpm: PaymentModule<L>,
     /// The deployment agent.
     pub agent: GridAgent,
     /// Reservation margin over the cost estimate, percent (200 = reserve
@@ -66,9 +66,9 @@ pub struct GridResourceBroker<P: BankPort> {
     pub cheque_margin_pct: u32,
 }
 
-impl<P: BankPort> GridResourceBroker<P> {
+impl<L: BankLink> GridResourceBroker<L> {
     /// Builds a broker for a consumer identity.
-    pub fn new(consumer_cert: impl Into<String>, gbpm: PaymentModule<P>) -> Self {
+    pub fn new(consumer_cert: impl Into<String>, gbpm: PaymentModule<L>) -> Self {
         GridResourceBroker {
             consumer_cert: consumer_cert.into(),
             gbpm,
@@ -78,9 +78,9 @@ impl<P: BankPort> GridResourceBroker<P> {
     }
 
     /// Negotiates a quote with every provider and builds resource views.
-    pub fn negotiate<PP: BankPort>(
+    pub fn negotiate<LL: BankLink>(
         &mut self,
-        providers: &mut [GridServiceProvider<PP>],
+        providers: &mut [GridServiceProvider<LL>],
         parallelism: u32,
         now_ms: u64,
         quote_validity_ms: u64,
@@ -107,9 +107,9 @@ impl<P: BankPort> GridResourceBroker<P> {
     /// alternative to taking posted prices): announce, collect every
     /// GTS's quoted rates as bids, and award the cheapest. Returns the
     /// winning provider's index and agreed rates.
-    pub fn tender<PP: BankPort>(
+    pub fn tender<LL: BankLink>(
         &mut self,
-        providers: &mut [GridServiceProvider<PP>],
+        providers: &mut [GridServiceProvider<LL>],
         now_ms: u64,
         quote_validity_ms: u64,
     ) -> Result<(usize, gridbank_trade::rates::ServiceRates), BrokerError> {
@@ -135,11 +135,11 @@ impl<P: BankPort> GridResourceBroker<P> {
     /// providers (execution failures consume no payment, so retries only
     /// cost what actually completes). Time advances by the previous
     /// attempt's makespan between rounds.
-    pub fn run_batch_with_retry<PP: BankPort>(
+    pub fn run_batch_with_retry<LL: BankLink>(
         &mut self,
         algorithm: Algorithm,
         batch: &JobBatch,
-        providers: &mut [GridServiceProvider<PP>],
+        providers: &mut [GridServiceProvider<LL>],
         now_ms: u64,
         max_attempts: u32,
     ) -> Result<BrokerReport, BrokerError> {
@@ -181,11 +181,11 @@ impl<P: BankPort> GridResourceBroker<P> {
 
     /// Runs a whole batch: negotiate → schedule → dispatch with cheques →
     /// settle, enforcing the batch QoS budget throughout.
-    pub fn run_batch<PP: BankPort>(
+    pub fn run_batch<LL: BankLink>(
         &mut self,
         algorithm: Algorithm,
         batch: &JobBatch,
-        providers: &mut [GridServiceProvider<PP>],
+        providers: &mut [GridServiceProvider<LL>],
         now_ms: u64,
     ) -> Result<BrokerReport, BrokerError> {
         if providers.is_empty() {
@@ -285,7 +285,7 @@ mod tests {
     use crate::job::QosConstraints;
     use gridbank_core::api::BankRequest;
     use gridbank_core::clock::Clock;
-    use gridbank_core::port::InProcessBank;
+    use gridbank_core::port::{DirectLink, InProcessBank};
     use gridbank_core::server::{GridBank, GridBankConfig};
     use gridbank_crypto::cert::SubjectName;
     use gridbank_meter::levels::AccountingLevel;
@@ -298,8 +298,8 @@ mod tests {
 
     struct World {
         bank: Arc<GridBank>,
-        broker: GridResourceBroker<InProcessBank>,
-        providers: Vec<GridServiceProvider<InProcessBank>>,
+        broker: GridResourceBroker<DirectLink>,
+        providers: Vec<GridServiceProvider<DirectLink>>,
     }
 
     fn provider(
@@ -308,7 +308,7 @@ mod tests {
         speed: u32,
         price: Credits,
         seed: u64,
-    ) -> GridServiceProvider<InProcessBank> {
+    ) -> GridServiceProvider<DirectLink> {
         let cert = format!("/O=Grid/OU=GSP/CN={name}");
         let subject = SubjectName(cert.clone());
         let mut port = InProcessBank::new(bank.clone(), subject.clone());
@@ -439,7 +439,7 @@ mod tests {
         let (idx, rates) = w.broker.tender(&mut w.providers, 0, 10_000).unwrap();
         assert_eq!(w.providers[idx].cert, "/O=Grid/OU=GSP/CN=cheap");
         assert_eq!(rates.price(ChargeableItem::Cpu), Some(Credits::from_gd(1)));
-        let mut empty: Vec<GridServiceProvider<InProcessBank>> = Vec::new();
+        let mut empty: Vec<GridServiceProvider<DirectLink>> = Vec::new();
         assert!(matches!(w.broker.tender(&mut empty, 0, 10_000), Err(BrokerError::NoProviders)));
     }
 
@@ -492,7 +492,7 @@ mod tests {
     fn no_providers_error() {
         let mut w = world(10);
         let b = batch(1, 1_000, 1_000, 10);
-        let mut empty: Vec<GridServiceProvider<InProcessBank>> = Vec::new();
+        let mut empty: Vec<GridServiceProvider<DirectLink>> = Vec::new();
         assert!(matches!(
             w.broker.run_batch(Algorithm::CostOpt, &b, &mut empty, 0),
             Err(BrokerError::NoProviders)

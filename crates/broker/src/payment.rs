@@ -8,9 +8,9 @@
 
 use gridbank_core::cheque::GridCheque;
 use gridbank_core::client::ClientHashChain;
+use gridbank_core::client::{BankClient, BankLink};
 use gridbank_core::db::AccountId;
 use gridbank_core::direct::TransferConfirmation;
-use gridbank_core::port::BankPort;
 use gridbank_rur::Credits;
 
 use crate::error::BrokerError;
@@ -64,10 +64,10 @@ impl BudgetTracker {
     }
 }
 
-/// The payment module: a bank port plus budget tracking.
-pub struct PaymentModule<P: BankPort> {
-    /// The bank port the module drives.
-    pub port: P,
+/// The payment module: a bank client plus budget tracking.
+pub struct PaymentModule<L: BankLink> {
+    /// The bank client the module drives.
+    pub port: BankClient<L>,
     /// Budget state.
     pub tracker: BudgetTracker,
     account: Option<AccountId>,
@@ -87,9 +87,9 @@ fn note_degraded(e: &BrokerError, deferred: &mut u64) {
     }
 }
 
-impl<P: BankPort> PaymentModule<P> {
+impl<L: BankLink> PaymentModule<L> {
     /// Wraps a port with a budget.
-    pub fn new(port: P, budget: Credits) -> Self {
+    pub fn new(port: BankClient<L>, budget: Credits) -> Self {
         PaymentModule { port, tracker: BudgetTracker::new(budget), account: None, deferred: 0 }
     }
 
@@ -193,12 +193,12 @@ mod tests {
     use super::*;
     use gridbank_core::api::BankRequest;
     use gridbank_core::clock::Clock;
-    use gridbank_core::port::InProcessBank;
+    use gridbank_core::port::{DirectLink, InProcessBank};
     use gridbank_core::server::{GridBank, GridBankConfig};
     use gridbank_crypto::cert::SubjectName;
     use std::sync::Arc;
 
-    fn setup(budget: i64) -> (Arc<GridBank>, PaymentModule<InProcessBank>, SubjectName) {
+    fn setup(budget: i64) -> (Arc<GridBank>, PaymentModule<DirectLink>, SubjectName) {
         let bank = Arc::new(GridBank::new(
             GridBankConfig { signer_height: 6, ..GridBankConfig::default() },
             Clock::new(),
@@ -260,70 +260,29 @@ mod tests {
 
     #[test]
     fn transient_bank_failures_count_as_deferrals() {
+        use gridbank_core::api::BankResponse;
         use gridbank_core::error::BankError;
         use gridbank_net::NetError;
 
+        // One method is the whole fake: each request fails the way a
+        // flaky link (or, for the chain, the bank itself) would.
         struct UnreachableBank;
-        impl BankPort for UnreachableBank {
-            fn create_account(&mut self, _o: Option<String>) -> Result<AccountId, BankError> {
-                Err(BankError::Net(NetError::Timeout))
-            }
-            fn my_account(&mut self) -> Result<gridbank_core::db::AccountRecord, BankError> {
-                Err(BankError::Net(NetError::Timeout))
-            }
-            fn check_funds(&mut self, _a: AccountId, _m: Credits) -> Result<(), BankError> {
-                Err(BankError::Net(NetError::Timeout))
-            }
-            fn direct_transfer(
+        impl BankLink for UnreachableBank {
+            fn call_keyed(
                 &mut self,
-                _to: AccountId,
-                _m: Credits,
-                _r: &str,
-            ) -> Result<TransferConfirmation, BankError> {
-                Err(BankError::Net(NetError::CircuitOpen))
-            }
-            fn request_cheque(
-                &mut self,
-                _p: &str,
-                _m: Credits,
-                _v: u64,
-            ) -> Result<GridCheque, BankError> {
-                Err(BankError::Net(NetError::Disconnected))
-            }
-            fn redeem_cheque(
-                &mut self,
-                _c: GridCheque,
-                _r: gridbank_rur::record::ResourceUsageRecord,
-            ) -> Result<(Credits, Credits), BankError> {
-                Err(BankError::Net(NetError::Timeout))
-            }
-            fn request_hash_chain(
-                &mut self,
-                _p: &str,
-                _l: u32,
-                _v: Credits,
-                _t: u64,
-            ) -> Result<ClientHashChain, BankError> {
-                Err(BankError::NotAuthorized("nope".into()))
-            }
-            fn redeem_payword(
-                &mut self,
-                _c: gridbank_core::payword::ChainCommitment,
-                _s: gridbank_crypto::merkle::MerkleSignature,
-                _w: gridbank_core::payword::PayWord,
-                _b: Vec<u8>,
-            ) -> Result<Credits, BankError> {
-                Err(BankError::Net(NetError::Timeout))
-            }
-            fn register_resource_description(
-                &mut self,
-                _d: gridbank_core::pricing::ResourceDescription,
-            ) -> Result<(), BankError> {
-                Err(BankError::Net(NetError::Timeout))
+                _key: Option<u64>,
+                request: &BankRequest,
+            ) -> Result<BankResponse, BankError> {
+                Err(match request {
+                    BankRequest::DirectTransfer { .. } => BankError::Net(NetError::CircuitOpen),
+                    BankRequest::RequestCheque { .. } => BankError::Net(NetError::Disconnected),
+                    BankRequest::RequestHashChain { .. } => BankError::NotAuthorized("nope".into()),
+                    _ => BankError::Net(NetError::Timeout),
+                })
             }
         }
 
-        let mut m = PaymentModule::new(UnreachableBank, Credits::from_gd(10));
+        let mut m = PaymentModule::new(BankClient::over(UnreachableBank), Credits::from_gd(10));
         // Disconnected cheque request: transient, commitment released.
         let err = m.obtain_cheque("/CN=gsp", Credits::from_gd(2), 1_000).unwrap_err();
         assert!(err.is_transient());

@@ -1,17 +1,18 @@
 //! `gridbank` — the GridBank administration/operations command line.
 //!
-//! Operates a durable bank: state persists as a write-ahead journal file
-//! (see `gridbank_core::db`), so successive invocations compose like a
-//! real banking deployment. Administrator operations follow §5.2.1;
-//! client queries follow §5.2.
+//! Operates a durable bank: state persists in a store directory (the
+//! one on-disk format, docs/STORAGE.md — `gridbank store --dir` inspects
+//! it), so successive invocations compose like a real banking
+//! deployment. Administrator operations follow §5.2.1; client queries
+//! follow §5.2.
 //!
 //! ```text
-//! gridbank --db bank.gbj create-account --cert "/O=UWA/OU=CSSE/CN=alice"
-//! gridbank --db bank.gbj deposit --account 01-0001-00000001 --amount 100
-//! gridbank --db bank.gbj transfer --from 01-0001-00000001 \
+//! gridbank --db bank.store create-account --cert "/O=UWA/OU=CSSE/CN=alice"
+//! gridbank --db bank.store deposit --account 01-0001-00000001 --amount 100
+//! gridbank --db bank.store transfer --from 01-0001-00000001 \
 //!          --to 01-0001-00000002 --amount 12.5
-//! gridbank --db bank.gbj statement --account 01-0001-00000001
-//! gridbank --db bank.gbj accounts
+//! gridbank --db bank.store statement --account 01-0001-00000001
+//! gridbank --db bank.store accounts
 //! ```
 
 use std::process::ExitCode;
@@ -19,13 +20,15 @@ use std::sync::Arc;
 
 use gridbank_core::accounts::GbAccounts;
 use gridbank_core::admin::GbAdmin;
-use gridbank_core::api::{journal_from_bytes, journal_to_bytes, HealthReport};
+use gridbank_core::api::HealthReport;
 use gridbank_core::client::GridBankClient;
 use gridbank_core::clock::Clock;
 use gridbank_core::coop::BarterStats;
 use gridbank_core::db::{AccountId, Database};
-use gridbank_core::federation::FederationRouter;
+use gridbank_core::federation::direct_mesh;
+use gridbank_core::port::InProcessBank;
 use gridbank_core::server::{GridBank, GridBankConfig};
+use gridbank_core::store::StoreConfig;
 use gridbank_crypto::cert::SubjectName;
 use gridbank_crypto::keys::KeyMaterial;
 use gridbank_rur::Credits;
@@ -100,29 +103,22 @@ fn parse_account(s: &str) -> Result<AccountId, String> {
 struct Bank {
     accounts: GbAccounts,
     admin: GbAdmin,
-    db_path: String,
 }
 
 impl Bank {
+    /// Opens (or creates) the store directory at `db_path`.
     fn load(db_path: &str) -> Result<Bank, String> {
-        let db = match std::fs::read(db_path) {
-            Ok(bytes) => {
-                let journal = journal_from_bytes(&bytes).map_err(|e| format!("{db_path}: {e}"))?;
-                Database::replay(1, 1, &journal)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Database::new(1, 1),
-            Err(e) => return Err(format!("{db_path}: {e}")),
-        };
+        let (db, _) = Database::open(1, 1, StoreConfig::at(db_path))
+            .map_err(|e| format!("{db_path}: {e}"))?;
         let accounts = GbAccounts::new(Arc::new(db), Clock::starting_at(now_wallclock_ms()));
         let admin = GbAdmin::new(accounts.clone(), [ADMIN_CERT.to_string()]);
-        Ok(Bank { accounts, admin, db_path: db_path.to_string() })
+        Ok(Bank { accounts, admin })
     }
 
+    /// Every commit is already on disk; the checkpoint keeps the next
+    /// invocation's replay tail short.
     fn save(&self) -> Result<(), String> {
-        let bytes = journal_to_bytes(&self.accounts.db().journal_snapshot());
-        let tmp = format!("{}.tmp", self.db_path);
-        std::fs::write(&tmp, &bytes).map_err(|e| format!("{tmp}: {e}"))?;
-        std::fs::rename(&tmp, &self.db_path).map_err(|e| format!("{}: {e}", self.db_path))
+        self.accounts.db().checkpoint().map(|_| ()).map_err(|e| e.to_string())
     }
 }
 
@@ -188,9 +184,6 @@ fn ring_payments(
 /// `--format jsonl` emits JSON-lines instead of the text table;
 /// `--filter <prefix>` narrows the output to matching metric names.
 fn run_metrics(args: &Args) -> Result<String, String> {
-    use gridbank_core::api::{BankRequest, BankResponse};
-    use gridbank_core::federation::LocalPeer;
-
     if args.get("remote").is_some() {
         // Scrape a live server's ops plane over RPC instead.
         return run_remote_metrics(args);
@@ -203,47 +196,26 @@ fn run_metrics(args: &Args) -> Result<String, String> {
         GridBankConfig { signer_height: 9, ..GridBankConfig::default() },
         clock.clone(),
     ));
-    let admin = SubjectName(ADMIN_CERT.into());
-    let alice = SubjectName::new("UWA", "CSSE", "alice");
+    let setup = |e| format!("workload setup failed: {e}");
+    let mut admin = InProcessBank::new(Arc::clone(&bank), SubjectName(ADMIN_CERT.into()));
+    let mut alice = InProcessBank::new(Arc::clone(&bank), SubjectName::new("UWA", "CSSE", "alice"));
     let gsp = SubjectName::new("UM", "GRIDS", "gsp-alpha");
-
-    let account = match bank.handle(&alice, BankRequest::CreateAccount { organization: None }) {
-        BankResponse::AccountCreated { account } => account,
-        other => return Err(format!("workload setup failed: {other:?}")),
-    };
-    let gsp_account = match bank.handle(&gsp, BankRequest::CreateAccount { organization: None }) {
-        BankResponse::AccountCreated { account } => account,
-        other => return Err(format!("workload setup failed: {other:?}")),
-    };
-    bank.handle(&admin, BankRequest::AdminDeposit { account, amount: Credits::from_gd(10_000) });
+    let account = alice.create_account(None).map_err(setup)?;
+    let gsp_account =
+        InProcessBank::new(Arc::clone(&bank), gsp.clone()).create_account(None).map_err(setup)?;
+    admin.admin_deposit(account, Credits::from_gd(10_000)).map_err(setup)?;
 
     // Exercise a representative request mix so the per-variant latency
-    // histograms have enough samples for stable percentiles.
+    // histograms have enough samples for stable percentiles. Outcomes
+    // are not the point here; the registry is.
     for i in 0..100u64 {
-        bank.handle(&alice, BankRequest::MyAccount);
-        bank.handle(&alice, BankRequest::AccountDetails { account });
-        bank.handle(&alice, BankRequest::Statement { account, start_ms: 0, end_ms: u64::MAX });
-        bank.handle(
-            &alice,
-            BankRequest::CheckFunds { account, amount: Credits::from_micro(1_000) },
-        );
-        bank.handle(
-            &alice,
-            BankRequest::DirectTransfer {
-                to: gsp_account,
-                amount: Credits::from_micro(10_000),
-                recipient_address: "gsp.grid.org".into(),
-            },
-        );
+        let _ = alice.my_account();
+        let _ = alice.account_details(account);
+        let _ = alice.statement(account, 0, u64::MAX);
+        let _ = alice.check_funds(account, Credits::from_micro(1_000));
+        let _ = alice.direct_transfer(gsp_account, Credits::from_micro(10_000), "gsp.grid.org");
         if i % 10 == 0 {
-            bank.handle(
-                &alice,
-                BankRequest::RequestCheque {
-                    payee_cert: gsp.0.clone(),
-                    amount: Credits::from_gd(1),
-                    validity_ms: 60_000,
-                },
-            );
+            let _ = alice.request_cheque(&gsp.0, Credits::from_gd(1), 60_000);
         }
     }
     bank.sweep_expired_instruments();
@@ -254,26 +226,15 @@ fn run_metrics(args: &Args) -> Result<String, String> {
         GridBankConfig { branch: 2, signer_height: 9, ..GridBankConfig::default() },
         clock.clone(),
     ));
-    let router = FederationRouter::install(&bank);
-    let router2 = FederationRouter::install(&bank2);
-    router.add_peer(2, LocalPeer::new(Arc::clone(&bank2), 1));
-    router2.add_peer(1, LocalPeer::new(Arc::clone(&bank), 2));
-    let remote = match bank2.handle(&gsp, BankRequest::CreateAccount { organization: None }) {
-        BankResponse::AccountCreated { account } => account,
-        other => return Err(format!("federation setup failed: {other:?}")),
-    };
+    let routers = direct_mesh(&[Arc::clone(&bank), Arc::clone(&bank2)]);
+    let remote = InProcessBank::new(bank2, gsp)
+        .create_account(None)
+        .map_err(|e| format!("federation setup failed: {e}"))?;
     for _ in 0..5 {
-        bank.handle(
-            &alice,
-            BankRequest::DirectTransfer {
-                to: remote,
-                amount: Credits::from_micro(10_000),
-                recipient_address: "gsp.vo2.org".into(),
-            },
-        );
+        let _ = alice.direct_transfer(remote, Credits::from_micro(10_000), "gsp.vo2.org");
     }
-    bank.handle(&admin, BankRequest::AccountDetails { account: remote });
-    router.settle_once().map_err(|e| format!("settle failed: {e}"))?;
+    let _ = admin.account_details(remote);
+    routers[0].settle_once().map_err(|e| format!("settle failed: {e}"))?;
 
     let snapshot = match args.get("filter") {
         Some(prefix) => gridbank_obs::registry().snapshot().filtered(prefix),
@@ -749,22 +710,22 @@ fn run_store(args: &Args) -> Result<String, String> {
 }
 
 fn run(args: &Args) -> Result<String, String> {
-    let db_path = args.get("db").unwrap_or("gridbank.gbj");
+    let db_path = args.get("db").unwrap_or("gridbank.store");
     let command = args.command.as_deref().ok_or_else(usage)?;
     if command == "metrics" {
-        // Self-contained workload: never touches the journal file.
+        // Self-contained workload: never touches the store.
         return run_metrics(args);
     }
     if command == "settle" {
-        // Self-contained federated demo: never touches the journal file.
+        // Self-contained federated demo: never touches the store.
         return run_settle(args);
     }
     if command == "market" {
-        // Self-contained market economy demo: never touches the journal file.
+        // Self-contained market economy demo: never touches the store.
         return run_market_demo(args);
     }
     if command == "top" {
-        // Self-contained ops dashboard: never touches the journal file.
+        // Self-contained ops dashboard: never touches the store.
         return run_top(args);
     }
     if command == "store" {
@@ -929,7 +890,7 @@ fn run(args: &Args) -> Result<String, String> {
 }
 
 fn usage() -> String {
-    "usage: gridbank [--db FILE] COMMAND [flags]\n\
+    "usage: gridbank [--db DIR] COMMAND [flags]\n\
      commands:\n\
        create-account --cert DN [--org NAME]\n\
        deposit        --account ID --amount G$\n\
@@ -986,9 +947,9 @@ mod tests {
     #[test]
     fn arg_parsing() {
         let a =
-            args(&["--db", "x.gbj", "deposit", "--account", "01-0001-00000001", "--amount", "5"]);
+            args(&["--db", "x.store", "deposit", "--account", "01-0001-00000001", "--amount", "5"]);
         assert_eq!(a.command.as_deref(), Some("deposit"));
-        assert_eq!(a.get("db"), Some("x.gbj"));
+        assert_eq!(a.get("db"), Some("x.store"));
         assert_eq!(a.require("amount").unwrap(), "5");
         assert!(a.require("missing").is_err());
         assert!(Args::parse(&["--flag".to_string()]).is_err());
@@ -996,10 +957,10 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_against_temp_journal() {
+    fn end_to_end_against_temp_store() {
         let dir = std::env::temp_dir().join(format!("gridbank-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let db = dir.join("bank.gbj");
+        std::fs::remove_dir_all(&dir).ok();
+        let db = dir.join("bank.store");
         let db = db.to_str().unwrap();
 
         let out = run(&args(&["--db", db, "create-account", "--cert", "/CN=alice"])).unwrap();
@@ -1029,6 +990,10 @@ mod tests {
         assert!(out.contains("Deposit"), "{out}");
         let out = run(&args(&["--db", db, "barter-stats"])).unwrap();
         assert!(out.contains("equilibrium gap"), "{out}");
+        // The CLI's own bank is an ordinary store: `store` inspects it,
+        // and each command left it checkpointed.
+        let out = run(&args(&["store", "--dir", db])).unwrap();
+        assert!(out.contains("2 accounts snapshotted, 0 tail entries to replay"), "{out}");
 
         // `metrics` runs its own workload and reports per-variant
         // latency percentiles for at least five request kinds.
@@ -1122,7 +1087,7 @@ mod tests {
         drop(db);
 
         let out = run(&args(&["store", "--dir", dir.to_str().unwrap()])).unwrap();
-        assert!(out.contains("format v1"), "{out}");
+        assert!(out.contains("format v2"), "{out}");
         assert!(out.contains("12 accounts snapshotted"), "{out}");
         assert!(out.contains("2 tail entries to replay"), "{out}");
 

@@ -197,11 +197,12 @@ impl Encode for crate::db::JournalEntry {
                 w.put_u8(4);
                 t.encode(w);
             }
-            J::Idem { cert, key, response } => {
+            J::Idem { cert, key, response, seq } => {
                 w.put_u8(5);
                 w.put_str(cert);
                 w.put_u64(*key);
                 w.put_bytes(response);
+                w.put_u64(*seq);
             }
             J::IbOut(credit) => {
                 w.put_u8(6);
@@ -241,9 +242,12 @@ impl Decode for crate::db::JournalEntry {
             2 => J::Remove(AccountId::decode(r)?),
             3 => J::Transaction(TransactionRecord::decode(r)?),
             4 => J::Transfer(TransferRecord::decode(r)?),
-            5 => {
-                J::Idem { cert: r.get_str()?, key: r.get_u64()?, response: r.get_bytes()?.to_vec() }
-            }
+            5 => J::Idem {
+                cert: r.get_str()?,
+                key: r.get_u64()?,
+                response: r.get_bytes()?.to_vec(),
+                seq: r.get_u64()?,
+            },
             6 => J::IbOut(crate::db::PendingIbCredit {
                 key: r.get_u64()?,
                 to: AccountId::decode(r)?,
@@ -261,36 +265,6 @@ impl Decode for crate::db::JournalEntry {
             t => return Err(RurError::Decode(format!("bad journal tag {t}"))),
         })
     }
-}
-
-/// Serializes a whole journal (magic + count + entries) for durable
-/// storage — the CLI persists bank state this way.
-pub fn journal_to_bytes(journal: &[crate::db::JournalEntry]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(journal.len().saturating_mul(64).saturating_add(64));
-    w.put_u32(0x4742_4A31); // "GBJ1"
-    w.put_u64(journal.len() as u64);
-    for e in journal {
-        e.encode(&mut w);
-    }
-    w.into_bytes()
-}
-
-/// Parses a serialized journal.
-pub fn journal_from_bytes(bytes: &[u8]) -> Result<Vec<crate::db::JournalEntry>, RurError> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u32()? != 0x4742_4A31 {
-        return Err(RurError::Decode("bad journal magic".into()));
-    }
-    let n = r.get_u64()? as usize;
-    if n > 1 << 28 {
-        return Err(RurError::Decode("journal too large".into()));
-    }
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(crate::db::JournalEntry::decode(&mut r)?);
-    }
-    r.finish()?;
-    Ok(out)
 }
 
 /// A client request (identity comes from the channel, never the message).
@@ -1497,7 +1471,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips() {
+    fn journal_entries_round_trip() {
         use crate::db::{JournalEntry, TransactionType};
         let rec = AccountRecord {
             id: AccountId::new(1, 1, 9),
@@ -1544,17 +1518,19 @@ mod tests {
                 idem: None,
             }),
             JournalEntry::IbAck { key: 0xFEED_0001 },
+            JournalEntry::Idem { cert: "/CN=j".into(), key: 44, response: vec![1, 2, 3], seq: 9 },
             JournalEntry::IdemDrop { cert: "/CN=j".into(), key: 44 },
             JournalEntry::Remove(rec.id),
         ];
-        let bytes = journal_to_bytes(&journal);
-        let back = journal_from_bytes(&bytes).unwrap();
-        assert_eq!(back, journal);
-        // Magic and truncation are checked.
-        assert!(journal_from_bytes(&bytes[..3]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(journal_from_bytes(&bad).is_err());
+        for entry in journal {
+            let bytes = entry.to_bytes();
+            assert_eq!(JournalEntry::from_bytes(&bytes).unwrap(), entry);
+            // Truncation and an unknown tag are checked.
+            assert!(JournalEntry::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+            let mut bad = bytes.clone();
+            bad[0] = 0xFF;
+            assert!(JournalEntry::from_bytes(&bad).is_err());
+        }
     }
 
     #[test]

@@ -8,24 +8,22 @@
 //! is from another, then their respective servers will need to define
 //! protocols for settling accounts between the branches."
 //!
-//! Implemented here (the paper's future work):
-//!
-//! * each branch is a full accounts stack with its own database;
-//! * every branch holds a **clearing account** per peer branch;
-//! * a cross-branch payment debits the drawer into the local clearing
-//!   account while the payee's branch credits the payee immediately
-//!   (deposit against the remote branch's liability) — consumers and
-//!   providers never wait on settlement;
-//! * [`InterBank::settle`] periodically nets the pairwise liabilities and
-//!   moves only the net amount between banks, reporting the gross-to-net
-//!   compression that motivates netting.
+//! The paper's future work, implemented by
+//! [`FederationRouter`](crate::federation::FederationRouter): each branch
+//! is a full bank with its own database and a **clearing account** per
+//! peer branch; a cross-branch payment debits the drawer into the local
+//! clearing account while the payee's branch credits the payee
+//! immediately, and a settlement round nets the pairwise liabilities so
+//! only the net amount moves between banks. This module holds what that
+//! protocol computes with and does no I/O: the clearing-account naming
+//! and rediscovery helpers, and the pure [`NettingEngine`] with its
+//! report types.
 
 use std::collections::HashMap;
 
 use gridbank_rur::Credits;
 
 use crate::accounts::GbAccounts;
-use crate::admin::GbAdmin;
 use crate::db::AccountId;
 use crate::error::BankError;
 
@@ -59,8 +57,7 @@ pub fn discover_clearing_accounts(accounts: &GbAccounts, local: u16) -> HashMap<
 }
 
 /// Looks up the clearing account for `peer` in `clearing`, rebinding
-/// from the certificate index or creating it on first use. Shared by the
-/// in-process [`Branch`] and the networked `FederationRouter`.
+/// from the certificate index or creating it on first use.
 pub fn clearing_account_for(
     clearing: &mut HashMap<u16, AccountId>,
     accounts: &GbAccounts,
@@ -82,42 +79,6 @@ pub fn clearing_account_for(
     };
     clearing.insert(peer, id);
     Ok(id)
-}
-
-/// One branch's stack plus its clearing accounts.
-pub struct Branch {
-    /// Branch number (also in every account id it issues).
-    pub branch_id: u16,
-    /// The accounts layer.
-    pub accounts: GbAccounts,
-    /// The admin layer (settlement uses privileged ops).
-    pub admin: GbAdmin,
-    /// Clearing account per peer branch.
-    clearing: HashMap<u16, AccountId>,
-}
-
-impl Branch {
-    /// Wraps a branch stack. Existing clearing accounts (e.g. restored by
-    /// journal replay) are rediscovered from the certificate index; new
-    /// ones are still created lazily on first cross-branch flow.
-    pub fn new(branch_id: u16, accounts: GbAccounts, admin: GbAdmin) -> Self {
-        admin.add_admin(SETTLEMENT_ADMIN.to_string());
-        let clearing = discover_clearing_accounts(&accounts, branch_id);
-        Branch { branch_id, accounts, admin, clearing }
-    }
-
-    fn clearing_account(&mut self, peer: u16) -> Result<AccountId, BankError> {
-        clearing_account_for(&mut self.clearing, &self.accounts, self.branch_id, peer)
-    }
-
-    /// Balance currently parked in the clearing account for `peer`.
-    pub fn clearing_balance(&self, peer: u16) -> Credits {
-        self.clearing
-            .get(&peer)
-            .and_then(|id| self.accounts.account_details(id).ok())
-            .map(|r| r.available)
-            .unwrap_or(Credits::ZERO)
-    }
 }
 
 /// Pairwise settlement outcome.
@@ -156,10 +117,9 @@ impl SettlementReport {
 }
 
 /// The pure §6 netting engine: accrues gross pairwise flows and computes
-/// per-pair netting outcomes. It never touches accounts — both the
-/// in-process [`InterBank`] and the networked
-/// [`FederationRouter`](crate::federation::FederationRouter) drive it
-/// and apply the resulting drains to their own books.
+/// per-pair netting outcomes. It never touches accounts — the
+/// [`FederationRouter`](crate::federation::FederationRouter) applies the
+/// resulting drains to its own books.
 #[derive(Clone, Debug, Default)]
 pub struct NettingEngine {
     /// Gross flows accrued since the last settlement: (from, to) → amount.
@@ -218,217 +178,9 @@ impl NettingEngine {
     }
 }
 
-/// The inter-branch coordinator.
-#[derive(Default)]
-pub struct InterBank {
-    branches: HashMap<u16, Branch>,
-    netting: NettingEngine,
-}
-
-impl InterBank {
-    /// An empty federation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a branch.
-    pub fn add_branch(&mut self, branch: Branch) {
-        self.branches.insert(branch.branch_id, branch);
-    }
-
-    /// Access a branch.
-    pub fn branch(&self, id: u16) -> Result<&Branch, BankError> {
-        self.branches.get(&id).ok_or(BankError::UnknownBranch(id))
-    }
-
-    /// Mutable access (tests/bench harnesses).
-    pub fn branch_mut(&mut self, id: u16) -> Result<&mut Branch, BankError> {
-        self.branches.get_mut(&id).ok_or(BankError::UnknownBranch(id))
-    }
-
-    /// A cross-branch payment: drawer at `from.branch` pays payee at
-    /// `to.branch`. Fails on same-branch ids (use the local transfer).
-    pub fn cross_branch_transfer(
-        &mut self,
-        from: AccountId,
-        to: AccountId,
-        amount: Credits,
-        rur_blob: Vec<u8>,
-    ) -> Result<(), BankError> {
-        if from.branch == to.branch {
-            return Err(BankError::Protocol("same-branch transfer must use the local path".into()));
-        }
-        if !amount.is_positive() {
-            return Err(BankError::NonPositiveAmount);
-        }
-        // Drawer's branch: debit into the clearing account for the payee's
-        // branch. This is where insufficient funds surface — before the
-        // remote side does anything.
-        {
-            let src =
-                self.branches.get_mut(&from.branch).ok_or(BankError::UnknownBranch(from.branch))?;
-            let clearing = src.clearing_account(to.branch)?;
-            src.accounts.transfer(&from, &clearing, amount, rur_blob.clone())?;
-        }
-        // Payee's branch: credit immediately against the remote liability.
-        {
-            let dst =
-                self.branches.get_mut(&to.branch).ok_or(BankError::UnknownBranch(to.branch))?;
-            // Ensure the clearing account exists on the destination too
-            // (it absorbs the mirrored settlement leg).
-            dst.clearing_account(from.branch)?;
-            dst.admin.deposit(SETTLEMENT_ADMIN, &to, amount)?;
-        }
-        self.netting.note(from.branch, to.branch, amount);
-        Ok(())
-    }
-
-    /// Nets and settles all pending inter-branch liabilities. For each
-    /// branch pair only the net difference moves "on the wire"; the gross
-    /// entries are drained from the clearing accounts.
-    pub fn settle(&mut self) -> Result<SettlementReport, BankError> {
-        let mut report = SettlementReport::default();
-        for pair in self.netting.drain_pairs() {
-            let (a, b) = (pair.branch_a, pair.branch_b);
-            // Drain each side's clearing account: the money parked there
-            // leaves the branch (external settlement rail).
-            if pair.gross_a_to_b.is_positive() {
-                let src = self.branches.get_mut(&a).ok_or(BankError::UnknownBranch(a))?;
-                let clearing = src.clearing_account(b)?;
-                src.admin.withdraw(SETTLEMENT_ADMIN, &clearing, pair.gross_a_to_b)?;
-            }
-            if pair.gross_b_to_a.is_positive() {
-                let src = self.branches.get_mut(&b).ok_or(BankError::UnknownBranch(b))?;
-                let clearing = src.clearing_account(a)?;
-                src.admin.withdraw(SETTLEMENT_ADMIN, &clearing, pair.gross_b_to_a)?;
-            }
-            // The deposits made eagerly at the receiving branches summed to
-            // gross_ab + gross_ba; the withdrawals above removed the same
-            // total, so the federation's books balance. What crosses banks
-            // externally is only the net.
-            report.pairs.push(pair);
-        }
-        Ok(report)
-    }
-
-    /// Sum of every branch's internal funds (conservation checks).
-    pub fn total_funds(&self) -> Credits {
-        self.branches.values().map(|b| b.accounts.db().total_funds()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Clock;
-    use crate::db::Database;
-    use std::sync::Arc;
-
-    const ADMIN: &str = "/CN=root-admin";
-
-    fn make_branch(id: u16) -> Branch {
-        let db = Arc::new(Database::new(1, id));
-        let accounts = GbAccounts::new(db, Clock::new());
-        let admin = GbAdmin::new(accounts.clone(), [ADMIN.to_string()]);
-        Branch::new(id, accounts, admin)
-    }
-
-    fn fund(branch: &Branch, cert: &str, gd: i64) -> AccountId {
-        let id = branch.accounts.create_account(cert, None).unwrap();
-        branch.admin.deposit(ADMIN, &id, Credits::from_gd(gd)).unwrap();
-        id
-    }
-
-    fn two_branch_setup() -> (InterBank, AccountId, AccountId) {
-        let mut ib = InterBank::new();
-        let b1 = make_branch(1);
-        let b2 = make_branch(2);
-        let alice = fund(&b1, "/CN=alice", 100);
-        let gsp = fund(&b2, "/CN=gsp", 10);
-        ib.add_branch(b1);
-        ib.add_branch(b2);
-        (ib, alice, gsp)
-    }
-
-    #[test]
-    fn cross_branch_payment_credits_payee_immediately() {
-        let (mut ib, alice, gsp) = two_branch_setup();
-        ib.cross_branch_transfer(alice, gsp, Credits::from_gd(30), vec![]).unwrap();
-        assert_eq!(
-            ib.branch(1).unwrap().accounts.account_details(&alice).unwrap().available,
-            Credits::from_gd(70)
-        );
-        assert_eq!(
-            ib.branch(2).unwrap().accounts.account_details(&gsp).unwrap().available,
-            Credits::from_gd(40)
-        );
-        // The debit is parked in branch 1's clearing account for branch 2.
-        assert_eq!(ib.branch(1).unwrap().clearing_balance(2), Credits::from_gd(30));
-    }
-
-    #[test]
-    fn settlement_nets_opposing_flows() {
-        let (mut ib, alice, gsp) = two_branch_setup();
-        ib.cross_branch_transfer(alice, gsp, Credits::from_gd(30), vec![]).unwrap();
-        ib.cross_branch_transfer(gsp, alice, Credits::from_gd(12), vec![]).unwrap();
-
-        let before = ib.total_funds();
-        let report = ib.settle().unwrap();
-        assert_eq!(report.pairs.len(), 1);
-        let p = &report.pairs[0];
-        assert_eq!(p.gross_a_to_b, Credits::from_gd(30));
-        assert_eq!(p.gross_b_to_a, Credits::from_gd(12));
-        assert_eq!(p.net, Credits::from_gd(18));
-        assert_eq!(report.total_gross(), Credits::from_gd(42));
-        assert_eq!(report.total_net(), Credits::from_gd(18));
-
-        // Settlement drains the eager deposits: the federation returns to
-        // its pre-cross-transfer total (110 G$ of initial deposits).
-        assert_eq!(before, Credits::from_gd(110 + 42));
-        assert_eq!(ib.total_funds(), Credits::from_gd(110));
-        // Clearing accounts are empty.
-        assert_eq!(ib.branch(1).unwrap().clearing_balance(2), Credits::ZERO);
-        assert_eq!(ib.branch(2).unwrap().clearing_balance(1), Credits::ZERO);
-    }
-
-    #[test]
-    fn settlement_is_idempotent_when_nothing_pending() {
-        let (mut ib, alice, gsp) = two_branch_setup();
-        ib.cross_branch_transfer(alice, gsp, Credits::from_gd(5), vec![]).unwrap();
-        ib.settle().unwrap();
-        let report = ib.settle().unwrap();
-        assert!(report.pairs.is_empty());
-    }
-
-    #[test]
-    fn same_branch_and_unknown_branch_rejected() {
-        let (mut ib, alice, _gsp) = two_branch_setup();
-        let other_local = {
-            let b1 = ib.branch(1).unwrap();
-            b1.accounts.create_account("/CN=bob", None).unwrap()
-        };
-        assert!(matches!(
-            ib.cross_branch_transfer(alice, other_local, Credits::from_gd(1), vec![]),
-            Err(BankError::Protocol(_))
-        ));
-        let ghost = AccountId::new(1, 9, 1);
-        assert!(matches!(
-            ib.cross_branch_transfer(alice, ghost, Credits::from_gd(1), vec![]),
-            Err(BankError::UnknownBranch(9))
-        ));
-    }
-
-    #[test]
-    fn insufficient_funds_fail_before_any_remote_effect() {
-        let (mut ib, alice, gsp) = two_branch_setup();
-        assert!(ib.cross_branch_transfer(alice, gsp, Credits::from_gd(101), vec![]).is_err());
-        assert_eq!(
-            ib.branch(2).unwrap().accounts.account_details(&gsp).unwrap().available,
-            Credits::from_gd(10)
-        );
-        let report = ib.settle().unwrap();
-        assert!(report.pairs.is_empty());
-    }
 
     #[test]
     fn netting_engine_pairs_and_drains() {
@@ -458,57 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn clearing_accounts_rediscovered_after_replay() {
-        let (mut ib, alice, gsp) = two_branch_setup();
-        ib.cross_branch_transfer(alice, gsp, Credits::from_gd(30), vec![]).unwrap();
-
-        // "Crash" branch 1: rebuild its stack from the replayed journal.
-        let journal = ib.branch(1).unwrap().accounts.db().journal_snapshot();
-        let db = Arc::new(Database::replay(1, 1, &journal));
-        let accounts = GbAccounts::new(db, Clock::new());
-        let admin = GbAdmin::new(accounts.clone(), [ADMIN.to_string()]);
-        let count_before = accounts.db().account_count();
-        let mut revived = Branch::new(1, accounts, admin);
-
-        // The parked balance is visible again without any lazy creation…
-        assert_eq!(revived.clearing_balance(2), Credits::from_gd(30));
-        // …and asking for the clearing account reuses the replayed row
-        // instead of erroring on the duplicate certificate.
-        let id = revived.clearing_account(2).unwrap();
-        assert_eq!(revived.accounts.account_details(&id).unwrap().available, Credits::from_gd(30));
-        assert_eq!(revived.accounts.db().account_count(), count_before);
-    }
-
-    #[test]
     fn clearing_cert_round_trips() {
         assert_eq!(parse_clearing_cert(1, &clearing_cert(1, 2)), Some(2));
         assert_eq!(parse_clearing_cert(3, &clearing_cert(1, 2)), None);
         assert_eq!(parse_clearing_cert(1, "/CN=alice"), None);
-    }
-
-    #[test]
-    fn three_branch_ring_settles_pairwise() {
-        let mut ib = InterBank::new();
-        let branches: Vec<Branch> = (1..=3).map(make_branch).collect();
-        let accounts: Vec<AccountId> =
-            branches.iter().enumerate().map(|(i, b)| fund(b, &format!("/CN=p{i}"), 50)).collect();
-        for b in branches {
-            ib.add_branch(b);
-        }
-        // Ring payments of equal value: every pair nets to the ring value.
-        ib.cross_branch_transfer(accounts[0], accounts[1], Credits::from_gd(10), vec![]).unwrap();
-        ib.cross_branch_transfer(accounts[1], accounts[2], Credits::from_gd(10), vec![]).unwrap();
-        ib.cross_branch_transfer(accounts[2], accounts[0], Credits::from_gd(10), vec![]).unwrap();
-        let report = ib.settle().unwrap();
-        assert_eq!(report.pairs.len(), 3);
-        assert_eq!(report.total_gross(), Credits::from_gd(30));
-        // Pairwise netting can't cancel a ring: each pair still moves 10.
-        assert_eq!(report.total_net(), Credits::from_gd(30));
-        // Everyone ends where they started.
-        for (i, id) in accounts.iter().enumerate() {
-            let b = ib.branch((i + 1) as u16).unwrap();
-            assert_eq!(b.accounts.account_details(id).unwrap().available, Credits::from_gd(50));
-        }
-        assert_eq!(ib.total_funds(), Credits::from_gd(150));
     }
 }

@@ -1,4 +1,4 @@
-//! The typed GridBank client.
+//! The typed GridBank client — the one way to call a bank.
 //!
 //! §3.3: "The Security Layer is identical to the server. The Protocol
 //! Layer has same protocol modules as the server with corresponding
@@ -6,10 +6,13 @@
 //! Protocol layer, which is responsible for obtaining payment instruments
 //! or performing direct transfers."
 //!
-//! [`GridBankClient`] connects over the in-process network, runs the
-//! mutual handshake with the caller's proxy certificate (single sign-on),
-//! and exposes one method per §5.2/§5.2.1 operation. The GBPM (broker
-//! side) and GBCM (provider side) are built on this client.
+//! [`BankClient`] exposes one method per §5.2/§5.2.1/§6 operation over
+//! any [`BankLink`]; DESIGN.md §4 "Calling a bank" describes the trait,
+//! the three links and where idempotency keys are stamped. This module
+//! owns the wire link: [`GridBankClient`] connects over the in-process
+//! network and runs the mutual handshake with the caller's proxy
+//! certificate (single sign-on). The GBPM (broker side) and GBCM
+//! (provider side) are built on this client.
 
 use gridbank_crypto::cert::ProxyCertificate;
 use gridbank_crypto::keys::{SigningIdentity, VerifyingKey};
@@ -60,10 +63,81 @@ impl ClientHashChain {
     }
 }
 
-/// A connected, authenticated GridBank client.
-pub struct GridBankClient {
+/// One hop to a bank: the only thing a transport has to provide.
+pub trait BankLink {
+    /// Sends one request, optionally stamped with an idempotency key
+    /// that stays stable across retries of the same logical operation.
+    /// A wire [`BankResponse::Error`] comes back as the typed
+    /// [`BankError`], so callers can tell "the bank said no" from "the
+    /// bank was unreachable".
+    fn call_keyed(
+        &mut self,
+        key: Option<u64>,
+        request: &BankRequest,
+    ) -> Result<BankResponse, BankError>;
+
+    /// Circuit-breaker state of the link ("Closed", "Open" or
+    /// "HalfOpen"), or `None` for links without a breaker — the ops
+    /// plane's reachability signal.
+    fn breaker_state(&self) -> Option<&'static str> {
+        None
+    }
+}
+
+impl<L: BankLink + ?Sized> BankLink for Box<L> {
+    fn call_keyed(
+        &mut self,
+        key: Option<u64>,
+        request: &BankRequest,
+    ) -> Result<BankResponse, BankError> {
+        (**self).call_keyed(key, request)
+    }
+
+    fn breaker_state(&self) -> Option<&'static str> {
+        (**self).breaker_state()
+    }
+}
+
+/// Turns a decoded wire `Error` frame back into the typed error.
+pub(crate) fn typed(resp: BankResponse) -> Result<BankResponse, BankError> {
+    match resp {
+        BankResponse::Error { kind, message, detail } => {
+            Err(error_from_wire(kind, message, detail))
+        }
+        resp => Ok(resp),
+    }
+}
+
+fn unexpected(resp: BankResponse) -> BankError {
+    BankError::Protocol(format!("unexpected response {resp:?}"))
+}
+
+/// The wire link: one authenticated connection to a bank server.
+pub struct WireLink {
     rpc: RpcClient,
 }
+
+impl BankLink for WireLink {
+    fn call_keyed(
+        &mut self,
+        key: Option<u64>,
+        request: &BankRequest,
+    ) -> Result<BankResponse, BankError> {
+        let raw = match key {
+            Some(key) => self.rpc.call_with_key(key, &request.to_bytes())?,
+            None => self.rpc.call(&request.to_bytes())?,
+        };
+        typed(BankResponse::from_bytes(&raw)?)
+    }
+}
+
+/// The typed §5.2/§5.2.1/§6 API over a link.
+pub struct BankClient<L: BankLink> {
+    link: L,
+}
+
+/// A connected, authenticated GridBank client.
+pub type GridBankClient = BankClient<WireLink>;
 
 impl GridBankClient {
     /// Connects and authenticates with a proxy certificate.
@@ -82,37 +156,14 @@ impl GridBankClient {
         let config = HandshakeConfig { ca_key, now: now_ms };
         let (channel, server) =
             client_handshake(duplex, &config, proxy, proxy_identity, nonce_stream)?;
-        Ok(GridBankClient { rpc: RpcClient::new(channel, server) })
+        Ok(BankClient::over(WireLink { rpc: RpcClient::new(channel, server) }))
     }
 
     /// Overrides the per-call response timeout (`None` restores the
-    /// transport default). Resilient wrappers set a short timeout so
+    /// transport default). The retry link sets a short timeout so
     /// faulted calls fail fast and retry.
     pub fn set_call_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.rpc.set_timeout(timeout);
-    }
-
-    fn call(&mut self, request: &BankRequest) -> Result<BankResponse, BankError> {
-        self.call_keyed(None, request)
-    }
-
-    /// Sends a request, stamping it with an idempotency key when one is
-    /// given — the server then dedups retries of the same logical
-    /// operation (see `docs/RESILIENCE.md`).
-    pub fn call_keyed(
-        &mut self,
-        idem_key: Option<u64>,
-        request: &BankRequest,
-    ) -> Result<BankResponse, BankError> {
-        let raw = match idem_key {
-            Some(key) => self.rpc.call_with_key(key, &request.to_bytes())?,
-            None => self.rpc.call(&request.to_bytes())?,
-        };
-        let resp = BankResponse::from_bytes(&raw)?;
-        if let BankResponse::Error { kind, message, detail } = resp {
-            return Err(error_from_wire(kind, message, detail));
-        }
-        Ok(resp)
+        self.link.rpc.set_timeout(timeout);
     }
 
     /// Sends a request without waiting for its response, returning the
@@ -127,30 +178,56 @@ impl GridBankClient {
     ) -> Result<u64, BankError> {
         let bytes = request.to_bytes();
         Ok(match idem_key {
-            Some(key) => self.rpc.send_request_with_key(key, &bytes)?,
-            None => self.rpc.send_request(&bytes)?,
+            Some(key) => self.link.rpc.send_request_with_key(key, &bytes)?,
+            None => self.link.rpc.send_request(&bytes)?,
         })
     }
 
     /// Waits for the response to a pipelined request by correlation id.
     pub fn recv_pipelined(&mut self, id: u64) -> Result<BankResponse, BankError> {
-        let raw = self.rpc.recv_response(id)?;
-        let resp = BankResponse::from_bytes(&raw)?;
-        if let BankResponse::Error { kind, message, detail } = resp {
-            return Err(error_from_wire(kind, message, detail));
-        }
-        Ok(resp)
+        typed(BankResponse::from_bytes(&self.link.rpc.recv_response(id)?)?)
+    }
+}
+
+impl<L: BankLink> BankClient<L> {
+    /// The typed API over `link`.
+    pub fn over(link: L) -> Self {
+        BankClient { link }
     }
 
-    fn unexpected(resp: BankResponse) -> BankError {
-        BankError::Protocol(format!("unexpected response {resp:?}"))
+    /// Gives the link back (to hand it to a
+    /// [`FederationRouter`](crate::federation::FederationRouter)).
+    pub fn into_link(self) -> L {
+        self.link
+    }
+
+    /// The link's circuit-breaker state ([`BankLink::breaker_state`]).
+    pub fn breaker_state(&self) -> Option<&'static str> {
+        self.link.breaker_state()
+    }
+
+    fn call(&mut self, request: &BankRequest) -> Result<BankResponse, BankError> {
+        self.link.call_keyed(None, request)
+    }
+
+    /// Sends a request under a caller-chosen idempotency key — the
+    /// server then dedups retries of the same logical operation (see
+    /// `docs/RESILIENCE.md`). With `None` the link decides: the retry
+    /// link stamps a fresh key on a mutating request, the others send
+    /// it bare.
+    pub fn call_keyed(
+        &mut self,
+        idem_key: Option<u64>,
+        request: &BankRequest,
+    ) -> Result<BankResponse, BankError> {
+        self.link.call_keyed(idem_key, request)
     }
 
     /// Create New Account (§5.2).
     pub fn create_account(&mut self, organization: Option<String>) -> Result<AccountId, BankError> {
         match self.call(&BankRequest::CreateAccount { organization })? {
             BankResponse::AccountCreated { account } => Ok(account),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -158,7 +235,7 @@ impl GridBankClient {
     pub fn my_account(&mut self) -> Result<AccountRecord, BankError> {
         match self.call(&BankRequest::MyAccount)? {
             BankResponse::Account(r) => Ok(r),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -166,7 +243,7 @@ impl GridBankClient {
     pub fn account_details(&mut self, account: AccountId) -> Result<AccountRecord, BankError> {
         match self.call(&BankRequest::AccountDetails { account })? {
             BankResponse::Account(r) => Ok(r),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -179,7 +256,7 @@ impl GridBankClient {
     ) -> Result<(), BankError> {
         match self.call(&BankRequest::UpdateAccount { account, certificate_name, organization })? {
             BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -194,7 +271,7 @@ impl GridBankClient {
             BankResponse::Statement { account, transactions, transfers } => {
                 Ok(Statement { account, transactions, transfers })
             }
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -209,7 +286,7 @@ impl GridBankClient {
     ) -> Result<crate::api::OpsReport, BankError> {
         match self.call(&BankRequest::OpsQuery { query })? {
             BankResponse::OpsReport { report } => Ok(report),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -217,7 +294,7 @@ impl GridBankClient {
     pub fn check_funds(&mut self, account: AccountId, amount: Credits) -> Result<(), BankError> {
         match self.call(&BankRequest::CheckFunds { account, amount })? {
             BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -234,7 +311,7 @@ impl GridBankClient {
             recipient_address: recipient_address.to_string(),
         })? {
             BankResponse::Confirmed(c) => Ok(c),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -251,7 +328,7 @@ impl GridBankClient {
             validity_ms,
         })? {
             BankResponse::Cheque(c) => Ok(c),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -263,7 +340,7 @@ impl GridBankClient {
     ) -> Result<(Credits, Credits), BankError> {
         match self.call(&BankRequest::RedeemCheque { cheque, rur })? {
             BankResponse::Redeemed { paid, released } => Ok((paid, released)),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -279,7 +356,7 @@ impl GridBankClient {
                 .into_iter()
                 .map(|r| r.map_err(|(kind, msg)| error_from_wire(kind, msg, 0)))
                 .collect()),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -300,7 +377,7 @@ impl GridBankClient {
             BankResponse::HashChain { commitment, signature, chain } => {
                 Ok(ClientHashChain { commitment, signature, chain })
             }
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -315,7 +392,7 @@ impl GridBankClient {
     ) -> Result<Credits, BankError> {
         match self.call(&BankRequest::RedeemPayWord { commitment, signature, payword, rur_blob })? {
             BankResponse::Redeemed { paid, .. } => Ok(paid),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -323,7 +400,7 @@ impl GridBankClient {
     pub fn close_hash_chain(&mut self, commitment: ChainCommitment) -> Result<Credits, BankError> {
         match self.call(&BankRequest::CloseHashChain { commitment })? {
             BankResponse::Redeemed { released, .. } => Ok(released),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -334,7 +411,7 @@ impl GridBankClient {
     ) -> Result<(), BankError> {
         match self.call(&BankRequest::RegisterResourceDescription { desc })? {
             BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -346,7 +423,7 @@ impl GridBankClient {
     ) -> Result<Credits, BankError> {
         match self.call(&BankRequest::EstimatePrice { desc, min_similarity_ppk })? {
             BankResponse::Estimate { price } => Ok(price),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -354,7 +431,7 @@ impl GridBankClient {
     pub fn admin_deposit(&mut self, account: AccountId, amount: Credits) -> Result<u64, BankError> {
         match self.call(&BankRequest::AdminDeposit { account, amount })? {
             BankResponse::Confirmation { transaction_id } => Ok(transaction_id),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -366,7 +443,7 @@ impl GridBankClient {
     ) -> Result<u64, BankError> {
         match self.call(&BankRequest::AdminWithdraw { account, amount })? {
             BankResponse::Confirmation { transaction_id } => Ok(transaction_id),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -378,7 +455,7 @@ impl GridBankClient {
     ) -> Result<(), BankError> {
         match self.call(&BankRequest::AdminCreditLimit { account, new_limit })? {
             BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -386,7 +463,7 @@ impl GridBankClient {
     pub fn admin_cancel_transfer(&mut self, transaction_id: u64) -> Result<u64, BankError> {
         match self.call(&BankRequest::AdminCancelTransfer { transaction_id })? {
             BankResponse::Confirmation { transaction_id } => Ok(transaction_id),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -405,7 +482,7 @@ impl GridBankClient {
             .call_keyed(Some(key), &BankRequest::IbCredit { to, amount, origin_branch, rur_blob })?
         {
             BankResponse::Confirmation { transaction_id } => Ok(transaction_id),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -421,7 +498,7 @@ impl GridBankClient {
             .call_keyed(Some(key), &BankRequest::IbSettleProposal { origin_branch, gross_out })?
         {
             BankResponse::IbSettleAck { gross_back } => Ok(gross_back),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -433,7 +510,7 @@ impl GridBankClient {
     ) -> Result<(), BankError> {
         match self.call(&BankRequest::AdminCloseAccount { account, transfer_to })? {
             BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(Self::unexpected(other)),
+            other => Err(unexpected(other)),
         }
     }
 }

@@ -20,6 +20,7 @@
 //! unchanged — the queue only amortizes journal-lock traffic on the hot
 //! payment path.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -261,6 +262,10 @@ pub enum JournalEntry {
         key: u64,
         /// Encoded response of the original execution.
         response: Vec<u8>,
+        /// The stamp's place in the database-wide recording order: what
+        /// recovery merges snapshot and journal stamps by
+        /// (docs/STORAGE.md §5).
+        seq: u64,
     },
     /// A cross-branch credit became owed (committed atomically with the
     /// drawer's debit into the clearing account).
@@ -309,29 +314,57 @@ pub struct CommitRows {
     pub ib_out: Option<PendingIbCredit>,
 }
 
-/// Bounded FIFO dedup cache for idempotency keys.
+/// Bounded FIFO dedup cache for idempotency keys. Every stamp carries a
+/// sequence number from one database-wide counter; `order` is sorted by
+/// it, so the front is always the oldest stamp — also after recovery,
+/// which inserts stamps from shard snapshots taken at different times
+/// and from the journal tail.
 struct IdemCache {
     capacity: usize,
-    map: HashMap<(String, u64), Vec<u8>>,
-    order: VecDeque<(String, u64)>,
+    next_seq: u64,
+    map: HashMap<(String, u64), (u64, Vec<u8>)>,
+    order: VecDeque<(u64, (String, u64))>,
 }
 
 impl IdemCache {
     fn remove(&mut self, cert: &str, key: u64) -> bool {
-        // The `order` entry stays behind; popping it later is a harmless
-        // no-op against the map.
+        // The `order` entry stays behind; its sequence number no longer
+        // matches anything in the map, so popping it later is a no-op.
         self.map.remove(&(cert.to_string(), key)).is_some()
     }
 
-    fn insert(&mut self, cert: &str, key: u64, response: Vec<u8>) {
+    /// Records a new stamp and returns its sequence number.
+    fn insert(&mut self, cert: &str, key: u64, response: Vec<u8>) -> u64 {
+        let seq = self.next_seq;
+        self.insert_at(seq, cert, key, response);
+        seq
+    }
+
+    /// Records a stamp under the sequence number it was first given
+    /// (journal replay, snapshot load).
+    fn insert_at(&mut self, seq: u64, cert: &str, key: u64, response: Vec<u8>) {
+        self.next_seq = self.next_seq.max(seq.saturating_add(1));
         if self.capacity == 0 {
             return;
         }
         let k = (cert.to_string(), key);
-        if self.map.insert(k.clone(), response).is_none() {
-            self.order.push_back(k);
-            while self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
+        match self.map.entry(k) {
+            // A live stamp keeps its place; only the response changes.
+            Entry::Occupied(mut live) => live.get_mut().1 = response,
+            Entry::Vacant(slot) => {
+                let at = self.order.partition_point(|(s, _)| *s < seq);
+                self.order.insert(at, (seq, slot.key().clone()));
+                slot.insert((seq, response));
+                self.trim();
+            }
+        }
+    }
+
+    /// Evicts oldest-first down to `capacity`.
+    fn trim(&mut self) {
+        while self.order.len() > self.capacity {
+            if let Some((seq, old)) = self.order.pop_front() {
+                if self.map.get(&old).is_some_and(|(s, _)| *s == seq) {
                     self.map.remove(&old);
                 }
             }
@@ -601,6 +634,7 @@ impl Database {
                 0,
                 "idem-cache",
                 IdemCache {
+                    next_seq: 0,
                     capacity: DEFAULT_IDEM_CAPACITY,
                     map: HashMap::new(),
                     order: VecDeque::new(),
@@ -630,7 +664,6 @@ impl Database {
         let mut max_tx = 0u64;
 
         // Fold the per-shard base images in.
-        let mut stamps: Vec<crate::store::SnapshotIdem> = Vec::new();
         for base in &state.bases {
             max_account = max_account.max(base.next_account_hint);
             max_tx = max_tx.max(base.next_tx_hint);
@@ -649,15 +682,11 @@ impl Database {
             for p in &base.pending {
                 db.ib_pending.lock().insert(p.key, p.clone());
             }
-            stamps.extend(base.idem.iter().cloned());
-        }
-        // Idempotency stamps merge across shards in their captured FIFO
-        // order, approximating the original eviction order.
-        stamps.sort_by_key(|s| s.order);
-        {
+            // Shards were snapshotted at different times; the cache
+            // orders their stamps, and the tail's, by sequence number.
             let mut cache = db.idem.lock();
-            for s in stamps {
-                cache.insert(&s.cert, s.key, s.response);
+            for s in &base.idem {
+                cache.insert_at(s.order, &s.cert, s.key, s.response.clone());
             }
         }
         // Replay the merged tail in global LSN order — the original
@@ -713,18 +742,14 @@ impl Database {
             cache.map.clear();
             cache.order.clear();
         } else {
-            while cache.order.len() > capacity {
-                if let Some(old) = cache.order.pop_front() {
-                    cache.map.remove(&old);
-                }
-            }
+            cache.trim();
         }
     }
 
     /// Looks up the remembered response for `(cert, key)`, if this
     /// idempotency key was already consumed.
     pub fn idem_lookup(&self, cert: &str, key: u64) -> Option<Vec<u8>> {
-        self.idem.lock().map.get(&(cert.to_string(), key)).cloned()
+        self.idem.lock().map.get(&(cert.to_string(), key)).map(|(_, response)| response.clone())
     }
 
     /// Records a consumed idempotency key with its response: cached for
@@ -735,9 +760,9 @@ impl Database {
         if cache.capacity == 0 {
             return;
         }
-        cache.insert(cert, key, response.clone());
+        let seq = cache.insert(cert, key, response.clone());
         drop(cache);
-        self.journal.append_one(JournalEntry::Idem { cert: cert.to_string(), key, response });
+        self.journal.append_one(JournalEntry::Idem { cert: cert.to_string(), key, response, seq });
     }
 
     /// Invalidates a consumed idempotency key: the remembered operation
@@ -757,7 +782,7 @@ impl Database {
     pub fn idem_upgrade(&self, cert: &str, key: u64, response: Vec<u8>) {
         let mut cache = self.idem.lock();
         let k = (cert.to_string(), key);
-        if let Some(slot) = cache.map.get_mut(&k) {
+        if let Some((_, slot)) = cache.map.get_mut(&k) {
             *slot = response;
         }
     }
@@ -939,11 +964,12 @@ impl Database {
         if let Some(stamp) = rows.idem {
             let mut cache = self.idem.lock();
             if cache.capacity > 0 {
-                cache.insert(&stamp.cert, stamp.key, stamp.response.clone());
+                let seq = cache.insert(&stamp.cert, stamp.key, stamp.response.clone());
                 entries.push(JournalEntry::Idem {
                     cert: stamp.cert,
                     key: stamp.key,
                     response: stamp.response,
+                    seq,
                 });
             }
         }
@@ -1114,8 +1140,8 @@ impl Database {
                 *max_tx = (*max_tx).max(t.transaction_id);
                 self.transfers.write().push(t.clone());
             }
-            JournalEntry::Idem { cert, key, response } => {
-                self.idem.lock().insert(cert, *key, response.clone());
+            JournalEntry::Idem { cert, key, response, seq } => {
+                self.idem.lock().insert_at(*seq, cert, *key, response.clone());
             }
             JournalEntry::IbOut(credit) => {
                 self.ib_pending.lock().insert(credit.key, credit.clone());
@@ -1199,14 +1225,14 @@ impl Database {
             cache
                 .order
                 .iter()
-                .enumerate()
                 .filter(|(_, k)| cert_shard(&k.0) == s)
-                .filter_map(|(i, k)| {
-                    cache.map.get(k).map(|resp| crate::store::SnapshotIdem {
-                        order: i as u64,
+                .filter_map(|(seq, k)| {
+                    let (live, response) = cache.map.get(k)?;
+                    (live == seq).then(|| crate::store::SnapshotIdem {
+                        order: *seq,
                         cert: k.0.clone(),
                         key: k.1,
-                        response: resp.clone(),
+                        response: response.clone(),
                     })
                 })
                 .collect()

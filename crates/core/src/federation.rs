@@ -1,10 +1,10 @@
 //! Wire-level multi-branch federation (§6 over RPC).
 //!
-//! [`crate::branch::InterBank`] settles branches that live in one
-//! process. This module lifts the same protocol onto the network: each
-//! [`crate::server::GridBank`] learns its branch id and a peer directory
-//! (the [`FederationRouter`]), and cross-branch traffic travels as typed
-//! wire messages instead of direct method calls:
+//! Each [`crate::server::GridBank`] learns its branch id and a peer
+//! directory (the [`FederationRouter`]), and cross-branch traffic
+//! travels as typed wire messages over whichever link reaches the peer
+//! (DESIGN.md §4 "Calling a bank" — a direct link federates banks inside
+//! one process, a retry link federates live servers):
 //!
 //! * `IbCredit` — delivers the payee-side credit of a cross-branch
 //!   payment. The sending branch debits the drawer into its clearing
@@ -18,7 +18,7 @@
 //!   crosses banks on the external rail.
 //!
 //! The pure arithmetic lives in [`NettingEngine`]; this module owns the
-//! transports, the durable re-ship queue, and the settlement daemon.
+//! peer table, the durable re-ship queue, and the settlement daemon.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,14 +32,15 @@ use gridbank_rur::Credits;
 
 use crate::accounts::{GbAccounts, IdemKey};
 use crate::admin::GbAdmin;
-use crate::api::{error_from_wire, BankRequest, BankResponse};
+use crate::api::{BankRequest, BankResponse};
 use crate::branch::{
     clearing_account_for, discover_clearing_accounts, NettingEngine, PairSettlement,
     SettlementReport, SETTLEMENT_ADMIN,
 };
+use crate::client::{BankClient, BankLink};
 use crate::db::{AccountId, PendingIbCredit};
 use crate::error::BankError;
-use crate::resilient::ResilientBankClient;
+use crate::port::DirectLink;
 use crate::server::GridBank;
 
 /// The settlement identity branch `branch` uses when calling a peer
@@ -50,91 +51,39 @@ pub fn settlement_identity(branch: u16) -> String {
     format!("/O=GridBank/OU=Settlement/CN=branch-{branch:04}")
 }
 
-/// One hop to a peer branch. Implementations must turn a wire
-/// [`BankResponse::Error`] back into the typed [`BankError`] (both
-/// provided transports do), so callers can distinguish "the peer said
-/// no" from "the peer was unreachable".
-pub trait PeerTransport: Send + Sync {
-    /// Sends one request, optionally stamped with an idempotency key
-    /// that stays stable across retries of the same logical operation.
-    fn call(&self, idem_key: Option<u64>, request: &BankRequest)
-        -> Result<BankResponse, BankError>;
-
-    /// Circuit-breaker state of the underlying link ("Closed", "Open",
-    /// or "HalfOpen"), or `None` for links without a breaker — the
-    /// ops plane's reachability signal. In-process transports have no
-    /// breaker and report `None`.
-    fn breaker_state(&self) -> Option<&'static str> {
-        None
-    }
+/// A direct link into `bank` that calls as `origin_branch`'s settlement
+/// identity — federates several banks inside one process without a
+/// network (simulations, tests, the CLI's offline demos).
+pub fn direct_peer(bank: &Arc<GridBank>, origin_branch: u16) -> DirectLink {
+    DirectLink::new(Arc::clone(bank), SubjectName(settlement_identity(origin_branch)))
 }
 
-/// In-process transport: delivers straight into a peer bank's
-/// dispatcher. Used by simulations and tests that federate several
-/// banks inside one process without a network.
-pub struct LocalPeer {
-    bank: Arc<GridBank>,
-    identity: SubjectName,
-}
-
-impl LocalPeer {
-    /// A transport into `bank`, calling as `origin_branch`'s settlement
-    /// identity.
-    pub fn new(bank: Arc<GridBank>, origin_branch: u16) -> Arc<Self> {
-        Arc::new(LocalPeer { bank, identity: SubjectName(settlement_identity(origin_branch)) })
-    }
-}
-
-impl PeerTransport for LocalPeer {
-    fn call(
-        &self,
-        idem_key: Option<u64>,
-        request: &BankRequest,
-    ) -> Result<BankResponse, BankError> {
-        match self.bank.handle_keyed(&self.identity, idem_key, request.clone()) {
-            BankResponse::Error { kind, message, detail } => {
-                Err(error_from_wire(kind, message, detail))
-            }
-            resp => Ok(resp),
+/// Federates `banks` inside one process: installs a router on each and
+/// wires the full mesh over [`direct_peer`] links. Routers come back in
+/// the order of `banks`.
+pub fn direct_mesh(banks: &[Arc<GridBank>]) -> Vec<Arc<FederationRouter>> {
+    let routers: Vec<_> = banks.iter().map(FederationRouter::install).collect();
+    for (from, router) in banks.iter().zip(&routers) {
+        for to in banks.iter().filter(|to| to.branch() != from.branch()) {
+            router.add_peer(to.branch(), direct_peer(to, from.branch()));
         }
     }
+    routers
 }
 
-/// Networked transport: a [`ResilientBankClient`] (reconnects, backoff,
-/// circuit breaker) behind a lock so the router can call from any
-/// thread. Keyed calls reuse the caller's stable key on every retry.
-pub struct RemotePeer {
-    client: Mutex<ResilientBankClient>,
-}
-
-impl RemotePeer {
-    /// Wraps an already-configured resilient client.
-    pub fn new(client: ResilientBankClient) -> Arc<Self> {
-        Arc::new(RemotePeer { client: Mutex::new(client) })
+/// One settlement round on every router of a mesh, pairs pooled — each
+/// pair is settled by its lower branch's round.
+pub fn settle_all(routers: &[Arc<FederationRouter>]) -> Result<SettlementReport, BankError> {
+    let mut report = SettlementReport::default();
+    for router in routers {
+        report.pairs.extend(router.settle_once()?.pairs);
     }
+    Ok(report)
 }
 
-impl PeerTransport for RemotePeer {
-    fn call(
-        &self,
-        idem_key: Option<u64>,
-        request: &BankRequest,
-    ) -> Result<BankResponse, BankError> {
-        let mut client = self.client.lock();
-        match idem_key {
-            Some(key) => client.call_with_stable_key(key, request),
-            None => client.call(request),
-        }
-    }
-
-    fn breaker_state(&self) -> Option<&'static str> {
-        Some(match self.client.lock().breaker_state() {
-            gridbank_net::retry::BreakerState::Closed => "Closed",
-            gridbank_net::retry::BreakerState::Open { .. } => "Open",
-            gridbank_net::retry::BreakerState::HalfOpen => "HalfOpen",
-        })
-    }
-}
+/// The typed client toward one peer, behind a lock so the router can
+/// call from any thread.
+type PeerClient = Arc<Mutex<BankClient<Box<dyn BankLink + Send>>>>;
 
 /// The branch-aware routing layer a federated [`GridBank`] consults for
 /// any request whose target account lives on another branch, plus the
@@ -144,7 +93,7 @@ pub struct FederationRouter {
     accounts: GbAccounts,
     admin: GbAdmin,
     clearing: Mutex<HashMap<u16, AccountId>>,
-    peers: RwLock<BTreeMap<u16, Arc<dyn PeerTransport>>>,
+    peers: RwLock<BTreeMap<u16, PeerClient>>,
     /// Settlement identities of federated peers — trusted to deliver
     /// `IbCredit`s and propose settlements here, and nothing else.
     /// Deliberately disjoint from the administrator set.
@@ -185,9 +134,10 @@ impl FederationRouter {
     /// here — a federation-scoped trust, deliberately narrower than the
     /// administrator set (a peer can never withdraw from or close member
     /// accounts).
-    pub fn add_peer(&self, peer_branch: u16, transport: Arc<dyn PeerTransport>) {
+    pub fn add_peer(&self, peer_branch: u16, link: impl BankLink + Send + 'static) {
         self.peer_identities.write().insert(settlement_identity(peer_branch));
-        self.peers.write().insert(peer_branch, transport);
+        let client = BankClient::over(Box::new(link) as Box<dyn BankLink + Send>);
+        self.peers.write().insert(peer_branch, Arc::new(Mutex::new(client)));
     }
 
     /// Whether `cert` is a federated peer branch's settlement identity.
@@ -203,14 +153,12 @@ impl FederationRouter {
     /// Per-peer ops-plane health: clearing balance plus link
     /// reachability. A peer behind an `Open` breaker is currently being
     /// failed fast, not called — unreachable until its cooldown probe
-    /// succeeds. Transports without a breaker count as reachable.
+    /// succeeds. Links without a breaker count as reachable.
     pub fn peer_health(&self) -> Vec<crate::api::PeerHealth> {
-        let peers: Vec<(u16, Arc<dyn PeerTransport>)> =
-            self.peers.read().iter().map(|(b, t)| (*b, Arc::clone(t))).collect();
-        peers
+        self.peer_clients()
             .into_iter()
-            .map(|(branch, transport)| {
-                let breaker = transport.breaker_state();
+            .map(|(branch, client)| {
+                let breaker = client.lock().breaker_state();
                 crate::api::PeerHealth {
                     branch,
                     clearing: self.clearing_balance(branch),
@@ -221,8 +169,12 @@ impl FederationRouter {
             .collect()
     }
 
-    fn peer(&self, branch: u16) -> Result<Arc<dyn PeerTransport>, BankError> {
+    fn peer(&self, branch: u16) -> Result<PeerClient, BankError> {
         self.peers.read().get(&branch).cloned().ok_or(BankError::UnknownBranch(branch))
+    }
+
+    fn peer_clients(&self) -> Vec<(u16, PeerClient)> {
+        self.peers.read().iter().map(|(b, c)| (*b, Arc::clone(c))).collect()
     }
 
     /// The clearing account this branch holds toward `peer` (created or
@@ -261,9 +213,10 @@ impl FederationRouter {
 
     /// Forwards a read to the home branch of its target account.
     pub fn forward(&self, home: u16, request: &BankRequest) -> Result<BankResponse, BankError> {
-        let peer = self.peer(home)?;
+        let client = self.peer(home)?;
         gridbank_obs::count("ib.forwarded", 1);
-        peer.call(None, request)
+        let mut client = client.lock();
+        client.call_keyed(None, request)
     }
 
     /// A cross-branch payment: debits `from` into the clearing account
@@ -286,7 +239,7 @@ impl FederationRouter {
     ) -> Result<u64, BankError> {
         let mut span = gridbank_obs::span("server.federation", "cross_branch_transfer");
         span.attr("home", to.branch.to_string());
-        let peer = self.peer(to.branch)?;
+        let client = self.peer(to.branch)?;
         let clearing = self.clearing_account(to.branch)?;
         let credit = PendingIbCredit {
             key: self.next_credit_key(),
@@ -304,7 +257,7 @@ impl FederationRouter {
             idem,
             credit.clone(),
         )?;
-        match self.ship_credit(peer.as_ref(), &credit, rur_blob) {
+        match self.ship_credit(&client, &credit, rur_blob) {
             Ok(()) => {}
             Err(BankError::Net(_)) => {
                 // Peer unreachable after retries: the journaled pending
@@ -334,23 +287,13 @@ impl FederationRouter {
     /// Delivers one credit and acknowledges it on success.
     fn ship_credit(
         &self,
-        peer: &dyn PeerTransport,
+        client: &PeerClient,
         credit: &PendingIbCredit,
         rur_blob: Vec<u8>,
     ) -> Result<(), BankError> {
-        let request = BankRequest::IbCredit {
-            to: credit.to,
-            amount: credit.amount,
-            origin_branch: credit.origin,
-            rur_blob,
-        };
-        match peer.call(Some(credit.key), &request)? {
-            BankResponse::Confirmation { .. } => {
-                self.accounts.db().ib_ack(credit.key);
-                Ok(())
-            }
-            other => Err(BankError::Protocol(format!("unexpected response {other:?}"))),
-        }
+        client.lock().ib_credit(credit.key, credit.to, credit.amount, credit.origin, rur_blob)?;
+        self.accounts.db().ib_ack(credit.key);
+        Ok(())
     }
 
     /// Re-ships every unacknowledged outbound credit (crash recovery and
@@ -359,8 +302,8 @@ impl FederationRouter {
     pub fn ship_pending(&self) -> usize {
         let mut shipped = 0usize;
         for credit in self.accounts.db().ib_pending_snapshot() {
-            let Ok(peer) = self.peer(credit.to.branch) else { continue };
-            match self.ship_credit(peer.as_ref(), &credit, Vec::new()) {
+            let Ok(client) = self.peer(credit.to.branch) else { continue };
+            match self.ship_credit(&client, &credit, Vec::new()) {
                 Ok(()) => shipped = shipped.saturating_add(1),
                 Err(BankError::Net(_)) => {}
                 Err(_) => {
@@ -461,14 +404,12 @@ impl FederationRouter {
         let mut span = gridbank_obs::span("server.federation", "settle_once");
         let _round = self.settle_lock.lock();
         self.ship_pending();
-        let peers: Vec<(u16, Arc<dyn PeerTransport>)> =
-            self.peers.read().iter().map(|(b, t)| (*b, Arc::clone(t))).collect();
         let mut report = SettlementReport::default();
-        for (peer_branch, transport) in peers {
+        for (peer_branch, client) in self.peer_clients() {
             if peer_branch < self.local_branch {
                 continue; // the peer proposes for this pair
             }
-            match self.settle_pair(peer_branch, transport.as_ref()) {
+            match self.settle_pair(peer_branch, &client) {
                 Ok(Some(pair)) => {
                     gridbank_obs::count(
                         "ib.settle.gross",
@@ -493,18 +434,14 @@ impl FederationRouter {
     fn settle_pair(
         &self,
         peer_branch: u16,
-        transport: &dyn PeerTransport,
+        client: &PeerClient,
     ) -> Result<Option<PairSettlement>, BankError> {
         let clearing = self.clearing_account(peer_branch)?;
         let parked = self.accounts.account_details(&clearing)?.available;
         let gross_out = parked.saturating_add(self.pending_toward(peer_branch).negated());
         let gross_out = if gross_out.is_positive() { gross_out } else { Credits::ZERO };
-        let proposal =
-            BankRequest::IbSettleProposal { origin_branch: self.local_branch, gross_out };
-        let ack = match transport.call(Some(self.next_credit_key()), &proposal)? {
-            BankResponse::IbSettleAck { gross_back } => gross_back,
-            other => return Err(BankError::Protocol(format!("unexpected response {other:?}"))),
-        };
+        let key = self.next_credit_key();
+        let ack = client.lock().ib_settle_proposal(key, self.local_branch, gross_out)?;
         if gross_out.is_positive() {
             self.admin.withdraw(SETTLEMENT_ADMIN, &clearing, gross_out)?;
         }
@@ -574,29 +511,34 @@ impl Drop for SettlementDaemon {
 mod tests {
     use super::*;
     use crate::clock::Clock;
+    use crate::port::InProcessBank;
     use crate::server::{GateMode, GridBankConfig};
 
     const ADMIN: &str = "/O=GridBank/OU=Admin/CN=operator";
 
+    fn config(branch: u16) -> GridBankConfig {
+        GridBankConfig {
+            branch,
+            signer_height: 6,
+            gate_mode: GateMode::AllowEnrollment,
+            ..GridBankConfig::default()
+        }
+    }
+
+    /// Branches `1..=n` in one process, fully meshed over direct links.
+    fn federated_mesh(n: u16) -> Vec<(Arc<GridBank>, Arc<FederationRouter>)> {
+        let clock = Clock::new();
+        let banks: Vec<_> =
+            (1..=n).map(|b| Arc::new(GridBank::new(config(b), clock.clone()))).collect();
+        let routers = direct_mesh(&banks);
+        banks.into_iter().zip(routers).collect()
+    }
+
     fn federated_pair(
     ) -> (Arc<GridBank>, Arc<GridBank>, Arc<FederationRouter>, Arc<FederationRouter>) {
-        let clock = Clock::new();
-        let mk = |branch: u16| {
-            Arc::new(GridBank::new(
-                GridBankConfig {
-                    branch,
-                    signer_height: 6,
-                    gate_mode: GateMode::AllowEnrollment,
-                    ..GridBankConfig::default()
-                },
-                clock.clone(),
-            ))
-        };
-        let (a, b) = (mk(1), mk(2));
-        let ra = FederationRouter::install(&a);
-        let rb = FederationRouter::install(&b);
-        ra.add_peer(2, LocalPeer::new(Arc::clone(&b), 1));
-        rb.add_peer(1, LocalPeer::new(Arc::clone(&a), 2));
+        let mut mesh = federated_mesh(2);
+        let (b, rb) = mesh.pop().unwrap();
+        let (a, ra) = mesh.pop().unwrap();
         (a, b, ra, rb)
     }
 
@@ -635,6 +577,8 @@ mod tests {
         assert_eq!(p.gross_a_to_b, Credits::from_gd(30));
         assert_eq!(p.gross_b_to_a, Credits::from_gd(12));
         assert_eq!(p.net, Credits::from_gd(18));
+        assert_eq!(report.total_gross(), Credits::from_gd(42));
+        assert_eq!(report.total_net(), Credits::from_gd(18));
         assert_eq!(ra.clearing_balance(2), Credits::ZERO);
         assert_eq!(rb.clearing_balance(1), Credits::ZERO);
         // Nothing left: a second round settles no pairs.
@@ -667,86 +611,62 @@ mod tests {
     #[test]
     fn rejected_payment_is_not_remembered_as_success() {
         let (a, _b, _ra, _rb) = federated_pair();
-        let subject = SubjectName("/CN=alice".into());
+        let mut payer = InProcessBank::new(Arc::clone(&a), SubjectName("/CN=alice".into()));
         let alice = open_funded(&a, "/CN=alice", 100);
-        let ghost = AccountId::new(1, 2, 999);
-        let pay = |bank: &GridBank| {
-            bank.handle_keyed(
-                &subject,
-                Some(42),
-                BankRequest::DirectTransfer {
-                    to: ghost,
-                    amount: Credits::from_gd(10),
-                    recipient_address: "ghost.grid.org".into(),
-                },
-            )
+        let pay = BankRequest::DirectTransfer {
+            to: AccountId::new(1, 2, 999),
+            amount: Credits::from_gd(10),
+            recipient_address: "ghost.grid.org".into(),
         };
-        assert!(matches!(pay(&a), BankResponse::Error { .. }));
+        assert!(payer.call_keyed(Some(42), &pay).is_err());
         // The stamp committed with the clearing debit must not survive
         // the compensation: a retry re-attempts and sees the rejection,
         // never a cached success for a refunded payment.
-        assert!(matches!(pay(&a), BankResponse::Error { .. }));
+        assert!(payer.call_keyed(Some(42), &pay).is_err());
         assert!(a.accounts.db().idem_lookup("/CN=alice", 42).is_none());
         assert_eq!(a.accounts.account_details(&alice).unwrap().available, Credits::from_gd(100));
         // Crash-replay cannot resurrect the stamp either.
-        let rebuilt = GridBank::from_journal(
-            GridBankConfig {
-                branch: 1,
-                signer_height: 6,
-                gate_mode: GateMode::AllowEnrollment,
-                ..GridBankConfig::default()
-            },
-            Clock::new(),
-            &a.journal_snapshot(),
-        );
+        let rebuilt = GridBank::from_journal(config(1), Clock::new(), &a.journal_snapshot());
         assert!(rebuilt.accounts.db().idem_lookup("/CN=alice", 42).is_none());
     }
 
     #[test]
     fn reship_rejection_refunds_drawer_and_drops_stamp() {
         struct SwitchPeer {
-            inner: Arc<LocalPeer>,
-            down: AtomicBool,
+            inner: DirectLink,
+            down: Arc<AtomicBool>,
         }
-        impl PeerTransport for SwitchPeer {
-            fn call(
-                &self,
-                idem_key: Option<u64>,
+        impl BankLink for SwitchPeer {
+            fn call_keyed(
+                &mut self,
+                key: Option<u64>,
                 request: &BankRequest,
             ) -> Result<BankResponse, BankError> {
                 if self.down.load(Ordering::Relaxed) {
                     return Err(BankError::Net(gridbank_net::NetError::Disconnected));
                 }
-                self.inner.call(idem_key, request)
+                self.inner.call_keyed(key, request)
             }
         }
 
         let (a, b, ra, _rb) = federated_pair();
-        let subject = SubjectName("/CN=alice".into());
+        let mut payer = InProcessBank::new(Arc::clone(&a), SubjectName("/CN=alice".into()));
         let alice = open_funded(&a, "/CN=alice", 100);
-        let ghost = AccountId::new(1, 2, 999);
-        let link = Arc::new(SwitchPeer {
-            inner: LocalPeer::new(Arc::clone(&b), 1),
-            down: AtomicBool::new(true),
-        });
-        ra.add_peer(2, Arc::clone(&link) as Arc<dyn PeerTransport>);
+        let down = Arc::new(AtomicBool::new(true));
+        ra.add_peer(2, SwitchPeer { inner: direct_peer(&b, 1), down: Arc::clone(&down) });
         // Wire down: the payment confirms locally and the credit strands.
-        let reply = a.handle_keyed(
-            &subject,
-            Some(7),
-            BankRequest::DirectTransfer {
-                to: ghost,
-                amount: Credits::from_gd(10),
-                recipient_address: "ghost.grid.org".into(),
-            },
-        );
-        assert!(matches!(reply, BankResponse::Confirmed(_)));
+        let pay = BankRequest::DirectTransfer {
+            to: AccountId::new(1, 2, 999),
+            amount: Credits::from_gd(10),
+            recipient_address: "ghost.grid.org".into(),
+        };
+        assert!(payer.call_keyed(Some(7), &pay).is_ok());
         assert_eq!(a.accounts.db().ib_pending_snapshot().len(), 1);
         assert!(a.accounts.db().idem_lookup("/CN=alice", 7).is_some());
         // Wire heals; the re-ship is rejected (the payee never existed):
         // the drawer gets the parked value back instead of losing it to
         // the next settlement drain, and the stale success stamp goes.
-        link.down.store(false, Ordering::Relaxed);
+        down.store(false, Ordering::Relaxed);
         assert_eq!(ra.ship_pending(), 0);
         assert!(a.accounts.db().ib_pending_snapshot().is_empty());
         assert_eq!(a.accounts.account_details(&alice).unwrap().available, Credits::from_gd(100));
@@ -761,14 +681,10 @@ mod tests {
         let victim = open_funded(&a, "/CN=victim", 50);
         assert!(ra.is_peer(&settlement_identity(2)));
         assert!(!a.admin.is_admin(&settlement_identity(2)));
-        let peer = SubjectName(settlement_identity(2));
-        let reply = a.handle(
-            &peer,
-            BankRequest::AdminWithdraw { account: victim, amount: Credits::from_gd(50) },
-        );
+        let mut peer = InProcessBank::new(Arc::clone(&a), SubjectName(settlement_identity(2)));
         assert!(matches!(
-            reply,
-            BankResponse::Error { kind, .. } if kind == crate::api::kinds::NOT_AUTHORIZED
+            peer.admin_withdraw(victim, Credits::from_gd(50)),
+            Err(BankError::NotAuthorized(_))
         ));
         assert_eq!(a.accounts.account_details(&victim).unwrap().available, Credits::from_gd(50));
     }
@@ -797,5 +713,114 @@ mod tests {
         assert_eq!(rb.clearing_balance(1), Credits::ZERO);
         let total = a.total_funds().saturating_add(b.total_funds());
         assert_eq!(total, Credits::from_gd(150));
+    }
+
+    #[test]
+    fn same_branch_and_unknown_branch_rejected() {
+        let (a, _b, ra, _rb) = federated_pair();
+        let alice = open_funded(&a, "/CN=alice", 100);
+        let bob = open_funded(&a, "/CN=bob", 0);
+        // A router has no route to itself: same-branch payments belong
+        // on the local path.
+        assert!(matches!(
+            ra.cross_branch_transfer(&alice, &bob, Credits::from_gd(1), vec![], None),
+            Err(BankError::UnknownBranch(1))
+        ));
+        let ghost = AccountId::new(1, 9, 1);
+        assert!(matches!(
+            ra.cross_branch_transfer(&alice, &ghost, Credits::from_gd(1), vec![], None),
+            Err(BankError::UnknownBranch(9))
+        ));
+        assert_eq!(a.accounts.account_details(&alice).unwrap().available, Credits::from_gd(100));
+    }
+
+    #[test]
+    fn insufficient_funds_fail_before_any_remote_effect() {
+        let (a, b, ra, rb) = federated_pair();
+        let alice = open_funded(&a, "/CN=alice", 100);
+        let gsp = open_funded(&b, "/CN=gsp", 10);
+        let err = ra.cross_branch_transfer(&alice, &gsp, Credits::from_gd(101), vec![], None);
+        assert!(matches!(err, Err(BankError::InsufficientFunds { .. })));
+        assert_eq!(b.accounts.account_details(&gsp).unwrap().available, Credits::from_gd(10));
+        assert!(a.accounts.db().ib_pending_snapshot().is_empty());
+        assert!(ra.settle_once().unwrap().pairs.is_empty());
+        assert!(rb.settle_once().unwrap().pairs.is_empty());
+    }
+
+    #[test]
+    fn clearing_accounts_rediscovered_after_replay() {
+        let (a, b, ra, _rb) = federated_pair();
+        let alice = open_funded(&a, "/CN=alice", 100);
+        let gsp = open_funded(&b, "/CN=gsp", 10);
+        ra.cross_branch_transfer(&alice, &gsp, Credits::from_gd(30), vec![], None).unwrap();
+
+        // "Crash" branch 1: rebuild it from the replayed journal.
+        let revived =
+            Arc::new(GridBank::from_journal(config(1), Clock::new(), &a.journal_snapshot()));
+        let count_before = revived.accounts.db().account_count();
+        let router = FederationRouter::install(&revived);
+        // The parked balance is visible again without any lazy creation…
+        assert_eq!(router.clearing_balance(2), Credits::from_gd(30));
+        // …and asking for the clearing account reuses the replayed row
+        // instead of erroring on the duplicate certificate.
+        let id = router.clearing_account(2).unwrap();
+        assert_eq!(revived.accounts.account_details(&id).unwrap().available, Credits::from_gd(30));
+        assert_eq!(revived.accounts.db().account_count(), count_before);
+    }
+
+    #[test]
+    fn three_branch_ring_settles_pairwise() {
+        let mesh = federated_mesh(3);
+        let accounts: Vec<AccountId> = mesh
+            .iter()
+            .enumerate()
+            .map(|(i, (bank, _))| open_funded(bank, &format!("/CN=p{i}"), 50))
+            .collect();
+        // Ring payments of equal value: every pair nets to the ring value.
+        for i in 0..3 {
+            let (from, to) = (accounts[i], accounts[(i + 1) % 3]);
+            mesh[i]
+                .1
+                .cross_branch_transfer(&from, &to, Credits::from_gd(10), vec![], None)
+                .unwrap();
+        }
+        let routers: Vec<_> = mesh.iter().map(|(_, router)| Arc::clone(router)).collect();
+        let report = settle_all(&routers).unwrap();
+        assert_eq!(report.pairs.len(), 3);
+        assert_eq!(report.total_gross(), Credits::from_gd(30));
+        // Pairwise netting can't cancel a ring: each pair still moves 10.
+        assert_eq!(report.total_net(), Credits::from_gd(30));
+        // Everyone ends where they started.
+        for ((bank, _), id) in mesh.iter().zip(&accounts) {
+            assert_eq!(bank.accounts.account_details(id).unwrap().available, Credits::from_gd(50));
+        }
+        let total: Credits = mesh.iter().map(|(bank, _)| bank.total_funds()).sum();
+        assert_eq!(total, Credits::from_gd(150));
+    }
+
+    #[test]
+    fn peer_health_reports_the_links_breaker() {
+        use crate::resilient::ResilientBankClient;
+        use gridbank_net::retry::RetryPolicy;
+
+        let (_a, _b, ra, _rb) = federated_pair();
+        let unreachable = ResilientBankClient::new(
+            Box::new(|| Err(BankError::Net(gridbank_net::NetError::Disconnected))),
+            RetryPolicy {
+                base_delay_ms: 1,
+                max_delay_ms: 1,
+                max_attempts: 1,
+                deadline_ms: 1,
+                seed: 1,
+            },
+            Clock::new(),
+            1,
+        );
+        ra.add_peer(3, unreachable.into_link());
+        let health = ra.peer_health();
+        // A direct link has no breaker; a retry link starts Closed.
+        assert_eq!((health[0].branch, health[0].breaker.as_deref()), (2, None));
+        assert_eq!((health[1].branch, health[1].breaker.as_deref()), (3, Some("Closed")));
+        assert!(health.iter().all(|h| h.reachable));
     }
 }

@@ -15,7 +15,7 @@
 //! | GB Admin | [`admin`] (deposit, withdraw, credit limit, cancel, close) |
 //! | Payment Protocol Layer | [`cheque`] (GridCheque, pay-after-use), [`payword`] (GridHash chains, pay-as-you-go), [`direct`] (funds transfer, pay-before-use) |
 //! | GB Security | [`server`] (GSS handshake + account-table connection gate), signing via `gridbank-crypto` |
-//! | GridBank API | [`api`] (wire protocol for §5.2/§5.2.1), [`client`] (typed client) |
+//! | GridBank API | [`api`] (wire protocol for §5.2/§5.2.1), [`client`] (typed client over a link: wire, [`port`] direct, [`resilient`] retry) |
 //!
 //! Beyond the server core:
 //!
@@ -25,11 +25,11 @@
 //!   (confidential) transaction history.
 //! * [`coop`] — §4.1 co-operative model: initial credit allocation by
 //!   resource value and barter-balance statistics.
-//! * [`branch`] — §6 future work, implemented: one GridBank branch per
-//!   Virtual Organization with netted inter-branch settlement.
-//! * [`federation`] — the §6 protocol on the wire: branch-aware request
-//!   routing, exactly-once `IbCredit` delivery, and a settlement daemon
-//!   netting clearing accounts over RPC.
+//! * [`federation`] — §6 future work, implemented: one GridBank branch
+//!   per Virtual Organization, branch-aware request routing,
+//!   exactly-once `IbCredit` delivery, and a settlement daemon netting
+//!   clearing accounts; [`branch`] holds its pure netting arithmetic
+//!   and clearing-account helpers.
 //! * [`clock`] — the virtual clock every time-dependent component reads.
 //!
 //! Money is exact fixed-point ([`gridbank_rur::Credits`]); every transfer
@@ -65,7 +65,7 @@ pub use accounts::GbAccounts;
 pub use admin::GbAdmin;
 pub use api::{BankRequest, BankResponse};
 pub use cheque::GridCheque;
-pub use client::GridBankClient;
+pub use client::{BankClient, BankLink, GridBankClient};
 pub use clock::Clock;
 pub use db::{
     AccountId, AccountRecord, CheckpointStats, Database, GroupCommitConfig, TransactionRecord,
@@ -73,9 +73,10 @@ pub use db::{
 };
 pub use error::BankError;
 pub use federation::{
-    settlement_identity, FederationRouter, LocalPeer, PeerTransport, RemotePeer, SettlementDaemon,
+    direct_mesh, direct_peer, settle_all, settlement_identity, FederationRouter, SettlementDaemon,
 };
 pub use payword::{GridHashChain, PayWord};
-pub use resilient::{BackoffSleep, ResilientBankClient};
+pub use port::{DirectLink, InProcessBank};
+pub use resilient::{ResilientBankClient, RetryLink};
 pub use server::{GridBank, GridBankConfig, GridBankServer, ServerTuning};
 pub use store::{RecoveryReport, StoreConfig, StoreInspection};

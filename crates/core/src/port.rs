@@ -1,280 +1,49 @@
-//! The bank port: one interface, two transports.
+//! The direct link: a bank in the same process, no handshake.
 //!
-//! The GridBank Payment Module (broker side) and GridBank Charging Module
-//! (provider side) invoke bank operations either **in-process** (the
-//! simulation/bench fast path — no handshake, but identical authorization
-//! checks) or **remotely** over the authenticated channel. [`BankPort`]
-//! abstracts the two so GBPM/GBCM code is transport-agnostic, mirroring
-//! the paper's "GridBank API provides an interface to the Protocol layer"
-//! (§3.3).
-
-use gridbank_crypto::cert::SubjectName;
-use gridbank_crypto::merkle::MerkleSignature;
-use gridbank_rur::record::ResourceUsageRecord;
-use gridbank_rur::Credits;
+//! The simulation/bench fast path — requests go straight into the
+//! dispatcher under a fixed identity, through exactly the authorization
+//! and idempotency checks a wire request meets. One of the three links
+//! of DESIGN.md §4 "Calling a bank".
 
 use std::sync::Arc;
 
+use gridbank_crypto::cert::SubjectName;
+
 use crate::api::{BankRequest, BankResponse};
-use crate::cheque::GridCheque;
-use crate::client::{ClientHashChain, GridBankClient};
-use crate::db::{AccountId, AccountRecord};
-use crate::direct::TransferConfirmation;
+use crate::client::{typed, BankClient, BankLink};
 use crate::error::BankError;
-use crate::payword::{ChainCommitment, PayWord};
-use crate::pricing::ResourceDescription;
 use crate::server::GridBank;
 
-/// The §5.2 operations GBPM/GBCM need, transport-agnostic.
-pub trait BankPort {
-    /// Create New Account for the port's identity.
-    fn create_account(&mut self, organization: Option<String>) -> Result<AccountId, BankError>;
-    /// The port identity's own account.
-    fn my_account(&mut self) -> Result<AccountRecord, BankError>;
-    /// Lock funds (Perform Funds Availability Check).
-    fn check_funds(&mut self, account: AccountId, amount: Credits) -> Result<(), BankError>;
-    /// Pay-before-use direct transfer.
-    fn direct_transfer(
-        &mut self,
-        to: AccountId,
-        amount: Credits,
-        recipient_address: &str,
-    ) -> Result<TransferConfirmation, BankError>;
-    /// Obtain a GridCheque.
-    fn request_cheque(
-        &mut self,
-        payee_cert: &str,
-        amount: Credits,
-        validity_ms: u64,
-    ) -> Result<GridCheque, BankError>;
-    /// Redeem a GridCheque; returns (paid, released).
-    fn redeem_cheque(
-        &mut self,
-        cheque: GridCheque,
-        rur: ResourceUsageRecord,
-    ) -> Result<(Credits, Credits), BankError>;
-    /// Obtain a GridHash chain.
-    fn request_hash_chain(
-        &mut self,
-        payee_cert: &str,
-        length: u32,
-        value_per_word: Credits,
-        validity_ms: u64,
-    ) -> Result<ClientHashChain, BankError>;
-    /// Redeem paywords up to an index; returns the newly paid amount.
-    fn redeem_payword(
-        &mut self,
-        commitment: ChainCommitment,
-        signature: MerkleSignature,
-        payword: PayWord,
-        rur_blob: Vec<u8>,
-    ) -> Result<Credits, BankError>;
-    /// Register a resource description for §4.2 pricing.
-    fn register_resource_description(&mut self, desc: ResourceDescription)
-        -> Result<(), BankError>;
+/// Calls a bank's dispatcher directly as `caller`.
+pub struct DirectLink {
+    bank: Arc<GridBank>,
+    caller: SubjectName,
 }
 
-/// In-process port: calls the dispatcher directly under a fixed identity.
-pub struct InProcessBank {
-    /// The bank.
-    pub bank: Arc<GridBank>,
-    /// The identity requests run under.
-    pub caller: SubjectName,
+impl DirectLink {
+    /// Binds an identity to a bank.
+    pub fn new(bank: Arc<GridBank>, caller: SubjectName) -> Self {
+        DirectLink { bank, caller }
+    }
 }
+
+impl BankLink for DirectLink {
+    fn call_keyed(
+        &mut self,
+        key: Option<u64>,
+        request: &BankRequest,
+    ) -> Result<BankResponse, BankError> {
+        typed(self.bank.handle_keyed(&self.caller, key, request.clone()))
+    }
+}
+
+/// The typed client over a [`DirectLink`].
+pub type InProcessBank = BankClient<DirectLink>;
 
 impl InProcessBank {
     /// Binds an identity to a bank.
     pub fn new(bank: Arc<GridBank>, caller: SubjectName) -> Self {
-        InProcessBank { bank, caller }
-    }
-
-    fn call(&self, request: BankRequest) -> Result<BankResponse, BankError> {
-        match self.bank.handle(&self.caller, request) {
-            BankResponse::Error { kind, message, detail } => {
-                Err(crate::api::error_from_wire(kind, message, detail))
-            }
-            resp => Ok(resp),
-        }
-    }
-}
-
-fn unexpected(resp: BankResponse) -> BankError {
-    BankError::Protocol(format!("unexpected response {resp:?}"))
-}
-
-impl BankPort for InProcessBank {
-    fn create_account(&mut self, organization: Option<String>) -> Result<AccountId, BankError> {
-        match self.call(BankRequest::CreateAccount { organization })? {
-            BankResponse::AccountCreated { account } => Ok(account),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn my_account(&mut self) -> Result<AccountRecord, BankError> {
-        match self.call(BankRequest::MyAccount)? {
-            BankResponse::Account(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn check_funds(&mut self, account: AccountId, amount: Credits) -> Result<(), BankError> {
-        match self.call(BankRequest::CheckFunds { account, amount })? {
-            BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn direct_transfer(
-        &mut self,
-        to: AccountId,
-        amount: Credits,
-        recipient_address: &str,
-    ) -> Result<TransferConfirmation, BankError> {
-        match self.call(BankRequest::DirectTransfer {
-            to,
-            amount,
-            recipient_address: recipient_address.to_string(),
-        })? {
-            BankResponse::Confirmed(c) => Ok(c),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn request_cheque(
-        &mut self,
-        payee_cert: &str,
-        amount: Credits,
-        validity_ms: u64,
-    ) -> Result<GridCheque, BankError> {
-        match self.call(BankRequest::RequestCheque {
-            payee_cert: payee_cert.to_string(),
-            amount,
-            validity_ms,
-        })? {
-            BankResponse::Cheque(c) => Ok(c),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn redeem_cheque(
-        &mut self,
-        cheque: GridCheque,
-        rur: ResourceUsageRecord,
-    ) -> Result<(Credits, Credits), BankError> {
-        match self.call(BankRequest::RedeemCheque { cheque, rur })? {
-            BankResponse::Redeemed { paid, released } => Ok((paid, released)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn request_hash_chain(
-        &mut self,
-        payee_cert: &str,
-        length: u32,
-        value_per_word: Credits,
-        validity_ms: u64,
-    ) -> Result<ClientHashChain, BankError> {
-        match self.call(BankRequest::RequestHashChain {
-            payee_cert: payee_cert.to_string(),
-            length,
-            value_per_word,
-            validity_ms,
-        })? {
-            BankResponse::HashChain { commitment, signature, chain } => {
-                Ok(ClientHashChain { commitment, signature, chain })
-            }
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn redeem_payword(
-        &mut self,
-        commitment: ChainCommitment,
-        signature: MerkleSignature,
-        payword: PayWord,
-        rur_blob: Vec<u8>,
-    ) -> Result<Credits, BankError> {
-        match self.call(BankRequest::RedeemPayWord { commitment, signature, payword, rur_blob })? {
-            BankResponse::Redeemed { paid, .. } => Ok(paid),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn register_resource_description(
-        &mut self,
-        desc: ResourceDescription,
-    ) -> Result<(), BankError> {
-        match self.call(BankRequest::RegisterResourceDescription { desc })? {
-            BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-}
-
-impl BankPort for GridBankClient {
-    fn create_account(&mut self, organization: Option<String>) -> Result<AccountId, BankError> {
-        GridBankClient::create_account(self, organization)
-    }
-
-    fn my_account(&mut self) -> Result<AccountRecord, BankError> {
-        GridBankClient::my_account(self)
-    }
-
-    fn check_funds(&mut self, account: AccountId, amount: Credits) -> Result<(), BankError> {
-        GridBankClient::check_funds(self, account, amount)
-    }
-
-    fn direct_transfer(
-        &mut self,
-        to: AccountId,
-        amount: Credits,
-        recipient_address: &str,
-    ) -> Result<TransferConfirmation, BankError> {
-        GridBankClient::direct_transfer(self, to, amount, recipient_address)
-    }
-
-    fn request_cheque(
-        &mut self,
-        payee_cert: &str,
-        amount: Credits,
-        validity_ms: u64,
-    ) -> Result<GridCheque, BankError> {
-        GridBankClient::request_cheque(self, payee_cert, amount, validity_ms)
-    }
-
-    fn redeem_cheque(
-        &mut self,
-        cheque: GridCheque,
-        rur: ResourceUsageRecord,
-    ) -> Result<(Credits, Credits), BankError> {
-        GridBankClient::redeem_cheque(self, cheque, rur)
-    }
-
-    fn request_hash_chain(
-        &mut self,
-        payee_cert: &str,
-        length: u32,
-        value_per_word: Credits,
-        validity_ms: u64,
-    ) -> Result<ClientHashChain, BankError> {
-        GridBankClient::request_hash_chain(self, payee_cert, length, value_per_word, validity_ms)
-    }
-
-    fn redeem_payword(
-        &mut self,
-        commitment: ChainCommitment,
-        signature: MerkleSignature,
-        payword: PayWord,
-        rur_blob: Vec<u8>,
-    ) -> Result<Credits, BankError> {
-        GridBankClient::redeem_payword(self, commitment, signature, payword, rur_blob)
-    }
-
-    fn register_resource_description(
-        &mut self,
-        desc: ResourceDescription,
-    ) -> Result<(), BankError> {
-        GridBankClient::register_resource_description(self, desc)
+        BankClient::over(DirectLink::new(bank, caller))
     }
 }
 
@@ -282,21 +51,29 @@ impl BankPort for GridBankClient {
 mod tests {
     use super::*;
     use crate::clock::Clock;
-    use crate::server::{GridBank, GridBankConfig};
+    use crate::server::GridBankConfig;
+    use gridbank_rur::codec::Encode;
+    use gridbank_rur::Credits;
+
+    const ADMIN: &str = "/O=GridBank/OU=Admin/CN=operator";
+
+    fn bank() -> Arc<GridBank> {
+        Arc::new(GridBank::new(
+            GridBankConfig { signer_height: 5, ..GridBankConfig::default() },
+            Clock::new(),
+        ))
+    }
 
     #[test]
     fn in_process_port_round_trip() {
-        let bank = Arc::new(GridBank::new(
-            GridBankConfig { signer_height: 5, ..GridBankConfig::default() },
-            Clock::new(),
-        ));
+        let bank = bank();
         let alice = SubjectName::new("UWA", "CSSE", "alice");
         let mut port = InProcessBank::new(bank.clone(), alice);
         let account = port.create_account(Some("UWA".into())).unwrap();
         assert_eq!(port.my_account().unwrap().id, account);
         // Funding via admin then a cheque round-trip through the port.
-        let admin = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
-        bank.handle(&admin, BankRequest::AdminDeposit { account, amount: Credits::from_gd(10) });
+        let mut admin = InProcessBank::new(bank.clone(), SubjectName(ADMIN.into()));
+        admin.admin_deposit(account, Credits::from_gd(10)).unwrap();
         let gsp = SubjectName::new("O", "U", "gsp");
         let mut gsp_port = InProcessBank::new(bank.clone(), gsp);
         gsp_port.create_account(None).unwrap();
@@ -305,5 +82,30 @@ mod tests {
         // Errors map back to typed BankError.
         let err = port.request_cheque("/CN=gsp2", Credits::from_gd(50), 1_000);
         assert!(matches!(err, Err(BankError::InsufficientFunds { .. })));
+    }
+
+    #[test]
+    fn keyed_mutation_sent_twice_applies_once() {
+        let bank = bank();
+        let mut alice = InProcessBank::new(bank.clone(), SubjectName::new("UWA", "CSSE", "alice"));
+        let from = alice.create_account(None).unwrap();
+        let to = InProcessBank::new(bank.clone(), SubjectName::new("O", "U", "gsp"))
+            .create_account(None)
+            .unwrap();
+        InProcessBank::new(bank.clone(), SubjectName(ADMIN.into()))
+            .admin_deposit(from, Credits::from_gd(10))
+            .unwrap();
+        let pay = BankRequest::DirectTransfer {
+            to,
+            amount: Credits::from_gd(4),
+            recipient_address: "gsp.grid.org".into(),
+        };
+        let first = alice.call_keyed(Some(7), &pay).unwrap();
+        let again = alice.call_keyed(Some(7), &pay).unwrap();
+        assert_eq!(first.to_bytes(), again.to_bytes());
+        assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(6));
+        // A different key is a different payment.
+        alice.call_keyed(Some(8), &pay).unwrap();
+        assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(2));
     }
 }

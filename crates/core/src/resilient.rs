@@ -1,13 +1,13 @@
-//! Resilient bank client: retries, reconnects, and exactly-once keys.
+//! The retry link: retries, reconnects, and exactly-once keys.
 //!
-//! [`ResilientBankClient`] wraps the typed [`GridBankClient`] with the
-//! machinery a broker needs to survive a flaky bank link (ISSUE 2 /
-//! `docs/RESILIENCE.md`):
+//! [`RetryLink`] drives a wire [`GridBankClient`] with the machinery a
+//! broker needs to survive a flaky bank link (`docs/RESILIENCE.md`);
+//! one of the three links of DESIGN.md §4 "Calling a bank":
 //!
 //! * every attempt that fails with a *retryable* transport error
 //!   ([`gridbank_net::NetError::is_retryable`]) tears the connection down and retries
-//!   over a **fresh handshake**, pacing itself with a seeded
-//!   [`RetryPolicy`] backoff schedule;
+//!   over a **fresh handshake**, following a seeded [`RetryPolicy`]
+//!   schedule;
 //! * a [`CircuitBreaker`] fails calls fast once the bank looks dead,
 //!   and probes it again after a cooldown (graceful degradation);
 //! * mutating requests are stamped with a **stable idempotency key**
@@ -21,133 +21,54 @@
 use std::time::Duration;
 
 use gridbank_net::retry::{BreakerState, CircuitBreaker, RetryPolicy};
-use gridbank_rur::record::ResourceUsageRecord;
-use gridbank_rur::Credits;
-
-use gridbank_crypto::merkle::MerkleSignature;
 
 use crate::api::{BankRequest, BankResponse};
-use crate::cheque::GridCheque;
-use crate::client::{ClientHashChain, GridBankClient};
+use crate::client::{BankClient, BankLink, GridBankClient};
 use crate::clock::Clock;
-use crate::db::{AccountId, AccountRecord};
-use crate::direct::TransferConfirmation;
 use crate::error::BankError;
-use crate::payword::{ChainCommitment, PayWord};
-use crate::port::BankPort;
-use crate::pricing::ResourceDescription;
 
-/// How the client waits out a backoff delay.
-#[derive(Clone, Debug, Default)]
-pub enum BackoffSleep {
-    /// Retry immediately. Right for in-process transports where faults
-    /// are per-message, not per-time-window.
-    #[default]
-    None,
-    /// Advance the shared virtual clock — deterministic simulations.
-    Virtual,
-    /// `std::thread::sleep` — real deployments.
-    Real,
-}
+/// Per-attempt response timeout: short, so a dropped reply fails fast
+/// and retries. Retries follow at once — on the in-process transport
+/// faults are per message, not per time window.
+const CALL_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Builds a fresh authenticated connection (full handshake).
 pub type Connector = Box<dyn FnMut() -> Result<GridBankClient, BankError> + Send>;
 
-/// A [`GridBankClient`] wrapper with retry, reconnect, circuit-breaker,
-/// and idempotency-key stamping. Implements [`BankPort`], so GBPM/GBCM
-/// code can run over a faulty link unchanged.
-pub struct ResilientBankClient {
+/// A link with retry, reconnect, circuit-breaker, and idempotency-key
+/// stamping over wire connections dialled on demand.
+pub struct RetryLink {
     connector: Connector,
     client: Option<GridBankClient>,
     policy: RetryPolicy,
     breaker: CircuitBreaker,
     clock: Clock,
-    sleep: BackoffSleep,
-    call_timeout: Option<Duration>,
     key_seed: u64,
     ops: u64,
 }
+
+/// The typed client over a [`RetryLink`], so GBPM/GBCM code can run
+/// over a faulty link unchanged.
+pub type ResilientBankClient = BankClient<RetryLink>;
 
 impl ResilientBankClient {
     /// Wraps a connector. `key_seed` decorrelates this client's
     /// idempotency keys (and its jitter stream) from other clients'.
     pub fn new(connector: Connector, policy: RetryPolicy, clock: Clock, key_seed: u64) -> Self {
-        ResilientBankClient {
+        BankClient::over(RetryLink {
             connector,
             client: None,
             policy: policy.with_seed(policy.seed ^ key_seed),
             breaker: CircuitBreaker::new(8, 1_000),
             clock,
-            sleep: BackoffSleep::None,
-            call_timeout: Some(Duration::from_millis(100)),
             key_seed,
             ops: 0,
-        }
+        })
     }
 
     /// Replaces the circuit breaker (threshold/cooldown tuning).
-    pub fn with_breaker(mut self, breaker: CircuitBreaker) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Sets the backoff sleeping mode.
-    pub fn with_sleep(mut self, sleep: BackoffSleep) -> Self {
-        self.sleep = sleep;
-        self
-    }
-
-    /// Sets the per-attempt response timeout (`None` = transport
-    /// default). Short timeouts make dropped replies fail fast.
-    pub fn with_call_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.call_timeout = timeout;
-        self
-    }
-
-    /// Observable breaker state (tests, dashboards).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
-
-    /// A fresh idempotency key for one logical mutating operation. The
-    /// key stays fixed across every retry of that operation.
-    fn fresh_key(&mut self) -> u64 {
-        self.ops = self.ops.wrapping_add(1);
-        self.key_seed ^ self.ops.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    fn wait(&self, delay_ms: u64) {
-        match self.sleep {
-            BackoffSleep::None => {}
-            BackoffSleep::Virtual => {
-                self.clock.advance(delay_ms);
-            }
-            BackoffSleep::Real => std::thread::sleep(Duration::from_millis(delay_ms)),
-        }
-    }
-
-    fn attempt(
-        &mut self,
-        key: Option<u64>,
-        request: &BankRequest,
-    ) -> Result<BankResponse, BankError> {
-        let client = match self.client.take() {
-            Some(live) => self.client.insert(live),
-            None => {
-                let mut fresh = (self.connector)()?;
-                fresh.set_call_timeout(self.call_timeout);
-                self.client.insert(fresh)
-            }
-        };
-        client.call_keyed(key, request)
-    }
-
-    /// Sends one logical request with retries. Mutating requests are
-    /// stamped with a stable idempotency key; reads retry bare (always
-    /// safe to repeat).
-    pub fn call(&mut self, request: &BankRequest) -> Result<BankResponse, BankError> {
-        let key = if request.is_mutating() { Some(self.fresh_key()) } else { None };
-        self.call_inner(key, request)
+    pub fn with_breaker(self, breaker: CircuitBreaker) -> Self {
+        BankClient::over(RetryLink { breaker, ..self.into_link() })
     }
 
     /// Blocks until the bank answers again — the restart-to-serving
@@ -159,37 +80,55 @@ impl ResilientBankClient {
     pub fn await_serving(&mut self, max_rounds: usize) -> Result<(), BankError> {
         let mut last = BankError::Protocol("await_serving given zero rounds".into());
         for _ in 0..max_rounds {
-            match self.call(&BankRequest::MyAccount) {
-                Ok(_) => return Ok(()),
-                Err(BankError::Net(e)) => {
-                    last = BankError::Net(e);
-                    self.wait(self.policy.base_delay_ms);
-                }
+            match self.my_account() {
+                Err(BankError::Net(e)) => last = BankError::Net(e),
                 // A typed bank error is a successful round trip: the
                 // server is up and dispatching.
-                Err(_) => return Ok(()),
+                _ => return Ok(()),
             }
         }
         Err(last)
     }
+}
 
-    /// [`ResilientBankClient::call`] under a caller-supplied idempotency
-    /// key. The federation layer re-ships journaled `IbCredit`s under
-    /// the durable key from their pending row, so a delivery retried
-    /// across crashes still dedups against the original.
-    pub fn call_with_stable_key(
-        &mut self,
-        key: u64,
-        request: &BankRequest,
-    ) -> Result<BankResponse, BankError> {
-        self.call_inner(Some(key), request)
+impl RetryLink {
+    /// A fresh idempotency key for one logical mutating operation. The
+    /// key stays fixed across every retry of that operation.
+    fn fresh_key(&mut self) -> u64 {
+        self.ops = self.ops.wrapping_add(1);
+        self.key_seed ^ self.ops.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    fn call_inner(
+    fn attempt(
         &mut self,
         key: Option<u64>,
         request: &BankRequest,
     ) -> Result<BankResponse, BankError> {
+        let client = match self.client.take() {
+            Some(live) => self.client.insert(live),
+            None => {
+                let mut fresh = (self.connector)()?;
+                fresh.set_call_timeout(Some(CALL_TIMEOUT));
+                self.client.insert(fresh)
+            }
+        };
+        client.call_keyed(key, request)
+    }
+}
+
+impl BankLink for RetryLink {
+    /// Sends one logical request with retries. A mutating request sent
+    /// without a key is stamped with a fresh stable one; reads retry
+    /// bare (always safe to repeat). A caller-supplied key is reused on
+    /// every retry — the federation layer re-ships journaled `IbCredit`s
+    /// under the durable key from their pending row, so a delivery
+    /// retried across crashes still dedups against the original.
+    fn call_keyed(
+        &mut self,
+        key: Option<u64>,
+        request: &BankRequest,
+    ) -> Result<BankResponse, BankError> {
+        let key = key.or_else(|| request.is_mutating().then(|| self.fresh_key()));
         let mut schedule = self.policy.schedule();
         loop {
             self.breaker.admit(self.clock.now_ms()).map_err(BankError::Net)?;
@@ -205,10 +144,7 @@ impl ResilientBankClient {
                     // the sequence discipline): reconnect from scratch.
                     self.client = None;
                     match schedule.next() {
-                        Some(delay_ms) => {
-                            gridbank_obs::observe("net.retry.backoff_ms", delay_ms);
-                            self.wait(delay_ms);
-                        }
+                        Some(delay_ms) => gridbank_obs::observe("net.retry.backoff_ms", delay_ms),
                         None => {
                             gridbank_obs::count("net.retry.giveups", 1);
                             return Err(BankError::Net(e));
@@ -233,123 +169,13 @@ impl ResilientBankClient {
             }
         }
     }
-}
 
-fn unexpected(resp: BankResponse) -> BankError {
-    BankError::Protocol(format!("unexpected response {resp:?}"))
-}
-
-impl BankPort for ResilientBankClient {
-    fn create_account(&mut self, organization: Option<String>) -> Result<AccountId, BankError> {
-        match self.call(&BankRequest::CreateAccount { organization })? {
-            BankResponse::AccountCreated { account } => Ok(account),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn my_account(&mut self) -> Result<AccountRecord, BankError> {
-        match self.call(&BankRequest::MyAccount)? {
-            BankResponse::Account(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn check_funds(&mut self, account: AccountId, amount: Credits) -> Result<(), BankError> {
-        match self.call(&BankRequest::CheckFunds { account, amount })? {
-            BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn direct_transfer(
-        &mut self,
-        to: AccountId,
-        amount: Credits,
-        recipient_address: &str,
-    ) -> Result<TransferConfirmation, BankError> {
-        match self.call(&BankRequest::DirectTransfer {
-            to,
-            amount,
-            recipient_address: recipient_address.to_string(),
-        })? {
-            BankResponse::Confirmed(c) => Ok(c),
-            // A deduplicated retry can observe the journaled placeholder
-            // confirmation if the original signed response was never
-            // upgraded (e.g. the bank restarted in between). The funds
-            // moved exactly once either way; surface it as a protocol
-            // error only if neither shape matches.
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn request_cheque(
-        &mut self,
-        payee_cert: &str,
-        amount: Credits,
-        validity_ms: u64,
-    ) -> Result<GridCheque, BankError> {
-        match self.call(&BankRequest::RequestCheque {
-            payee_cert: payee_cert.to_string(),
-            amount,
-            validity_ms,
-        })? {
-            BankResponse::Cheque(c) => Ok(c),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn redeem_cheque(
-        &mut self,
-        cheque: GridCheque,
-        rur: ResourceUsageRecord,
-    ) -> Result<(Credits, Credits), BankError> {
-        match self.call(&BankRequest::RedeemCheque { cheque, rur })? {
-            BankResponse::Redeemed { paid, released } => Ok((paid, released)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn request_hash_chain(
-        &mut self,
-        payee_cert: &str,
-        length: u32,
-        value_per_word: Credits,
-        validity_ms: u64,
-    ) -> Result<ClientHashChain, BankError> {
-        match self.call(&BankRequest::RequestHashChain {
-            payee_cert: payee_cert.to_string(),
-            length,
-            value_per_word,
-            validity_ms,
-        })? {
-            BankResponse::HashChain { commitment, signature, chain } => {
-                Ok(ClientHashChain { commitment, signature, chain })
-            }
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn redeem_payword(
-        &mut self,
-        commitment: ChainCommitment,
-        signature: MerkleSignature,
-        payword: PayWord,
-        rur_blob: Vec<u8>,
-    ) -> Result<Credits, BankError> {
-        match self.call(&BankRequest::RedeemPayWord { commitment, signature, payword, rur_blob })? {
-            BankResponse::Redeemed { paid, .. } => Ok(paid),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn register_resource_description(
-        &mut self,
-        desc: ResourceDescription,
-    ) -> Result<(), BankError> {
-        match self.call(&BankRequest::RegisterResourceDescription { desc })? {
-            BankResponse::Confirmation { .. } => Ok(()),
-            other => Err(unexpected(other)),
-        }
+    fn breaker_state(&self) -> Option<&'static str> {
+        Some(match self.breaker.state() {
+            BreakerState::Closed => "Closed",
+            BreakerState::Open { .. } => "Open",
+            BreakerState::HalfOpen => "HalfOpen",
+        })
     }
 }
 
@@ -369,7 +195,7 @@ mod tests {
     #[test]
     fn gives_up_after_max_attempts_on_retryable_errors() {
         let mut c = ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 7);
-        let err = c.call(&BankRequest::MyAccount);
+        let err = c.my_account();
         assert!(matches!(err, Err(BankError::Net(NetError::Timeout))));
     }
 
@@ -382,7 +208,7 @@ mod tests {
             Err(BankError::Net(NetError::Handshake("bad credentials".into())))
         });
         let mut c = ResilientBankClient::new(connector, policy(), Clock::new(), 7);
-        let err = c.call(&BankRequest::MyAccount);
+        let err = c.my_account();
         assert!(matches!(err, Err(BankError::Net(NetError::Handshake(_)))));
         assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
@@ -398,20 +224,20 @@ mod tests {
         });
         let mut c = ResilientBankClient::new(connector, policy(), clock.clone(), 7)
             .with_breaker(CircuitBreaker::new(2, 10_000));
-        assert!(c.call(&BankRequest::MyAccount).is_err());
-        assert!(matches!(c.breaker_state(), BreakerState::Open { .. }));
+        assert!(c.my_account().is_err());
+        assert_eq!(c.breaker_state(), Some("Open"));
         let after_first = counter.load(std::sync::atomic::Ordering::Relaxed);
         // Now calls fail fast without touching the connector.
-        let err = c.call(&BankRequest::MyAccount);
+        let err = c.my_account();
         assert!(matches!(err, Err(BankError::Net(NetError::CircuitOpen))));
         assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), after_first);
         // After the cooldown exactly one probe is admitted; its failure
         // re-opens the circuit, so the call again fails fast.
         clock.advance(10_001);
-        let err = c.call(&BankRequest::MyAccount);
+        let err = c.my_account();
         assert!(matches!(err, Err(BankError::Net(NetError::CircuitOpen))));
         assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), after_first + 1);
-        assert!(matches!(c.breaker_state(), BreakerState::Open { .. }));
+        assert_eq!(c.breaker_state(), Some("Open"));
     }
 
     // Regression: a half-open probe that dies with a *non-retryable*
@@ -435,31 +261,33 @@ mod tests {
         });
         let mut c = ResilientBankClient::new(connector, policy(), clock.clone(), 7)
             .with_breaker(CircuitBreaker::new(2, 10_000));
-        assert!(c.call(&BankRequest::MyAccount).is_err());
-        assert!(matches!(c.breaker_state(), BreakerState::Open { .. }));
+        assert!(c.my_account().is_err());
+        assert_eq!(c.breaker_state(), Some("Open"));
         // Cooldown elapses; the probe fails with the fatal Refused.
         clock.advance(10_001);
-        let err = c.call(&BankRequest::MyAccount);
+        let err = c.my_account();
         assert!(matches!(err, Err(BankError::Net(NetError::Refused { .. }))));
         // The breaker re-opened with a fresh cooldown — not HalfOpen.
-        assert!(matches!(c.breaker_state(), BreakerState::Open { .. }));
-        let err = c.call(&BankRequest::MyAccount);
+        assert_eq!(c.breaker_state(), Some("Open"));
+        let err = c.my_account();
         assert!(matches!(err, Err(BankError::Net(NetError::CircuitOpen))));
         // After another cooldown the next probe is admitted again: the
         // client recovers instead of being bricked.
         clock.advance(10_001);
         let before = calls.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(c.call(&BankRequest::MyAccount).is_err());
+        assert!(c.my_account().is_err());
         assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), before + 1);
     }
 
     #[test]
     fn idempotency_keys_are_unique_per_operation() {
-        let mut c = ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 7);
+        let mut c =
+            ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 7).into_link();
         let a = c.fresh_key();
         let b = c.fresh_key();
         assert_ne!(a, b);
-        let mut other = ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 8);
+        let mut other =
+            ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 8).into_link();
         assert_ne!(a, other.fresh_key());
     }
 }

@@ -34,7 +34,7 @@ use crate::error::BankError;
 use crate::sync::{rank, AtomicBool, AtomicU64, OrderedMutex, Ordering};
 
 /// Store format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MANIFEST_MAGIC: u32 = 0x4742_4D46; // "GBMF"
 const SEGMENT_MAGIC: u32 = 0x4742_5347; // "GBSG"
@@ -124,11 +124,12 @@ fn parse_numbered(name: &str, prefix: &str, ext: &str) -> Option<u64> {
 // ---------------------------------------------------------------------------
 
 /// One consumed idempotency stamp inside a snapshot. `order` is the
-/// stamp's position in the FIFO dedup queue at capture time, so recovery
-/// can restore an approximation of the eviction order.
+/// stamp's database-wide sequence number — the same one its journal
+/// `Idem` entry carries — so recovery restores the exact eviction order
+/// across shards snapshotted at different times.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotIdem {
-    /// FIFO position at capture time.
+    /// Sequence number the stamp was recorded under.
     pub order: u64,
     /// Certificate name of the caller that consumed the key.
     pub cert: String,

@@ -12,9 +12,9 @@
 //! calculation, and redemption.
 
 use gridbank_core::cheque::GridCheque;
+use gridbank_core::client::{BankClient, BankLink};
 use gridbank_core::direct::TransferConfirmation;
 use gridbank_core::payword::{ChainCommitment, GridHashChain, PayWord};
-use gridbank_core::port::BankPort;
 use gridbank_crypto::keys::VerifyingKey;
 use gridbank_crypto::merkle::MerkleSignature;
 use gridbank_rur::codec::Encode;
@@ -58,19 +58,19 @@ impl PaymentInstrument {
     }
 }
 
-/// The charging module, bound to the GSP's identity and a bank port.
-pub struct ChargingModule<P: BankPort> {
+/// The charging module, bound to the GSP's identity and a bank client.
+pub struct ChargingModule<L: BankLink> {
     /// The bank's well-known verifying key (instruments check offline).
     pub bank_key: VerifyingKey,
     /// This GSP's certificate name.
     pub gsp_cert: String,
     /// Bank access for redemption.
-    pub port: P,
+    pub port: BankClient<L>,
 }
 
-impl<P: BankPort> ChargingModule<P> {
+impl<L: BankLink> ChargingModule<L> {
     /// Creates a module.
-    pub fn new(bank_key: VerifyingKey, gsp_cert: impl Into<String>, port: P) -> Self {
+    pub fn new(bank_key: VerifyingKey, gsp_cert: impl Into<String>, port: BankClient<L>) -> Self {
         ChargingModule { bank_key, gsp_cert: gsp_cert.into(), port }
     }
 
@@ -209,7 +209,7 @@ mod tests {
     use super::*;
     use gridbank_core::api::BankRequest;
     use gridbank_core::clock::Clock;
-    use gridbank_core::port::InProcessBank;
+    use gridbank_core::port::{DirectLink, InProcessBank};
     use gridbank_core::server::{GridBank, GridBankConfig};
     use gridbank_crypto::cert::SubjectName;
     use gridbank_rur::record::{ChargeableItem, RurBuilder, UsageAmount};
@@ -241,7 +241,7 @@ mod tests {
         World { bank, gsc, gsp }
     }
 
-    fn gbcm(w: &World) -> ChargingModule<InProcessBank> {
+    fn gbcm(w: &World) -> ChargingModule<DirectLink> {
         ChargingModule::new(
             w.bank.verifying_key(),
             w.gsp.0.clone(),
@@ -315,7 +315,7 @@ mod tests {
         assert_eq!(instrument.guaranteed_value(), Credits::from_gd(10));
 
         // Charge of 2.5 G$ needs 3 words.
-        let words = ChargingModule::<InProcessBank>::words_for_charge(
+        let words = ChargingModule::<DirectLink>::words_for_charge(
             &chain.commitment,
             Credits::from_micro(2_500_000),
         );
@@ -359,7 +359,7 @@ mod tests {
         let mut gsc_port = InProcessBank::new(w.bank.clone(), w.gsc.clone());
         let chain = gsc_port.request_hash_chain(&w.gsp.0, 5, Credits::from_gd(2), 100_000).unwrap();
         let c = &chain.commitment;
-        type M = ChargingModule<InProcessBank>;
+        type M = ChargingModule<DirectLink>;
         assert_eq!(M::words_for_charge(c, Credits::ZERO), 0);
         assert_eq!(M::words_for_charge(c, Credits::from_micro(1)), 1);
         assert_eq!(M::words_for_charge(c, Credits::from_gd(2)), 1);

@@ -6,8 +6,8 @@
 //! → conformance-check against the agreed rates → redeem with GridBank →
 //! unbind and return the account to the pool.
 
+use gridbank_core::client::{BankClient, BankLink};
 use gridbank_core::payword::{ChainCommitment, PayWord};
-use gridbank_core::port::BankPort;
 use gridbank_crypto::keys::VerifyingKey;
 use gridbank_crypto::merkle::MerkleSignature;
 use gridbank_meter::levels::AccountingLevel;
@@ -68,7 +68,7 @@ struct MachineState {
 }
 
 /// The provider.
-pub struct GridServiceProvider<P: BankPort> {
+pub struct GridServiceProvider<L: BankLink> {
     /// Certificate name.
     pub cert: String,
     /// Host name.
@@ -80,7 +80,7 @@ pub struct GridServiceProvider<P: BankPort> {
     pub mapfile: GridMapfile,
     meter: GridResourceMeter,
     /// The charging module.
-    pub gbcm: ChargingModule<P>,
+    pub gbcm: ChargingModule<L>,
     base_rates: ServiceRates,
     pricing: Box<dyn PricingPolicy>,
     accounting_level: AccountingLevel,
@@ -92,12 +92,12 @@ pub struct GridServiceProvider<P: BankPort> {
     failure: Option<(u8, rand::rngs::StdRng)>,
 }
 
-impl<P: BankPort> GridServiceProvider<P> {
+impl<L: BankLink> GridServiceProvider<L> {
     /// Builds a provider; `pricing` maps load to quoted rates.
     pub fn new(
         config: GspConfig,
         bank_key: VerifyingKey,
-        port: P,
+        port: BankClient<L>,
         pricing: Box<dyn PricingPolicy>,
     ) -> Self {
         let machines = config
@@ -394,7 +394,7 @@ impl<P: BankPort> GridServiceProvider<P> {
 
             // Slice the execution into intervals and demand paywords as
             // the cumulative charge grows.
-            let total_words = ChargingModule::<P>::words_for_charge(commitment, charge);
+            let total_words = ChargingModule::<L>::words_for_charge(commitment, charge);
             if total_words > commitment.length {
                 return Err(GspError::PaymentRejected(format!(
                     "charge {charge} exceeds the chain's {} words",
@@ -458,7 +458,7 @@ mod tests {
     use super::*;
     use gridbank_core::api::BankRequest;
     use gridbank_core::clock::Clock;
-    use gridbank_core::port::{BankPort, InProcessBank};
+    use gridbank_core::port::{DirectLink, InProcessBank};
     use gridbank_core::server::{GridBank, GridBankConfig};
     use gridbank_crypto::cert::SubjectName;
     use gridbank_meter::machine::OsFlavour;
@@ -469,7 +469,7 @@ mod tests {
         bank: Arc<GridBank>,
         gsc: SubjectName,
         gsp: SubjectName,
-        provider: GridServiceProvider<InProcessBank>,
+        provider: GridServiceProvider<DirectLink>,
     }
 
     fn rates() -> ServiceRates {

@@ -19,7 +19,6 @@
 //!   after the storm.
 
 use gridbank_core::db::AccountId;
-use gridbank_core::port::BankPort;
 use gridbank_core::server::GridBankConfig;
 use gridbank_crypto::cert::SubjectName;
 use gridbank_net::{FaultCounts, FaultPlan, FaultRates};

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use gridbank_core::client::GridBankClient;
 use gridbank_core::clock::Clock;
-use gridbank_core::federation::{FederationRouter, RemotePeer};
+use gridbank_core::federation::FederationRouter;
 use gridbank_core::resilient::{Connector, ResilientBankClient};
 use gridbank_core::server::{
     ops_identity, GridBank, GridBankConfig, GridBankServer, ServerCredentials, ServerTuning,
@@ -378,7 +378,7 @@ impl Deployment {
         let Some(router) = &self.slot(from)?.router else { return Ok(()) };
         let seed = self.config.seed ^ 0x5E77_0000 ^ (u64::from(from) << 8) ^ u64::from(to);
         let dn = SubjectName::new("GridBank", "Settlement", &format!("branch-{from:04}"));
-        router.add_peer(to, RemotePeer::new(self.identity(dn, seed)?.resilient(to)));
+        router.add_peer(to, self.identity(dn, seed)?.resilient(to).into_link());
         Ok(())
     }
 

@@ -24,9 +24,6 @@
 //! * [`chaos`] — the E15 fault-injection harness: Figure-1 payment flows
 //!   over a seeded lossy network, with conservation evidence for the
 //!   exactly-once guarantees (see `docs/RESILIENCE.md`).
-//! * [`federation`] — the §6 multi-branch scenario: N federated
-//!   branches, seeded cross-VO traffic, netting settlement, and
-//!   conservation evidence.
 //! * [`recovery`] — the restart-to-serving drill: a live durable branch
 //!   is killed and rebooted, and the report shows replay was bounded by
 //!   the journal tail (docs/STORAGE.md §5, `gridbank-bench --recovery`).
@@ -38,7 +35,6 @@
 pub mod chaos;
 pub mod deploy;
 pub mod engine;
-pub mod federation;
 pub mod market;
 pub mod metrics;
 pub mod recovery;
@@ -49,7 +45,6 @@ pub mod workload;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use deploy::{BranchConfig, DeployConfig, DeployError, Deployment, Identity};
 pub use engine::Simulator;
-pub use federation::{run_federation, FederationConfig, FederationReport};
 pub use market::{run_market, EconomyConfig, EconomyReport};
 pub use recovery::{run_recovery, RecoveryConfig, RecoveryDrillReport};
 pub use scenario::{CoopReport, GridScenario, MarketReport, ScenarioConfig};

@@ -41,11 +41,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use gridbank_broker::auction::{run_auction, settle_award, AuctionBidder};
-use gridbank_core::api::{BankRequest, BankResponse};
 use gridbank_core::client::{ClientHashChain, GridBankClient};
 use gridbank_core::coop::{allocate_initial_credits, BarterStats};
 use gridbank_core::db::AccountId;
-use gridbank_core::port::{BankPort, InProcessBank};
+use gridbank_core::port::InProcessBank;
 use gridbank_core::server::{GridBank, GridBankConfig};
 use gridbank_crypto::cert::SubjectName;
 use gridbank_crypto::keys::KeyMaterial;
@@ -292,7 +291,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let connect = |dn: SubjectName, seed: u64, branch: u16| -> Result<GridBankClient, String> {
         world.identity(dn, seed)?.connect(branch).map_err(|e| e.to_string())
     };
-    let operator = SubjectName(OPERATOR.into());
+    let mut operator = InProcessBank::new(Arc::clone(banks[0]), SubjectName(OPERATOR.into()));
 
     // Population: every account exists in the live ledger, bound to its
     // own certificate. Created through the dispatcher (same
@@ -301,10 +300,10 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let mut population: Vec<Vec<AccountId>> = vec![Vec::new(), Vec::new()];
     for (b, bank) in banks.iter().enumerate() {
         for i in 0..cfg.population_per_branch {
-            match bank.handle(&pop_dn(b, i), BankRequest::CreateAccount { organization: None }) {
-                BankResponse::AccountCreated { account } => population[b].push(account),
-                other => return Err(format!("population account {b}/{i}: {other:?}")),
-            }
+            let account = InProcessBank::new(Arc::clone(bank), pop_dn(b, i))
+                .create_account(None)
+                .map_err(|e| format!("population account {b}/{i}: {e}"))?;
+            population[b].push(account);
         }
     }
 
@@ -370,10 +369,9 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     let mut filler_port = InProcessBank::new(Arc::clone(banks[0]), filler_dn);
     let filler_account =
         filler_port.create_account(None).map_err(|e| format!("filler account: {e}"))?;
-    banks[0].handle(
-        &operator,
-        BankRequest::AdminDeposit { account: filler_account, amount: Credits::from_gd(500) },
-    );
+    operator
+        .admin_deposit(filler_account, Credits::from_gd(500))
+        .map_err(|e| format!("filler deposit: {e}"))?;
 
     // PayWord streams: dedicated consumers on branch 1 (kept disjoint
     // from the auction bidders so the exactly-once grouping below can
@@ -385,13 +383,9 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     for s in 0..cfg.payword_streams {
         let idx = cfg.population_per_branch - 1 - cfg.payers_per_branch - s;
         let mut client = connect(pop_dn(0, idx), 20_000 + s as u64, 1)?;
-        banks[0].handle(
-            &operator,
-            BankRequest::AdminDeposit {
-                account: population[0][idx],
-                amount: Credits::from_gd(100),
-            },
-        );
+        operator
+            .admin_deposit(population[0][idx], Credits::from_gd(100))
+            .map_err(|e| format!("stream {s} deposit: {e}"))?;
         let chain = client
             .request_hash_chain(
                 &gsp_cert,

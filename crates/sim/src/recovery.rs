@@ -17,8 +17,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gridbank_core::api::{BankRequest, BankResponse};
 use gridbank_core::db::AccountId;
+use gridbank_core::port::InProcessBank;
 use gridbank_core::resilient::ResilientBankClient;
 use gridbank_core::server::GridBankConfig;
 use gridbank_core::store::StoreConfig;
@@ -134,43 +134,33 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String>
 
     // Population + funding, server-side (the wire carries payments;
     // enrollment volume is not what this drill measures).
-    let operator = SubjectName(OPERATOR.into());
-    let mut holders: Vec<(SubjectName, AccountId)> = Vec::with_capacity(cfg.accounts);
+    let mut operator = InProcessBank::new(Arc::clone(&bank), SubjectName(OPERATOR.into()));
+    let mut holders: Vec<AccountId> = Vec::with_capacity(cfg.accounts);
     for i in 0..cfg.accounts {
         let dn = SubjectName(format!("/O=Grid/OU=Pop/CN=holder-{i:06}"));
-        let account = match bank.handle(&dn, BankRequest::CreateAccount { organization: None }) {
-            BankResponse::AccountCreated { account } => account,
-            other => return Err(format!("create holder {i}: {other:?}")),
-        };
-        bank.handle(
-            &operator,
-            BankRequest::AdminDeposit { account, amount: Credits::from_gd(100) },
-        );
-        holders.push((dn, account));
+        let account = InProcessBank::new(Arc::clone(&bank), dn)
+            .create_account(None)
+            .map_err(|e| format!("create holder {i}: {e}"))?;
+        operator
+            .admin_deposit(account, Credits::from_gd(100))
+            .map_err(|e| format!("fund holder {i}: {e}"))?;
+        holders.push(account);
     }
 
     // Keyed payments over the real wire.
     let payer_dn = SubjectName("/O=Grid/OU=Payer/CN=payer-0".into());
     let mut payer = world.identity(payer_dn.clone(), cfg.seed)?.resilient(1);
-    let payer_account = match payer.call(&BankRequest::CreateAccount { organization: None }) {
-        Ok(BankResponse::AccountCreated { account }) => account,
-        other => return Err(format!("create payer: {other:?}")),
-    };
-    bank.handle(
-        &operator,
-        BankRequest::AdminDeposit { account: payer_account, amount: Credits::from_gd(1_000_000) },
-    );
+    let payer_account = payer.create_account(None).map_err(|e| format!("create payer: {e}"))?;
+    operator
+        .admin_deposit(payer_account, Credits::from_gd(1_000_000))
+        .map_err(|e| format!("fund payer: {e}"))?;
+    drop(operator);
     let pay = |payer: &mut ResilientBankClient, n: usize, salt: u64| -> Result<(), String> {
         for k in 0..n {
-            let to = holders[(k.wrapping_mul(31).wrapping_add(salt as usize)) % holders.len()].1;
-            match payer.call(&BankRequest::DirectTransfer {
-                to,
-                amount: Credits::from_gd(1),
-                recipient_address: format!("holder-{k}.grid.org"),
-            }) {
-                Ok(BankResponse::Confirmed(_)) | Ok(BankResponse::Confirmation { .. }) => {}
-                other => return Err(format!("payment {k}: {other:?}")),
-            }
+            let to = holders[(k.wrapping_mul(31).wrapping_add(salt as usize)) % holders.len()];
+            payer
+                .direct_transfer(to, Credits::from_gd(1), &format!("holder-{k}.grid.org"))
+                .map_err(|e| format!("payment {k}: {e}"))?;
         }
         Ok(())
     };

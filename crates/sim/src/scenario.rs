@@ -17,10 +17,9 @@ use gridbank_broker::broker::GridResourceBroker;
 use gridbank_broker::job::{JobBatch, QosConstraints};
 use gridbank_broker::payment::PaymentModule;
 use gridbank_broker::scheduling::Algorithm;
-use gridbank_core::api::BankRequest;
 use gridbank_core::clock::Clock;
 use gridbank_core::coop::BarterStats;
-use gridbank_core::port::{BankPort, InProcessBank};
+use gridbank_core::port::{DirectLink, InProcessBank};
 use gridbank_core::server::GridBank;
 use gridbank_crypto::cert::SubjectName;
 use gridbank_gsp::provider::GridServiceProvider;
@@ -38,7 +37,7 @@ pub struct GridScenario {
     /// The bank.
     pub bank: Arc<GridBank>,
     /// Providers, index-aligned with the directory registrations.
-    pub providers: Vec<GridServiceProvider<InProcessBank>>,
+    pub providers: Vec<GridServiceProvider<DirectLink>>,
     /// The Grid Market Directory.
     pub directory: MarketDirectory,
     /// The bootstrap administrator identity.
@@ -54,12 +53,14 @@ impl GridScenario {
         cn: &str,
         deposit: Credits,
         budget: Credits,
-    ) -> GridResourceBroker<InProcessBank> {
+    ) -> GridResourceBroker<DirectLink> {
         let subject = SubjectName::new("Grid", "Users", cn);
         let mut gbpm =
             PaymentModule::new(InProcessBank::new(self.bank.clone(), subject.clone()), budget);
         let account = gbpm.ensure_account(Some("Grid".into())).expect("fresh consumer");
-        self.bank.handle(&self.admin, BankRequest::AdminDeposit { account, amount: deposit });
+        InProcessBank::new(self.bank.clone(), self.admin.clone())
+            .admin_deposit(account, deposit)
+            .expect("operator deposit");
         GridResourceBroker::new(subject.0, gbpm)
     }
 }
@@ -239,7 +240,9 @@ pub fn run_cooperative(n: usize, rounds: usize, work_per_job: u64, seed: u64) ->
     for (i, p) in grid.providers.iter().enumerate() {
         let subject = SubjectName(p.cert.clone());
         let account = grid.bank.accounts.account_by_cert(&subject.0).expect("exists").id;
-        grid.bank.handle(&grid.admin, BankRequest::AdminDeposit { account, amount: initial });
+        InProcessBank::new(grid.bank.clone(), grid.admin.clone())
+            .admin_deposit(account, initial)
+            .expect("operator deposit");
         let gbpm = PaymentModule::new(
             InProcessBank::new(grid.bank.clone(), subject.clone()),
             Credits::from_gd(10_000),
@@ -322,7 +325,7 @@ impl DesMarketReport {
 
 struct DesWorld {
     grid: GridScenario,
-    brokers: Vec<GridResourceBroker<InProcessBank>>,
+    brokers: Vec<GridResourceBroker<DirectLink>>,
     completed: usize,
     failed: usize,
     total_paid: Credits,

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use gridbank_core::clock::Clock;
-use gridbank_core::port::{BankPort, InProcessBank};
+use gridbank_core::port::InProcessBank;
 use gridbank_core::server::{GridBank, GridBankConfig};
 use gridbank_crypto::cert::SubjectName;
 use gridbank_gsp::provider::{GridServiceProvider, GspConfig};

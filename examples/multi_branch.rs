@@ -11,40 +11,35 @@
 
 use std::sync::Arc;
 
-use gridbank_suite::bank::accounts::GbAccounts;
-use gridbank_suite::bank::admin::GbAdmin;
-use gridbank_suite::bank::branch::{Branch, InterBank};
 use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::db::Database;
+use gridbank_suite::bank::federation::{direct_mesh, settle_all};
+use gridbank_suite::bank::server::{GridBank, GridBankConfig};
 use gridbank_suite::rur::Credits;
 
 const ADMIN: &str = "/O=GridBank/OU=Admin/CN=operator";
 
-fn make_branch(id: u16, vo: &str) -> Branch {
-    let db = Arc::new(Database::new(1, id));
-    let accounts = GbAccounts::new(db, Clock::new());
-    let admin = GbAdmin::new(accounts.clone(), [ADMIN.to_string()]);
-    println!("[vo  ] branch {id:04} serves VO `{vo}`");
-    Branch::new(id, accounts, admin)
-}
-
 fn main() {
     println!("=== Multi-branch GridBank (§6) ===\n");
 
-    let mut interbank = InterBank::new();
     let vos = ["physics", "bioinformatics", "climate"];
+    let clock = Clock::new();
+    let mut banks = Vec::new();
     let mut accounts = Vec::new();
     for (i, vo) in vos.iter().enumerate() {
-        let branch = make_branch(i.saturating_add(1) as u16, vo);
+        let branch = i.saturating_add(1) as u16;
+        let config = GridBankConfig { branch, signer_height: 4, ..GridBankConfig::default() };
+        let bank = Arc::new(GridBank::new(config, clock.clone()));
+        println!("[vo  ] branch {branch:04} serves VO `{vo}`");
         // Two members per VO: a consumer and a provider.
-        let consumer =
-            branch.accounts.create_account(&format!("/O={vo}/CN=consumer"), None).unwrap();
-        let provider =
-            branch.accounts.create_account(&format!("/O={vo}/CN=provider"), None).unwrap();
-        branch.admin.deposit(ADMIN, &consumer, Credits::from_gd(100)).unwrap();
+        let consumer = bank.accounts.create_account(&format!("/O={vo}/CN=consumer"), None).unwrap();
+        let provider = bank.accounts.create_account(&format!("/O={vo}/CN=provider"), None).unwrap();
+        bank.admin.deposit(ADMIN, &consumer, Credits::from_gd(100)).unwrap();
         accounts.push((consumer, provider));
-        interbank.add_branch(branch);
+        banks.push(bank);
     }
+    // One process, so the branches federate over direct links; live
+    // servers do the same over retry links (`gridbank settle`).
+    let routers = direct_mesh(&banks);
     println!();
 
     // Cross-VO trade: each VO's consumer uses the next VO's provider, and
@@ -57,23 +52,24 @@ fn main() {
         (accounts[2].0, accounts[0].1, 5),     // climate -> physics again
     ];
     for (from, to, gd) in flows {
-        interbank.cross_branch_transfer(from, to, Credits::from_gd(gd), Vec::new()).unwrap();
+        routers[usize::from(from.branch).saturating_sub(1)]
+            .cross_branch_transfer(&from, &to, Credits::from_gd(gd), Vec::new(), None)
+            .unwrap();
         println!("[pay ] {from} -> {to}: G${gd} (payee credited immediately)");
     }
 
     println!("\nclearing balances before settlement:");
-    for a in 1..=3u16 {
-        for b in 1..=3u16 {
-            if a != b {
-                let parked = interbank.branch(a).unwrap().clearing_balance(b);
-                if parked.is_positive() {
-                    println!("  branch {a:04} owes branch {b:04}: {parked}");
-                }
+    for router in &routers {
+        for b in router.peer_branches() {
+            let parked = router.clearing_balance(b);
+            if parked.is_positive() {
+                println!("  branch {:04} owes branch {b:04}: {parked}", router.local_branch());
             }
         }
     }
 
-    let report = interbank.settle().unwrap();
+    // Every branch runs a round; the lower branch of a pair proposes.
+    let report = settle_all(&routers).unwrap();
     println!("\nsettlement round:");
     for p in &report.pairs {
         println!(
@@ -89,11 +85,11 @@ fn main() {
     );
 
     println!("\nfinal balances:");
-    for (i, (consumer, provider)) in accounts.iter().enumerate() {
-        let branch = interbank.branch(i.saturating_add(1) as u16).unwrap();
-        let c = branch.accounts.account_details(consumer).unwrap();
-        let p = branch.accounts.account_details(provider).unwrap();
-        println!("  {:<16} consumer {}   provider {}", vos[i], c.available, p.available);
+    for ((bank, vo), (consumer, provider)) in banks.iter().zip(vos).zip(&accounts) {
+        let c = bank.accounts.account_details(consumer).unwrap();
+        let p = bank.accounts.account_details(provider).unwrap();
+        println!("  {vo:<16} consumer {}   provider {}", c.available, p.available);
     }
-    println!("\nfederation conservation check: total funds = {}", interbank.total_funds());
+    let total: Credits = banks.iter().map(|b| b.total_funds()).sum();
+    println!("\nfederation conservation check: total funds = {total}");
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use gridbank_suite::bank::api::BankRequest;
 use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::port::{BankPort, InProcessBank};
+use gridbank_suite::bank::port::{DirectLink, InProcessBank};
 use gridbank_suite::bank::server::{GridBank, GridBankConfig};
 use gridbank_suite::broker::broker::GridResourceBroker;
 use gridbank_suite::broker::job::{JobBatch, QosConstraints};
@@ -38,7 +38,7 @@ fn make_provider(
     speed: u32,
     price: Credits,
     seed: u64,
-) -> GridServiceProvider<InProcessBank> {
+) -> GridServiceProvider<DirectLink> {
     let cert = format!("/O=Grid/OU=GSP/CN={name}");
     let subject = SubjectName(cert.clone());
     let mut port = InProcessBank::new(bank.clone(), subject.clone());

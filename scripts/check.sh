@@ -47,10 +47,24 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap guard + first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
+  exit 1
+fi
+# One way to call a bank (DESIGN.md §4 "Calling a bank"): the typed
+# §5.2 API is written once, over a one-method link, so a hand-copied
+# client surface, a second transport trait or a second in-process §6
+# implementation cannot grow back.
+if [[ "$(grep -rn --include='*.rs' 'fn request_cheque(' crates tests examples | wc -l)" -ne 1 ]]; then
+  echo "client guard: the typed client API must be defined exactly once:" >&2
+  grep -rn --include='*.rs' 'fn request_cheque(' crates tests examples >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' 'BankPort|PeerTransport|InterBank|journal_to_bytes' \
+  crates tests examples src; then
+  echo "client guard: call banks through BankClient over a BankLink only" >&2
   exit 1
 fi
 scripts/loc.sh

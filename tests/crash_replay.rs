@@ -11,11 +11,10 @@ use std::sync::Arc;
 
 use gridbank_suite::bank::accounts::GbAccounts;
 use gridbank_suite::bank::admin::GbAdmin;
-use gridbank_suite::bank::api::{journal_from_bytes, journal_to_bytes};
 use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::db::Database;
+use gridbank_suite::bank::db::{Database, JournalEntry};
 use gridbank_suite::bank::guarantee::FundsGuarantee;
-use gridbank_suite::rur::Credits;
+use gridbank_suite::rur::{Credits, Decode, Encode};
 
 const ADMIN: &str = "/CN=admin";
 
@@ -43,8 +42,11 @@ fn journal_replay_reconstructs_full_banking_state() {
     admin.close_account(ADMIN, &c, Some(a)).unwrap();
 
     // "Crash": serialize the journal, reload into a fresh database.
-    let bytes = journal_to_bytes(&db.journal_snapshot());
-    let journal = journal_from_bytes(&bytes).unwrap();
+    let journal: Vec<JournalEntry> = db
+        .journal_snapshot()
+        .iter()
+        .map(|entry| JournalEntry::from_bytes(&entry.to_bytes()).unwrap())
+        .collect();
     let rebuilt = Database::replay(1, 1, &journal);
 
     // Account state identical.
@@ -294,7 +296,9 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     use std::sync::Arc;
 
     use gridbank_suite::bank::api::{BankRequest, BankResponse};
-    use gridbank_suite::bank::federation::{FederationRouter, LocalPeer, PeerTransport};
+    use gridbank_suite::bank::client::BankLink;
+    use gridbank_suite::bank::federation::{direct_peer, FederationRouter};
+    use gridbank_suite::bank::port::DirectLink;
     use gridbank_suite::bank::server::{GridBank, GridBankConfig};
     use gridbank_suite::bank::BankError;
     use gridbank_suite::crypto::cert::SubjectName;
@@ -305,19 +309,19 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     /// not have happened, which is exactly the ambiguity the pending
     /// journal must survive.
     struct FlakyPeer {
-        inner: Arc<LocalPeer>,
-        down: AtomicBool,
+        inner: DirectLink,
+        down: Arc<AtomicBool>,
     }
-    impl PeerTransport for FlakyPeer {
-        fn call(
-            &self,
-            idem_key: Option<u64>,
+    impl BankLink for FlakyPeer {
+        fn call_keyed(
+            &mut self,
+            key: Option<u64>,
             request: &BankRequest,
         ) -> Result<BankResponse, BankError> {
             if self.down.load(Ordering::Relaxed) {
                 return Err(BankError::Net(NetError::Disconnected));
             }
-            self.inner.call(idem_key, request)
+            self.inner.call_keyed(key, request)
         }
     }
 
@@ -328,12 +332,9 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     let remote = Arc::new(GridBank::new(config(2), clock.clone()));
     let home_router = FederationRouter::install(&home);
     let remote_router = FederationRouter::install(&remote);
-    remote_router.add_peer(1, LocalPeer::new(Arc::clone(&home), 2));
-    let link = Arc::new(FlakyPeer {
-        inner: LocalPeer::new(Arc::clone(&remote), 1),
-        down: AtomicBool::new(false),
-    });
-    home_router.add_peer(2, Arc::clone(&link) as Arc<dyn PeerTransport>);
+    remote_router.add_peer(1, direct_peer(&home, 2));
+    let down = Arc::new(AtomicBool::new(false));
+    home_router.add_peer(2, FlakyPeer { inner: direct_peer(&remote, 1), down: Arc::clone(&down) });
 
     let alice = SubjectName::new("Org", "Unit", "alice");
     let bob = SubjectName::new("Org", "Unit", "bob");
@@ -366,7 +367,7 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
         )
     };
     assert!(matches!(pay(1), BankResponse::Confirmed(_)));
-    link.down.store(true, Ordering::Relaxed);
+    down.store(true, Ordering::Relaxed);
     assert!(matches!(pay(2), BankResponse::Confirmed(_)), "stranded ship still confirms locally");
     let clearing = home_router.clearing_account(2).unwrap();
     assert_eq!(home_router.clearing_balance(2), Credits::from_gd(20));
@@ -377,7 +378,7 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     let journal = home.journal_snapshot();
     let rebuilt = Arc::new(GridBank::from_journal(config(1), Clock::new(), &journal));
     let rebuilt_router = FederationRouter::install(&rebuilt);
-    rebuilt_router.add_peer(2, LocalPeer::new(Arc::clone(&remote), 1));
+    rebuilt_router.add_peer(2, direct_peer(&remote, 1));
 
     // Rediscovery, not re-creation: same clearing account id, no
     // duplicate Clearing/CN rows.
@@ -415,7 +416,5 @@ fn empty_and_corrupt_journals_are_handled() {
     assert_eq!(empty.account_count(), 0);
     assert_eq!(empty.total_funds(), Credits::ZERO);
 
-    let bytes = journal_to_bytes(&[]);
-    assert_eq!(journal_from_bytes(&bytes).unwrap().len(), 0);
-    assert!(journal_from_bytes(&[1, 2, 3]).is_err());
+    assert!(JournalEntry::from_bytes(&[1, 2, 3]).is_err());
 }

@@ -10,13 +10,13 @@
 #![allow(clippy::arithmetic_side_effects)]
 
 use gridbank_suite::bank::api::{BankRequest, BankResponse};
-use gridbank_suite::bank::port::BankPort;
+use gridbank_suite::bank::db::TransactionType;
 use gridbank_suite::bank::server::GridBankConfig;
 use gridbank_suite::bank::store::StoreConfig;
 use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::net::fault::{FaultPlan, FaultRates};
 use gridbank_suite::rur::Credits;
-use gridbank_suite::sim::deploy::{BranchConfig, DeployConfig, Deployment};
+use gridbank_suite::sim::deploy::{BranchConfig, DeployConfig, Deployment, OPERATOR};
 
 fn bank_config() -> GridBankConfig {
     GridBankConfig { signer_height: 8, ..GridBankConfig::default() }
@@ -157,15 +157,26 @@ fn resilient_retries_stay_exactly_once_under_a_reorder_storm() {
         skip_first: 12,
     });
     let mut alice = world.identity(subject("alice"), 32).unwrap().resilient(1);
+    // The typed API is the same over every link: the operator tops alice
+    // up through the storm too, an operation the retrying client could
+    // not express before it shared the wire client's methods.
+    let mut operator = world.identity(SubjectName(OPERATOR.into()), 33).unwrap().resilient(1);
     injector.arm(true);
     const N: i64 = 24;
     for k in 0..N {
         alice.direct_transfer(bob_account, Credits::from_gd(1), &format!("bob.host/{k}")).unwrap();
+        operator.admin_deposit(alice_account, Credits::from_gd(1)).unwrap();
     }
+    let statement = alice.statement(alice_account, 0, u64::MAX).unwrap();
     injector.arm(false);
 
     assert!(injector.counts().total() > 0, "the storm never happened");
     assert_eq!(world.bank(1).unwrap().all_transfers().len(), N as usize);
+    assert_eq!(statement.transfers.len(), N as usize);
+    // The set-up deposit plus one per round, each applied exactly once.
+    let deposits =
+        statement.transactions.iter().filter(|t| t.tx_type == TransactionType::Deposit).count();
+    assert_eq!(deposits, 1 + N as usize);
     assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(N));
-    assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(100 - N));
+    assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(100));
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use gridbank_suite::bank::api::BankRequest;
 use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::port::{BankPort, InProcessBank};
+use gridbank_suite::bank::port::InProcessBank;
 use gridbank_suite::bank::server::{GridBank, GridBankConfig};
 use gridbank_suite::bank::BankError;
 use gridbank_suite::crypto::cert::SubjectName;

@@ -93,7 +93,7 @@ fn tightening_deadline_raises_cost() {
     //   0.2h → 2 cheap + 10 fast    ≈ 2.75 G$
     use gridbank_suite::bank::api::BankRequest;
     use gridbank_suite::bank::clock::Clock;
-    use gridbank_suite::bank::port::{BankPort, InProcessBank};
+    use gridbank_suite::bank::port::InProcessBank;
     use gridbank_suite::bank::server::{GridBank, GridBankConfig};
     use gridbank_suite::broker::broker::GridResourceBroker;
     use gridbank_suite::broker::payment::PaymentModule;

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use gridbank_suite::bank::api::BankRequest;
 use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::port::{BankPort, InProcessBank};
+use gridbank_suite::bank::port::InProcessBank;
 use gridbank_suite::bank::server::{GridBank, GridBankConfig};
 use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::rur::record::{ChargeableItem, RurBuilder, UsageAmount};

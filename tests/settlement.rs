@@ -11,38 +11,73 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use gridbank_suite::bank::accounts::GbAccounts;
-use gridbank_suite::bank::admin::GbAdmin;
-use gridbank_suite::bank::branch::{Branch, InterBank};
+use gridbank_suite::bank::branch::SettlementReport;
 use gridbank_suite::bank::clock::Clock;
-use gridbank_suite::bank::db::{AccountId, Database};
+use gridbank_suite::bank::db::AccountId;
+use gridbank_suite::bank::federation::{direct_mesh, settle_all, FederationRouter};
+use gridbank_suite::bank::server::{GridBank, GridBankConfig};
+use gridbank_suite::bank::BankError;
 use gridbank_suite::rur::Credits;
 
-const ADMIN: &str = "/CN=root";
+const ADMIN: &str = "/O=GridBank/OU=Admin/CN=operator";
 
-fn build_federation(branches: u16, members_per_branch: usize) -> (InterBank, Vec<Vec<AccountId>>) {
-    let mut ib = InterBank::new();
-    let mut accounts = Vec::new();
-    for b in 1..=branches {
-        let db = Arc::new(Database::new(1, b));
-        let acc = GbAccounts::new(db, Clock::new());
-        let admin = GbAdmin::new(acc.clone(), [ADMIN.to_string()]);
-        let mut members = Vec::new();
-        for m in 0..members_per_branch {
-            let id = acc.create_account(&format!("/O=vo-{b}/CN=member-{m}"), None).unwrap();
-            admin.deposit(ADMIN, &id, Credits::from_gd(1_000)).unwrap();
-            members.push(id);
-        }
-        ib.add_branch(Branch::new(b, acc, admin));
-        accounts.push(members);
+/// Branches `1..=n` in one process, meshed over direct links.
+struct Federation {
+    banks: Vec<Arc<GridBank>>,
+    routers: Vec<Arc<FederationRouter>>,
+}
+
+impl Federation {
+    fn bank(&self, branch: u16) -> &GridBank {
+        &self.banks[branch as usize - 1]
     }
-    (ib, accounts)
+
+    fn router(&self, branch: u16) -> &FederationRouter {
+        &self.routers[branch as usize - 1]
+    }
+
+    fn pay(&self, from: AccountId, to: AccountId, amount: Credits, rur_blob: Vec<u8>) {
+        self.router(from.branch).cross_branch_transfer(&from, &to, amount, rur_blob, None).unwrap();
+    }
+
+    fn settle(&self) -> Result<SettlementReport, BankError> {
+        settle_all(&self.routers)
+    }
+
+    fn total_funds(&self) -> Credits {
+        self.banks.iter().map(|b| b.total_funds()).sum()
+    }
+}
+
+fn build_federation(branches: u16, members_per_branch: usize) -> (Federation, Vec<Vec<AccountId>>) {
+    let clock = Clock::new();
+    let banks: Vec<Arc<GridBank>> = (1..=branches)
+        .map(|branch| {
+            let config = GridBankConfig { branch, signer_height: 4, ..GridBankConfig::default() };
+            Arc::new(GridBank::new(config, clock.clone()))
+        })
+        .collect();
+    let accounts = banks
+        .iter()
+        .map(|bank| {
+            (0..members_per_branch)
+                .map(|m| {
+                    let cert = format!("/O=vo-{}/CN=member-{m}", bank.branch());
+                    let id = bank.accounts.create_account(&cert, None).unwrap();
+                    bank.admin.deposit(ADMIN, &id, Credits::from_gd(1_000)).unwrap();
+                    id
+                })
+                .collect()
+        })
+        .collect();
+    let routers = direct_mesh(&banks);
+    (Federation { banks, routers }, accounts)
 }
 
 #[test]
 fn randomized_traffic_nets_correctly() {
     let branches = 5u16;
-    let (mut ib, accounts) = build_federation(branches, 3);
+    let (ib, accounts) = build_federation(branches, 3);
     let initial_total = Credits::from_gd(1_000 * branches as i64 * 3);
     assert_eq!(ib.total_funds(), initial_total);
 
@@ -58,7 +93,7 @@ fn randomized_traffic_nets_correctly() {
         let from = accounts[from_branch][rng.random_range(0..3usize)];
         let to = accounts[to_branch][rng.random_range(0..3usize)];
         let amount = Credits::from_milli(rng.random_range(100..5_000));
-        ib.cross_branch_transfer(from, to, amount, Vec::new()).unwrap();
+        ib.pay(from, to, amount, Vec::new());
         gross_expected = gross_expected.checked_add(amount).unwrap();
         sent += 1;
     }
@@ -85,7 +120,7 @@ fn randomized_traffic_nets_correctly() {
     for a in 1..=branches {
         for b in 1..=branches {
             if a != b {
-                assert_eq!(ib.branch(a).unwrap().clearing_balance(b), Credits::ZERO);
+                assert_eq!(ib.router(a).clearing_balance(b), Credits::ZERO);
             }
         }
     }
@@ -98,23 +133,23 @@ fn randomized_traffic_nets_correctly() {
 fn settlement_rounds_compose() {
     // Settle between waves of traffic; final books must match a single
     // big settlement's effect.
-    let (mut ib, accounts) = build_federation(3, 1);
+    let (ib, accounts) = build_federation(3, 1);
     let a = accounts[0][0];
     let b = accounts[1][0];
     let c = accounts[2][0];
 
-    ib.cross_branch_transfer(a, b, Credits::from_gd(10), Vec::new()).unwrap();
+    ib.pay(a, b, Credits::from_gd(10), Vec::new());
     let r1 = ib.settle().unwrap();
     assert_eq!(r1.total_net(), Credits::from_gd(10));
 
-    ib.cross_branch_transfer(b, a, Credits::from_gd(4), Vec::new()).unwrap();
-    ib.cross_branch_transfer(b, c, Credits::from_gd(6), Vec::new()).unwrap();
+    ib.pay(b, a, Credits::from_gd(4), Vec::new());
+    ib.pay(b, c, Credits::from_gd(6), Vec::new());
     let r2 = ib.settle().unwrap();
     assert_eq!(r2.total_net(), Credits::from_gd(10));
 
     // Balances: a: 1000-10+4, b: 1000+10-4-6, c: 1000+6.
-    let get = |ib: &InterBank, branch: u16, id: AccountId| {
-        ib.branch(branch).unwrap().accounts.account_details(&id).unwrap().available
+    let get = |ib: &Federation, branch: u16, id: AccountId| {
+        ib.bank(branch).accounts.account_details(&id).unwrap().available
     };
     assert_eq!(get(&ib, 1, a), Credits::from_gd(994));
     assert_eq!(get(&ib, 2, b), Credits::from_gd(1_000));
@@ -134,7 +169,6 @@ mod wire {
 
     use gridbank_suite::bank::api::{BankRequest, BankResponse};
     use gridbank_suite::bank::db::TransactionType;
-    use gridbank_suite::bank::port::BankPort;
     use gridbank_suite::bank::server::GridBankConfig;
     use gridbank_suite::bank::BankError;
     use gridbank_suite::crypto::cert::SubjectName;
@@ -289,13 +323,11 @@ mod wire {
 
 #[test]
 fn cross_branch_rur_evidence_is_preserved() {
-    let (mut ib, accounts) = build_federation(2, 1);
+    let (ib, accounts) = build_federation(2, 1);
     let blob = vec![0xAB; 64];
-    ib.cross_branch_transfer(accounts[0][0], accounts[1][0], Credits::from_gd(1), blob.clone())
-        .unwrap();
+    ib.pay(accounts[0][0], accounts[1][0], Credits::from_gd(1), blob.clone());
     // The drawer branch's transfer row carries the RUR blob.
-    let transfers =
-        ib.branch(1).unwrap().accounts.db().transfers_in_range(&accounts[0][0], 0, u64::MAX);
+    let transfers = ib.bank(1).accounts.db().transfers_in_range(&accounts[0][0], 0, u64::MAX);
     assert_eq!(transfers.len(), 1);
     assert_eq!(transfers[0].rur_blob, blob);
 }

@@ -389,16 +389,17 @@ fn torn_segment_tail_drops_the_whole_final_batch() {
 
 #[test]
 fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
-    use gridbank_suite::bank::federation::{FederationRouter, LocalPeer, PeerTransport};
+    use gridbank_suite::bank::client::BankLink;
+    use gridbank_suite::bank::federation::{direct_peer, FederationRouter};
     use gridbank_suite::net::error::NetError;
 
     /// A permanently dead wire: every ship attempt fails, so the credit
     /// stays in the journal-backed pending set.
     struct DeadPeer;
-    impl PeerTransport for DeadPeer {
-        fn call(
-            &self,
-            _idem_key: Option<u64>,
+    impl BankLink for DeadPeer {
+        fn call_keyed(
+            &mut self,
+            _key: Option<u64>,
             _request: &BankRequest,
         ) -> Result<BankResponse, BankError> {
             Err(BankError::Net(NetError::Disconnected))
@@ -414,10 +415,10 @@ fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
     let home = Arc::new(home);
     let remote = Arc::new(GridBank::new(branch_config(2), clock.clone()));
     let home_router = FederationRouter::install(&home);
-    FederationRouter::install(&remote).add_peer(1, LocalPeer::new(Arc::clone(&home), 2));
+    FederationRouter::install(&remote).add_peer(1, direct_peer(&home, 2));
     // The peer link for branch 2 is a dead wire: the ship attempt fails
     // and the credit stays pending.
-    home_router.add_peer(2, Arc::new(DeadPeer) as Arc<dyn PeerTransport>);
+    home_router.add_peer(2, DeadPeer);
 
     let alice = SubjectName::new("Org", "Unit", "alice");
     let bob = SubjectName::new("Org", "Unit", "bob");
@@ -445,7 +446,7 @@ fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
     let rebuilt = Arc::new(rebuilt);
     assert_eq!(rebuilt.accounts.db().ib_pending_snapshot().len(), 1, "pending survived the kill");
     let router = FederationRouter::install(&rebuilt);
-    router.add_peer(2, LocalPeer::new(Arc::clone(&remote), 1));
+    router.add_peer(2, direct_peer(&remote, 1));
     assert_eq!(router.ship_pending(), 1, "re-ship delivers the stranded credit");
     assert_eq!(balance_of(&remote, bob_account), Credits::from_gd(15), "credited exactly once");
     assert_eq!(router.ship_pending(), 0, "nothing left to ship");
@@ -573,4 +574,58 @@ fn bounded_recovery_at_one_million_accounts() {
     assert_eq!(report.tail_entries_replayed, TAIL as usize, "tail-only, even at 1M accounts");
     assert_eq!(rebuilt.total_funds(), funds);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn staggered_snapshots_keep_the_newest_idempotency_keys() {
+    // Shards are snapshotted at different moments and cache evictions
+    // are never journaled, so recovery must order stamps by when they
+    // were recorded — not by where they sat in the FIFO of whichever
+    // snapshot carried them — or stale stamps from an early snapshot
+    // push out recent ones from a late one and a retry charges twice.
+    let dir = test_dir("idem-staggered");
+    let config = || GridBankConfig { signer_height: 7, idem_capacity: 8, ..config() };
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+
+    let payee = open_account(&bank, &SubjectName::new("Org", "Unit", "payee"));
+    let payers: Vec<SubjectName> =
+        (0..6).map(|i| SubjectName::new("Org", "Unit", &format!("payer-{i}"))).collect();
+    for payer in &payers {
+        deposit(&bank, open_account(&bank, payer), 100);
+    }
+    // Key k (1..=36) belongs to payer (k - 1) % 6, round (k - 1) / 6.
+    let pay = |bank: &GridBank, key: u64| {
+        let reply = bank.handle_keyed(
+            &payers[(key as usize - 1) % 6],
+            Some(key),
+            BankRequest::DirectTransfer {
+                to: payee,
+                amount: Credits::from_gd(1),
+                recipient_address: "payee.grid.org".into(),
+            },
+        );
+        // A key remembered across a restart answers with the journaled
+        // placeholder instead of the signed confirmation.
+        let done = matches!(reply, BankResponse::Confirmed(_) | BankResponse::Confirmation { .. });
+        assert!(done, "key {key}: {reply:?}");
+    };
+    let db = bank.accounts.db();
+    for key in 1..=36u64 {
+        pay(&bank, key);
+        if key == 1 {
+            (0..16).step_by(2).for_each(|s| db.snapshot_shard(s).unwrap());
+        }
+    }
+    (1..16).step_by(2).for_each(|s| db.snapshot_shard(s).unwrap());
+
+    // The live bank remembers the newest eight keys.
+    (29..=36u64).for_each(|key| pay(&bank, key));
+    assert_eq!(balance_of(&bank, payee), Credits::from_gd(36));
+    let digest = db.state_digest();
+    drop(bank);
+
+    let (reopened, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    assert_eq!(reopened.accounts.db().state_digest(), digest, "same stamps remembered");
+    (29..=36u64).for_each(|key| pay(&reopened, key));
+    assert_eq!(balance_of(&reopened, payee), Credits::from_gd(36), "a remembered key re-applied");
 }
