@@ -708,8 +708,6 @@ fn run_recovery_phase(cfg: &LoadgenConfig) -> RecoveryStats {
     for run in 0..cfg.runs {
         let rcfg = RecoveryConfig {
             seed: cfg.seed.wrapping_add(run as u64 * 71),
-            store_dir: std::env::temp_dir()
-                .join(format!("gridbank-bench-recovery-{}-{run}", std::process::id())),
             ..RecoveryConfig::default()
         };
         let report = match gridbank_sim::run_recovery(&rcfg) {

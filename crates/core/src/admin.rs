@@ -62,20 +62,25 @@ impl GbAdmin {
         if !amount.is_positive() {
             return Err(BankError::NonPositiveAmount);
         }
-        let db = self.accounts.db();
-        db.with_account_mut(account, |r| {
+        self.accounts.db().one_account_commit(account, |r| {
             r.available = r.available.checked_add(amount)?;
-            Ok(())
-        })?;
-        let txid = db.allocate_transaction_id();
-        db.append_transaction(TransactionRecord {
-            transaction_id: txid,
-            account: *account,
-            tx_type: TransactionType::Deposit,
-            date_ms: self.accounts.clock().now_ms(),
-            amount,
-        });
-        Ok(txid)
+            Ok(self.posting(r.id, TransactionType::Deposit, amount))
+        })
+    }
+
+    /// The TRANSACTION RECORD evidencing money that crossed the bank's
+    /// edge, under a fresh transaction id — committed in the same journal
+    /// batch as the balance it explains.
+    fn posting(
+        &self,
+        account: AccountId,
+        tx_type: TransactionType,
+        amount: Credits,
+    ) -> (u64, Option<TransactionRecord>) {
+        let transaction_id = self.accounts.db().allocate_transaction_id();
+        let date_ms = self.accounts.clock().now_ms();
+        let row = TransactionRecord { transaction_id, account, tx_type, date_ms, amount };
+        (transaction_id, Some(row))
     }
 
     /// Withdraw (§5.2.1): moves funds out of the bank (to a real account,
@@ -90,8 +95,7 @@ impl GbAdmin {
         if !amount.is_positive() {
             return Err(BankError::NonPositiveAmount);
         }
-        let db = self.accounts.db();
-        db.with_account_mut(account, |r| {
+        self.accounts.db().one_account_commit(account, |r| {
             let next = r.available.checked_sub(amount)?;
             if next.is_negative() {
                 return Err(BankError::InsufficientFunds {
@@ -101,17 +105,8 @@ impl GbAdmin {
                 });
             }
             r.available = next;
-            Ok(())
-        })?;
-        let txid = db.allocate_transaction_id();
-        db.append_transaction(TransactionRecord {
-            transaction_id: txid,
-            account: *account,
-            tx_type: TransactionType::Withdrawal,
-            date_ms: self.accounts.clock().now_ms(),
-            amount: amount.negated(),
-        });
-        Ok(txid)
+            Ok(self.posting(r.id, TransactionType::Withdrawal, amount.negated()))
+        })
     }
 
     /// Change credit limit (§5.2.1).

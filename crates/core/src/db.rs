@@ -333,15 +333,20 @@ impl IdemCache {
         self.map.remove(&(cert.to_string(), key)).is_some()
     }
 
-    /// Records a new stamp and returns its sequence number.
+    /// Records a new stamp, evicting oldest-first down to `capacity`,
+    /// and returns its sequence number.
     fn insert(&mut self, cert: &str, key: u64, response: Vec<u8>) -> u64 {
         let seq = self.next_seq;
         self.insert_at(seq, cert, key, response);
+        self.trim();
         seq
     }
 
     /// Records a stamp under the sequence number it was first given
-    /// (journal replay, snapshot load).
+    /// (snapshot load, journal tail). Evicts nothing: recovery runs
+    /// before the configured bound is known, and trimming at the default
+    /// would forget stamps a larger cache remembered before the restart;
+    /// [`Database::set_idem_capacity`] trims once the bound is set.
     fn insert_at(&mut self, seq: u64, cert: &str, key: u64, response: Vec<u8>) {
         self.next_seq = self.next_seq.max(seq.saturating_add(1));
         if self.capacity == 0 {
@@ -355,7 +360,6 @@ impl IdemCache {
                 let at = self.order.partition_point(|(s, _)| *s < seq);
                 self.order.insert(at, (seq, slot.key().clone()));
                 slot.insert((seq, response));
-                self.trim();
             }
         }
     }
@@ -415,7 +419,7 @@ struct CommitState {
 ///
 /// Committers call [`CommitQueue::submit`] while still holding their
 /// shard locks, so two batches touching the same account can never race
-/// into the queue out of application order — the invariant `replay`
+/// into the queue out of application order — the invariant recovery
 /// depends on (updates are absolute snapshots).
 struct CommitQueue {
     state: Mutex<CommitState>,
@@ -530,56 +534,37 @@ impl CommitQueue {
     }
 }
 
-/// The write-ahead journal: a vector in memory mode, the on-disk
-/// segment log ([`crate::store::DiskLog`]) in durable mode.
+/// The write-ahead journal: the on-disk segment log
+/// ([`crate::store::DiskLog`]) in durable mode; in memory mode nothing
+/// but a count — a bank that persists nothing has nothing to read back,
+/// so it retains no entry.
 ///
-/// Every append holds the `mem` lock across the disk write, so LSN
+/// Every append holds the `appended` lock across the disk write, so LSN
 /// order on disk always equals commit order — the property that lets
-/// sharded recovery reassemble the exact commit interleaving. In
-/// durable mode the vector stays empty (a long-lived bank would grow it
-/// without bound); history lives in snapshots+segments.
+/// sharded recovery reassemble the exact commit interleaving.
 pub(crate) struct JournalStore {
-    mem: OrderedMutex<Vec<JournalEntry>>,
+    /// Entries appended so far in memory mode (a durable journal reads
+    /// its log's last LSN instead). In both modes the LSN-order and
+    /// snapshot-cut lock.
+    appended: OrderedMutex<u64>,
     disk: Option<crate::store::DiskLog>,
 }
 
 impl JournalStore {
     /// A memory-only journal (the non-durable default).
     fn memory() -> Self {
-        JournalStore {
-            mem: OrderedMutex::new(rank::JOURNAL_MEM, 0, "journal-mem", Vec::new()),
-            disk: None,
-        }
+        JournalStore { appended: OrderedMutex::new(rank::JOURNAL, 0, "journal", 0), disk: None }
     }
 
-    /// Appends one batch under the `mem` lock — the LSN-order and
-    /// snapshot-cut lock in both modes. A durable journal writes the
-    /// segment (LSN assignment + fsync) and keeps nothing in RAM; a
-    /// memory journal extends the vector. Serialized, so batches stay
-    /// contiguous on disk exactly as in memory.
+    /// Appends one batch under the `appended` lock. A durable journal
+    /// writes the segment (LSN assignment + fsync); a memory journal
+    /// counts the batch and drops it. Serialized, so batches stay
+    /// contiguous on disk.
     fn append(&self, entries: Vec<JournalEntry>) {
-        let mut mem = self.mem.lock();
+        let mut appended = self.appended.lock();
         match &self.disk {
             Some(disk) => disk.append(&entries),
-            None => mem.extend(entries),
-        }
-    }
-
-    /// Appends one entry.
-    fn append_one(&self, entry: JournalEntry) {
-        self.append(vec![entry]);
-    }
-
-    /// Runs `apply` (a table mutation) and appends `entry` inside the
-    /// same journal critical section — so a concurrent shard snapshot
-    /// can never capture the table row *and* see its journal entry land
-    /// past the snapshot's cut (which would double-apply on recovery).
-    fn append_with(&self, entry: JournalEntry, apply: impl FnOnce()) {
-        let mut mem = self.mem.lock();
-        apply();
-        match &self.disk {
-            Some(disk) => disk.append(std::slice::from_ref(&entry)),
-            None => mem.push(entry),
+            None => *appended = appended.saturating_add(entries.len() as u64),
         }
     }
 }
@@ -651,7 +636,8 @@ impl Database {
     /// its state: newest valid snapshot per shard + replay of only the
     /// journal tail past it (docs/STORAGE.md §5). All subsequent commits
     /// are written through to sharded segment files via the group-commit
-    /// queue.
+    /// queue. Recovered idempotency stamps are all kept until the caller
+    /// sets the bound ([`Database::set_idem_capacity`]).
     pub fn open(
         bank: u16,
         branch: u16,
@@ -762,7 +748,12 @@ impl Database {
         }
         let seq = cache.insert(cert, key, response.clone());
         drop(cache);
-        self.journal.append_one(JournalEntry::Idem { cert: cert.to_string(), key, response, seq });
+        self.journal.append(vec![JournalEntry::Idem {
+            cert: cert.to_string(),
+            key,
+            response,
+            seq,
+        }]);
     }
 
     /// Invalidates a consumed idempotency key: the remembered operation
@@ -772,7 +763,7 @@ impl Database {
     pub fn idem_invalidate(&self, cert: &str, key: u64) {
         let removed = self.idem.lock().remove(cert, key);
         if removed {
-            self.journal.append_one(JournalEntry::IdemDrop { cert: cert.to_string(), key });
+            self.journal.append(vec![JournalEntry::IdemDrop { cert: cert.to_string(), key }]);
         }
     }
 
@@ -825,7 +816,7 @@ impl Database {
         idx.insert(record.certificate_name.clone(), record.id);
         drop(idx);
         self.shards[self.shard_of(&record.id)].write().insert(record.id, record.clone());
-        self.journal.append_one(JournalEntry::Create(record));
+        self.journal.append(vec![JournalEntry::Create(record)]);
         Ok(())
     }
 
@@ -856,14 +847,33 @@ impl Database {
         id: &AccountId,
         f: impl FnOnce(&mut AccountRecord) -> Result<T, BankError>,
     ) -> Result<T, BankError> {
+        self.one_account_commit(id, |record| Ok((f(record)?, None)))
+    }
+
+    /// Like [`Database::with_account_mut`], but the closure may also hand
+    /// back the TRANSACTION RECORD evidencing its mutation (a deposit, a
+    /// withdrawal), built only once the mutation succeeded. The row is
+    /// pushed to the table and journaled in the *same* batch as the
+    /// balance update, under the shard lock — the one-account shape of
+    /// [`Database::two_account_commit`]: a crash keeps both or neither,
+    /// never money without its §5.1 row.
+    pub fn one_account_commit<T>(
+        &self,
+        id: &AccountId,
+        f: impl FnOnce(&mut AccountRecord) -> Result<(T, Option<TransactionRecord>), BankError>,
+    ) -> Result<T, BankError> {
         let mut shard = self.shards[self.shard_of(id)].write();
         let record = shard.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
-        let out = f(record)?;
-        let snapshot = record.clone();
+        let (out, row) = f(record)?;
+        let mut entries = vec![JournalEntry::Update(record.clone())];
+        if let Some(tx) = row {
+            self.transactions.write().push(tx.clone());
+            entries.push(JournalEntry::Transaction(tx));
+        }
         // Submit while still holding the shard lock: Update entries are
         // absolute snapshots, so per-account journal order must match
-        // application order or replay resurrects stale balances.
-        self.commit.submit(vec![JournalEntry::Update(snapshot)], &self.journal);
+        // application order or recovery resurrects stale balances.
+        self.commit.submit(entries, &self.journal);
         drop(shard);
         Ok(out)
     }
@@ -941,7 +951,7 @@ impl Database {
             snap_b = rb.clone();
         }
         // Commit tables, then hand the journal batch to the group-commit
-        // queue — still under the shard locks, so replay order matches
+        // queue — still under the shard locks, so recovery order matches
         // application order. The closure already succeeded by now; a
         // member whose closure failed returned above and contributes
         // nothing to the group (the failed member is "split out" and the
@@ -987,7 +997,7 @@ impl Database {
     pub fn ib_ack(&self, key: u64) -> bool {
         let removed = self.ib_pending.lock().remove(&key).is_some();
         if removed {
-            self.journal.append_one(JournalEntry::IbAck { key });
+            self.journal.append(vec![JournalEntry::IbAck { key }]);
         }
         removed
     }
@@ -1005,23 +1015,8 @@ impl Database {
             .remove(id)
             .ok_or(BankError::NoSuchAccount(*id))?;
         self.by_cert.write().remove(&record.certificate_name);
-        self.journal.append_one(JournalEntry::Remove(*id));
+        self.journal.append(vec![JournalEntry::Remove(*id)]);
         Ok(record)
-    }
-
-    /// Appends a transaction row. Row and journal entry land in the
-    /// same journal critical section, so a concurrent shard snapshot
-    /// sees either both or neither.
-    pub fn append_transaction(&self, tx: TransactionRecord) {
-        let entry = JournalEntry::Transaction(tx.clone());
-        self.journal.append_with(entry, || self.transactions.write().push(tx));
-    }
-
-    /// Appends a transfer row (same atomicity as
-    /// [`Database::append_transaction`]).
-    pub fn append_transfer(&self, t: TransferRecord) {
-        let entry = JournalEntry::Transfer(t.clone());
-        self.journal.append_with(entry, || self.transfers.write().push(t));
     }
 
     /// Statement query: transactions for `account` with
@@ -1096,27 +1091,17 @@ impl Database {
         out
     }
 
-    /// Clones the in-memory journal (crash-consistency snapshots).
-    /// Empty in durable mode: there the journal lives in the on-disk
-    /// store only — count it with [`Database::journal_len`].
-    pub fn journal_snapshot(&self) -> Vec<JournalEntry> {
-        self.journal.mem.lock().clone()
-    }
-
-    /// Journal entries so far: the vector's length in memory mode, the
-    /// disk log's last LSN — entries since the store was created — in
-    /// durable mode.
+    /// Journal entries so far: the count of appended entries in memory
+    /// mode, the disk log's last LSN — entries since the store was
+    /// created — in durable mode.
     pub fn journal_len(&self) -> usize {
-        let mem = self.journal.mem.lock();
-        match &self.journal.disk {
-            Some(disk) => usize::try_from(disk.last_lsn()).unwrap_or(usize::MAX),
-            None => mem.len(),
-        }
+        let appended = self.journal.appended.lock();
+        let entries = self.journal.disk.as_ref().map_or(*appended, |disk| disk.last_lsn());
+        usize::try_from(entries).unwrap_or(usize::MAX)
     }
 
-    /// Applies one journal entry to live state — the single replay
-    /// transition shared by [`Database::replay`] (full history) and
-    /// [`Database::open`] (snapshot + tail).
+    /// Applies one journal entry to live state — the tail transition of
+    /// [`Database::open`], the one recovery there is.
     fn apply_entry(&self, entry: &JournalEntry, max_account: &mut u32, max_tx: &mut u64) {
         match entry {
             JournalEntry::Create(r) => {
@@ -1155,43 +1140,13 @@ impl Database {
         }
     }
 
-    /// Rebuilds a database by replaying a journal.
-    pub fn replay(bank: u16, branch: u16, journal: &[JournalEntry]) -> Self {
-        let db = Database::new(bank, branch);
-        let mut max_account = 0u32;
-        let mut max_tx = 0u64;
-        for entry in journal {
-            db.apply_entry(entry, &mut max_account, &mut max_tx);
-        }
-        *db.journal.mem.lock() = journal.to_vec();
-        db.next_account.store(max_account.saturating_add(1), Ordering::Relaxed);
-        db.next_tx.store(max_tx.saturating_add(1), Ordering::Relaxed);
-        db
-    }
-
     // -- durable mode -------------------------------------------------
-
-    /// Whether this database writes through to an on-disk store.
-    pub fn durable(&self) -> bool {
-        self.journal.disk.is_some()
-    }
-
-    /// Root directory of the on-disk store, when durable.
-    pub fn store_dir(&self) -> Option<std::path::PathBuf> {
-        self.journal.disk.as_ref().map(|d| d.dir().to_path_buf())
-    }
 
     /// `false` once a disk append has failed: the bank keeps serving
     /// from memory, but acknowledgements are no longer crash-durable
     /// and the ops plane reports the branch Unhealthy.
     pub fn disk_healthy(&self) -> bool {
         self.journal.disk.as_ref().is_none_or(|d| d.healthy())
-    }
-
-    /// Journal entries appended since `shard`'s last snapshot — the
-    /// tail a restart would replay for it. Zero when not durable.
-    pub fn shard_tail_len(&self, shard: usize) -> u64 {
-        self.journal.disk.as_ref().map_or(0, |d| d.tail_len(shard))
     }
 
     /// Captures a consistent image of one shard. Holding the shard's
@@ -1202,7 +1157,7 @@ impl Database {
     fn capture_shard(&self, s: usize) -> Option<crate::store::ShardSnapshot> {
         let disk = self.journal.disk.as_ref()?;
         let shard_guard = self.shards.get(s)?.write();
-        let mem_guard = self.journal.mem.lock();
+        let journal_guard = self.journal.appended.lock();
         let through_lsn = disk.last_lsn();
         let mut accounts: Vec<AccountRecord> = shard_guard.values().cloned().collect();
         accounts.sort_by_key(|r| r.id);
@@ -1239,7 +1194,7 @@ impl Database {
         };
         let pending =
             self.ib_pending.lock().values().filter(|p| key_shard(p.key) == s).cloned().collect();
-        drop(mem_guard);
+        drop(journal_guard);
         drop(shard_guard);
         Some(crate::store::ShardSnapshot {
             shard: s as u32,
@@ -1398,6 +1353,27 @@ pub struct CheckpointStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoreConfig;
+
+    /// A database on a fresh scratch store, and the config that reopens it.
+    fn scratch_db(tag: &str) -> (Database, StoreConfig) {
+        let cfg = StoreConfig::scratch(tag);
+        (Database::open(1, 1, cfg.clone()).expect("open scratch store").0, cfg)
+    }
+
+    /// Kills `db` and restarts it from its store — the recovery every
+    /// durable bank runs.
+    fn reopen(db: Database, cfg: &StoreConfig) -> Database {
+        drop(db);
+        Database::open(1, 1, cfg.clone()).expect("reopen scratch store").0
+    }
+
+    /// Every entry in the (closed) store at `cfg`, in LSN order: a scratch
+    /// store is never checkpointed, so its tail is its whole journal.
+    fn journal_of(cfg: &StoreConfig) -> Vec<JournalEntry> {
+        let (state, _log) = crate::store::open_store(1, 1, cfg.clone()).expect("read store");
+        state.tail.into_iter().map(|(_lsn, entry)| entry).collect()
+    }
 
     fn record(db: &Database, cert: &str, gd: i64) -> AccountRecord {
         AccountRecord {
@@ -1502,15 +1478,16 @@ mod tests {
         db.insert_account(ra).unwrap();
         db.insert_account(rb).unwrap();
         for (t, amount, date) in [(ida, 5, 10u64), (ida, -2, 20), (idb, 7, 15)] {
-            db.append_transaction(TransactionRecord {
+            let row = TransactionRecord {
                 transaction_id: db.allocate_transaction_id(),
                 account: t,
                 tx_type: TransactionType::Deposit,
                 date_ms: date,
                 amount: Credits::from_gd(amount),
-            });
+            };
+            db.one_account_commit(&t, |_| Ok(((), Some(row)))).unwrap();
         }
-        db.append_transfer(TransferRecord {
+        let transfer = TransferRecord {
             transaction_id: db.allocate_transaction_id(),
             date_ms: 12,
             drawer: ida,
@@ -1518,7 +1495,9 @@ mod tests {
             recipient: idb,
             rur_blob: vec![1, 2, 3],
             trace_id: 0,
-        });
+        };
+        let rows = CommitRows { transfer: Some(transfer), ..CommitRows::default() };
+        db.two_account_commit(&ida, &idb, |_a, _b| Ok(()), rows).unwrap();
 
         assert_eq!(db.transactions_in_range(&ida, 0, 100).len(), 2);
         assert_eq!(db.transactions_in_range(&ida, 15, 100).len(), 1);
@@ -1531,8 +1510,8 @@ mod tests {
     }
 
     #[test]
-    fn journal_replay_reconstructs_state() {
-        let db = Database::new(1, 1);
+    fn kill_and_reopen_reconstructs_state() {
+        let (db, cfg) = scratch_db("reconstruct");
         let ra = record(&db, "/CN=a", 100);
         let rb = record(&db, "/CN=b", 50);
         let rc = record(&db, "/CN=c", 10);
@@ -1552,44 +1531,46 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        db.append_transaction(TransactionRecord {
+        let row = TransactionRecord {
             transaction_id: db.allocate_transaction_id(),
             account: ida,
             tx_type: TransactionType::Transfer,
             date_ms: 1,
             amount: Credits::from_gd(-30),
-        });
+        };
+        db.one_account_commit(&ida, |_| Ok(((), Some(row)))).unwrap();
         db.remove_account(&idc).unwrap();
 
-        let journal = db.journal_snapshot();
-        let rebuilt = Database::replay(1, 1, &journal);
-        assert_eq!(rebuilt.all_accounts(), db.all_accounts());
+        let (accounts, funds) = (db.all_accounts(), db.total_funds());
+        let rebuilt = reopen(db, &cfg);
+        assert_eq!(rebuilt.all_accounts(), accounts);
         assert_eq!(rebuilt.account_count(), 2);
-        assert_eq!(rebuilt.total_funds(), db.total_funds());
+        assert_eq!(rebuilt.total_funds(), funds);
         assert_eq!(rebuilt.transactions_in_range(&ida, 0, 10).len(), 1);
-        // Id allocation resumes past the replayed maximum.
-        assert!(rebuilt.allocate_account_id().number > idb.number);
+        // Id allocation resumes past the recovered maximum — past the
+        // removed account's number too, never re-issuing it.
+        assert!(rebuilt.allocate_account_id().number > idc.number);
         assert!(rebuilt.allocate_transaction_id() > 1);
-        // Removed account's cert can be reused after replay.
+        // Removed account's cert can be reused after the restart.
         assert!(!rebuilt.subject_known("/CN=c"));
     }
 
     #[test]
-    fn idem_cache_remembers_evicts_and_survives_replay() {
-        let db = Database::new(1, 1);
+    fn idem_cache_remembers_evicts_and_survives_a_restart() {
+        let (db, cfg) = scratch_db("idem");
         assert_eq!(db.idem_lookup("/CN=a", 7), None);
         db.idem_record("/CN=a", 7, vec![1, 2]);
         assert_eq!(db.idem_lookup("/CN=a", 7), Some(vec![1, 2]));
         // Keys are scoped per caller certificate.
         assert_eq!(db.idem_lookup("/CN=b", 7), None);
         // Upgrade replaces the cached bytes without another journal row.
-        let journal_len = db.journal_snapshot().len();
+        let journal_len = db.journal_len();
         db.idem_upgrade("/CN=a", 7, vec![9]);
         assert_eq!(db.idem_lookup("/CN=a", 7), Some(vec![9]));
-        assert_eq!(db.journal_snapshot().len(), journal_len);
-        // Replay repopulates the cache (with the journaled bytes).
-        let rebuilt = Database::replay(1, 1, &db.journal_snapshot());
-        assert_eq!(rebuilt.idem_lookup("/CN=a", 7), Some(vec![1, 2]));
+        assert_eq!(db.journal_len(), journal_len);
+        // A restart repopulates the cache (with the journaled bytes).
+        let db = reopen(db, &cfg);
+        assert_eq!(db.idem_lookup("/CN=a", 7), Some(vec![1, 2]));
         // FIFO eviction at the capacity bound.
         db.set_idem_capacity(2);
         db.idem_record("/CN=a", 8, vec![]);
@@ -1604,8 +1585,27 @@ mod tests {
     }
 
     #[test]
+    fn recovery_keeps_every_stamp_until_the_configured_capacity_is_known() {
+        // A bank configured above the default bound remembers N keys
+        // live; recovery must not trim them to the default before
+        // `set_idem_capacity` runs, or a retry of an older key re-applies.
+        let (db, cfg) = scratch_db("idem-capacity");
+        db.set_idem_capacity(6_000);
+        (0..5_000u64).for_each(|key| db.idem_record("/CN=a", key, vec![1]));
+        let digest = db.state_digest();
+        let db = reopen(db, &cfg);
+        db.set_idem_capacity(6_000);
+        assert_eq!(db.idem_lookup("/CN=a", 0), Some(vec![1]), "the oldest stamp was evicted");
+        assert_eq!(db.state_digest(), digest);
+        // The bound still binds once it is set.
+        db.set_idem_capacity(10);
+        assert_eq!(db.idem_lookup("/CN=a", 4_989), None);
+        assert!(db.idem_lookup("/CN=a", 4_990).is_some());
+    }
+
+    #[test]
     fn two_account_commit_batches_rows_atomically() {
-        let db = Database::new(1, 1);
+        let (db, cfg) = scratch_db("batch-order");
         let ra = record(&db, "/CN=a", 10);
         let rb = record(&db, "/CN=b", 0);
         let (ida, idb) = (ra.id, rb.id);
@@ -1646,14 +1646,8 @@ mod tests {
         assert_eq!(db.idem_lookup("/CN=a", 42), Some(vec![7]));
         assert!(db.transfer_by_id(txid).is_some());
         assert_eq!(db.transactions_in_range(&ida, 0, 100).len(), 1);
-        // The journal batch is contiguous: updates, rows, then the stamp.
-        let tail: Vec<_> = db.journal_snapshot().into_iter().rev().take(4).collect();
-        assert!(matches!(tail[0], JournalEntry::Idem { key: 42, .. }));
-        assert!(matches!(tail[1], JournalEntry::Transfer(_)));
-        assert!(matches!(tail[2], JournalEntry::Transaction(_)));
-        assert!(matches!(tail[3], JournalEntry::Update(_)));
         // A failed mutation commits none of the rows.
-        let before = db.journal_snapshot().len();
+        let before = db.journal_len();
         let bad = db.two_account_commit(
             &ida,
             &idb,
@@ -1664,13 +1658,22 @@ mod tests {
             },
         );
         assert!(bad.is_err());
-        assert_eq!(db.journal_snapshot().len(), before);
+        assert_eq!(db.journal_len(), before);
         assert_eq!(db.idem_lookup("/CN=a", 43), None);
+        // The journal batch is contiguous: updates, rows, then the stamp.
+        drop(db);
+        let journal = journal_of(&cfg);
+        let batch = &journal[journal.len() - 5..];
+        assert!(matches!(&batch[0], JournalEntry::Update(r) if r.id == ida));
+        assert!(matches!(&batch[1], JournalEntry::Update(r) if r.id == idb));
+        assert!(matches!(batch[2], JournalEntry::Transaction(_)));
+        assert!(matches!(batch[3], JournalEntry::Transfer(_)));
+        assert!(matches!(batch[4], JournalEntry::Idem { key: 42, .. }));
     }
 
     #[test]
     fn group_commit_coalesces_concurrent_transfers() {
-        let db = Database::new(1, 1);
+        let (db, cfg) = scratch_db("grouped");
         db.set_group_commit(GroupCommitConfig { max_batch: 8, max_delay_micros: 500 });
         let mut ids = Vec::new();
         for i in 0..8 {
@@ -1697,35 +1700,38 @@ mod tests {
             }
         });
         assert_eq!(db.total_funds(), Credits::from_gd(800));
-        // Every batch reached the journal and replay agrees with live
+        // Every batch reached the journal and recovery agrees with live
         // state — grouping changed journal-lock traffic, not contents.
-        let rebuilt = Database::replay(1, 1, &db.journal_snapshot());
-        assert_eq!(rebuilt.all_accounts(), db.all_accounts());
-        assert_eq!(rebuilt.total_funds(), db.total_funds());
+        let (accounts, funds) = (db.all_accounts(), db.total_funds());
+        let rebuilt = reopen(db, &cfg);
+        assert_eq!(rebuilt.all_accounts(), accounts);
+        assert_eq!(rebuilt.total_funds(), funds);
     }
 
     #[test]
     fn group_commit_disabled_appends_directly() {
-        let db = Database::new(1, 1);
+        let (db, cfg) = scratch_db("ungrouped");
         db.set_group_commit(GroupCommitConfig { max_batch: 1, max_delay_micros: 10_000 });
         let ra = record(&db, "/CN=a", 10);
         let rb = record(&db, "/CN=b", 0);
         let (ida, idb) = (ra.id, rb.id);
         db.insert_account(ra).unwrap();
         db.insert_account(rb).unwrap();
-        let before = db.journal_snapshot().len();
+        let before = db.journal_len();
         db.with_two_accounts_mut(&ida, &idb, |a, b| {
             a.available = a.available.checked_sub(Credits::from_gd(1))?;
             b.available = b.available.checked_add(Credits::from_gd(1))?;
             Ok(())
         })
         .unwrap();
-        assert_eq!(db.journal_snapshot().len(), before + 2);
+        assert_eq!(db.journal_len(), before + 2);
+        let accounts = db.all_accounts();
+        assert_eq!(reopen(db, &cfg).all_accounts(), accounts);
     }
 
     #[test]
     fn failed_group_member_is_split_out_without_journal_rows() {
-        let db = Database::new(1, 1);
+        let (db, cfg) = scratch_db("split-out");
         db.set_group_commit(GroupCommitConfig { max_batch: 4, max_delay_micros: 2_000 });
         let accounts: Vec<_> = [100i64, 100, 100, 100, 0, 100]
             .iter()
@@ -1777,18 +1783,19 @@ mod tests {
                 assert!(matches!(out, Err(BankError::InsufficientFunds { .. })));
             });
         });
-        // The failed member left no Update rows; replay can't resurrect
-        // a half-applied transfer.
-        let journal = db.journal_snapshot();
-        assert!(!journal.iter().any(|e| matches!(e, JournalEntry::Update(r) if r.id == poor)));
-        let rebuilt = Database::replay(1, 1, &journal);
-        assert_eq!(rebuilt.all_accounts(), db.all_accounts());
+        // The failed member left no Update rows; recovery can't
+        // resurrect a half-applied transfer.
         assert_eq!(db.get_account(&poor).unwrap().available, Credits::ZERO);
+        let accounts = db.all_accounts();
+        drop(db);
+        let journal = journal_of(&cfg);
+        assert!(!journal.iter().any(|e| matches!(e, JournalEntry::Update(r) if r.id == poor)));
+        assert_eq!(Database::open(1, 1, cfg).unwrap().0.all_accounts(), accounts);
     }
 
     #[test]
-    fn ib_pending_tracks_acks_and_survives_replay() {
-        let db = Database::new(1, 1);
+    fn ib_pending_tracks_acks_and_survives_restarts() {
+        let (db, cfg) = scratch_db("ib-pending");
         let ra = record(&db, "/CN=a", 10);
         let rb = record(&db, "/CN=clearing", 0);
         let (ida, idb) = (ra.id, rb.id);
@@ -1814,22 +1821,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(db.ib_pending_snapshot(), vec![credit.clone()]);
-        // A crash here re-ships the credit: replay rebuilds the set.
-        let rebuilt = Database::replay(1, 1, &db.journal_snapshot());
-        assert_eq!(rebuilt.ib_pending_snapshot(), vec![credit]);
-        // Invalidation journals an IdemDrop that replay honors.
+        // A crash here re-ships the credit: recovery rebuilds the set.
+        let db = reopen(db, &cfg);
+        assert_eq!(db.ib_pending_snapshot(), vec![credit]);
+        // Invalidation journals an IdemDrop that recovery honors.
         db.idem_record("/CN=a", 77, vec![1]);
         assert!(db.idem_lookup("/CN=a", 77).is_some());
         db.idem_invalidate("/CN=a", 77);
         assert!(db.idem_lookup("/CN=a", 77).is_none());
-        let rebuilt = Database::replay(1, 1, &db.journal_snapshot());
-        assert!(rebuilt.idem_lookup("/CN=a", 77).is_none());
+        let db = reopen(db, &cfg);
+        assert!(db.idem_lookup("/CN=a", 77).is_none());
         // Acking removes it, is journaled, and is idempotent.
         assert!(db.ib_ack(0xC0FFEE));
         assert!(!db.ib_ack(0xC0FFEE));
         assert!(db.ib_pending_snapshot().is_empty());
-        let rebuilt = Database::replay(1, 1, &db.journal_snapshot());
-        assert!(rebuilt.ib_pending_snapshot().is_empty());
+        assert!(reopen(db, &cfg).ib_pending_snapshot().is_empty());
     }
 
     #[test]
@@ -1889,6 +1895,7 @@ mod tests {
 #[cfg(all(loom, test))]
 mod loom_model {
     use super::*;
+    use crate::store::{open_store, StoreConfig};
     use std::sync::Arc;
 
     /// A journal entry tagged so it can be tracked through a flush.
@@ -1918,7 +1925,10 @@ mod loom_model {
         loom::model(|| {
             let queue = Arc::new(CommitQueue::new());
             *queue.config.lock() = GroupCommitConfig { max_batch: 2, max_delay_micros: 50 };
-            let journal = Arc::new(JournalStore::memory());
+            // The real sink: a scratch store's disk log, read back below.
+            let cfg = StoreConfig::scratch("loom-queue");
+            let (_empty, log) = open_store(1, 1, cfg.clone()).expect("open scratch store");
+            let journal = Arc::new(JournalStore { disk: Some(log), ..JournalStore::memory() });
 
             let handles: Vec<_> = (0..3u64)
                 .map(|t| {
@@ -1936,7 +1946,10 @@ mod loom_model {
                 h.join().expect("submitter thread");
             }
 
-            let tags: Vec<u64> = journal.mem.lock().iter().map(tag_of).collect();
+            drop(journal);
+            let (state, _log) = open_store(1, 1, cfg.clone()).expect("read scratch store");
+            let _ = std::fs::remove_dir_all(&cfg.dir);
+            let tags: Vec<u64> = state.tail.iter().map(|(_lsn, e)| tag_of(e)).collect();
             assert_eq!(tags.len(), 12, "lost or duplicated entries: {tags:?}");
             let mut sorted = tags.clone();
             sorted.sort_unstable();
@@ -1975,28 +1988,8 @@ mod loom_model {
                 loom::thread::spawn(move || queue.submit(vec![entry(1)], &journal))
             };
             h.join().expect("submitter thread");
-            assert_eq!(journal.mem.lock().len(), 1);
+            assert_eq!(*journal.appended.lock(), 1);
         });
-    }
-
-    /// A scratch store directory unique to this process *and* model
-    /// iteration, so iterations never replay each other's journals.
-    fn scratch_dir(tag: &str) -> std::path::PathBuf {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        std::env::temp_dir().join(format!("gb-loom-{tag}-{}-{n}", std::process::id()))
-    }
-
-    fn scratch_cfg(dir: &std::path::Path) -> crate::store::StoreConfig {
-        crate::store::StoreConfig {
-            dir: dir.to_path_buf(),
-            // No power-failure drill here — the model probes lock/cut
-            // interleavings, not fsync ordering (L8 covers that).
-            fsync: false,
-            segment_bytes: 64 * 1024,
-            snapshot_every: u64::MAX,
-            retain_snapshots: 1,
-        }
     }
 
     fn funded_account(db: &Database, cert: &str, gd: i64) -> AccountRecord {
@@ -2018,9 +2011,9 @@ mod loom_model {
     #[test]
     fn snapshot_during_commit_replays_to_the_live_digest() {
         loom::model(|| {
-            let dir = scratch_dir("snap");
-            let _ = std::fs::remove_dir_all(&dir);
-            let cfg = scratch_cfg(&dir);
+            // No power-failure drill here — the model probes lock/cut
+            // interleavings, not fsync ordering (L8 covers that).
+            let cfg = StoreConfig::scratch("loom-snap");
             let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
             let rec = funded_account(&db, "/CN=loom-snap", 100);
             let id = rec.id;
@@ -2052,10 +2045,11 @@ mod loom_model {
             assert_eq!(live_funds, Credits::from_gd(102), "deposit lost or doubled");
             drop(db);
 
-            let (reopened, _report) = Database::open(1, 1, cfg).expect("reopen scratch store");
+            let (reopened, _report) =
+                Database::open(1, 1, cfg.clone()).expect("reopen scratch store");
             assert_eq!(reopened.state_digest(), live_digest, "replay diverged from live state");
             assert_eq!(reopened.total_funds(), live_funds);
-            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&cfg.dir);
         });
     }
 
@@ -2067,9 +2061,7 @@ mod loom_model {
     #[test]
     fn cross_shard_transfer_vs_compaction_conserves_and_recovers() {
         loom::model(|| {
-            let dir = scratch_dir("compact");
-            let _ = std::fs::remove_dir_all(&dir);
-            let cfg = scratch_cfg(&dir);
+            let cfg = StoreConfig { retain_snapshots: 1, ..StoreConfig::scratch("loom-compact") };
             let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
             let payer = funded_account(&db, "/CN=loom-payer", 100);
             // Walk the id sequence until the payee homes on a different
@@ -2112,10 +2104,11 @@ mod loom_model {
             assert_eq!(db.get_account(&pay_from).expect("payer").available, Credits::from_gd(70));
             drop(db);
 
-            let (reopened, _report) = Database::open(1, 1, cfg).expect("reopen scratch store");
+            let (reopened, _report) =
+                Database::open(1, 1, cfg.clone()).expect("reopen scratch store");
             assert_eq!(reopened.state_digest(), live_digest, "replay diverged from live state");
             assert_eq!(reopened.total_funds(), live_funds);
-            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&cfg.dir);
         });
     }
 }

@@ -542,6 +542,24 @@ mod tests {
         (a, b, ra, rb)
     }
 
+    /// [`federated_pair`] with branch 1 on a scratch store; [`revive`] on
+    /// that store is branch 1 after a crash (the first bank lingers in
+    /// the mesh's `Arc` cycle, as a killed process's files would).
+    fn durable_pair(
+        tag: &str,
+    ) -> (crate::store::StoreConfig, Arc<GridBank>, Arc<GridBank>, Arc<FederationRouter>) {
+        let (store, clock) = (crate::store::StoreConfig::scratch(tag), Clock::new());
+        let (a, _) = GridBank::open_durable(config(1), clock.clone(), store.clone()).unwrap();
+        let banks = [Arc::new(a), Arc::new(GridBank::new(config(2), clock))];
+        let ra = direct_mesh(&banks).swap_remove(0);
+        let [a, b] = banks;
+        (store, a, b, ra)
+    }
+
+    fn revive(store: crate::store::StoreConfig) -> Arc<GridBank> {
+        Arc::new(GridBank::open_durable(config(1), Clock::new(), store).unwrap().0)
+    }
+
     fn open_funded(bank: &GridBank, cert: &str, gd: i64) -> AccountId {
         let id = bank.accounts.create_account(cert, None).unwrap();
         if gd > 0 {
@@ -610,7 +628,7 @@ mod tests {
 
     #[test]
     fn rejected_payment_is_not_remembered_as_success() {
-        let (a, _b, _ra, _rb) = federated_pair();
+        let (store, a, _b, _ra) = durable_pair("fed-stamp");
         let mut payer = InProcessBank::new(Arc::clone(&a), SubjectName("/CN=alice".into()));
         let alice = open_funded(&a, "/CN=alice", 100);
         let pay = BankRequest::DirectTransfer {
@@ -625,9 +643,8 @@ mod tests {
         assert!(payer.call_keyed(Some(42), &pay).is_err());
         assert!(a.accounts.db().idem_lookup("/CN=alice", 42).is_none());
         assert_eq!(a.accounts.account_details(&alice).unwrap().available, Credits::from_gd(100));
-        // Crash-replay cannot resurrect the stamp either.
-        let rebuilt = GridBank::from_journal(config(1), Clock::new(), &a.journal_snapshot());
-        assert!(rebuilt.accounts.db().idem_lookup("/CN=alice", 42).is_none());
+        // Crash recovery cannot resurrect the stamp either.
+        assert!(revive(store).accounts.db().idem_lookup("/CN=alice", 42).is_none());
     }
 
     #[test]
@@ -749,14 +766,13 @@ mod tests {
 
     #[test]
     fn clearing_accounts_rediscovered_after_replay() {
-        let (a, b, ra, _rb) = federated_pair();
+        let (store, a, b, ra) = durable_pair("fed-clearing");
         let alice = open_funded(&a, "/CN=alice", 100);
         let gsp = open_funded(&b, "/CN=gsp", 10);
         ra.cross_branch_transfer(&alice, &gsp, Credits::from_gd(30), vec![], None).unwrap();
 
-        // "Crash" branch 1: rebuild it from the replayed journal.
-        let revived =
-            Arc::new(GridBank::from_journal(config(1), Clock::new(), &a.journal_snapshot()));
+        // "Crash" branch 1: reopen its store.
+        let revived = revive(store);
         let count_before = revived.accounts.db().account_count();
         let router = FederationRouter::install(&revived);
         // The parked balance is visible again without any lazy creation…

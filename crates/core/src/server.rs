@@ -166,26 +166,16 @@ impl GridBank {
         Self::with_database(config, clock, db)
     }
 
-    /// Rebuilds a bank by replaying a journal — crash recovery. Account
-    /// state, audit rows, *and consumed idempotency keys* are restored,
-    /// so a client retrying a request the pre-crash bank already applied
-    /// still gets the original (deduplicated) outcome.
-    pub fn from_journal(
-        config: GridBankConfig,
-        clock: Clock,
-        journal: &[crate::db::JournalEntry],
-    ) -> Self {
-        let db = Arc::new(Database::replay(config.bank, config.branch, journal));
-        Self::with_database(config, clock, db)
-    }
-
     /// Opens (or creates) a bank backed by the on-disk store at
     /// `store.dir` — durable mode. Recovery loads the newest valid
     /// snapshot per shard and replays only the journal tail past it
-    /// (docs/STORAGE.md §5); the returned report says how much. All
-    /// subsequent commits write through to disk via the group-commit
-    /// queue, and the server checkpoints shards incrementally as their
-    /// tails reach `store.snapshot_every`.
+    /// (docs/STORAGE.md §5); the returned report says how much. Account
+    /// state, audit rows, *and consumed idempotency keys* are restored,
+    /// so a client retrying a request the pre-crash bank already applied
+    /// still gets the original (deduplicated) outcome. All subsequent
+    /// commits write through to disk via the group-commit queue, and the
+    /// server checkpoints shards incrementally as their tails reach
+    /// `store.snapshot_every`.
     pub fn open_durable(
         config: GridBankConfig,
         clock: Clock,
@@ -354,11 +344,6 @@ impl GridBank {
     /// Snapshot of every transfer row (double-apply detection).
     pub fn all_transfers(&self) -> Vec<crate::db::TransferRecord> {
         self.accounts.db().all_transfers()
-    }
-
-    /// Snapshot of the write-ahead journal (crash-replay tests).
-    pub fn journal_snapshot(&self) -> Vec<crate::db::JournalEntry> {
-        self.accounts.db().journal_snapshot()
     }
 
     fn cheque_office(&self) -> ChequeOffice<'_> {
@@ -1283,7 +1268,9 @@ mod tests {
 
     #[test]
     fn idempotency_key_dedups_retried_mutations() {
-        let b = bank();
+        let store = crate::store::StoreConfig::scratch("server-idem");
+        let config = || GridBankConfig { signer_height: 6, ..GridBankConfig::default() };
+        let (b, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
         let alice = subject("alice");
         let gsp = subject("gsp");
         let admin = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
@@ -1335,11 +1322,10 @@ mod tests {
         assert!(matches!(b.handle_keyed(&alice, Some(79), huge), BankResponse::Error { .. }));
         let r5 = b.handle_keyed(&alice, Some(79), transfer());
         assert!(matches!(r5, BankResponse::Confirmed(_)));
-        // Crash recovery: replaying the journal preserves the dedup, so
+        // Crash recovery: the reopened store preserves the dedup, so
         // the retry still cannot double-apply.
-        let journal = b.accounts.db().journal_snapshot();
-        let config = GridBankConfig { signer_height: 6, ..GridBankConfig::default() };
-        let rebuilt = GridBank::from_journal(config, Clock::new(), &journal);
+        drop(b);
+        let (rebuilt, _) = GridBank::open_durable(config(), Clock::new(), store).unwrap();
         let before = gsp_balance(&rebuilt);
         let r6 = rebuilt.handle_keyed(&alice, Some(77), transfer());
         assert!(matches!(r6, BankResponse::Confirmation { .. } | BankResponse::Confirmed(_)));

@@ -84,6 +84,22 @@ impl StoreConfig {
         self.fsync = false;
         self
     }
+
+    /// The one scratch store of tests, loom models and drills: a
+    /// directory under the system temp dir unique to this process and
+    /// call, emptied here; `fsync` off and no checkpoint unless the
+    /// caller makes one (override fields with struct-update syntax).
+    /// Opening it, dropping the bank and opening it again is how a test
+    /// kills a bank — the recovery every durable deployment runs.
+    #[doc(hidden)]
+    pub fn scratch(tag: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("gridbank-scratch-{tag}-{}-{n}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        StoreConfig { snapshot_every: u64::MAX, ..StoreConfig::at(dir).no_fsync() }
+    }
 }
 
 /// FNV-1a 64-bit over `bytes` — the store's corruption check (and the
@@ -477,11 +493,6 @@ pub struct DiskLog {
 }
 
 impl DiskLog {
-    /// Root directory of the store.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
-    }
-
     /// The store configuration.
     pub fn config(&self) -> &StoreConfig {
         &self.cfg
@@ -506,7 +517,7 @@ impl DiskLog {
 
     /// Appends `entries` as one commit batch, assigning consecutive
     /// LSNs. Caller (the journal lock) serializes invocations, so LSN
-    /// order equals in-memory journal order. One buffered write and at
+    /// order equals commit order. One buffered write and at
     /// most one `fsync` per *touched shard* per call — batching is the
     /// group-commit leader's job. Every frame carries the batch bounds,
     /// so recovery can refuse to half-apply a batch torn across shards.
@@ -865,9 +876,6 @@ pub struct RecoveredState {
     pub tail: Vec<(u64, JournalEntry)>,
     /// Evidence report (finished by the caller with timing/accounts).
     pub report: RecoveryReport,
-    /// Highest LSN observed anywhere (snapshot `through_lsn`s and tail
-    /// entries); the log resumes at `max_lsn + 1`.
-    pub max_lsn: u64,
 }
 
 /// Opens (or creates) the store at `cfg.dir` and recovers its state:
@@ -1062,7 +1070,7 @@ pub fn open_store(
         failed: AtomicBool::new(false),
         cfg,
     };
-    Ok((RecoveredState { bases, tail, report, max_lsn }, log))
+    Ok((RecoveredState { bases, tail, report }, log))
 }
 
 // ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ pub(crate) mod rank {
     pub const ACCOUNT_SHARD: u16 = 80;
     /// `Database.by_cert`.
     pub const ACCOUNT_INDEX: u16 = 90;
-    /// `JournalStore.mem`.
-    pub const JOURNAL_MEM: u16 = 110;
+    /// `JournalStore.appended`.
+    pub const JOURNAL: u16 = 110;
     /// `Database.transactions`.
     pub const AUDIT_TRANSACTIONS: u16 = 120;
     /// `Database.transfers`.
@@ -288,8 +288,8 @@ mod tests {
     #[should_panic(expected = "lock-order inversion")]
     fn seeded_inversion_panics() {
         let shard = OrderedRwLock::new(80, 0, "shard", ());
-        let mem = OrderedMutex::new(110, 0, "journal-mem", ());
-        let _gm = mem.lock();
+        let journal = OrderedMutex::new(110, 0, "journal", ());
+        let _gj = journal.lock();
         let _gs = shard.write(); // 80 after 110: the classic inversion
     }
 

@@ -246,7 +246,7 @@ fn ledger_digest(banks: &[&Arc<GridBank>]) -> u64 {
             fnv(&mut h, &a.available.micro().to_le_bytes());
             fnv(&mut h, &a.locked.micro().to_le_bytes());
         }
-        fnv(&mut h, &(bank.accounts.db().journal_snapshot().len() as u64).to_le_bytes());
+        fnv(&mut h, &(bank.accounts.db().journal_len() as u64).to_le_bytes());
     }
     h
 }
@@ -688,10 +688,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
         pending_after,
         stranded_locked_micro,
         stranded_credit_delta: stranded_after.saturating_sub(stranded_before),
-        journal_len: [
-            banks[0].accounts.db().journal_snapshot().len(),
-            banks[1].accounts.db().journal_snapshot().len(),
-        ],
+        journal_len: [banks[0].accounts.db().journal_len(), banks[1].accounts.db().journal_len()],
         ledger_digest: ledger_digest(&banks),
     })
 }

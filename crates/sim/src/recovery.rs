@@ -13,7 +13,6 @@
 //! the digest/conservation evidence that nothing was lost, feeding the
 //! `gridbank-bench --recovery` section and EXPERIMENTS.md §E19.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,8 +39,6 @@ pub struct RecoveryConfig {
     /// Keyed wire payments *after* the checkpoint — the replay tail a
     /// restart must work through.
     pub tail_payments: usize,
-    /// Store root; the caller owns creation/cleanup.
-    pub store_dir: PathBuf,
     /// `fsync` on commit (the production durability contract).
     pub fsync: bool,
     /// Bank signer height (2^h signed instruments).
@@ -55,7 +52,6 @@ impl Default for RecoveryConfig {
             accounts: 200,
             payments: 60,
             tail_payments: 20,
-            store_dir: std::env::temp_dir().join("gridbank-recovery-sim"),
             fsync: false,
             signer_height: 9,
         }
@@ -105,13 +101,7 @@ impl RecoveryDrillReport {
     }
 }
 
-fn deploy_config(cfg: &RecoveryConfig) -> DeployConfig {
-    let base = StoreConfig::at(&cfg.store_dir);
-    let store = StoreConfig {
-        // The drill drives checkpoints explicitly so the tail is exact.
-        snapshot_every: u64::MAX,
-        ..if cfg.fsync { base } else { base.no_fsync() }
-    };
+fn deploy_config(cfg: &RecoveryConfig, store: StoreConfig) -> DeployConfig {
     let bank = GridBankConfig {
         signer_height: cfg.signer_height,
         key_material: KeyMaterial { seed: 0xD15C },
@@ -128,8 +118,11 @@ fn deploy_config(cfg: &RecoveryConfig) -> DeployConfig {
 /// Runs the drill: populate → pay → checkpoint → tail → kill →
 /// reboot → probe until serving.
 pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String> {
-    let _ = std::fs::remove_dir_all(&cfg.store_dir);
-    let mut world = Deployment::boot(deploy_config(cfg))?;
+    // A scratch store never checkpoints on its own: the drill drives
+    // checkpoints explicitly so the tail is exact.
+    let store = StoreConfig { fsync: cfg.fsync, ..StoreConfig::scratch("recovery-drill") };
+    let store_dir = store.dir.clone();
+    let mut world = Deployment::boot(deploy_config(cfg, store))?;
     let bank = Arc::clone(world.bank(1)?);
 
     // Population + funding, server-side (the wire carries payments;
@@ -201,7 +194,7 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> Result<RecoveryDrillReport, String>
         digest_match: bank.accounts.db().state_digest() == digest,
         funds_match: bank.total_funds() == funds,
     };
-    let _ = std::fs::remove_dir_all(&cfg.store_dir);
+    let _ = std::fs::remove_dir_all(&store_dir);
     Ok(report)
 }
 
@@ -215,8 +208,6 @@ mod tests {
             accounts: 40,
             payments: 12,
             tail_payments: 5,
-            store_dir: std::env::temp_dir()
-                .join(format!("gridbank-recovery-drill-{}", std::process::id())),
             ..RecoveryConfig::default()
         };
         let report = run_recovery(&cfg).expect("drill runs");

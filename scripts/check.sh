@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -65,6 +65,16 @@ fi
 if grep -rnE --include='*.rs' 'BankPort|PeerTransport|InterBank|journal_to_bytes' \
   crates tests examples src; then
   echo "client guard: call banks through BankClient over a BankLink only" >&2
+  exit 1
+fi
+# One journal and one way back from it (docs/STORAGE.md §3.2): no
+# in-memory journal copy, no second recovery beside Database::open, no
+# journal append outside a commit batch can grow back. Tests kill a bank
+# by reopening a StoreConfig::scratch store.
+if grep -rnE --include='*.rs' \
+  'journal_snapshot|from_journal|Database::replay|append_with|append_transaction|append_transfer' \
+  crates tests examples src; then
+  echo "journal guard: recover through Database::open / GridBank::open_durable only" >&2
   exit 1
 fi
 scripts/loc.sh

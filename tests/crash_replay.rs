@@ -1,6 +1,7 @@
-//! E9 adjunct — crash consistency: after arbitrary banking activity, the
-//! write-ahead journal alone reconstructs identical state ("GB database"
-//! durability, §3.2/§5.1).
+//! E9 adjunct — crash consistency: after arbitrary banking activity, a
+//! bank killed and reopened on its store holds identical state ("GB
+//! database" durability, §3.2/§5.1). Every "crash" here is the recovery
+//! a deployment runs: drop the bank, open the same store again.
 
 // Test fixtures build inputs with plain arithmetic; the workspace
 // `clippy::arithmetic_side_effects` wall targets production money paths
@@ -14,13 +15,35 @@ use gridbank_suite::bank::admin::GbAdmin;
 use gridbank_suite::bank::clock::Clock;
 use gridbank_suite::bank::db::{Database, JournalEntry};
 use gridbank_suite::bank::guarantee::FundsGuarantee;
-use gridbank_suite::rur::{Credits, Decode, Encode};
+use gridbank_suite::bank::store::{open_store, StoreConfig};
+use gridbank_suite::rur::{Credits, Decode};
 
 const ADMIN: &str = "/CN=admin";
 
+/// Every entry in the closed store at `store`, in LSN order: a scratch
+/// store is never checkpointed, so its tail is its whole journal.
+fn journal_of(store: &StoreConfig) -> Vec<JournalEntry> {
+    let (state, _log) = open_store(1, 1, store.clone()).unwrap();
+    state.tail.into_iter().map(|(_lsn, entry)| entry).collect()
+}
+
+/// Copies a store directory, as a crash at this instant would leave it.
+fn copy_store(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().map(Result::unwrap) {
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_store(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
 #[test]
 fn journal_replay_reconstructs_full_banking_state() {
-    let db = Arc::new(Database::new(1, 1));
+    let store = StoreConfig::scratch("crash-full");
+    let db = Arc::new(Database::open(1, 1, store.clone()).unwrap().0);
     let accounts = GbAccounts::new(db.clone(), Clock::new());
     let admin = GbAdmin::new(accounts.clone(), [ADMIN.to_string()]);
     let guarantee = FundsGuarantee::new(accounts.clone());
@@ -41,30 +64,23 @@ fn journal_replay_reconstructs_full_banking_state() {
     admin.cancel_transfer(ADMIN, txid).unwrap();
     admin.close_account(ADMIN, &c, Some(a)).unwrap();
 
-    // "Crash": serialize the journal, reload into a fresh database.
-    let journal: Vec<JournalEntry> = db
-        .journal_snapshot()
-        .iter()
-        .map(|entry| JournalEntry::from_bytes(&entry.to_bytes()).unwrap())
-        .collect();
-    let rebuilt = Database::replay(1, 1, &journal);
+    // "Crash": only the store survives; reopen it.
+    let histories = |db: &Database| {
+        [a, b].map(|id| {
+            (db.transactions_in_range(&id, 0, u64::MAX), db.transfers_in_range(&id, 0, u64::MAX))
+        })
+    };
+    let (all, funds, history) = (db.all_accounts(), db.total_funds(), histories(&db));
+    drop((accounts, admin, guarantee, db));
+    let rebuilt = Database::open(1, 1, store).unwrap().0;
 
     // Account state identical.
-    assert_eq!(rebuilt.all_accounts(), db.all_accounts());
-    assert_eq!(rebuilt.total_funds(), db.total_funds());
+    assert_eq!(rebuilt.all_accounts(), all);
+    assert_eq!(rebuilt.total_funds(), funds);
     assert_eq!(rebuilt.account_count(), 2);
 
     // Histories identical for surviving accounts.
-    for id in [a, b] {
-        assert_eq!(
-            rebuilt.transactions_in_range(&id, 0, u64::MAX),
-            db.transactions_in_range(&id, 0, u64::MAX)
-        );
-        assert_eq!(
-            rebuilt.transfers_in_range(&id, 0, u64::MAX),
-            db.transfers_in_range(&id, 0, u64::MAX)
-        );
-    }
+    assert_eq!(histories(&rebuilt), history);
 
     // The rebuilt database keeps working: new ids don't collide, new
     // operations succeed.
@@ -78,29 +94,47 @@ fn journal_replay_reconstructs_full_banking_state() {
 
 #[test]
 fn journal_prefix_replays_to_a_consistent_earlier_state() {
-    // Replaying any prefix of the journal produces a self-consistent
-    // bank (never negative locks, conservation within the prefix's
-    // deposits/withdrawals) — i.e. the WAL is crash-consistent at every
-    // boundary, not just the end.
-    let db = Arc::new(Database::new(1, 1));
+    // Crash after every acknowledged operation: the store directory is
+    // copied as each operation returns, and every copy must reopen to
+    // exactly what the live bank held at that moment (never negative
+    // locks, never past a credit limit) — the store is crash-consistent
+    // at every acknowledged boundary, not just the end. (Cuts *inside* a
+    // batch are tests/storage_recovery.rs's torn-tail cases.)
+    let store = StoreConfig::scratch("crash-prefix");
+    let db = Arc::new(Database::open(1, 1, store.clone()).unwrap().0);
     let accounts = GbAccounts::new(db.clone(), Clock::new());
     let admin = GbAdmin::new(accounts.clone(), [ADMIN.to_string()]);
+    let mut cuts = Vec::new();
+    let mut crash_here = || {
+        let copy = StoreConfig::scratch("crash-cut");
+        copy_store(&store.dir, &copy.dir);
+        cuts.push((copy, db.total_funds(), db.all_accounts()));
+    };
     let a = accounts.create_account("/CN=a", None).unwrap();
+    crash_here();
     let b = accounts.create_account("/CN=b", None).unwrap();
+    crash_here();
     admin.deposit(ADMIN, &a, Credits::from_gd(40)).unwrap();
+    crash_here();
     for i in 0..10 {
         accounts.transfer(&a, &b, Credits::from_gd(1), vec![i]).unwrap();
+        crash_here();
         accounts.lock_funds(&a, Credits::from_gd(1)).unwrap();
+        crash_here();
         accounts.unlock_funds(&a, Credits::from_gd(1)).unwrap();
+        crash_here();
     }
 
-    let journal = db.journal_snapshot();
-    for cut in 0..=journal.len() {
-        let partial = Database::replay(1, 1, &journal[..cut]);
-        for record in partial.all_accounts() {
+    assert_eq!(cuts.len(), 33);
+    for (cut, (copy, funds, all)) in cuts.into_iter().enumerate() {
+        let reopened = Database::open(1, 1, copy.clone()).unwrap().0;
+        assert_eq!(reopened.total_funds(), funds, "cut {cut}: funds");
+        assert_eq!(reopened.all_accounts(), all, "cut {cut}: accounts");
+        for record in all {
             assert!(record.locked >= Credits::ZERO, "cut {cut}: negative lock");
             assert!(record.available >= -record.credit_limit, "cut {cut}: overdraft");
         }
+        let _ = std::fs::remove_dir_all(&copy.dir);
     }
 }
 
@@ -109,16 +143,16 @@ fn crash_between_apply_and_ack_keeps_the_retry_exactly_once() {
     // The client sends a keyed DirectTransfer; the bank applies it and
     // journals the idempotency stamp atomically with the transfer — and
     // then "crashes" before the response reaches the client. On the
-    // rebuilt bank, the client's retry (same key) must be answered from
-    // the replayed dedup cache: same transaction id, no second transfer,
+    // reopened bank, the client's retry (same key) must be answered from
+    // the recovered dedup cache: same transaction id, no second transfer,
     // and still exactly one journal entry for the key.
     use gridbank_suite::bank::api::{BankRequest, BankResponse};
-    use gridbank_suite::bank::db::JournalEntry;
     use gridbank_suite::bank::server::{GridBank, GridBankConfig};
     use gridbank_suite::crypto::cert::SubjectName;
 
     let config = || GridBankConfig { signer_height: 5, ..GridBankConfig::default() };
-    let bank = GridBank::new(config(), Clock::new());
+    let store = StoreConfig::scratch("crash-ack");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let alice = SubjectName::new("Org", "Unit", "alice");
     let bob = SubjectName::new("Org", "Unit", "bob");
     let operator = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
@@ -154,17 +188,18 @@ fn crash_between_apply_and_ack_keeps_the_retry_exactly_once() {
             .filter(|e| matches!(e, JournalEntry::Idem { key, .. } if *key == KEY))
             .count()
     };
-    let journal = bank.journal_snapshot();
-    assert_eq!(idem_entries(&journal), 1, "the apply journals exactly one stamp");
-
-    // Crash: only the journal survives. The response above never
-    // reached the client.
-    let rebuilt = GridBank::from_journal(config(), Clock::new(), &journal);
-    assert_eq!(rebuilt.total_funds(), bank.total_funds());
+    // Crash: only the store survives. The response above never reached
+    // the client.
+    let funds = bank.total_funds();
+    drop(bank);
+    assert_eq!(idem_entries(&journal_of(&store)), 1, "the apply journals exactly one stamp");
+    let (rebuilt, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
+    assert_eq!(rebuilt.total_funds(), funds);
 
     // The client retries with the same key and must get the same
-    // transaction back — the replayed stamp holds the placeholder
+    // transaction back — the recovered stamp holds the placeholder
     // confirmation committed atomically with the transfer.
+    let journal_len = rebuilt.accounts.db().journal_len();
     match rebuilt.handle_keyed(&alice, Some(KEY), request.clone()) {
         BankResponse::Confirmation { transaction_id } => {
             assert_eq!(transaction_id, original_txid)
@@ -172,7 +207,7 @@ fn crash_between_apply_and_ack_keeps_the_retry_exactly_once() {
         other => panic!("retry not deduplicated: {other:?}"),
     }
     assert_eq!(rebuilt.all_transfers().len(), 1, "no second transfer row");
-    assert_eq!(idem_entries(&rebuilt.journal_snapshot()), 1, "dedup hit journals nothing");
+    assert_eq!(rebuilt.accounts.db().journal_len(), journal_len, "dedup hit journals nothing");
     let alice_rec = rebuilt
         .all_accounts()
         .into_iter()
@@ -188,6 +223,8 @@ fn crash_between_apply_and_ack_keeps_the_retry_exactly_once() {
         other => panic!("fresh key refused: {other:?}"),
     }
     assert_eq!(rebuilt.all_transfers().len(), 2);
+    drop(rebuilt);
+    assert_eq!(idem_entries(&journal_of(&store)), 1, "still one stamp for the retried key");
 }
 
 #[test]
@@ -198,7 +235,7 @@ fn failed_group_commit_member_never_reaches_the_journal() {
     // rows never reach the journal, while the concurrent successful
     // members commit normally — and the post-crash bank agrees.
     use gridbank_suite::bank::api::{BankRequest, BankResponse};
-    use gridbank_suite::bank::db::{GroupCommitConfig, JournalEntry};
+    use gridbank_suite::bank::db::GroupCommitConfig;
     use gridbank_suite::bank::server::{GridBank, GridBankConfig};
     use gridbank_suite::crypto::cert::SubjectName;
 
@@ -209,7 +246,8 @@ fn failed_group_commit_member_never_reaches_the_journal() {
         group_commit: GroupCommitConfig { max_batch: 16, max_delay_micros: 2_000 },
         ..GridBankConfig::default()
     };
-    let bank = GridBank::new(config(), Clock::new());
+    let store = StoreConfig::scratch("crash-group");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let operator = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
 
     let subjects: Vec<SubjectName> =
@@ -250,7 +288,9 @@ fn failed_group_commit_member_never_reaches_the_journal() {
         });
     });
 
-    let journal = bank.journal_snapshot();
+    let (all, funds) = (bank.all_accounts(), bank.total_funds());
+    drop(bank);
+    let journal = journal_of(&store);
     let broke_deposits: Vec<_> = journal
         .iter()
         .filter(|e| matches!(e, JournalEntry::Update(r) if r.id == broke_account))
@@ -261,12 +301,12 @@ fn failed_group_commit_member_never_reaches_the_journal() {
         "failed member must not consume its idempotency key"
     );
 
-    // Crash and replay: the rebuilt bank matches the live one, the four
+    // Crash and reopen: the rebuilt bank matches the live one, the four
     // successful transfers survived, and the failed member's retry (same
     // key) applies cleanly once funded.
-    let rebuilt = GridBank::from_journal(config(), Clock::new(), &journal);
-    assert_eq!(rebuilt.all_accounts(), bank.all_accounts());
-    assert_eq!(rebuilt.total_funds(), bank.total_funds());
+    let (rebuilt, _) = GridBank::open_durable(config(), Clock::new(), store).unwrap();
+    assert_eq!(rebuilt.all_accounts(), all);
+    assert_eq!(rebuilt.total_funds(), funds);
     assert_eq!(rebuilt.all_transfers().len(), 4);
     rebuilt.handle(
         &operator,
@@ -288,7 +328,7 @@ fn failed_group_commit_member_never_reaches_the_journal() {
 fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     // A cross-branch payment parks the amount in the drawer branch's
     // clearing account and journals a pending IbCredit. If the branch
-    // crashes before the peer acknowledges, replay must (1) rediscover
+    // crashes before the peer acknowledges, recovery must (1) rediscover
     // the existing Clearing/CN=branch-A-vs-B account instead of lazily
     // creating a duplicate, and (2) rebuild the pending credit so the
     // re-ship delivers it exactly once.
@@ -328,7 +368,9 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     let config =
         |branch: u16| GridBankConfig { branch, signer_height: 6, ..GridBankConfig::default() };
     let clock = Clock::new();
-    let home = Arc::new(GridBank::new(config(1), clock.clone()));
+    let store = StoreConfig::scratch("crash-ib");
+    let reopen = || GridBank::open_durable(config(1), Clock::new(), store.clone()).unwrap().0;
+    let home = Arc::new(GridBank::open_durable(config(1), clock.clone(), store.clone()).unwrap().0);
     let remote = Arc::new(GridBank::new(config(2), clock.clone()));
     let home_router = FederationRouter::install(&home);
     let remote_router = FederationRouter::install(&remote);
@@ -374,9 +416,9 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     assert_eq!(home.accounts.db().ib_pending_snapshot().len(), 1);
     let accounts_before = home.accounts.db().account_count();
 
-    // Crash the home branch: only the journal survives.
-    let journal = home.journal_snapshot();
-    let rebuilt = Arc::new(GridBank::from_journal(config(1), Clock::new(), &journal));
+    // Crash the home branch: only its store survives (the dead bank
+    // lingers in the mesh's `Arc` cycle, as a killed process's files do).
+    let rebuilt = Arc::new(reopen());
     let rebuilt_router = FederationRouter::install(&rebuilt);
     rebuilt_router.add_peer(2, direct_peer(&remote, 1));
 
@@ -386,7 +428,7 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     assert_eq!(rebuilt.accounts.db().account_count(), accounts_before);
     assert_eq!(rebuilt_router.clearing_balance(2), Credits::from_gd(20));
 
-    // The pending credit survived replay and re-ships exactly once.
+    // The pending credit survived the crash and re-ships exactly once.
     assert_eq!(rebuilt.accounts.db().ib_pending_snapshot().len(), 1);
     assert_eq!(rebuilt_router.ship_pending(), 1);
     assert!(rebuilt.accounts.db().ib_pending_snapshot().is_empty());
@@ -405,14 +447,13 @@ fn replay_rediscovers_clearing_accounts_and_reships_pending_credits() {
     assert_eq!(rebuilt_router.ship_pending(), 0);
     assert_eq!(bob_balance(), Credits::from_gd(20));
 
-    // And a crash *after* the ack replays to an empty pending set.
-    let rebuilt2 = GridBank::from_journal(config(1), Clock::new(), &rebuilt.journal_snapshot());
-    assert!(rebuilt2.accounts.db().ib_pending_snapshot().is_empty());
+    // And a crash *after* the ack recovers to an empty pending set.
+    assert!(reopen().accounts.db().ib_pending_snapshot().is_empty());
 }
 
 #[test]
 fn empty_and_corrupt_journals_are_handled() {
-    let empty = Database::replay(1, 1, &[]);
+    let empty = Database::open(1, 1, StoreConfig::scratch("crash-empty")).unwrap().0;
     assert_eq!(empty.account_count(), 0);
     assert_eq!(empty.total_funds(), Credits::ZERO);
 

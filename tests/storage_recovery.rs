@@ -24,21 +24,8 @@ use gridbank_suite::bank::BankError;
 use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::rur::Credits;
 
-/// A fresh per-test store directory under the system temp dir.
-fn test_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gridbank-store-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn config() -> GridBankConfig {
     GridBankConfig { signer_height: 5, ..GridBankConfig::default() }
-}
-
-/// Tests snapshot manually; `snapshot_every: u64::MAX` keeps the
-/// server-driven incremental checkpointer out of the way.
-fn store_config(dir: &Path) -> StoreConfig {
-    StoreConfig { snapshot_every: u64::MAX, ..StoreConfig::at(dir).no_fsync() }
 }
 
 fn open_account(bank: &GridBank, s: &SubjectName) -> gridbank_suite::bank::AccountId {
@@ -64,10 +51,12 @@ fn balance_of(bank: &GridBank, id: gridbank_suite::bank::AccountId) -> Credits {
     bank.all_accounts().into_iter().find(|r| r.id == id).expect("account exists").available
 }
 
-/// The newest segment file in each shard directory that holds any
-/// record bytes past its header, paired with its byte length.
-fn newest_segments(dir: &Path) -> Vec<(PathBuf, u64)> {
-    let mut out = Vec::new();
+/// Tears the tail: cuts a few bytes off the newest segment file in each
+/// shard directory that holds any record bytes past its header. Each
+/// cut lands inside that file's final frame, exactly like an
+/// interrupted write. Returns how many files were cut.
+fn tear_newest_segments(dir: &Path) -> usize {
+    let mut torn = 0;
     for shard in 0..64u32 {
         let sdir = dir.join(format!("shard-{shard:02}"));
         let Ok(entries) = std::fs::read_dir(&sdir) else { continue };
@@ -77,21 +66,21 @@ fn newest_segments(dir: &Path) -> Vec<(PathBuf, u64)> {
             .filter(|p| p.extension().is_some_and(|x| x == "gbj"))
             .collect();
         segs.sort();
-        if let Some(seg) = segs.pop() {
-            let len = std::fs::metadata(&seg).map(|m| m.len()).unwrap_or(0);
-            if len > 20 {
-                out.push((seg, len));
-            }
+        let Some(seg) = segs.pop() else { continue };
+        let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+        let len = f.metadata().unwrap().len();
+        if len > 20 {
+            f.set_len(len - 3).unwrap();
+            torn += 1;
         }
     }
-    out
+    torn
 }
 
 #[test]
 fn restart_replays_only_the_journal_tail() {
-    let dir = test_dir("tail-only");
-    let (bank, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let store = StoreConfig::scratch("tail-only");
+    let (bank, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(report.tail_entries_replayed, 0, "fresh store replays nothing");
 
     let alice = SubjectName::new("Org", "Unit", "alice");
@@ -138,11 +127,10 @@ fn restart_replays_only_the_journal_tail() {
 
     // The offline inspector and the recovery report must agree: only
     // the tail past the snapshots is replayed, not the full history.
-    let inspection = store::inspect(&dir).unwrap();
+    let inspection = store::inspect(&store.dir).unwrap();
     assert_eq!(inspection.tail_entries(), tail_entries, "inspector sees the tail");
 
-    let (rebuilt, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(report.tail_entries_replayed, tail_entries, "tail-only replay");
     assert_eq!(report.snapshots_loaded, report.shards, "every shard restored from snapshot");
     assert_eq!(report.torn_tails, 0);
@@ -168,8 +156,8 @@ fn restart_replays_only_the_journal_tail() {
 
 #[test]
 fn kill_mid_snapshot_falls_back_one_generation() {
-    let dir = test_dir("mid-snapshot");
-    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let store = StoreConfig::scratch("mid-snapshot");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let alice = SubjectName::new("Org", "Unit", "alice");
     let bob = SubjectName::new("Org", "Unit", "bob");
     let a = open_account(&bank, &alice);
@@ -202,7 +190,7 @@ fn kill_mid_snapshot_falls_back_one_generation() {
     // every shard's newest snapshot and leave a stray tmp file behind.
     let mut damaged = 0;
     for shard in 0..64u32 {
-        let sdir = dir.join(format!("shard-{shard:02}"));
+        let sdir = store.dir.join(format!("shard-{shard:02}"));
         let Ok(entries) = std::fs::read_dir(&sdir) else { continue };
         let mut snaps: Vec<PathBuf> = entries
             .filter_map(|e| e.ok())
@@ -221,8 +209,7 @@ fn kill_mid_snapshot_falls_back_one_generation() {
     }
     assert!(damaged > 0, "test must damage at least one snapshot");
 
-    let (rebuilt, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(report.snapshots_skipped, damaged, "corrupt generation skipped per shard");
     assert_eq!(report.snapshots_loaded, report.shards, "older generation restored everywhere");
     assert_eq!(rebuilt.accounts.db().state_digest(), digest, "no state lost");
@@ -238,8 +225,8 @@ fn kill_mid_compaction_before_deletion_recovers_cleanly() {
     // segments. A crash between the two steps leaves a marker that
     // promises less than the files deliver — which is harmless, and the
     // next recovery must treat it that way.
-    let dir = test_dir("mid-compaction");
-    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let store = StoreConfig::scratch("mid-compaction");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let alice = SubjectName::new("Org", "Unit", "alice");
     let a = open_account(&bank, &alice);
     deposit(&bank, a, 25);
@@ -251,13 +238,13 @@ fn kill_mid_compaction_before_deletion_recovers_cleanly() {
 
     // Hand-craft the crash state: a valid marker at the snapshot's
     // through-LSN in every snapshotted shard, all segments still there.
-    let inspection = store::inspect(&dir).unwrap();
+    let inspection = store::inspect(&store.dir).unwrap();
     let mut marked = 0;
     for (shard, inv) in inspection.shards.iter().enumerate() {
         if inv.snapshot_lsn == 0 {
             continue;
         }
-        let sdir = dir.join(format!("shard-{shard:02}"));
+        let sdir = store.dir.join(format!("shard-{shard:02}"));
         let mut body = Vec::new();
         body.extend_from_slice(&0x4742_4354u32.to_be_bytes()); // "GBCT"
         body.extend_from_slice(&store::FORMAT_VERSION.to_be_bytes());
@@ -269,8 +256,7 @@ fn kill_mid_compaction_before_deletion_recovers_cleanly() {
     }
     assert!(marked > 0);
 
-    let (rebuilt, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert!(report.tail_entries_replayed > 0, "post-snapshot deposit replays");
     assert_eq!(rebuilt.accounts.db().state_digest(), digest);
     assert_eq!(rebuilt.total_funds(), funds);
@@ -281,15 +267,15 @@ fn compaction_marker_past_every_snapshot_fails_loudly() {
     // The converse crash shape — the journal prefix is gone (marker
     // says so) but no retained snapshot covers it — must refuse to
     // serve rather than silently lose history.
-    let dir = test_dir("marker-gap");
-    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let store = StoreConfig::scratch("marker-gap");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let alice = SubjectName::new("Org", "Unit", "alice");
     let a = open_account(&bank, &alice);
     deposit(&bank, a, 10);
     bank.accounts.db().checkpoint().unwrap();
     drop(bank);
 
-    let sdir = dir.join("shard-00");
+    let sdir = store.dir.join("shard-00");
     let mut body = Vec::new();
     body.extend_from_slice(&0x4742_4354u32.to_be_bytes());
     body.extend_from_slice(&store::FORMAT_VERSION.to_be_bytes());
@@ -298,7 +284,7 @@ fn compaction_marker_past_every_snapshot_fails_loudly() {
     body.extend_from_slice(&check.to_le_bytes());
     std::fs::write(sdir.join("COMPACTED"), body).unwrap();
 
-    match GridBank::open_durable(config(), Clock::new(), store_config(&dir)) {
+    match GridBank::open_durable(config(), Clock::new(), store.clone()) {
         Err(BankError::Storage(why)) => {
             assert!(why.contains("compacted"), "unexpected message: {why}")
         }
@@ -313,8 +299,8 @@ fn torn_segment_tail_drops_the_whole_final_batch() {
     // write a power cut leaves behind. The final commit batch (a
     // multi-shard transfer) must disappear *atomically*: both sides of
     // the transfer gone, never one.
-    let dir = test_dir("torn-tail");
-    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let store = StoreConfig::scratch("torn-tail");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let alice = SubjectName::new("Org", "Unit", "alice");
     let bob = SubjectName::new("Org", "Unit", "bob");
     let a = open_account(&bank, &alice);
@@ -336,22 +322,11 @@ fn torn_segment_tail_drops_the_whole_final_batch() {
     assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
     drop(bank);
 
-    // Tear the tail: cut a few bytes off every shard's newest segment
-    // that grew past the snapshot cut. Each cut lands inside that
-    // file's final frame, exactly like an interrupted write.
-    let torn: Vec<_> = newest_segments(&dir)
-        .into_iter()
-        .map(|(seg, len)| {
-            let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-            f.set_len(len - 3).unwrap();
-            seg
-        })
-        .collect();
-    assert!(!torn.is_empty(), "the transfer must have reached at least one segment");
+    let torn = tear_newest_segments(&store.dir);
+    assert!(torn > 0, "the transfer must have reached at least one segment");
 
-    let (rebuilt, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
-    assert_eq!(report.torn_tails, torn.len(), "each cut is a tolerated torn tail");
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
+    assert_eq!(report.torn_tails, torn, "each cut is a tolerated torn tail");
     assert!(
         report.torn_batch_entries_dropped > 0,
         "the incomplete final batch is dropped, not half-applied"
@@ -380,11 +355,31 @@ fn torn_segment_tail_drops_the_whole_final_batch() {
 
     // Recovery repaired the torn files (truncated the dead suffix), so
     // a third open replays a clean log: no torn tails, same state.
-    let (again, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (again, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(report.torn_tails, 0, "repair made recovery idempotent");
     assert_eq!(report.torn_batch_entries_dropped, 0);
     assert_eq!(balance_of(&again, b), Credits::from_gd(30));
+}
+
+#[test]
+fn torn_deposit_disappears_whole() {
+    // A deposit's balance update and the §5.1 TRANSACTION RECORD that
+    // evidences it are one commit batch: a write torn inside it takes
+    // both — never money credited with no row to show for it.
+    let store = StoreConfig::scratch("torn-deposit");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
+    let a = open_account(&bank, &SubjectName::new("Org", "Unit", "alice"));
+    deposit(&bank, a, 100);
+    bank.accounts.db().checkpoint().unwrap();
+    let digest_before_deposit = bank.accounts.db().state_digest();
+    deposit(&bank, a, 5);
+    drop(bank);
+
+    assert!(tear_newest_segments(&store.dir) > 0);
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store).unwrap();
+    assert!(report.torn_batch_entries_dropped > 0, "the update goes with its torn row");
+    assert_eq!(rebuilt.accounts.db().state_digest(), digest_before_deposit);
+    assert_eq!(balance_of(&rebuilt, a), Credits::from_gd(100));
 }
 
 #[test]
@@ -406,12 +401,11 @@ fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
         }
     }
 
-    let dir = test_dir("ib-credit");
+    let store = StoreConfig::scratch("ib-credit");
     let branch_config =
         |branch: u16| GridBankConfig { branch, signer_height: 5, ..GridBankConfig::default() };
     let clock = Clock::new();
-    let (home, _) =
-        GridBank::open_durable(branch_config(1), clock.clone(), store_config(&dir)).unwrap();
+    let (home, _) = GridBank::open_durable(branch_config(1), clock.clone(), store.clone()).unwrap();
     let home = Arc::new(home);
     let remote = Arc::new(GridBank::new(branch_config(2), clock.clone()));
     let home_router = FederationRouter::install(&home);
@@ -442,7 +436,7 @@ fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
 
     // Restart from disk: the pending credit must still be owed.
     let (rebuilt, _) =
-        GridBank::open_durable(branch_config(1), Clock::new(), store_config(&dir)).unwrap();
+        GridBank::open_durable(branch_config(1), Clock::new(), store.clone()).unwrap();
     let rebuilt = Arc::new(rebuilt);
     assert_eq!(rebuilt.accounts.db().ib_pending_snapshot().len(), 1, "pending survived the kill");
     let router = FederationRouter::install(&rebuilt);
@@ -454,8 +448,7 @@ fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
     drop(rebuilt);
 
     // And the ack is durable too: a second restart owes nothing.
-    let (again, _) =
-        GridBank::open_durable(branch_config(1), Clock::new(), store_config(&dir)).unwrap();
+    let (again, _) = GridBank::open_durable(branch_config(1), Clock::new(), store.clone()).unwrap();
     assert!(again.accounts.db().ib_pending_snapshot().is_empty());
     assert_eq!(balance_of(&remote, bob_account), Credits::from_gd(15));
 }
@@ -465,11 +458,11 @@ fn incremental_checkpoints_bound_the_tail_under_live_traffic() {
     // With a small `snapshot_every`, the server's own post-dispatch
     // checkpointing keeps each shard's replay tail bounded without any
     // explicit checkpoint call.
-    let dir = test_dir("incremental");
+    let scratch = StoreConfig::scratch("incremental");
     let store = StoreConfig {
         snapshot_every: 8,
         segment_bytes: 4096, // force rotation too
-        ..StoreConfig::at(&dir).no_fsync()
+        ..scratch.clone()
     };
     // signer_height 9 = 512 one-time signatures, enough for 200 signed
     // transfer confirmations.
@@ -496,8 +489,7 @@ fn incremental_checkpoints_bound_the_tail_under_live_traffic() {
     let digest = bank.accounts.db().state_digest();
     drop(bank);
 
-    let (rebuilt, report) =
-        GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), scratch).unwrap();
     assert!(report.snapshots_loaded > 0, "the server checkpointed on its own");
     assert!(
         report.tail_entries_replayed < total_entries / 2,
@@ -522,11 +514,11 @@ fn incremental_checkpoints_bound_the_tail_under_live_traffic() {
 fn bounded_recovery_at_one_million_accounts() {
     use gridbank_suite::bank::db::{AccountId, AccountRecord, Database};
 
-    let dir = test_dir("million");
+    let store = StoreConfig::scratch("million");
     const ACCOUNTS: u32 = 1_000_000;
     const TAIL: u32 = 2_000;
 
-    let (db, _) = Database::open(1, 1, store_config(&dir)).unwrap();
+    let (db, _) = Database::open(1, 1, store.clone()).unwrap();
     let populate_started = std::time::Instant::now();
     for n in 1..=ACCOUNTS {
         db.insert_account(AccountRecord {
@@ -565,7 +557,7 @@ fn bounded_recovery_at_one_million_accounts() {
     let funds = db.total_funds();
     drop(db);
 
-    let (rebuilt, report) = Database::open(1, 1, store_config(&dir)).unwrap();
+    let (rebuilt, report) = Database::open(1, 1, store.clone()).unwrap();
     println!(
         "recovery: {} accounts, {} tail entries replayed, {} segments, {} ms",
         report.accounts, report.tail_entries_replayed, report.segments_scanned, report.elapsed_ms
@@ -573,7 +565,7 @@ fn bounded_recovery_at_one_million_accounts() {
     assert_eq!(report.accounts, (ACCOUNTS + TAIL) as usize);
     assert_eq!(report.tail_entries_replayed, TAIL as usize, "tail-only, even at 1M accounts");
     assert_eq!(rebuilt.total_funds(), funds);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&store.dir);
 }
 
 #[test]
@@ -583,9 +575,9 @@ fn staggered_snapshots_keep_the_newest_idempotency_keys() {
     // were recorded — not by where they sat in the FIFO of whichever
     // snapshot carried them — or stale stamps from an early snapshot
     // push out recent ones from a late one and a retry charges twice.
-    let dir = test_dir("idem-staggered");
+    let store = StoreConfig::scratch("idem-staggered");
     let config = || GridBankConfig { signer_height: 7, idem_capacity: 8, ..config() };
-    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
 
     let payee = open_account(&bank, &SubjectName::new("Org", "Unit", "payee"));
     let payers: Vec<SubjectName> =
@@ -624,7 +616,7 @@ fn staggered_snapshots_keep_the_newest_idempotency_keys() {
     let digest = db.state_digest();
     drop(bank);
 
-    let (reopened, _) = GridBank::open_durable(config(), Clock::new(), store_config(&dir)).unwrap();
+    let (reopened, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(reopened.accounts.db().state_digest(), digest, "same stamps remembered");
     (29..=36u64).for_each(|key| pay(&reopened, key));
     assert_eq!(balance_of(&reopened, payee), Credits::from_gd(36), "a remembered key re-applied");
