@@ -655,10 +655,11 @@ fn run_top(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `gridbank store --dir PATH` — read-only inventory of a sharded
-/// durable store directory (docs/STORAGE.md): per-shard segments,
-/// snapshot generations, the journal tail a restart would replay, and
-/// torn-tail/compaction state. Never opens the store for writing.
+/// `gridbank store --dir PATH` — read-only inventory of a durable store
+/// directory (docs/STORAGE.md): the log's segments, compaction and
+/// torn-tail state, then per shard the snapshot generations and the
+/// journal tail a restart would replay. Never opens the store for
+/// writing.
 fn run_store(args: &Args) -> Result<String, String> {
     use std::fmt::Write as _;
 
@@ -674,29 +675,20 @@ fn run_store(args: &Args) -> Result<String, String> {
         inv.manifest.branch,
         inv.manifest.shards,
     );
+    let _ = writeln!(out, "log segments       {:>12}", inv.segments);
+    let _ = writeln!(out, "log bytes          {:>12}", inv.segment_bytes);
+    let _ = writeln!(out, "compacted through  {:>12}", inv.compacted_through);
+    let _ = writeln!(out, "torn tail          {:>12}", if inv.torn_tail { "YES" } else { "no" });
     let _ = writeln!(
         out,
-        "{:<6} {:>8} {:>12} {:>6} {:>14} {:>10} {:>6}  flags",
-        "shard", "segments", "seg bytes", "snaps", "snapshot lsn", "accounts", "tail"
+        "{:<6} {:>6} {:>14} {:>12} {:>10} {:>6}",
+        "shard", "snaps", "snapshot lsn", "snap bytes", "accounts", "tail"
     );
     for (shard, s) in inv.shards.iter().enumerate() {
-        let mut flags = Vec::new();
-        if s.torn_tail {
-            flags.push("TORN-TAIL".to_string());
-        }
-        if s.compacted_through != 0 {
-            flags.push(format!("compacted≤{}", s.compacted_through));
-        }
         let _ = writeln!(
             out,
-            "{shard:<6} {:>8} {:>12} {:>6} {:>14} {:>10} {:>6}  {}",
-            s.segments,
-            s.segment_bytes,
-            s.snapshots,
-            s.snapshot_lsn,
-            s.snapshot_accounts,
-            s.tail_entries,
-            flags.join(" "),
+            "{shard:<6} {:>6} {:>14} {:>12} {:>10} {:>6}",
+            s.snapshots, s.snapshot_lsn, s.snapshot_bytes, s.snapshot_accounts, s.tail_entries,
         );
     }
     let _ = write!(
@@ -1087,7 +1079,10 @@ mod tests {
         drop(db);
 
         let out = run(&args(&["store", "--dir", dir.to_str().unwrap()])).unwrap();
-        assert!(out.contains("format v2"), "{out}");
+        assert!(out.contains("format v3"), "{out}");
+        // One segment closed by the checkpoint, one holding the tail.
+        assert!(out.contains("log segments                  2\n"), "{out}");
+        assert!(out.contains("torn tail                    no\n"), "{out}");
         assert!(out.contains("12 accounts snapshotted"), "{out}");
         assert!(out.contains("2 tail entries to replay"), "{out}");
 

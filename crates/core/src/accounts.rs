@@ -110,25 +110,11 @@ impl GbAccounts {
     /// OrganizationName can be modified." Balances, currency, limits and
     /// the id in the submitted record are ignored.
     pub fn update_details(&self, submitted: &AccountRecord) -> Result<(), BankError> {
-        // Cert renames must keep the index unique.
-        let current = self.db.get_account(&submitted.id)?;
-        if submitted.certificate_name != current.certificate_name {
-            if self.db.subject_known(&submitted.certificate_name) {
-                return Err(BankError::DuplicateAccount(submitted.certificate_name.clone()));
-            }
-            // Re-create the binding: remove + insert keeps the index
-            // coherent under the account lock.
-            let mut renamed = current.clone();
-            self.db.remove_account(&current.id)?;
-            renamed.certificate_name = submitted.certificate_name.clone();
-            renamed.organization = submitted.organization.clone();
-            self.db.insert_account(renamed)?;
-            return Ok(());
-        }
-        self.db.with_account_mut(&submitted.id, |r| {
-            r.organization = submitted.organization.clone();
-            Ok(())
-        })
+        self.db.rename_account(
+            &submitted.id,
+            &submitted.certificate_name,
+            submitted.organization.clone(),
+        )
     }
 
     /// Request Account Statement (§5.2).
@@ -538,6 +524,35 @@ mod tests {
         // No partial effects.
         assert_eq!(acc.account_details(&a).unwrap().available, Credits::from_gd(100));
         assert_eq!(acc.account_details(&b).unwrap().available, Credits::ZERO);
+    }
+
+    #[test]
+    fn a_failed_payment_leaves_the_payer_untouched() {
+        // `AdminDeposit` takes any amount off the wire, so a payee can
+        // sit at the top of the range: crediting it overflows *after*
+        // the closure debited the payer.
+        let (acc, a, b) = setup();
+        acc.db()
+            .with_account_mut(&b, |r| {
+                r.available = Credits::MAX;
+                Ok(())
+            })
+            .unwrap();
+        let (payer, digest) = (acc.account_details(&a).unwrap(), acc.db().state_digest());
+        assert!(acc.transfer(&a, &b, Credits::from_gd(1), vec![]).is_err());
+        assert_eq!(acc.account_details(&a).unwrap(), payer, "the payer was debited for nothing");
+        assert_eq!(acc.db().state_digest(), digest);
+
+        // The same shape in one account: `locked` overflows after
+        // `available` was reduced.
+        acc.db()
+            .with_account_mut(&a, |r| {
+                r.locked = Credits::MAX;
+                Ok(())
+            })
+            .unwrap();
+        assert!(acc.lock_funds(&a, Credits::from_gd(1)).is_err());
+        assert_eq!(acc.account_details(&a).unwrap().available, Credits::from_gd(100));
     }
 
     #[test]

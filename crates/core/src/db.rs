@@ -36,7 +36,7 @@ use gridbank_rur::Credits;
 use crate::error::BankError;
 
 /// Number of account shards; a power of two so masking works. The
-/// on-disk layout ([`crate::store`]) mirrors this: one segment/snapshot
+/// on-disk layout ([`crate::store`]) mirrors this: one snapshot
 /// directory per shard, recorded in the store `MANIFEST`.
 pub(crate) const SHARDS: usize = 16;
 
@@ -59,10 +59,11 @@ pub(crate) fn key_shard(key: u64) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (SHARDS - 1)
 }
 
-/// The one shard a journal entry is durably routed to. Account-state
-/// entries follow the account; audit rows follow the posted/drawer
-/// account; stamps and credits follow their hash. Total (every entry has
-/// exactly one home), so sharded recovery reassembles the full journal.
+/// The one shard a journal entry is routed to — whose snapshot covers
+/// it and whose tail it counts toward. Account-state entries follow the
+/// account; audit rows follow the posted/drawer account; stamps and
+/// credits follow their hash. Total (every entry has exactly one home),
+/// so the sixteen snapshots plus the log tail are the full state.
 pub(crate) fn entry_shard(entry: &JournalEntry) -> usize {
     match entry {
         JournalEntry::Create(r) | JournalEntry::Update(r) => account_shard(&r.id),
@@ -534,37 +535,50 @@ impl CommitQueue {
     }
 }
 
-/// The write-ahead journal: the on-disk segment log
+/// What the journal lock guards: whatever an append writes to.
+#[derive(Default)]
+struct Appended {
+    /// Entries appended so far in memory mode (a durable journal reads
+    /// its log's last LSN instead).
+    entries: u64,
+    /// The durable log's active segment (unused in memory mode).
+    head: crate::store::LogHead,
+}
+
+/// The write-ahead journal: the on-disk log
 /// ([`crate::store::DiskLog`]) in durable mode; in memory mode nothing
 /// but a count — a bank that persists nothing has nothing to read back,
 /// so it retains no entry.
 ///
-/// Every append holds the `appended` lock across the disk write, so LSN
-/// order on disk always equals commit order — the property that lets
-/// sharded recovery reassemble the exact commit interleaving.
+/// Every append holds the `appended` lock across the disk write: it is
+/// the log's one writer lock. A commit is one frame in one file and
+/// frames land in LSN order, so LSN order, file order and commit order
+/// are one order and there is no second file an unlocked append could
+/// write in parallel; sharing the `fdatasync` is the group-commit
+/// queue's job (EXPERIMENTS.md E24).
 pub(crate) struct JournalStore {
-    /// Entries appended so far in memory mode (a durable journal reads
-    /// its log's last LSN instead). In both modes the LSN-order and
-    /// snapshot-cut lock.
-    appended: OrderedMutex<u64>,
+    /// The LSN-order and snapshot-cut lock.
+    appended: OrderedMutex<Appended>,
     disk: Option<crate::store::DiskLog>,
 }
 
 impl JournalStore {
     /// A memory-only journal (the non-durable default).
     fn memory() -> Self {
-        JournalStore { appended: OrderedMutex::new(rank::JOURNAL, 0, "journal", 0), disk: None }
+        JournalStore {
+            appended: OrderedMutex::new(rank::JOURNAL, 0, "journal", Appended::default()),
+            disk: None,
+        }
     }
 
     /// Appends one batch under the `appended` lock. A durable journal
-    /// writes the segment (LSN assignment + fsync); a memory journal
-    /// counts the batch and drops it. Serialized, so batches stay
-    /// contiguous on disk.
+    /// writes it as one frame (LSN assignment + fsync); a memory journal
+    /// counts the batch and drops it.
     fn append(&self, entries: Vec<JournalEntry>) {
         let mut appended = self.appended.lock();
         match &self.disk {
-            Some(disk) => disk.append(&entries),
-            None => *appended = appended.saturating_add(entries.len() as u64),
+            Some(disk) => disk.append(&mut appended.head, &entries),
+            None => appended.entries = appended.entries.saturating_add(entries.len() as u64),
         }
     }
 }
@@ -635,8 +649,8 @@ impl Database {
     /// Opens (or creates) a durable database at `cfg.dir` and recovers
     /// its state: newest valid snapshot per shard + replay of only the
     /// journal tail past it (docs/STORAGE.md §5). All subsequent commits
-    /// are written through to sharded segment files via the group-commit
-    /// queue. Recovered idempotency stamps are all kept until the caller
+    /// are written through to the log via the group-commit queue.
+    /// Recovered idempotency stamps are all kept until the caller
     /// sets the bound ([`Database::set_idem_capacity`]).
     pub fn open(
         bank: u16,
@@ -675,8 +689,7 @@ impl Database {
                 cache.insert_at(s.order, &s.cert, s.key, s.response.clone());
             }
         }
-        // Replay the merged tail in global LSN order — the original
-        // commit interleaving.
+        // Replay the tail in LSN order — the original commit order.
         for (_lsn, entry) in &state.tail {
             db.apply_entry(entry, &mut max_account, &mut max_tx);
         }
@@ -807,16 +820,55 @@ impl Database {
     }
 
     /// Inserts a brand-new account record. Fails if the certificate name
-    /// is already bound (one account per identity per branch).
+    /// is already bound (one account per identity per branch). `Create`
+    /// is journaled under the account's shard lock, like every commit: a
+    /// payment can find the account only once its `Update` is sure to
+    /// follow the `Create` in the journal.
     pub fn insert_account(&self, record: AccountRecord) -> Result<(), BankError> {
+        let mut shard = self.shards[self.shard_of(&record.id)].write();
         let mut idx = self.by_cert.write();
         if idx.contains_key(&record.certificate_name) {
             return Err(BankError::DuplicateAccount(record.certificate_name.clone()));
         }
         idx.insert(record.certificate_name.clone(), record.id);
         drop(idx);
-        self.shards[self.shard_of(&record.id)].write().insert(record.id, record.clone());
+        shard.insert(record.id, record.clone());
         self.journal.append(vec![JournalEntry::Create(record)]);
+        drop(shard);
+        Ok(())
+    }
+
+    /// Rebinds an account to `certificate_name` and `organization` —
+    /// record, certificate index and journal in one step under the
+    /// account's shard lock, so no payment can land between them. A new
+    /// name is journaled as `[Remove, Create]` in one batch (replay moves
+    /// the index entry with it); an unchanged one as an `Update`.
+    pub fn rename_account(
+        &self,
+        id: &AccountId,
+        certificate_name: &str,
+        organization: Option<String>,
+    ) -> Result<(), BankError> {
+        let mut shard = self.shards[self.shard_of(id)].write();
+        let record = shard.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
+        let renamed = record.certificate_name != certificate_name;
+        if renamed {
+            let mut idx = self.by_cert.write();
+            if idx.contains_key(certificate_name) {
+                return Err(BankError::DuplicateAccount(certificate_name.to_string()));
+            }
+            idx.remove(&record.certificate_name);
+            idx.insert(certificate_name.to_string(), *id);
+            record.certificate_name = certificate_name.to_string();
+        }
+        record.organization = organization;
+        let after = record.clone();
+        self.journal.append(if renamed {
+            vec![JournalEntry::Remove(*id), JournalEntry::Create(after)]
+        } else {
+            vec![JournalEntry::Update(after)]
+        });
+        drop(shard);
         Ok(())
     }
 
@@ -864,8 +916,13 @@ impl Database {
     ) -> Result<T, BankError> {
         let mut shard = self.shards[self.shard_of(id)].write();
         let record = shard.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
-        let (out, row) = f(record)?;
-        let mut entries = vec![JournalEntry::Update(record.clone())];
+        // `f` works on the copy the journal needs anyway; the live
+        // record changes only once `f` has succeeded, so a closure that
+        // fails half-way leaves nothing behind.
+        let mut next = record.clone();
+        let (out, row) = f(&mut next)?;
+        *record = next.clone();
+        let mut entries = vec![JournalEntry::Update(next)];
         if let Some(tx) = row {
             self.transactions.write().push(tx.clone());
             entries.push(JournalEntry::Transaction(tx));
@@ -908,54 +965,32 @@ impl Database {
             return Err(BankError::Protocol("transfer to the same account".into()));
         }
         let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        let out;
-        let (snap_a, snap_b);
-        if sa == sb {
-            let mut shard = self.shards[sa].write();
-            // Two disjoint &mut entries from one map: take `a` out, work,
-            // put it back. Simpler and safe.
-            let mut ra = shard.remove(a).ok_or(BankError::NoSuchAccount(*a))?;
-            let rb = match shard.get_mut(b) {
-                Some(rb) => rb,
-                None => {
-                    shard.insert(*a, ra);
-                    return Err(BankError::NoSuchAccount(*b));
-                }
-            };
-            match f(&mut ra, rb) {
-                Ok(v) => {
-                    out = v;
-                    snap_b = rb.clone();
-                    snap_a = ra.clone();
-                    shard.insert(*a, ra);
-                }
-                Err(e) => {
-                    shard.insert(*a, ra);
-                    return Err(e);
-                }
-            }
-        } else {
-            // Order by shard index.
-            let (first, second) = if sa < sb { (sa, sb) } else { (sb, sa) };
-            let mut lock_first = self.shards[first].write();
-            let mut lock_second = self.shards[second].write();
-            let (shard_a, shard_b) = if sa < sb {
-                (&mut *lock_first, &mut *lock_second)
-            } else {
-                (&mut *lock_second, &mut *lock_first)
-            };
-            let ra = shard_a.get_mut(a).ok_or(BankError::NoSuchAccount(*a))?;
-            let rb = shard_b.get_mut(b).ok_or(BankError::NoSuchAccount(*b))?;
-            out = f(ra, rb)?;
-            snap_a = ra.clone();
-            snap_b = rb.clone();
-        }
+        // One lock when the accounts share a shard, else both in
+        // ascending shard order — held until the batch is journaled.
+        let (first, second) = if sa < sb { (sa, sb) } else { (sb, sa) };
+        let mut lock_first = self.shards[first].write();
+        let mut lock_second = (first != second).then(|| self.shards[second].write());
+        // The map each account lives in; `b`'s is `None` when it is `a`'s.
+        let (home_a, mut home_b) = match lock_second.as_deref_mut() {
+            None => (&mut *lock_first, None),
+            Some(other) if sa == first => (&mut *lock_first, Some(other)),
+            Some(other) => (other, Some(&mut *lock_first)),
+        };
+        // As in `one_account_commit`: `f` works on the copies the journal
+        // needs anyway and the live records change only once it succeeded.
+        let mut snap_a = home_a.get(a).cloned().ok_or(BankError::NoSuchAccount(*a))?;
+        let mut snap_b = (home_b.as_deref().unwrap_or(home_a).get(b).cloned())
+            .ok_or(BankError::NoSuchAccount(*b))?;
+        let out = f(&mut snap_a, &mut snap_b)?;
+        home_b.take().unwrap_or(home_a).insert(*b, snap_b.clone());
+        home_a.insert(*a, snap_a.clone());
         // Commit tables, then hand the journal batch to the group-commit
         // queue — still under the shard locks, so recovery order matches
-        // application order. The closure already succeeded by now; a
-        // member whose closure failed returned above and contributes
-        // nothing to the group (the failed member is "split out" and the
-        // rest of the group commits without it).
+        // application order and no snapshot of these shards can see the
+        // rows before their batch has an LSN. The closure already
+        // succeeded by now; a member whose closure failed returned above
+        // and contributes nothing to the group (the failed member is
+        // "split out" and the rest of the group commits without it).
         let mut entries = Vec::with_capacity(rows.transactions.len().saturating_add(3));
         entries.push(JournalEntry::Update(snap_a));
         entries.push(JournalEntry::Update(snap_b));
@@ -988,6 +1023,8 @@ impl Database {
             entries.push(JournalEntry::IbOut(credit));
         }
         self.commit.submit(entries, &self.journal);
+        drop(lock_second);
+        drop(lock_first);
         Ok(out)
     }
 
@@ -1096,7 +1133,7 @@ impl Database {
     /// created — in durable mode.
     pub fn journal_len(&self) -> usize {
         let appended = self.journal.appended.lock();
-        let entries = self.journal.disk.as_ref().map_or(*appended, |disk| disk.last_lsn());
+        let entries = self.journal.disk.as_ref().map_or(appended.entries, |disk| disk.last_lsn());
         usize::try_from(entries).unwrap_or(usize::MAX)
     }
 
@@ -1229,18 +1266,16 @@ impl Database {
                 stats.shards_snapshotted = stats.shards_snapshotted.saturating_add(1);
             }
         }
+        self.journal.appended.lock().head.rotate();
         Ok(stats)
     }
 
-    /// Compacts every shard: prunes old snapshot generations and drops
-    /// segments fully covered by the oldest retained snapshot.
+    /// One compaction pass: prunes old snapshot generations and drops
+    /// the log segments every shard's oldest retained snapshot covers.
     pub fn compact_store(&self) -> Result<CheckpointStats, BankError> {
         let mut stats = CheckpointStats::default();
-        let Some(disk) = self.journal.disk.as_ref() else { return Ok(stats) };
-        for s in 0..SHARDS {
-            let (dropped, pruned) = disk.compact_shard(s)?;
-            stats.segments_dropped = stats.segments_dropped.saturating_add(dropped);
-            stats.snapshots_pruned = stats.snapshots_pruned.saturating_add(pruned);
+        if let Some(disk) = self.journal.disk.as_ref() {
+            (stats.segments_dropped, stats.snapshots_pruned) = disk.compact()?;
         }
         Ok(stats)
     }
@@ -1255,17 +1290,15 @@ impl Database {
         Ok(stats)
     }
 
-    /// Incremental checkpoint trigger: snapshots (and compacts) only the
-    /// shards whose journal tail reached `snapshot_every`. Must be
-    /// called with **no** database locks held (the server calls it after
-    /// dispatch). Concurrent callers skip; returns whether work ran.
+    /// Incremental checkpoint trigger: snapshots only the shards that
+    /// are due (`DiskLog::snapshot_due`: their own tail, or the log's
+    /// run past them), closes the log's active segment and compacts.
+    /// Must be called with **no** database locks held (the server calls
+    /// it after dispatch). Concurrent callers skip; returns whether work
+    /// ran.
     pub fn maybe_checkpoint(&self) -> Result<bool, BankError> {
         let Some(disk) = self.journal.disk.as_ref() else { return Ok(false) };
-        let every = disk.config().snapshot_every;
-        if every == 0 {
-            return Ok(false);
-        }
-        let due: Vec<usize> = (0..SHARDS).filter(|s| disk.tail_len(*s) >= every).collect();
+        let due: Vec<usize> = (0..SHARDS).filter(|s| disk.snapshot_due(*s)).collect();
         if due.is_empty() {
             return Ok(false);
         }
@@ -1275,10 +1308,9 @@ impl Database {
         let result = (|| {
             for s in due {
                 self.snapshot_shard(s)?;
-                if let Some(d) = self.journal.disk.as_ref() {
-                    d.compact_shard(s)?;
-                }
             }
+            self.journal.appended.lock().head.rotate();
+            disk.compact()?;
             Ok(true)
         })();
         self.checkpointing.store(false, Ordering::SeqCst);
@@ -1467,6 +1499,47 @@ mod tests {
         let ghost = AccountId::new(9, 9, 9);
         assert!(db.with_two_accounts_mut(&ida, &ghost, |_a, _b| Ok(())).is_err());
         assert!(db.with_two_accounts_mut(&ghost, &ida, |_a, _b| Ok(())).is_err());
+    }
+
+    #[test]
+    fn a_closure_that_mutates_then_fails_leaves_no_trace() {
+        let db = Database::new(1, 1);
+        let ra = record(&db, "/CN=a", 10);
+        let same = AccountRecord {
+            id: (2..)
+                .map(|n| AccountId::new(1, 1, n))
+                .find(|id| account_shard(id) == account_shard(&ra.id))
+                .unwrap(),
+            ..record(&db, "/CN=same-shard", 5)
+        };
+        let other = AccountRecord {
+            id: (2..)
+                .map(|n| AccountId::new(1, 1, n))
+                .find(|id| account_shard(id) != account_shard(&ra.id))
+                .unwrap(),
+            ..record(&db, "/CN=other-shard", 5)
+        };
+        for r in [&ra, &same, &other] {
+            db.insert_account(r.clone()).unwrap();
+        }
+        let debit_then_fail = |x: &mut AccountRecord, y: &mut AccountRecord| {
+            x.available = x.available.checked_sub(Credits::from_gd(3))?;
+            y.locked = Credits::from_gd(1);
+            Err::<(), _>(BankError::NonPositiveAmount)
+        };
+        // Same shard; two shards taken a-then-b and b-then-a.
+        for (x, y) in [(&ra, &same), (&ra, &other), (&other, &ra)] {
+            assert!(db.with_two_accounts_mut(&x.id, &y.id, debit_then_fail).is_err());
+            assert_eq!(db.get_account(&x.id).unwrap(), *x);
+            assert_eq!(db.get_account(&y.id).unwrap(), *y);
+        }
+        let out = db.one_account_commit(&ra.id, |x| {
+            x.available = Credits::ZERO;
+            Err::<((), _), _>(BankError::NonPositiveAmount)
+        });
+        assert!(out.is_err());
+        assert_eq!(db.get_account(&ra.id).unwrap(), ra);
+        assert_eq!(db.journal_len(), 3, "nothing but the three creations was journaled");
     }
 
     #[test]
@@ -1988,7 +2061,7 @@ mod loom_model {
                 loom::thread::spawn(move || queue.submit(vec![entry(1)], &journal))
             };
             h.join().expect("submitter thread");
-            assert_eq!(*journal.appended.lock(), 1);
+            assert_eq!(journal.appended.lock().entries, 1);
         });
     }
 
@@ -2108,6 +2181,140 @@ mod loom_model {
                 Database::open(1, 1, cfg.clone()).expect("reopen scratch store");
             assert_eq!(reopened.state_digest(), live_digest, "replay diverged from live state");
             assert_eq!(reopened.total_funds(), live_funds);
+            let _ = std::fs::remove_dir_all(&cfg.dir);
+        });
+    }
+
+    /// Kills `db` and reopens its store; the credited balance and the
+    /// funds total must have reached the journal in an order that
+    /// replays to them.
+    fn assert_survives_a_restart(db: Arc<Database>, cfg: &StoreConfig, id: AccountId, gd: i64) {
+        let funds = db.total_funds();
+        assert_eq!(db.get_account(&id).expect("live account").available, Credits::from_gd(gd));
+        drop(db);
+        let (reopened, _report) = Database::open(1, 1, cfg.clone()).expect("reopen scratch store");
+        let replayed = reopened.get_account(&id).expect("replayed account").available;
+        assert_eq!(replayed, Credits::from_gd(gd), "the credit vanished across the restart");
+        assert_eq!(reopened.total_funds(), funds);
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// Credits `id` with G$5 as soon as the account can be found.
+    fn credit_when_found(db: &Database, id: AccountId) {
+        let credit = |a: &mut AccountRecord| {
+            a.available = a.available.checked_add(Credits::from_gd(5))?;
+            Ok(())
+        };
+        while let Err(e) = db.with_account_mut(&id, credit) {
+            assert!(matches!(e, BankError::NoSuchAccount(_)), "credit failed: {e}");
+            loom::thread::yield_now();
+        }
+    }
+
+    /// An account's creation racing its first credit: whoever finds the
+    /// account must journal after its `Create`, or replay ends on the
+    /// creation-time record.
+    #[test]
+    fn account_creation_vs_first_credit_replays_the_credit() {
+        loom::model(|| {
+            let cfg = StoreConfig::scratch("loom-create");
+            let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
+            let rec = funded_account(&db, "/CN=loom-new", 0);
+            let id = rec.id;
+            let db = Arc::new(db);
+            let creator = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || db.insert_account(rec).expect("insert"))
+            };
+            let payer = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || credit_when_found(&db, id))
+            };
+            creator.join().expect("creator thread");
+            payer.join().expect("payer thread");
+            assert_survives_a_restart(db, &cfg, id, 5);
+        });
+    }
+
+    /// A certificate rename racing a credit to the same account: the
+    /// rename must carry the balance it finds under the lock, in memory
+    /// and in the journal.
+    #[test]
+    fn rename_vs_credit_keeps_the_credit() {
+        loom::model(|| {
+            let cfg = StoreConfig::scratch("loom-rename");
+            let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
+            let rec = funded_account(&db, "/CN=loom-old-name", 10);
+            let id = rec.id;
+            db.insert_account(rec.clone()).expect("insert");
+            let db = Arc::new(db);
+            let renamer = {
+                let accounts =
+                    crate::accounts::GbAccounts::new(Arc::clone(&db), Default::default());
+                let renamed = AccountRecord { certificate_name: "/CN=loom-new-name".into(), ..rec };
+                loom::thread::spawn(move || accounts.update_details(&renamed).expect("rename"))
+            };
+            let payer = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || credit_when_found(&db, id))
+            };
+            renamer.join().expect("renamer thread");
+            payer.join().expect("payer thread");
+            assert!(
+                db.subject_known("/CN=loom-new-name") && !db.subject_known("/CN=loom-old-name")
+            );
+            assert_survives_a_restart(db, &cfg, id, 15);
+        });
+    }
+
+    /// A shard snapshot racing a two-account commit with its audit rows:
+    /// the rows are visible in the tables only while the committer holds
+    /// the shard locks through its journal append, so the snapshot has
+    /// them *or* the tail replays them — never both (a duplicated row,
+    /// PR 11's digest finding), never neither.
+    #[test]
+    fn snapshot_during_transfer_replays_each_row_once() {
+        loom::model(|| {
+            let cfg = StoreConfig::scratch("loom-rows");
+            let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
+            let (payer, payee) =
+                (funded_account(&db, "/CN=a", 10), funded_account(&db, "/CN=b", 0));
+            let (from, to) = (payer.id, payee.id);
+            db.insert_account(payer).expect("insert payer");
+            db.insert_account(payee).expect("insert payee");
+            let row = TransactionRecord {
+                transaction_id: db.allocate_transaction_id(),
+                account: from,
+                tx_type: TransactionType::Transfer,
+                date_ms: 1,
+                amount: Credits::from_gd(-1),
+            };
+            let db = Arc::new(db);
+            let transferrer = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || {
+                    let rows = CommitRows { transactions: vec![row], ..CommitRows::default() };
+                    db.two_account_commit(&from, &to, |_a, _b| Ok(()), rows).expect("transfer");
+                })
+            };
+            let snapshotter = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || {
+                    db.snapshot_shard(account_shard(&from)).expect("snapshot")
+                })
+            };
+            transferrer.join().expect("transfer thread");
+            snapshotter.join().expect("snapshot thread");
+            let live_digest = db.state_digest();
+            drop(db);
+            let (reopened, _report) =
+                Database::open(1, 1, cfg.clone()).expect("reopen scratch store");
+            assert_eq!(
+                reopened.transactions_in_range(&from, 0, 10).len(),
+                1,
+                "row lost or doubled"
+            );
+            assert_eq!(reopened.state_digest(), live_digest);
             let _ = std::fs::remove_dir_all(&cfg.dir);
         });
     }

@@ -1,16 +1,18 @@
 //! The on-disk storage engine behind [`crate::db::Database`].
 //!
 //! The paper's GridBank server sits on a persistent DBMS (§3.2); this
-//! module is the durable substrate of our embedded substitute. State is
-//! **account-sharded**: every journal entry is routed to exactly one of
-//! the [`crate::db`] shards (by account id, caller certificate, or
-//! cross-branch credit key), and each shard owns its own directory of
-//! rotating, checksummed **journal segment files** plus periodic
-//! **snapshot files**. Crash recovery loads the newest valid snapshot
-//! per shard and replays only the journal tail past it, so
-//! restart-to-serving time is bounded by the tail length — not by the
-//! full history. Compaction deletes segments the snapshots have made
-//! redundant.
+//! module is the durable substrate of our embedded substitute. Every
+//! commit batch is one checksummed frame in **one log** — a sequence of
+//! rotating segment files — so a batch is on disk whole or not at all.
+//! State is **account-sharded**: every journal entry routes to exactly
+//! one of the [`crate::db`] shards (by account id, caller certificate,
+//! or cross-branch credit key), and each shard periodically writes a
+//! **snapshot file** of everything routed to it. Crash recovery loads
+//! the newest valid snapshot per shard and replays, in one forward scan
+//! of the log, only the entries past the snapshot of the shard they
+//! route to, so restart-to-serving time is bounded by the tail length —
+//! not by the full history. Compaction deletes the segments every
+//! shard's snapshots have made redundant.
 //!
 //! Byte-level file formats, the durability contract, the recovery state
 //! machine, and the compaction invariants are documented in
@@ -18,9 +20,8 @@
 //! is deliberately dependency-free: plain `std::fs`, the workspace's
 //! own [`gridbank_rur::codec`] framing, and an FNV-1a checksum.
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use gridbank_rur::codec::{ByteReader, ByteWriter, Decode, Encode};
@@ -31,20 +32,20 @@ use crate::db::{
     SHARDS,
 };
 use crate::error::BankError;
-use crate::sync::{rank, AtomicBool, AtomicU64, OrderedMutex, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, Ordering};
 
 /// Store format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MANIFEST_MAGIC: u32 = 0x4742_4D46; // "GBMF"
 const SEGMENT_MAGIC: u32 = 0x4742_5347; // "GBSG"
 const SNAPSHOT_MAGIC: u32 = 0x4742_534E; // "GBSN"
 const COMPACTED_MAGIC: u32 = 0x4742_4354; // "GBCT"
 
-/// Segment record frame overhead: `len: u32` + `check: u64`.
+/// Frame overhead ahead of the checksummed body: `len: u32` + `check: u64`.
 const FRAME_HEADER: usize = 12;
-/// Segment file header size: magic + version + shard + first_lsn.
-const SEGMENT_HEADER: usize = 20;
+/// Segment file header size: magic + version + first_lsn.
+const SEGMENT_HEADER: usize = 16;
 
 /// Tuning for the on-disk store.
 #[derive(Clone, Debug)]
@@ -56,14 +57,16 @@ pub struct StoreConfig {
     /// power-failure guarantee for speed (process-crash durability is
     /// retained either way because the OS holds the written pages).
     pub fsync: bool,
-    /// Rotate a shard's active segment once it exceeds this many bytes.
+    /// Rotate the log's active segment once it exceeds this many bytes.
     pub segment_bytes: u64,
     /// [`crate::db::Database::maybe_checkpoint`] snapshots a shard once
-    /// this many entries accumulated in its journal tail.
+    /// this many entries accumulated in its journal tail (or the log
+    /// ran 16 times as far past its last snapshot).
     pub snapshot_every: u64,
     /// Snapshot generations kept per shard (≥ 1). Compaction only drops
-    /// segments already covered by the *oldest retained* snapshot, so a
-    /// torn newest snapshot can always fall back one generation.
+    /// segments already covered by every shard's *oldest retained*
+    /// snapshot, so a torn newest snapshot can always fall back one
+    /// generation.
     pub retain_snapshots: usize,
 }
 
@@ -122,6 +125,10 @@ fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard:02}"))
 }
 
+fn log_dir(root: &Path) -> PathBuf {
+    root.join("log")
+}
+
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("seg-{seq:08}.gbj"))
 }
@@ -158,7 +165,7 @@ pub struct SnapshotIdem {
 /// The durable image of one shard: every piece of [`crate::db::Database`]
 /// state routed to it, plus the journal position (`through_lsn`) the
 /// image is consistent with. Recovery = newest valid snapshot + replay
-/// of the shard's journal entries with `lsn > through_lsn`.
+/// of the log entries routed here with `lsn > through_lsn`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index the image belongs to.
@@ -323,189 +330,148 @@ impl ShardSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Frames: journal entries on disk.
+// The log: one sequence of segment files, one frame per commit batch.
 // ---------------------------------------------------------------------------
 
-/// One decoded segment record: its LSN, the commit batch it belongs to
-/// (first LSN + length), and the entry itself. A commit batch is one
-/// `JournalStore::append` call — a multi-shard transfer, or a whole
-/// group-commit flush. Acknowledgement happens only after the entire
-/// batch reached every touched shard, so recovery drops any batch with
-/// a missing member (it was never acked) instead of half-applying it.
-#[derive(Clone, Debug)]
-struct FrameRecord {
-    lsn: u64,
-    batch_first: u64,
-    batch_len: u32,
-    /// Byte offset of this frame in its segment file — where a repair
-    /// truncation cuts if the frame's batch turns out torn.
-    offset: u64,
-    entry: JournalEntry,
-}
-
-fn encode_frame(
-    out: &mut Vec<u8>,
-    lsn: u64,
-    batch_first: u64,
-    batch_len: u32,
-    entry: &JournalEntry,
-) {
-    let mut w = ByteWriter::with_capacity(64);
-    w.put_u64(lsn);
-    w.put_u64(batch_first);
-    w.put_u32(batch_len);
-    entry.encode(&mut w);
+/// Appends one commit batch to `out` as one frame (docs/STORAGE.md
+/// §2.2). A commit batch is one `JournalStore::append` call — a
+/// transfer with its rows and stamp, or a whole group-commit flush — so
+/// it is acknowledged, and recovered, whole or not at all.
+fn encode_frame(out: &mut Vec<u8>, first_lsn: u64, entries: &[JournalEntry]) {
+    let mut w = ByteWriter::with_capacity(entries.len().saturating_mul(96));
+    w.put_u64(first_lsn);
+    w.put_u32(entries.len() as u32);
+    for entry in entries {
+        entry.encode(&mut w);
+    }
     let body = w.into_bytes();
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&fnv64(&body).to_le_bytes());
     out.extend_from_slice(&body);
 }
 
-/// Outcome of scanning one segment file's record stream.
-struct SegmentScan {
-    /// Decoded records, in file order (= LSN order).
-    records: Vec<FrameRecord>,
-    /// `true` when the scan stopped at a truncated or checksum-failed
-    /// frame before the end of the file — a torn tail.
-    torn: bool,
-    /// Byte length of the valid prefix: the offset just past the last
-    /// intact frame. Recovery truncates a torn final segment here.
-    clean_len: u64,
+/// Decodes the frame at the start of `rest`: its first LSN, its entries
+/// and its length on disk. `None` when it is cut short, fails its
+/// checksum or does not parse.
+fn decode_frame(rest: &[u8]) -> Option<(u64, Vec<JournalEntry>, usize)> {
+    let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
+    let check = u64::from_le_bytes(rest.get(4..FRAME_HEADER)?.try_into().ok()?);
+    let end = FRAME_HEADER.checked_add(len)?;
+    let body = rest.get(FRAME_HEADER..end)?;
+    if fnv64(body) != check {
+        return None;
+    }
+    let mut r = ByteReader::new(body);
+    let first_lsn = r.get_u64().ok()?;
+    let count = r.get_u32().ok()?;
+    let mut entries = Vec::with_capacity((count as usize).min(1 << 10));
+    for _ in 0..count {
+        entries.push(JournalEntry::decode(&mut r).ok()?);
+    }
+    r.finish().ok()?;
+    Some((first_lsn, entries, end))
 }
 
-/// Reads a segment file. A short/corrupt final frame ends the scan with
-/// `torn = true`; a bad header is an error (the file is not a segment).
-fn read_segment(path: &Path, expect_shard: u32) -> Result<SegmentScan, BankError> {
-    let bytes = fs::read(path).map_err(|e| storage_err(&path.display().to_string(), e))?;
-    if bytes.len() < SEGMENT_HEADER {
-        // A segment created but never written past its header — or torn
-        // inside the header itself. Treat as an empty torn segment.
-        return Ok(SegmentScan { records: Vec::new(), torn: !bytes.is_empty(), clean_len: 0 });
-    }
-    let mut r = ByteReader::new(&bytes[..SEGMENT_HEADER]);
-    let magic = r.get_u32().map_err(|e| storage_err("segment header", e))?;
-    let version = r.get_u32().map_err(|e| storage_err("segment header", e))?;
-    let shard = r.get_u32().map_err(|e| storage_err("segment header", e))?;
-    let _first_lsn = r.get_u64().map_err(|e| storage_err("segment header", e))?;
-    if magic != SEGMENT_MAGIC || version != FORMAT_VERSION || shard != expect_shard {
+fn segment_header(first_lsn: u64) -> Vec<u8> {
+    let mut h = ByteWriter::with_capacity(SEGMENT_HEADER);
+    h.put_u32(SEGMENT_MAGIC);
+    h.put_u32(FORMAT_VERSION);
+    h.put_u64(first_lsn);
+    h.into_bytes()
+}
+
+/// The `first_lsn` in a segment's header; `None` when `bytes` is shorter
+/// than a header (a segment torn as it was created). A whole header of
+/// another format is an error: the file is not a segment.
+fn parse_segment_header(path: &Path, bytes: &[u8]) -> Result<Option<u64>, BankError> {
+    let Some(header) = bytes.get(..SEGMENT_HEADER) else { return Ok(None) };
+    let mut r = ByteReader::new(header);
+    let (Ok(magic), Ok(version), Ok(first_lsn)) = (r.get_u32(), r.get_u32(), r.get_u64()) else {
+        return Ok(None);
+    };
+    if magic != SEGMENT_MAGIC || version != FORMAT_VERSION {
         return Err(BankError::Storage(format!(
-            "{}: bad segment header (magic {magic:#x}, version {version}, shard {shard})",
+            "{}: bad segment header (magic {magic:#x}, version {version})",
             path.display()
         )));
     }
-    let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER;
-    let mut torn = false;
-    while pos < bytes.len() {
-        let remaining = bytes.len().saturating_sub(pos);
-        if remaining < FRAME_HEADER {
-            torn = true;
-            break;
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&bytes[pos..pos.saturating_add(4)]);
-        let len = u32::from_le_bytes(len4) as usize;
-        let mut check8 = [0u8; 8];
-        check8.copy_from_slice(&bytes[pos.saturating_add(4)..pos.saturating_add(12)]);
-        let check = u64::from_le_bytes(check8);
-        let body_start = pos.saturating_add(FRAME_HEADER);
-        let body_end = body_start.saturating_add(len);
-        if len == 0 || body_end > bytes.len() {
-            torn = true;
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        if fnv64(body) != check {
-            torn = true;
-            break;
-        }
-        let mut br = ByteReader::new(body);
-        let header = (br.get_u64(), br.get_u64(), br.get_u32());
-        let (lsn, batch_first, batch_len) = match header {
-            (Ok(l), Ok(f), Ok(n)) => (l, f, n),
-            _ => {
-                torn = true;
-                break;
-            }
-        };
-        match JournalEntry::decode(&mut br).and_then(|e| br.finish().map(|()| e)) {
-            Ok(entry) => {
-                records.push(FrameRecord { lsn, batch_first, batch_len, offset: pos as u64, entry })
-            }
-            Err(_) => {
-                // The checksum held but the payload does not parse — a
-                // format drift, not a torn write. Stop here too, but
-                // callers distinguish last-segment (tolerated) from
-                // mid-log (fatal) positions.
-                torn = true;
-                break;
-            }
-        }
-        pos = body_end;
-    }
-    Ok(SegmentScan { records, torn, clean_len: pos as u64 })
+    Ok(Some(first_lsn))
 }
 
-// ---------------------------------------------------------------------------
-// The live log: per-shard segment writers.
-// ---------------------------------------------------------------------------
+/// Reads only a segment's header to learn its first LSN.
+fn read_first_lsn(path: &Path) -> Result<Option<u64>, BankError> {
+    let mut header = [0u8; SEGMENT_HEADER];
+    let mut f = fs::File::open(path).map_err(|e| storage_err(&path.display().to_string(), e))?;
+    match f.read_exact(&mut header) {
+        Ok(()) => parse_segment_header(path, &header),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(storage_err(&path.display().to_string(), e)),
+    }
+}
 
-struct ShardWriter {
-    dir: PathBuf,
-    /// Sequence number of the *active* segment (created lazily).
-    seq: u64,
+/// The log's active segment — the one thing an append mutates. It has no
+/// lock of its own: it lives inside the journal lock of [`crate::db`],
+/// which already serializes appends so that LSN order is commit order.
+#[derive(Default)]
+pub(crate) struct LogHead {
+    /// `None` until the next append opens a fresh segment.
     file: Option<fs::File>,
+    /// Bytes written to `file` so far.
     bytes: u64,
 }
 
-impl ShardWriter {
-    /// Closes the active segment (if any); the next append opens
-    /// `seq + 1`. Called at snapshot time so compaction has a closed
-    /// segment boundary to work with.
-    fn rotate(&mut self, fsync: bool) -> Result<(), BankError> {
-        if let Some(f) = self.file.take() {
-            if fsync {
-                f.sync_data().map_err(|e| storage_err("segment sync on rotate", e))?;
-            }
-            self.seq = self.seq.saturating_add(1);
-            self.bytes = 0;
-        }
-        Ok(())
+impl LogHead {
+    /// Closes the active segment; the next append starts a new one.
+    /// Called after every checkpoint pass, so compaction has a closed
+    /// segment boundary next to the cut.
+    pub(crate) fn rotate(&mut self) {
+        self.file = None;
     }
 }
 
-/// The open, append-only side of the store: one rotating segment writer
-/// per shard plus the global LSN allocator. Appends are serialized by
-/// the [`crate::db`] journal lock; the group-commit queue amortizes the
-/// per-batch `fsync` exactly as it amortizes the journal acquisition.
+/// The open, append-only side of the store: the LSN allocator, the
+/// per-shard checkpoint counters and the compaction pass. Appends write
+/// through the caller's `LogHead` under the [`crate::db`] journal
+/// lock; the group-commit queue amortizes the per-batch `fsync` exactly
+/// as it amortizes the journal acquisition.
 pub struct DiskLog {
     cfg: StoreConfig,
-    /// Next LSN to assign (LSNs are global across shards, strictly
-    /// increasing, sparse within any one shard's files).
+    /// Next LSN to assign: one per entry, consecutive within a batch
+    /// and across the log.
     next_lsn: AtomicU64,
-    shards: Vec<OrderedMutex<ShardWriter>>,
-    /// Entries appended per shard since its last snapshot — the
+    /// Sequence number of the next segment file.
+    next_seq: AtomicU64,
+    /// Entries routed to each shard since its last snapshot — the
     /// `maybe_checkpoint` trigger.
     since_snapshot: Vec<AtomicU64>,
+    /// `through_lsn` of each shard's newest snapshot.
+    snapshot_lsn: Vec<AtomicU64>,
+    /// The `COMPACTED` marker's value.
+    compacted: AtomicU64,
     /// Sticky I/O failure flag: once an append fails, acks are no longer
     /// durable and the health report degrades (docs/STORAGE.md §3.4).
     failed: AtomicBool,
 }
 
 impl DiskLog {
-    /// The store configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.cfg
-    }
-
     /// Highest LSN assigned so far (0 before the first append).
     pub fn last_lsn(&self) -> u64 {
         self.next_lsn.load(Ordering::SeqCst).saturating_sub(1)
     }
 
-    /// Entries appended to `shard` since its last snapshot.
-    pub fn tail_len(&self, shard: usize) -> u64 {
-        self.since_snapshot.get(shard).map_or(0, |c| c.load(Ordering::Relaxed))
+    /// Whether `shard` is due a snapshot: its own tail reached
+    /// `snapshot_every`, or the log head is `SHARDS × snapshot_every`
+    /// entries past its last snapshot. The second rule snapshots idle
+    /// shards too; without it one shard that sees no traffic would hold
+    /// the compaction cut, and every segment since, forever
+    /// (docs/STORAGE.md §4).
+    pub(crate) fn snapshot_due(&self, shard: usize) -> bool {
+        let every = self.cfg.snapshot_every;
+        let load = |v: &[AtomicU64]| v.get(shard).map_or(0, |c| c.load(Ordering::Relaxed));
+        every != 0
+            && (load(&self.since_snapshot) >= every
+                || self.last_lsn().saturating_sub(load(&self.snapshot_lsn))
+                    >= every.saturating_mul(SHARDS as u64))
     }
 
     /// Whether every append so far reached disk. `false` means a prior
@@ -515,97 +481,79 @@ impl DiskLog {
         !self.failed.load(Ordering::Relaxed)
     }
 
-    /// Appends `entries` as one commit batch, assigning consecutive
-    /// LSNs. Caller (the journal lock) serializes invocations, so LSN
-    /// order equals commit order. One buffered write and at
-    /// most one `fsync` per *touched shard* per call — batching is the
-    /// group-commit leader's job. Every frame carries the batch bounds,
-    /// so recovery can refuse to half-apply a batch torn across shards.
-    pub(crate) fn append(&self, entries: &[JournalEntry]) {
+    /// Appends `entries` as one commit batch — one frame — assigning
+    /// consecutive LSNs. The caller holds the journal lock that owns
+    /// `head`, so LSN order equals commit order and file order. One
+    /// `write_all` and at most one `fdatasync` per call; batching is the
+    /// group-commit leader's job.
+    pub(crate) fn append(&self, head: &mut LogHead, entries: &[JournalEntry]) {
         if entries.is_empty() {
             return;
         }
-        let batch_len = entries.len() as u32;
-        let batch_first = self.next_lsn.fetch_add(entries.len() as u64, Ordering::SeqCst);
-        // Route and frame first, one buffer per touched shard.
-        let mut buffers: Vec<Option<(Vec<u8>, u64, u64)>> = (0..SHARDS).map(|_| None).collect();
-        for (i, entry) in entries.iter().enumerate() {
-            let lsn = batch_first.saturating_add(i as u64);
-            let shard = entry_shard(entry);
-            let slot = match buffers.get_mut(shard) {
-                Some(s) => s,
-                None => continue,
-            };
-            let (buf, _first, count) = slot.get_or_insert_with(|| (Vec::new(), lsn, 0));
-            encode_frame(buf, lsn, batch_first, batch_len, entry);
-            *count = count.saturating_add(1);
-        }
-        for (shard, slot) in buffers.into_iter().enumerate() {
-            let Some((buf, first_lsn, count)) = slot else { continue };
-            if let Err(e) = self.write_shard(shard, &buf, first_lsn) {
-                if !self.failed.swap(true, Ordering::Relaxed) {
-                    gridbank_obs::count("db.journal.disk_errors", 1);
-                    eprintln!(
-                        "gridbank-store: shard {shard} append failed ({e}); \
-                         continuing in memory — acks are no longer crash-durable"
-                    );
-                }
+        let first_lsn = self.next_lsn.fetch_add(entries.len() as u64, Ordering::SeqCst);
+        if let Err(e) = self.write_batch(head, first_lsn, entries) {
+            if !self.failed.swap(true, Ordering::Relaxed) {
+                gridbank_obs::count("db.journal.disk_errors", 1);
+                eprintln!(
+                    "gridbank-store: log append failed ({e}); \
+                     continuing in memory — acks are no longer crash-durable"
+                );
             }
-            if let Some(c) = self.since_snapshot.get(shard) {
-                c.fetch_add(count, Ordering::Relaxed);
+        }
+        for entry in entries {
+            if let Some(c) = self.since_snapshot.get(entry_shard(entry)) {
+                c.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    fn write_shard(&self, shard: usize, framed: &[u8], first_lsn: u64) -> Result<(), BankError> {
-        let writer = match self.shards.get(shard) {
-            Some(w) => w,
-            None => return Err(BankError::Storage(format!("no such shard {shard}"))),
-        };
-        let mut w = writer.lock();
-        if w.bytes >= self.cfg.segment_bytes {
-            w.rotate(self.cfg.fsync)?;
+    fn write_batch(
+        &self,
+        head: &mut LogHead,
+        first_lsn: u64,
+        entries: &[JournalEntry],
+    ) -> Result<(), BankError> {
+        if head.bytes >= self.cfg.segment_bytes {
+            head.rotate();
         }
-        if w.file.is_none() {
-            // lint:allow(blocking-under-lock) first append to a fresh shard dir only;
-            // the writer lock *is* the per-shard append serializer (docs/STORAGE.md §2)
-            fs::create_dir_all(&w.dir).map_err(|e| storage_err("create shard dir", e))?;
-            let path = segment_path(&w.dir, w.seq);
-            // lint:allow(blocking-under-lock) segment open on rotate boundary; rare and
-            // must happen under the writer lock to keep seq/bytes coherent
-            let mut f = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| storage_err(&path.display().to_string(), e))?;
-            let mut h = ByteWriter::with_capacity(SEGMENT_HEADER);
-            h.put_u32(SEGMENT_MAGIC);
-            h.put_u32(FORMAT_VERSION);
-            h.put_u32(shard as u32);
-            h.put_u64(first_lsn);
-            let header = h.into_bytes();
-            f.write_all(&header).map_err(|e| storage_err("segment header write", e))?;
-            w.bytes = header.len() as u64;
-            w.file = Some(f);
-        }
-        let Some(f) = w.file.as_mut() else {
-            return Err(BankError::Storage("segment writer vanished".into()));
+        let mut buf = Vec::new();
+        // The log directory, when this append opens a segment in it.
+        let mut opened_in = None;
+        let file = match &mut head.file {
+            Some(f) => f,
+            slot => {
+                let dir = log_dir(&self.cfg.dir);
+                let path = segment_path(&dir, self.next_seq.fetch_add(1, Ordering::Relaxed));
+                let f = fs::OpenOptions::new()
+                    .create_new(true)
+                    .append(true)
+                    .open(&path)
+                    .map_err(|e| storage_err(&path.display().to_string(), e))?;
+                // The header rides in the same write as the first frame.
+                buf = segment_header(first_lsn);
+                head.bytes = 0;
+                opened_in = Some(dir);
+                slot.insert(f)
+            }
         };
-        f.write_all(framed).map_err(|e| storage_err("segment append", e))?;
+        encode_frame(&mut buf, first_lsn, entries);
+        file.write_all(&buf).map_err(|e| storage_err("log append", e))?;
         if self.cfg.fsync {
-            // lint:allow(blocking-under-lock) the group-commit fsync: one sync_data
-            // covers the whole batch; moving it off-lock is ROADMAP item 1
-            f.sync_data().map_err(|e| storage_err("segment fsync", e))?;
+            file.sync_data().map_err(|e| storage_err("log fsync", e))?;
+            if let Some(dir) = opened_in {
+                // A new file is durable only once its directory entry is.
+                sync_dir(&dir)?;
+            }
         }
-        w.bytes = w.bytes.saturating_add(framed.len() as u64);
+        head.bytes = head.bytes.saturating_add(buf.len() as u64);
         Ok(())
     }
 
     /// Writes `snap` durably: tmp file → `fsync` → atomic rename →
     /// directory `fsync` → read-back verification. Only after the
-    /// verification does the shard's tail counter reset and the segment
-    /// rotate; a crash at any earlier point leaves the previous
-    /// snapshot authoritative. Returns the bytes written.
+    /// verification do the shard's checkpoint counters move; a crash at
+    /// any earlier point leaves the previous snapshot authoritative.
+    /// Returns the bytes written.
     pub(crate) fn write_snapshot(&self, snap: &ShardSnapshot) -> Result<u64, BankError> {
         let shard = snap.shard as usize;
         let dir = shard_dir(&self.cfg.dir, shard);
@@ -634,80 +582,67 @@ impl DiskLog {
         if let Some(c) = self.since_snapshot.get(shard) {
             c.store(0, Ordering::Relaxed);
         }
-        if let Some(w) = self.shards.get(shard) {
-            w.lock().rotate(self.cfg.fsync)?;
+        if let Some(c) = self.snapshot_lsn.get(shard) {
+            c.store(snap.through_lsn, Ordering::Relaxed);
         }
         gridbank_obs::count("db.snapshot.writes", 1);
         gridbank_obs::count("db.snapshot.bytes", bytes.len() as u64);
         Ok(bytes.len() as u64)
     }
 
-    /// Compacts one shard: prunes snapshot generations beyond
-    /// `retain_snapshots`, records the covered prefix in the shard's
-    /// `COMPACTED` marker, and deletes every *closed* segment whose
-    /// entries are all at or below the oldest retained snapshot's
-    /// `through_lsn`. Returns `(segments_dropped, snapshots_pruned)`.
-    pub(crate) fn compact_shard(&self, shard: usize) -> Result<(usize, usize), BankError> {
-        let dir = shard_dir(&self.cfg.dir, shard);
-        let mut snaps = list_numbered(&dir, "snap-", ".gbs")?;
-        if snaps.is_empty() {
-            return Ok((0, 0));
-        }
-        snaps.sort_unstable();
+    /// One compaction pass (docs/STORAGE.md §4): prunes every shard's
+    /// snapshot generations beyond `retain_snapshots`, takes the **cut**
+    /// — the lowest `through_lsn` among the shards' oldest retained
+    /// generations, so every entry at or below it is in every retained
+    /// snapshot of the shard it routes to — records it in the
+    /// `COMPACTED` marker, and deletes the closed segments that end at
+    /// or below it. Returns `(segments_dropped, snapshots_pruned)`.
+    pub(crate) fn compact(&self) -> Result<(usize, usize), BankError> {
         let retain = self.cfg.retain_snapshots.max(1);
-        let cut = snaps.len().saturating_sub(retain);
         let mut pruned = 0usize;
-        for lsn in snaps.drain(..cut) {
-            if fs::remove_file(snapshot_path(&dir, lsn)).is_ok() {
-                pruned = pruned.saturating_add(1);
+        let mut cut = u64::MAX;
+        for shard in 0..SHARDS {
+            let dir = shard_dir(&self.cfg.dir, shard);
+            let mut snaps = list_numbered(&dir, "snap-", ".gbs")?;
+            snaps.sort_unstable();
+            let excess = snaps.len().saturating_sub(retain);
+            for lsn in snaps.drain(..excess) {
+                if fs::remove_file(snapshot_path(&dir, lsn)).is_ok() {
+                    pruned = pruned.saturating_add(1);
+                }
             }
+            // A shard never snapshotted needs the whole log.
+            cut = cut.min(snaps.first().copied().unwrap_or(0));
         }
-        // `snaps` now holds the retained generations, oldest first.
-        let Some(&oldest_retained) = snaps.first() else { return Ok((0, pruned)) };
 
-        // Marker first, then deletion: recovery refuses to run from a
-        // snapshot older than the marker, so a crash between the two
-        // steps can never silently lose the gap.
-        write_compacted_marker(&dir, oldest_retained, self.cfg.fsync)?;
+        // Marker first, then deletion: recovery refuses to run a shard
+        // from a snapshot older than the marker, so a crash between the
+        // two steps can never silently lose the gap.
+        let dir = log_dir(&self.cfg.dir);
+        if cut > self.compacted.load(Ordering::Relaxed) {
+            write_compacted_marker(&dir, cut, self.cfg.fsync)?;
+            self.compacted.store(cut, Ordering::Relaxed);
+        }
 
         let mut segs = list_numbered(&dir, "seg-", ".gbj")?;
         segs.sort_unstable();
-        let active_seq = self.shards.get(shard).map(|w| w.lock().seq);
         let mut dropped = 0usize;
-        // A closed segment may be deleted when its successor's first
-        // LSN shows every entry it holds is <= oldest_retained
-        // (docs/STORAGE.md §4: LSNs are strictly increasing across a
-        // shard's segment sequence).
+        // LSNs rise along the segment sequence, so a successor that
+        // starts at or before `cut + 1` proves every entry of its
+        // predecessor is at or below the cut. The newest segment has no
+        // successor and is never deleted.
         for pair in segs.windows(2) {
-            let (seq, next_seq) = (pair[0], pair[1]);
-            if Some(seq) == active_seq {
-                break;
+            match read_first_lsn(&segment_path(&dir, pair[1]))? {
+                Some(next_first) if next_first <= cut.saturating_add(1) => {}
+                _ => break,
             }
-            let next_first = read_segment_first_lsn(&segment_path(&dir, next_seq))?;
-            if next_first == 0 || next_first > oldest_retained.saturating_add(1) {
-                break;
-            }
-            if fs::remove_file(segment_path(&dir, seq)).is_ok() {
+            if fs::remove_file(segment_path(&dir, pair[0])).is_ok() {
                 dropped = dropped.saturating_add(1);
             }
         }
         gridbank_obs::count("db.snapshot.compacted_segments", dropped as u64);
         Ok((dropped, pruned))
     }
-}
-
-/// Reads only a segment's header to learn its first LSN (0 when the
-/// file is shorter than a header — an empty torn segment).
-fn read_segment_first_lsn(path: &Path) -> Result<u64, BankError> {
-    let bytes = fs::read(path).map_err(|e| storage_err(&path.display().to_string(), e))?;
-    if bytes.len() < SEGMENT_HEADER {
-        return Ok(0);
-    }
-    let mut r = ByteReader::new(&bytes[..SEGMENT_HEADER]);
-    let _magic = r.get_u32().map_err(|e| storage_err("segment header", e))?;
-    let _version = r.get_u32().map_err(|e| storage_err("segment header", e))?;
-    let _shard = r.get_u32().map_err(|e| storage_err("segment header", e))?;
-    r.get_u64().map_err(|e| storage_err("segment header", e))
 }
 
 fn write_compacted_marker(dir: &Path, through: u64, fsync: bool) -> Result<(), BankError> {
@@ -750,6 +685,12 @@ fn read_compacted_marker(dir: &Path) -> u64 {
         }
         _ => 0,
     }
+}
+
+/// Makes a file creation or removal in `dir` durable.
+fn sync_dir(dir: &Path) -> Result<(), BankError> {
+    let synced = fs::File::open(dir).and_then(|d| d.sync_all());
+    synced.map_err(|e| storage_err(&dir.display().to_string(), e))
 }
 
 fn list_numbered(dir: &Path, prefix: &str, ext: &str) -> Result<Vec<u64>, BankError> {
@@ -825,6 +766,9 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest, BankError> {
     if version != FORMAT_VERSION {
         return Err(BankError::Storage(format!("unsupported store version {version}")));
     }
+    if shards as usize != SHARDS {
+        return Err(BankError::Storage(format!("unsupported shard count {shards}")));
+    }
     Ok(Manifest { version, bank: bank as u16, branch: branch as u16, shards })
 }
 
@@ -850,15 +794,9 @@ pub struct RecoveryReport {
     pub tail_entries_replayed: usize,
     /// Segment files scanned while collecting the tail.
     pub segments_scanned: usize,
-    /// Shards whose final segment ended in a truncated or
-    /// checksum-failed record (tolerated: the torn suffix never acked).
+    /// 1 when the final segment ended in a truncated or checksum-failed
+    /// frame (tolerated and cut off: that batch never acked), else 0.
     pub torn_tails: usize,
-    /// Tail entries dropped because their commit batch was torn: the
-    /// crash hit mid-batch, some shards' frames never reached disk, and
-    /// the batch as a whole was never acknowledged. Dropping the found
-    /// members keeps multi-shard batches (e.g. both sides of a
-    /// transfer) all-or-nothing.
-    pub torn_batch_entries_dropped: usize,
     /// Accounts alive after recovery.
     pub accounts: usize,
     /// Wall-clock recovery time (directory scan to serving state).
@@ -866,16 +804,138 @@ pub struct RecoveryReport {
 }
 
 /// Everything read back from disk, ready to be folded into a fresh
-/// [`crate::db::Database`]: one base image per shard plus the merged,
-/// LSN-ordered journal tail.
+/// [`crate::db::Database`]: one base image per shard plus the journal
+/// tail.
 pub struct RecoveredState {
     /// Base image per shard (empty image where no snapshot existed).
     pub bases: Vec<ShardSnapshot>,
-    /// Tail entries past each shard's snapshot, merged across shards in
-    /// global LSN order.
+    /// Every log entry past the snapshot of the shard it routes to, in
+    /// LSN order — the order the log holds them in.
     pub tail: Vec<(u64, JournalEntry)>,
     /// Evidence report (finished by the caller with timing/accounts).
     pub report: RecoveryReport,
+}
+
+/// One shard's newest snapshot that verifies.
+struct Base {
+    /// The image (empty when the shard has no valid generation).
+    image: ShardSnapshot,
+    /// Its size on disk; 0 when the shard has no valid generation.
+    bytes: u64,
+    /// Generations present, valid or not.
+    generations: usize,
+    /// Newer generations skipped as unreadable or corrupt.
+    skipped: usize,
+}
+
+fn load_base(root: &Path, shard: usize) -> Result<Base, BankError> {
+    let dir = shard_dir(root, shard);
+    let mut snaps = list_numbered(&dir, "snap-", ".gbs")?;
+    snaps.sort_unstable_by(|a, b| b.cmp(a));
+    let mut base = Base {
+        image: ShardSnapshot::empty(shard as u32),
+        bytes: 0,
+        generations: snaps.len(),
+        skipped: 0,
+    };
+    for lsn in snaps {
+        let parsed = fs::read(snapshot_path(&dir, lsn))
+            .ok()
+            .and_then(|bytes| Some((ShardSnapshot::from_bytes(&bytes).ok()?, bytes.len())));
+        match parsed {
+            Some((image, len)) if image.shard as usize == shard => {
+                base.image = image;
+                base.bytes = len as u64;
+                break;
+            }
+            _ => base.skipped = base.skipped.saturating_add(1),
+        }
+    }
+    Ok(base)
+}
+
+/// What one forward scan of the log found.
+#[derive(Default)]
+struct LogScan {
+    /// Segment files present.
+    segments: usize,
+    /// Their total size.
+    bytes: u64,
+    /// Highest segment sequence number present (0 when none).
+    last_seq: u64,
+    /// Highest LSN an intact frame holds (0 when none).
+    last_lsn: u64,
+    /// The final segment and the length of its valid prefix, when it
+    /// ends in a frame that is cut short, fails its checksum or does not
+    /// parse — a torn tail.
+    torn: Option<(PathBuf, u64)>,
+    /// Every entry past `through[entry_shard(entry)]`, in LSN order.
+    tail: Vec<(u64, JournalEntry)>,
+}
+
+/// Reads the log front to back, one segment in memory at a time. A
+/// frame is whole or absent — it carries one checksum — and frames sit
+/// in LSN order by construction, so there is nothing to reassemble: an
+/// entry is kept iff it is past the snapshot of the shard it routes to.
+/// A bad frame ends the **final** segment's scan (a torn tail: the write
+/// never completed, so it was never acknowledged); anywhere earlier it
+/// is an error — later segments prove data was acknowledged after it.
+fn scan_log(root: &Path, through: &[u64]) -> Result<LogScan, BankError> {
+    let dir = log_dir(root);
+    let mut seqs = list_numbered(&dir, "seg-", ".gbj")?;
+    seqs.sort_unstable();
+    let last_seq = seqs.last().copied().unwrap_or(0);
+    let mut scan = LogScan { segments: seqs.len(), last_seq, ..LogScan::default() };
+    for seq in seqs {
+        let path = segment_path(&dir, seq);
+        let bytes = fs::read(&path).map_err(|e| storage_err(&path.display().to_string(), e))?;
+        scan.bytes = scan.bytes.saturating_add(bytes.len() as u64);
+        // Length of the prefix that is a header and whole frames.
+        let mut clean = 0usize;
+        if parse_segment_header(&path, &bytes)?.is_some() {
+            clean = SEGMENT_HEADER;
+            while let Some((first_lsn, entries, len)) = bytes.get(clean..).and_then(decode_frame) {
+                for (i, entry) in entries.into_iter().enumerate() {
+                    let lsn = first_lsn.saturating_add(i as u64);
+                    scan.last_lsn = scan.last_lsn.max(lsn);
+                    if through.get(entry_shard(&entry)).is_some_and(|t| lsn > *t) {
+                        scan.tail.push((lsn, entry));
+                    }
+                }
+                clean = clean.saturating_add(len);
+            }
+        }
+        if clean < bytes.len() || clean == 0 {
+            if seq != last_seq {
+                return Err(BankError::Storage(format!(
+                    "{}: corrupt frame before the final segment — mid-log corruption, \
+                     not a torn tail",
+                    path.display()
+                )));
+            }
+            scan.torn = Some((path, clean as u64));
+        }
+    }
+    Ok(scan)
+}
+
+/// Everything on disk below the manifest: steps 2–3 of recovery
+/// (docs/STORAGE.md §5), shared with the read-only [`inspect`].
+struct StoreScan {
+    bases: Vec<Base>,
+    /// The `COMPACTED` marker (0 when never compacted).
+    compacted: u64,
+    log: LogScan,
+}
+
+fn scan_store(root: &Path) -> Result<StoreScan, BankError> {
+    let bases = (0..SHARDS).map(|s| load_base(root, s)).collect::<Result<Vec<_>, _>>()?;
+    let through: Vec<u64> = bases.iter().map(|b| b.image.through_lsn).collect();
+    Ok(StoreScan {
+        bases,
+        compacted: read_compacted_marker(&log_dir(root)),
+        log: scan_log(root, &through)?,
+    })
 }
 
 /// Opens (or creates) the store at `cfg.dir` and recovers its state:
@@ -886,18 +946,17 @@ pub fn open_store(
     branch: u16,
     cfg: StoreConfig,
 ) -> Result<(RecoveredState, DiskLog), BankError> {
-    fs::create_dir_all(&cfg.dir).map_err(|e| storage_err("create store dir", e))?;
+    let dir = log_dir(&cfg.dir);
+    fs::create_dir_all(&dir).map_err(|e| storage_err("create store dir", e))?;
     let manifest_path = cfg.dir.join("MANIFEST");
     match read_manifest(&cfg.dir) {
         Ok(m) => {
-            if m.bank != bank || m.branch != branch || m.shards as usize != SHARDS {
+            if m.bank != bank || m.branch != branch {
                 return Err(BankError::Storage(format!(
-                    "store at {} belongs to bank {} branch {} ({} shards), \
-                     not bank {bank} branch {branch} ({SHARDS} shards)",
+                    "store at {} belongs to bank {} branch {}, not bank {bank} branch {branch}",
                     cfg.dir.display(),
                     m.bank,
                     m.branch,
-                    m.shards
                 )));
             }
         }
@@ -908,169 +967,60 @@ pub fn open_store(
         Err(e) => return Err(e),
     }
 
-    let mut report = RecoveryReport { shards: SHARDS, ..RecoveryReport::default() };
-    let mut bases = Vec::with_capacity(SHARDS);
-    // Tail records tagged with their shard and whether they sit in the
-    // shard's final segment (only final-segment frames can belong to a
-    // torn batch, and only they are truncatable).
-    let mut raw_tail: Vec<(usize, bool, FrameRecord)> = Vec::new();
-    // Per shard: final segment path + valid-prefix length, for repair.
-    let mut finals: Vec<Option<(PathBuf, u64)>> = Vec::with_capacity(SHARDS);
-    let mut max_lsn = 0u64;
-    let mut writers = Vec::with_capacity(SHARDS);
-
-    for shard in 0..SHARDS {
-        let dir = shard_dir(&cfg.dir, shard);
-        let compacted = read_compacted_marker(&dir);
-
-        // Newest valid snapshot wins; corrupt generations are skipped.
-        let mut snaps = list_numbered(&dir, "snap-", ".gbs")?;
-        snaps.sort_unstable_by(|a, b| b.cmp(a));
-        let mut base = None;
-        for lsn in snaps {
-            match fs::read(snapshot_path(&dir, lsn)) {
-                Ok(bytes) => match ShardSnapshot::from_bytes(&bytes) {
-                    Ok(s) if s.shard as usize == shard => {
-                        base = Some(s);
-                        break;
-                    }
-                    _ => report.snapshots_skipped = report.snapshots_skipped.saturating_add(1),
-                },
-                Err(_) => report.snapshots_skipped = report.snapshots_skipped.saturating_add(1),
-            }
+    let StoreScan { bases, compacted, log } = scan_store(&cfg.dir)?;
+    let mut report = RecoveryReport {
+        shards: SHARDS,
+        segments_scanned: log.segments,
+        tail_entries_replayed: log.tail.len(),
+        ..RecoveryReport::default()
+    };
+    for (shard, base) in bases.iter().enumerate() {
+        report.snapshots_skipped = report.snapshots_skipped.saturating_add(base.skipped);
+        if base.bytes != 0 {
+            report.snapshots_loaded = report.snapshots_loaded.saturating_add(1);
         }
-        let base = match base {
-            Some(s) => {
-                report.snapshots_loaded = report.snapshots_loaded.saturating_add(1);
-                s
-            }
-            None => ShardSnapshot::empty(shard as u32),
-        };
-        if base.through_lsn < compacted {
+        // The tripwire: segments at or below the marker may be gone, so
+        // a shard whose best snapshot is older cannot be made whole.
+        if base.image.through_lsn < compacted {
             return Err(BankError::Storage(format!(
                 "shard {shard}: no valid snapshot covers the compacted journal prefix \
                  (best snapshot at LSN {}, journal compacted through LSN {compacted}); \
                  the store cannot be recovered completely",
-                base.through_lsn
+                base.image.through_lsn
             )));
         }
-        max_lsn = max_lsn.max(base.through_lsn);
-
-        // Journal tail: every segment record past the snapshot. A torn
-        // record is tolerated only at the very end of the newest
-        // segment; anywhere else it is mid-log corruption.
-        let mut segs = list_numbered(&dir, "seg-", ".gbj")?;
-        segs.sort_unstable();
-        let last_seq = segs.last().copied();
-        let mut final_seg = None;
-        for seq in &segs {
-            let path = segment_path(&dir, *seq);
-            let scan = read_segment(&path, shard as u32)?;
-            report.segments_scanned = report.segments_scanned.saturating_add(1);
-            let is_last = Some(*seq) == last_seq;
-            if scan.torn {
-                if is_last {
-                    report.torn_tails = report.torn_tails.saturating_add(1);
-                } else {
-                    return Err(BankError::Storage(format!(
-                        "{}: corrupt record before the final segment — mid-log corruption, \
-                         not a torn tail",
-                        path.display()
-                    )));
-                }
-            }
-            if is_last {
-                final_seg = Some((path, scan.clean_len));
-            }
-            for rec in scan.records {
-                max_lsn = max_lsn.max(rec.lsn);
-                if rec.lsn > base.through_lsn {
-                    raw_tail.push((shard, is_last, rec));
-                }
-            }
-        }
-        finals.push(final_seg);
-        let next_seq = segs.last().map_or(1, |s| s.saturating_add(1));
-        writers.push(OrderedMutex::new(
-            rank::SEGMENT_WRITER,
-            shard as u32,
-            "segment-writer",
-            ShardWriter { dir, seq: next_seq, file: None, bytes: 0 },
-        ));
-        bases.push(base);
     }
-
-    // Batch atomicity: a commit batch may span several shard files, and
-    // a crash mid-flush can persist some members but not others. A batch
-    // wholly past every snapshot (`batch_first > max_through`) was never
-    // acknowledged unless *all* its frames hit disk, so an incomplete
-    // such batch is dropped in full — half a multi-shard transfer must
-    // not replay. A batch that overlaps a snapshot *was* acknowledged
-    // (snapshots cut at durable batch boundaries); its "missing"
-    // members are simply covered by a snapshot.
-    let max_through = bases.iter().map(|b| b.through_lsn).max().unwrap_or(0);
-    let mut found: BTreeMap<u64, u32> = BTreeMap::new();
-    for (_, _, rec) in &raw_tail {
-        if rec.batch_first > max_through {
-            let n = found.entry(rec.batch_first).or_insert(0u32);
-            *n = n.saturating_add(1);
-        }
-    }
-    // Because appends are serialized, only the globally-last batch can
-    // be incomplete, and its surviving frames are each the last frames
-    // of their shard's final segment. Truncating there (plus any torn
-    // partial frame) makes recovery idempotent: the orphans can never
-    // resurrect after later appends or snapshots move past them.
-    let mut truncate_to: Vec<Option<u64>> =
-        finals.iter().map(|f| f.as_ref().map(|&(_, clean)| clean)).collect();
-    let mut tail: Vec<(u64, JournalEntry)> = Vec::with_capacity(raw_tail.len());
-    for (shard, in_final, rec) in raw_tail {
-        let complete = rec.batch_first <= max_through
-            || found.get(&rec.batch_first).copied().unwrap_or(0) >= rec.batch_len;
-        if complete {
-            tail.push((rec.lsn, rec.entry));
+    if let Some((path, clean)) = &log.torn {
+        report.torn_tails = 1;
+        // Cut the torn frame off, so a second open finds a clean log and
+        // no later append lands behind garbage. A segment left without a
+        // whole frame goes altogether: it holds nothing, and an empty
+        // file has no first LSN for compaction to pivot on.
+        if *clean <= SEGMENT_HEADER as u64 {
+            fs::remove_file(path).map_err(|e| storage_err("remove torn segment", e))?;
+            sync_dir(&dir)?;
         } else {
-            report.torn_batch_entries_dropped = report.torn_batch_entries_dropped.saturating_add(1);
-            if in_final {
-                if let Some(cut) = truncate_to.get_mut(shard).and_then(|c| c.as_mut()) {
-                    *cut = (*cut).min(rec.offset);
-                }
-            }
-        }
-    }
-    for (shard, final_seg) in finals.iter().enumerate() {
-        let (path, _) = match final_seg {
-            Some(f) => f,
-            None => continue,
-        };
-        let cut = match truncate_to.get(shard).copied().flatten() {
-            Some(c) => c,
-            None => continue,
-        };
-        let len = fs::metadata(path).map_err(|e| storage_err("stat segment", e))?.len();
-        if cut < len {
             let f = fs::OpenOptions::new()
                 .write(true)
                 .open(path)
                 .map_err(|e| storage_err("open segment for repair", e))?;
-            f.set_len(cut).map_err(|e| storage_err("truncate torn suffix", e))?;
+            f.set_len(*clean).map_err(|e| storage_err("truncate torn frame", e))?;
             f.sync_all().map_err(|e| storage_err("sync repaired segment", e))?;
         }
     }
 
-    // Global LSN order across shards restores the original commit
-    // interleaving for the whole tail.
-    tail.sort_by_key(|(lsn, _)| *lsn);
-    report.tail_entries_replayed = tail.len();
-
-    let log = DiskLog {
+    let max_lsn = bases.iter().map(|b| b.image.through_lsn).fold(log.last_lsn, u64::max);
+    let disk = DiskLog {
         next_lsn: AtomicU64::new(max_lsn.saturating_add(1)),
-        shards: writers,
+        next_seq: AtomicU64::new(log.last_seq.saturating_add(1)),
         since_snapshot: (0..SHARDS).map(|_| AtomicU64::new(0)).collect(),
+        snapshot_lsn: bases.iter().map(|b| AtomicU64::new(b.image.through_lsn)).collect(),
+        compacted: AtomicU64::new(compacted),
         failed: AtomicBool::new(false),
         cfg,
     };
-    Ok((RecoveredState { bases, tail, report }, log))
+    let bases = bases.into_iter().map(|b| b.image).collect();
+    Ok((RecoveredState { bases, tail: log.tail, report }, disk))
 }
 
 // ---------------------------------------------------------------------------
@@ -1080,25 +1030,17 @@ pub fn open_store(
 /// One shard's on-disk inventory.
 #[derive(Clone, Debug, Default)]
 pub struct ShardInventory {
-    /// Segment files present.
-    pub segments: usize,
-    /// Total segment bytes.
-    pub segment_bytes: u64,
     /// Snapshot generations present.
     pub snapshots: usize,
-    /// Newest snapshot's `through_lsn` (0 when none).
+    /// Newest valid snapshot's `through_lsn` (0 when none).
     pub snapshot_lsn: u64,
-    /// Newest snapshot bytes (0 when none).
+    /// Newest valid snapshot's bytes (0 when none).
     pub snapshot_bytes: u64,
     /// Accounts in the newest valid snapshot.
     pub snapshot_accounts: usize,
-    /// Journal-tail entries past the newest snapshot (what a restart
-    /// would replay).
+    /// Log entries routed here past the newest valid snapshot (what a
+    /// restart would replay).
     pub tail_entries: usize,
-    /// Whether the newest segment ends in a torn record.
-    pub torn_tail: bool,
-    /// The shard's `COMPACTED` marker (0 when never compacted).
-    pub compacted_through: u64,
 }
 
 /// A full offline inventory of a store directory.
@@ -1106,6 +1048,14 @@ pub struct ShardInventory {
 pub struct StoreInspection {
     /// The verified manifest.
     pub manifest: Manifest,
+    /// Log segment files present.
+    pub segments: usize,
+    /// Total log segment bytes.
+    pub segment_bytes: u64,
+    /// The `COMPACTED` marker (0 when never compacted).
+    pub compacted_through: u64,
+    /// Whether the newest segment ends in a torn frame.
+    pub torn_tail: bool,
     /// Per-shard inventories, indexed by shard.
     pub shards: Vec<ShardInventory>,
 }
@@ -1123,9 +1073,7 @@ impl StoreInspection {
 
     /// Total bytes on disk (segments + newest snapshots).
     pub fn total_bytes(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, s| {
-            acc.saturating_add(s.segment_bytes).saturating_add(s.snapshot_bytes)
-        })
+        self.shards.iter().fold(self.segment_bytes, |acc, s| acc.saturating_add(s.snapshot_bytes))
     }
 }
 
@@ -1134,7 +1082,8 @@ impl StoreInspection {
 ///
 /// Distinguishes "this was never a store" (missing, empty, or
 /// MANIFEST-less directory → [`BankError::NotAStore`]) from "this store
-/// is damaged" (manifest present but unreadable → [`BankError::Storage`]).
+/// is damaged" (manifest or a non-final segment unreadable →
+/// [`BankError::Storage`]).
 pub fn inspect(dir: &Path) -> Result<StoreInspection, BankError> {
     let not_a_store = |reason: &str| BankError::NotAStore {
         dir: dir.display().to_string(),
@@ -1154,50 +1103,31 @@ pub fn inspect(dir: &Path) -> Result<StoreInspection, BankError> {
         return Err(not_a_store("no MANIFEST file"));
     }
     let manifest = read_manifest(dir)?;
-    let mut shards = Vec::with_capacity(manifest.shards as usize);
-    for shard in 0..manifest.shards as usize {
-        let sdir = shard_dir(dir, shard);
-        let mut inv = ShardInventory {
-            compacted_through: read_compacted_marker(&sdir),
-            ..ShardInventory::default()
-        };
-        let mut snaps = list_numbered(&sdir, "snap-", ".gbs")?;
-        snaps.sort_unstable_by(|a, b| b.cmp(a));
-        inv.snapshots = snaps.len();
-        let mut through = 0u64;
-        for lsn in snaps {
-            let path = snapshot_path(&sdir, lsn);
-            if let Ok(bytes) = fs::read(&path) {
-                if let Ok(s) = ShardSnapshot::from_bytes(&bytes) {
-                    inv.snapshot_lsn = s.through_lsn;
-                    inv.snapshot_bytes = bytes.len() as u64;
-                    inv.snapshot_accounts = s.accounts.len();
-                    through = s.through_lsn;
-                    break;
-                }
-            }
+    let scan = scan_store(dir)?;
+    let mut shards: Vec<ShardInventory> = scan
+        .bases
+        .iter()
+        .map(|b| ShardInventory {
+            snapshots: b.generations,
+            snapshot_lsn: b.image.through_lsn,
+            snapshot_bytes: b.bytes,
+            snapshot_accounts: b.image.accounts.len(),
+            tail_entries: 0,
+        })
+        .collect();
+    for (_lsn, entry) in &scan.log.tail {
+        if let Some(inv) = shards.get_mut(entry_shard(entry)) {
+            inv.tail_entries = inv.tail_entries.saturating_add(1);
         }
-        let mut segs = list_numbered(&sdir, "seg-", ".gbj")?;
-        segs.sort_unstable();
-        inv.segments = segs.len();
-        let last_seq = segs.last().copied();
-        for seq in segs {
-            let path = segment_path(&sdir, seq);
-            if let Ok(meta) = fs::metadata(&path) {
-                inv.segment_bytes = inv.segment_bytes.saturating_add(meta.len());
-            }
-            if let Ok(scan) = read_segment(&path, shard as u32) {
-                if scan.torn && Some(seq) == last_seq {
-                    inv.torn_tail = true;
-                }
-                inv.tail_entries = inv
-                    .tail_entries
-                    .saturating_add(scan.records.iter().filter(|r| r.lsn > through).count());
-            }
-        }
-        shards.push(inv);
     }
-    Ok(StoreInspection { manifest, shards })
+    Ok(StoreInspection {
+        manifest,
+        segments: scan.log.segments,
+        segment_bytes: scan.log.bytes,
+        compacted_through: scan.compacted,
+        torn_tail: scan.log.torn.is_some(),
+        shards,
+    })
 }
 
 #[cfg(test)]

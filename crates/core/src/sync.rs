@@ -55,8 +55,6 @@ pub(crate) mod rank {
     pub const IDEM_CACHE: u16 = 140;
     /// `Database.ib_pending`.
     pub const IB_PENDING: u16 = 150;
-    /// `DiskLog.shards[i]` — one writer per shard, taken last.
-    pub const SEGMENT_WRITER: u16 = 160;
 }
 
 /// Debug-only held-lock bookkeeping. Everything in here is behind

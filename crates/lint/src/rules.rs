@@ -1021,7 +1021,7 @@ pub fn durability_order(file: &SourceFile, sections: &[String], report: &mut Rep
         ],
         report,
     );
-    if let Some((lineno, body)) = fn_body(file, "compact_shard") {
+    if let Some((lineno, body)) = fn_body(file, "compact") {
         report.add_sites(Rule::DurabilityOrder, 1);
         let marker = body.find("write_compacted_marker(");
         let seg_del = body.find("remove_file(segment_path");
@@ -1030,7 +1030,7 @@ pub fn durability_order(file: &SourceFile, sections: &[String], report: &mut Rep
                 Rule::DurabilityOrder,
                 file,
                 lineno,
-                "compact_shard deletes segments before the COMPACTED marker is durable — \
+                "compact deletes segments before the COMPACTED marker is durable — \
                  a crash between the two loses the only copy (docs/STORAGE.md §3.4)"
                     .into(),
             ),
@@ -1038,7 +1038,7 @@ pub fn durability_order(file: &SourceFile, sections: &[String], report: &mut Rep
                 Rule::DurabilityOrder,
                 file,
                 lineno,
-                "compact_shard deletes segments without writing the COMPACTED marker \
+                "compact deletes segments without writing the COMPACTED marker \
                  (docs/STORAGE.md §3.4)"
                     .into(),
             ),

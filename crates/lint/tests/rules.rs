@@ -25,7 +25,7 @@ fn lock_order() -> LockOrderSpec {
          | 15 | worker-inbox | server.rs | `rx` | single |\n\
          | 20 | account-shard | db.rs | `shards` `shard` | ascending-index |\n\
          | 30 | journal-mem | db.rs | `mem` | single |\n\
-         | 40 | segment-writer | store.rs | `writer` | single |",
+         | 40 | store-writer | store.rs | `writer` | single |",
     )
     .expect("fixture lock order parses")
 }
@@ -602,9 +602,9 @@ fn durability_order_requires_marker_before_segment_deletion() {
     let report = analyze(
         "crates/core/src/store.rs",
         r#"
-fn compact_shard(&self, shard: usize) {
-    fs::remove_file(segment_path(dir, shard, seq)).ok();
-    self.write_compacted_marker(shard).ok();
+fn compact(&self) {
+    fs::remove_file(segment_path(dir, seq)).ok();
+    self.write_compacted_marker(cut).ok();
 }
 "#,
     );
@@ -614,9 +614,9 @@ fn compact_shard(&self, shard: usize) {
     let report = analyze(
         "crates/core/src/store.rs",
         r#"
-fn compact_shard(&self, shard: usize) {
-    self.write_compacted_marker(shard).ok();
-    fs::remove_file(segment_path(dir, shard, seq)).ok();
+fn compact(&self) {
+    self.write_compacted_marker(cut).ok();
+    fs::remove_file(segment_path(dir, seq)).ok();
 }
 "#,
     );

@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -75,6 +75,15 @@ if grep -rnE --include='*.rs' \
   'journal_snapshot|from_journal|Database::replay|append_with|append_transaction|append_transfer' \
   crates tests examples src; then
   echo "journal guard: recover through Database::open / GridBank::open_durable only" >&2
+  exit 1
+fi
+# One log (docs/STORAGE.md §1): a commit is one frame in one file, so
+# the per-shard segment writers, their lock class and the recovery that
+# stitched a batch back together from several files cannot grow back.
+if grep -rnE --include='*.rs' \
+  'ShardWriter|SEGMENT_WRITER|segment-writer|write_shard|compact_shard|batch_first|torn_batch_entries_dropped' \
+  crates tests examples src; then
+  echo "log guard: one DiskLog, one frame per commit batch, one compaction pass" >&2
   exit 1
 fi
 scripts/loc.sh

@@ -1,4 +1,4 @@
-//! Sharded on-disk store — crash recovery suite (docs/STORAGE.md).
+//! On-disk store — crash recovery suite (docs/STORAGE.md).
 //!
 //! Every test follows the same shape: run real banking traffic against a
 //! durable bank, "kill" it (drop the process state so only the files
@@ -51,30 +51,34 @@ fn balance_of(bank: &GridBank, id: gridbank_suite::bank::AccountId) -> Credits {
     bank.all_accounts().into_iter().find(|r| r.id == id).expect("account exists").available
 }
 
-/// Tears the tail: cuts a few bytes off the newest segment file in each
-/// shard directory that holds any record bytes past its header. Each
-/// cut lands inside that file's final frame, exactly like an
-/// interrupted write. Returns how many files were cut.
-fn tear_newest_segments(dir: &Path) -> usize {
-    let mut torn = 0;
-    for shard in 0..64u32 {
-        let sdir = dir.join(format!("shard-{shard:02}"));
-        let Ok(entries) = std::fs::read_dir(&sdir) else { continue };
-        let mut segs: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "gbj"))
-            .collect();
-        segs.sort();
-        let Some(seg) = segs.pop() else { continue };
-        let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-        let len = f.metadata().unwrap().len();
-        if len > 20 {
-            f.set_len(len - 3).unwrap();
-            torn += 1;
-        }
-    }
-    torn
+/// The log's segment files, oldest first.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("log"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "gbj"))
+        .collect();
+    segs.sort();
+    segs
+}
+
+/// Tears the tail: cuts three bytes off the log's newest segment. The
+/// cut lands inside the final frame, exactly like an interrupted write.
+fn tear_log_tail(dir: &Path) {
+    let newest = segments(dir).pop().expect("the log has a segment");
+    let f = std::fs::OpenOptions::new().write(true).open(newest).unwrap();
+    f.set_len(f.metadata().unwrap().len() - 3).unwrap();
+}
+
+/// Writes the log's `COMPACTED` marker by hand (docs/STORAGE.md §2.4).
+fn write_compacted_marker(dir: &Path, through: u64) {
+    let mut body = Vec::new();
+    body.extend_from_slice(&0x4742_4354u32.to_be_bytes()); // "GBCT"
+    body.extend_from_slice(&store::FORMAT_VERSION.to_be_bytes());
+    body.extend_from_slice(&through.to_be_bytes());
+    let check = store::fnv64(&body);
+    body.extend_from_slice(&check.to_le_bytes());
+    std::fs::write(dir.join("log").join("COMPACTED"), body).unwrap();
 }
 
 #[test]
@@ -236,25 +240,12 @@ fn kill_mid_compaction_before_deletion_recovers_cleanly() {
     let funds = bank.total_funds();
     drop(bank);
 
-    // Hand-craft the crash state: a valid marker at the snapshot's
-    // through-LSN in every snapshotted shard, all segments still there.
+    // Hand-craft the crash state: a valid marker at the cut — the lowest
+    // snapshot LSN of any shard — with every segment still there.
     let inspection = store::inspect(&store.dir).unwrap();
-    let mut marked = 0;
-    for (shard, inv) in inspection.shards.iter().enumerate() {
-        if inv.snapshot_lsn == 0 {
-            continue;
-        }
-        let sdir = store.dir.join(format!("shard-{shard:02}"));
-        let mut body = Vec::new();
-        body.extend_from_slice(&0x4742_4354u32.to_be_bytes()); // "GBCT"
-        body.extend_from_slice(&store::FORMAT_VERSION.to_be_bytes());
-        body.extend_from_slice(&inv.snapshot_lsn.to_be_bytes());
-        let check = store::fnv64(&body);
-        body.extend_from_slice(&check.to_le_bytes());
-        std::fs::write(sdir.join("COMPACTED"), body).unwrap();
-        marked += 1;
-    }
-    assert!(marked > 0);
+    let cut = inspection.shards.iter().map(|inv| inv.snapshot_lsn).min().unwrap();
+    assert!(cut > 0, "the checkpoint snapshotted every shard");
+    write_compacted_marker(&store.dir, cut);
 
     let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert!(report.tail_entries_replayed > 0, "post-snapshot deposit replays");
@@ -275,14 +266,7 @@ fn compaction_marker_past_every_snapshot_fails_loudly() {
     bank.accounts.db().checkpoint().unwrap();
     drop(bank);
 
-    let sdir = store.dir.join("shard-00");
-    let mut body = Vec::new();
-    body.extend_from_slice(&0x4742_4354u32.to_be_bytes());
-    body.extend_from_slice(&store::FORMAT_VERSION.to_be_bytes());
-    body.extend_from_slice(&u64::MAX.to_be_bytes());
-    let check = store::fnv64(&body);
-    body.extend_from_slice(&check.to_le_bytes());
-    std::fs::write(sdir.join("COMPACTED"), body).unwrap();
+    write_compacted_marker(&store.dir, u64::MAX);
 
     match GridBank::open_durable(config(), Clock::new(), store.clone()) {
         Err(BankError::Storage(why)) => {
@@ -295,7 +279,7 @@ fn compaction_marker_past_every_snapshot_fails_loudly() {
 
 #[test]
 fn torn_segment_tail_drops_the_whole_final_batch() {
-    // Truncate the final frame of a shard's newest segment — the torn
+    // Truncate the final frame of the log's newest segment — the torn
     // write a power cut leaves behind. The final commit batch (a
     // multi-shard transfer) must disappear *atomically*: both sides of
     // the transfer gone, never one.
@@ -322,15 +306,10 @@ fn torn_segment_tail_drops_the_whole_final_batch() {
     assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
     drop(bank);
 
-    let torn = tear_newest_segments(&store.dir);
-    assert!(torn > 0, "the transfer must have reached at least one segment");
+    tear_log_tail(&store.dir);
 
     let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
-    assert_eq!(report.torn_tails, torn, "each cut is a tolerated torn tail");
-    assert!(
-        report.torn_batch_entries_dropped > 0,
-        "the incomplete final batch is dropped, not half-applied"
-    );
+    assert_eq!(report.torn_tails, 1, "the cut is a tolerated torn tail");
     // All-or-nothing: the bank is exactly at its pre-transfer state.
     assert_eq!(rebuilt.accounts.db().state_digest(), digest_before_transfer);
     assert_eq!(rebuilt.total_funds(), funds, "conservation under torn writes");
@@ -353,11 +332,10 @@ fn torn_segment_tail_drops_the_whole_final_batch() {
     assert_eq!(balance_of(&rebuilt, b), Credits::from_gd(30));
     drop(rebuilt);
 
-    // Recovery repaired the torn files (truncated the dead suffix), so
-    // a third open replays a clean log: no torn tails, same state.
+    // Recovery repaired the torn file (cut the dead frame off), so a
+    // third open replays a clean log: no torn tail, same state.
     let (again, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(report.torn_tails, 0, "repair made recovery idempotent");
-    assert_eq!(report.torn_batch_entries_dropped, 0);
     assert_eq!(balance_of(&again, b), Credits::from_gd(30));
 }
 
@@ -375,10 +353,13 @@ fn torn_deposit_disappears_whole() {
     deposit(&bank, a, 5);
     drop(bank);
 
-    assert!(tear_newest_segments(&store.dir) > 0);
-    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store).unwrap();
-    assert!(report.torn_batch_entries_dropped > 0, "the update goes with its torn row");
-    assert_eq!(rebuilt.accounts.db().state_digest(), digest_before_deposit);
+    tear_log_tail(&store.dir);
+    let (rebuilt, _) = GridBank::open_durable(config(), Clock::new(), store).unwrap();
+    assert_eq!(
+        rebuilt.accounts.db().state_digest(),
+        digest_before_deposit,
+        "the update goes with its torn row"
+    );
     assert_eq!(balance_of(&rebuilt, a), Credits::from_gd(100));
 }
 
@@ -620,4 +601,296 @@ fn staggered_snapshots_keep_the_newest_idempotency_keys() {
     assert_eq!(reopened.accounts.db().state_digest(), digest, "same stamps remembered");
     (29..=36u64).for_each(|key| pay(&reopened, key));
     assert_eq!(balance_of(&reopened, payee), Credits::from_gd(36), "a remembered key re-applied");
+}
+
+#[test]
+fn a_commit_is_one_frame_in_one_file() {
+    use gridbank_suite::bank::db::JournalEntry;
+
+    let store = StoreConfig::scratch("one-frame");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
+    let alice = SubjectName::new("Org", "Unit", "alice");
+    let a = open_account(&bank, &alice);
+    let b = open_account(&bank, &SubjectName::new("Org", "Unit", "bob"));
+    deposit(&bank, a, 100);
+    let before = bank.accounts.db().journal_len() as u64;
+    let reply = bank.handle_keyed(
+        &alice,
+        Some(1),
+        BankRequest::DirectTransfer {
+            to: b,
+            amount: Credits::from_gd(1),
+            recipient_address: "bob.grid.org".into(),
+        },
+    );
+    assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
+    drop(bank);
+
+    // Every commit so far — whichever shards it touched — is in the one
+    // segment of the one log; no shard directory holds a segment (none
+    // exists yet: a shard directory holds snapshots only).
+    assert_eq!(segments(&store.dir).len(), 1);
+    let mut names: Vec<_> =
+        std::fs::read_dir(&store.dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    names.sort();
+    assert_eq!(names, ["MANIFEST", "log"]);
+    let tail = store::open_store(1, 1, store.clone()).unwrap().0.tail;
+    let inspection = store::inspect(&store.dir).unwrap();
+    assert!(
+        inspection.shards.iter().filter(|inv| inv.tail_entries > 0).count() > 1,
+        "the traffic touched several shards"
+    );
+
+    // The transfer's batch reads back whole, in commit order, on
+    // consecutive LSNs.
+    let batch: Vec<_> = tail.iter().filter(|(lsn, _)| *lsn > before).collect();
+    let lsns: Vec<u64> = batch.iter().map(|(lsn, _)| *lsn).collect();
+    assert_eq!(lsns, (before + 1..=before + 6).collect::<Vec<_>>());
+    assert!(matches!(&batch[0].1, JournalEntry::Update(r) if r.id == a));
+    assert!(matches!(&batch[1].1, JournalEntry::Update(r) if r.id == b));
+    assert!(matches!(batch[2].1, JournalEntry::Transaction(_)));
+    assert!(matches!(batch[3].1, JournalEntry::Transaction(_)));
+    assert!(matches!(batch[4].1, JournalEntry::Transfer(_)));
+    assert!(matches!(batch[5].1, JournalEntry::Idem { key: 1, .. }));
+}
+
+#[test]
+fn a_flipped_byte_before_the_final_segment_is_fatal() {
+    // A bad frame in the final segment is a torn tail; the same damage
+    // with a later segment behind it is lost history — acknowledged
+    // batches followed it — and recovery must say so, not cut it off.
+    let store = StoreConfig::scratch("mid-log");
+    let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
+    let a = open_account(&bank, &SubjectName::new("Org", "Unit", "alice"));
+    deposit(&bank, a, 10);
+    bank.accounts.db().checkpoint().unwrap(); // closes the first segment
+    deposit(&bank, a, 5);
+    drop(bank);
+
+    let segs = segments(&store.dir);
+    assert_eq!(segs.len(), 2);
+    let mut bytes = std::fs::read(&segs[0]).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&segs[0], bytes).unwrap();
+
+    match GridBank::open_durable(config(), Clock::new(), store.clone()) {
+        Err(BankError::Storage(why)) => {
+            assert!(why.contains("mid-log corruption"), "unexpected message: {why}")
+        }
+        Ok(_) => panic!("recovery must refuse a log damaged before its final segment"),
+        Err(other) => panic!("wrong error: {other}"),
+    }
+}
+
+#[test]
+fn idle_shards_do_not_pin_the_log() {
+    use gridbank_suite::bank::db::{AccountId, AccountRecord, Database};
+
+    // Two accounts take all the traffic, so at least fourteen shards see
+    // none. Their snapshots would stay at LSN 0 and hold the compaction
+    // cut there; the log's own run past them makes them due
+    // (docs/STORAGE.md §4).
+    const EVERY: u64 = 8;
+    const SHARDS: u64 = 16;
+    let store = StoreConfig { snapshot_every: EVERY, ..StoreConfig::scratch("idle-shards") };
+    let (db, _) = Database::open(1, 1, store.clone()).unwrap();
+    let ids = [AccountId::new(1, 1, 1), AccountId::new(1, 1, 2)];
+    for id in ids {
+        db.insert_account(AccountRecord {
+            id,
+            certificate_name: format!("/CN=holder-{}", id.number),
+            organization: None,
+            available: Credits::from_gd(1_000),
+            locked: Credits::ZERO,
+            currency: "GridDollar".into(),
+            credit_limit: Credits::ZERO,
+        })
+        .unwrap();
+    }
+    while (db.journal_len() as u64) < 2 * SHARDS * EVERY {
+        db.with_two_accounts_mut(&ids[0], &ids[1], |a, b| {
+            a.available = a.available.checked_sub(Credits::from_gd(1))?;
+            b.available = b.available.checked_add(Credits::from_gd(1))?;
+            Ok(())
+        })
+        .unwrap();
+        db.maybe_checkpoint().unwrap();
+    }
+    let digest = db.state_digest();
+    drop(db);
+
+    let inspection = store::inspect(&store.dir).unwrap();
+    assert!(inspection.compacted_through > 0, "the cut never left LSN 0");
+    assert!(inspection.shards.iter().all(|inv| inv.snapshot_lsn >= inspection.compacted_through));
+    // Segments below the cut are gone: the oldest one left holds the cut
+    // (the first whose successor starts past it), so what is left is no
+    // more than the entries since the cut plus that one segment.
+    let segs = segments(&store.dir);
+    assert!(!segs.contains(&store.dir.join("log").join("seg-00000001.gbj")));
+    assert!(segs.len() < 2 * SHARDS as usize, "{} segments kept", segs.len());
+    // Replay stays what it was: each busy shard's tail, below
+    // `snapshot_every` plus one batch — the idle ones add nothing.
+    let (reopened, report) = Database::open(1, 1, store).unwrap();
+    assert!(
+        report.tail_entries_replayed as u64 <= 2 * (EVERY + 2),
+        "replayed {}",
+        report.tail_entries_replayed
+    );
+    assert_eq!(reopened.state_digest(), digest);
+}
+
+#[test]
+fn a_version_2_store_is_refused() {
+    // FORMAT_VERSION 2 kept sixteen per-shard segment sequences; there
+    // is no reader for it, and a store is not migratable by accident.
+    let store = StoreConfig::scratch("v2-manifest");
+    std::fs::create_dir_all(&store.dir).unwrap();
+    let mut manifest = Vec::new();
+    for word in [0x4742_4D46u32, 2, 1, 1, 16] {
+        manifest.extend_from_slice(&word.to_be_bytes()); // "GBMF", version, bank, branch, shards
+    }
+    let check = store::fnv64(&manifest);
+    manifest.extend_from_slice(&check.to_le_bytes());
+    std::fs::write(store.dir.join("MANIFEST"), manifest).unwrap();
+
+    match GridBank::open_durable(config(), Clock::new(), store) {
+        Err(BankError::Storage(why)) => {
+            assert!(why.contains("unsupported store version 2"), "unexpected message: {why}")
+        }
+        Ok(_) => panic!("a version-2 store must be refused"),
+        Err(other) => panic!("wrong error: {other}"),
+    }
+}
+
+/// PR 11's open finding (ROADMAP item 1): about once in 200–500
+/// kill/reopen cycles the reopened `state_digest()` differed from the
+/// pre-kill one. Each cycle here races two cheque-paying threads against
+/// the server's own checkpoints, kills the bank and compares the tables
+/// the digest folds, so a mismatch names the table. Counts at the parent
+/// commit and at this one are in EXPERIMENTS.md §E24.
+///
+/// ```text
+/// cargo test --release --test storage_recovery -- --ignored kill_reopen_soak --nocapture
+/// ```
+#[test]
+#[ignore = "minutes; EXPERIMENTS.md E24"]
+fn kill_reopen_soak_keeps_the_digest() {
+    use gridbank_suite::bank::db::Database;
+    use gridbank_suite::rur::record::{ChargeableItem, RurBuilder, UsageAmount};
+    use gridbank_suite::rur::units::Duration;
+
+    const CYCLES: usize = 2_000;
+    const PAYMENTS: u64 = 20;
+
+    /// The tables `state_digest()` folds, each sorted, as comparable text.
+    fn tables(db: &Database, stamps: &[(String, u64)]) -> [(&'static str, Vec<String>); 5] {
+        let accounts = db.all_accounts();
+        let mut rows: Vec<String> = accounts
+            .iter()
+            .flat_map(|r| db.transactions_in_range(&r.id, 0, u64::MAX))
+            .map(|t| format!("{t:?}"))
+            .collect();
+        rows.sort();
+        let mut transfers: Vec<String> =
+            db.all_transfers().iter().map(|t| format!("{t:?}")).collect();
+        transfers.sort();
+        [
+            ("accounts", accounts.iter().map(|r| format!("{r:?}")).collect()),
+            ("TRANSACTION rows", rows),
+            ("TRANSFER rows", transfers),
+            (
+                "pending credits",
+                db.ib_pending_snapshot().iter().map(|p| format!("{p:?}")).collect(),
+            ),
+            (
+                "idempotency keys",
+                stamps
+                    .iter()
+                    .filter(|(cert, key)| db.idem_lookup(cert, *key).is_some())
+                    .map(|(cert, key)| format!("{cert} {key}"))
+                    .collect(),
+            ),
+        ]
+    }
+
+    let mut mismatches = Vec::new();
+    for cycle in 0..CYCLES {
+        let store = StoreConfig { snapshot_every: 8, ..StoreConfig::scratch("soak") };
+        // 80 cheque and redemption signatures a cycle.
+        let small = GridBankConfig { signer_height: 7, ..GridBankConfig::default() };
+        let (bank, _) = GridBank::open_durable(small, Clock::new(), store.clone()).unwrap();
+        let parties: Vec<(SubjectName, SubjectName)> = (0..2)
+            .map(|t| {
+                let payer = SubjectName::new("Org", "Unit", &format!("payer-{t}"));
+                let payee = SubjectName::new("Org", "Unit", &format!("payee-{t}"));
+                deposit(&bank, open_account(&bank, &payer), 1_000);
+                open_account(&bank, &payee);
+                (payer, payee)
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for (t, (payer, payee)) in parties.iter().enumerate() {
+                let bank = &bank;
+                s.spawn(move || {
+                    for i in 0..PAYMENTS {
+                        let key = (t as u64) * 1_000 + 2 * i;
+                        let reply = bank.handle_keyed(
+                            payer,
+                            Some(key),
+                            BankRequest::RequestCheque {
+                                payee_cert: payee.0.clone(),
+                                amount: Credits::from_gd(2),
+                                validity_ms: 100_000,
+                            },
+                        );
+                        let BankResponse::Cheque(cheque) = reply else { panic!("{reply:?}") };
+                        let rur = RurBuilder::default()
+                            .user("host", &payer.0)
+                            .job("job", "app", 0, 3_600_000)
+                            .resource("resource", &payee.0, None, 1)
+                            .line(
+                                ChargeableItem::Cpu,
+                                UsageAmount::Time(Duration::from_hours(1)),
+                                Credits::from_gd(1),
+                            )
+                            .build()
+                            .unwrap();
+                        let reply = bank.handle_keyed(
+                            payee,
+                            Some(key + 1),
+                            BankRequest::RedeemCheque { cheque, rur },
+                        );
+                        assert!(matches!(reply, BankResponse::Redeemed { .. }), "{reply:?}");
+                    }
+                });
+            }
+        });
+        let stamps: Vec<(String, u64)> = parties
+            .iter()
+            .enumerate()
+            .flat_map(|(t, (payer, payee))| {
+                (0..PAYMENTS).flat_map(move |i| {
+                    let key = (t as u64) * 1_000 + 2 * i;
+                    [(payer.0.clone(), key), (payee.0.clone(), key + 1)]
+                })
+            })
+            .collect();
+        let db = bank.accounts.db();
+        let (digest, before) = (db.state_digest(), tables(db, &stamps));
+        drop(bank);
+
+        let (reopened, _) = Database::open(1, 1, store.clone()).unwrap();
+        if reopened.state_digest() != digest {
+            let after = tables(&reopened, &stamps);
+            let differing: Vec<&str> =
+                before.iter().zip(&after).filter(|(b, a)| b != a).map(|(b, _)| b.0).collect();
+            println!("cycle {cycle}: digest differs in {differing:?}");
+            mismatches.push((cycle, differing));
+        }
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+    println!("{} of {CYCLES} kill/reopen cycles changed the digest", mismatches.len());
+    assert!(mismatches.is_empty(), "{mismatches:?}");
 }
