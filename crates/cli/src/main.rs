@@ -657,9 +657,9 @@ fn run_top(args: &Args) -> Result<String, String> {
 
 /// `gridbank store --dir PATH` — read-only inventory of a durable store
 /// directory (docs/STORAGE.md): the log's segments, compaction and
-/// torn-tail state, then per shard the snapshot generations and the
-/// journal tail a restart would replay. Never opens the store for
-/// writing.
+/// torn-tail state, then the snapshot generations, the newest valid one
+/// and the journal tail a restart would replay. Never opens the store
+/// for writing.
 fn run_store(args: &Args) -> Result<String, String> {
     use std::fmt::Write as _;
 
@@ -668,12 +668,11 @@ fn run_store(args: &Args) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "store {} — format v{}, bank {:02} branch {:04}, {} shards",
+        "store {} — format v{}, bank {:02} branch {:04}",
         dir.display(),
         inv.manifest.version,
         inv.manifest.bank,
         inv.manifest.branch,
-        inv.manifest.shards,
     );
     let _ = writeln!(out, "log segments       {:>12}", inv.segments);
     let _ = writeln!(out, "log bytes          {:>12}", inv.segment_bytes);
@@ -681,21 +680,23 @@ fn run_store(args: &Args) -> Result<String, String> {
     let _ = writeln!(out, "torn tail          {:>12}", if inv.torn_tail { "YES" } else { "no" });
     let _ = writeln!(
         out,
-        "{:<6} {:>6} {:>14} {:>12} {:>10} {:>6}",
-        "shard", "snaps", "snapshot lsn", "snap bytes", "accounts", "tail"
+        "{:>6} {:>14} {:>12} {:>10} {:>6}",
+        "snaps", "snapshot lsn", "snap bytes", "accounts", "tail"
     );
-    for (shard, s) in inv.shards.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{shard:<6} {:>6} {:>14} {:>12} {:>10} {:>6}",
-            s.snapshots, s.snapshot_lsn, s.snapshot_bytes, s.snapshot_accounts, s.tail_entries,
-        );
-    }
+    let _ = writeln!(
+        out,
+        "{:>6} {:>14} {:>12} {:>10} {:>6}",
+        inv.snapshots,
+        inv.snapshot_lsn,
+        inv.snapshot_bytes,
+        inv.snapshot_accounts,
+        inv.tail_entries,
+    );
     let _ = write!(
         out,
         "totals: {} accounts snapshotted, {} tail entries to replay, {} bytes on disk",
-        inv.snapshot_accounts(),
-        inv.tail_entries(),
+        inv.snapshot_accounts,
+        inv.tail_entries,
         inv.total_bytes(),
     );
     Ok(out)
@@ -1048,8 +1049,8 @@ mod tests {
             std::env::temp_dir().join(format!("gridbank-cli-store-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
-        // Build a real sharded store: accounts, a checkpoint, and a
-        // two-entry journal tail on top of it.
+        // Build a real store: accounts, a checkpoint, and a two-entry
+        // journal tail on top of it.
         let (db, _) = Database::open(1, 1, StoreConfig::at(&dir).no_fsync()).unwrap();
         for n in 1..=12u32 {
             db.insert_account(AccountRecord {
@@ -1079,10 +1080,13 @@ mod tests {
         drop(db);
 
         let out = run(&args(&["store", "--dir", dir.to_str().unwrap()])).unwrap();
-        assert!(out.contains("format v3"), "{out}");
+        assert!(out.contains("format v4"), "{out}");
         // One segment closed by the checkpoint, one holding the tail.
         assert!(out.contains("log segments                  2\n"), "{out}");
         assert!(out.contains("torn tail                    no\n"), "{out}");
+        // One snapshot generation at LSN 12, twelve accounts in it, two
+        // entries past it.
+        assert!(out.contains("     1             12"), "{out}");
         assert!(out.contains("12 accounts snapshotted"), "{out}");
         assert!(out.contains("2 tail entries to replay"), "{out}");
 

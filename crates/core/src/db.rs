@@ -3,10 +3,11 @@
 //! §3.2: "GB database module is a relational database that stores account
 //! and transaction information." The paper used MySQL; this is the
 //! embedded substitute (DESIGN.md §2): typed tables with the §5.1 schemas,
-//! a certificate-name secondary index, date-range statement scans, a
-//! write-ahead journal for crash-consistency, and sharded account storage
-//! so concurrent transfers scale (two-account operations take shard locks
-//! in a global order — no deadlocks).
+//! a certificate-name secondary index, date-range statement scans and a
+//! write-ahead journal for crash-consistency. The ACCOUNT table and its
+//! index sit behind one lock, as the paper's one database with atomic
+//! transfers does (DESIGN.md §2 records the measurement that retired the
+//! sixteen shards).
 //!
 //! Monetary fields are exact [`Credits`] rather than the paper's SQL
 //! `FLOAT` (see DESIGN.md §4).
@@ -15,10 +16,11 @@
 //! queue** ([`GroupCommitConfig`]): concurrent committers enqueue their
 //! entry batches and one of them, the elected leader, flushes every
 //! pending batch with a single journal acquisition. Each batch stays
-//! contiguous and per-account order is preserved (committers hold their
-//! shard locks across submission), so crash-replay semantics are
-//! unchanged — the queue only amortizes journal-lock traffic on the hot
-//! payment path.
+//! contiguous and per-account order is preserved (committers hold the
+//! accounts lock across submission), so crash-replay semantics are
+//! unchanged. Since every committer holds that one lock, at most one is
+//! ever inside the queue: it forms no groups and stays only because the
+//! benchmark names its configuration (ROADMAP item 8).
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -34,47 +36,6 @@ use crate::sync::{
 use gridbank_rur::Credits;
 
 use crate::error::BankError;
-
-/// Number of account shards; a power of two so masking works. The
-/// on-disk layout ([`crate::store`]) mirrors this: one snapshot
-/// directory per shard, recorded in the store `MANIFEST`.
-pub(crate) const SHARDS: usize = 16;
-
-/// Shard an account id is homed on — the single routing function shared
-/// by the in-memory maps and the on-disk layout (docs/STORAGE.md §1).
-pub(crate) fn account_shard(id: &AccountId) -> usize {
-    // Cheap avalanche over the numeric id fields.
-    let k = (id.bank as u64) << 48 | (id.branch as u64) << 32 | id.number as u64;
-    (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (SHARDS - 1)
-}
-
-/// Shard an idempotency stamp is homed on (by caller certificate, so a
-/// caller's stamps stay together).
-pub(crate) fn cert_shard(cert: &str) -> usize {
-    crate::store::fnv64(cert.as_bytes()) as usize & (SHARDS - 1)
-}
-
-/// Shard a cross-branch credit key is homed on.
-pub(crate) fn key_shard(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (SHARDS - 1)
-}
-
-/// The one shard a journal entry is routed to — whose snapshot covers
-/// it and whose tail it counts toward. Account-state entries follow the
-/// account; audit rows follow the posted/drawer account; stamps and
-/// credits follow their hash. Total (every entry has exactly one home),
-/// so the sixteen snapshots plus the log tail are the full state.
-pub(crate) fn entry_shard(entry: &JournalEntry) -> usize {
-    match entry {
-        JournalEntry::Create(r) | JournalEntry::Update(r) => account_shard(&r.id),
-        JournalEntry::Remove(id) => account_shard(id),
-        JournalEntry::Transaction(t) => account_shard(&t.account),
-        JournalEntry::Transfer(t) => account_shard(&t.drawer),
-        JournalEntry::Idem { cert, .. } | JournalEntry::IdemDrop { cert, .. } => cert_shard(cert),
-        JournalEntry::IbOut(credit) => key_shard(credit.key),
-        JournalEntry::IbAck { key } => key_shard(*key),
-    }
-}
 
 /// ACCOUNT RECORD key (§5.1): "imitates real world account numbers: bank
 /// number-branch number-account number. E.g. 01-0001-00000001".
@@ -318,8 +279,7 @@ pub struct CommitRows {
 /// Bounded FIFO dedup cache for idempotency keys. Every stamp carries a
 /// sequence number from one database-wide counter; `order` is sorted by
 /// it, so the front is always the oldest stamp — also after recovery,
-/// which inserts stamps from shard snapshots taken at different times
-/// and from the journal tail.
+/// which inserts stamps from the snapshot and from the journal tail.
 struct IdemCache {
     capacity: usize,
     next_seq: u64,
@@ -418,9 +378,9 @@ struct CommitState {
 /// the flush leader, lingers briefly for stragglers, and appends every
 /// pending batch in ticket order under a single journal acquisition.
 ///
-/// Committers call [`CommitQueue::submit`] while still holding their
-/// shard locks, so two batches touching the same account can never race
-/// into the queue out of application order — the invariant recovery
+/// Committers call [`CommitQueue::submit`] while still holding the
+/// accounts lock, so two batches touching the same account can never
+/// race into the queue out of application order — the invariant recovery
 /// depends on (updates are absolute snapshots).
 struct CommitQueue {
     state: Mutex<CommitState>,
@@ -566,7 +526,7 @@ impl JournalStore {
     /// A memory-only journal (the non-durable default).
     fn memory() -> Self {
         JournalStore {
-            appended: OrderedMutex::new(rank::JOURNAL, 0, "journal", Appended::default()),
+            appended: OrderedMutex::new(rank::JOURNAL, "journal", Appended::default()),
             disk: None,
         }
     }
@@ -583,12 +543,36 @@ impl JournalStore {
     }
 }
 
+/// The ACCOUNT table and its certificate-name index: two maps that must
+/// agree, so they change under one lock.
+#[derive(Default)]
+struct Accounts {
+    records: HashMap<AccountId, AccountRecord>,
+    by_cert: HashMap<String, AccountId>,
+}
+
+impl Accounts {
+    fn insert(&mut self, record: AccountRecord) {
+        self.by_cert.insert(record.certificate_name.clone(), record.id);
+        self.records.insert(record.id, record);
+    }
+
+    fn remove(&mut self, id: &AccountId) -> Option<AccountRecord> {
+        let record = self.records.remove(id)?;
+        self.by_cert.remove(&record.certificate_name);
+        Some(record)
+    }
+}
+
 /// The embedded store.
 pub struct Database {
     branch: u16,
     bank: u16,
-    shards: Vec<OrderedRwLock<HashMap<AccountId, AccountRecord>>>,
-    by_cert: OrderedRwLock<HashMap<String, AccountId>>,
+    /// Every account mutation journals before it releases this lock, so
+    /// journal order is application order and a snapshot, which holds it
+    /// too, sees no row, stamp or pending credit without an LSN at or
+    /// below its cut (docs/STORAGE.md §3.3).
+    accounts: OrderedRwLock<Accounts>,
     transactions: OrderedRwLock<Vec<TransactionRecord>>,
     transfers: OrderedRwLock<Vec<TransferRecord>>,
     journal: JournalStore,
@@ -608,29 +592,17 @@ impl Database {
         Database {
             bank,
             branch,
-            shards: (0..SHARDS)
-                .map(|i| {
-                    OrderedRwLock::new(
-                        rank::ACCOUNT_SHARD,
-                        i as u32,
-                        "account-shard",
-                        HashMap::new(),
-                    )
-                })
-                .collect(),
-            by_cert: OrderedRwLock::new(rank::ACCOUNT_INDEX, 0, "account-index", HashMap::new()),
+            accounts: OrderedRwLock::new(rank::ACCOUNTS, "accounts", Accounts::default()),
             transactions: OrderedRwLock::new(
                 rank::AUDIT_TRANSACTIONS,
-                0,
                 "audit-transactions",
                 Vec::new(),
             ),
-            transfers: OrderedRwLock::new(rank::AUDIT_TRANSFERS, 0, "audit-transfers", Vec::new()),
+            transfers: OrderedRwLock::new(rank::AUDIT_TRANSFERS, "audit-transfers", Vec::new()),
             journal: JournalStore::memory(),
             commit: CommitQueue::new(),
             idem: OrderedMutex::new(
                 rank::IDEM_CACHE,
-                0,
                 "idem-cache",
                 IdemCache {
                     next_seq: 0,
@@ -639,7 +611,7 @@ impl Database {
                     order: VecDeque::new(),
                 },
             ),
-            ib_pending: OrderedMutex::new(rank::IB_PENDING, 0, "ib-pending", BTreeMap::new()),
+            ib_pending: OrderedMutex::new(rank::IB_PENDING, "ib-pending", BTreeMap::new()),
             next_account: AtomicU32::new(1),
             next_tx: AtomicU64::new(1),
             checkpointing: AtomicBool::new(false),
@@ -647,9 +619,9 @@ impl Database {
     }
 
     /// Opens (or creates) a durable database at `cfg.dir` and recovers
-    /// its state: newest valid snapshot per shard + replay of only the
-    /// journal tail past it (docs/STORAGE.md §5). All subsequent commits
-    /// are written through to the log via the group-commit queue.
+    /// its state: the newest valid snapshot + replay of only the journal
+    /// tail past it (docs/STORAGE.md §5). All subsequent commits are
+    /// written through to the log via the group-commit queue.
     /// Recovered idempotency stamps are all kept until the caller
     /// sets the bound ([`Database::set_idem_capacity`]).
     pub fn open(
@@ -660,33 +632,33 @@ impl Database {
         let started = Instant::now();
         let (state, log) = crate::store::open_store(bank, branch, cfg)?;
         let mut db = Database::new(bank, branch);
-        let mut max_account = 0u32;
-        let mut max_tx = 0u64;
+        let base = state.base;
+        let mut max_account = base.next_account_hint;
+        let mut max_tx = base.next_tx_hint;
 
-        // Fold the per-shard base images in.
-        for base in &state.bases {
-            max_account = max_account.max(base.next_account_hint);
-            max_tx = max_tx.max(base.next_tx_hint);
-            for r in &base.accounts {
+        // Fold the base image in by value: recovery never holds the
+        // state twice.
+        {
+            let mut accounts = db.accounts.write();
+            for r in base.accounts {
                 if r.id.bank == bank && r.id.branch == branch {
                     max_account = max_account.max(r.id.number);
                 }
-                db.by_cert.write().insert(r.certificate_name.clone(), r.id);
-                db.shards[account_shard(&r.id)].write().insert(r.id, r.clone());
+                accounts.insert(r);
             }
-            for t in &base.transactions {
-                max_tx = max_tx.max(t.transaction_id);
-            }
-            db.transactions.write().extend(base.transactions.iter().cloned());
-            db.transfers.write().extend(base.transfers.iter().cloned());
-            for p in &base.pending {
-                db.ib_pending.lock().insert(p.key, p.clone());
-            }
-            // Shards were snapshotted at different times; the cache
-            // orders their stamps, and the tail's, by sequence number.
+        }
+        for t in &base.transactions {
+            max_tx = max_tx.max(t.transaction_id);
+        }
+        *db.transactions.write() = base.transactions;
+        *db.transfers.write() = base.transfers;
+        db.ib_pending.lock().extend(base.pending.into_iter().map(|p| (p.key, p)));
+        {
+            // The cache orders the snapshot's stamps, and the tail's,
+            // by sequence number.
             let mut cache = db.idem.lock();
-            for s in &base.idem {
-                cache.insert_at(s.order, &s.cert, s.key, s.response.clone());
+            for s in base.idem {
+                cache.insert_at(s.order, &s.cert, s.key, s.response);
             }
         }
         // Replay the tail in LSN order — the original commit order.
@@ -801,10 +773,6 @@ impl Database {
         self.bank
     }
 
-    fn shard_of(&self, id: &AccountId) -> usize {
-        account_shard(id)
-    }
-
     /// Allocates the next account id in this branch.
     pub fn allocate_account_id(&self) -> AccountId {
         AccountId {
@@ -821,44 +789,41 @@ impl Database {
 
     /// Inserts a brand-new account record. Fails if the certificate name
     /// is already bound (one account per identity per branch). `Create`
-    /// is journaled under the account's shard lock, like every commit: a
+    /// is journaled under the accounts lock, like every commit: a
     /// payment can find the account only once its `Update` is sure to
     /// follow the `Create` in the journal.
     pub fn insert_account(&self, record: AccountRecord) -> Result<(), BankError> {
-        let mut shard = self.shards[self.shard_of(&record.id)].write();
-        let mut idx = self.by_cert.write();
-        if idx.contains_key(&record.certificate_name) {
+        let mut accounts = self.accounts.write();
+        if accounts.by_cert.contains_key(&record.certificate_name) {
             return Err(BankError::DuplicateAccount(record.certificate_name.clone()));
         }
-        idx.insert(record.certificate_name.clone(), record.id);
-        drop(idx);
-        shard.insert(record.id, record.clone());
+        accounts.insert(record.clone());
         self.journal.append(vec![JournalEntry::Create(record)]);
-        drop(shard);
+        drop(accounts);
         Ok(())
     }
 
     /// Rebinds an account to `certificate_name` and `organization` —
     /// record, certificate index and journal in one step under the
-    /// account's shard lock, so no payment can land between them. A new
-    /// name is journaled as `[Remove, Create]` in one batch (replay moves
-    /// the index entry with it); an unchanged one as an `Update`.
+    /// accounts lock, so no payment can land between them. A new name is
+    /// journaled as `[Remove, Create]` in one batch (replay moves the
+    /// index entry with it); an unchanged one as an `Update`.
     pub fn rename_account(
         &self,
         id: &AccountId,
         certificate_name: &str,
         organization: Option<String>,
     ) -> Result<(), BankError> {
-        let mut shard = self.shards[self.shard_of(id)].write();
-        let record = shard.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
+        let mut guard = self.accounts.write();
+        let accounts = &mut *guard;
+        let record = accounts.records.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
         let renamed = record.certificate_name != certificate_name;
         if renamed {
-            let mut idx = self.by_cert.write();
-            if idx.contains_key(certificate_name) {
+            if accounts.by_cert.contains_key(certificate_name) {
                 return Err(BankError::DuplicateAccount(certificate_name.to_string()));
             }
-            idx.remove(&record.certificate_name);
-            idx.insert(certificate_name.to_string(), *id);
+            accounts.by_cert.remove(&record.certificate_name);
+            accounts.by_cert.insert(certificate_name.to_string(), *id);
             record.certificate_name = certificate_name.to_string();
         }
         record.organization = organization;
@@ -868,29 +833,28 @@ impl Database {
         } else {
             vec![JournalEntry::Update(after)]
         });
-        drop(shard);
+        drop(guard);
         Ok(())
     }
 
     /// Reads an account by id.
     pub fn get_account(&self, id: &AccountId) -> Result<AccountRecord, BankError> {
-        self.shards[self.shard_of(id)].read().get(id).cloned().ok_or(BankError::NoSuchAccount(*id))
+        self.accounts.read().records.get(id).cloned().ok_or(BankError::NoSuchAccount(*id))
     }
 
     /// Looks up the account bound to a certificate name.
     pub fn account_by_cert(&self, cert: &str) -> Result<AccountRecord, BankError> {
-        let id = *self
-            .by_cert
-            .read()
-            .get(cert)
-            .ok_or_else(|| BankError::UnknownSubject(cert.to_string()))?;
-        self.get_account(&id)
+        let accounts = self.accounts.read();
+        let id = accounts.by_cert.get(cert);
+        id.and_then(|id| accounts.records.get(id))
+            .cloned()
+            .ok_or_else(|| BankError::UnknownSubject(cert.to_string()))
     }
 
     /// True if a certificate name has an account (the connection gate's
     /// query).
     pub fn subject_known(&self, cert: &str) -> bool {
-        self.by_cert.read().contains_key(cert)
+        self.accounts.read().by_cert.contains_key(cert)
     }
 
     /// Mutates one account atomically; the closure's result is journaled.
@@ -906,7 +870,7 @@ impl Database {
     /// back the TRANSACTION RECORD evidencing its mutation (a deposit, a
     /// withdrawal), built only once the mutation succeeded. The row is
     /// pushed to the table and journaled in the *same* batch as the
-    /// balance update, under the shard lock — the one-account shape of
+    /// balance update, under the accounts lock — the one-account shape of
     /// [`Database::two_account_commit`]: a crash keeps both or neither,
     /// never money without its §5.1 row.
     pub fn one_account_commit<T>(
@@ -914,8 +878,8 @@ impl Database {
         id: &AccountId,
         f: impl FnOnce(&mut AccountRecord) -> Result<(T, Option<TransactionRecord>), BankError>,
     ) -> Result<T, BankError> {
-        let mut shard = self.shards[self.shard_of(id)].write();
-        let record = shard.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
+        let mut accounts = self.accounts.write();
+        let record = accounts.records.get_mut(id).ok_or(BankError::NoSuchAccount(*id))?;
         // `f` works on the copy the journal needs anyway; the live
         // record changes only once `f` has succeeded, so a closure that
         // fails half-way leaves nothing behind.
@@ -927,17 +891,16 @@ impl Database {
             self.transactions.write().push(tx.clone());
             entries.push(JournalEntry::Transaction(tx));
         }
-        // Submit while still holding the shard lock: Update entries are
-        // absolute snapshots, so per-account journal order must match
+        // Submit while still holding the accounts lock: Update entries
+        // are absolute snapshots, so per-account journal order must match
         // application order or recovery resurrects stale balances.
         self.commit.submit(entries, &self.journal);
-        drop(shard);
+        drop(accounts);
         Ok(out)
     }
 
-    /// Mutates two accounts atomically (transfers). Shard locks are taken
-    /// in ascending shard order — the classic deadlock-free protocol —
-    /// and both journal entries are appended together.
+    /// Mutates two accounts atomically (transfers): both journal entries
+    /// are appended together.
     pub fn with_two_accounts_mut<T>(
         &self,
         a: &AccountId,
@@ -951,7 +914,7 @@ impl Database {
     /// given audit rows and idempotency stamp in the *same* critical
     /// section: the balance updates, transaction/transfer rows, and the
     /// dedup mark reach the journal as one contiguous batch while the
-    /// shard locks are still held. A crash therefore either sees the
+    /// accounts lock is still held. A crash therefore either sees the
     /// whole operation (and replay dedups the retry) or none of it (and
     /// the retry applies cleanly) — never a double-apply.
     pub fn two_account_commit<T>(
@@ -964,33 +927,20 @@ impl Database {
         if a == b {
             return Err(BankError::Protocol("transfer to the same account".into()));
         }
-        let (sa, sb) = (self.shard_of(a), self.shard_of(b));
-        // One lock when the accounts share a shard, else both in
-        // ascending shard order — held until the batch is journaled.
-        let (first, second) = if sa < sb { (sa, sb) } else { (sb, sa) };
-        let mut lock_first = self.shards[first].write();
-        let mut lock_second = (first != second).then(|| self.shards[second].write());
-        // The map each account lives in; `b`'s is `None` when it is `a`'s.
-        let (home_a, mut home_b) = match lock_second.as_deref_mut() {
-            None => (&mut *lock_first, None),
-            Some(other) if sa == first => (&mut *lock_first, Some(other)),
-            Some(other) => (other, Some(&mut *lock_first)),
-        };
+        let mut accounts = self.accounts.write();
         // As in `one_account_commit`: `f` works on the copies the journal
         // needs anyway and the live records change only once it succeeded.
-        let mut snap_a = home_a.get(a).cloned().ok_or(BankError::NoSuchAccount(*a))?;
-        let mut snap_b = (home_b.as_deref().unwrap_or(home_a).get(b).cloned())
-            .ok_or(BankError::NoSuchAccount(*b))?;
+        let mut snap_a = accounts.records.get(a).cloned().ok_or(BankError::NoSuchAccount(*a))?;
+        let mut snap_b = accounts.records.get(b).cloned().ok_or(BankError::NoSuchAccount(*b))?;
         let out = f(&mut snap_a, &mut snap_b)?;
-        home_b.take().unwrap_or(home_a).insert(*b, snap_b.clone());
-        home_a.insert(*a, snap_a.clone());
-        // Commit tables, then hand the journal batch to the group-commit
-        // queue — still under the shard locks, so recovery order matches
-        // application order and no snapshot of these shards can see the
-        // rows before their batch has an LSN. The closure already
-        // succeeded by now; a member whose closure failed returned above
-        // and contributes nothing to the group (the failed member is
-        // "split out" and the rest of the group commits without it).
+        accounts.records.insert(*a, snap_a.clone());
+        accounts.records.insert(*b, snap_b.clone());
+        // Commit tables, stamp and pending credit, then hand the journal
+        // batch to the group-commit queue — all still under the accounts
+        // lock, so recovery order matches application order and no
+        // snapshot can see any of it before the batch has an LSN. The
+        // closure already succeeded by now; a member whose closure failed
+        // returned above and contributes nothing.
         let mut entries = Vec::with_capacity(rows.transactions.len().saturating_add(3));
         entries.push(JournalEntry::Update(snap_a));
         entries.push(JournalEntry::Update(snap_b));
@@ -1023,8 +973,7 @@ impl Database {
             entries.push(JournalEntry::IbOut(credit));
         }
         self.commit.submit(entries, &self.journal);
-        drop(lock_second);
-        drop(lock_first);
+        drop(accounts);
         Ok(out)
     }
 
@@ -1047,12 +996,10 @@ impl Database {
 
     /// Removes an account (close-account path; caller enforces emptiness).
     pub fn remove_account(&self, id: &AccountId) -> Result<AccountRecord, BankError> {
-        let record = self.shards[self.shard_of(id)]
-            .write()
-            .remove(id)
-            .ok_or(BankError::NoSuchAccount(*id))?;
-        self.by_cert.write().remove(&record.certificate_name);
+        let mut accounts = self.accounts.write();
+        let record = accounts.remove(id).ok_or(BankError::NoSuchAccount(*id))?;
         self.journal.append(vec![JournalEntry::Remove(*id)]);
+        drop(accounts);
         Ok(record)
     }
 
@@ -1104,26 +1051,19 @@ impl Database {
     /// Total of available+locked across all accounts — the conservation
     /// quantity the property tests track.
     pub fn total_funds(&self) -> Credits {
-        let mut total = Credits::ZERO;
-        for shard in &self.shards {
-            for r in shard.read().values() {
-                total = total.saturating_add(r.available).saturating_add(r.locked);
-            }
-        }
-        total
+        self.accounts.read().records.values().fold(Credits::ZERO, |total, r| {
+            total.saturating_add(r.available).saturating_add(r.locked)
+        })
     }
 
     /// Number of accounts.
     pub fn account_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.accounts.read().records.len()
     }
 
     /// Snapshot of every account (statements, settlement, diagnostics).
     pub fn all_accounts(&self) -> Vec<AccountRecord> {
-        let mut out = Vec::with_capacity(self.account_count());
-        for shard in &self.shards {
-            out.extend(shard.read().values().cloned());
-        }
+        let mut out: Vec<AccountRecord> = self.accounts.read().records.values().cloned().collect();
         out.sort_by_key(|r| r.id);
         out
     }
@@ -1143,16 +1083,13 @@ impl Database {
         match entry {
             JournalEntry::Create(r) => {
                 *max_account = (*max_account).max(r.id.number);
-                self.by_cert.write().insert(r.certificate_name.clone(), r.id);
-                self.shards[self.shard_of(&r.id)].write().insert(r.id, r.clone());
+                self.accounts.write().insert(r.clone());
             }
             JournalEntry::Update(r) => {
-                self.shards[self.shard_of(&r.id)].write().insert(r.id, r.clone());
+                self.accounts.write().records.insert(r.id, r.clone());
             }
             JournalEntry::Remove(id) => {
-                if let Some(r) = self.shards[self.shard_of(id)].write().remove(id) {
-                    self.by_cert.write().remove(&r.certificate_name);
-                }
+                self.accounts.write().remove(id);
             }
             JournalEntry::Transaction(t) => {
                 *max_tx = (*max_tx).max(t.transaction_id);
@@ -1186,92 +1123,54 @@ impl Database {
         self.journal.disk.as_ref().is_none_or(|d| d.healthy())
     }
 
-    /// Captures a consistent image of one shard. Holding the shard's
-    /// write lock *and* the journal lock at the cut means every entry
-    /// routed here with `lsn <= through_lsn` is in the image and none
-    /// past it is (docs/STORAGE.md §4 proves why out-of-shard entries
-    /// cannot violate this).
-    fn capture_shard(&self, s: usize) -> Option<crate::store::ShardSnapshot> {
-        let disk = self.journal.disk.as_ref()?;
-        let shard_guard = self.shards.get(s)?.write();
-        let journal_guard = self.journal.appended.lock();
+    /// Encodes a consistent image of the whole database. Holding the
+    /// accounts lock *and* the journal lock at the cut means every entry
+    /// with `lsn <= through_lsn` is in the image and none past it is:
+    /// whoever commits holds the accounts lock until its batch has an LSN
+    /// (docs/STORAGE.md §3.3). Rows are encoded straight from the live
+    /// tables, so a capture's memory is the one buffer it returns.
+    fn capture(&self, disk: &crate::store::DiskLog) -> (u64, Vec<u8>) {
+        let accounts = self.accounts.read();
+        let _cut = self.journal.appended.lock();
         let through_lsn = disk.last_lsn();
-        let mut accounts: Vec<AccountRecord> = shard_guard.values().cloned().collect();
-        accounts.sort_by_key(|r| r.id);
-        let transactions = self
-            .transactions
-            .read()
-            .iter()
-            .filter(|t| account_shard(&t.account) == s)
-            .cloned()
-            .collect();
-        let transfers = self
-            .transfers
-            .read()
-            .iter()
-            .filter(|t| account_shard(&t.drawer) == s)
-            .cloned()
-            .collect();
-        let idem = {
-            let cache = self.idem.lock();
-            cache
-                .order
-                .iter()
-                .filter(|(_, k)| cert_shard(&k.0) == s)
-                .filter_map(|(seq, k)| {
-                    let (live, response) = cache.map.get(k)?;
-                    (live == seq).then(|| crate::store::SnapshotIdem {
-                        order: *seq,
-                        cert: k.0.clone(),
-                        key: k.1,
-                        response: response.clone(),
-                    })
-                })
-                .collect()
-        };
-        let pending =
-            self.ib_pending.lock().values().filter(|p| key_shard(p.key) == s).cloned().collect();
-        drop(journal_guard);
-        drop(shard_guard);
-        Some(crate::store::ShardSnapshot {
-            shard: s as u32,
+        let transactions = self.transactions.read();
+        let transfers = self.transfers.read();
+        let cache = self.idem.lock();
+        let pending = self.ib_pending.lock();
+        let mut records: Vec<&AccountRecord> = accounts.records.values().collect();
+        records.sort_unstable_by_key(|r| r.id);
+        let rows = crate::store::SnapshotRows {
             through_lsn,
             next_account_hint: self.next_account.load(Ordering::Relaxed).saturating_sub(1),
             next_tx_hint: self.next_tx.load(Ordering::Relaxed).saturating_sub(1),
-            accounts,
-            transactions,
-            transfers,
-            idem,
-            pending,
-        })
+            accounts: records,
+            transactions: &transactions,
+            transfers: &transfers,
+            idem: (cache.order.iter())
+                .filter_map(|(seq, k)| {
+                    let (live, response) = cache.map.get(k)?;
+                    (live == seq).then_some((*seq, k.0.as_str(), k.1, response.as_slice()))
+                })
+                .collect(),
+            pending: pending.values().collect(),
+        };
+        (through_lsn, rows.to_bytes())
     }
 
-    /// Snapshots one shard to disk. No-op (Ok) when not durable.
-    pub fn snapshot_shard(&self, shard: usize) -> Result<(), BankError> {
-        let Some(snap) = self.capture_shard(shard) else { return Ok(()) };
-        if let Some(disk) = self.journal.disk.as_ref() {
-            disk.write_snapshot(&snap)?;
-        }
-        Ok(())
-    }
-
-    /// Snapshots every shard (no compaction) — the durable image after
-    /// this call covers all state at its capture points.
+    /// Writes one snapshot of the whole database (no compaction) and
+    /// closes the log's active segment, so compaction has a closed
+    /// segment boundary next to the cut. No-op (Ok) when not durable.
     pub fn snapshot_all(&self) -> Result<CheckpointStats, BankError> {
         let mut stats = CheckpointStats::default();
         let Some(disk) = self.journal.disk.as_ref() else { return Ok(stats) };
-        for s in 0..SHARDS {
-            if let Some(snap) = self.capture_shard(s) {
-                stats.bytes = stats.bytes.saturating_add(disk.write_snapshot(&snap)?);
-                stats.shards_snapshotted = stats.shards_snapshotted.saturating_add(1);
-            }
-        }
+        let (through_lsn, bytes) = self.capture(disk);
+        stats.bytes = disk.write_snapshot(through_lsn, bytes)?;
         self.journal.appended.lock().head.rotate();
         Ok(stats)
     }
 
     /// One compaction pass: prunes old snapshot generations and drops
-    /// the log segments every shard's oldest retained snapshot covers.
+    /// the log segments the oldest retained snapshot covers.
     pub fn compact_store(&self) -> Result<CheckpointStats, BankError> {
         let mut stats = CheckpointStats::default();
         if let Some(disk) = self.journal.disk.as_ref() {
@@ -1280,8 +1179,8 @@ impl Database {
         Ok(stats)
     }
 
-    /// Full checkpoint: snapshot every shard, then compact. After this,
-    /// a restart replays only entries committed since the call started.
+    /// Full checkpoint: snapshot, then compact. After this, a restart
+    /// replays only entries committed since the call started.
     pub fn checkpoint(&self) -> Result<CheckpointStats, BankError> {
         let mut stats = self.snapshot_all()?;
         let compacted = self.compact_store()?;
@@ -1290,29 +1189,16 @@ impl Database {
         Ok(stats)
     }
 
-    /// Incremental checkpoint trigger: snapshots only the shards that
-    /// are due (`DiskLog::snapshot_due`: their own tail, or the log's
-    /// run past them), closes the log's active segment and compacts.
-    /// Must be called with **no** database locks held (the server calls
-    /// it after dispatch). Concurrent callers skip; returns whether work
-    /// ran.
+    /// Checkpoint trigger: runs [`Database::checkpoint`] once the log is
+    /// `snapshot_every` entries past the newest snapshot. Must be called
+    /// with **no** database locks held (the server calls it after
+    /// dispatch). Concurrent callers skip; returns whether work ran.
     pub fn maybe_checkpoint(&self) -> Result<bool, BankError> {
-        let Some(disk) = self.journal.disk.as_ref() else { return Ok(false) };
-        let due: Vec<usize> = (0..SHARDS).filter(|s| disk.snapshot_due(*s)).collect();
-        if due.is_empty() {
+        let due = self.journal.disk.as_ref().is_some_and(|disk| disk.snapshot_due());
+        if !due || self.checkpointing.swap(true, Ordering::SeqCst) {
             return Ok(false);
         }
-        if self.checkpointing.swap(true, Ordering::SeqCst) {
-            return Ok(false);
-        }
-        let result = (|| {
-            for s in due {
-                self.snapshot_shard(s)?;
-            }
-            self.journal.appended.lock().head.rotate();
-            disk.compact()?;
-            Ok(true)
-        })();
+        let result = self.checkpoint().map(|_| true);
         self.checkpointing.store(false, Ordering::SeqCst);
         result
     }
@@ -1320,8 +1206,7 @@ impl Database {
     /// Order-insensitive digest of durable state: accounts (sorted),
     /// audit rows (sorted by encoding), pending credits, and live idem
     /// stamps. Two databases with identical logical state — e.g. before
-    /// a kill and after the recovery — produce identical digests, even
-    /// though recovery may reorder rows across shards.
+    /// a kill and after the recovery — produce identical digests.
     pub fn state_digest(&self) -> u64 {
         use gridbank_rur::codec::{ByteWriter, Encode as _};
         let mut w = ByteWriter::with_capacity(4096);
@@ -1372,8 +1257,6 @@ impl Database {
 /// What a checkpoint did (snapshot + compaction totals).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
-    /// Shards whose snapshot was written.
-    pub shards_snapshotted: usize,
     /// Snapshot bytes written.
     pub bytes: u64,
     /// Segment files deleted by compaction.
@@ -1469,7 +1352,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        // Reverse order too (exercises the other lock order).
+        // Reverse order too.
         db.with_two_accounts_mut(&idb, &ida, |b, a| {
             b.available = b.available.checked_sub(Credits::from_gd(1))?;
             a.available = a.available.checked_add(Credits::from_gd(1))?;
@@ -1505,21 +1388,8 @@ mod tests {
     fn a_closure_that_mutates_then_fails_leaves_no_trace() {
         let db = Database::new(1, 1);
         let ra = record(&db, "/CN=a", 10);
-        let same = AccountRecord {
-            id: (2..)
-                .map(|n| AccountId::new(1, 1, n))
-                .find(|id| account_shard(id) == account_shard(&ra.id))
-                .unwrap(),
-            ..record(&db, "/CN=same-shard", 5)
-        };
-        let other = AccountRecord {
-            id: (2..)
-                .map(|n| AccountId::new(1, 1, n))
-                .find(|id| account_shard(id) != account_shard(&ra.id))
-                .unwrap(),
-            ..record(&db, "/CN=other-shard", 5)
-        };
-        for r in [&ra, &same, &other] {
+        let rb = record(&db, "/CN=b", 5);
+        for r in [&ra, &rb] {
             db.insert_account(r.clone()).unwrap();
         }
         let debit_then_fail = |x: &mut AccountRecord, y: &mut AccountRecord| {
@@ -1527,8 +1397,7 @@ mod tests {
             y.locked = Credits::from_gd(1);
             Err::<(), _>(BankError::NonPositiveAmount)
         };
-        // Same shard; two shards taken a-then-b and b-then-a.
-        for (x, y) in [(&ra, &same), (&ra, &other), (&other, &ra)] {
+        for (x, y) in [(&ra, &rb), (&rb, &ra)] {
             assert!(db.with_two_accounts_mut(&x.id, &y.id, debit_then_fail).is_err());
             assert_eq!(db.get_account(&x.id).unwrap(), *x);
             assert_eq!(db.get_account(&y.id).unwrap(), *y);
@@ -1539,7 +1408,7 @@ mod tests {
         });
         assert!(out.is_err());
         assert_eq!(db.get_account(&ra.id).unwrap(), ra);
-        assert_eq!(db.journal_len(), 3, "nothing but the three creations was journaled");
+        assert_eq!(db.journal_len(), 2, "nothing but the two creations was journaled");
     }
 
     #[test]
@@ -2077,8 +1946,8 @@ mod loom_model {
         }
     }
 
-    /// A shard snapshot racing a commit on the same shard: the snapshot
-    /// cut must land each update either *in* the snapshot or *past* it
+    /// A snapshot racing a commit: the snapshot cut must land each
+    /// update either *in* the snapshot or *past* it
     /// in the replay tail — a reopened store always converges to the
     /// live digest, never double-applies, never loses a deposit.
     #[test]
@@ -2090,7 +1959,6 @@ mod loom_model {
             let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
             let rec = funded_account(&db, "/CN=loom-snap", 100);
             let id = rec.id;
-            let shard = account_shard(&id);
             db.insert_account(rec).expect("insert");
 
             let db = Arc::new(db);
@@ -2108,7 +1976,7 @@ mod loom_model {
             };
             let snapshotter = {
                 let db = Arc::clone(&db);
-                loom::thread::spawn(move || db.snapshot_shard(shard).expect("snapshot"))
+                loom::thread::spawn(move || db.snapshot_all().map(drop).expect("snapshot"))
             };
             depositor.join().expect("depositor thread");
             snapshotter.join().expect("snapshot thread");
@@ -2126,23 +1994,17 @@ mod loom_model {
         });
     }
 
-    /// A cross-shard transfer racing store compaction: the transfer's
-    /// sorted two-shard lock hold and compaction's marker-then-delete
-    /// protocol must interleave without deadlock, conservation breaks,
-    /// or a recovery gap (the COMPACTED marker never outruns a
-    /// snapshot that covers it).
+    /// A transfer racing store compaction: the transfer's commit and
+    /// compaction's marker-then-delete protocol must interleave without
+    /// deadlock, conservation breaks, or a recovery gap (the COMPACTED
+    /// marker never outruns a snapshot that covers it).
     #[test]
-    fn cross_shard_transfer_vs_compaction_conserves_and_recovers() {
+    fn transfer_vs_compaction_conserves_and_recovers() {
         loom::model(|| {
             let cfg = StoreConfig { retain_snapshots: 1, ..StoreConfig::scratch("loom-compact") };
             let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
             let payer = funded_account(&db, "/CN=loom-payer", 100);
-            // Walk the id sequence until the payee homes on a different
-            // shard — the transfer must take two distinct shard locks.
-            let mut payee = funded_account(&db, "/CN=loom-payee", 50);
-            while account_shard(&payee.id) == account_shard(&payer.id) {
-                payee.id = db.allocate_account_id();
-            }
+            let payee = funded_account(&db, "/CN=loom-payee", 50);
             let (pay_from, pay_to) = (payer.id, payee.id);
             db.insert_account(payer).expect("insert payer");
             db.insert_account(payee).expect("insert payee");
@@ -2182,6 +2044,77 @@ mod loom_model {
             assert_eq!(reopened.state_digest(), live_digest, "replay diverged from live state");
             assert_eq!(reopened.total_funds(), live_funds);
             let _ = std::fs::remove_dir_all(&cfg.dir);
+        });
+    }
+
+    /// A keyed cross-branch payment — a two-account commit carrying an
+    /// idempotency stamp and an `IbOut` credit — racing a checkpoint. The
+    /// stamp and the credit enter their tables before the batch is
+    /// journaled, so a snapshot may carry them only when the batch's LSNs
+    /// are at or below its cut. One that is in the snapshot *and* in the
+    /// tail past it was captured ahead of its journal entry: a crash
+    /// before the append would have kept a stamp for a payment that never
+    /// committed (ROADMAP item 1 (vii), possible while a stamp sat on a
+    /// shard its committer did not hold).
+    #[test]
+    fn snapshot_during_keyed_commit_never_runs_ahead_of_the_journal() {
+        loom::model(|| {
+            let cfg = StoreConfig::scratch("loom-stamp");
+            let (db, _report) = Database::open(1, 1, cfg.clone()).expect("open scratch store");
+            let payer = funded_account(&db, "/CN=loom-payer", 10);
+            let clearing = funded_account(&db, "/CN=loom-clearing", 0);
+            let (from, to) = (payer.id, clearing.id);
+            db.insert_account(payer).expect("insert payer");
+            db.insert_account(clearing).expect("insert clearing");
+            let db = Arc::new(db);
+            let committer = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || {
+                    let rows = CommitRows {
+                        idem: Some(IdemStamp {
+                            cert: "/CN=loom-payer".into(),
+                            key: 7,
+                            response: vec![1],
+                        }),
+                        ib_out: Some(PendingIbCredit {
+                            key: 0xC0FFEE,
+                            to: AccountId::new(1, 2, 5),
+                            amount: Credits::from_gd(4),
+                            origin: 1,
+                            drawer: from,
+                            idem: Some(("/CN=loom-payer".into(), 7)),
+                        }),
+                        ..CommitRows::default()
+                    };
+                    let park = |a: &mut AccountRecord, b: &mut AccountRecord| {
+                        a.available = a.available.checked_sub(Credits::from_gd(4))?;
+                        b.available = b.available.checked_add(Credits::from_gd(4))?;
+                        Ok(())
+                    };
+                    db.two_account_commit(&from, &to, park, rows).expect("payment");
+                })
+            };
+            let snapshotter = {
+                let db = Arc::clone(&db);
+                loom::thread::spawn(move || db.snapshot_all().map(drop).expect("snapshot"))
+            };
+            committer.join().expect("committer thread");
+            snapshotter.join().expect("snapshot thread");
+            drop(db);
+
+            let (state, _log) = open_store(1, 1, cfg.clone()).expect("read scratch store");
+            let _ = std::fs::remove_dir_all(&cfg.dir);
+            let replayed = |wanted: fn(&JournalEntry) -> bool| {
+                state.tail.iter().any(|(lsn, e)| *lsn > state.base.through_lsn && wanted(e))
+            };
+            assert!(
+                state.base.idem.is_empty() || !replayed(|e| matches!(e, JournalEntry::Idem { .. })),
+                "the snapshot holds a stamp its cut does not cover"
+            );
+            assert!(
+                state.base.pending.is_empty() || !replayed(|e| matches!(e, JournalEntry::IbOut(_))),
+                "the snapshot holds a pending credit its cut does not cover"
+            );
         });
     }
 
@@ -2267,9 +2200,9 @@ mod loom_model {
         });
     }
 
-    /// A shard snapshot racing a two-account commit with its audit rows:
-    /// the rows are visible in the tables only while the committer holds
-    /// the shard locks through its journal append, so the snapshot has
+    /// A snapshot racing a two-account commit with its audit rows: the
+    /// rows are visible in the tables only while the committer holds the
+    /// accounts lock through its journal append, so the snapshot has
     /// them *or* the tail replays them — never both (a duplicated row,
     /// PR 11's digest finding), never neither.
     #[test]
@@ -2299,9 +2232,7 @@ mod loom_model {
             };
             let snapshotter = {
                 let db = Arc::clone(&db);
-                loom::thread::spawn(move || {
-                    db.snapshot_shard(account_shard(&from)).expect("snapshot")
-                })
+                loom::thread::spawn(move || db.snapshot_all().map(drop).expect("snapshot"))
             };
             transferrer.join().expect("transfer thread");
             snapshotter.join().expect("snapshot thread");

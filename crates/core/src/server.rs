@@ -168,14 +168,14 @@ impl GridBank {
 
     /// Opens (or creates) a bank backed by the on-disk store at
     /// `store.dir` — durable mode. Recovery loads the newest valid
-    /// snapshot per shard and replays only the journal tail past it
+    /// snapshot and replays only the journal tail past it
     /// (docs/STORAGE.md §5); the returned report says how much. Account
     /// state, audit rows, *and consumed idempotency keys* are restored,
     /// so a client retrying a request the pre-crash bank already applied
     /// still gets the original (deduplicated) outcome. All subsequent
     /// commits write through to disk via the group-commit queue, and the
-    /// server checkpoints shards incrementally as their tails reach
-    /// `store.snapshot_every`.
+    /// server checkpoints whenever the log is `store.snapshot_every`
+    /// entries past the newest snapshot.
     pub fn open_durable(
         config: GridBankConfig,
         clock: Clock,
@@ -477,9 +477,9 @@ impl GridBank {
                 }
             }
         };
-        // Incremental checkpointing rides the request path (no dedicated
-        // thread): after dispatch, with no database locks held, snapshot
-        // any shard whose journal tail reached the configured threshold.
+        // Checkpointing rides the request path (no dedicated thread):
+        // after dispatch, with no database locks held, snapshot once the
+        // journal tail reached the configured threshold.
         // Concurrent workers skip instead of queueing; a no-op in
         // non-durable mode.
         if let Err(e) = self.accounts.db().maybe_checkpoint() {

@@ -4,15 +4,12 @@
 //! module is the durable substrate of our embedded substitute. Every
 //! commit batch is one checksummed frame in **one log** — a sequence of
 //! rotating segment files — so a batch is on disk whole or not at all.
-//! State is **account-sharded**: every journal entry routes to exactly
-//! one of the [`crate::db`] shards (by account id, caller certificate,
-//! or cross-branch credit key), and each shard periodically writes a
-//! **snapshot file** of everything routed to it. Crash recovery loads
-//! the newest valid snapshot per shard and replays, in one forward scan
-//! of the log, only the entries past the snapshot of the shard they
-//! route to, so restart-to-serving time is bounded by the tail length —
-//! not by the full history. Compaction deletes the segments every
-//! shard's snapshots have made redundant.
+//! Periodically the database writes **one snapshot file** of its whole
+//! state. Crash recovery loads the newest valid snapshot and replays, in
+//! one forward scan of the log, only the entries past it, so
+//! restart-to-serving time is bounded by the tail length — not by the
+//! full history. Compaction deletes the segments the retained snapshots
+//! have made redundant.
 //!
 //! Byte-level file formats, the durability contract, the recovery state
 //! machine, and the compaction invariants are documented in
@@ -27,15 +24,12 @@ use std::path::{Path, PathBuf};
 use gridbank_rur::codec::{ByteReader, ByteWriter, Decode, Encode};
 use gridbank_rur::RurError;
 
-use crate::db::{
-    entry_shard, AccountRecord, JournalEntry, PendingIbCredit, TransactionRecord, TransferRecord,
-    SHARDS,
-};
+use crate::db::{AccountRecord, JournalEntry, PendingIbCredit, TransactionRecord, TransferRecord};
 use crate::error::BankError;
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 
 /// Store format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const MANIFEST_MAGIC: u32 = 0x4742_4D46; // "GBMF"
 const SEGMENT_MAGIC: u32 = 0x4742_5347; // "GBSG"
@@ -59,14 +53,12 @@ pub struct StoreConfig {
     pub fsync: bool,
     /// Rotate the log's active segment once it exceeds this many bytes.
     pub segment_bytes: u64,
-    /// [`crate::db::Database::maybe_checkpoint`] snapshots a shard once
-    /// this many entries accumulated in its journal tail (or the log
-    /// ran 16 times as far past its last snapshot).
+    /// [`crate::db::Database::maybe_checkpoint`] writes a snapshot once
+    /// the log is this many entries past the newest one.
     pub snapshot_every: u64,
-    /// Snapshot generations kept per shard (≥ 1). Compaction only drops
-    /// segments already covered by every shard's *oldest retained*
-    /// snapshot, so a torn newest snapshot can always fall back one
-    /// generation.
+    /// Snapshot generations kept (≥ 1). Compaction only drops segments
+    /// already covered by the *oldest retained* snapshot, so a torn
+    /// newest snapshot can always fall back one generation.
     pub retain_snapshots: usize,
 }
 
@@ -121,8 +113,8 @@ fn storage_err(context: &str, e: impl std::fmt::Display) -> BankError {
     BankError::Storage(format!("{context}: {e}"))
 }
 
-fn shard_dir(root: &Path, shard: usize) -> PathBuf {
-    root.join(format!("shard-{shard:02}"))
+fn snapshot_dir(root: &Path) -> PathBuf {
+    root.join("snapshots")
 }
 
 fn log_dir(root: &Path) -> PathBuf {
@@ -143,13 +135,13 @@ fn parse_numbered(name: &str, prefix: &str, ext: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Shard snapshot: the per-shard durable state image.
+// Snapshot: the durable state image.
 // ---------------------------------------------------------------------------
 
 /// One consumed idempotency stamp inside a snapshot. `order` is the
 /// stamp's database-wide sequence number — the same one its journal
 /// `Idem` entry carries — so recovery restores the exact eviction order
-/// across shards snapshotted at different times.
+/// across the snapshot and the tail.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotIdem {
     /// Sequence number the stamp was recorded under.
@@ -162,58 +154,75 @@ pub struct SnapshotIdem {
     pub response: Vec<u8>,
 }
 
-/// The durable image of one shard: every piece of [`crate::db::Database`]
-/// state routed to it, plus the journal position (`through_lsn`) the
-/// image is consistent with. Recovery = newest valid snapshot + replay
-/// of the log entries routed here with `lsn > through_lsn`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Shard index the image belongs to.
-    pub shard: u32,
-    /// Every journal entry with `lsn <= through_lsn` routed to this
-    /// shard is reflected in the image; entries past it are not.
+/// A snapshot read back from disk: every piece of
+/// [`crate::db::Database`] state, plus the journal position
+/// (`through_lsn`) the image is consistent with. Recovery = newest valid
+/// snapshot + replay of the log entries with `lsn > through_lsn`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Every journal entry with `lsn <= through_lsn` is reflected in the
+    /// image; entries past it are not.
     pub through_lsn: u64,
     /// Account-number allocator hint (max seen; recovery takes the max
-    /// across shards and tail).
+    /// of this, the image and the tail).
     pub next_account_hint: u32,
     /// Transaction-id allocator hint.
     pub next_tx_hint: u64,
-    /// Account records homed on this shard, ordered by id.
+    /// Account records, ordered by id.
     pub accounts: Vec<AccountRecord>,
-    /// TRANSACTION rows whose account is homed here, in commit order.
+    /// TRANSACTION rows, in commit order.
     pub transactions: Vec<TransactionRecord>,
-    /// TRANSFER rows whose drawer is homed here, in commit order.
+    /// TRANSFER rows, in commit order.
     pub transfers: Vec<TransferRecord>,
-    /// Idempotency stamps routed here (by certificate hash).
+    /// Idempotency stamps, oldest first.
     pub idem: Vec<SnapshotIdem>,
-    /// Unacknowledged cross-branch credits routed here (by key hash).
+    /// Unacknowledged cross-branch credits.
     pub pending: Vec<PendingIbCredit>,
 }
 
-impl ShardSnapshot {
-    /// An empty image for `shard` at the journal's origin.
-    pub fn empty(shard: u32) -> Self {
-        ShardSnapshot {
-            shard,
-            through_lsn: 0,
-            next_account_hint: 0,
-            next_tx_hint: 0,
-            accounts: Vec::new(),
-            transactions: Vec::new(),
-            transfers: Vec::new(),
-            idem: Vec::new(),
-            pending: Vec::new(),
-        }
+/// What a snapshot is written from: rows borrowed from the live tables,
+/// so a capture copies no row and the encoded buffer is all it allocates
+/// beyond a pointer per account and stamp.
+pub(crate) struct SnapshotRows<'a> {
+    pub(crate) through_lsn: u64,
+    pub(crate) next_account_hint: u32,
+    pub(crate) next_tx_hint: u64,
+    pub(crate) accounts: Vec<&'a AccountRecord>,
+    pub(crate) transactions: &'a [TransactionRecord],
+    pub(crate) transfers: &'a [TransferRecord],
+    /// `(order, cert, key, response)` per stamp, oldest first.
+    pub(crate) idem: Vec<(u64, &'a str, u64, &'a [u8])>,
+    pub(crate) pending: Vec<&'a PendingIbCredit>,
+}
+
+impl SnapshotRows<'_> {
+    /// The encoded size: each row's fixed width under the codec
+    /// (docs/STORAGE.md §2.3) plus its strings and blobs.
+    fn encoded_len(&self) -> usize {
+        let accounts = self.accounts.iter().map(|r| {
+            let org = r.organization.as_ref().map_or(0, |o| o.len().saturating_add(4));
+            [69, r.certificate_name.len(), r.currency.len(), org]
+        });
+        let transfers = self.transfers.iter().map(|t| [68, t.rur_blob.len(), 0, 0]);
+        let stamps =
+            self.idem.iter().map(|(_, cert, _, response)| [24, cert.len(), response.len(), 0]);
+        let credits = self.pending.iter().map(|p| match &p.idem {
+            Some((cert, _)) => [66, cert.len(), 0, 0],
+            None => [54, 0, 0, 0],
+        });
+        // Header (28), five section counts (40), trailing checksum (8).
+        let fixed = self.transactions.len().saturating_mul(45).saturating_add(76);
+        (accounts.chain(transfers).chain(stamps).chain(credits).flatten())
+            .fold(fixed, usize::saturating_add)
     }
 
-    /// Serializes the snapshot (docs/STORAGE.md §2.3): header, the five
-    /// sections, and a trailing FNV-1a checksum over everything before it.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w =
-            ByteWriter::with_capacity(self.accounts.len().saturating_mul(96).saturating_add(256));
+    /// Serializes the snapshot (docs/STORAGE.md §2.3) into one pre-sized
+    /// buffer: header, the five sections, and a trailing FNV-1a checksum
+    /// over everything before it.
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
         w.put_u32(SNAPSHOT_MAGIC);
         w.put_u32(FORMAT_VERSION);
-        w.put_u32(self.shard);
         w.put_u64(self.through_lsn);
         w.put_u32(self.next_account_hint);
         w.put_u64(self.next_tx_hint);
@@ -222,34 +231,36 @@ impl ShardSnapshot {
             r.encode(&mut w);
         }
         w.put_u64(self.transactions.len() as u64);
-        for t in &self.transactions {
+        for t in self.transactions {
             t.encode(&mut w);
         }
         w.put_u64(self.transfers.len() as u64);
-        for t in &self.transfers {
+        for t in self.transfers {
             t.encode(&mut w);
         }
         w.put_u64(self.idem.len() as u64);
-        for s in &self.idem {
-            w.put_u64(s.order);
-            w.put_str(&s.cert);
-            w.put_u64(s.key);
-            w.put_bytes(&s.response);
+        for (order, cert, key, response) in &self.idem {
+            w.put_u64(*order);
+            w.put_str(cert);
+            w.put_u64(*key);
+            w.put_bytes(response);
         }
         w.put_u64(self.pending.len() as u64);
         for p in &self.pending {
             // Reuse the journal codec: a pending credit is exactly the
             // payload of an `IbOut` entry.
-            JournalEntry::IbOut(p.clone()).encode(&mut w);
+            JournalEntry::IbOut(PendingIbCredit::clone(p)).encode(&mut w);
         }
         let mut bytes = w.into_bytes();
         let check = fnv64(&bytes);
         bytes.extend_from_slice(&check.to_le_bytes());
         bytes
     }
+}
 
+impl Snapshot {
     /// Parses and checksum-verifies a serialized snapshot.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardSnapshot, RurError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, RurError> {
         if bytes.len() < 8 {
             return Err(RurError::Decode("snapshot too short".into()));
         }
@@ -267,7 +278,6 @@ impl ShardSnapshot {
         if version != FORMAT_VERSION {
             return Err(RurError::Decode(format!("unsupported snapshot version {version}")));
         }
-        let shard = r.get_u32()?;
         let through_lsn = r.get_u64()?;
         let next_account_hint = r.get_u32()?;
         let next_tx_hint = r.get_u64()?;
@@ -315,8 +325,7 @@ impl ShardSnapshot {
             }
         }
         r.finish()?;
-        Ok(ShardSnapshot {
-            shard,
+        Ok(Snapshot {
             through_lsn,
             next_account_hint,
             next_tx_hint,
@@ -430,7 +439,7 @@ impl LogHead {
 }
 
 /// The open, append-only side of the store: the LSN allocator, the
-/// per-shard checkpoint counters and the compaction pass. Appends write
+/// checkpoint position and the compaction pass. Appends write
 /// through the caller's `LogHead` under the [`crate::db`] journal
 /// lock; the group-commit queue amortizes the per-batch `fsync` exactly
 /// as it amortizes the journal acquisition.
@@ -441,11 +450,8 @@ pub struct DiskLog {
     next_lsn: AtomicU64,
     /// Sequence number of the next segment file.
     next_seq: AtomicU64,
-    /// Entries routed to each shard since its last snapshot — the
-    /// `maybe_checkpoint` trigger.
-    since_snapshot: Vec<AtomicU64>,
-    /// `through_lsn` of each shard's newest snapshot.
-    snapshot_lsn: Vec<AtomicU64>,
+    /// `through_lsn` of the newest snapshot.
+    snapshot_lsn: AtomicU64,
     /// The `COMPACTED` marker's value.
     compacted: AtomicU64,
     /// Sticky I/O failure flag: once an append fails, acks are no longer
@@ -459,19 +465,12 @@ impl DiskLog {
         self.next_lsn.load(Ordering::SeqCst).saturating_sub(1)
     }
 
-    /// Whether `shard` is due a snapshot: its own tail reached
-    /// `snapshot_every`, or the log head is `SHARDS × snapshot_every`
-    /// entries past its last snapshot. The second rule snapshots idle
-    /// shards too; without it one shard that sees no traffic would hold
-    /// the compaction cut, and every segment since, forever
-    /// (docs/STORAGE.md §4).
-    pub(crate) fn snapshot_due(&self, shard: usize) -> bool {
+    /// Whether a snapshot is due: the log is `snapshot_every` entries
+    /// past the newest one (docs/STORAGE.md §4).
+    pub(crate) fn snapshot_due(&self) -> bool {
         let every = self.cfg.snapshot_every;
-        let load = |v: &[AtomicU64]| v.get(shard).map_or(0, |c| c.load(Ordering::Relaxed));
-        every != 0
-            && (load(&self.since_snapshot) >= every
-                || self.last_lsn().saturating_sub(load(&self.snapshot_lsn))
-                    >= every.saturating_mul(SHARDS as u64))
+        let since = self.last_lsn().saturating_sub(self.snapshot_lsn.load(Ordering::Relaxed));
+        every != 0 && since >= every
     }
 
     /// Whether every append so far reached disk. `false` means a prior
@@ -498,11 +497,6 @@ impl DiskLog {
                     "gridbank-store: log append failed ({e}); \
                      continuing in memory — acks are no longer crash-durable"
                 );
-            }
-        }
-        for entry in entries {
-            if let Some(c) = self.since_snapshot.get(entry_shard(entry)) {
-                c.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -549,75 +543,74 @@ impl DiskLog {
         Ok(())
     }
 
-    /// Writes `snap` durably: tmp file → `fsync` → atomic rename →
-    /// directory `fsync` → read-back verification. Only after the
-    /// verification do the shard's checkpoint counters move; a crash at
-    /// any earlier point leaves the previous snapshot authoritative.
-    /// Returns the bytes written.
-    pub(crate) fn write_snapshot(&self, snap: &ShardSnapshot) -> Result<u64, BankError> {
-        let shard = snap.shard as usize;
-        let dir = shard_dir(&self.cfg.dir, shard);
-        fs::create_dir_all(&dir).map_err(|e| storage_err("create shard dir", e))?;
-        let bytes = snap.to_bytes();
-        let final_path = snapshot_path(&dir, snap.through_lsn);
+    /// Writes an encoded snapshot durably: tmp file → `fsync` → atomic
+    /// rename → directory `fsync` → read-back verification. Only after
+    /// the verification does the checkpoint position move; a crash or an
+    /// error at any earlier point leaves the previous snapshot
+    /// authoritative. Returns the bytes written.
+    pub(crate) fn write_snapshot(
+        &self,
+        through_lsn: u64,
+        bytes: Vec<u8>,
+    ) -> Result<u64, BankError> {
+        let dir = snapshot_dir(&self.cfg.dir);
+        let len = bytes.len() as u64;
+        let final_path = snapshot_path(&dir, through_lsn);
         let tmp_path = final_path.with_extension("gbs.tmp");
         {
             let mut f = fs::File::create(&tmp_path)
                 .map_err(|e| storage_err(&tmp_path.display().to_string(), e))?;
-            f.write_all(&bytes).map_err(|e| storage_err("snapshot write", e))?;
+            // In 64 KiB pieces: on the reference host a `write` costs by
+            // its size — a 16 MB image 65 ms in one call, 5 ms in these,
+            // and either in 1 MiB ones (EXPERIMENTS.md E25).
+            for piece in bytes.chunks(1 << 16) {
+                f.write_all(piece).map_err(|e| storage_err("snapshot write", e))?;
+            }
+            // The kernel has the image now: free it before the read-back
+            // below holds the file and its decoded rows.
+            drop(bytes);
             if self.cfg.fsync {
                 f.sync_all().map_err(|e| storage_err("snapshot fsync", e))?;
             }
         }
         fs::rename(&tmp_path, &final_path).map_err(|e| storage_err("snapshot rename", e))?;
         if self.cfg.fsync {
-            if let Ok(d) = fs::File::open(&dir) {
-                let _ = d.sync_all();
-            }
+            sync_dir(&dir)?;
         }
         // Belt and braces: never compact on the strength of a snapshot
         // we cannot read back.
         let reread = fs::read(&final_path).map_err(|e| storage_err("snapshot read-back", e))?;
-        ShardSnapshot::from_bytes(&reread).map_err(|e| storage_err("snapshot verify", e))?;
-        if let Some(c) = self.since_snapshot.get(shard) {
-            c.store(0, Ordering::Relaxed);
-        }
-        if let Some(c) = self.snapshot_lsn.get(shard) {
-            c.store(snap.through_lsn, Ordering::Relaxed);
-        }
+        Snapshot::from_bytes(&reread).map_err(|e| storage_err("snapshot verify", e))?;
+        self.snapshot_lsn.store(through_lsn, Ordering::Relaxed);
         gridbank_obs::count("db.snapshot.writes", 1);
-        gridbank_obs::count("db.snapshot.bytes", bytes.len() as u64);
-        Ok(bytes.len() as u64)
+        gridbank_obs::count("db.snapshot.bytes", len);
+        Ok(len)
     }
 
-    /// One compaction pass (docs/STORAGE.md §4): prunes every shard's
-    /// snapshot generations beyond `retain_snapshots`, takes the **cut**
-    /// — the lowest `through_lsn` among the shards' oldest retained
-    /// generations, so every entry at or below it is in every retained
-    /// snapshot of the shard it routes to — records it in the
+    /// One compaction pass (docs/STORAGE.md §4): prunes the snapshot
+    /// generations beyond `retain_snapshots`, takes the **cut** — the
+    /// oldest retained generation's `through_lsn`, so every entry at or
+    /// below it is in every retained snapshot — records it in the
     /// `COMPACTED` marker, and deletes the closed segments that end at
     /// or below it. Returns `(segments_dropped, snapshots_pruned)`.
     pub(crate) fn compact(&self) -> Result<(usize, usize), BankError> {
         let retain = self.cfg.retain_snapshots.max(1);
+        let snap_dir = snapshot_dir(&self.cfg.dir);
+        let mut snaps = list_numbered(&snap_dir, "snap-", ".gbs")?;
+        snaps.sort_unstable();
+        let excess = snaps.len().saturating_sub(retain);
         let mut pruned = 0usize;
-        let mut cut = u64::MAX;
-        for shard in 0..SHARDS {
-            let dir = shard_dir(&self.cfg.dir, shard);
-            let mut snaps = list_numbered(&dir, "snap-", ".gbs")?;
-            snaps.sort_unstable();
-            let excess = snaps.len().saturating_sub(retain);
-            for lsn in snaps.drain(..excess) {
-                if fs::remove_file(snapshot_path(&dir, lsn)).is_ok() {
-                    pruned = pruned.saturating_add(1);
-                }
+        for lsn in snaps.drain(..excess) {
+            if fs::remove_file(snapshot_path(&snap_dir, lsn)).is_ok() {
+                pruned = pruned.saturating_add(1);
             }
-            // A shard never snapshotted needs the whole log.
-            cut = cut.min(snaps.first().copied().unwrap_or(0));
         }
+        // A store never snapshotted needs the whole log.
+        let cut = snaps.first().copied().unwrap_or(0);
 
-        // Marker first, then deletion: recovery refuses to run a shard
-        // from a snapshot older than the marker, so a crash between the
-        // two steps can never silently lose the gap.
+        // Marker first, then deletion: recovery refuses to run from a
+        // snapshot older than the marker, so a crash between the two
+        // steps can never silently lose the gap.
         let dir = log_dir(&self.cfg.dir);
         if cut > self.compacted.load(Ordering::Relaxed) {
             write_compacted_marker(&dir, cut, self.cfg.fsync)?;
@@ -662,7 +655,13 @@ fn write_compacted_marker(dir: &Path, through: u64, fsync: bool) -> Result<(), B
             f.sync_all().map_err(|e| storage_err("compacted marker fsync", e))?;
         }
     }
-    fs::rename(&tmp, &final_path).map_err(|e| storage_err("compacted marker rename", e))
+    fs::rename(&tmp, &final_path).map_err(|e| storage_err("compacted marker rename", e))?;
+    if fsync {
+        // "Marker before delete" needs the rename itself on disk before
+        // `compact` removes a segment.
+        sync_dir(dir)?;
+    }
+    Ok(())
 }
 
 fn read_compacted_marker(dir: &Path) -> u64 {
@@ -687,7 +686,7 @@ fn read_compacted_marker(dir: &Path) -> u64 {
     }
 }
 
-/// Makes a file creation or removal in `dir` durable.
+/// Makes a file creation, rename or removal in `dir` durable.
 fn sync_dir(dir: &Path) -> Result<(), BankError> {
     let synced = fs::File::open(dir).and_then(|d| d.sync_all());
     synced.map_err(|e| storage_err(&dir.display().to_string(), e))
@@ -716,12 +715,11 @@ fn list_numbered(dir: &Path, prefix: &str, ext: &str) -> Result<Vec<u64>, BankEr
 // ---------------------------------------------------------------------------
 
 fn manifest_bytes(bank: u16, branch: u16) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(32);
+    let mut w = ByteWriter::with_capacity(24);
     w.put_u32(MANIFEST_MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u32(bank as u32);
     w.put_u32(branch as u32);
-    w.put_u32(SHARDS as u32);
     let mut bytes = w.into_bytes();
     let check = fnv64(&bytes);
     bytes.extend_from_slice(&check.to_le_bytes());
@@ -737,39 +735,36 @@ pub struct Manifest {
     pub bank: u16,
     /// Branch number the store belongs to.
     pub branch: u16,
-    /// Shard count the layout was built with.
-    pub shards: u32,
 }
 
-/// Reads and verifies a store's `MANIFEST`.
+/// Reads and verifies a store's `MANIFEST`. The version is judged
+/// first, from the two leading words every format version shares: an
+/// older store's manifest has another length, and the refusal should
+/// name its version rather than its size.
 pub fn read_manifest(dir: &Path) -> Result<Manifest, BankError> {
     let path = dir.join("MANIFEST");
     let bytes = fs::read(&path).map_err(|e| storage_err(&path.display().to_string(), e))?;
-    if bytes.len() != 28 {
-        return Err(BankError::Storage("MANIFEST has wrong length".into()));
-    }
-    let (body, tail) = bytes.split_at(20);
-    let mut check = [0u8; 8];
-    check.copy_from_slice(tail);
-    if fnv64(body) != u64::from_le_bytes(check) {
-        return Err(BankError::Storage("MANIFEST checksum mismatch".into()));
-    }
-    let mut r = ByteReader::new(body);
+    let mut r = ByteReader::new(&bytes);
     let magic = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
     let version = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
-    let bank = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
-    let branch = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
-    let shards = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
     if magic != MANIFEST_MAGIC {
         return Err(BankError::Storage("bad MANIFEST magic".into()));
     }
     if version != FORMAT_VERSION {
         return Err(BankError::Storage(format!("unsupported store version {version}")));
     }
-    if shards as usize != SHARDS {
-        return Err(BankError::Storage(format!("unsupported shard count {shards}")));
+    if bytes.len() != 24 {
+        return Err(BankError::Storage("MANIFEST has wrong length".into()));
     }
-    Ok(Manifest { version, bank: bank as u16, branch: branch as u16, shards })
+    let (body, tail) = bytes.split_at(16);
+    let mut check = [0u8; 8];
+    check.copy_from_slice(tail);
+    if fnv64(body) != u64::from_le_bytes(check) {
+        return Err(BankError::Storage("MANIFEST checksum mismatch".into()));
+    }
+    let bank = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
+    let branch = r.get_u32().map_err(|e| storage_err("MANIFEST", e))?;
+    Ok(Manifest { version, bank: bank as u16, branch: branch as u16 })
 }
 
 // ---------------------------------------------------------------------------
@@ -781,15 +776,13 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest, BankError> {
 /// bounded-recovery tests assert on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Shards in the store.
-    pub shards: usize,
-    /// Shards whose state came from a snapshot file (the rest were
-    /// rebuilt from journal alone — a fresh or never-snapshotted store).
+    /// 1 when the state came from a snapshot file, 0 when it was rebuilt
+    /// from the journal alone (a fresh or never-snapshotted store).
     pub snapshots_loaded: usize,
-    /// Newest-generation snapshots that failed verification and were
-    /// skipped in favor of an older generation.
+    /// Newer snapshot generations that failed verification and were
+    /// skipped in favor of an older one.
     pub snapshots_skipped: usize,
-    /// Journal entries replayed past the snapshots — the *tail*. This,
+    /// Journal entries replayed past the snapshot — the *tail*. This,
     /// not total history, bounds restart time.
     pub tail_entries_replayed: usize,
     /// Segment files scanned while collecting the tail.
@@ -804,23 +797,22 @@ pub struct RecoveryReport {
 }
 
 /// Everything read back from disk, ready to be folded into a fresh
-/// [`crate::db::Database`]: one base image per shard plus the journal
-/// tail.
+/// [`crate::db::Database`]: the base image plus the journal tail.
 pub struct RecoveredState {
-    /// Base image per shard (empty image where no snapshot existed).
-    pub bases: Vec<ShardSnapshot>,
-    /// Every log entry past the snapshot of the shard it routes to, in
-    /// LSN order — the order the log holds them in.
+    /// The newest valid snapshot (an empty image where none existed).
+    pub base: Snapshot,
+    /// Every log entry past the base, in LSN order — the order the log
+    /// holds them in.
     pub tail: Vec<(u64, JournalEntry)>,
     /// Evidence report (finished by the caller with timing/accounts).
     pub report: RecoveryReport,
 }
 
-/// One shard's newest snapshot that verifies.
+/// The newest snapshot that verifies.
 struct Base {
-    /// The image (empty when the shard has no valid generation).
-    image: ShardSnapshot,
-    /// Its size on disk; 0 when the shard has no valid generation.
+    /// The image (empty when there is no valid generation).
+    image: Snapshot,
+    /// Its size on disk; 0 when there is no valid generation.
     bytes: u64,
     /// Generations present, valid or not.
     generations: usize,
@@ -828,27 +820,23 @@ struct Base {
     skipped: usize,
 }
 
-fn load_base(root: &Path, shard: usize) -> Result<Base, BankError> {
-    let dir = shard_dir(root, shard);
+fn load_base(root: &Path) -> Result<Base, BankError> {
+    let dir = snapshot_dir(root);
     let mut snaps = list_numbered(&dir, "snap-", ".gbs")?;
     snaps.sort_unstable_by(|a, b| b.cmp(a));
-    let mut base = Base {
-        image: ShardSnapshot::empty(shard as u32),
-        bytes: 0,
-        generations: snaps.len(),
-        skipped: 0,
-    };
+    let mut base =
+        Base { image: Snapshot::default(), bytes: 0, generations: snaps.len(), skipped: 0 };
     for lsn in snaps {
         let parsed = fs::read(snapshot_path(&dir, lsn))
             .ok()
-            .and_then(|bytes| Some((ShardSnapshot::from_bytes(&bytes).ok()?, bytes.len())));
+            .and_then(|bytes| Some((Snapshot::from_bytes(&bytes).ok()?, bytes.len())));
         match parsed {
-            Some((image, len)) if image.shard as usize == shard => {
+            Some((image, len)) => {
                 base.image = image;
                 base.bytes = len as u64;
                 break;
             }
-            _ => base.skipped = base.skipped.saturating_add(1),
+            None => base.skipped = base.skipped.saturating_add(1),
         }
     }
     Ok(base)
@@ -869,18 +857,19 @@ struct LogScan {
     /// ends in a frame that is cut short, fails its checksum or does not
     /// parse — a torn tail.
     torn: Option<(PathBuf, u64)>,
-    /// Every entry past `through[entry_shard(entry)]`, in LSN order.
+    /// Every entry past the floor, in LSN order.
     tail: Vec<(u64, JournalEntry)>,
 }
 
 /// Reads the log front to back, one segment in memory at a time. A
 /// frame is whole or absent — it carries one checksum — and frames sit
 /// in LSN order by construction, so there is nothing to reassemble: an
-/// entry is kept iff it is past the snapshot of the shard it routes to.
-/// A bad frame ends the **final** segment's scan (a torn tail: the write
-/// never completed, so it was never acknowledged); anywhere earlier it
-/// is an error — later segments prove data was acknowledged after it.
-fn scan_log(root: &Path, through: &[u64]) -> Result<LogScan, BankError> {
+/// entry is kept iff its LSN is past `floor`, the base snapshot's
+/// `through_lsn`. A bad frame ends the **final** segment's scan (a torn
+/// tail: the write never completed, so it was never acknowledged);
+/// anywhere earlier it is an error — later segments prove data was
+/// acknowledged after it.
+fn scan_log(root: &Path, floor: u64) -> Result<LogScan, BankError> {
     let dir = log_dir(root);
     let mut seqs = list_numbered(&dir, "seg-", ".gbj")?;
     seqs.sort_unstable();
@@ -898,7 +887,7 @@ fn scan_log(root: &Path, through: &[u64]) -> Result<LogScan, BankError> {
                 for (i, entry) in entries.into_iter().enumerate() {
                     let lsn = first_lsn.saturating_add(i as u64);
                     scan.last_lsn = scan.last_lsn.max(lsn);
-                    if through.get(entry_shard(&entry)).is_some_and(|t| lsn > *t) {
+                    if lsn > floor {
                         scan.tail.push((lsn, entry));
                     }
                 }
@@ -922,32 +911,30 @@ fn scan_log(root: &Path, through: &[u64]) -> Result<LogScan, BankError> {
 /// Everything on disk below the manifest: steps 2–3 of recovery
 /// (docs/STORAGE.md §5), shared with the read-only [`inspect`].
 struct StoreScan {
-    bases: Vec<Base>,
+    base: Base,
     /// The `COMPACTED` marker (0 when never compacted).
     compacted: u64,
     log: LogScan,
 }
 
 fn scan_store(root: &Path) -> Result<StoreScan, BankError> {
-    let bases = (0..SHARDS).map(|s| load_base(root, s)).collect::<Result<Vec<_>, _>>()?;
-    let through: Vec<u64> = bases.iter().map(|b| b.image.through_lsn).collect();
-    Ok(StoreScan {
-        bases,
-        compacted: read_compacted_marker(&log_dir(root)),
-        log: scan_log(root, &through)?,
-    })
+    let base = load_base(root)?;
+    let log = scan_log(root, base.image.through_lsn)?;
+    Ok(StoreScan { base, compacted: read_compacted_marker(&log_dir(root)), log })
 }
 
 /// Opens (or creates) the store at `cfg.dir` and recovers its state:
-/// newest valid snapshot per shard, tail-only journal replay past it.
-/// Returns the recovered state and the live log positioned to append.
+/// newest valid snapshot, tail-only journal replay past it. Returns the
+/// recovered state and the live log positioned to append.
 pub fn open_store(
     bank: u16,
     branch: u16,
     cfg: StoreConfig,
 ) -> Result<(RecoveredState, DiskLog), BankError> {
     let dir = log_dir(&cfg.dir);
-    fs::create_dir_all(&dir).map_err(|e| storage_err("create store dir", e))?;
+    for made in [&dir, &snapshot_dir(&cfg.dir)] {
+        fs::create_dir_all(made).map_err(|e| storage_err("create store dir", e))?;
+    }
     let manifest_path = cfg.dir.join("MANIFEST");
     match read_manifest(&cfg.dir) {
         Ok(m) => {
@@ -967,28 +954,23 @@ pub fn open_store(
         Err(e) => return Err(e),
     }
 
-    let StoreScan { bases, compacted, log } = scan_store(&cfg.dir)?;
+    let StoreScan { base, compacted, log } = scan_store(&cfg.dir)?;
     let mut report = RecoveryReport {
-        shards: SHARDS,
+        snapshots_loaded: usize::from(base.bytes != 0),
+        snapshots_skipped: base.skipped,
         segments_scanned: log.segments,
         tail_entries_replayed: log.tail.len(),
         ..RecoveryReport::default()
     };
-    for (shard, base) in bases.iter().enumerate() {
-        report.snapshots_skipped = report.snapshots_skipped.saturating_add(base.skipped);
-        if base.bytes != 0 {
-            report.snapshots_loaded = report.snapshots_loaded.saturating_add(1);
-        }
-        // The tripwire: segments at or below the marker may be gone, so
-        // a shard whose best snapshot is older cannot be made whole.
-        if base.image.through_lsn < compacted {
-            return Err(BankError::Storage(format!(
-                "shard {shard}: no valid snapshot covers the compacted journal prefix \
-                 (best snapshot at LSN {}, journal compacted through LSN {compacted}); \
-                 the store cannot be recovered completely",
-                base.image.through_lsn
-            )));
-        }
+    // The tripwire: segments at or below the marker may be gone, so a
+    // store whose best snapshot is older cannot be made whole.
+    let floor = base.image.through_lsn;
+    if floor < compacted {
+        return Err(BankError::Storage(format!(
+            "no valid snapshot covers the compacted journal prefix (best snapshot at LSN \
+             {floor}, journal compacted through LSN {compacted}); the store cannot be \
+             recovered completely"
+        )));
     }
     if let Some((path, clean)) = &log.torn {
         report.torn_tails = 1;
@@ -1009,39 +991,20 @@ pub fn open_store(
         }
     }
 
-    let max_lsn = bases.iter().map(|b| b.image.through_lsn).fold(log.last_lsn, u64::max);
     let disk = DiskLog {
-        next_lsn: AtomicU64::new(max_lsn.saturating_add(1)),
+        next_lsn: AtomicU64::new(floor.max(log.last_lsn).saturating_add(1)),
         next_seq: AtomicU64::new(log.last_seq.saturating_add(1)),
-        since_snapshot: (0..SHARDS).map(|_| AtomicU64::new(0)).collect(),
-        snapshot_lsn: bases.iter().map(|b| AtomicU64::new(b.image.through_lsn)).collect(),
+        snapshot_lsn: AtomicU64::new(floor),
         compacted: AtomicU64::new(compacted),
         failed: AtomicBool::new(false),
         cfg,
     };
-    let bases = bases.into_iter().map(|b| b.image).collect();
-    Ok((RecoveredState { bases, tail: log.tail, report }, disk))
+    Ok((RecoveredState { base: base.image, tail: log.tail, report }, disk))
 }
 
 // ---------------------------------------------------------------------------
 // Offline inspection (`gridbank store`).
 // ---------------------------------------------------------------------------
-
-/// One shard's on-disk inventory.
-#[derive(Clone, Debug, Default)]
-pub struct ShardInventory {
-    /// Snapshot generations present.
-    pub snapshots: usize,
-    /// Newest valid snapshot's `through_lsn` (0 when none).
-    pub snapshot_lsn: u64,
-    /// Newest valid snapshot's bytes (0 when none).
-    pub snapshot_bytes: u64,
-    /// Accounts in the newest valid snapshot.
-    pub snapshot_accounts: usize,
-    /// Log entries routed here past the newest valid snapshot (what a
-    /// restart would replay).
-    pub tail_entries: usize,
-}
 
 /// A full offline inventory of a store directory.
 #[derive(Clone, Debug)]
@@ -1056,24 +1019,23 @@ pub struct StoreInspection {
     pub compacted_through: u64,
     /// Whether the newest segment ends in a torn frame.
     pub torn_tail: bool,
-    /// Per-shard inventories, indexed by shard.
-    pub shards: Vec<ShardInventory>,
+    /// Snapshot generations present.
+    pub snapshots: usize,
+    /// Newest valid snapshot's `through_lsn` (0 when none).
+    pub snapshot_lsn: u64,
+    /// Newest valid snapshot's bytes (0 when none).
+    pub snapshot_bytes: u64,
+    /// Accounts in the newest valid snapshot.
+    pub snapshot_accounts: usize,
+    /// Log entries past the newest valid snapshot — what a restart
+    /// would replay.
+    pub tail_entries: usize,
 }
 
 impl StoreInspection {
-    /// Total journal-tail entries a restart would replay.
-    pub fn tail_entries(&self) -> usize {
-        self.shards.iter().fold(0usize, |acc, s| acc.saturating_add(s.tail_entries))
-    }
-
-    /// Total accounts across the newest snapshots.
-    pub fn snapshot_accounts(&self) -> usize {
-        self.shards.iter().fold(0usize, |acc, s| acc.saturating_add(s.snapshot_accounts))
-    }
-
-    /// Total bytes on disk (segments + newest snapshots).
+    /// Total bytes on disk (segments + the newest snapshot).
     pub fn total_bytes(&self) -> u64 {
-        self.shards.iter().fold(self.segment_bytes, |acc, s| acc.saturating_add(s.snapshot_bytes))
+        self.segment_bytes.saturating_add(self.snapshot_bytes)
     }
 }
 
@@ -1103,30 +1065,18 @@ pub fn inspect(dir: &Path) -> Result<StoreInspection, BankError> {
         return Err(not_a_store("no MANIFEST file"));
     }
     let manifest = read_manifest(dir)?;
-    let scan = scan_store(dir)?;
-    let mut shards: Vec<ShardInventory> = scan
-        .bases
-        .iter()
-        .map(|b| ShardInventory {
-            snapshots: b.generations,
-            snapshot_lsn: b.image.through_lsn,
-            snapshot_bytes: b.bytes,
-            snapshot_accounts: b.image.accounts.len(),
-            tail_entries: 0,
-        })
-        .collect();
-    for (_lsn, entry) in &scan.log.tail {
-        if let Some(inv) = shards.get_mut(entry_shard(entry)) {
-            inv.tail_entries = inv.tail_entries.saturating_add(1);
-        }
-    }
+    let StoreScan { base, compacted, log } = scan_store(dir)?;
     Ok(StoreInspection {
         manifest,
-        segments: scan.log.segments,
-        segment_bytes: scan.log.bytes,
-        compacted_through: scan.compacted,
-        torn_tail: scan.log.torn.is_some(),
-        shards,
+        segments: log.segments,
+        segment_bytes: log.bytes,
+        compacted_through: compacted,
+        torn_tail: log.torn.is_some(),
+        snapshots: base.generations,
+        snapshot_lsn: base.image.through_lsn,
+        snapshot_bytes: base.bytes,
+        snapshot_accounts: base.image.accounts.len(),
+        tail_entries: log.tail.len(),
     })
 }
 
@@ -1244,9 +1194,9 @@ mod tests {
             })
     }
 
-    fn arb_snapshot() -> impl Strategy<Value = ShardSnapshot> {
+    fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
         (
-            (0u32..SHARDS as u32, any::<u64>(), any::<u32>(), any::<u64>()),
+            (any::<u64>(), any::<u32>(), any::<u64>()),
             proptest::collection::vec(arb_account(), 0..8),
             proptest::collection::vec(arb_transaction(), 0..8),
             proptest::collection::vec(arb_transfer(), 0..8),
@@ -1255,14 +1205,13 @@ mod tests {
         )
             .prop_map(
                 |(
-                    (shard, through_lsn, next_account_hint, next_tx_hint),
+                    (through_lsn, next_account_hint, next_tx_hint),
                     accounts,
                     transactions,
                     transfers,
                     idem,
                     pending,
-                )| ShardSnapshot {
-                    shard,
+                )| Snapshot {
                     through_lsn,
                     next_account_hint,
                     next_tx_hint,
@@ -1275,15 +1224,35 @@ mod tests {
             )
     }
 
+    /// The rows of an owned image, as a capture borrows them from the
+    /// live tables.
+    fn rows(snap: &Snapshot) -> SnapshotRows<'_> {
+        SnapshotRows {
+            through_lsn: snap.through_lsn,
+            next_account_hint: snap.next_account_hint,
+            next_tx_hint: snap.next_tx_hint,
+            accounts: snap.accounts.iter().collect(),
+            transactions: &snap.transactions,
+            transfers: &snap.transfers,
+            idem: snap
+                .idem
+                .iter()
+                .map(|s| (s.order, s.cert.as_str(), s.key, s.response.as_slice()))
+                .collect(),
+            pending: snap.pending.iter().collect(),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// docs/STORAGE.md §2.3: the snapshot codec round-trips any state
-        /// image exactly.
+        /// image exactly, in the one buffer it sized beforehand.
         #[test]
         fn snapshot_codec_round_trips(snap in arb_snapshot()) {
-            let bytes = snap.to_bytes();
-            let back = ShardSnapshot::from_bytes(&bytes).expect("decode");
+            let bytes = rows(&snap).to_bytes();
+            prop_assert_eq!(bytes.len(), rows(&snap).encoded_len());
+            let back = Snapshot::from_bytes(&bytes).expect("decode");
             prop_assert_eq!(back, snap);
         }
 
@@ -1291,19 +1260,19 @@ mod tests {
         /// corruption detection compaction and recovery depend on.
         #[test]
         fn snapshot_codec_rejects_bit_rot(snap in arb_snapshot(), pos in any::<usize>()) {
-            let mut bytes = snap.to_bytes();
+            let mut bytes = rows(&snap).to_bytes();
             let i = pos % bytes.len();
             bytes[i] ^= 0x01;
-            prop_assert!(ShardSnapshot::from_bytes(&bytes).is_err());
+            prop_assert!(Snapshot::from_bytes(&bytes).is_err());
         }
     }
 
     #[test]
     fn truncated_snapshot_is_rejected() {
-        let bytes = ShardSnapshot::empty(3).to_bytes();
-        assert!(ShardSnapshot::from_bytes(&bytes).is_ok());
+        let bytes = rows(&Snapshot::default()).to_bytes();
+        assert!(Snapshot::from_bytes(&bytes).is_ok());
         for cut in 0..bytes.len() {
-            assert!(ShardSnapshot::from_bytes(&bytes[..cut]).is_err(), "cut {cut} accepted");
+            assert!(Snapshot::from_bytes(&bytes[..cut]).is_err(), "cut {cut} accepted");
         }
     }
 

@@ -16,11 +16,11 @@
 //! [`OrderedMutex`] and [`OrderedRwLock`] carry the rank their class
 //! holds in the declared acquisition order (the L6 table in
 //! docs/STATIC_ANALYSIS.md). In debug builds every acquisition pushes
-//! `(rank, index)` onto a thread-local stack and panics if it is not
-//! strictly greater than the current top — the dynamic complement to
-//! the lexical `gridbank-lint` L6 pass, catching inversions that only
-//! materialize through call chains the lint cannot see. Same-rank
-//! acquisitions must ascend by index (the cross-shard transfer idiom).
+//! its rank onto a thread-local stack and panics if it is not strictly
+//! greater than the current top — the dynamic complement to the lexical
+//! `gridbank-lint` L6 pass, catching inversions that only materialize
+//! through call chains the lint cannot see. Each rank has one lock, so
+//! a second lock of a held rank is an inversion like any other.
 //! In release builds the bookkeeping compiles out entirely and the
 //! wrappers are plain newtypes around the underlying locks. Locks
 //! coupled to a `Condvar` (the commit queue, the in-flight key table)
@@ -41,10 +41,8 @@ pub(crate) use loom::sync::{Condvar, Mutex, RwLock};
 /// docs/STATIC_ANALYSIS.md §L6. Keep the two in sync: the lint checks
 /// the table lexically, these constants enforce it at runtime.
 pub(crate) mod rank {
-    /// `Database.shards[i]` — ascending-index within the rank.
-    pub const ACCOUNT_SHARD: u16 = 80;
-    /// `Database.by_cert`.
-    pub const ACCOUNT_INDEX: u16 = 90;
+    /// `Database.accounts`.
+    pub const ACCOUNTS: u16 = 80;
     /// `JournalStore.appended`.
     pub const JOURNAL: u16 = 110;
     /// `Database.transactions`.
@@ -64,40 +62,37 @@ mod witness {
     use std::cell::RefCell;
 
     thread_local! {
-        /// Stack of `(rank, index, name)` for locks this thread holds,
-        /// in acquisition order.
-        static HELD: RefCell<Vec<(u16, u32, &'static str)>> = const { RefCell::new(Vec::new()) };
+        /// Stack of `(rank, name)` for locks this thread holds, in
+        /// acquisition order.
+        static HELD: RefCell<Vec<(u16, &'static str)>> = const { RefCell::new(Vec::new()) };
     }
 
     /// RAII token: popping happens on drop, so early returns and panics
     /// inside the guard scope unwind the stack correctly.
     pub(super) struct Token {
         rank: u16,
-        index: u32,
-        name: &'static str,
     }
 
     /// Records an acquisition, panicking on inversion. Read-side
-    /// re-acquisition of the same `(rank, index)` is also rejected:
-    /// `parking_lot` locks are not reentrant and an interleaved writer
-    /// deadlocks the pair.
-    pub(super) fn acquire(rank: u16, index: u32, name: &'static str) -> Token {
+    /// re-acquisition of a held rank is also rejected: `parking_lot`
+    /// locks are not reentrant and an interleaved writer deadlocks the
+    /// pair.
+    pub(super) fn acquire(rank: u16, name: &'static str) -> Token {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
-            if let Some(&(top_rank, top_index, top_name)) = held.last() {
-                if (rank, index) <= (top_rank, top_index) {
+            if let Some(&(top_rank, top_name)) = held.last() {
+                if rank <= top_rank {
                     // lint:allow(no-panic) the witness exists to panic: a debug-build
                     // tripwire for lock-order bugs, compiled out of release binaries.
                     panic!(
-                        "lock-order inversion: acquiring {name} (rank {rank}, index \
-                         {index}) while holding {top_name} (rank {top_rank}, index \
-                         {top_index}) — see docs/STATIC_ANALYSIS.md §L6"
+                        "lock-order inversion: acquiring {name} (rank {rank}) while holding \
+                         {top_name} (rank {top_rank}) — see docs/STATIC_ANALYSIS.md §L6"
                     );
                 }
             }
-            held.push((rank, index, name));
+            held.push((rank, name));
         });
-        Token { rank, index, name }
+        Token { rank }
     }
 
     impl Drop for Token {
@@ -106,10 +101,7 @@ mod witness {
                 let mut held = held.borrow_mut();
                 // Guards can drop out of acquisition order (drop(a) before
                 // drop(b)); remove the matching entry, not blindly the top.
-                if let Some(pos) = held
-                    .iter()
-                    .rposition(|&(r, i, n)| r == self.rank && i == self.index && n == self.name)
-                {
+                if let Some(pos) = held.iter().rposition(|&(r, _)| r == self.rank) {
                     held.remove(pos);
                 }
             });
@@ -121,26 +113,24 @@ mod witness {
 pub(crate) struct OrderedMutex<T> {
     inner: Mutex<T>,
     #[cfg(debug_assertions)]
-    meta: (u16, u32, &'static str),
+    meta: (u16, &'static str),
 }
 
 impl<T> OrderedMutex<T> {
-    /// Wraps `value` at `(rank, index)` in the declared order. `index`
-    /// disambiguates same-rank locks (shard number); pass 0 for
-    /// singleton classes.
-    pub(crate) fn new(rank: u16, index: u32, name: &'static str, value: T) -> Self {
+    /// Wraps `value` at `rank` in the declared order.
+    pub(crate) fn new(rank: u16, name: &'static str, value: T) -> Self {
         #[cfg(not(debug_assertions))]
-        let _ = (rank, index, name);
+        let _ = (rank, name);
         OrderedMutex {
             inner: Mutex::new(value),
             #[cfg(debug_assertions)]
-            meta: (rank, index, name),
+            meta: (rank, name),
         }
     }
 
     pub(crate) fn lock(&self) -> OrderedMutexGuard<'_, T> {
         #[cfg(debug_assertions)]
-        let token = witness::acquire(self.meta.0, self.meta.1, self.meta.2);
+        let token = witness::acquire(self.meta.0, self.meta.1);
         OrderedMutexGuard {
             inner: self.inner.lock(),
             #[cfg(debug_assertions)]
@@ -175,24 +165,24 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
 pub(crate) struct OrderedRwLock<T> {
     inner: RwLock<T>,
     #[cfg(debug_assertions)]
-    meta: (u16, u32, &'static str),
+    meta: (u16, &'static str),
 }
 
 impl<T> OrderedRwLock<T> {
     /// See [`OrderedMutex::new`].
-    pub(crate) fn new(rank: u16, index: u32, name: &'static str, value: T) -> Self {
+    pub(crate) fn new(rank: u16, name: &'static str, value: T) -> Self {
         #[cfg(not(debug_assertions))]
-        let _ = (rank, index, name);
+        let _ = (rank, name);
         OrderedRwLock {
             inner: RwLock::new(value),
             #[cfg(debug_assertions)]
-            meta: (rank, index, name),
+            meta: (rank, name),
         }
     }
 
     pub(crate) fn read(&self) -> OrderedReadGuard<'_, T> {
         #[cfg(debug_assertions)]
-        let token = witness::acquire(self.meta.0, self.meta.1, self.meta.2);
+        let token = witness::acquire(self.meta.0, self.meta.1);
         OrderedReadGuard {
             inner: self.inner.read(),
             #[cfg(debug_assertions)]
@@ -202,7 +192,7 @@ impl<T> OrderedRwLock<T> {
 
     pub(crate) fn write(&self) -> OrderedWriteGuard<'_, T> {
         #[cfg(debug_assertions)]
-        let token = witness::acquire(self.meta.0, self.meta.1, self.meta.2);
+        let token = witness::acquire(self.meta.0, self.meta.1);
         OrderedWriteGuard {
             inner: self.inner.write(),
             #[cfg(debug_assertions)]
@@ -251,8 +241,8 @@ mod tests {
 
     #[test]
     fn ascending_acquisition_passes_and_unwinds() {
-        let a = OrderedMutex::new(10, 0, "a", 1u32);
-        let b = OrderedMutex::new(20, 0, "b", 2u32);
+        let a = OrderedMutex::new(10, "a", 1u32);
+        let b = OrderedMutex::new(20, "b", 2u32);
         {
             let ga = a.lock();
             let gb = b.lock();
@@ -264,8 +254,8 @@ mod tests {
 
     #[test]
     fn out_of_order_drop_keeps_the_stack_consistent() {
-        let a = OrderedMutex::new(10, 0, "a", ());
-        let b = OrderedMutex::new(20, 0, "b", ());
+        let a = OrderedMutex::new(10, "a", ());
+        let b = OrderedMutex::new(20, "b", ());
         let ga = a.lock();
         let gb = b.lock();
         drop(ga); // dropping the *lower* rank first must not corrupt the stack
@@ -275,28 +265,20 @@ mod tests {
     }
 
     #[test]
-    fn same_rank_ascending_index_passes() {
-        let s0 = OrderedRwLock::new(80, 0, "shard", ());
-        let s1 = OrderedRwLock::new(80, 1, "shard", ());
-        let _g0 = s0.write();
-        let _g1 = s1.write();
-    }
-
-    #[test]
     #[should_panic(expected = "lock-order inversion")]
     fn seeded_inversion_panics() {
-        let shard = OrderedRwLock::new(80, 0, "shard", ());
-        let journal = OrderedMutex::new(110, 0, "journal", ());
+        let accounts = OrderedRwLock::new(80, "accounts", ());
+        let journal = OrderedMutex::new(110, "journal", ());
         let _gj = journal.lock();
-        let _gs = shard.write(); // 80 after 110: the classic inversion
+        let _ga = accounts.write(); // 80 after 110: the classic inversion
     }
 
     #[test]
     #[should_panic(expected = "lock-order inversion")]
-    fn same_rank_descending_index_panics() {
-        let s0 = OrderedRwLock::new(80, 0, "shard", ());
-        let s1 = OrderedRwLock::new(80, 1, "shard", ());
-        let _g1 = s1.write();
-        let _g0 = s0.write(); // index 0 after index 1 within a rank
+    fn a_second_lock_of_a_held_rank_panics() {
+        let first = OrderedRwLock::new(80, "accounts", ());
+        let second = OrderedRwLock::new(80, "accounts", ());
+        let _g1 = first.read();
+        let _g2 = second.read(); // one lock per rank: a second is an inversion
     }
 }

@@ -224,7 +224,7 @@ pub struct LockClass {
     /// Global acquisition rank — strictly increasing along any legal
     /// acquisition path.
     pub rank: u16,
-    /// Human name, e.g. `account-shard`.
+    /// Human name, e.g. `accounts`.
     pub name: String,
     /// File the class's locks live in (suffix match, e.g. `db.rs`).
     pub file: String,
@@ -232,9 +232,6 @@ pub struct LockClass {
     /// expression on identifier boundaries; patterns with punctuation
     /// are plain substring matches.
     pub patterns: Vec<String>,
-    /// Whether same-rank multi-acquisition is legal when iterated in
-    /// ascending index order (the cross-shard transfer idiom).
-    pub ascending_index: bool,
 }
 
 /// The declared lock-acquisition order, parsed from the L6 table in
@@ -247,9 +244,9 @@ pub struct LockOrderSpec {
 
 impl LockOrderSpec {
     /// Parses the declared-order table. Rows look like
-    /// `| 80 | account-shard | db.rs | \`shards\` \`shard\` | ascending-index |`;
-    /// any markdown table row whose first cell is an integer and which
-    /// has five cells is taken as a class declaration.
+    /// `| 80 | accounts | db.rs | \`accounts\` |`; any markdown table row
+    /// whose first cell is an integer and which has four cells is taken
+    /// as a class declaration.
     pub fn parse(markdown: &str) -> Result<LockOrderSpec, String> {
         let mut spec = LockOrderSpec::default();
         for line in markdown.lines() {
@@ -258,7 +255,7 @@ impl LockOrderSpec {
                 continue;
             }
             let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-            if cells.len() < 5 {
+            if cells.len() < 4 {
                 continue;
             }
             let Ok(rank) = cells[0].trim().parse::<u16>() else { continue };
@@ -268,17 +265,11 @@ impl LockOrderSpec {
             if name.is_empty() || file.is_empty() || patterns.is_empty() {
                 continue;
             }
-            spec.classes.push(LockClass {
-                rank,
-                name,
-                file,
-                patterns,
-                ascending_index: cells[4].contains("ascending-index"),
-            });
+            spec.classes.push(LockClass { rank, name, file, patterns });
         }
         if spec.classes.is_empty() {
             return Err("docs/STATIC_ANALYSIS.md has no declared lock-order table \
-                 (need `| rank | class | file | receivers | same-rank |` rows)"
+                 (need `| rank | class | file | receivers |` rows)"
                 .to_string());
         }
         Ok(spec)

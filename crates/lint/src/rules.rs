@@ -720,41 +720,20 @@ pub fn lock_discipline(file: &SourceFile, spec: &LockOrderSpec, report: &mut Rep
                             ),
                         );
                     } else if class.rank == worst.rank {
-                        if receiver == worst.receiver {
-                            report.flag(
-                                Rule::LockOrder,
-                                file,
-                                lineno,
-                                format!(
-                                    "re-acquires `{receiver}` while the guard from line {} \
-                                     is still held — self-deadlock on a non-reentrant lock",
-                                    worst.line
-                                ),
-                            );
-                        } else if !class.ascending_index {
-                            report.flag(
-                                Rule::LockOrder,
-                                file,
-                                lineno,
-                                format!(
-                                    "holds two {} locks at once but the class is not \
-                                     marked ascending-index in the declared table",
-                                    class.name
-                                ),
-                            );
-                        } else if !ascending_witness(file, idx) {
-                            report.flag(
-                                Rule::LockOrder,
-                                file,
-                                lineno,
-                                format!(
-                                    "multi-acquire of {} locks without a visible \
-                                     ascending-index sort — order the pair with \
-                                     `let (first, second) = if a < b ...` before locking",
-                                    class.name
-                                ),
-                            );
-                        }
+                        let why = if receiver == worst.receiver {
+                            format!(
+                                "re-acquires `{receiver}` while the guard from line {} is \
+                                 still held — self-deadlock on a non-reentrant lock",
+                                worst.line
+                            )
+                        } else {
+                            format!(
+                                "holds two {} locks at once (the other taken line {}) — a \
+                                 class has one place in the declared order",
+                                class.name, worst.line
+                            )
+                        };
+                        report.flag(Rule::LockOrder, file, lineno, why);
                     }
                 }
                 if let Some(name) = held_binding(line, at + call.len()) {
@@ -833,8 +812,8 @@ fn lock_calls_on(line: &str) -> Vec<(usize, &'static str)> {
 /// The receiver chain feeding a lock call, walked backward from the `.`
 /// at `at`, joining rustfmt continuation lines (`*self` / `.by_cert` /
 /// `.read()`). Accepts identifier chars plus `.?`, swallowing balanced
-/// `[...]` / `(...)` groups whole (so `shards[account_shard(&r.id)]`
-/// stays one receiver); an unmatched opener or interior whitespace
+/// `[...]` / `(...)` groups whole (so `tables[slot_of(&r.id)]` stays
+/// one receiver); an unmatched opener or interior whitespace
 /// terminates the chain.
 fn lock_receiver(file: &SourceFile, line_idx: usize, at: usize) -> String {
     let mut out: Vec<char> = Vec::new();
@@ -967,21 +946,6 @@ fn drop_calls_on(line: &str) -> Vec<String> {
     out
 }
 
-/// Does the enclosing function order the pair before locking? Looks for
-/// the idiom `let (first, second) = if a < b { ... }` between the
-/// nearest preceding `fn ` line and the acquisition.
-fn ascending_witness(file: &SourceFile, line_idx: usize) -> bool {
-    let Some(start) = file.masked_lines[..=line_idx].iter().rposition(|l| l.contains("fn ")) else {
-        return false;
-    };
-    let compact: String = file.masked_lines[start..=line_idx]
-        .iter()
-        .flat_map(|l| l.chars())
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    compact.contains(")=if") && compact.contains('<')
-}
-
 /// Class names live as long as the report; the set is tiny and fixed per
 /// run, so leaking the handful of strings is cheaper than an arena.
 fn leak(name: &str) -> &'static str {
@@ -1007,7 +971,7 @@ pub fn durability_order(file: &SourceFile, sections: &[String], report: &mut Rep
             (".write_all(", "payload write"),
             (".sync_all(", "file fsync"),
             ("fs::rename(", "atomic rename"),
-            (".sync_all(", "directory fsync"),
+            ("sync_dir(", "directory fsync"),
         ],
         report,
     );
@@ -1018,6 +982,7 @@ pub fn durability_order(file: &SourceFile, sections: &[String], report: &mut Rep
             (".write_all(", "marker write"),
             (".sync_all(", "marker fsync"),
             ("fs::rename(", "atomic rename"),
+            ("sync_dir(", "directory fsync"),
         ],
         report,
     );

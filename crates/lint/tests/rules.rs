@@ -17,15 +17,14 @@ fn registry() -> NameRegistry {
 }
 
 /// A miniature declared lock order mirroring the real table's shape:
-/// ranks ascend, `account-shard` alone permits ascending-index
-/// multi-acquire.
+/// ranks ascend, one class per rank.
 fn lock_order() -> LockOrderSpec {
     LockOrderSpec::parse(
-        "| 10 | registry | server.rs | `peers` | single |\n\
-         | 15 | worker-inbox | server.rs | `rx` | single |\n\
-         | 20 | account-shard | db.rs | `shards` `shard` | ascending-index |\n\
-         | 30 | journal-mem | db.rs | `mem` | single |\n\
-         | 40 | store-writer | store.rs | `writer` | single |",
+        "| 10 | registry | server.rs | `peers` |\n\
+         | 15 | worker-inbox | server.rs | `rx` |\n\
+         | 20 | account-shard | db.rs | `shards` `shard` |\n\
+         | 30 | journal-mem | db.rs | `mem` |\n\
+         | 40 | store-writer | store.rs | `writer` |",
     )
     .expect("fixture lock order parses")
 }
@@ -449,19 +448,8 @@ fn deadlock(&self, i: usize) {
 }
 
 #[test]
-fn lock_order_requires_sorted_cross_shard_acquire() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn transfer(&self, a: usize, b: usize) {
-    let first = self.shards[a].write();
-    let second = self.shards[b].write();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 1, "{:?}", report.violations);
-    assert!(report.violations[0].message.contains("ascending-index"));
-
+fn lock_order_flags_two_guards_of_one_class() {
+    // However the pair is ordered: a class has one lock and one rank.
     let report = analyze(
         "crates/core/src/db.rs",
         r#"
@@ -472,7 +460,8 @@ fn transfer(&self, a: usize, b: usize) {
 }
 "#,
     );
-    assert_eq!(violations(&report, Rule::LockOrder), 0, "{:?}", report.violations);
+    assert_eq!(violations(&report, Rule::LockOrder), 1, "{:?}", report.violations);
+    assert!(report.violations[0].message.contains("two account-shard locks"));
 }
 
 #[test]
@@ -589,7 +578,45 @@ fn write_snapshot(&self) -> io::Result<()> {
     f.write_all(&buf)?;
     f.sync_all()?;
     fs::rename(&tmp, &path)?;
-    dir.sync_all()?;
+    sync_dir(&dir)?;
+    Ok(())
+}
+"#,
+    );
+    assert_eq!(violations(&report, Rule::DurabilityOrder), 0, "{:?}", report.violations);
+}
+
+#[test]
+fn durability_order_requires_the_marker_rename_to_be_made_durable() {
+    // The body `write_compacted_marker` had while "marker before delete"
+    // rested on directory-entry ordering nobody asked the disk for.
+    let report = analyze(
+        "crates/core/src/store.rs",
+        r#"
+fn write_compacted_marker(dir: &Path, through: u64, fsync: bool) -> Result<(), BankError> {
+    f.write_all(&bytes)?;
+    if fsync {
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, &final_path).map_err(|e| storage_err("compacted marker rename", e))
+}
+"#,
+    );
+    assert_eq!(violations(&report, Rule::DurabilityOrder), 1, "{:?}", report.violations);
+    assert!(report.violations[0].message.contains("directory fsync"));
+
+    let report = analyze(
+        "crates/core/src/store.rs",
+        r#"
+fn write_compacted_marker(dir: &Path, through: u64, fsync: bool) -> Result<(), BankError> {
+    f.write_all(&bytes)?;
+    if fsync {
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, &final_path)?;
+    if fsync {
+        sync_dir(dir)?;
+    }
     Ok(())
 }
 "#,

@@ -4,7 +4,7 @@
 //! The scenario measures the claim docs/STORAGE.md §5 makes — restart
 //! time is bounded by the journal *tail*, not by history. A one-branch
 //! durable [`Deployment`] (DESIGN.md §4 "Booting a bank") takes seeded
-//! keyed payments through a real authenticated client; the shards are
+//! keyed payments through a real authenticated client; the ledger is
 //! checkpointed; a further slice of payments forms the replay tail;
 //! [`Deployment::kill`] stops the branch and waits until nothing holds
 //! its bank; and [`Deployment::reboot`] reopens the same store
@@ -65,9 +65,9 @@ pub struct RecoveryDrillReport {
     pub accounts: usize,
     /// Journal entries committed across the whole run.
     pub journal_entries_total: usize,
-    /// Entries the restart actually replayed (past the snapshots).
+    /// Entries the restart actually replayed (past the snapshot).
     pub tail_entries_replayed: usize,
-    /// Shards restored from a snapshot file.
+    /// 1 when the state was restored from a snapshot file.
     pub snapshots_loaded: usize,
     /// Storage recovery alone: open store → state folded, ms.
     pub recovery_ms: u64,
@@ -88,8 +88,8 @@ impl RecoveryDrillReport {
         if !self.funds_match {
             return Err("conservation violated across the restart".into());
         }
-        if self.snapshots_loaded == 0 {
-            return Err("no shard recovered from a snapshot".into());
+        if self.snapshots_loaded != 1 {
+            return Err("the state was not recovered from a snapshot".into());
         }
         if self.tail_entries_replayed >= self.journal_entries_total {
             return Err(format!(

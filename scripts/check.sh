@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -84,6 +84,16 @@ if grep -rnE --include='*.rs' \
   'ShardWriter|SEGMENT_WRITER|segment-writer|write_shard|compact_shard|batch_first|torn_batch_entries_dropped' \
   crates tests examples src; then
   echo "log guard: one DiskLog, one frame per commit batch, one compaction pass" >&2
+  exit 1
+fi
+# One ledger lock, one snapshot (DESIGN.md §2, EXPERIMENTS.md E25): the
+# account shards, their routing functions, the per-shard snapshot
+# directories and the same-rank lock discipline that policed them cannot
+# grow back.
+if grep -rnE --include='*.rs' \
+  'entry_shard|account_shard|cert_shard|key_shard|snapshot_shard|ShardInventory|ascending_index|shard_dir' \
+  crates tests examples src; then
+  echo "lock guard: one accounts lock, one snapshot directory, one lock per rank" >&2
   exit 1
 fi
 scripts/loc.sh
@@ -204,7 +214,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)["recovery"]
 assert r["invariants_ok"], "recovery drill invariants violated"
-assert r["snapshots_loaded"] > 0, "no shard recovered from a snapshot"
+assert r["snapshots_loaded"] == 1, "the state was not recovered from a snapshot"
 assert 0 < r["tail_entries_replayed"] < r["journal_entries_total"], \
     "replay was not tail-only"
 print("recovery smoke OK:", {k: r[k] for k in
@@ -247,9 +257,10 @@ else
 fi
 
 # Opt-in concurrency stages (docs/STATIC_ANALYSIS.md). LOOM=1 rebuilds
-# core/net with the yield-injecting sync facade and runs the five
-# models (group-commit queue, idempotency dedup, snapshot-during-commit,
-# transfer-vs-compaction, circuit breaker). LOOM_ITERS / LOOM_SEED tune
+# core/net with the yield-injecting sync facade and runs the models
+# listed there (group-commit queue, idempotency dedup, snapshots racing
+# commits, transfer-vs-compaction, creation/rename racing a credit,
+# circuit breaker). LOOM_ITERS / LOOM_SEED tune
 # the exploration (defaults 128 / fixed).
 if [[ -n "${LOOM:-}" ]]; then
   stage "loom models (RUSTFLAGS=--cfg loom)"

@@ -108,7 +108,7 @@ fn restart_replays_only_the_journal_tail() {
     // Checkpoint, then a known number of journal entries on top.
     let before_checkpoint = bank.accounts.db().journal_len();
     let stats = bank.accounts.db().checkpoint().unwrap();
-    assert!(stats.shards_snapshotted > 0);
+    assert!(stats.bytes > 0);
     for key in 10..13u64 {
         let reply = bank.handle_keyed(
             &alice,
@@ -130,13 +130,13 @@ fn restart_replays_only_the_journal_tail() {
     drop(bank);
 
     // The offline inspector and the recovery report must agree: only
-    // the tail past the snapshots is replayed, not the full history.
+    // the tail past the snapshot is replayed, not the full history.
     let inspection = store::inspect(&store.dir).unwrap();
-    assert_eq!(inspection.tail_entries(), tail_entries, "inspector sees the tail");
+    assert_eq!(inspection.tail_entries, tail_entries, "inspector sees the tail");
 
     let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     assert_eq!(report.tail_entries_replayed, tail_entries, "tail-only replay");
-    assert_eq!(report.snapshots_loaded, report.shards, "every shard restored from snapshot");
+    assert_eq!(report.snapshots_loaded, 1, "state restored from the snapshot");
     assert_eq!(report.torn_tails, 0);
     assert_eq!(rebuilt.accounts.db().state_digest(), digest, "identical logical state");
     assert_eq!(rebuilt.total_funds(), funds, "conservation");
@@ -191,31 +191,25 @@ fn kill_mid_snapshot_falls_back_one_generation() {
     drop(bank);
 
     // Kill mid-snapshot: the newest generation is half-written. Corrupt
-    // every shard's newest snapshot and leave a stray tmp file behind.
-    let mut damaged = 0;
-    for shard in 0..64u32 {
-        let sdir = store.dir.join(format!("shard-{shard:02}"));
-        let Ok(entries) = std::fs::read_dir(&sdir) else { continue };
-        let mut snaps: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "gbs"))
-            .collect();
-        snaps.sort();
-        if let Some(newest) = snaps.pop() {
-            let mut bytes = std::fs::read(&newest).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xFF;
-            std::fs::write(&newest, bytes).unwrap();
-            std::fs::write(sdir.join("snap-999.gbs.tmp"), b"half-written").unwrap();
-            damaged += 1;
-        }
-    }
-    assert!(damaged > 0, "test must damage at least one snapshot");
+    // it and leave a stray tmp file behind.
+    let sdir = store.dir.join("snapshots");
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&sdir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "gbs"))
+        .collect();
+    snaps.sort();
+    assert_eq!(snaps.len(), 2, "both generations retained");
+    let newest = snaps.pop().unwrap();
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&newest, bytes).unwrap();
+    std::fs::write(sdir.join("snap-999.gbs.tmp"), b"half-written").unwrap();
 
     let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
-    assert_eq!(report.snapshots_skipped, damaged, "corrupt generation skipped per shard");
-    assert_eq!(report.snapshots_loaded, report.shards, "older generation restored everywhere");
+    assert_eq!(report.snapshots_skipped, 1, "corrupt generation skipped");
+    assert_eq!(report.snapshots_loaded, 1, "older generation restored");
     assert_eq!(rebuilt.accounts.db().state_digest(), digest, "no state lost");
     assert_eq!(rebuilt.total_funds(), funds, "conservation");
     // Exactly-once held: both payments exist, no duplicates.
@@ -240,11 +234,10 @@ fn kill_mid_compaction_before_deletion_recovers_cleanly() {
     let funds = bank.total_funds();
     drop(bank);
 
-    // Hand-craft the crash state: a valid marker at the cut — the lowest
-    // snapshot LSN of any shard — with every segment still there.
-    let inspection = store::inspect(&store.dir).unwrap();
-    let cut = inspection.shards.iter().map(|inv| inv.snapshot_lsn).min().unwrap();
-    assert!(cut > 0, "the checkpoint snapshotted every shard");
+    // Hand-craft the crash state: a valid marker at the cut — the
+    // snapshot's LSN — with every segment still there.
+    let cut = store::inspect(&store.dir).unwrap().snapshot_lsn;
+    assert!(cut > 0, "the checkpoint wrote a snapshot");
     write_compacted_marker(&store.dir, cut);
 
     let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
@@ -281,8 +274,8 @@ fn compaction_marker_past_every_snapshot_fails_loudly() {
 fn torn_segment_tail_drops_the_whole_final_batch() {
     // Truncate the final frame of the log's newest segment — the torn
     // write a power cut leaves behind. The final commit batch (a
-    // multi-shard transfer) must disappear *atomically*: both sides of
-    // the transfer gone, never one.
+    // transfer) must disappear *atomically*: both sides of the transfer
+    // gone, never one.
     let store = StoreConfig::scratch("torn-tail");
     let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let alice = SubjectName::new("Org", "Unit", "alice");
@@ -437,11 +430,17 @@ fn pending_ib_credit_survives_restart_and_ships_exactly_once() {
 #[test]
 fn incremental_checkpoints_bound_the_tail_under_live_traffic() {
     // With a small `snapshot_every`, the server's own post-dispatch
-    // checkpointing keeps each shard's replay tail bounded without any
-    // explicit checkpoint call.
+    // checkpointing keeps the replay tail and the log bounded without
+    // any explicit checkpoint call (docs/STORAGE.md §4 "Bounds").
+    const EVERY: u64 = 8;
+    const RETAIN: u64 = 2;
+    /// The largest batch here: a keyed transfer's two updates, two
+    /// TRANSACTION rows, its TRANSFER row and its stamp.
+    const BATCH: u64 = 6;
     let scratch = StoreConfig::scratch("incremental");
     let store = StoreConfig {
-        snapshot_every: 8,
+        snapshot_every: EVERY,
+        retain_snapshots: RETAIN as usize,
         segment_bytes: 4096, // force rotation too
         ..scratch.clone()
     };
@@ -466,14 +465,33 @@ fn incremental_checkpoints_bound_the_tail_under_live_traffic() {
         );
         assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
     }
-    let total_entries = bank.accounts.db().journal_len();
+    let total_entries = bank.accounts.db().journal_len() as u64;
     let digest = bank.accounts.db().state_digest();
     drop(bank);
 
-    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), scratch).unwrap();
-    assert!(report.snapshots_loaded > 0, "the server checkpointed on its own");
+    // The log keeps what the oldest retained snapshot does not cover —
+    // `retain_snapshots` checkpoint intervals — and the one segment that
+    // holds the cut: everything older is gone.
+    let inspection = store::inspect(&scratch.dir).unwrap();
+    let cut = inspection.compacted_through;
+    assert!(cut > 0, "the cut never left LSN 0");
     assert!(
-        report.tail_entries_replayed < total_entries / 2,
+        total_entries - cut <= RETAIN * (EVERY + BATCH),
+        "{} entries kept behind the head of a {total_entries}-entry log",
+        total_entries - cut
+    );
+    let first_lsn = |segment: &PathBuf| {
+        let header = std::fs::read(segment).unwrap();
+        u64::from_be_bytes(header[8..16].try_into().unwrap())
+    };
+    let segs = segments(&scratch.dir);
+    assert!(first_lsn(&segs[0]) > 1, "the log's first segment was never dropped");
+    assert!(segs.get(1).is_none_or(|next| first_lsn(next) > cut + 1), "a covered segment is kept");
+
+    let (rebuilt, report) = GridBank::open_durable(config(), Clock::new(), scratch).unwrap();
+    assert_eq!(report.snapshots_loaded, 1, "the server checkpointed on its own");
+    assert!(
+        (report.tail_entries_replayed as u64) < EVERY + BATCH,
         "replay is bounded by the tail, not the {total_entries}-entry history \
          (replayed {})",
         report.tail_entries_replayed
@@ -516,13 +534,8 @@ fn bounded_recovery_at_one_million_accounts() {
     println!("populate: {} accounts in {:?}", ACCOUNTS, populate_started.elapsed());
     let snap_started = std::time::Instant::now();
     let stats = db.checkpoint().unwrap();
-    println!(
-        "checkpoint: {} shards, {} MiB in {:?}",
-        stats.shards_snapshotted,
-        stats.bytes / (1024 * 1024),
-        snap_started.elapsed()
-    );
-    // A bounded tail on top of the snapshots.
+    println!("checkpoint: {} MiB in {:?}", stats.bytes / (1024 * 1024), snap_started.elapsed());
+    // A bounded tail on top of the snapshot.
     for n in 1..=TAIL {
         db.insert_account(AccountRecord {
             id: AccountId::new(1, 1, ACCOUNTS + n),
@@ -551,11 +564,12 @@ fn bounded_recovery_at_one_million_accounts() {
 
 #[test]
 fn staggered_snapshots_keep_the_newest_idempotency_keys() {
-    // Shards are snapshotted at different moments and cache evictions
-    // are never journaled, so recovery must order stamps by when they
-    // were recorded — not by where they sat in the FIFO of whichever
-    // snapshot carried them — or stale stamps from an early snapshot
-    // push out recent ones from a late one and a retry charges twice.
+    // A snapshot lands in the middle of a stream of stamps and cache
+    // evictions are never journaled, so recovery must order the
+    // snapshot's stamps and the tail's by when they were recorded and
+    // keep the newest `idem_capacity` — or stale stamps from the
+    // snapshot push out recent ones from the tail and a retry charges
+    // twice.
     let store = StoreConfig::scratch("idem-staggered");
     let config = || GridBankConfig { signer_height: 7, idem_capacity: 8, ..config() };
     let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
@@ -585,11 +599,11 @@ fn staggered_snapshots_keep_the_newest_idempotency_keys() {
     let db = bank.accounts.db();
     for key in 1..=36u64 {
         pay(&bank, key);
-        if key == 1 {
-            (0..16).step_by(2).for_each(|s| db.snapshot_shard(s).unwrap());
+        if key == 12 {
+            // Holds the eight newest of twelve stamps; 24 more follow.
+            db.snapshot_all().unwrap();
         }
     }
-    (1..16).step_by(2).for_each(|s| db.snapshot_shard(s).unwrap());
 
     // The live bank remembers the newest eight keys.
     (29..=36u64).for_each(|key| pay(&bank, key));
@@ -626,20 +640,16 @@ fn a_commit_is_one_frame_in_one_file() {
     assert!(matches!(reply, BankResponse::Confirmed(_)), "{reply:?}");
     drop(bank);
 
-    // Every commit so far — whichever shards it touched — is in the one
-    // segment of the one log; no shard directory holds a segment (none
-    // exists yet: a shard directory holds snapshots only).
+    // Every commit so far is in the one segment of the one log, and the
+    // store is nothing but its manifest, that log and the (still empty)
+    // snapshot directory.
     assert_eq!(segments(&store.dir).len(), 1);
     let mut names: Vec<_> =
         std::fs::read_dir(&store.dir).unwrap().map(|e| e.unwrap().file_name()).collect();
     names.sort();
-    assert_eq!(names, ["MANIFEST", "log"]);
+    assert_eq!(names, ["MANIFEST", "log", "snapshots"]);
+    assert_eq!(std::fs::read_dir(store.dir.join("snapshots")).unwrap().count(), 0);
     let tail = store::open_store(1, 1, store.clone()).unwrap().0.tail;
-    let inspection = store::inspect(&store.dir).unwrap();
-    assert!(
-        inspection.shards.iter().filter(|inv| inv.tail_entries > 0).count() > 1,
-        "the traffic touched several shards"
-    );
 
     // The transfer's batch reads back whole, in commit order, on
     // consecutive LSNs.
@@ -684,70 +694,14 @@ fn a_flipped_byte_before_the_final_segment_is_fatal() {
 }
 
 #[test]
-fn idle_shards_do_not_pin_the_log() {
-    use gridbank_suite::bank::db::{AccountId, AccountRecord, Database};
-
-    // Two accounts take all the traffic, so at least fourteen shards see
-    // none. Their snapshots would stay at LSN 0 and hold the compaction
-    // cut there; the log's own run past them makes them due
-    // (docs/STORAGE.md §4).
-    const EVERY: u64 = 8;
-    const SHARDS: u64 = 16;
-    let store = StoreConfig { snapshot_every: EVERY, ..StoreConfig::scratch("idle-shards") };
-    let (db, _) = Database::open(1, 1, store.clone()).unwrap();
-    let ids = [AccountId::new(1, 1, 1), AccountId::new(1, 1, 2)];
-    for id in ids {
-        db.insert_account(AccountRecord {
-            id,
-            certificate_name: format!("/CN=holder-{}", id.number),
-            organization: None,
-            available: Credits::from_gd(1_000),
-            locked: Credits::ZERO,
-            currency: "GridDollar".into(),
-            credit_limit: Credits::ZERO,
-        })
-        .unwrap();
-    }
-    while (db.journal_len() as u64) < 2 * SHARDS * EVERY {
-        db.with_two_accounts_mut(&ids[0], &ids[1], |a, b| {
-            a.available = a.available.checked_sub(Credits::from_gd(1))?;
-            b.available = b.available.checked_add(Credits::from_gd(1))?;
-            Ok(())
-        })
-        .unwrap();
-        db.maybe_checkpoint().unwrap();
-    }
-    let digest = db.state_digest();
-    drop(db);
-
-    let inspection = store::inspect(&store.dir).unwrap();
-    assert!(inspection.compacted_through > 0, "the cut never left LSN 0");
-    assert!(inspection.shards.iter().all(|inv| inv.snapshot_lsn >= inspection.compacted_through));
-    // Segments below the cut are gone: the oldest one left holds the cut
-    // (the first whose successor starts past it), so what is left is no
-    // more than the entries since the cut plus that one segment.
-    let segs = segments(&store.dir);
-    assert!(!segs.contains(&store.dir.join("log").join("seg-00000001.gbj")));
-    assert!(segs.len() < 2 * SHARDS as usize, "{} segments kept", segs.len());
-    // Replay stays what it was: each busy shard's tail, below
-    // `snapshot_every` plus one batch — the idle ones add nothing.
-    let (reopened, report) = Database::open(1, 1, store).unwrap();
-    assert!(
-        report.tail_entries_replayed as u64 <= 2 * (EVERY + 2),
-        "replayed {}",
-        report.tail_entries_replayed
-    );
-    assert_eq!(reopened.state_digest(), digest);
-}
-
-#[test]
-fn a_version_2_store_is_refused() {
-    // FORMAT_VERSION 2 kept sixteen per-shard segment sequences; there
-    // is no reader for it, and a store is not migratable by accident.
-    let store = StoreConfig::scratch("v2-manifest");
+fn a_version_3_store_is_refused() {
+    // FORMAT_VERSION 3 kept sixteen snapshot directories and recorded
+    // the shard count in its manifest; there is no reader for it, and a
+    // store is not migratable by accident.
+    let store = StoreConfig::scratch("v3-manifest");
     std::fs::create_dir_all(&store.dir).unwrap();
     let mut manifest = Vec::new();
-    for word in [0x4742_4D46u32, 2, 1, 1, 16] {
+    for word in [0x4742_4D46u32, 3, 1, 1, 16] {
         manifest.extend_from_slice(&word.to_be_bytes()); // "GBMF", version, bank, branch, shards
     }
     let check = store::fnv64(&manifest);
@@ -756,9 +710,9 @@ fn a_version_2_store_is_refused() {
 
     match GridBank::open_durable(config(), Clock::new(), store) {
         Err(BankError::Storage(why)) => {
-            assert!(why.contains("unsupported store version 2"), "unexpected message: {why}")
+            assert!(why.contains("unsupported store version 3"), "unexpected message: {why}")
         }
-        Ok(_) => panic!("a version-2 store must be refused"),
+        Ok(_) => panic!("a version-3 store must be refused"),
         Err(other) => panic!("wrong error: {other}"),
     }
 }
