@@ -431,7 +431,7 @@ fn spark(values: &[u64]) -> String {
 fn render_health(h: &HealthReport) -> String {
     let mut out = format!(
         "branch {:04} {}\n  journal flush lag {} · group-commit queue {}\n  \
-         workers {}/{} busy · {} connections\n",
+         workers {}/{} busy · {} connections\n  signer {}/{} leaves left\n",
         h.branch,
         h.state.name(),
         h.journal_flush_lag,
@@ -439,6 +439,8 @@ fn render_health(h: &HealthReport) -> String {
         h.workers_busy,
         h.workers_total,
         h.connections,
+        h.signer_remaining,
+        h.signer_capacity,
     );
     for p in &h.peers {
         out.push_str(&format!(
@@ -474,7 +476,8 @@ fn health_jsonl(h: &HealthReport) -> String {
     format!(
         "{{\"type\":\"health\",\"branch\":{},\"state\":\"{}\",\"journal_flush_lag\":{},\
          \"group_commit_queue\":{},\"workers_busy\":{},\"workers_total\":{},\
-         \"connections\":{},\"peers\":[{}]}}",
+         \"connections\":{},\"signer_remaining\":{},\"signer_capacity\":{},\
+         \"peers\":[{}]}}",
         h.branch,
         h.state.name(),
         h.journal_flush_lag,
@@ -482,6 +485,8 @@ fn health_jsonl(h: &HealthReport) -> String {
         h.workers_busy,
         h.workers_total,
         h.connections,
+        h.signer_remaining,
+        h.signer_capacity,
         peers.join(","),
     )
 }
@@ -607,8 +612,11 @@ fn run_top(args: &Args) -> Result<String, String> {
         last_total = total;
         let _ = writeln!(
             out,
-            "journal flush lag {} · group-commit queue {}",
-            health.journal_flush_lag, health.group_commit_queue
+            "journal flush lag {} · group-commit queue {} · signer {}/{} leaves left",
+            health.journal_flush_lag,
+            health.group_commit_queue,
+            health.signer_remaining,
+            health.signer_capacity,
         );
         let _ = writeln!(
             out,
@@ -1167,6 +1175,7 @@ mod tests {
         }
         assert!(out.contains("Healthy"), "{out}");
         assert!(out.contains("breaker Closed"), "{out}");
+        assert!(out.contains("leaves left"), "{out}");
         assert!(out.contains("flight recorder:"), "{out}");
         assert!(run(&args(&["top", "--frames", "0"])).is_err());
     }

@@ -539,6 +539,11 @@ pub struct HealthReport {
     pub workers_total: u32,
     /// Live client connections.
     pub connections: u32,
+    /// One-time signing leaves the bank key has left: every confirmation,
+    /// cheque and chain commitment consumes one, and none come back.
+    pub signer_remaining: u64,
+    /// Leaves the bank key was generated with, `2^signer_height`.
+    pub signer_capacity: u64,
     /// Per-peer clearing balances and reachability; empty when the
     /// branch is not federated.
     pub peers: Vec<PeerHealth>,
@@ -614,6 +619,8 @@ impl Encode for HealthReport {
         w.put_u32(self.workers_busy);
         w.put_u32(self.workers_total);
         w.put_u32(self.connections);
+        w.put_u64(self.signer_remaining);
+        w.put_u64(self.signer_capacity);
         w.put_u32(self.peers.len() as u32);
         for p in &self.peers {
             p.encode(w);
@@ -631,6 +638,8 @@ impl Decode for HealthReport {
         let workers_busy = r.get_u32()?;
         let workers_total = r.get_u32()?;
         let connections = r.get_u32()?;
+        let signer_remaining = r.get_u64()?;
+        let signer_capacity = r.get_u64()?;
         let n = r.get_u32()? as usize;
         if n > 1 << 16 {
             return Err(RurError::Decode("too many peers".into()));
@@ -647,6 +656,8 @@ impl Decode for HealthReport {
             workers_busy,
             workers_total,
             connections,
+            signer_remaining,
+            signer_capacity,
             peers,
         })
     }
@@ -1439,6 +1450,8 @@ mod tests {
                     workers_busy: 4,
                     workers_total: 8,
                     connections: 6,
+                    signer_remaining: 700,
+                    signer_capacity: 4096,
                     peers: vec![
                         PeerHealth {
                             branch: 2,

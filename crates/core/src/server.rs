@@ -256,9 +256,10 @@ impl GridBank {
     }
 
     /// Assembles the structured health report the ops plane serves:
-    /// journal lag, group-commit backlog, worker saturation, and per-peer
-    /// clearing balances with circuit-breaker reachability, classified
-    /// into an overall [`crate::api::HealthState`].
+    /// journal lag, group-commit backlog, worker saturation, signing
+    /// leaves left, and per-peer clearing balances with circuit-breaker
+    /// reachability, classified into an overall
+    /// [`crate::api::HealthState`].
     pub fn health_report(&self) -> crate::api::HealthReport {
         use crate::api::HealthState;
         let db = self.accounts.db();
@@ -278,13 +279,19 @@ impl GridBank {
         let recovering = peers.iter().any(|p| p.breaker.as_deref() == Some("HalfOpen"));
         let saturated = workers_total > 0 && workers_busy >= workers_total;
         let lagging = journal_flush_lag > db.group_commit().max_batch as u64;
+        // The bank key is a finite supply of one-time leaves and an
+        // exhausted one refuses every payment: below one fifth left the
+        // operator still has time to roll the key.
+        let signer_remaining = self.signer.remaining() as u64;
+        let signer_capacity = self.signer.capacity() as u64;
+        let signer_low = signer_remaining.saturating_mul(5) < signer_capacity;
         // A failed disk append means acknowledgements are no longer
         // crash-durable (docs/STORAGE.md §3.4) — Unhealthy, like an
         // unreachable peer: operators must act now.
         let disk_failed = !db.disk_healthy();
         let state = if unreachable || disk_failed {
             HealthState::Unhealthy
-        } else if recovering || saturated || lagging {
+        } else if recovering || saturated || lagging || signer_low {
             HealthState::Degraded
         } else {
             HealthState::Healthy
@@ -297,6 +304,8 @@ impl GridBank {
             workers_busy,
             workers_total,
             connections,
+            signer_remaining,
+            signer_capacity,
             peers,
         }
     }
@@ -486,6 +495,12 @@ impl GridBank {
             gridbank_obs::count("db.snapshot.errors", 1);
             eprintln!("gridbank: incremental checkpoint failed: {e}");
         }
+        // Published after every dispatch, the only place leaves are
+        // spent. The registry is process-wide: with several branches in
+        // one process the last writer wins, and `HealthReport` is the
+        // per-branch reading.
+        gridbank_obs::gauge_set("core.signer.remaining", self.signer.remaining() as i64);
+        gridbank_obs::gauge_set("core.signer.capacity", self.signer.capacity() as i64);
         timer.record_named_label("rpc.server.latency_ns", variant);
         resp
     }
@@ -1424,6 +1439,64 @@ mod tests {
         };
         assert!(jsonl.starts_with("{\"type\":\"meta\""), "{jsonl}");
         assert!(!jsonl.contains("\"name\":\"core."), "filter leaked: {jsonl}");
+    }
+
+    #[test]
+    fn signer_headroom_degrades_health_before_the_key_runs_out() {
+        use crate::api::HealthState;
+        let config = GridBankConfig { signer_height: 4, ..GridBankConfig::default() };
+        let b = GridBank::new(config, Clock::new());
+        let (alice, gsp) = (subject("alice"), subject("gsp"));
+        let admin = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
+        let [from, to] = [&alice, &gsp].map(|who| {
+            match b.handle(who, BankRequest::CreateAccount { organization: None }) {
+                BankResponse::AccountCreated { account } => account,
+                other => panic!("{other:?}"),
+            }
+        });
+        b.handle(&admin, BankRequest::AdminDeposit { account: from, amount: Credits::from_gd(50) });
+        let pay = || BankRequest::DirectTransfer {
+            to,
+            amount: Credits::from_gd(1),
+            recipient_address: "gsp.grid.org".into(),
+        };
+
+        // 16 leaves; "below one fifth" is 3 or fewer left.
+        let mut states = Vec::new();
+        for signed in 1..=16u64 {
+            let resp = b.handle(&alice, pay());
+            assert!(matches!(resp, BankResponse::Confirmed(_)), "{resp:?}");
+            let h = b.health_report();
+            assert_eq!((h.signer_remaining, h.signer_capacity), (16 - signed, 16));
+            states.push(h.state);
+        }
+        assert!(states[..12].iter().all(|s| *s == HealthState::Healthy), "{states:?}");
+        assert!(states[12..].iter().all(|s| *s == HealthState::Degraded), "{states:?}");
+
+        // The seventeenth signature is refused with the typed error, in
+        // process and (as its message) over the request path.
+        let typed = crate::direct::direct_transfer(
+            &b.accounts,
+            &b.signer,
+            &from,
+            &to,
+            Credits::from_gd(1),
+            "gsp.grid.org",
+        );
+        assert!(
+            matches!(
+                typed,
+                Err(BankError::Crypto(gridbank_crypto::CryptoError::IdentityExhausted {
+                    capacity: 16
+                }))
+            ),
+            "{typed:?}"
+        );
+        let resp = b.handle(&alice, pay());
+        assert!(
+            matches!(&resp, BankResponse::Error { message, .. } if message.contains("exhausted")),
+            "{resp:?}"
+        );
     }
 
     #[test]

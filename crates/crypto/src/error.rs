@@ -7,8 +7,6 @@ use std::fmt;
 pub enum CryptoError {
     /// A signature failed verification against the claimed public key.
     BadSignature,
-    /// A one-time key was asked to sign a second message.
-    OneTimeKeyReused,
     /// A Merkle signing identity ran out of one-time leaf keys.
     IdentityExhausted {
         /// Total number of signatures the identity could ever produce.
@@ -35,9 +33,6 @@ impl fmt::Display for CryptoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CryptoError::BadSignature => write!(f, "signature verification failed"),
-            CryptoError::OneTimeKeyReused => {
-                write!(f, "one-time signing key has already been used")
-            }
             CryptoError::IdentityExhausted { capacity } => {
                 write!(f, "signing identity exhausted after {capacity} signatures")
             }

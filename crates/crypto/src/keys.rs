@@ -3,29 +3,14 @@
 //! These wrap the Merkle signature scheme behind the interface the rest of
 //! the workspace uses: generate from a seed, sign bytes, verify bytes.
 
-use parking_lot_free::Mutex;
-
 use crate::error::CryptoError;
 use crate::merkle::{verify_merkle, MerkleSignature, MerkleSigner};
 use crate::rng::DeterministicStream;
 use crate::sha256::Digest;
 
-/// Minimal internal mutex shim so this crate stays dependency-free.
-/// (`std::sync::Mutex` with poisoning folded away.)
-mod parking_lot_free {
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(std::sync::Mutex::new(v))
-        }
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().unwrap_or_else(|p| p.into_inner())
-        }
-    }
-}
-
 /// Default tree height: 2^10 = 1024 signatures per identity, enough for any
-/// scenario in the test/bench suite while keeping keygen ~quarter-second.
+/// scenario in the test/bench suite. Every leaf key is generated up front,
+/// about 0.3 ms each in a release build (`crypto.merkle.keygen_ms_h10`).
 pub const DEFAULT_HEIGHT: usize = 10;
 
 /// Seed material for deterministic identity generation.
@@ -57,10 +42,11 @@ impl std::fmt::Debug for VerifyingKey {
     }
 }
 
-/// A long-lived signing identity (interior-mutable: signing consumes
-/// one-time leaves, but callers hold `&self`).
+/// A long-lived signing identity. Signing consumes one-time leaves
+/// through `&self`: the signer claims each leaf atomically and holds no
+/// lock while it signs.
 pub struct SigningIdentity {
-    signer: Mutex<MerkleSigner>,
+    signer: MerkleSigner,
     public: VerifyingKey,
 }
 
@@ -70,7 +56,7 @@ impl SigningIdentity {
         let stream = DeterministicStream::from_u64(material.seed, label.as_bytes());
         let signer = MerkleSigner::generate(&stream, height);
         let public = VerifyingKey(signer.public_root());
-        SigningIdentity { signer: Mutex::new(signer), public }
+        SigningIdentity { signer, public }
     }
 
     /// Generates an identity with the [`DEFAULT_HEIGHT`] capacity.
@@ -90,12 +76,17 @@ impl SigningIdentity {
 
     /// Signs a message, consuming one one-time leaf.
     pub fn sign(&self, message: &[u8]) -> Result<MerkleSignature, CryptoError> {
-        self.signer.lock().sign(message)
+        self.signer.sign(message)
     }
 
     /// Remaining signature capacity.
     pub fn remaining(&self) -> usize {
-        self.signer.lock().remaining()
+        self.signer.remaining()
+    }
+
+    /// Total signature capacity, `2^height`.
+    pub fn capacity(&self) -> usize {
+        self.signer.capacity()
     }
 }
 
@@ -140,31 +131,37 @@ mod tests {
 
     #[test]
     fn concurrent_signing_is_safe() {
-        let id = std::sync::Arc::new(SigningIdentity::generate_with_height(
-            KeyMaterial { seed: 9 },
-            "conc",
-            5,
-        ));
+        let id = SigningIdentity::generate_with_height(KeyMaterial { seed: 9 }, "conc", 5);
         let vk = id.verifying_key();
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let id = id.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut sigs = Vec::new();
-                for i in 0..8 {
-                    let msg = format!("t{t}m{i}");
-                    sigs.push((msg.clone(), id.sign(msg.as_bytes()).unwrap()));
-                }
-                sigs
-            }));
-        }
+        // All four threads leave the barrier together, so their claims on
+        // the leaf counter overlap instead of running one after another.
+        let start = std::sync::Barrier::new(4);
+        let signed: Vec<(String, MerkleSignature)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (id, start) = (&id, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..8)
+                            .map(|i| {
+                                let msg = format!("t{t}m{i}");
+                                let sig = id.sign(msg.as_bytes()).unwrap();
+                                (msg, sig)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
         let mut indices = std::collections::HashSet::new();
-        for h in handles {
-            for (msg, sig) in h.join().unwrap() {
-                vk.verify(msg.as_bytes(), &sig).unwrap();
-                assert!(indices.insert(sig.leaf_index), "leaf reused across threads");
-            }
+        for (msg, sig) in &signed {
+            vk.verify(msg.as_bytes(), sig).unwrap();
+            assert!(indices.insert(sig.leaf_index), "leaf reused across threads");
         }
         assert_eq!(indices.len(), 32);
+        // The whole key went, exactly: nothing skipped, nothing left.
+        assert_eq!(id.remaining(), 0);
+        assert!(matches!(id.sign(b"m"), Err(CryptoError::IdentityExhausted { capacity: 32 })));
     }
 }

@@ -20,9 +20,9 @@
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256, the only primitive everything else is
 //!   built from (PayWord hash chains in `gridbank-core` use it directly).
 //! * [`hmac`] — HMAC-SHA256 and a simple HKDF-style key derivation.
-//! * [`lamport`] — Lamport one-time signatures.
+//! * [`wots`] — Winternitz one-time signatures (67 hash chains, 2,144 B).
 //! * [`merkle`] — Merkle trees and the Merkle signature scheme (MSS), turning
-//!   one-time Lamport keys into a multi-use signing identity.
+//!   one-time Winternitz keys into a multi-use signing identity.
 //! * [`keys`] — seeded key generation and the [`keys::SigningIdentity`] type.
 //! * [`cert`] — certificates, certificate authorities, proxy certificates and
 //!   chain validation.
@@ -38,10 +38,10 @@ pub mod cert;
 pub mod error;
 pub mod hmac;
 pub mod keys;
-pub mod lamport;
 pub mod merkle;
 pub mod rng;
 pub mod sha256;
+pub mod wots;
 
 pub use cert::{Certificate, CertificateAuthority, CertificateBody, ProxyCertificate, SubjectName};
 pub use error::CryptoError;

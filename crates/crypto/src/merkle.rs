@@ -1,17 +1,19 @@
 //! Merkle trees and the Merkle signature scheme (MSS).
 //!
-//! MSS turns `2^h` Lamport one-time keys into a single long-lived identity:
-//! the public key is the Merkle root over the compact one-time public keys,
-//! and each signature carries the one-time signature, the leaf public key,
-//! the leaf index, and the authentication path up to the root.
+//! MSS turns `2^h` Winternitz one-time keys ([`crate::wots`]) into a single
+//! long-lived identity: the public key is the Merkle root over the compact
+//! one-time public keys, and each signature carries the one-time
+//! signature, the leaf index, and the authentication path up to the root.
 //!
 //! The tree is also reused on its own (without signatures) by the PayWord
 //! module in `gridbank-core` for batched commitment of hash-chain roots.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::error::CryptoError;
-use crate::lamport::{self, OneTimePublicKey, OneTimeSecretKey, OneTimeSignature};
 use crate::rng::DeterministicStream;
-use crate::sha256::{sha256_concat, Digest};
+use crate::sha256::{sha256, sha256_concat, Digest, DIGEST_LEN};
+use crate::wots::{self, OneTimeSignature};
 
 /// Domain-separation prefixes so leaves can never be confused with nodes.
 const LEAF_PREFIX: &[u8] = b"\x00gridbank-leaf";
@@ -36,15 +38,6 @@ pub struct MerkleTree {
     /// `levels[0]` = leaves (padded), last level = `[root]`.
     levels: Vec<Vec<Digest>>,
     real_leaves: usize,
-}
-
-/// One sibling digest per tree level, bottom-up.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AuthPath {
-    /// Leaf index the path authenticates.
-    pub index: usize,
-    /// Sibling digests from leaf level to just below the root.
-    pub siblings: Vec<Digest>,
 }
 
 impl MerkleTree {
@@ -98,8 +91,9 @@ impl MerkleTree {
         self.levels.len() - 1
     }
 
-    /// Authentication path for leaf `index`.
-    pub fn auth_path(&self, index: usize) -> Option<AuthPath> {
+    /// Authentication path for leaf `index`: one sibling digest per tree
+    /// level, from the leaf level to just below the root.
+    pub fn auth_path(&self, index: usize) -> Option<Vec<Digest>> {
         if index >= self.real_leaves {
             return None;
         }
@@ -109,24 +103,34 @@ impl MerkleTree {
             siblings.push(level[idx ^ 1]);
             idx >>= 1;
         }
-        Some(AuthPath { index, siblings })
+        Some(siblings)
     }
 }
 
-/// Recomputes a root from a leaf digest and an auth path.
-pub fn root_from_path(leaf: &Digest, path: &AuthPath) -> Digest {
+/// Recomputes a root from the leaf digest at `index` and its auth path.
+pub fn root_from_path(leaf: &Digest, index: usize, path: &[Digest]) -> Digest {
     let mut acc = *leaf;
-    let mut idx = path.index;
-    for sib in &path.siblings {
+    let mut idx = index;
+    for sib in path {
         acc = if idx & 1 == 0 { node_hash(&acc, sib) } else { node_hash(sib, &acc) };
         idx >>= 1;
     }
     acc
 }
 
-/// Verifies that `leaf` sits at `path.index` under `root`.
-pub fn verify_path(root: &Digest, leaf: &Digest, path: &AuthPath) -> Result<(), CryptoError> {
-    if root_from_path(leaf, path) == *root {
+/// Verifies that `leaf` sits at `index` under `root`. An index the path
+/// is too short to address is refused rather than read modulo the width.
+pub fn verify_path(
+    root: &Digest,
+    leaf: &Digest,
+    index: usize,
+    path: &[Digest],
+) -> Result<(), CryptoError> {
+    // The bits of `index` above the path's height; a height of the full
+    // word width or more leaves none.
+    let beyond_width =
+        u32::try_from(path.len()).ok().and_then(|h| index.checked_shr(h)).unwrap_or(0);
+    if beyond_width == 0 && root_from_path(leaf, index, path) == *root {
         Ok(())
     } else {
         Err(CryptoError::BadAuthPath)
@@ -134,34 +138,39 @@ pub fn verify_path(root: &Digest, leaf: &Digest, path: &AuthPath) -> Result<(), 
 }
 
 /// A multi-use Merkle (MSS) signature.
+///
+/// It carries neither the one-time public key nor a second copy of the
+/// index: verification recomputes the key from `ots`, and `leaf_index` is
+/// bound by being the position `path` is walked from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleSignature {
     /// Index of the one-time key used.
     pub leaf_index: usize,
-    /// The one-time Lamport signature.
+    /// The one-time Winternitz signature.
     pub ots: OneTimeSignature,
-    /// Compact public key of the one-time key (the leaf payload).
-    pub leaf_pk: OneTimePublicKey,
-    /// Path authenticating `leaf_pk` under the identity's root.
-    pub path: AuthPath,
+    /// Sibling digests authenticating the one-time key under the
+    /// identity's root, from the leaf level to just below the root.
+    pub path: Vec<Digest>,
 }
 
+/// Deepest auth path the codec accepts (a `usize` leaf index addresses no more).
+const MAX_PATH_LEN: usize = 64;
+
 impl MerkleSignature {
-    /// Approximate encoded size in bytes (used by the security bench E13).
+    /// Exact encoded size in bytes; fixed given the tree height.
     pub fn encoded_len(&self) -> usize {
-        8 + OneTimeSignature::ENCODED_LEN + 32 + self.path.siblings.len() * 32
+        8 + OneTimeSignature::ENCODED_LEN + 8 + self.path.len() * DIGEST_LEN
     }
 
-    /// Canonical byte encoding, for embedding signatures in wire messages
-    /// and stored instruments.
+    /// Canonical byte encoding — `leaf_index ‖ ots ‖ path length ‖ path`,
+    /// integers as big-endian `u64` — the one layout every wire message,
+    /// certificate and instrument embeds.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len() + 16);
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&(self.leaf_index as u64).to_be_bytes());
-        out.extend_from_slice(&self.ots.to_bytes());
-        out.extend_from_slice(self.leaf_pk.0.as_bytes());
-        out.extend_from_slice(&(self.path.index as u64).to_be_bytes());
-        out.extend_from_slice(&(self.path.siblings.len() as u64).to_be_bytes());
-        for s in &self.path.siblings {
+        self.ots.write_to(&mut out);
+        out.extend_from_slice(&(self.path.len() as u64).to_be_bytes());
+        for s in &self.path {
             out.extend_from_slice(s.as_bytes());
         }
         out
@@ -169,77 +178,53 @@ impl MerkleSignature {
 
     /// Parses the [`Self::to_bytes`] encoding; the input must be exact.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], CryptoError> {
-            if b.len() < n {
-                return Err(CryptoError::Malformed("signature truncated".into()));
-            }
-            let (head, rest) = b.split_at(n);
-            *b = rest;
-            Ok(head)
+        const HEADER: usize = 8 + OneTimeSignature::ENCODED_LEN + 8;
+        fn be_u64(b: &[u8]) -> u64 {
+            u64::from_be_bytes(b.try_into().expect("caller slices 8 bytes"))
         }
-        fn take_u64(b: &mut &[u8]) -> Result<u64, CryptoError> {
-            let s = take(b, 8)?;
-            let mut a = [0u8; 8];
-            a.copy_from_slice(s);
-            Ok(u64::from_be_bytes(a))
+        if bytes.len() < HEADER {
+            return Err(CryptoError::Malformed("signature truncated".into()));
         }
-        fn take_digest(b: &mut &[u8]) -> Result<Digest, CryptoError> {
-            let s = take(b, 32)?;
-            let mut a = [0u8; 32];
-            a.copy_from_slice(s);
-            Ok(Digest(a))
-        }
-        let mut b = bytes;
-        let leaf_index = take_u64(&mut b)? as usize;
-        let ots = OneTimeSignature::from_bytes(take(&mut b, OneTimeSignature::ENCODED_LEN)?)?;
-        let leaf_pk = OneTimePublicKey(take_digest(&mut b)?);
-        let path_index = take_u64(&mut b)? as usize;
-        let n = take_u64(&mut b)? as usize;
-        if n > 64 {
-            return Err(CryptoError::Malformed(format!("auth path depth {n}")));
-        }
-        let mut siblings = Vec::with_capacity(n);
-        for _ in 0..n {
-            siblings.push(take_digest(&mut b)?);
-        }
-        if !b.is_empty() {
+        let (header, path_bytes) = bytes.split_at(HEADER);
+        let leaf_index = usize::try_from(be_u64(&header[..8]))
+            .map_err(|_| CryptoError::Malformed("leaf index out of range".into()))?;
+        let ots = OneTimeSignature::from_bytes(&header[8..HEADER - 8])?;
+        let n = be_u64(&header[HEADER - 8..]);
+        // Checked against the bytes actually present before anything is
+        // allocated for the path.
+        if n > MAX_PATH_LEN as u64 || path_bytes.len() as u64 != n * DIGEST_LEN as u64 {
             return Err(CryptoError::Malformed(format!(
-                "{} trailing bytes after signature",
-                b.len()
+                "auth path of {n} digests disagrees with {} remaining bytes",
+                path_bytes.len()
             )));
         }
-        Ok(MerkleSignature {
-            leaf_index,
-            ots,
-            leaf_pk,
-            path: AuthPath { index: path_index, siblings },
-        })
+        let path = path_bytes
+            .chunks_exact(DIGEST_LEN)
+            .map(|c| Digest(c.try_into().expect("chunks_exact yields DIGEST_LEN bytes")))
+            .collect();
+        Ok(MerkleSignature { leaf_index, ots, path })
     }
 }
 
-/// The signing half of an MSS identity. Holds the seed; one-time secret
-/// keys are re-derived on demand, so memory stays proportional to the
-/// number of leaves' *public* hashes only.
+/// The signing half of an MSS identity: the seed, the tree over the
+/// one-time public keys, and a counter of leaves handed out. Seed and
+/// tree never change after generation, so signing takes `&self`: a
+/// signer claims its leaf with one atomic update and derives that leaf's
+/// secrets without excluding other signers.
 pub struct MerkleSigner {
     stream_root: DeterministicStream,
     tree: MerkleTree,
-    leaf_pks: Vec<OneTimePublicKey>,
-    next_leaf: usize,
+    next_leaf: AtomicUsize,
 }
 
 impl MerkleSigner {
     /// Generates an identity with `2^height` one-time keys.
     pub fn generate(stream: &DeterministicStream, height: usize) -> Self {
-        let count = 1usize << height;
-        let mut leaf_pks = Vec::with_capacity(count);
-        for i in 0..count {
-            let mut leaf_stream = stream.child(format!("ots-{i}").as_bytes());
-            let (_sk, pk) = OneTimeSecretKey::generate(&mut leaf_stream);
-            leaf_pks.push(pk);
-        }
-        let leaves: Vec<Digest> = leaf_pks.iter().map(|pk| leaf_hash(pk.0.as_bytes())).collect();
+        let leaves: Vec<Digest> = (0..1usize << height)
+            .map(|i| leaf_hash(wots::public_key(leaf_secrets(stream, i)).as_bytes()))
+            .collect();
         let tree = MerkleTree::from_leaf_digests(&leaves);
-        MerkleSigner { stream_root: stream.clone(), tree, leaf_pks, next_leaf: 0 }
+        MerkleSigner { stream_root: stream.clone(), tree, next_leaf: AtomicUsize::new(0) }
     }
 
     /// The public key: the Merkle root.
@@ -249,50 +234,52 @@ impl MerkleSigner {
 
     /// Total signature capacity.
     pub fn capacity(&self) -> usize {
-        self.leaf_pks.len()
+        self.tree.len()
     }
 
     /// Signatures still available.
     pub fn remaining(&self) -> usize {
-        self.capacity() - self.next_leaf
+        self.capacity() - self.next_leaf.load(Ordering::SeqCst)
     }
 
-    /// Signs a message, consuming one leaf.
-    pub fn sign(&mut self, message: &[u8]) -> Result<MerkleSignature, CryptoError> {
-        let idx = self.next_leaf;
-        if idx >= self.capacity() {
-            return Err(CryptoError::IdentityExhausted { capacity: self.capacity() });
-        }
-        self.next_leaf += 1;
-        let mut leaf_stream = self.stream_root.child(format!("ots-{idx}").as_bytes());
-        let (sk, pk) = OneTimeSecretKey::generate(&mut leaf_stream);
-        debug_assert_eq!(pk, self.leaf_pks[idx]);
-        let digest = crate::sha256::sha256(message);
-        let ots = sk.sign_digest(&digest);
-        let path = self.tree.auth_path(idx).expect("index in range");
-        Ok(MerkleSignature { leaf_index: idx, ots, leaf_pk: pk, path })
+    /// Signs a message, consuming one leaf. The claim is a single atomic
+    /// read-modify-write, so no two callers ever receive the same index
+    /// and the counter never passes the capacity.
+    pub fn sign(&self, message: &[u8]) -> Result<MerkleSignature, CryptoError> {
+        let capacity = self.capacity();
+        let leaf_index = self
+            .next_leaf
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < capacity).then_some(n + 1))
+            .map_err(|_| CryptoError::IdentityExhausted { capacity })?;
+        let ots = wots::sign_digest(leaf_secrets(&self.stream_root, leaf_index), &sha256(message));
+        let path = self.tree.auth_path(leaf_index).expect("claimed index is below capacity");
+        Ok(MerkleSignature { leaf_index, ots, path })
     }
 }
 
-/// Verifies an MSS signature against an identity root.
+/// The secret stream of one-time key `index` under an identity's seed.
+fn leaf_secrets(stream: &DeterministicStream, index: usize) -> DeterministicStream {
+    stream.child(format!("ots-{index}").as_bytes())
+}
+
+/// Verifies an MSS signature against an identity root: the one-time key
+/// the signature recomputes must be the leaf at `leaf_index`.
 pub fn verify_merkle(
     root: &Digest,
     message: &[u8],
     sig: &MerkleSignature,
 ) -> Result<(), CryptoError> {
-    // 1. The one-time signature must verify under the claimed leaf key.
-    lamport::verify(&sig.leaf_pk, message, &sig.ots)?;
-    // 2. The leaf key must be committed under the identity root.
-    let leaf = leaf_hash(sig.leaf_pk.0.as_bytes());
-    if sig.path.index != sig.leaf_index {
-        return Err(CryptoError::BadAuthPath);
-    }
-    verify_path(root, &leaf, &sig.path)
+    let leaf_key = wots::public_key_from_signature(&sha256(message), &sig.ots);
+    let leaf = leaf_hash(leaf_key.as_bytes());
+    // A wrong message, a tampered one-time signature, a wrong index and a
+    // wrong path all surface here, as a root that does not match.
+    verify_path(root, &leaf, sig.leaf_index, &sig.path).map_err(|_| CryptoError::BadSignature)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn stream(label: &[u8]) -> DeterministicStream {
         DeterministicStream::from_u64(0xBEEF, label)
@@ -315,7 +302,7 @@ mod tests {
         let tree = MerkleTree::from_payloads(&payloads);
         for (i, p) in payloads.iter().enumerate() {
             let path = tree.auth_path(i).unwrap();
-            verify_path(&tree.root(), &leaf_hash(p), &path).unwrap();
+            verify_path(&tree.root(), &leaf_hash(p), i, &path).unwrap();
         }
         assert!(tree.auth_path(13).is_none());
     }
@@ -324,10 +311,15 @@ mod tests {
     fn wrong_leaf_or_index_fails() {
         let tree = MerkleTree::from_payloads(&[b"x".as_slice(), b"y", b"z", b"w"]);
         let path = tree.auth_path(1).unwrap();
-        assert!(verify_path(&tree.root(), &leaf_hash(b"not-y"), &path).is_err());
-        let mut moved = tree.auth_path(1).unwrap();
-        moved.index = 2;
-        assert!(verify_path(&tree.root(), &leaf_hash(b"y"), &moved).is_err());
+        verify_path(&tree.root(), &leaf_hash(b"y"), 1, &path).unwrap();
+        assert!(verify_path(&tree.root(), &leaf_hash(b"not-y"), 1, &path).is_err());
+        assert!(verify_path(&tree.root(), &leaf_hash(b"y"), 2, &path).is_err());
+        // An index beyond the tree is not read modulo its width.
+        assert_eq!(root_from_path(&leaf_hash(b"y"), 1 + 4, &path), tree.root());
+        assert_eq!(
+            verify_path(&tree.root(), &leaf_hash(b"y"), 1 + 4, &path),
+            Err(CryptoError::BadAuthPath)
+        );
     }
 
     #[test]
@@ -335,8 +327,8 @@ mod tests {
         let tree = MerkleTree::from_payloads(&[b"only".as_slice()]);
         assert_eq!(tree.height(), 0);
         let path = tree.auth_path(0).unwrap();
-        assert!(path.siblings.is_empty());
-        verify_path(&tree.root(), &leaf_hash(b"only"), &path).unwrap();
+        assert!(path.is_empty());
+        verify_path(&tree.root(), &leaf_hash(b"only"), 0, &path).unwrap();
     }
 
     #[test]
@@ -352,7 +344,7 @@ mod tests {
 
     #[test]
     fn mss_sign_verify_until_exhaustion() {
-        let mut signer = MerkleSigner::generate(&stream(b"mss"), 2);
+        let signer = MerkleSigner::generate(&stream(b"mss"), 2);
         let root = signer.public_root();
         assert_eq!(signer.capacity(), 4);
         for i in 0..4 {
@@ -361,18 +353,19 @@ mod tests {
             assert_eq!(sig.leaf_index, i);
             verify_merkle(&root, msg.as_bytes(), &sig).unwrap();
             // Cross-message verification must fail.
-            assert!(verify_merkle(&root, b"other", &sig).is_err());
+            assert_eq!(verify_merkle(&root, b"other", &sig), Err(CryptoError::BadSignature));
         }
         assert_eq!(signer.remaining(), 0);
-        assert_eq!(
-            signer.sign(b"one too many"),
-            Err(CryptoError::IdentityExhausted { capacity: 4 })
-        );
+        let exhausted = Err(CryptoError::IdentityExhausted { capacity: 4 });
+        assert_eq!(signer.sign(b"one too many"), exhausted);
+        // A refused claim does not move the counter.
+        assert_eq!(signer.sign(b"two too many"), exhausted);
+        assert_eq!(signer.remaining(), 0);
     }
 
     #[test]
     fn mss_rejects_cross_identity_signatures() {
-        let mut alice = MerkleSigner::generate(&stream(b"alice"), 2);
+        let alice = MerkleSigner::generate(&stream(b"alice"), 2);
         let bob = MerkleSigner::generate(&stream(b"bob"), 2);
         let sig = alice.sign(b"msg").unwrap();
         assert!(verify_merkle(&bob.public_root(), b"msg", &sig).is_err());
@@ -380,19 +373,33 @@ mod tests {
 
     #[test]
     fn mss_signature_tamper_rejected() {
-        let mut signer = MerkleSigner::generate(&stream(b"tamper"), 2);
+        let signer = MerkleSigner::generate(&stream(b"tamper"), 2);
         let root = signer.public_root();
-        let mut sig = signer.sign(b"msg").unwrap();
-        sig.leaf_pk = OneTimePublicKey(crate::sha256::sha256(b"evil"));
-        assert!(verify_merkle(&root, b"msg", &sig).is_err());
+        let sig = signer.sign(b"msg").unwrap();
+        verify_merkle(&root, b"msg", &sig).unwrap();
 
-        let mut sig2 = signer.sign(b"msg").unwrap();
-        sig2.path.siblings[0] = Digest::ZERO;
-        assert!(verify_merkle(&root, b"msg", &sig2).is_err());
+        for chain in 0..crate::wots::CHAINS {
+            let mut bad = sig.clone();
+            bad.ots.revealed[chain].0[31] ^= 0x80;
+            assert!(verify_merkle(&root, b"msg", &bad).is_err(), "chain {chain}");
+        }
 
-        let mut sig3 = signer.sign(b"msg").unwrap();
-        sig3.leaf_index = sig3.leaf_index.wrapping_add(1);
-        assert!(verify_merkle(&root, b"msg", &sig3).is_err());
+        let mut bad_path = sig.clone();
+        bad_path.path[0] = Digest::ZERO;
+        assert!(verify_merkle(&root, b"msg", &bad_path).is_err());
+
+        // Nothing but the path binds the index: every other index of the
+        // tree, and the same index beyond the tree's width, must fail it.
+        for wrong in [1, 2, 3, sig.leaf_index + 4, usize::MAX] {
+            let mut moved = sig.clone();
+            moved.leaf_index = wrong;
+            assert!(verify_merkle(&root, b"msg", &moved).is_err(), "index {wrong}");
+        }
+
+        // A signature cut from one leaf does not verify with another's path.
+        let mut spliced = signer.sign(b"msg").unwrap();
+        spliced.ots = sig.ots.clone();
+        assert!(verify_merkle(&root, b"msg", &spliced).is_err());
     }
 
     #[test]
@@ -400,33 +407,88 @@ mod tests {
         let a = MerkleSigner::generate(&stream(b"same"), 3);
         let b = MerkleSigner::generate(&stream(b"same"), 3);
         assert_eq!(a.public_root(), b.public_root());
+        assert_eq!(a.sign(b"m").unwrap(), b.sign(b"m").unwrap());
         let c = MerkleSigner::generate(&stream(b"diff"), 3);
         assert_ne!(a.public_root(), c.public_root());
     }
 
     #[test]
     fn signature_bytes_round_trip() {
-        let mut signer = MerkleSigner::generate(&stream(b"codec"), 3);
+        let signer = MerkleSigner::generate(&stream(b"codec"), 3);
         let root = signer.public_root();
         let sig = signer.sign(b"message").unwrap();
         let bytes = sig.to_bytes();
+        assert_eq!(bytes.len(), sig.encoded_len());
+        assert_eq!(bytes.len(), 8 + 2_144 + 8 + 3 * 32);
         let back = MerkleSignature::from_bytes(&bytes).unwrap();
         assert_eq!(back, sig);
         verify_merkle(&root, b"message", &back).unwrap();
-        // Truncation and trailing garbage both fail.
-        assert!(MerkleSignature::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        // Truncation (by a byte, by a whole sibling) and trailing garbage
+        // (a byte, a whole digest) all fail with the typed error.
         let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(MerkleSignature::from_bytes(&extended).is_err());
+        extended.extend_from_slice(&[0; 32]);
+        for wrong in [
+            &bytes[..bytes.len() - 1],
+            &bytes[..bytes.len() - 32],
+            &bytes[..100],
+            &extended[..bytes.len() + 1],
+            &extended[..],
+        ] {
+            assert!(matches!(MerkleSignature::from_bytes(wrong), Err(CryptoError::Malformed(_))));
+        }
+    }
+
+    #[test]
+    fn hostile_path_length_is_refused_before_allocation() {
+        let signer = MerkleSigner::generate(&stream(b"hostile"), 1);
+        let mut bytes = signer.sign(b"m").unwrap().to_bytes();
+        let count_at = 8 + OneTimeSignature::ENCODED_LEN;
+        for claimed in [0u64, 2, 65, u64::MAX / 32 + 1, u64::MAX] {
+            bytes[count_at..count_at + 8].copy_from_slice(&claimed.to_be_bytes());
+            assert!(
+                matches!(MerkleSignature::from_bytes(&bytes), Err(CryptoError::Malformed(_))),
+                "claimed {claimed}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_previous_signature_layout_is_refused() {
+        // leaf_index ‖ 512 digests ‖ leaf key ‖ path index ‖ count ‖ path,
+        // as a height-10 signature was laid out before W-OTS.
+        let mut old = Vec::new();
+        old.extend_from_slice(&7u64.to_be_bytes());
+        old.extend_from_slice(&[0xAB; 512 * 32 + 32]);
+        old.extend_from_slice(&7u64.to_be_bytes());
+        old.extend_from_slice(&10u64.to_be_bytes());
+        old.extend_from_slice(&[0xCD; 10 * 32]);
+        assert!(matches!(MerkleSignature::from_bytes(&old), Err(CryptoError::Malformed(_))));
     }
 
     #[test]
     fn encoded_len_reports_path_growth() {
-        let mut small = MerkleSigner::generate(&stream(b"s"), 1);
-        let mut big = MerkleSigner::generate(&stream(b"b"), 4);
+        let small = MerkleSigner::generate(&stream(b"s"), 1);
+        let big = MerkleSigner::generate(&stream(b"b"), 4);
         let s = small.sign(b"m").unwrap();
         let g = big.sign(b"m").unwrap();
-        assert!(g.encoded_len() > s.encoded_len());
         assert_eq!(g.encoded_len() - s.encoded_len(), 3 * 32);
+        assert_eq!(g.to_bytes().len(), g.encoded_len());
+    }
+
+    proptest! {
+        #[test]
+        fn from_bytes_never_panics_on_random_input(
+            bytes in proptest::collection::vec(any::<u8>(), 0..3_000),
+            claimed in any::<u64>(),
+        ) {
+            // Random bytes of any length are refused, never a panic; so
+            // are bytes of a valid length unless the path count agrees.
+            prop_assert!(MerkleSignature::from_bytes(&bytes).is_err());
+            let mut shaped = bytes;
+            shaped.resize(8 + OneTimeSignature::ENCODED_LEN + 8 + 64, 0x5A);
+            let count_at = 8 + OneTimeSignature::ENCODED_LEN;
+            shaped[count_at..count_at + 8].copy_from_slice(&claimed.to_be_bytes());
+            prop_assert_eq!(MerkleSignature::from_bytes(&shaped).is_ok(), claimed == 2);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! FIPS 180-4 SHA-256, implemented from scratch.
 //!
-//! This is the single primitive the rest of the crate (HMAC, Lamport,
-//! Merkle) and the PayWord hash chains in `gridbank-core` are built on.
+//! This is the single primitive the rest of the crate (HMAC, Winternitz
+//! chains, Merkle) and the PayWord hash chains in `gridbank-core` are built on.
 //! The implementation is a straightforward, allocation-free translation of
 //! the specification: incremental [`Sha256`] hasher plus the one-shot
 //! [`sha256`] helper.
@@ -193,6 +193,10 @@ impl Sha256 {
         self.update(&bit_len.to_be_bytes());
         self.total_len = saved;
         debug_assert_eq!(self.buf_len, 0);
+        self.state_digest()
+    }
+
+    fn state_digest(&self) -> Digest {
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -244,6 +248,24 @@ pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// Longest message that pads into a single SHA-256 block.
+pub const ONE_BLOCK_MAX: usize = 55;
+
+/// SHA-256 of a message of at most [`ONE_BLOCK_MAX`] bytes: the padded
+/// block is laid out directly and compressed once, without the
+/// incremental hasher's buffering. A Winternitz signature is some five
+/// hundred of these back to back. Panics on a longer message.
+pub fn sha256_one_block(msg: &[u8]) -> Digest {
+    assert!(msg.len() <= ONE_BLOCK_MAX, "{} bytes do not pad into one block", msg.len());
+    let mut block = [0u8; 64];
+    block[..msg.len()].copy_from_slice(msg);
+    block[msg.len()] = 0x80;
+    block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+    let mut h = Sha256::new();
+    h.compress(&block);
+    h.state_digest()
 }
 
 /// SHA-256 over the concatenation of several byte slices without copying
@@ -318,6 +340,14 @@ mod tests {
     fn concat_helper_matches() {
         assert_eq!(sha256_concat(&[b"ab", b"c"]), sha256(b"abc"));
         assert_eq!(sha256_concat(&[]), sha256(b""));
+    }
+
+    #[test]
+    fn one_block_fast_path_matches_the_hasher_at_every_length() {
+        let msg: Vec<u8> = (1u8..=ONE_BLOCK_MAX as u8).collect();
+        for len in 0..=ONE_BLOCK_MAX {
+            assert_eq!(sha256_one_block(&msg[..len]), sha256(&msg[..len]), "len {len}");
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Deliberately local to this crate: the *payloads* that flow over
 //! established channels use the shared codec in `gridbank-rur`; only the
-//! handshake itself (certificates, signatures) needs these helpers, and
-//! keeping them here avoids a dependency cycle.
+//! handshake itself (certificates) needs these helpers, and keeping them
+//! here avoids a dependency cycle. A signature inside a certificate is
+//! the length-prefixed `MerkleSignature::to_bytes` encoding — the one
+//! signature codec, owned by the crate that owns the type.
 
 use gridbank_crypto::cert::{Certificate, CertificateBody, ProxyCertificate, SubjectName};
 use gridbank_crypto::keys::VerifyingKey;
-use gridbank_crypto::lamport::{OneTimePublicKey, OneTimeSignature};
-use gridbank_crypto::merkle::{AuthPath, MerkleSignature};
+use gridbank_crypto::merkle::MerkleSignature;
 use gridbank_crypto::sha256::{Digest, DIGEST_LEN};
 
 use crate::error::NetError;
@@ -44,14 +45,7 @@ impl Writer {
     }
 
     pub fn sig(&mut self, s: &MerkleSignature) {
-        self.u64(s.leaf_index as u64);
-        self.bytes(&s.ots.to_bytes());
-        self.digest(&s.leaf_pk.0);
-        self.u64(s.path.index as u64);
-        self.u64(s.path.siblings.len() as u64);
-        for sib in &s.path.siblings {
-            self.digest(sib);
-        }
+        self.bytes(&s.to_bytes());
     }
 
     pub fn cert(&mut self, c: &Certificate) {
@@ -131,25 +125,7 @@ impl<'a> Reader<'a> {
     }
 
     pub fn sig(&mut self) -> Result<MerkleSignature, NetError> {
-        let leaf_index = self.u64()? as usize;
-        let ots = OneTimeSignature::from_bytes(self.bytes()?)
-            .map_err(|e| NetError::Malformed(e.to_string()))?;
-        let leaf_pk = OneTimePublicKey(self.digest()?);
-        let path_index = self.u64()? as usize;
-        let n = self.u64()? as usize;
-        if n > 64 {
-            return Err(NetError::Malformed(format!("auth path depth {n} too large")));
-        }
-        let mut siblings = Vec::with_capacity(n);
-        for _ in 0..n {
-            siblings.push(self.digest()?);
-        }
-        Ok(MerkleSignature {
-            leaf_index,
-            ots,
-            leaf_pk,
-            path: AuthPath { index: path_index, siblings },
-        })
+        MerkleSignature::from_bytes(self.bytes()?).map_err(|e| NetError::Malformed(e.to_string()))
     }
 
     pub fn cert(&mut self) -> Result<Certificate, NetError> {
@@ -230,6 +206,47 @@ mod tests {
         for cut in [0, 1, w.buf.len() / 2, w.buf.len() - 1] {
             let mut r = Reader::new(&w.buf[..cut]);
             assert!(r.cert().is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn certificate_in_the_previous_signature_layout_is_refused() {
+        // Body fields as today, then the signature as it was framed
+        // before W-OTS: a bare leaf index, a length-prefixed 16 KiB
+        // one-time signature, the leaf key, a second index and the path.
+        let mut w = Writer::new();
+        w.str("/O=O/OU=U/CN=u");
+        w.str("/O=GB/OU=CA/CN=Root");
+        w.digest(&Digest::ZERO);
+        for field in [0u64, 10, 1] {
+            w.u64(field);
+        }
+        w.u64(5);
+        w.bytes(&[0xAB; 512 * 32]);
+        w.digest(&Digest::ZERO);
+        w.u64(5);
+        w.u64(4);
+        for _ in 0..4 {
+            w.digest(&Digest::ZERO);
+        }
+        assert!(matches!(Reader::new(&w.buf).cert(), Err(NetError::Malformed(_))));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_bytes_never_parse_as_a_signature(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3_000),
+            framed in proptest::prelude::any::<bool>(),
+        ) {
+            // Raw, and behind a truthful length prefix so the codec
+            // itself is reached: `Err` either way, never a panic.
+            let mut w = Writer::new();
+            if framed {
+                w.bytes(&bytes);
+            } else {
+                w.buf = bytes;
+            }
+            proptest::prop_assert!(matches!(Reader::new(&w.buf).sig(), Err(NetError::Malformed(_))));
         }
     }
 

@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one signature scheme guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -94,6 +94,14 @@ if grep -rnE --include='*.rs' \
   'entry_shard|account_shard|cert_shard|key_shard|snapshot_shard|ShardInventory|ascending_index|shard_dir' \
   crates tests examples src; then
   echo "lock guard: one accounts lock, one snapshot directory, one lock per rank" >&2
+  exit 1
+fi
+# One signature scheme (DESIGN.md §2, EXPERIMENTS.md E26): Winternitz
+# one-time keys under the Merkle tree, one signature codec, a lock-free
+# signer. The Lamport module, the leaf key carried inside a signature
+# and the mutex shim around the signer cannot grow back.
+if grep -rniE --include='*.rs' 'lamport|leaf_pk|parking_lot_free' crates tests examples src; then
+  echo "signature guard: one one-time scheme (crates/crypto/src/wots.rs), no carried leaf key" >&2
   exit 1
 fi
 scripts/loc.sh
