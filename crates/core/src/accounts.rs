@@ -11,22 +11,12 @@ use std::sync::Arc;
 use gridbank_rur::Credits;
 
 use crate::clock::Clock;
+pub use crate::db::Statement;
 use crate::db::{
     AccountId, AccountRecord, CommitRows, Database, IdemStamp, PendingIbCredit, TransactionRecord,
     TransactionType, TransferRecord,
 };
 use crate::error::BankError;
-
-/// A full account statement (§5.2 Request Account Statement).
-#[derive(Clone, Debug)]
-pub struct Statement {
-    /// The account record as of the query.
-    pub account: AccountRecord,
-    /// Transactions in the requested window.
-    pub transactions: Vec<TransactionRecord>,
-    /// Transfers (either side) in the requested window.
-    pub transfers: Vec<TransferRecord>,
-}
 
 /// Idempotency instructions for a keyed transfer. The dedup stamp is
 /// journaled atomically with the transfer; since the transaction id is
@@ -124,11 +114,7 @@ impl GbAccounts {
         start_ms: u64,
         end_ms: u64,
     ) -> Result<Statement, BankError> {
-        Ok(Statement {
-            account: self.db.get_account(id)?,
-            transactions: self.db.transactions_in_range(id, start_ms, end_ms),
-            transfers: self.db.transfers_in_range(id, start_ms, end_ms),
-        })
+        self.db.statement(id, start_ms, end_ms)
     }
 
     /// Transfers `amount` from `from` to `to`, recording the paired
@@ -415,6 +401,36 @@ mod tests {
         // Recipient sees the positive leg.
         let st_b = acc.statement(&b, 0, 1_000).unwrap();
         assert_eq!(st_b.transactions[0].amount, Credits::from_gd(30));
+    }
+
+    #[test]
+    fn a_statement_is_one_cut_of_balance_and_rows() {
+        // Alice opens with G$100 that no row explains; every later
+        // change to her balance commits together with its row, so a
+        // statement taken in one cut always adds up.
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let (acc, a, b) = setup();
+        let (start, done) = (std::sync::Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..4_000 {
+                    let (from, to) = if i % 2 == 0 { (&a, &b) } else { (&b, &a) };
+                    acc.transfer(from, to, Credits::from_gd(1), vec![]).unwrap();
+                }
+                done.store(true, SeqCst);
+            });
+            s.spawn(|| {
+                start.wait();
+                while !done.load(SeqCst) {
+                    let st = acc.statement(&a, 0, u64::MAX).unwrap();
+                    let posted = (st.transactions.iter())
+                        .fold(Credits::from_gd(100), |sum, t| sum.saturating_add(t.amount));
+                    assert_eq!(posted, st.account.available, "a balance without its rows");
+                    assert_eq!(st.transfers.len(), st.transactions.len());
+                }
+            });
+        });
     }
 
     #[test]

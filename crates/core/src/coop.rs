@@ -69,15 +69,15 @@ impl BarterStats {
     /// Computes stats from the bank's transfer table over a time window.
     pub fn compute(db: &Database, start_ms: u64, end_ms: u64) -> Self {
         let mut balances: HashMap<AccountId, BarterBalance> = HashMap::new();
-        for t in db.all_transfers() {
+        db.for_each_transfer(|t| {
             if t.date_ms < start_ms || t.date_ms >= end_ms {
-                continue;
+                return;
             }
             balances.entry(t.drawer).or_default().consumed =
                 balances.entry(t.drawer).or_default().consumed.saturating_add(t.amount);
             balances.entry(t.recipient).or_default().provided =
                 balances.entry(t.recipient).or_default().provided.saturating_add(t.amount);
-        }
+        });
         BarterStats { balances }
     }
 

@@ -3,11 +3,13 @@
 //! §3.2: "GB database module is a relational database that stores account
 //! and transaction information." The paper used MySQL; this is the
 //! embedded substitute (DESIGN.md §2): typed tables with the §5.1 schemas,
-//! a certificate-name secondary index, date-range statement scans and a
+//! a certificate-name secondary index, an `(account, date)` index that
+//! answers a statement in time proportional to its rows, and a
 //! write-ahead journal for crash-consistency. The ACCOUNT table and its
 //! index sit behind one lock, as the paper's one database with atomic
 //! transfers does (DESIGN.md §2 records the measurement that retired the
-//! sixteen shards).
+//! sixteen shards); the TRANSACTION and TRANSFER tables and their index
+//! sit behind a second, taken inside the first.
 //!
 //! Monetary fields are exact [`Credits`] rather than the paper's SQL
 //! `FLOAT` (see DESIGN.md §4).
@@ -173,6 +175,18 @@ pub struct TransferRecord {
     /// Telemetry trace id active when the transfer committed (0 when
     /// telemetry was off) — correlates the audit trail with span traces.
     pub trace_id: u64,
+}
+
+/// A full account statement (§5.2 Request Account Statement): the
+/// account and its rows in a date window, read as of one instant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Statement {
+    /// The account record as of the query.
+    pub account: AccountRecord,
+    /// Transactions in the requested window.
+    pub transactions: Vec<TransactionRecord>,
+    /// Transfers (either side) in the requested window.
+    pub transfers: Vec<TransferRecord>,
 }
 
 /// A cross-branch credit owed to a remote payee: the drawer's branch has
@@ -564,6 +578,126 @@ impl Accounts {
     }
 }
 
+/// A row's place in its table. `u32`, not `usize`: the index holds one
+/// position per TRANSACTION row and two per TRANSFER row, at eight bytes
+/// each the 100,000-transfer ledger's peak RSS read 13 % over the
+/// unindexed one's (EXPERIMENTS.md E27), and 2^32 rows of either table
+/// are 200 GB of rows before they are an index problem.
+type Pos = u32;
+
+/// One account's rows: positions into [`History::transactions`] and
+/// [`History::transfers`], each list sorted by `(date_ms, position)`.
+#[derive(Default)]
+struct AccountRows {
+    transactions: Vec<Pos>,
+    transfers: Vec<Pos>,
+}
+
+/// The TRANSACTION and TRANSFER tables and their `(account, date)`
+/// index: rows and the positions that point at them must agree, so they
+/// change under one lock and only through `push_transaction` /
+/// `push_transfer`. The index is derived state — never journaled, never
+/// in a snapshot; [`Database::open`] rebuilds it by pushing every
+/// recovered row (docs/STORAGE.md §5).
+#[derive(Default)]
+struct History {
+    /// TRANSACTION rows in commit order.
+    transactions: Vec<TransactionRecord>,
+    /// TRANSFER rows in commit order.
+    transfers: Vec<TransferRecord>,
+    by_account: HashMap<AccountId, AccountRows>,
+}
+
+/// Files the row about to be pushed onto `rows` — the newest, so the
+/// highest position — dated `date_ms` into `list`, keeping it sorted by
+/// `(date, position)`.
+fn index_insert<R>(list: &mut Vec<Pos>, rows: &[R], date_of: fn(&R) -> u64, date_ms: u64) {
+    let date_at = |p: Pos| date_of(&rows[p as usize]);
+    // Rows land in date order unless two committers read the clock one
+    // way round and took the accounts lock the other.
+    let at = match list.last() {
+        Some(&last) if date_at(last) > date_ms => list.partition_point(|&p| date_at(p) <= date_ms),
+        _ => list.len(),
+    };
+    // Never the fallback: the commit asked `History::has_room` first.
+    list.insert(at, Pos::try_from(rows.len()).unwrap_or(Pos::MAX));
+}
+
+/// The rows that `list` dates `start_ms <= date < end_ms`, in `list`'s
+/// order: two binary searches and a clone of what is returned. None when
+/// the window is empty or inverted.
+fn rows_in_window<R: Clone>(
+    list: &[Pos],
+    rows: &[R],
+    date_of: fn(&R) -> u64,
+    start_ms: u64,
+    end_ms: u64,
+) -> Vec<R> {
+    let date_at = |p: Pos| date_of(&rows[p as usize]);
+    let lo = list.partition_point(|&p| date_at(p) < start_ms);
+    let hi = list.partition_point(|&p| date_at(p) < end_ms);
+    let window = list.get(lo..hi).unwrap_or_default();
+    window.iter().map(|&p| rows[p as usize].clone()).collect()
+}
+
+impl History {
+    /// Whether both tables have positions left for this many more rows.
+    /// A commit asks before it changes anything, so its pushes cannot
+    /// fail half-way.
+    fn has_room(&self, transactions: usize, transfers: usize) -> bool {
+        let fits = |len: usize, more: usize| {
+            len.checked_add(more).is_some_and(|rows| Pos::try_from(rows).is_ok())
+        };
+        fits(self.transactions.len(), transactions) && fits(self.transfers.len(), transfers)
+    }
+
+    fn push_transaction(&mut self, row: TransactionRecord) {
+        let list = &mut self.by_account.entry(row.account).or_default().transactions;
+        index_insert(list, &self.transactions, |t| t.date_ms, row.date_ms);
+        self.transactions.push(row);
+    }
+
+    /// A transfer is a row of its drawer's statement and of its
+    /// recipient's.
+    fn push_transfer(&mut self, row: TransferRecord) {
+        let both = [Some(row.drawer), (row.recipient != row.drawer).then_some(row.recipient)];
+        for account in both.into_iter().flatten() {
+            let list = &mut self.by_account.entry(account).or_default().transfers;
+            index_insert(list, &self.transfers, |t| t.date_ms, row.date_ms);
+        }
+        self.transfers.push(row);
+    }
+
+    /// `account`'s transaction rows with `start_ms <= date < end_ms`, in
+    /// date order, ties in commit order.
+    fn transactions_in_range(
+        &self,
+        account: &AccountId,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Vec<TransactionRecord> {
+        let list = self.by_account.get(account).map_or(&[][..], |a| &a.transactions);
+        rows_in_window(list, &self.transactions, |t| t.date_ms, start_ms, end_ms)
+    }
+
+    /// Transfer rows with `account` on either side, window and order as
+    /// in [`History::transactions_in_range`].
+    fn transfers_in_range(
+        &self,
+        account: &AccountId,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Vec<TransferRecord> {
+        let list = self.by_account.get(account).map_or(&[][..], |a| &a.transfers);
+        rows_in_window(list, &self.transfers, |t| t.date_ms, start_ms, end_ms)
+    }
+}
+
+/// What a commit gets when [`History::has_room`] says no.
+fn history_full() -> BankError {
+    BankError::Storage("a history table is full: no row position is left".into())
+}
+
 /// The embedded store.
 pub struct Database {
     branch: u16,
@@ -573,8 +707,10 @@ pub struct Database {
     /// too, sees no row, stamp or pending credit without an LSN at or
     /// below its cut (docs/STORAGE.md §3.3).
     accounts: OrderedRwLock<Accounts>,
-    transactions: OrderedRwLock<Vec<TransactionRecord>>,
-    transfers: OrderedRwLock<Vec<TransferRecord>>,
+    /// Taken inside the accounts lock by whoever commits rows, so a
+    /// reader holding `accounts.read()` sees balances and rows of one
+    /// instant ([`Database::statement`]).
+    history: OrderedRwLock<History>,
     journal: JournalStore,
     commit: CommitQueue,
     idem: OrderedMutex<IdemCache>,
@@ -593,12 +729,7 @@ impl Database {
             bank,
             branch,
             accounts: OrderedRwLock::new(rank::ACCOUNTS, "accounts", Accounts::default()),
-            transactions: OrderedRwLock::new(
-                rank::AUDIT_TRANSACTIONS,
-                "audit-transactions",
-                Vec::new(),
-            ),
-            transfers: OrderedRwLock::new(rank::AUDIT_TRANSFERS, "audit-transfers", Vec::new()),
+            history: OrderedRwLock::new(rank::HISTORY, "history", History::default()),
             journal: JournalStore::memory(),
             commit: CommitQueue::new(),
             idem: OrderedMutex::new(
@@ -647,11 +778,18 @@ impl Database {
                 accounts.insert(r);
             }
         }
-        for t in &base.transactions {
-            max_tx = max_tx.max(t.transaction_id);
+        {
+            // Row by row, not table by table: each push files its row in
+            // the index, which the snapshot does not store.
+            let mut history = db.history.write();
+            for t in base.transactions {
+                max_tx = max_tx.max(t.transaction_id);
+                history.push_transaction(t);
+            }
+            for t in base.transfers {
+                history.push_transfer(t);
+            }
         }
-        *db.transactions.write() = base.transactions;
-        *db.transfers.write() = base.transfers;
         db.ib_pending.lock().extend(base.pending.into_iter().map(|p| (p.key, p)));
         {
             // The cache orders the snapshot's stamps, and the tail's,
@@ -885,12 +1023,16 @@ impl Database {
         // fails half-way leaves nothing behind.
         let mut next = record.clone();
         let (out, row) = f(&mut next)?;
-        *record = next.clone();
-        let mut entries = vec![JournalEntry::Update(next)];
+        let mut entries = vec![JournalEntry::Update(next.clone())];
         if let Some(tx) = row {
-            self.transactions.write().push(tx.clone());
+            let mut history = self.history.write();
+            if !history.has_room(1, 0) {
+                return Err(history_full());
+            }
+            history.push_transaction(tx.clone());
             entries.push(JournalEntry::Transaction(tx));
         }
+        *record = next;
         // Submit while still holding the accounts lock: Update entries
         // are absolute snapshots, so per-account journal order must match
         // application order or recovery resurrects stale balances.
@@ -933,6 +1075,12 @@ impl Database {
         let mut snap_a = accounts.records.get(a).cloned().ok_or(BankError::NoSuchAccount(*a))?;
         let mut snap_b = accounts.records.get(b).cloned().ok_or(BankError::NoSuchAccount(*b))?;
         let out = f(&mut snap_a, &mut snap_b)?;
+        // The one refusal past the closure comes first, while nothing has
+        // changed yet.
+        let mut history = self.history.write();
+        if !history.has_room(rows.transactions.len(), usize::from(rows.transfer.is_some())) {
+            return Err(history_full());
+        }
         accounts.records.insert(*a, snap_a.clone());
         accounts.records.insert(*b, snap_b.clone());
         // Commit tables, stamp and pending credit, then hand the journal
@@ -944,18 +1092,15 @@ impl Database {
         let mut entries = Vec::with_capacity(rows.transactions.len().saturating_add(3));
         entries.push(JournalEntry::Update(snap_a));
         entries.push(JournalEntry::Update(snap_b));
-        {
-            let mut txs_table = self.transactions.write();
-            let mut tfs_table = self.transfers.write();
-            for tx in rows.transactions {
-                txs_table.push(tx.clone());
-                entries.push(JournalEntry::Transaction(tx));
-            }
-            if let Some(t) = rows.transfer {
-                tfs_table.push(t.clone());
-                entries.push(JournalEntry::Transfer(t));
-            }
+        for tx in rows.transactions {
+            history.push_transaction(tx.clone());
+            entries.push(JournalEntry::Transaction(tx));
         }
+        if let Some(t) = rows.transfer {
+            history.push_transfer(t.clone());
+            entries.push(JournalEntry::Transfer(t));
+        }
+        drop(history);
         if let Some(stamp) = rows.idem {
             let mut cache = self.idem.lock();
             if cache.capacity > 0 {
@@ -1003,49 +1148,67 @@ impl Database {
         Ok(record)
     }
 
+    /// Request Account Statement (§5.2): the account and its rows with
+    /// `start_ms <= date < end_ms`, as of one instant. Committers push
+    /// rows while they hold `accounts.write()`, so holding
+    /// `accounts.read()` across the history read keeps every balance
+    /// next to exactly the rows that produced it.
+    pub fn statement(
+        &self,
+        id: &AccountId,
+        start_ms: u64,
+        end_ms: u64,
+    ) -> Result<Statement, BankError> {
+        let accounts = self.accounts.read();
+        let account = accounts.records.get(id).cloned().ok_or(BankError::NoSuchAccount(*id))?;
+        let history = self.history.read();
+        Ok(Statement {
+            account,
+            transactions: history.transactions_in_range(id, start_ms, end_ms),
+            transfers: history.transfers_in_range(id, start_ms, end_ms),
+        })
+    }
+
     /// Statement query: transactions for `account` with
-    /// `start_ms <= date < end_ms`.
+    /// `start_ms <= date < end_ms`, in date order (ties in commit
+    /// order). Costs the rows it returns, not the table's length.
     pub fn transactions_in_range(
         &self,
         account: &AccountId,
         start_ms: u64,
         end_ms: u64,
     ) -> Vec<TransactionRecord> {
-        self.transactions
-            .read()
-            .iter()
-            .filter(|t| t.account == *account && t.date_ms >= start_ms && t.date_ms < end_ms)
-            .cloned()
-            .collect()
+        self.history.read().transactions_in_range(account, start_ms, end_ms)
     }
 
-    /// Transfer rows involving `account` in the window (either side).
+    /// Transfer rows involving `account` in the window (either side),
+    /// ordered like [`Database::transactions_in_range`].
     pub fn transfers_in_range(
         &self,
         account: &AccountId,
         start_ms: u64,
         end_ms: u64,
     ) -> Vec<TransferRecord> {
-        self.transfers
-            .read()
-            .iter()
-            .filter(|t| {
-                (t.drawer == *account || t.recipient == *account)
-                    && t.date_ms >= start_ms
-                    && t.date_ms < end_ms
-            })
-            .cloned()
-            .collect()
+        self.history.read().transfers_in_range(account, start_ms, end_ms)
     }
 
-    /// All transfer rows (price-estimation scans; bank-internal).
+    /// All transfer rows, owned (tests that count them).
     pub fn all_transfers(&self) -> Vec<TransferRecord> {
-        self.transfers.read().clone()
+        self.history.read().transfers.clone()
     }
 
-    /// Finds a transfer by transaction id.
+    /// Visits every transfer row in commit order under the history read
+    /// lock, cloning nothing (price-estimation scans; bank-internal).
+    /// `f` must not call back into the database.
+    pub fn for_each_transfer(&self, f: impl FnMut(&TransferRecord)) {
+        self.history.read().transfers.iter().for_each(f);
+    }
+
+    /// Finds a transfer by transaction id. A scan of the whole table:
+    /// its one caller is the administrator's `cancel_transfer`, too rare
+    /// to pay a third index for.
     pub fn transfer_by_id(&self, transaction_id: u64) -> Option<TransferRecord> {
-        self.transfers.read().iter().find(|t| t.transaction_id == transaction_id).cloned()
+        self.history.read().transfers.iter().find(|t| t.transaction_id == transaction_id).cloned()
     }
 
     /// Total of available+locked across all accounts — the conservation
@@ -1093,11 +1256,11 @@ impl Database {
             }
             JournalEntry::Transaction(t) => {
                 *max_tx = (*max_tx).max(t.transaction_id);
-                self.transactions.write().push(t.clone());
+                self.history.write().push_transaction(t.clone());
             }
             JournalEntry::Transfer(t) => {
                 *max_tx = (*max_tx).max(t.transaction_id);
-                self.transfers.write().push(t.clone());
+                self.history.write().push_transfer(t.clone());
             }
             JournalEntry::Idem { cert, key, response, seq } => {
                 self.idem.lock().insert_at(*seq, cert, *key, response.clone());
@@ -1133,8 +1296,7 @@ impl Database {
         let accounts = self.accounts.read();
         let _cut = self.journal.appended.lock();
         let through_lsn = disk.last_lsn();
-        let transactions = self.transactions.read();
-        let transfers = self.transfers.read();
+        let history = self.history.read();
         let cache = self.idem.lock();
         let pending = self.ib_pending.lock();
         let mut records: Vec<&AccountRecord> = accounts.records.values().collect();
@@ -1144,8 +1306,8 @@ impl Database {
             next_account_hint: self.next_account.load(Ordering::Relaxed).saturating_sub(1),
             next_tx_hint: self.next_tx.load(Ordering::Relaxed).saturating_sub(1),
             accounts: records,
-            transactions: &transactions,
-            transfers: &transfers,
+            transactions: &history.transactions,
+            transfers: &history.transfers,
             idem: (cache.order.iter())
                 .filter_map(|(seq, k)| {
                     let (live, response) = cache.map.get(k)?;
@@ -1213,9 +1375,9 @@ impl Database {
         for r in self.all_accounts() {
             r.encode(&mut w);
         }
-        let mut rows: Vec<Vec<u8>> = self
+        let history = self.history.read();
+        let mut rows: Vec<Vec<u8>> = history
             .transactions
-            .read()
             .iter()
             .map(|t| {
                 let mut rw = ByteWriter::with_capacity(64);
@@ -1227,9 +1389,8 @@ impl Database {
         for row in rows {
             w.put_bytes(&row);
         }
-        let mut rows: Vec<Vec<u8>> = self
+        let mut rows: Vec<Vec<u8>> = history
             .transfers
-            .read()
             .iter()
             .map(|t| {
                 let mut rw = ByteWriter::with_capacity(64);
@@ -1237,6 +1398,7 @@ impl Database {
                 rw.into_bytes()
             })
             .collect();
+        drop(history);
         rows.sort_unstable();
         for row in rows {
             w.put_bytes(&row);
@@ -1269,6 +1431,7 @@ pub struct CheckpointStats {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
+    use proptest::prelude::*;
 
     /// A database on a fresh scratch store, and the config that reopens it.
     fn scratch_db(tag: &str) -> (Database, StoreConfig) {
@@ -1449,6 +1612,116 @@ mod tests {
         assert_eq!(db.transfers_in_range(&idb, 0, 100).len(), 1);
         assert_eq!(db.transfers_in_range(&ida, 13, 100).len(), 0);
         assert!(db.transfer_by_id(999).is_none());
+    }
+
+    /// What the index must answer: a linear filter of the table, sorted by
+    /// `(date_ms, position)`.
+    fn filtered<R: Clone>(
+        rows: &[R],
+        date_of: fn(&R) -> u64,
+        mine: impl Fn(&R) -> bool,
+        (start_ms, end_ms): (u64, u64),
+    ) -> Vec<R> {
+        let mut hits: Vec<(u64, usize)> = (rows.iter().enumerate())
+            .filter(|(_, r)| mine(r) && date_of(r) >= start_ms && date_of(r) < end_ms)
+            .map(|(pos, r)| (date_of(r), pos))
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, pos)| rows[pos].clone()).collect()
+    }
+
+    fn assert_index_matches_oracle(db: &Database, ids: &[AccountId], windows: &[(u64, u64)]) {
+        for id in ids {
+            for &window in windows {
+                let (start_ms, end_ms) = window;
+                let history = db.history.read();
+                let transactions =
+                    filtered(&history.transactions, |t| t.date_ms, |t| t.account == *id, window);
+                let transfers = filtered(
+                    &history.transfers,
+                    |t| t.date_ms,
+                    |t| t.drawer == *id || t.recipient == *id,
+                    window,
+                );
+                drop(history);
+                assert_eq!(db.transactions_in_range(id, start_ms, end_ms), transactions);
+                assert_eq!(db.transfers_in_range(id, start_ms, end_ms), transfers);
+                match db.statement(id, start_ms, end_ms) {
+                    Ok(st) => {
+                        assert_eq!((st.transactions, st.transfers), (transactions, transfers))
+                    }
+                    Err(_) => assert!(db.get_account(id).is_err(), "{id} has an account"),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Rows dated out of order reach the tables through both commit
+        /// paths, a checkpoint lands somewhere among them, and the index
+        /// must answer like the oracle — live, and again once recovery
+        /// has rebuilt it from the snapshot fold and the replayed tail.
+        #[test]
+        fn index_answers_like_a_linear_filter(
+            ops in prop::collection::vec((0u8..4, 0usize..4, 0usize..4, 0u64..40), 0..50),
+            checkpoint_at in 0usize..50,
+            drawn in prop::collection::vec((0u64..45, 0u64..45), 1..12),
+        ) {
+            let (db, cfg) = scratch_db("index-oracle");
+            let mut ids = Vec::new();
+            // The fifth account never gets a row; the sixth id has no account.
+            for i in 0..5 {
+                let r = record(&db, &format!("/CN=h{i}"), 0);
+                ids.push(r.id);
+                db.insert_account(r).unwrap();
+            }
+            ids.push(AccountId::new(9, 9, 9));
+            for (step, (kind, a, b, date_ms)) in ops.into_iter().enumerate() {
+                if step == checkpoint_at {
+                    db.snapshot_all().unwrap();
+                }
+                let (a, b) = (ids[a], ids[b]);
+                let transaction_id = db.allocate_transaction_id();
+                let row = |account| TransactionRecord {
+                    transaction_id,
+                    account,
+                    tx_type: TransactionType::Transfer,
+                    date_ms,
+                    amount: Credits::ZERO,
+                };
+                if kind == 0 {
+                    db.one_account_commit(&a, |_| Ok(((), Some(row(a))))).unwrap();
+                } else if a != b {
+                    // One kind in three names the drawer on both sides
+                    // of the row: it is still one row of one statement.
+                    let recipient = if kind == 3 { a } else { b };
+                    let transfer = TransferRecord {
+                        transaction_id,
+                        date_ms,
+                        drawer: a,
+                        amount: Credits::ZERO,
+                        recipient,
+                        rur_blob: vec![kind],
+                        trace_id: 0,
+                    };
+                    let rows = CommitRows {
+                        transactions: vec![row(a), row(b)],
+                        transfer: Some(transfer),
+                        ..CommitRows::default()
+                    };
+                    db.two_account_commit(&a, &b, |_a, _b| Ok(()), rows).unwrap();
+                }
+            }
+            let mut windows = drawn;
+            windows.extend([(0, u64::MAX), (20, u64::MAX), (7, 7), (30, 10), (u64::MAX, u64::MAX)]);
+            assert_index_matches_oracle(&db, &ids, &windows);
+            let digest = db.state_digest();
+            let db = reopen(db, &cfg);
+            assert_index_matches_oracle(&db, &ids, &windows);
+            prop_assert_eq!(db.state_digest(), digest);
+            let _ = std::fs::remove_dir_all(&cfg.dir);
+        }
     }
 
     #[test]
@@ -2047,15 +2320,16 @@ mod loom_model {
         });
     }
 
-    /// A keyed cross-branch payment — a two-account commit carrying an
-    /// idempotency stamp and an `IbOut` credit — racing a checkpoint. The
-    /// stamp and the credit enter their tables before the batch is
-    /// journaled, so a snapshot may carry them only when the batch's LSNs
-    /// are at or below its cut. One that is in the snapshot *and* in the
-    /// tail past it was captured ahead of its journal entry: a crash
-    /// before the append would have kept a stamp for a payment that never
-    /// committed (ROADMAP item 1 (vii), possible while a stamp sat on a
-    /// shard its committer did not hold).
+    /// A keyed cross-branch payment — a two-account commit carrying its
+    /// history rows, an idempotency stamp and an `IbOut` credit — racing
+    /// a checkpoint. Rows, stamp and credit enter their tables (each
+    /// behind a lock of its own, taken inside the accounts lock) before
+    /// the batch is journaled, so a snapshot may carry them only when the
+    /// batch's LSNs are at or below its cut. One that is in the snapshot
+    /// *and* in the tail past it was captured ahead of its journal entry:
+    /// a crash before the append would have kept a stamp for a payment
+    /// that never committed (ROADMAP item 1 (vii), possible while a stamp
+    /// sat on a shard its committer did not hold).
     #[test]
     fn snapshot_during_keyed_commit_never_runs_ahead_of_the_journal() {
         loom::model(|| {
@@ -2071,6 +2345,22 @@ mod loom_model {
                 let db = Arc::clone(&db);
                 loom::thread::spawn(move || {
                     let rows = CommitRows {
+                        transactions: vec![TransactionRecord {
+                            transaction_id: 1,
+                            account: from,
+                            tx_type: TransactionType::Transfer,
+                            date_ms: 1,
+                            amount: Credits::from_gd(-4),
+                        }],
+                        transfer: Some(TransferRecord {
+                            transaction_id: 1,
+                            date_ms: 1,
+                            drawer: from,
+                            amount: Credits::from_gd(4),
+                            recipient: to,
+                            rur_blob: vec![],
+                            trace_id: 0,
+                        }),
                         idem: Some(IdemStamp {
                             cert: "/CN=loom-payer".into(),
                             key: 7,
@@ -2084,7 +2374,6 @@ mod loom_model {
                             drawer: from,
                             idem: Some(("/CN=loom-payer".into(), 7)),
                         }),
-                        ..CommitRows::default()
                     };
                     let park = |a: &mut AccountRecord, b: &mut AccountRecord| {
                         a.available = a.available.checked_sub(Credits::from_gd(4))?;
@@ -2107,6 +2396,16 @@ mod loom_model {
             let replayed = |wanted: fn(&JournalEntry) -> bool| {
                 state.tail.iter().any(|(lsn, e)| *lsn > state.base.through_lsn && wanted(e))
             };
+            assert!(
+                state.base.transactions.is_empty()
+                    || !replayed(|e| matches!(e, JournalEntry::Transaction(_))),
+                "the snapshot holds a transaction row its cut does not cover"
+            );
+            assert!(
+                state.base.transfers.is_empty()
+                    || !replayed(|e| matches!(e, JournalEntry::Transfer(_))),
+                "the snapshot holds a transfer row its cut does not cover"
+            );
             assert!(
                 state.base.idem.is_empty() || !replayed(|e| matches!(e, JournalEntry::Idem { .. })),
                 "the snapshot holds a stamp its cut does not cover"

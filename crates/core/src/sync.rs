@@ -45,10 +45,8 @@ pub(crate) mod rank {
     pub const ACCOUNTS: u16 = 80;
     /// `JournalStore.appended`.
     pub const JOURNAL: u16 = 110;
-    /// `Database.transactions`.
-    pub const AUDIT_TRANSACTIONS: u16 = 120;
-    /// `Database.transfers`.
-    pub const AUDIT_TRANSFERS: u16 = 130;
+    /// `Database.history`.
+    pub const HISTORY: u16 = 120;
     /// `Database.idem`.
     pub const IDEM_CACHE: u16 = 140;
     /// `Database.ib_pending`.

@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one signature scheme guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -94,6 +94,18 @@ if grep -rnE --include='*.rs' \
   'entry_shard|account_shard|cert_shard|key_shard|snapshot_shard|ShardInventory|ascending_index|shard_dir' \
   crates tests examples src; then
   echo "lock guard: one accounts lock, one snapshot directory, one lock per rank" >&2
+  exit 1
+fi
+# One history lock (DESIGN.md §4, EXPERIMENTS.md E27): the TRANSACTION and
+# TRANSFER tables and their (account, date) index change together, so the
+# two per-table locks cannot grow back and only `impl History` may add a
+# row: a push anywhere else in db.rs would leave the index behind.
+if grep -rnE --include='*.rs' 'AUDIT_TRANSACTIONS|AUDIT_TRANSFERS' crates tests examples src \
+  || awk '/^impl History \{/ { inside = 1 } inside && /^\}/ { inside = 0 }
+      !inside && /(transactions|transfers)\.(push|insert|extend|append)\(/ {
+        print FILENAME ":" FNR ":" $0; found = 1 }
+      END { exit !found }' crates/core/src/db.rs; then
+  echo "lock guard: history rows change only through History::push_transaction / push_transfer" >&2
   exit 1
 fi
 # One signature scheme (DESIGN.md §2, EXPERIMENTS.md E26): Winternitz

@@ -27,6 +27,18 @@ fn subject(cn: &str) -> SubjectName {
 }
 
 /// Runs one netting pass on every router; returns the net moved.
+/// One durable branch on a scratch store, and where that store is.
+fn durable_branch(tag: &str) -> (Deployment, std::path::PathBuf) {
+    let store = StoreConfig::scratch(tag);
+    let dir = store.dir.clone();
+    let world = Deployment::boot(DeployConfig {
+        branches: vec![BranchConfig { bank: bank_config(), store: Some(store) }],
+        ..DeployConfig::single(bank_config())
+    })
+    .unwrap();
+    (world, dir)
+}
+
 fn settle(world: &Deployment) -> Credits {
     let mut net = Credits::ZERO;
     for router in world.routers() {
@@ -83,13 +95,7 @@ fn two_branches_settle_keyed_cross_branch_transfers_across_a_reboot() {
 
 #[test]
 fn durable_branch_survives_kill_and_reboot_without_a_journal_mirror() {
-    let store = StoreConfig::scratch("deploy-single");
-    let dir = store.dir.clone();
-    let mut world = Deployment::boot(DeployConfig {
-        branches: vec![BranchConfig { bank: bank_config(), store: Some(store) }],
-        ..DeployConfig::single(bank_config())
-    })
-    .unwrap();
+    let (mut world, dir) = durable_branch("deploy-single");
 
     let mut alice = world.identity(subject("alice"), 10).unwrap().connect(1).unwrap();
     let alice_account = alice.create_account(None).unwrap();
@@ -122,6 +128,49 @@ fn durable_branch_survives_kill_and_reboot_without_a_journal_mirror() {
     let mut alice = world.identity(subject("alice"), 12).unwrap().connect(1).unwrap();
     alice.direct_transfer(bob_account, Credits::from_gd(1), "bob.host/after").unwrap();
     assert!(db(&world).journal_len() > entries);
+    drop(world);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn statements_read_the_same_from_a_snapshot_and_a_replayed_tail() {
+    let (mut world, dir) = durable_branch("deploy-statements");
+    let mut alice = world.identity(subject("alice"), 20).unwrap().connect(1).unwrap();
+    let alice_account = alice.create_account(None).unwrap();
+    let mut bob = world.identity(subject("bob"), 21).unwrap().connect(1).unwrap();
+    let bob_account = bob.create_account(None).unwrap();
+    world.admin(1).unwrap().admin_deposit(alice_account, Credits::from_gd(50)).unwrap();
+
+    let db = |w: &Deployment| w.bank(1).unwrap().accounts.db().clone();
+    // Every account's whole statement: the index is in no snapshot and
+    // no journal, so recovery has to rebuild all of it.
+    let statements = |w: &Deployment| -> Vec<_> {
+        let db = db(w);
+        db.all_accounts().iter().map(|r| db.statement(&r.id, 0, u64::MAX).unwrap()).collect()
+    };
+    // Rows on both sides of a checkpoint: the first come back through
+    // the snapshot fold, the rest through the replayed tail.
+    for k in 0..4 {
+        alice.direct_transfer(bob_account, Credits::from_gd(2), &format!("bob.host/{k}")).unwrap();
+    }
+    db(&world).checkpoint().unwrap();
+    for k in 0..3 {
+        bob.direct_transfer(alice_account, Credits::from_gd(1), &format!("alice.host/{k}"))
+            .unwrap();
+    }
+    let (before, digest) = (statements(&world), db(&world).state_digest());
+    let of = |account| before.iter().find(|st| st.account.id == account).unwrap();
+    assert_eq!(of(alice_account).transfers.len(), 7);
+    assert_eq!(of(alice_account).transactions.len(), 8, "the deposit and seven payments");
+    assert_eq!(of(bob_account).transactions.len(), 7);
+
+    drop((alice, bob));
+    world.kill(1).unwrap();
+    world.reboot(1).unwrap();
+    let report = world.recovery(1).expect("the reboot recovered from the store");
+    assert!(report.snapshots_loaded > 0 && report.tail_entries_replayed > 0, "{report:?}");
+    assert_eq!(statements(&world), before);
+    assert_eq!(db(&world).state_digest(), digest);
     drop(world);
     let _ = std::fs::remove_dir_all(&dir);
 }
