@@ -10,37 +10,6 @@ const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
-/// Computes `HMAC-SHA256(key, message)`.
-///
-/// Keys longer than the 64-byte block size are hashed first, per RFC 2104.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let kh = sha256(key);
-        key_block[..DIGEST_LEN].copy_from_slice(kh.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut inner = Sha256::new();
-    let mut ipad = [0u8; BLOCK_LEN];
-    for (o, k) in ipad.iter_mut().zip(key_block.iter()) {
-        *o = k ^ IPAD;
-    }
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    let mut opad = [0u8; BLOCK_LEN];
-    for (o, k) in opad.iter_mut().zip(key_block.iter()) {
-        *o = k ^ OPAD;
-    }
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
-}
-
 /// Incremental HMAC, for MACing framed messages without concatenation.
 ///
 /// The state is the two SHA-256 midstates left by the key's inner and
@@ -54,7 +23,8 @@ pub struct HmacSha256 {
 }
 
 impl HmacSha256 {
-    /// Starts an HMAC computation under `key`.
+    /// Starts an HMAC computation under `key`. Keys longer than the
+    /// 64-byte block size are hashed first, per RFC 2104.
     pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
@@ -69,6 +39,16 @@ impl HmacSha256 {
         HmacSha256 { inner, outer }
     }
 
+    /// The MAC of a message of at most
+    /// [`ONE_BLOCK_MAX`](crate::sha256::ONE_BLOCK_MAX) bytes under a keyed
+    /// state that has been fed nothing: the message and the inner digest
+    /// each pad into one block laid out directly, so it costs two
+    /// compressions and no copy of the state. A keystream block of the
+    /// sealed channel is one of these. Panics on a longer message.
+    pub fn tag_short(&self, message: &[u8]) -> Digest {
+        self.outer.finalize_one_block(self.inner.finalize_one_block(message).as_bytes())
+    }
+
     /// Feeds message bytes.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         self.inner.update(data);
@@ -80,6 +60,13 @@ impl HmacSha256 {
         self.outer.update(self.inner.finalize().as_bytes());
         self.outer.finalize()
     }
+}
+
+/// Computes `HMAC-SHA256(key, message)` in one call.
+pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+    let mut mac = HmacSha256::new(key);
+    mac.update(message);
+    mac.finalize()
 }
 
 /// Constant-shape MAC comparison.
@@ -122,6 +109,7 @@ pub fn hkdf_expand(prk: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::ONE_BLOCK_MAX;
 
     // RFC 4231 test vectors for HMAC-SHA256.
     #[test]
@@ -183,6 +171,17 @@ mod tests {
             let mut mac = keyed.clone();
             mac.update(msg);
             assert_eq!(mac.finalize(), hmac_sha256(b"one key, many messages", msg));
+        }
+    }
+
+    #[test]
+    fn the_short_message_path_matches_the_incremental_one_at_every_length() {
+        let keyed = HmacSha256::new(b"one key, many short messages");
+        let msg: Vec<u8> = (1u8..=ONE_BLOCK_MAX as u8).collect();
+        for len in 0..=ONE_BLOCK_MAX {
+            let mut mac = keyed.clone();
+            mac.update(&msg[..len]);
+            assert_eq!(keyed.tag_short(&msg[..len]), mac.finalize(), "len {len}");
         }
     }
 

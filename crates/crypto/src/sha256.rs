@@ -196,6 +196,29 @@ impl Sha256 {
         self.state_digest()
     }
 
+    /// The digest of everything absorbed so far followed by `tail`, for a
+    /// hasher standing on a block boundary and a tail of at most
+    /// [`ONE_BLOCK_MAX`] bytes: the padded last block is laid out directly
+    /// and compressed once, without the incremental hasher's buffering and
+    /// without consuming `self`. Panics on a longer tail or a hasher
+    /// holding a partial block.
+    // Inlined so that `sha256_one_block`'s fresh hasher folds away and the
+    // sealed channel's two calls per keystream block cross the crate
+    // boundary as one compression each.
+    #[inline]
+    pub fn finalize_one_block(&self, tail: &[u8]) -> Digest {
+        assert!(self.buf_len == 0, "{} bytes are buffered short of a block", self.buf_len);
+        assert!(tail.len() <= ONE_BLOCK_MAX, "{} bytes do not pad into one block", tail.len());
+        let mut block = [0u8; 64];
+        block[..tail.len()].copy_from_slice(tail);
+        block[tail.len()] = 0x80;
+        let bit_len = self.total_len.wrapping_add(tail.len() as u64).wrapping_mul(8);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let mut last = Sha256 { state: self.state, ..Sha256::new() };
+        last.compress(&block);
+        last.state_digest()
+    }
+
     fn state_digest(&self) -> Digest {
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -253,19 +276,12 @@ pub fn sha256(data: &[u8]) -> Digest {
 /// Longest message that pads into a single SHA-256 block.
 pub const ONE_BLOCK_MAX: usize = 55;
 
-/// SHA-256 of a message of at most [`ONE_BLOCK_MAX`] bytes: the padded
-/// block is laid out directly and compressed once, without the
-/// incremental hasher's buffering. A Winternitz signature is some five
-/// hundred of these back to back. Panics on a longer message.
+/// SHA-256 of a message of at most [`ONE_BLOCK_MAX`] bytes in one
+/// compression ([`Sha256::finalize_one_block`] on a fresh hasher). A
+/// Winternitz signature is some five hundred of these back to back.
+/// Panics on a longer message.
 pub fn sha256_one_block(msg: &[u8]) -> Digest {
-    assert!(msg.len() <= ONE_BLOCK_MAX, "{} bytes do not pad into one block", msg.len());
-    let mut block = [0u8; 64];
-    block[..msg.len()].copy_from_slice(msg);
-    block[msg.len()] = 0x80;
-    block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
-    let mut h = Sha256::new();
-    h.compress(&block);
-    h.state_digest()
+    Sha256::new().finalize_one_block(msg)
 }
 
 /// SHA-256 over the concatenation of several byte slices without copying
@@ -347,6 +363,21 @@ mod tests {
         let msg: Vec<u8> = (1u8..=ONE_BLOCK_MAX as u8).collect();
         for len in 0..=ONE_BLOCK_MAX {
             assert_eq!(sha256_one_block(&msg[..len]), sha256(&msg[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn one_block_finish_after_whole_blocks_matches_the_hasher() {
+        let head = [0x36u8; 128];
+        let tail: Vec<u8> = (1u8..=ONE_BLOCK_MAX as u8).collect();
+        for blocks in 0..=2 {
+            let mut h = Sha256::new();
+            h.update(&head[..blocks * 64]);
+            for len in [0, 1, 18, 32, ONE_BLOCK_MAX] {
+                let mut whole = h.clone();
+                whole.update(&tail[..len]);
+                assert_eq!(h.finalize_one_block(&tail[..len]), whole.finalize(), "{blocks}+{len}");
+            }
         }
     }
 

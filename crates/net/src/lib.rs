@@ -35,6 +35,8 @@
 //! * [`retry`] — capped-exponential-backoff retry policy with
 //!   decorrelated jitter plus a circuit breaker for failing peers.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod error;
 pub mod fault;

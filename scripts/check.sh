@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -114,6 +114,14 @@ fi
 # and the mutex shim around the signer cannot grow back.
 if grep -rniE --include='*.rs' 'lamport|leaf_pk|parking_lot_free' crates tests examples src; then
   echo "signature guard: one one-time scheme (crates/crypto/src/wots.rs), no carried leaf key" >&2
+  exit 1
+fi
+# One keystream (EXPERIMENTS.md E28): the sealed channel XORs counter-mode
+# blocks from a keyed HMAC state into the frame where it lies. A
+# from-scratch one-shot HMAC per block, or a keystream returned as a
+# buffer of its own, cannot grow back.
+if grep -nE 'hmac_sha256\(|fn keystream' crates/net/src/channel.rs; then
+  echo "keystream guard: seal and open in place from the keyed HmacSha256 states" >&2
   exit 1
 fi
 scripts/loc.sh
