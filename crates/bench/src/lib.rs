@@ -20,12 +20,9 @@ use gridbank_rur::Credits;
 /// Criterion tuned for a broad suite: small samples, short measurement.
 ///
 /// Set `GRIDBANK_TELEMETRY=1` to run the same suite with tracing and
-/// metrics live — the pair of runs quantifies the telemetry overhead
-/// (EXPERIMENTS.md E14).
+/// metrics live (`gridbank_obs` reads it on first use) — the pair of
+/// runs quantifies the telemetry overhead (EXPERIMENTS.md E14).
 pub fn quick() -> Criterion {
-    if std::env::var_os("GRIDBANK_TELEMETRY").is_some_and(|v| v == "1") {
-        gridbank_obs::set_telemetry(true);
-    }
     Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_millis(800))

@@ -17,6 +17,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use gridbank_core::accounts::GbAccounts;
 use gridbank_core::admin::GbAdmin;
@@ -271,15 +272,18 @@ fn run_settle(args: &Args) -> Result<String, String> {
     let (mut payers, accounts) = fund_payers(&world)?;
 
     // Ring of cross-branch payments: every branch pays the next one.
+    let sent = payments * branches as u64;
+    let started = Instant::now();
     ring_payments(&mut payers, &accounts, payments, amount)?;
+    let paying = started.elapsed();
 
     // One netting pass (branch 1 proposes; remaining pairs drain too).
     let mut out = format!(
-        "federated settle: {branches} branches, {} cross-branch payments of {amount}\n",
-        payments * branches as u64
+        "federated settle: {branches} branches, {sent} cross-branch payments of {amount}\n"
     );
     let mut gross = Credits::ZERO;
     let mut net = Credits::ZERO;
+    let started = Instant::now();
     for router in world.routers() {
         let report = router.settle_once().map_err(|e| e.to_string())?;
         for p in &report.pairs {
@@ -294,7 +298,14 @@ fn run_settle(args: &Args) -> Result<String, String> {
         gross = gross.saturating_add(report.total_gross());
         net = net.saturating_add(report.total_net());
     }
+    let netting = started.elapsed();
     out.push_str(&format!("total gross {gross} -> net {net}\n"));
+    out.push_str(&format!(
+        "{sent} cross-branch payments in {:.1} ms ({:.0}/s); netting pass {} µs\n",
+        paying.as_secs_f64() * 1e3,
+        sent as f64 / paying.as_secs_f64().max(1e-9),
+        netting.as_micros()
+    ));
 
     // The acceptance check: clearing accounts net to zero and no credit
     // is stranded.
@@ -337,7 +348,9 @@ fn run_market_demo(args: &Args) -> Result<String, String> {
         return Err("--population too small to seat payers, barter members and streams".into());
     }
 
+    let started = Instant::now();
     let report = run_market(&cfg)?;
+    let elapsed = started.elapsed().as_secs_f64();
     let mut out = format!(
         "market economy: {} accounts over 2 branches, seed {:#x}\n",
         report.population * 2,
@@ -368,6 +381,10 @@ fn run_market_demo(args: &Args) -> Result<String, String> {
         report.initial_total, report.final_total, report.journal_len[0], report.journal_len[1]
     ));
     out.push_str(&format!("ledger digest:   {:#018x}\n", report.ledger_digest));
+    out.push_str(&format!(
+        "elapsed {elapsed:.2} s, {:.0} spot payments/s\n",
+        f64::from(report.spot_payments) / elapsed.max(1e-9)
+    ));
 
     // The acceptance check: every hard invariant, or a nonzero exit.
     report.verify()?;
@@ -1028,6 +1045,8 @@ mod tests {
         let out = run(&args(&["settle", "--payments", "1"])).unwrap();
         assert!(out.contains("clearing accounts net to zero"), "{out}");
         assert!(out.contains("gross"), "{out}");
+        let timing = out.lines().find(|l| l.starts_with("2 cross-branch payments in ")).unwrap();
+        assert!(timing.contains(" ms (") && timing.contains("/s); netting pass "), "{out}");
 
         // `branches` on a ledger with no clearing accounts says so.
         let out = run(&args(&["--db", db, "branches"])).unwrap();
@@ -1191,6 +1210,8 @@ mod tests {
         assert!(out.contains("market economy: 120 accounts"), "{out}");
         assert!(out.contains("2 settled (1 dutch, 1 english)"), "{out}");
         assert!(out.contains("ledger digest:"), "{out}");
+        let timing = out.lines().find(|l| l.starts_with("elapsed ")).unwrap();
+        assert!(timing.ends_with(" spot payments/s"), "{out}");
         assert!(
             out.contains(
                 "invariants: conservation, exactly-once settlement, zero stranded credit — OK"

@@ -70,25 +70,6 @@ impl ResilientBankClient {
     pub fn with_breaker(self, breaker: CircuitBreaker) -> Self {
         BankClient::over(RetryLink { breaker, ..self.into_link() })
     }
-
-    /// Blocks until the bank answers again — the restart-to-serving
-    /// probe used by recovery drills (docs/STORAGE.md §5): sends a
-    /// cheap read through the full reconnect/backoff machinery until a
-    /// typed response arrives, for at most `max_rounds` retry schedules.
-    /// Any typed bank response (even an error) counts as serving; only
-    /// transport-level failure keeps probing.
-    pub fn await_serving(&mut self, max_rounds: usize) -> Result<(), BankError> {
-        let mut last = BankError::Protocol("await_serving given zero rounds".into());
-        for _ in 0..max_rounds {
-            match self.my_account() {
-                Err(BankError::Net(e)) => last = BankError::Net(e),
-                // A typed bank error is a successful round trip: the
-                // server is up and dispatching.
-                _ => return Ok(()),
-            }
-        }
-        Err(last)
-    }
 }
 
 impl RetryLink {

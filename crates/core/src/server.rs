@@ -834,9 +834,8 @@ impl ConnectionGate for BankGate {
 
 /// Sizing knobs for the network front-end.
 ///
-/// The defaults suit tests and small simulations; the load generator
-/// (`gridbank-bench loadgen`) raises `workers` to saturate the group-
-/// commit journal. See `docs/BENCHMARKS.md`.
+/// The defaults suit tests and small simulations; the reference
+/// benchmark (`benchmark/`) sets `workers` to the host's core count.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerTuning {
     /// Worker threads executing requests, shared across connections.

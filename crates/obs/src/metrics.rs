@@ -531,7 +531,7 @@ mod tests {
     }
 
     // Regression for the `p99 = 16777215` (2^24 − 1) artifact seen in
-    // BENCH_payments.json: when the nearest-rank sample was the *last*
+    // an early load-generator report: when the nearest-rank sample was the *last*
     // one in its bucket, edge interpolation returned exactly `hi` — a
     // power-of-two boundary masquerading as a measurement. This shape
     // mirrors the benchmark run: a dense body in bucket 22 with a thin

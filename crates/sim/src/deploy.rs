@@ -7,8 +7,8 @@
 //! full mesh of resilient settlement routes — and hands out
 //! authenticated connections through one path: [`Deployment::identity`]
 //! then [`Identity::connect`] or [`Identity::connector`]. Simulations,
-//! the CLI, the load generator, the integration tests and the examples
-//! all stand their worlds up here.
+//! the CLI, the integration tests and the examples all stand their
+//! worlds up here.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

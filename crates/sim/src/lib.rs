@@ -24,9 +24,6 @@
 //! * [`chaos`] — the E15 fault-injection harness: Figure-1 payment flows
 //!   over a seeded lossy network, with conservation evidence for the
 //!   exactly-once guarantees (see `docs/RESILIENCE.md`).
-//! * [`recovery`] — the restart-to-serving drill: a live durable branch
-//!   is killed and rebooted, and the report shows replay was bounded by
-//!   the journal tail (docs/STORAGE.md §5, `gridbank-bench --recovery`).
 //! * [`market`] — the population-scale market economy: Zipf/diurnal
 //!   spot traffic, flash-crowd capacity auctions settled exactly-once
 //!   through live servers, a co-op barter ring, and PayWord streams,
@@ -37,7 +34,6 @@ pub mod deploy;
 pub mod engine;
 pub mod market;
 pub mod metrics;
-pub mod recovery;
 pub mod scenario;
 pub mod topology;
 pub mod workload;
@@ -46,7 +42,6 @@ pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use deploy::{BranchConfig, DeployConfig, DeployError, Deployment, Identity};
 pub use engine::Simulator;
 pub use market::{run_market, EconomyConfig, EconomyReport};
-pub use recovery::{run_recovery, RecoveryConfig, RecoveryDrillReport};
 pub use scenario::{CoopReport, GridScenario, MarketReport, ScenarioConfig};
 pub use topology::{build_grid, TopologyConfig};
 pub use workload::{JobSizeDistribution, WorkloadConfig, WorkloadEvent};

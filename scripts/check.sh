@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -124,13 +124,22 @@ if grep -nE 'hmac_sha256\(|fn keystream' crates/net/src/channel.rs; then
   echo "keystream guard: seal and open in place from the keyed HmacSha256 states" >&2
   exit 1
 fi
+# One benchmark (EXPERIMENTS.md E29): `benchmark/` measures the payment
+# traffic, `gridbank settle` / `gridbank market` time their own runs. The
+# second load generator, its JSON report and its recovery drill cannot
+# grow back.
+if grep -rnE --include='*.rs' 'loadgen|BENCH_payments|run_recovery|RecoveryDrillReport|await_serving' \
+  crates tests examples src || [[ -e crates/bench/src/main.rs ]]; then
+  echo "benchmark guard: measure through benchmark/ and the CLI drivers only" >&2
+  exit 1
+fi
 scripts/loc.sh
 
 stage "tier-1: cargo build --release && cargo test"
 cargo build --release
 # The root package's release build does not cover the workspace
-# binaries the smoke stages below shell out to; build them explicitly.
-cargo build --release -p gridbank-cli -p gridbank-bench
+# binary the smoke stages below shell out to; build it explicitly.
+cargo build --release -p gridbank-cli
 cargo test -q
 
 # Chaos suite (E15): `cargo test` above already ran it at its fixed
@@ -150,33 +159,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p gridbank-net -p gridbank-obs -p gridbank-rur -p gridbank-sim \
   -p gridbank-trade
 
-# Loadgen smoke (E16): a miniature end-to-end run against a live server
-# must produce valid JSON with nonzero throughput for both strategies.
-# Not a benchmark — only proves the pipeline path works.
-stage "loadgen smoke (docs/BENCHMARKS.md §7)"
-smoke_out="$(mktemp /tmp/loadgen_smoke.XXXXXX.json)"
-./target/release/gridbank-bench loadgen \
-  --strategies paybefore,cheque --duration-ms 200 --warmup-ms 50 \
-  --out "$smoke_out"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$smoke_out" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-for name in ("paybefore", "cheque"):
-    s = report["strategies"][name]
-    assert s["ops"] > 0, f"{name}: zero ops"
-    assert s["throughput_ops_per_sec"] > 0, f"{name}: zero throughput"
-    assert s["latency_ns"]["p99"] >= s["latency_ns"]["p50"] > 0, f"{name}: bad percentiles"
-print("loadgen smoke OK:", {n: report["strategies"][n]["ops"] for n in ("paybefore", "cheque")})
-PY
-else
-  grep -q '"throughput_ops_per_sec": [1-9]' "$smoke_out" || {
-    echo "loadgen smoke: no nonzero throughput in $smoke_out" >&2
-    exit 1
-  }
-fi
-rm -f "$smoke_out"
+# Benchmark smoke (benchmark/README.md): every workload of the one
+# benchmark at tiny counts through live servers — digest and funds across
+# a kill on `cheque_durable` included. Exits 1 on any failed output check.
+stage "benchmark smoke (bash benchmark/run.sh run --smoke)"
+bash benchmark/run.sh run --smoke
 
 # Federation smoke (§6): two live branch servers, cross-branch payments
 # over RPC, one netting pass. `gridbank settle` exits non-zero itself
@@ -223,38 +210,6 @@ grep -q "invariants: conservation, exactly-once settlement, zero stranded credit
   echo "market smoke: economy invariants not confirmed" >&2
   exit 1
 }
-
-# Recovery smoke (docs/STORAGE.md §5): populate a live durable branch
-# over the wire, checkpoint, keep paying (the replay tail), kill the
-# process state, restart on the same store, and require the restarted
-# branch to serve with an identical ledger digest having replayed only
-# the tail. `gridbank-bench loadgen --recovery` runs exactly that drill
-# and reports the verdict; the strategy window is minimal — the drill
-# is the payload here.
-stage "recovery smoke (docs/STORAGE.md §5)"
-rec_out="$(mktemp /tmp/recovery_smoke.XXXXXX.json)"
-./target/release/gridbank-bench loadgen --recovery \
-  --strategies paybefore --duration-ms 100 --warmup-ms 20 \
-  --out "$rec_out"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$rec_out" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    r = json.load(f)["recovery"]
-assert r["invariants_ok"], "recovery drill invariants violated"
-assert r["snapshots_loaded"] == 1, "the state was not recovered from a snapshot"
-assert 0 < r["tail_entries_replayed"] < r["journal_entries_total"], \
-    "replay was not tail-only"
-print("recovery smoke OK:", {k: r[k] for k in
-      ("accounts", "tail_entries_replayed", "journal_entries_total")})
-PY
-else
-  grep -q '"invariants_ok": true' "$rec_out" || {
-    echo "recovery smoke: drill invariants not confirmed in $rec_out" >&2
-    exit 1
-  }
-fi
-rm -f "$rec_out"
 
 # Docs link check: every relative markdown link target in README/DESIGN/
 # docs must exist on disk — doc rot fails the gate, not review.

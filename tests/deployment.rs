@@ -159,6 +159,7 @@ fn statements_read_the_same_from_a_snapshot_and_a_replayed_tail() {
             .unwrap();
     }
     let (before, digest) = (statements(&world), db(&world).state_digest());
+    let (funds, entries) = (world.total_funds(), db(&world).journal_len());
     let of = |account| before.iter().find(|st| st.account.id == account).unwrap();
     assert_eq!(of(alice_account).transfers.len(), 7);
     assert_eq!(of(alice_account).transactions.len(), 8, "the deposit and seven payments");
@@ -168,10 +169,20 @@ fn statements_read_the_same_from_a_snapshot_and_a_replayed_tail() {
     world.kill(1).unwrap();
     world.reboot(1).unwrap();
     let report = world.recovery(1).expect("the reboot recovered from the store");
-    assert!(report.snapshots_loaded > 0 && report.tail_entries_replayed > 0, "{report:?}");
+    assert_eq!(report.snapshots_loaded, 1, "{report:?}");
+    // Replay is bounded by the tail past the checkpoint, not by history.
+    assert!(
+        0 < report.tail_entries_replayed && report.tail_entries_replayed < entries,
+        "{report:?}"
+    );
     assert_eq!(statements(&world), before);
     assert_eq!(db(&world).state_digest(), digest);
-    drop(world);
+    assert_eq!(world.total_funds(), funds);
+
+    // The rebooted branch answers over the wire.
+    let mut alice = world.identity(subject("alice"), 22).unwrap().connect(1).unwrap();
+    assert_eq!(alice.my_account().unwrap().id, alice_account);
+    drop((alice, world));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
