@@ -1,8 +1,10 @@
 //! Shared fixtures for the GridBank benchmark harness.
 //!
-//! One bench target per experiment in EXPERIMENTS.md (E2, E4–E6,
-//! E8–E13). Every bench uses [`quick`] Criterion settings so the full
-//! suite finishes in minutes while still reporting stable medians.
+//! One bench target per experiment in EXPERIMENTS.md that no benchmark
+//! probe reports (E2, E4, E6, E8, E9, E11, E12; docs/BENCHMARKS.md), plus
+//! the design ablations. Every bench uses [`quick`] Criterion settings so
+//! the full suite finishes in minutes while still reporting stable
+//! medians.
 
 use std::sync::Arc;
 

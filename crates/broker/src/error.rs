@@ -28,16 +28,14 @@ pub enum BrokerError {
 
 impl BrokerError {
     /// Whether this failure is a transient bank-link condition — a
-    /// retryable transport error or an open circuit breaker — rather
-    /// than a real refusal. Transient failures mean "the bank is
-    /// unreachable right now": the broker should defer the affected
-    /// job and carry on (graceful degradation) instead of aborting the
-    /// batch or treating the funds as gone.
+    /// retryable transport error — rather than a real refusal.
+    /// Transient failures mean "the bank is unreachable right now": the
+    /// broker should defer the affected job and carry on (graceful
+    /// degradation) instead of aborting the batch or treating the funds
+    /// as gone.
     pub fn is_transient(&self) -> bool {
         match self {
-            BrokerError::Bank(BankError::Net(e)) => {
-                e.is_retryable() || matches!(e, gridbank_net::NetError::CircuitOpen)
-            }
+            BrokerError::Bank(BankError::Net(e)) => e.is_retryable(),
             _ => false,
         }
     }

@@ -72,7 +72,7 @@ pub struct PaymentModule<L: BankLink> {
     pub tracker: BudgetTracker,
     account: Option<AccountId>,
     /// Instrument requests that failed on a *transient* bank-link
-    /// condition (retryable transport error / open circuit). The
+    /// condition (a retryable transport error). The
     /// commitment was rolled back; the broker can re-issue these once
     /// the bank is reachable again instead of failing the batch.
     pub deferred: u64,
@@ -274,8 +274,9 @@ mod tests {
                 request: &BankRequest,
             ) -> Result<BankResponse, BankError> {
                 Err(match request {
-                    BankRequest::DirectTransfer { .. } => BankError::Net(NetError::CircuitOpen),
-                    BankRequest::RequestCheque { .. } => BankError::Net(NetError::Disconnected),
+                    BankRequest::DirectTransfer { .. } | BankRequest::RequestCheque { .. } => {
+                        BankError::Net(NetError::Disconnected)
+                    }
                     BankRequest::RequestHashChain { .. } => BankError::NotAuthorized("nope".into()),
                     _ => BankError::Net(NetError::Timeout),
                 })
@@ -287,7 +288,7 @@ mod tests {
         let err = m.obtain_cheque("/CN=gsp", Credits::from_gd(2), 1_000).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(m.deferred, 1);
-        // Circuit-open prepay: transient too.
+        // Disconnected prepay: transient too.
         let err = m.prepay(AccountId::new(0, 1, 1), Credits::from_gd(1), "gsp").unwrap_err();
         assert!(err.is_transient());
         assert_eq!(m.deferred, 2);

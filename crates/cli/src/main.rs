@@ -461,11 +461,10 @@ fn render_health(h: &HealthReport) -> String {
     );
     for p in &h.peers {
         out.push_str(&format!(
-            "  peer {:04}: clearing {} · {} · breaker {}\n",
+            "  peer {:04}: clearing {} · {}\n",
             p.branch,
             p.clearing,
             if p.reachable { "reachable" } else { "unreachable" },
-            p.breaker.as_deref().unwrap_or("n/a"),
         ));
     }
     out
@@ -479,14 +478,8 @@ fn health_jsonl(h: &HealthReport) -> String {
         .iter()
         .map(|p| {
             format!(
-                "{{\"branch\":{},\"clearing\":\"{}\",\"reachable\":{},\"breaker\":{}}}",
-                p.branch,
-                p.clearing,
-                p.reachable,
-                match &p.breaker {
-                    Some(b) => format!("\"{b}\""),
-                    None => "null".to_string(),
-                },
+                "{{\"branch\":{},\"clearing\":\"{}\",\"reachable\":{}}}",
+                p.branch, p.clearing, p.reachable,
             )
         })
         .collect();
@@ -570,7 +563,7 @@ fn run_remote_metrics(args: &Args) -> Result<String, String> {
 /// and between frames scrapes `OpsQuery::{Health,Metrics}` from
 /// branch 1 as the enrolled `OPS_ADMIN` — rendering throughput, the six
 /// `server.stage.*` histograms (count, p50/p95/p99, and a p95 trend
-/// sparkline across frames), peer breaker states, and the health
+/// sparkline across frames), peer reachability, and the health
 /// verdict. `--frames N` bounds the run (default 4) so it terminates.
 fn run_top(args: &Args) -> Result<String, String> {
     use gridbank_core::api::{OpsQuery, OpsReport};
@@ -665,10 +658,9 @@ fn run_top(args: &Args) -> Result<String, String> {
         for p in &health.peers {
             let _ = writeln!(
                 out,
-                "peer {:04}: {} · breaker {} · clearing {}",
+                "peer {:04}: {} · clearing {}",
                 p.branch,
                 if p.reachable { "reachable" } else { "unreachable" },
-                p.breaker.as_deref().unwrap_or("n/a"),
                 p.clearing,
             );
         }
@@ -1185,7 +1177,7 @@ mod tests {
         assert!(!out.contains("\"name\":\"rpc.server"), "{out}");
         assert!(run(&args(&["metrics", "--remote", "branch-9"])).is_err());
 
-        // `top` renders every stage row, peer breaker state, and the
+        // `top` renders every stage row, peer reachability, and the
         // health verdict on each frame.
         let out = run(&args(&["top", "--frames", "2"])).unwrap();
         assert!(out.contains("frame 2/2"), "{out}");
@@ -1193,7 +1185,7 @@ mod tests {
             assert!(out.contains(stage), "missing {stage} in:\n{out}");
         }
         assert!(out.contains("Healthy"), "{out}");
-        assert!(out.contains("breaker Closed"), "{out}");
+        assert!(out.contains("peer 0002: reachable"), "{out}");
         assert!(out.contains("leaves left"), "{out}");
         assert!(out.contains("flight recorder:"), "{out}");
         assert!(run(&args(&["top", "--frames", "0"])).is_err());

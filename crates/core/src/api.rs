@@ -468,11 +468,11 @@ pub enum OpsQuery {
 pub enum HealthState {
     /// All signals nominal.
     Healthy,
-    /// Operating, but a resilience signal is degraded (breaker probing,
-    /// worker pool saturated, journal backlog).
+    /// Operating, but a resilience signal is degraded (worker pool
+    /// saturated, journal backlog, signing leaves running low).
     Degraded,
-    /// A peer route's circuit breaker is open: cross-branch payments to
-    /// it are failing fast.
+    /// A peer route is unreachable (cross-branch payments to it are
+    /// failing), or the disk failed.
     Unhealthy,
 }
 
@@ -514,11 +514,9 @@ pub struct PeerHealth {
     /// Balance of the local clearing account held against that peer
     /// (positive = we owe the peer at the next netting round).
     pub clearing: Credits,
-    /// False when the route's circuit breaker is open.
+    /// False when the route's last attempts all failed in transport
+    /// ([`crate::client::BankLink::reachable`]).
     pub reachable: bool,
-    /// Circuit-breaker state name (`Closed`/`Open`/`HalfOpen`), or
-    /// `None` for in-process routes that have no breaker.
-    pub breaker: Option<String>,
 }
 
 /// Structured answer to [`OpsQuery::Health`].
@@ -595,7 +593,6 @@ impl Encode for PeerHealth {
         w.put_u32(self.branch as u32);
         self.clearing.encode(w);
         w.put_u8(self.reachable as u8);
-        w.put_opt_str(self.breaker.as_deref());
     }
 }
 
@@ -605,7 +602,6 @@ impl Decode for PeerHealth {
             branch: r.get_u32()? as u16,
             clearing: Credits::decode(r)?,
             reachable: r.get_u8()? != 0,
-            breaker: r.get_opt_str()?,
         })
     }
 }
@@ -1453,18 +1449,8 @@ mod tests {
                     signer_remaining: 700,
                     signer_capacity: 4096,
                     peers: vec![
-                        PeerHealth {
-                            branch: 2,
-                            clearing: Credits::from_gd(7),
-                            reachable: true,
-                            breaker: Some("HalfOpen".into()),
-                        },
-                        PeerHealth {
-                            branch: 3,
-                            clearing: Credits::ZERO,
-                            reachable: false,
-                            breaker: None,
-                        },
+                        PeerHealth { branch: 2, clearing: Credits::from_gd(7), reachable: true },
+                        PeerHealth { branch: 3, clearing: Credits::ZERO, reachable: false },
                     ],
                 }),
             },

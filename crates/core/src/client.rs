@@ -76,11 +76,11 @@ pub trait BankLink {
         request: &BankRequest,
     ) -> Result<BankResponse, BankError>;
 
-    /// Circuit-breaker state of the link ("Closed", "Open" or
-    /// "HalfOpen"), or `None` for links without a breaker — the ops
-    /// plane's reachability signal.
-    fn breaker_state(&self) -> Option<&'static str> {
-        None
+    /// Whether the bank behind the link can currently be reached — the
+    /// ops plane's per-route signal. Links that cannot fail in transport
+    /// are always reachable.
+    fn reachable(&self) -> bool {
+        true
     }
 }
 
@@ -93,8 +93,8 @@ impl<L: BankLink + ?Sized> BankLink for Box<L> {
         (**self).call_keyed(key, request)
     }
 
-    fn breaker_state(&self) -> Option<&'static str> {
-        (**self).breaker_state()
+    fn reachable(&self) -> bool {
+        (**self).reachable()
     }
 }
 
@@ -201,9 +201,10 @@ impl<L: BankLink> BankClient<L> {
         self.link
     }
 
-    /// The link's circuit-breaker state ([`BankLink::breaker_state`]).
-    pub fn breaker_state(&self) -> Option<&'static str> {
-        self.link.breaker_state()
+    /// Whether the link's bank can currently be reached
+    /// ([`BankLink::reachable`]).
+    pub fn reachable(&self) -> bool {
+        self.link.reachable()
     }
 
     fn call(&mut self, request: &BankRequest) -> Result<BankResponse, BankError> {

@@ -151,20 +151,16 @@ impl FederationRouter {
     }
 
     /// Per-peer ops-plane health: clearing balance plus link
-    /// reachability. A peer behind an `Open` breaker is currently being
-    /// failed fast, not called — unreachable until its cooldown probe
-    /// succeeds. Links without a breaker count as reachable.
+    /// reachability ([`BankLink::reachable`]: a retry link whose last
+    /// attempts all failed in transport is unreachable until one
+    /// succeeds).
     pub fn peer_health(&self) -> Vec<crate::api::PeerHealth> {
         self.peer_clients()
             .into_iter()
-            .map(|(branch, client)| {
-                let breaker = client.lock().breaker_state();
-                crate::api::PeerHealth {
-                    branch,
-                    clearing: self.clearing_balance(branch),
-                    reachable: breaker != Some("Open"),
-                    breaker: breaker.map(str::to_string),
-                }
+            .map(|(branch, client)| crate::api::PeerHealth {
+                branch,
+                clearing: self.clearing_balance(branch),
+                reachable: client.lock().reachable(),
             })
             .collect()
     }
@@ -815,28 +811,34 @@ mod tests {
     }
 
     #[test]
-    fn peer_health_reports_the_links_breaker() {
+    fn a_dead_route_is_unreachable_and_the_branch_unhealthy() {
+        use crate::api::HealthState;
         use crate::resilient::ResilientBankClient;
-        use gridbank_net::retry::RetryPolicy;
 
-        let (_a, _b, ra, _rb) = federated_pair();
-        let unreachable = ResilientBankClient::new(
+        let (a, _b, ra, _rb) = federated_pair();
+        let dead = ResilientBankClient::new(
             Box::new(|| Err(BankError::Net(gridbank_net::NetError::Disconnected))),
-            RetryPolicy {
-                base_delay_ms: 1,
-                max_delay_ms: 1,
-                max_attempts: 1,
-                deadline_ms: 1,
-                seed: 1,
-            },
-            Clock::new(),
             1,
         );
-        ra.add_peer(3, unreachable.into_link());
-        let health = ra.peer_health();
-        // A direct link has no breaker; a retry link starts Closed.
-        assert_eq!((health[0].branch, health[0].breaker.as_deref()), (2, None));
-        assert_eq!((health[1].branch, health[1].breaker.as_deref()), (3, Some("Closed")));
-        assert!(health.iter().all(|h| h.reachable));
+        ra.add_peer(3, dead.into_link());
+        // Untried, the route counts as reachable.
+        assert!(ra.peer_health().iter().all(|h| h.reachable));
+        // One payment toward it: every attempt fails, and the credit
+        // waits for a re-ship.
+        let alice = open_funded(&a, "/CN=alice", 100);
+        ra.cross_branch_transfer(
+            &alice,
+            &AccountId::new(1, 3, 1),
+            Credits::from_gd(5),
+            vec![],
+            None,
+        )
+        .unwrap();
+        assert_eq!(a.accounts.db().ib_pending_snapshot().len(), 1);
+        let health = a.health_report();
+        let reach: Vec<_> = health.peers.iter().map(|h| (h.branch, h.reachable)).collect();
+        // The direct route to branch 2 cannot fail in transport.
+        assert_eq!(reach, [(2, true), (3, false)]);
+        assert_eq!(health.state, HealthState::Unhealthy);
     }
 }

@@ -2,30 +2,36 @@
 //!
 //! [`RetryLink`] drives a wire [`GridBankClient`] with the machinery a
 //! broker needs to survive a flaky bank link (`docs/RESILIENCE.md`);
-//! one of the three links of DESIGN.md §4 "Calling a bank":
+//! one of the three links of DESIGN.md §4 "Calling a bank". It owns the
+//! one retry rule and has no options:
 //!
 //! * every attempt that fails with a *retryable* transport error
-//!   ([`gridbank_net::NetError::is_retryable`]) tears the connection down and retries
-//!   over a **fresh handshake**, following a seeded [`RetryPolicy`]
-//!   schedule;
-//! * a [`CircuitBreaker`] fails calls fast once the bank looks dead,
-//!   and probes it again after a cooldown (graceful degradation);
+//!   ([`gridbank_net::NetError::is_retryable`]) tears the connection down
+//!   and retries at once over a **fresh handshake**, up to [`ATTEMPTS`]
+//!   attempts per call;
+//! * [`UNREACHABLE_AFTER`] consecutive failed attempts, counted across
+//!   calls, mark the bank unreachable ([`BankLink::reachable`], the ops
+//!   plane's per-route signal) until one round trip succeeds;
 //! * mutating requests are stamped with a **stable idempotency key**
 //!   that is reused across every retry of the same logical operation,
 //!   so the bank's dedup cache makes "maybe it applied" retries safe.
 //!
 //! Typed bank errors (insufficient funds, not authorized, ...) mean the
-//! round trip *worked*; they are returned immediately and count as
-//! breaker successes.
+//! round trip *worked*; they are returned immediately and reset the
+//! failure count.
 
 use std::time::Duration;
 
-use gridbank_net::retry::{BreakerState, CircuitBreaker, RetryPolicy};
-
 use crate::api::{BankRequest, BankResponse};
 use crate::client::{BankClient, BankLink, GridBankClient};
-use crate::clock::Clock;
 use crate::error::BankError;
+
+/// Attempts per logical request, the first included.
+pub const ATTEMPTS: u32 = 12;
+
+/// Consecutive failed attempts after which the bank counts as
+/// unreachable.
+pub const UNREACHABLE_AFTER: u32 = 8;
 
 /// Per-attempt response timeout: short, so a dropped reply fails fast
 /// and retries. Retries follow at once — on the in-process transport
@@ -35,14 +41,12 @@ const CALL_TIMEOUT: Duration = Duration::from_millis(100);
 /// Builds a fresh authenticated connection (full handshake).
 pub type Connector = Box<dyn FnMut() -> Result<GridBankClient, BankError> + Send>;
 
-/// A link with retry, reconnect, circuit-breaker, and idempotency-key
-/// stamping over wire connections dialled on demand.
+/// A link with retry, reconnect, a reachability count, and
+/// idempotency-key stamping over wire connections dialled on demand.
 pub struct RetryLink {
     connector: Connector,
     client: Option<GridBankClient>,
-    policy: RetryPolicy,
-    breaker: CircuitBreaker,
-    clock: Clock,
+    consecutive_failures: u32,
     key_seed: u64,
     ops: u64,
 }
@@ -53,22 +57,15 @@ pub type ResilientBankClient = BankClient<RetryLink>;
 
 impl ResilientBankClient {
     /// Wraps a connector. `key_seed` decorrelates this client's
-    /// idempotency keys (and its jitter stream) from other clients'.
-    pub fn new(connector: Connector, policy: RetryPolicy, clock: Clock, key_seed: u64) -> Self {
+    /// idempotency keys from other clients'.
+    pub fn new(connector: Connector, key_seed: u64) -> Self {
         BankClient::over(RetryLink {
             connector,
             client: None,
-            policy: policy.with_seed(policy.seed ^ key_seed),
-            breaker: CircuitBreaker::new(8, 1_000),
-            clock,
+            consecutive_failures: 0,
             key_seed,
             ops: 0,
         })
-    }
-
-    /// Replaces the circuit breaker (threshold/cooldown tuning).
-    pub fn with_breaker(self, breaker: CircuitBreaker) -> Self {
-        BankClient::over(RetryLink { breaker, ..self.into_link() })
     }
 }
 
@@ -110,53 +107,36 @@ impl BankLink for RetryLink {
         request: &BankRequest,
     ) -> Result<BankResponse, BankError> {
         let key = key.or_else(|| request.is_mutating().then(|| self.fresh_key()));
-        let mut schedule = self.policy.schedule();
+        let mut attempts = 0u32;
         loop {
-            self.breaker.admit(self.clock.now_ms()).map_err(BankError::Net)?;
+            attempts = attempts.saturating_add(1);
             gridbank_obs::count("net.retry.attempts", 1);
-            match self.attempt(key, request) {
-                Ok(resp) => {
-                    self.breaker.record_success();
-                    return Ok(resp);
+            let e = match self.attempt(key, request) {
+                Err(BankError::Net(e)) => e,
+                // A typed bank error is a *successful* round trip.
+                outcome => {
+                    self.consecutive_failures = 0;
+                    return outcome;
                 }
-                Err(BankError::Net(e)) if e.is_retryable() => {
-                    self.breaker.record_failure(self.clock.now_ms());
-                    // The channel's state is suspect (lost frames break
-                    // the sequence discipline): reconnect from scratch.
-                    self.client = None;
-                    match schedule.next() {
-                        Some(delay_ms) => gridbank_obs::observe("net.retry.backoff_ms", delay_ms),
-                        None => {
-                            gridbank_obs::count("net.retry.giveups", 1);
-                            return Err(BankError::Net(e));
-                        }
-                    }
-                }
-                Err(BankError::Net(e)) => {
-                    // Non-retryable transport failure (refused, handshake,
-                    // malformed frame, ...). Report it: if this was the
-                    // half-open probe, the breaker must re-open with a
-                    // fresh cooldown — swallowing the outcome would leave
-                    // it wedged in HalfOpen, fast-failing forever.
-                    self.breaker.record_failure(self.clock.now_ms());
-                    self.client = None;
-                    return Err(BankError::Net(e));
-                }
-                Err(e) => {
-                    // A typed bank error is a *successful* round trip.
-                    self.breaker.record_success();
-                    return Err(e);
-                }
+            };
+            self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+            // The channel's state is suspect (lost frames break the
+            // sequence discipline): reconnect from scratch.
+            self.client = None;
+            // Refused, handshake, malformed frame, ... would only fail
+            // again.
+            if !e.is_retryable() {
+                return Err(BankError::Net(e));
+            }
+            if attempts == ATTEMPTS {
+                gridbank_obs::count("net.retry.giveups", 1);
+                return Err(BankError::Net(e));
             }
         }
     }
 
-    fn breaker_state(&self) -> Option<&'static str> {
-        Some(match self.breaker.state() {
-            BreakerState::Closed => "Closed",
-            BreakerState::Open { .. } => "Open",
-            BreakerState::HalfOpen => "HalfOpen",
-        })
+    fn reachable(&self) -> bool {
+        self.consecutive_failures < UNREACHABLE_AFTER
     }
 }
 
@@ -164,111 +144,65 @@ impl BankLink for RetryLink {
 mod tests {
     use super::*;
     use gridbank_net::NetError;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
-    fn dead_connector() -> Connector {
-        Box::new(|| Err(BankError::Net(NetError::Timeout)))
-    }
-
-    fn policy() -> RetryPolicy {
-        RetryPolicy { base_delay_ms: 1, max_delay_ms: 4, max_attempts: 3, deadline_ms: 50, seed: 1 }
-    }
-
-    #[test]
-    fn gives_up_after_max_attempts_on_retryable_errors() {
-        let mut c = ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 7);
-        let err = c.my_account();
-        assert!(matches!(err, Err(BankError::Net(NetError::Timeout))));
-    }
-
-    #[test]
-    fn fatal_errors_do_not_retry() {
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let c2 = counter.clone();
+    /// A connector that fails with `err` on every dial, and its dial
+    /// count.
+    fn failing(err: NetError) -> (Connector, Arc<AtomicU32>) {
+        let dials = Arc::new(AtomicU32::new(0));
+        let counted = Arc::clone(&dials);
         let connector: Connector = Box::new(move || {
-            c2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Err(BankError::Net(NetError::Handshake("bad credentials".into())))
+            counted.fetch_add(1, Ordering::Relaxed);
+            Err(BankError::Net(err.clone()))
         });
-        let mut c = ResilientBankClient::new(connector, policy(), Clock::new(), 7);
-        let err = c.my_account();
-        assert!(matches!(err, Err(BankError::Net(NetError::Handshake(_)))));
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 1);
+        (connector, dials)
     }
 
     #[test]
-    fn breaker_opens_under_persistent_failure_and_fails_fast() {
-        let clock = Clock::new();
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let c2 = counter.clone();
-        let connector: Connector = Box::new(move || {
-            c2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Err(BankError::Net(NetError::Timeout))
-        });
-        let mut c = ResilientBankClient::new(connector, policy(), clock.clone(), 7)
-            .with_breaker(CircuitBreaker::new(2, 10_000));
-        assert!(c.my_account().is_err());
-        assert_eq!(c.breaker_state(), Some("Open"));
-        let after_first = counter.load(std::sync::atomic::Ordering::Relaxed);
-        // Now calls fail fast without touching the connector.
-        let err = c.my_account();
-        assert!(matches!(err, Err(BankError::Net(NetError::CircuitOpen))));
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), after_first);
-        // After the cooldown exactly one probe is admitted; its failure
-        // re-opens the circuit, so the call again fails fast.
-        clock.advance(10_001);
-        let err = c.my_account();
-        assert!(matches!(err, Err(BankError::Net(NetError::CircuitOpen))));
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), after_first + 1);
-        assert_eq!(c.breaker_state(), Some("Open"));
+    fn retryable_errors_are_dialled_exactly_attempts_times() {
+        assert_eq!(ATTEMPTS, 12);
+        let (connector, dials) = failing(NetError::Timeout);
+        let mut c = ResilientBankClient::new(connector, 7);
+        assert!(matches!(c.my_account(), Err(BankError::Net(NetError::Timeout))));
+        assert_eq!(dials.load(Ordering::Relaxed), ATTEMPTS);
+        // Twelve failed attempts in one call are past the reachability
+        // count on their own.
+        assert!(!c.reachable());
     }
 
-    // Regression: a half-open probe that dies with a *non-retryable*
-    // transport error (e.g. reconnect refused while the peer is down)
-    // must report the failure and re-open the circuit. Before the fix
-    // the outcome was swallowed, leaving the breaker wedged in HalfOpen
-    // — every later call failed fast forever, even after recovery.
     #[test]
-    fn failed_probe_with_fatal_error_reopens_instead_of_wedging() {
-        let clock = Clock::new();
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let c2 = calls.clone();
-        let connector: Connector = Box::new(move || {
-            let n = c2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let err = if n < 2 {
-                NetError::Timeout // trip the breaker
-            } else {
-                NetError::Refused { subject: "broker".into(), reason: "peer down".into() }
-            };
-            Err(BankError::Net(err))
-        });
-        let mut c = ResilientBankClient::new(connector, policy(), clock.clone(), 7)
-            .with_breaker(CircuitBreaker::new(2, 10_000));
-        assert!(c.my_account().is_err());
-        assert_eq!(c.breaker_state(), Some("Open"));
-        // Cooldown elapses; the probe fails with the fatal Refused.
-        clock.advance(10_001);
-        let err = c.my_account();
-        assert!(matches!(err, Err(BankError::Net(NetError::Refused { .. }))));
-        // The breaker re-opened with a fresh cooldown — not HalfOpen.
-        assert_eq!(c.breaker_state(), Some("Open"));
-        let err = c.my_account();
-        assert!(matches!(err, Err(BankError::Net(NetError::CircuitOpen))));
-        // After another cooldown the next probe is admitted again: the
-        // client recovers instead of being bricked.
-        clock.advance(10_001);
-        let before = calls.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(c.my_account().is_err());
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), before + 1);
+    fn non_retryable_errors_are_dialled_once() {
+        let (connector, dials) = failing(NetError::Handshake("bad credentials".into()));
+        let mut c = ResilientBankClient::new(connector, 7);
+        assert!(matches!(c.my_account(), Err(BankError::Net(NetError::Handshake(_)))));
+        assert_eq!(dials.load(Ordering::Relaxed), 1);
+    }
+
+    // The reset by one success or one typed bank error needs a live
+    // bank: tests/deployment.rs
+    // `a_route_is_unreachable_after_eight_failed_attempts_until_one_round_trip`.
+    #[test]
+    fn the_eighth_consecutive_failed_attempt_across_calls_is_unreachable() {
+        assert_eq!(UNREACHABLE_AFTER, 8);
+        // A refused dial is not retried: one failed attempt per call.
+        let refused = NetError::Refused { subject: "/CN=b".into(), reason: "down".into() };
+        let (connector, dials) = failing(refused);
+        let mut c = ResilientBankClient::new(connector, 7);
+        for call in 1..=UNREACHABLE_AFTER {
+            assert!(matches!(c.my_account(), Err(BankError::Net(NetError::Refused { .. }))));
+            assert_eq!(c.reachable(), call < UNREACHABLE_AFTER, "after call {call}");
+        }
+        assert_eq!(dials.load(Ordering::Relaxed), UNREACHABLE_AFTER);
     }
 
     #[test]
     fn idempotency_keys_are_unique_per_operation() {
-        let mut c =
-            ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 7).into_link();
+        let mut c = ResilientBankClient::new(failing(NetError::Timeout).0, 7).into_link();
         let a = c.fresh_key();
         let b = c.fresh_key();
         assert_ne!(a, b);
-        let mut other =
-            ResilientBankClient::new(dead_connector(), policy(), Clock::new(), 8).into_link();
+        let mut other = ResilientBankClient::new(failing(NetError::Timeout).0, 8).into_link();
         assert_ne!(a, other.fresh_key());
     }
 }

@@ -257,7 +257,7 @@ impl GridBank {
 
     /// Assembles the structured health report the ops plane serves:
     /// journal lag, group-commit backlog, worker saturation, signing
-    /// leaves left, and per-peer clearing balances with circuit-breaker
+    /// leaves left, and per-peer clearing balances with route
     /// reachability, classified into an overall
     /// [`crate::api::HealthState`].
     pub fn health_report(&self) -> crate::api::HealthReport {
@@ -270,13 +270,11 @@ impl GridBank {
             None => (0, 0, 0),
         };
         let peers = self.federation().map(|router| router.peer_health()).unwrap_or_default();
-        // Classification: an Open breaker means a peer branch is
-        // unreachable — cross-branch payments are failing now, so the
-        // branch is Unhealthy. Recovering breakers (HalfOpen), a
-        // saturated worker pool, or a journal trailing by more than one
+        // Classification: an unreachable peer branch means cross-branch
+        // payments are failing now, so the branch is Unhealthy. A
+        // saturated worker pool or a journal trailing by more than one
         // full commit group mean degraded service but nothing lost.
-        let unreachable = peers.iter().any(|p| p.breaker.as_deref() == Some("Open"));
-        let recovering = peers.iter().any(|p| p.breaker.as_deref() == Some("HalfOpen"));
+        let unreachable = peers.iter().any(|p| !p.reachable);
         let saturated = workers_total > 0 && workers_busy >= workers_total;
         let lagging = journal_flush_lag > db.group_commit().max_batch as u64;
         // The bank key is a finite supply of one-time leaves and an
@@ -291,7 +289,7 @@ impl GridBank {
         let disk_failed = !db.disk_healthy();
         let state = if unreachable || disk_failed {
             HealthState::Unhealthy
-        } else if recovering || saturated || lagging || signer_low {
+        } else if saturated || lagging || signer_low {
             HealthState::Degraded
         } else {
             HealthState::Healthy
@@ -1010,7 +1008,7 @@ impl GridBankServer {
                 };
                 if live.load(Ordering::Relaxed) >= tuning.max_connections as u64 {
                     // Over the admission cap: drop the link before the
-                    // handshake; resilient clients back off and retry.
+                    // handshake; resilient clients retry.
                     gridbank_obs::count("net.server.refused_connections", 1);
                     continue;
                 }

@@ -30,9 +30,6 @@ pub enum NetError {
     Malformed(String),
     /// Crypto layer failure during handshake or sealing.
     Crypto(CryptoError),
-    /// A circuit breaker is open: the call failed fast without touching
-    /// the network. Retryable only after the breaker's cooldown.
-    CircuitOpen,
 }
 
 impl NetError {
@@ -62,7 +59,6 @@ impl fmt::Display for NetError {
             NetError::ChannelIntegrity(why) => write!(f, "channel integrity violation: {why}"),
             NetError::Malformed(why) => write!(f, "malformed message: {why}"),
             NetError::Crypto(e) => write!(f, "crypto failure: {e}"),
-            NetError::CircuitOpen => write!(f, "circuit breaker open: failing fast"),
         }
     }
 }

@@ -34,9 +34,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// SplitMix64 step — the deterministic RNG behind fault draws and retry
-/// jitter (shared so both subsystems stay dependency-free).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step — the deterministic, dependency-free RNG behind fault
+/// draws.
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

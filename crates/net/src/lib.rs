@@ -32,8 +32,10 @@
 //!   (see `docs/PROTOCOLS.md` §1).
 //! * [`fault`] — deterministic fault injection at the transport layer
 //!   (drop/duplicate/reorder/reset, seed-driven) for chaos testing.
-//! * [`retry`] — capped-exponential-backoff retry policy with
-//!   decorrelated jitter plus a circuit breaker for failing peers.
+//!
+//! Retrying is not a transport concern: the one retry rule lives in
+//! `gridbank_core::resilient::RetryLink`, classified by
+//! [`NetError::is_retryable`].
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +44,6 @@ pub mod error;
 pub mod fault;
 pub mod gate;
 pub mod handshake;
-pub mod retry;
 pub mod rpc;
 pub mod transport;
 pub(crate) mod wire;
@@ -52,6 +53,5 @@ pub use error::NetError;
 pub use fault::{FaultCounts, FaultInjector, FaultPlan, FaultRates};
 pub use gate::{AdmissionDecision, ConnectionGate};
 pub use handshake::{client_handshake, server_handshake, HandshakeConfig, PeerIdentity};
-pub use retry::{BackoffSchedule, BreakerState, CircuitBreaker, RetryPolicy};
 pub use rpc::{PipelinedRequest, ResponseWriter, RpcClient, RpcServer};
 pub use transport::{Address, Duplex, Listener, Network, RecvHalf, SendHalf};

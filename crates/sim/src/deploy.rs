@@ -30,7 +30,6 @@ use gridbank_crypto::cert::{
 use gridbank_crypto::keys::{KeyMaterial, SigningIdentity, VerifyingKey};
 use gridbank_crypto::rng::DeterministicStream;
 use gridbank_crypto::CryptoError;
-use gridbank_net::retry::{CircuitBreaker, RetryPolicy};
 use gridbank_net::transport::{Address, Network};
 use gridbank_net::{FaultInjector, FaultPlan, NetError};
 use gridbank_rur::Credits;
@@ -44,17 +43,6 @@ const NOT_AFTER: u64 = u64::MAX / 2;
 /// How long [`Deployment::kill`] waits for server threads to let go of
 /// the bank before reporting [`DeployError::StillHeld`].
 const KILL_WAIT: Duration = Duration::from_secs(10);
-
-/// How [`Identity::resilient`] clients retry: enough attempts to ride
-/// out a chaos storm, under the configuration the exactly-once
-/// guarantees are stated for (docs/RESILIENCE.md).
-const RETRY_POLICY: RetryPolicy = RetryPolicy {
-    base_delay_ms: 1,
-    max_delay_ms: 16,
-    max_attempts: 12,
-    deadline_ms: 1_000_000,
-    seed: 0,
-};
 
 /// One branch of a deployment.
 #[derive(Clone, Debug)]
@@ -207,13 +195,10 @@ impl Identity {
 
     /// A retrying client of `branch`: every retry reconnects through
     /// [`Identity::connector`] and resends under the same idempotency
-    /// key. Breaker cooldown 0, because the virtual clock does not
-    /// advance on its own and any positive cooldown would pin an opened
-    /// circuit shut forever; with 0 every admit after a trip is a probe.
+    /// key (docs/RESILIENCE.md §2).
     pub fn resilient(self, branch: u16) -> ResilientBankClient {
-        let (clock, seed) = (self.clock.clone(), self.seed);
-        ResilientBankClient::new(self.connector(branch), RETRY_POLICY, clock, seed)
-            .with_breaker(CircuitBreaker::new(8, 0))
+        let seed = self.seed;
+        ResilientBankClient::new(self.connector(branch), seed)
     }
 }
 

@@ -47,7 +47,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark + one retry rule guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -131,6 +131,16 @@ fi
 if grep -rnE --include='*.rs' 'loadgen|BENCH_payments|run_recovery|RecoveryDrillReport|await_serving' \
   crates tests examples src || [[ -e crates/bench/src/main.rs ]]; then
   echo "benchmark guard: measure through benchmark/ and the CLI drivers only" >&2
+  exit 1
+fi
+# One retry rule (docs/RESILIENCE.md §2, EXPERIMENTS.md E30): the retry
+# link's twelve attempts and its reachability count. A backoff schedule
+# nothing waits on, or a breaker a virtual clock never holds open,
+# cannot grow back.
+if grep -rnE --include='*.rs' \
+  'RetryPolicy|CircuitBreaker|BackoffSchedule|CircuitOpen|HalfOpen|breaker_state|with_breaker' \
+  crates tests examples src; then
+  echo "retry guard: one retry rule, gridbank_core::resilient::RetryLink" >&2
   exit 1
 fi
 scripts/loc.sh
@@ -240,14 +250,13 @@ else
 fi
 
 # Opt-in concurrency stages (docs/STATIC_ANALYSIS.md). LOOM=1 rebuilds
-# core/net with the yield-injecting sync facade and runs the models
-# listed there (group-commit queue, idempotency dedup, snapshots racing
-# commits, transfer-vs-compaction, creation/rename racing a credit,
-# circuit breaker). LOOM_ITERS / LOOM_SEED tune
-# the exploration (defaults 128 / fixed).
+# core with the yield-injecting sync facade and runs the models listed
+# there (group-commit queue, idempotency dedup, snapshots racing
+# commits, transfer-vs-compaction, creation/rename racing a credit).
+# LOOM_ITERS / LOOM_SEED tune the exploration (defaults 128 / fixed).
 if [[ -n "${LOOM:-}" ]]; then
   stage "loom models (RUSTFLAGS=--cfg loom)"
-  RUSTFLAGS="--cfg loom" cargo test -q -p gridbank-core -p gridbank-net loom_
+  RUSTFLAGS="--cfg loom" cargo test -q -p gridbank-core loom_
 fi
 
 # MIRI=1 runs the codec + netting-engine unit tests under Miri when the

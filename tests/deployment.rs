@@ -1,18 +1,24 @@
 //! The one bootstrap (`gridbank_sim::deploy`, DESIGN.md §4 "Booting a
 //! bank"): a federated boot settles to zero before and after one branch
 //! is killed and rebooted, a durable branch survives kill + reboot on
-//! the same store with its journal count intact, and a resilient client
-//! stays exactly-once through a reorder storm.
+//! the same store with its journal count intact, a resilient client
+//! stays exactly-once through a reorder storm, and a route's
+//! reachability follows its failed attempts.
 
 // Test fixtures build inputs with plain arithmetic; the workspace
 // `clippy::arithmetic_side_effects` wall targets production money paths
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use gridbank_suite::bank::api::{BankRequest, BankResponse};
 use gridbank_suite::bank::db::TransactionType;
+use gridbank_suite::bank::resilient::{Connector, ResilientBankClient, UNREACHABLE_AFTER};
 use gridbank_suite::bank::server::GridBankConfig;
 use gridbank_suite::bank::store::StoreConfig;
+use gridbank_suite::bank::BankError;
 use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::net::fault::{FaultPlan, FaultRates};
 use gridbank_suite::rur::Credits;
@@ -231,4 +237,34 @@ fn resilient_retries_stay_exactly_once_under_a_reorder_storm() {
     assert_eq!(deposits, 1 + N as usize);
     assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(N));
     assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(100));
+}
+
+#[test]
+fn a_route_is_unreachable_after_eight_failed_attempts_until_one_round_trip() {
+    let world = Deployment::boot(DeployConfig::single(bank_config())).unwrap();
+    // Both kinds of answer reset the count: a success, and a typed bank
+    // error (an unknown subject may only enrol, so `MyAccount` is
+    // refused) — each is a round trip that worked.
+    for (seed, enrol) in [(40, true), (41, false)] {
+        let down = Arc::new(AtomicBool::new(true));
+        let mut identity = world.identity(subject(&format!("route-{seed}")), seed).unwrap();
+        let switch = Arc::clone(&down);
+        // While down, dial a branch nobody serves: refused at once and
+        // not retried, so each call is one failed attempt.
+        let connector: Connector =
+            Box::new(move || identity.connect(if switch.load(Ordering::Relaxed) { 9 } else { 1 }));
+        let mut route = ResilientBankClient::new(connector, seed);
+        for call in 1..=UNREACHABLE_AFTER {
+            assert!(route.my_account().is_err());
+            assert_eq!(route.reachable(), call < UNREACHABLE_AFTER, "after call {call}");
+        }
+        down.store(false, Ordering::Relaxed);
+        if enrol {
+            route.create_account(None).unwrap();
+        } else {
+            let refused = route.my_account().unwrap_err();
+            assert!(matches!(refused, BankError::NotAuthorized(_)), "{refused:?}");
+        }
+        assert!(route.reachable());
+    }
 }

@@ -8,6 +8,8 @@
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
+use std::time::Duration;
+
 use gridbank_suite::bank::api::{BankRequest, BankResponse};
 use gridbank_suite::bank::client::GridBankClient;
 use gridbank_suite::bank::db::GroupCommitConfig;
@@ -128,22 +130,30 @@ fn pipelined_batch_survives_reorder_faults_with_keyed_retries() {
     // the whole batch with the *same* keys; dedup keeps every transfer
     // exactly-once no matter where the batch was cut.
     let w = world(ServerTuning::default());
-    let mut alice_identity = identity(&w, "alice", 30);
-    let mut alice = alice_identity.connect(1).unwrap();
-    let alice_account = alice.create_account(None).unwrap();
+    let alice_account = connect(&w, "alice", 30).unwrap().create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 31).unwrap();
     let bob_account = bob.create_account(None).unwrap();
     let mut admin = w.admin(1).unwrap();
     admin.admin_deposit(alice_account, Credits::from_gd(100)).unwrap();
 
-    let injector = w.install_faults(FaultPlan {
-        seed: 0xBEEF,
-        to_server: FaultRates { reorder_pm: 120, ..FaultRates::NONE },
-        to_client: FaultRates { reorder_pm: 120, ..FaultRates::NONE },
-        // Let the handshake through; fault only steady-state traffic.
-        skip_first: 12,
-    });
+    // Every link dialled from here on carries the injector; the first
+    // two sends each way (the handshake) are never faulted.
+    let injector = w.install_faults(FaultPlan::symmetric(
+        0xBEEF,
+        FaultRates { reorder_pm: 120, ..FaultRates::NONE },
+    ));
     injector.arm(true);
+    let mut alice_identity = identity(&w, "alice", 32);
+    // A reordered frame is held back until the next one; when it is a
+    // window's last, nothing follows. The short timeout ends that wait
+    // well inside the server's 10 s idle close (docs/PROTOCOLS.md §1),
+    // which would otherwise hang up bob's quiet connection meanwhile.
+    let mut dial = || {
+        let mut alice = alice_identity.connect(1).expect("dial through the storm");
+        alice.set_call_timeout(Some(Duration::from_millis(100)));
+        alice
+    };
+    let mut alice = dial();
 
     const N: u64 = 12;
     let transfer = |k: u64| BankRequest::DirectTransfer {
@@ -152,10 +162,10 @@ fn pipelined_batch_survives_reorder_faults_with_keyed_retries() {
         recipient_address: format!("bob.host/{k}"),
     };
     let mut settled = vec![false; N as usize];
-    let mut attempts = 0;
+    let mut windows = 0;
     while settled.iter().any(|s| !s) {
-        attempts += 1;
-        assert!(attempts <= 50, "batch never settled under reorder faults");
+        windows += 1;
+        assert!(windows <= 50, "batch never settled under reorder faults");
         // (Re-)send every unsettled key in one pipelined window.
         let mut window = Vec::new();
         let mut broken = false;
@@ -186,12 +196,12 @@ fn pipelined_batch_survives_reorder_faults_with_keyed_retries() {
         if broken {
             // The channel is integrity-poisoned; reconnect (the fault
             // plan's skip_first window protects the new handshake).
-            injector.arm(false);
-            alice = alice_identity.connect(1).expect("reconnect");
-            injector.arm(true);
+            alice = dial();
         }
     }
     injector.arm(false);
+    assert!(injector.counts().reordered > 0, "the storm never reordered a frame");
+    assert!(windows > 1, "no window was ever cut");
 
     // Every key applied exactly once despite arbitrary mid-batch cuts.
     assert_eq!(w.bank(1).unwrap().all_transfers().len(), N as usize);
