@@ -28,8 +28,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::sync::{
     rank, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, OrderedMutex,
     OrderedRwLock, Ordering,
@@ -41,7 +39,7 @@ use crate::error::BankError;
 
 /// ACCOUNT RECORD key (§5.1): "imitates real world account numbers: bank
 /// number-branch number-account number. E.g. 01-0001-00000001".
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccountId {
     /// Bank number (multiple payment systems, §6).
     pub bank: u16,
@@ -83,7 +81,7 @@ impl std::fmt::Debug for AccountId {
 }
 
 /// ACCOUNT RECORD (§5.1).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccountRecord {
     /// Account id.
     pub id: AccountId,
@@ -110,7 +108,7 @@ impl AccountRecord {
 }
 
 /// TRANSACTION RECORD type tag (§5.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransactionType {
     /// Funds entered the bank from outside.
     Deposit,
@@ -142,7 +140,7 @@ impl TransactionType {
 }
 
 /// TRANSACTION RECORD (§5.1).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransactionRecord {
     /// Unique transaction identifier.
     pub transaction_id: u64,
@@ -158,7 +156,7 @@ pub struct TransactionRecord {
 
 /// TRANSFER RECORD (§5.1); `rur_blob` is the binary-encoded Resource
 /// Usage Record ("GridBank stores RUR in binary format").
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransferRecord {
     /// Same id as the paired transaction records.
     pub transaction_id: u64,

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::{Mutex, RwLock};
+use crate::sync::{rank, OrderedMutex, OrderedRwLock};
 
 use gridbank_crypto::cert::SubjectName;
 use gridbank_rur::Credits;
@@ -83,7 +83,7 @@ pub fn settle_all(routers: &[Arc<FederationRouter>]) -> Result<SettlementReport,
 
 /// The typed client toward one peer, behind a lock so the router can
 /// call from any thread.
-type PeerClient = Arc<Mutex<BankClient<Box<dyn BankLink + Send>>>>;
+type PeerClient = Arc<OrderedMutex<BankClient<Box<dyn BankLink + Send>>>>;
 
 /// The branch-aware routing layer a federated [`GridBank`] consults for
 /// any request whose target account lives on another branch, plus the
@@ -92,15 +92,15 @@ pub struct FederationRouter {
     local_branch: u16,
     accounts: GbAccounts,
     admin: GbAdmin,
-    clearing: Mutex<HashMap<u16, AccountId>>,
-    peers: RwLock<BTreeMap<u16, PeerClient>>,
+    clearing: OrderedMutex<HashMap<u16, AccountId>>,
+    peers: OrderedRwLock<BTreeMap<u16, PeerClient>>,
     /// Settlement identities of federated peers — trusted to deliver
     /// `IbCredit`s and propose settlements here, and nothing else.
     /// Deliberately disjoint from the administrator set.
-    peer_identities: RwLock<HashSet<String>>,
+    peer_identities: OrderedRwLock<HashSet<String>>,
     /// Serializes settlement rounds on this router, so the daemon and a
     /// manual `settle` never interleave a pair's read-propose-withdraw.
-    settle_lock: Mutex<()>,
+    settle_lock: OrderedMutex<()>,
 }
 
 impl FederationRouter {
@@ -115,10 +115,14 @@ impl FederationRouter {
             local_branch: bank.branch(),
             accounts: bank.accounts.clone(),
             admin: bank.admin.clone(),
-            clearing: Mutex::new(clearing),
-            peers: RwLock::new(BTreeMap::new()),
-            peer_identities: RwLock::new(HashSet::new()),
-            settle_lock: Mutex::new(()),
+            clearing: OrderedMutex::new(rank::CLEARING, "clearing", clearing),
+            peers: OrderedRwLock::new(rank::PEERS, "peers", BTreeMap::new()),
+            peer_identities: OrderedRwLock::new(
+                rank::PEER_IDENTITIES,
+                "peer-identities",
+                HashSet::new(),
+            ),
+            settle_lock: OrderedMutex::new(rank::SETTLE_ROUND, "settle-round", ()),
         });
         bank.install_federation(Arc::clone(&router));
         router
@@ -137,7 +141,8 @@ impl FederationRouter {
     pub fn add_peer(&self, peer_branch: u16, link: impl BankLink + Send + 'static) {
         self.peer_identities.write().insert(settlement_identity(peer_branch));
         let client = BankClient::over(Box::new(link) as Box<dyn BankLink + Send>);
-        self.peers.write().insert(peer_branch, Arc::new(Mutex::new(client)));
+        let client = OrderedMutex::new(rank::PEER_CLIENT, "peer-client", client);
+        self.peers.write().insert(peer_branch, Arc::new(client));
     }
 
     /// Whether `cert` is a federated peer branch's settlement identity.

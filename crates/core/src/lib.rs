@@ -39,6 +39,20 @@
 // production money paths; test fixtures may build inputs with plain
 // arithmetic (see docs/STATIC_ANALYSIS.md §lint wall).
 #![cfg_attr(test, allow(clippy::arithmetic_side_effects))]
+// Library code returns typed errors, never panics: a malformed frame
+// or a torn journal must surface as `NetError` / `RurError` /
+// `BankError`, not abort the process. Tests may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod accounts;
 pub mod admin;

@@ -22,7 +22,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
+use crate::sync::{
+    rank, AtomicBool, AtomicU64, Condvar, Mutex, OrderedMutex, OrderedRwLock, Ordering,
+};
 
 use gridbank_crypto::cert::{Certificate, SubjectName};
 use gridbank_crypto::keys::{KeyMaterial, SigningIdentity, VerifyingKey};
@@ -120,7 +122,7 @@ pub struct GridBank {
     config: GridBankConfig,
     payword_redeemed: Mutex<HashMap<u64, u32>>,
     chain_secrets: Mutex<DeterministicStream>,
-    descriptions: RwLock<HashMap<String, ResourceDescription>>,
+    descriptions: OrderedRwLock<HashMap<String, ResourceDescription>>,
     /// Idempotency keys currently being applied. With pipelining, two
     /// requests carrying the same key can reach workers concurrently;
     /// the duplicate waits here until the original finishes, then hits
@@ -129,12 +131,12 @@ pub struct GridBank {
     key_released: Condvar,
     /// Branch-aware routing (§6 federation). `None` means standalone:
     /// foreign-branch requests answer `NotHomeBranch` redirects.
-    federation: RwLock<Option<Arc<crate::federation::FederationRouter>>>,
+    federation: OrderedRwLock<Option<Arc<crate::federation::FederationRouter>>>,
     /// Certificates trusted for the ops plane (`OpsQuery`).
-    ops_admins: RwLock<HashSet<String>>,
+    ops_admins: OrderedRwLock<HashSet<String>>,
     /// Live front-end statistics feeding health reports; installed by
     /// [`GridBankServer::start_tuned`], absent for in-process banks.
-    ops_source: RwLock<Option<Arc<dyn OpsSource>>>,
+    ops_source: OrderedRwLock<Option<Arc<dyn OpsSource>>>,
 }
 
 /// The canonical certificate name for an ops-plane administrator, the
@@ -200,7 +202,11 @@ impl GridBank {
             config.key_material.seed ^ 0x5EC2E75,
             b"gridbank-chain-secrets",
         ));
-        let ops_admins = RwLock::new(config.ops_admins.iter().cloned().collect());
+        let ops_admins = OrderedRwLock::new(
+            rank::OPS_ADMINS,
+            "ops-admins",
+            config.ops_admins.iter().cloned().collect(),
+        );
         GridBank {
             accounts,
             admin,
@@ -211,12 +217,12 @@ impl GridBank {
             config,
             payword_redeemed: Mutex::new(HashMap::new()),
             chain_secrets,
-            descriptions: RwLock::new(HashMap::new()),
+            descriptions: OrderedRwLock::new(rank::DESCRIPTIONS, "descriptions", HashMap::new()),
             in_flight_keys: Mutex::new(HashSet::new()),
             key_released: Condvar::new(),
-            federation: RwLock::new(None),
+            federation: OrderedRwLock::new(rank::FEDERATION, "federation", None),
             ops_admins,
-            ops_source: RwLock::new(None),
+            ops_source: OrderedRwLock::new(rank::OPS_SOURCE, "ops-source", None),
         }
     }
 
@@ -235,7 +241,7 @@ impl GridBank {
     /// branch — trusted to deliver `IbCredit`s and propose settlements,
     /// and nothing more (deliberately *not* an administrator).
     pub fn is_federation_peer(&self, cert: &str) -> bool {
-        self.federation.read().as_ref().is_some_and(|r| r.is_peer(cert))
+        self.federation().is_some_and(|r| r.is_peer(cert))
     }
 
     /// Whether `cert` may read the ops plane ([`BankRequest::OpsQuery`]).
@@ -265,7 +271,8 @@ impl GridBank {
         let db = self.accounts.db();
         let journal_flush_lag = db.journal_flush_lag();
         let group_commit_queue = db.commit_queue_depth() as u64;
-        let (workers_busy, workers_total, connections) = match self.ops_source.read().as_ref() {
+        let source = self.ops_source.read().clone();
+        let (workers_busy, workers_total, connections) = match source {
             Some(src) => (src.workers_busy(), src.workers_total(), src.connections()),
             None => (0, 0, 0),
         };
@@ -869,7 +876,7 @@ struct WorkerPool {
 impl WorkerPool {
     fn start(tuning: ServerTuning) -> Self {
         let (tx, rx) = crossbeam::channel::bounded::<Job>(tuning.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
+        let rx = Arc::new(OrderedMutex::new(rank::WORKER_INBOX, "worker-inbox", rx));
         let busy = Arc::new(AtomicU64::new(0));
         for _ in 0..tuning.workers.max(1) {
             let rx = Arc::clone(&rx);

@@ -1,9 +1,8 @@
 //! Switchable concurrency primitives for the bank's hot paths, plus the
 //! debug-build lock-order witness.
 //!
-//! `db.rs` (group-commit queue, journal, idempotency table) and
-//! `server.rs` (per-key in-flight guard, worker pool) import their
-//! locks, condvars, and atomics from here instead of naming
+//! `db.rs`, `server.rs` and `federation.rs` import their locks,
+//! condvars, and atomics from here instead of naming
 //! `parking_lot`/`std::sync::atomic` directly. A normal build re-exports
 //! those unchanged — zero cost. Building with `RUSTFLAGS="--cfg loom"`
 //! swaps in the vendored `loom` substitute, whose wrappers inject
@@ -13,18 +12,21 @@
 //!
 //! # The lock-order witness
 //!
-//! [`OrderedMutex`] and [`OrderedRwLock`] carry the rank their class
-//! holds in the declared acquisition order (the L6 table in
-//! docs/STATIC_ANALYSIS.md). In debug builds every acquisition pushes
-//! its rank onto a thread-local stack and panics if it is not strictly
-//! greater than the current top — the dynamic complement to the lexical
-//! `gridbank-lint` L6 pass, catching inversions that only materialize
-//! through call chains the lint cannot see. Each rank has one lock, so
-//! a second lock of a held rank is an inversion like any other.
-//! In release builds the bookkeeping compiles out entirely and the
-//! wrappers are plain newtypes around the underlying locks. Locks
-//! coupled to a `Condvar` (the commit queue, the in-flight key table)
-//! stay unwrapped: `Condvar::wait` releases and reacquires its mutex
+//! [`rank`] is the one declaration of the order in which the bank's
+//! locks may be taken, and [`OrderedMutex`] / [`OrderedRwLock`] are its
+//! one check. Each wrapper carries its rank; in debug builds every
+//! acquisition pushes that rank onto a thread-local stack and panics if
+//! it is not strictly greater than the current top. The check follows
+//! the thread, not the source text, so it sees inversions that cross a
+//! function call, a file, or — through an in-process federation link —
+//! a second bank. Each rank has one lock, so a second lock of a held
+//! rank is an inversion like any other. In release builds the
+//! bookkeeping compiles out entirely and the wrappers are plain
+//! newtypes around the underlying locks.
+//!
+//! Two locks stay plain because they are coupled to a `Condvar`: the
+//! commit queue's `state` / `config` (`db.rs`) and the server's
+//! `in_flight_keys`. `Condvar::wait` releases and reacquires its mutex
 //! while parked, which a strict held-stack cannot model.
 
 #[cfg(not(loom))]
@@ -37,13 +39,29 @@ pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsiz
 #[cfg(loom)]
 pub(crate) use loom::sync::{Condvar, Mutex, RwLock};
 
-/// Acquisition ranks mirroring the declared lock-order table in
-/// docs/STATIC_ANALYSIS.md §L6. Keep the two in sync: the lint checks
-/// the table lexically, these constants enforce it at runtime.
+/// The global lock order: a thread holding a lock of rank *r* may only
+/// acquire ranks above *r*. One constant per lock; the debug witness
+/// enforces it at every acquisition.
+///
+/// With a direct link (`federation::direct_mesh`) a call into a peer
+/// runs the peer bank's whole dispatch on the caller's thread, under
+/// the caller's settlement round and peer client. So those two rank
+/// lowest, a bank's own tables follow, and the leaf tables — nothing is
+/// acquired while one is held — rank above everything a holder may
+/// have. A peer never calls back out while serving a federation
+/// request, so no thread holds two peer clients.
 pub(crate) mod rank {
+    /// `FederationRouter.settle_lock`: held for a whole settlement round.
+    pub const SETTLE_ROUND: u16 = 10;
+    /// One `FederationRouter` peer client: held for one call to the peer.
+    pub const PEER_CLIENT: u16 = 30;
+    /// `FederationRouter.clearing`: held while a clearing account is found
+    /// or created.
+    pub const CLEARING: u16 = 40;
     /// `Database.accounts`.
     pub const ACCOUNTS: u16 = 80;
-    /// `JournalStore.appended`.
+    /// `JournalStore.appended`: taken inside the accounts lock by the
+    /// commit queue's leader (docs/STORAGE.md §3.2).
     pub const JOURNAL: u16 = 110;
     /// `Database.history`.
     pub const HISTORY: u16 = 120;
@@ -51,6 +69,20 @@ pub(crate) mod rank {
     pub const IDEM_CACHE: u16 = 140;
     /// `Database.ib_pending`.
     pub const IB_PENDING: u16 = 150;
+    /// `FederationRouter.peers` (leaf).
+    pub const PEERS: u16 = 200;
+    /// `FederationRouter.peer_identities` (leaf).
+    pub const PEER_IDENTITIES: u16 = 210;
+    /// `GridBank.federation` (leaf).
+    pub const FEDERATION: u16 = 220;
+    /// `GridBank.ops_admins` (leaf).
+    pub const OPS_ADMINS: u16 = 230;
+    /// `GridBank.ops_source` (leaf).
+    pub const OPS_SOURCE: u16 = 240;
+    /// `GridBank.descriptions` (leaf).
+    pub const DESCRIPTIONS: u16 = 250;
+    /// The worker pool's shared inbox: held only while a worker waits.
+    pub const WORKER_INBOX: u16 = 260;
 }
 
 /// Debug-only held-lock bookkeeping. Everything in here is behind
@@ -75,16 +107,15 @@ mod witness {
     /// re-acquisition of a held rank is also rejected: `parking_lot`
     /// locks are not reentrant and an interleaved writer deadlocks the
     /// pair.
+    #[allow(clippy::panic, reason = "the witness is a debug-build tripwire; it exists to panic")]
     pub(super) fn acquire(rank: u16, name: &'static str) -> Token {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(top_rank, top_name)) = held.last() {
                 if rank <= top_rank {
-                    // lint:allow(no-panic) the witness exists to panic: a debug-build
-                    // tripwire for lock-order bugs, compiled out of release binaries.
                     panic!(
                         "lock-order inversion: acquiring {name} (rank {rank}) while holding \
-                         {top_name} (rank {top_rank}) — see docs/STATIC_ANALYSIS.md §L6"
+                         {top_name} (rank {top_rank}) — see sync::rank"
                     );
                 }
             }
@@ -265,17 +296,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order inversion")]
     fn seeded_inversion_panics() {
-        let accounts = OrderedRwLock::new(80, "accounts", ());
-        let journal = OrderedMutex::new(110, "journal", ());
+        let accounts = OrderedRwLock::new(rank::ACCOUNTS, "accounts", ());
+        let journal = OrderedMutex::new(rank::JOURNAL, "journal", ());
         let _gj = journal.lock();
-        let _ga = accounts.write(); // 80 after 110: the classic inversion
+        let _ga = accounts.write(); // accounts after journal: the classic inversion
     }
 
     #[test]
     #[should_panic(expected = "lock-order inversion")]
     fn a_second_lock_of_a_held_rank_panics() {
-        let first = OrderedRwLock::new(80, "accounts", ());
-        let second = OrderedRwLock::new(80, "accounts", ());
+        let first = OrderedRwLock::new(rank::ACCOUNTS, "accounts", ());
+        let second = OrderedRwLock::new(rank::ACCOUNTS, "accounts", ());
         let _g1 = first.read();
         let _g2 = second.read(); // one lock per rank: a second is an inversion
     }

@@ -9,12 +9,16 @@
 //! |-----------------------|-------------------------------------------------------------------|
 //! | `money-arith`         | money values use checked/saturating helpers, never bare ops/casts |
 //! | `idem-stamp`          | every mutating RPC arm stamps idempotency in the commit batch     |
-//! | `no-panic`            | server/codec/replay paths return typed errors, never panic        |
 //! | `display-parse`       | error handling reads structured details, not Display text         |
 //! | `metric-prefix`       | metric/span names match the registered table in OBSERVABILITY.md  |
-//! | `lock-order`          | acquisitions follow the declared table in STATIC_ANALYSIS.md      |
-//! | `blocking-under-lock` | no fsync/file/net/recv/sleep inside a held lock scope             |
+//! | `blocking-under-lock` | no fsync/file/net/recv/sleep inside a held lock scope in core     |
 //! | `durability-order`    | store.rs sequences write→fsync→rename→dir-fsync; marker precedes deletion |
+//!
+//! Two invariants have a wall of their own instead of a rule here:
+//! panic-free library code is clippy's restriction lints (`unwrap_used`,
+//! `panic`, …, denied in the `lib.rs` of `core`, `net` and `rur`), and
+//! the lock order is `gridbank_core::sync::rank`, checked at every
+//! acquisition by the debug-build witness.
 //!
 //! The analyzer is deliberately dependency-free: it tokenizes by masking
 //! comments and literals (see [`source`]) rather than parsing full Rust,
@@ -32,21 +36,18 @@ use std::fmt;
 
 pub use source::{AllowDirective, SourceFile};
 
-/// The eight domain rules.
+/// The six domain rules. Their numbers skip L3 and L6, whose invariants
+/// moved to clippy and to the lock-order witness.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Rule {
     /// L1: bare arithmetic / lossy casts in money context.
     MoneyArith,
     /// L2: mutating RPC arms must stamp idempotency with the commit.
     IdemStamp,
-    /// L3: no unwrap/expect/panic in request, codec, or replay paths.
-    NoPanic,
     /// L4: no parsing of Display text out of error frames.
     DisplayParse,
     /// L5: telemetry names must match the registered prefix table.
     MetricPrefix,
-    /// L6: lock acquisitions follow the declared global order.
-    LockOrder,
     /// L7: no blocking calls lexically inside a held lock scope.
     BlockingUnderLock,
     /// L8: durable-file creation sequences write→fsync→rename→dir-fsync,
@@ -56,13 +57,11 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 6] = [
         Rule::MoneyArith,
         Rule::IdemStamp,
-        Rule::NoPanic,
         Rule::DisplayParse,
         Rule::MetricPrefix,
-        Rule::LockOrder,
         Rule::BlockingUnderLock,
         Rule::DurabilityOrder,
     ];
@@ -72,10 +71,8 @@ impl Rule {
         match self {
             Rule::MoneyArith => "money-arith",
             Rule::IdemStamp => "idem-stamp",
-            Rule::NoPanic => "no-panic",
             Rule::DisplayParse => "display-parse",
             Rule::MetricPrefix => "metric-prefix",
-            Rule::LockOrder => "lock-order",
             Rule::BlockingUnderLock => "blocking-under-lock",
             Rule::DurabilityOrder => "durability-order",
         }
@@ -217,75 +214,6 @@ impl NameRegistry {
     }
 }
 
-/// One class of locks in the declared global acquisition order
-/// (a row of the L6 table in docs/STATIC_ANALYSIS.md).
-#[derive(Clone, Debug)]
-pub struct LockClass {
-    /// Global acquisition rank — strictly increasing along any legal
-    /// acquisition path.
-    pub rank: u16,
-    /// Human name, e.g. `accounts`.
-    pub name: String,
-    /// File the class's locks live in (suffix match, e.g. `db.rs`).
-    pub file: String,
-    /// Receiver patterns. All-identifier patterns match a receiver
-    /// expression on identifier boundaries; patterns with punctuation
-    /// are plain substring matches.
-    pub patterns: Vec<String>,
-}
-
-/// The declared lock-acquisition order, parsed from the L6 table in
-/// docs/STATIC_ANALYSIS.md.
-#[derive(Clone, Debug, Default)]
-pub struct LockOrderSpec {
-    /// Every declared class, in table order.
-    pub classes: Vec<LockClass>,
-}
-
-impl LockOrderSpec {
-    /// Parses the declared-order table. Rows look like
-    /// `| 80 | accounts | db.rs | \`accounts\` |`; any markdown table row
-    /// whose first cell is an integer and which has four cells is taken
-    /// as a class declaration.
-    pub fn parse(markdown: &str) -> Result<LockOrderSpec, String> {
-        let mut spec = LockOrderSpec::default();
-        for line in markdown.lines() {
-            let trimmed = line.trim();
-            if !trimmed.starts_with('|') {
-                continue;
-            }
-            let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-            if cells.len() < 4 {
-                continue;
-            }
-            let Ok(rank) = cells[0].trim().parse::<u16>() else { continue };
-            let name = cells[1].trim().trim_matches('`').to_string();
-            let file = cells[2].trim().trim_matches('`').to_string();
-            let patterns = backtick_tokens(cells[3]);
-            if name.is_empty() || file.is_empty() || patterns.is_empty() {
-                continue;
-            }
-            spec.classes.push(LockClass { rank, name, file, patterns });
-        }
-        if spec.classes.is_empty() {
-            return Err("docs/STATIC_ANALYSIS.md has no declared lock-order table \
-                 (need `| rank | class | file | receivers |` rows)"
-                .to_string());
-        }
-        Ok(spec)
-    }
-
-    /// Classes whose file column suffix-matches `path`.
-    pub fn classes_for<'a>(&'a self, path: &str) -> Vec<&'a LockClass> {
-        self.classes.iter().filter(|c| path.ends_with(c.file.as_str())).collect()
-    }
-
-    /// Whether any class governs `path` — i.e. L6/L7 are in scope there.
-    pub fn governs(&self, path: &str) -> bool {
-        self.classes.iter().any(|c| path.ends_with(c.file.as_str()))
-    }
-}
-
 /// Section numbers (`1`, `2.3`, …) of every heading in
 /// docs/STORAGE.md — the anchor set L8 validates `§`-citations against.
 pub fn storage_sections(markdown: &str) -> Vec<String> {
@@ -321,12 +249,11 @@ fn backtick_tokens(line: &str) -> Vec<String> {
 }
 
 /// A set of prepared source files plus the doc-derived tables the
-/// rules check against: the telemetry registry (L5), the declared
-/// lock order (L6/L7), and the STORAGE.md section anchors (L8).
+/// rules check against: the telemetry registry (L5) and the STORAGE.md
+/// section anchors (L8).
 pub struct Workspace {
     pub files: Vec<SourceFile>,
     pub registry: NameRegistry,
-    pub lock_order: LockOrderSpec,
     pub storage_sections: Vec<String>,
 }
 
@@ -339,10 +266,9 @@ impl Workspace {
         }
         for file in &self.files {
             rules::money_arith(file, &mut report);
-            rules::no_panic(file, &mut report);
             rules::display_parse(file, &mut report);
             rules::metric_prefix(file, &self.registry, &mut report);
-            rules::lock_discipline(file, &self.lock_order, &mut report);
+            rules::blocking_under_lock(file, &mut report);
             rules::durability_order(file, &self.storage_sections, &mut report);
         }
         rules::idem_stamp(&self.files, &mut report);

@@ -1,8 +1,7 @@
 //! Workspace driver: walks `crates/*/src` (plus the umbrella `src/`,
 //! the root `tests/`, and per-crate `tests/`), loads the doc-declared
 //! tables the rules check against — telemetry names from
-//! `docs/OBSERVABILITY.md`, the lock order from
-//! `docs/STATIC_ANALYSIS.md`, section anchors from `docs/STORAGE.md` —
+//! `docs/OBSERVABILITY.md`, section anchors from `docs/STORAGE.md` —
 //! runs every rule, prints the report, and exits non-zero on any
 //! violation. Invoked as `cargo run -p gridbank-lint` from
 //! `scripts/check.sh`.
@@ -10,9 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use gridbank_lint::{
-    render_report, storage_sections, LockOrderSpec, NameRegistry, SourceFile, Workspace,
-};
+use gridbank_lint::{render_report, storage_sections, NameRegistry, SourceFile, Workspace};
 
 fn main() -> ExitCode {
     let root = match workspace_root() {
@@ -33,20 +30,6 @@ fn main() -> ExitCode {
         },
         Err(err) => {
             eprintln!("gridbank-lint: cannot read {}: {err}", obs_doc.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let sa_doc = root.join("docs/STATIC_ANALYSIS.md");
-    let lock_order = match std::fs::read_to_string(&sa_doc) {
-        Ok(text) => match LockOrderSpec::parse(&text) {
-            Ok(spec) => spec,
-            Err(err) => {
-                eprintln!("gridbank-lint: {err}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(err) => {
-            eprintln!("gridbank-lint: cannot read {}: {err}", sa_doc.display());
             return ExitCode::FAILURE;
         }
     };
@@ -81,7 +64,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let workspace = Workspace { files, registry, lock_order, storage_sections: sections };
+    let workspace = Workspace { files, registry, storage_sections: sections };
     let report = workspace.analyze();
     print!("{}", render_report(&report));
     if report.rules_exercised() == 0 {

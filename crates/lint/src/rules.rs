@@ -1,10 +1,10 @@
-//! The eight domain rules. Each operates on masked source (comments and
+//! The six domain rules. Each operates on masked source (comments and
 //! literal bodies blanked — see [`crate::source::mask`]) so substring
 //! matching cannot be fooled by strings or docs, and skips
 //! `#[cfg(test)]` / `#[cfg(loom)]` regions.
 
 use crate::source::{fn_body, variants_of, SourceFile};
-use crate::{LockClass, LockOrderSpec, NameRegistry, Report, Rule};
+use crate::{NameRegistry, Report, Rule};
 
 /// Tokens that put a line in "money context" for L1. `Credits` is the
 /// currency type; `.micro()` / `.whole_gd()` expose its raw integers;
@@ -160,50 +160,6 @@ fn prev_word(chars: &[char], before: usize) -> String {
 
 fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
-}
-
-/// Paths whose non-test code must never panic: the server request path,
-/// wire codecs, and journal replay (L3).
-const NO_PANIC_SCOPE: [&str; 3] = ["crates/net/src/", "crates/rur/src/", "crates/core/src/"];
-
-const PANIC_PATTERNS: [&str; 6] =
-    [".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
-
-/// L3 `no-panic`: inside [`NO_PANIC_SCOPE`], production code returns
-/// typed errors (`NetError`, `DbError`, `BankError`, `RurError`) —
-/// never `unwrap`/`expect`/`panic!`.
-pub fn no_panic(file: &SourceFile, report: &mut Report) {
-    if !NO_PANIC_SCOPE.iter().any(|p| file.path.contains(p)) {
-        return;
-    }
-    report.add_sites(Rule::NoPanic, 1); // one site per in-scope file
-    for (idx, line) in file.masked_lines.iter().enumerate() {
-        let lineno = idx + 1;
-        if file.is_test_line(lineno) {
-            continue;
-        }
-        for pat in PANIC_PATTERNS {
-            if let Some(pos) = line.find(pat) {
-                // `panic!` etc. must not be the tail of a longer ident
-                // (`.unwrap()`/`.expect(` are dot-anchored already).
-                if !pat.starts_with('.') {
-                    let prior = line[..pos].chars().next_back();
-                    if prior.is_some_and(is_ident) {
-                        continue;
-                    }
-                }
-                report.flag(
-                    Rule::NoPanic,
-                    file,
-                    lineno,
-                    format!(
-                        "`{pat}` in a panic-free path (server request / codec / replay) — \
-                         return a typed error instead"
-                    ),
-                );
-            }
-        }
-    }
 }
 
 /// String methods that, applied to Display text, constitute parsing (L4).
@@ -619,7 +575,7 @@ fn braced_text(file: &SourceFile, line_idx: usize, col: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// L6 lock-order + L7 blocking-under-lock (one linear pass per file)
+// L7 blocking-under-lock
 // ---------------------------------------------------------------------------
 
 /// Zero-argument acquisition methods of `Mutex`/`RwLock`. The io-trait
@@ -646,125 +602,48 @@ const BLOCKING_PATTERNS: [&str; 11] = [
 /// A lock guard bound to a name, still live.
 struct Held {
     name: String,
-    rank: u16,
-    class: &'static str,
-    receiver: String,
     /// Brace depth at the start of the binding line; the guard dies when
     /// the running depth drops below this.
     depth: i32,
     line: usize,
 }
 
-/// L6 + L7. Walks the file once, tracking named guard bindings
-/// (`let g = x.lock();`) plus their scopes, and checks every lock
-/// acquisition against the declared order and every blocking call
-/// against the currently-held set. See docs/STATIC_ANALYSIS.md for the
-/// model and its honest limitations.
-pub fn lock_discipline(file: &SourceFile, spec: &LockOrderSpec, report: &mut Report) {
-    let classes = spec.classes_for(&file.path);
-    if classes.is_empty() {
+/// L7 `blocking-under-lock`, over every file in `crates/core/src/`.
+/// Walks the file once, tracking named guard bindings
+/// (`let g = x.lock();`) plus their scopes, and flags every blocking
+/// call made while one is live or after an acquisition earlier on the
+/// same line. See docs/STATIC_ANALYSIS.md for the model and its honest
+/// limitations.
+pub fn blocking_under_lock(file: &SourceFile, report: &mut Report) {
+    if !file.path.contains("crates/core/src/") {
         return;
     }
     let mut held: Vec<Held> = Vec::new();
     let mut depth: i32 = 0;
     for (idx, line) in file.masked_lines.iter().enumerate() {
         let lineno = idx + 1;
-        let in_test = file.in_test.get(idx).copied().unwrap_or(false);
-        if !in_test {
-            // -- acquisitions ------------------------------------------------
-            for (at, call) in lock_calls_on(line) {
-                report.add_sites(Rule::LockOrder, 1);
-                let receiver = lock_receiver(file, idx, at);
-                let hits = classify(&classes, &receiver);
-                let class = match hits.as_slice() {
-                    [] => {
-                        report.flag(
-                            Rule::LockOrder,
-                            file,
-                            lineno,
-                            format!(
-                                "lock acquisition on `{receiver}` matches no class in the \
-                                 declared lock-order table (docs/STATIC_ANALYSIS.md §L6) — \
-                                 declare it with a rank before taking it"
-                            ),
-                        );
-                        continue;
-                    }
-                    [one] => *one,
-                    many => {
-                        let names: Vec<&str> = many.iter().map(|c| c.name.as_str()).collect();
-                        report.flag(
-                            Rule::LockOrder,
-                            file,
-                            lineno,
-                            format!(
-                                "lock receiver `{receiver}` is ambiguous between declared \
-                                 classes {} — tighten the table patterns",
-                                names.join(", ")
-                            ),
-                        );
-                        continue;
-                    }
-                };
-                if let Some(worst) = held.iter().max_by_key(|h| h.rank) {
-                    if class.rank < worst.rank {
-                        report.flag(
-                            Rule::LockOrder,
-                            file,
-                            lineno,
-                            format!(
-                                "acquires {} (rank {}) while holding {} (rank {}, taken \
-                                 line {}) — violates the declared lock order \
-                                 (docs/STATIC_ANALYSIS.md §L6)",
-                                class.name, class.rank, worst.class, worst.rank, worst.line
-                            ),
-                        );
-                    } else if class.rank == worst.rank {
-                        let why = if receiver == worst.receiver {
-                            format!(
-                                "re-acquires `{receiver}` while the guard from line {} is \
-                                 still held — self-deadlock on a non-reentrant lock",
-                                worst.line
-                            )
-                        } else {
-                            format!(
-                                "holds two {} locks at once (the other taken line {}) — a \
-                                 class has one place in the declared order",
-                                class.name, worst.line
-                            )
-                        };
-                        report.flag(Rule::LockOrder, file, lineno, why);
-                    }
-                }
+        if !file.in_test.get(idx).copied().unwrap_or(false) {
+            let locks = lock_calls_on(line);
+            for &(at, call) in &locks {
                 if let Some(name) = held_binding(line, at + call.len()) {
                     // A rebinding replaces the old guard (drop-then-assign
                     // semantics are close enough for a lexical model).
                     held.retain(|h| h.name != name);
-                    held.push(Held {
-                        name,
-                        rank: class.rank,
-                        class: leak(&class.name),
-                        receiver: receiver.clone(),
-                        depth,
-                        line: lineno,
-                    });
+                    held.push(Held { name, depth, line: lineno });
                 }
             }
-            // -- blocking calls ---------------------------------------------
-            let blocking: Vec<(usize, &str)> = BLOCKING_PATTERNS
+            let blocking = BLOCKING_PATTERNS
                 .iter()
                 .filter_map(|p| line.find(p).map(|pos| (pos, *p)))
-                .collect();
-            if let Some(&(first_pos, pat)) = blocking.iter().min_by_key(|(pos, _)| *pos) {
+                .min_by_key(|(pos, _)| *pos);
+            if let Some((first_pos, pat)) = blocking {
                 report.add_sites(Rule::BlockingUnderLock, 1);
-                let lock_chain = lock_calls_on(line).into_iter().any(|(pos, _)| pos < first_pos);
-                if lock_chain || !held.is_empty() {
-                    let under = if lock_chain {
-                        "a lock acquired earlier on the same line".to_string()
-                    } else {
-                        let h = held.iter().max_by_key(|h| h.line).unwrap();
-                        format!("{} (held since line {})", h.class, h.line)
-                    };
+                let under = if locks.iter().any(|&(pos, _)| pos < first_pos) {
+                    Some("a lock acquired earlier on the same line".to_string())
+                } else {
+                    held.last().map(|h| format!("guard `{}` (bound line {})", h.name, h.line))
+                };
+                if let Some(under) = under {
                     report.flag(
                         Rule::BlockingUnderLock,
                         file,
@@ -777,7 +656,6 @@ pub fn lock_discipline(file: &SourceFile, spec: &LockOrderSpec, report: &mut Rep
                     );
                 }
             }
-            // -- explicit releases ------------------------------------------
             for name in drop_calls_on(line) {
                 held.retain(|h| h.name != name);
             }
@@ -807,98 +685,6 @@ fn lock_calls_on(line: &str) -> Vec<(usize, &'static str)> {
     }
     out.sort_unstable();
     out
-}
-
-/// The receiver chain feeding a lock call, walked backward from the `.`
-/// at `at`, joining rustfmt continuation lines (`*self` / `.by_cert` /
-/// `.read()`). Accepts identifier chars plus `.?`, swallowing balanced
-/// `[...]` / `(...)` groups whole (so `tables[slot_of(&r.id)]` stays
-/// one receiver); an unmatched opener or interior whitespace
-/// terminates the chain.
-fn lock_receiver(file: &SourceFile, line_idx: usize, at: usize) -> String {
-    let mut out: Vec<char> = Vec::new();
-    let mut li = line_idx;
-    let mut prefix: Vec<char> = file.masked_lines[li][..at].chars().collect();
-    let mut hops = 0;
-    // Unmatched closers seen so far — while positive we are inside an
-    // index/call argument and accept any character.
-    let mut nest: u32 = 0;
-    loop {
-        let mut jumped = false;
-        while let Some(&c) = prefix.last() {
-            if matches!(c, ')' | ']') {
-                nest += 1;
-                out.push(c);
-                prefix.pop();
-            } else if matches!(c, '(' | '[') {
-                if nest == 0 {
-                    return out.iter().rev().collect(); // enclosing call/index
-                }
-                nest -= 1;
-                out.push(c);
-                prefix.pop();
-            } else if nest > 0 || c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '?') {
-                if c.is_whitespace() && prefix.iter().all(|ch| ch.is_whitespace()) {
-                    jumped = true;
-                    break;
-                }
-                out.push(c);
-                prefix.pop();
-            } else if c.is_whitespace() && prefix.iter().all(|ch| ch.is_whitespace()) {
-                jumped = true;
-                break;
-            } else {
-                return out.iter().rev().collect();
-            }
-        }
-        if !jumped && prefix.is_empty() {
-            jumped = true; // chain ran to column 0 — may continue above
-        }
-        hops += 1;
-        if !jumped || hops > 6 || li == 0 {
-            return out.iter().rev().collect();
-        }
-        li -= 1;
-        while li > 0 && file.masked_lines[li].trim().is_empty() {
-            li -= 1;
-        }
-        prefix = file.masked_lines[li].trim_end().chars().collect();
-    }
-}
-
-/// Declared classes whose receiver patterns match, deduped by rank.
-fn classify<'a>(classes: &[&'a LockClass], receiver: &str) -> Vec<&'a LockClass> {
-    let mut hits: Vec<&LockClass> = Vec::new();
-    for class in classes {
-        let matched = class.patterns.iter().any(|pat| {
-            if pat.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                ident_bounded(receiver, pat)
-            } else {
-                receiver.contains(pat.as_str())
-            }
-        });
-        if matched && !hits.iter().any(|h| h.rank == class.rank) {
-            hits.push(class);
-        }
-    }
-    hits
-}
-
-/// Does `needle` occur in `haystack` on identifier boundaries?
-fn ident_bounded(haystack: &str, needle: &str) -> bool {
-    let bytes = haystack.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = haystack[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let before_ok = start == 0 || !is_ident(bytes[start - 1] as char);
-        let after_ok = end >= haystack.len() || !is_ident(bytes[end] as char);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = start + 1;
-    }
-    false
 }
 
 /// If the acquisition at the end of this line is a guard *binding*
@@ -944,12 +730,6 @@ fn drop_calls_on(line: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// Class names live as long as the report; the set is tiny and fixed per
-/// run, so leaking the handful of strings is cheaper than an arena.
-fn leak(name: &str) -> &'static str {
-    Box::leak(name.to_string().into_boxed_str())
 }
 
 // ---------------------------------------------------------------------------

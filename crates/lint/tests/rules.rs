@@ -4,8 +4,7 @@
 //! has silently lost coverage.
 
 use gridbank_lint::{
-    render_report, storage_sections, LockOrderSpec, NameRegistry, Report, Rule, SourceFile,
-    Workspace,
+    render_report, storage_sections, NameRegistry, Report, Rule, SourceFile, Workspace,
 };
 
 fn registry() -> NameRegistry {
@@ -16,24 +15,10 @@ fn registry() -> NameRegistry {
     .expect("fixture registry parses")
 }
 
-/// A miniature declared lock order mirroring the real table's shape:
-/// ranks ascend, one class per rank.
-fn lock_order() -> LockOrderSpec {
-    LockOrderSpec::parse(
-        "| 10 | registry | server.rs | `peers` |\n\
-         | 15 | worker-inbox | server.rs | `rx` |\n\
-         | 20 | account-shard | db.rs | `shards` `shard` |\n\
-         | 30 | journal-mem | db.rs | `mem` |\n\
-         | 40 | store-writer | store.rs | `writer` |",
-    )
-    .expect("fixture lock order parses")
-}
-
 fn workspace(files: Vec<SourceFile>) -> Workspace {
     Workspace {
         files,
         registry: registry(),
-        lock_order: lock_order(),
         storage_sections: vec!["1".into(), "2".into(), "2.3".into(), "3".into(), "3.4".into()],
     }
 }
@@ -229,47 +214,6 @@ fn build(&self) -> CommitRows {
     assert_eq!(violations(&report, Rule::IdemStamp), 0, "{:?}", report.violations);
 }
 
-// ---- L3 no-panic ----
-
-#[test]
-fn no_panic_flags_unwrap_in_scope() {
-    let source = r#"
-fn decode(buf: &[u8]) -> Frame {
-    let len = buf.first().unwrap();
-    panic!("bad frame {len}");
-}
-"#;
-    let report = analyze("crates/net/src/fixture.rs", source);
-    assert_eq!(violations(&report, Rule::NoPanic), 2, "{:?}", report.violations);
-
-    // The same text outside the protected paths is none of our business.
-    let report = analyze("crates/sim/src/fixture.rs", source);
-    assert_eq!(violations(&report, Rule::NoPanic), 0, "{:?}", report.violations);
-}
-
-#[test]
-fn no_panic_permits_tests_and_fallible_cousins() {
-    let report = analyze(
-        "crates/core/src/fixture.rs",
-        r#"
-fn replay(buf: &[u8]) -> Result<Frame, DbError> {
-    let len = buf.first().copied().unwrap_or_default();
-    buf.get(1).ok_or(DbError::Truncated)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn explode() {
-        decode(&[]).unwrap();
-        panic!("fine in tests");
-    }
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::NoPanic), 0, "{:?}", report.violations);
-}
-
 // ---- L4 display-parse ----
 
 #[test]
@@ -358,138 +302,6 @@ fn observe(name: &str) {
     assert_eq!(violations(&report, Rule::MetricPrefix), 1, "{:?}", report.violations);
 }
 
-// ---- L6 lock-order ----
-
-#[test]
-fn lock_order_flags_inverted_acquisition() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn bad(&self) {
-    let mem = self.journal.mem.lock();
-    let shard = self.shards[0].write();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 1, "{:?}", report.violations);
-    assert!(report.violations[0].message.contains("rank 20"));
-
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn good(&self) {
-    let shard = self.shards[0].write();
-    let mem = self.journal.mem.lock();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 0, "{:?}", report.violations);
-}
-
-#[test]
-fn lock_order_respects_explicit_drop() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn ok(&self) {
-    let mem = self.journal.mem.lock();
-    drop(mem);
-    let shard = self.shards[0].write();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 0, "{:?}", report.violations);
-}
-
-#[test]
-fn lock_order_releases_guards_at_scope_end() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn ok(&self) {
-    {
-        let mem = self.journal.mem.lock();
-        mem.push(entry);
-    }
-    let shard = self.shards[0].write();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 0, "{:?}", report.violations);
-}
-
-#[test]
-fn lock_order_rejects_undeclared_receivers() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn sneak(&self) {
-    let g = self.mystery.lock();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 1, "{:?}", report.violations);
-    assert!(report.violations[0].message.contains("no class"));
-}
-
-#[test]
-fn lock_order_flags_reacquisition_of_the_same_lock() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn deadlock(&self, i: usize) {
-    let a = self.shards[i].write();
-    let b = self.shards[i].read();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 1, "{:?}", report.violations);
-    assert!(report.violations[0].message.contains("self-deadlock"));
-}
-
-#[test]
-fn lock_order_flags_two_guards_of_one_class() {
-    // However the pair is ordered: a class has one lock and one rank.
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn transfer(&self, a: usize, b: usize) {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let first = self.shards[lo].write();
-    let second = self.shards[hi].write();
-}
-"#,
-    );
-    assert_eq!(violations(&report, Rule::LockOrder), 1, "{:?}", report.violations);
-    assert!(report.violations[0].message.contains("two account-shard locks"));
-}
-
-#[test]
-fn lock_order_joins_rustfmt_continuation_receivers() {
-    let report = analyze(
-        "crates/core/src/db.rs",
-        r#"
-fn lookup(&self, cert: &str) -> Option<AccountId> {
-    let shard = self.shards[0].read();
-    let id = *self
-        .journal
-        .mem
-        .lock()
-        .last()?;
-    Some(id)
-}
-"#,
-    );
-    // shard (20) then journal mem (30): legal, and the split receiver
-    // must still classify (an unclassified receiver would flag).
-    assert_eq!(violations(&report, Rule::LockOrder), 0, "{:?}", report.violations);
-}
-
-#[test]
-fn lock_order_spec_rejects_an_empty_table() {
-    assert!(LockOrderSpec::parse("# no table here\n").is_err());
-}
-
 // ---- L7 blocking-under-lock ----
 
 #[test]
@@ -513,6 +325,45 @@ fn flush(&self) {
     let writer = self.writer.lock();
     drop(writer);
     file.sync_all().ok();
+}
+"#,
+    );
+    assert_eq!(violations(&report, Rule::BlockingUnderLock), 0, "{:?}", report.violations);
+}
+
+#[test]
+fn blocking_under_lock_covers_every_core_file() {
+    // guarantee.rs declares no lock anywhere: the rule scans all of
+    // crates/core/src/, not a list of lock-bearing files.
+    let source = r#"
+fn persist(&self) {
+    let reservations = self.reservations.lock();
+    fs::write(&path, &bytes).ok();
+}
+"#;
+    let report = analyze("crates/core/src/guarantee.rs", source);
+    assert_eq!(violations(&report, Rule::BlockingUnderLock), 1, "{:?}", report.violations);
+    assert!(
+        report.violations[0].message.contains("guard `reservations` (bound line 3)"),
+        "{:?}",
+        report.violations
+    );
+
+    let report = analyze("crates/sim/src/fixture.rs", source);
+    assert_eq!(violations(&report, Rule::BlockingUnderLock), 0, "{:?}", report.violations);
+}
+
+#[test]
+fn blocking_under_lock_releases_guards_at_scope_end() {
+    let report = analyze(
+        "crates/core/src/guarantee.rs",
+        r#"
+fn persist(&self) {
+    {
+        let reservations = self.reservations.lock();
+        reservations.len();
+    }
+    fs::write(&path, &bytes).ok();
 }
 "#,
     );
@@ -699,7 +550,7 @@ fn malformed_directives_fail_the_run() {
         r#"
 // lint:allow(no-such-rule) typo'd rule id
 fn a() {}
-// lint:allow(no-panic)
+// lint:allow(money-arith)
 fn b() {}
 "#,
     );

@@ -38,6 +38,20 @@
 //! [`NetError::is_retryable`].
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors, never panics: a malformed frame
+// or a torn journal must surface as `NetError` / `RurError` /
+// `BankError`, not abort the process. Tests may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod channel;
 pub mod error;

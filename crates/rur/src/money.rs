@@ -17,15 +17,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::Neg;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RurError;
 
 /// Micro-G$ per G$.
 pub const MICRO_PER_GD: i128 = 1_000_000;
 
 /// An exact amount of Grid currency, in micro-G$.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Credits(i128);
 
 impl Credits {

@@ -7,8 +7,6 @@
 //! chargeable item (wall clock, CPU, memory, storage, network, software),
 //! with the total job cost derivable from the lines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RurError;
 use crate::money::Credits;
 use crate::units::{DataSize, Duration, MbHours, BYTES_PER_MB, MS_PER_HOUR};
@@ -16,7 +14,7 @@ use crate::units::{DataSize, Duration, MbHours, BYTES_PER_MB, MS_PER_HOUR};
 /// The chargeable items of §2.1 plus wall-clock time from the RUR field
 /// list. "Software Libraries" are priced by system CPU time, as the paper
 /// specifies.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ChargeableItem {
     /// Wall-clock duration of the job on the resource.
     WallClock,
@@ -83,7 +81,7 @@ impl ChargeableItem {
 }
 
 /// The measured quantity for one chargeable item.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UsageAmount {
     /// A duration (wall clock, user CPU, system CPU).
     Time(Duration),
@@ -119,7 +117,7 @@ impl std::fmt::Display for UsageAmount {
 /// "For every chargeable item in the rates record there must be a
 /// corresponding item in the RUR" (§2.1) — conformance is checked by
 /// `gridbank_trade::rates`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UsageLine {
     /// Which chargeable item this line accounts.
     pub item: ChargeableItem,
@@ -160,7 +158,7 @@ impl UsageLine {
 }
 
 /// User (GSC) details carried in the RUR.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UserDetails {
     /// Host name / IP the job was submitted from.
     pub host: String,
@@ -169,7 +167,7 @@ pub struct UserDetails {
 }
 
 /// Job details carried in the RUR.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct JobDetails {
     /// Grid-global job identifier (the paper leaves the scheme open:
     /// Nimrod-G id, local pid, or a global unique id).
@@ -190,7 +188,7 @@ impl JobDetails {
 }
 
 /// Resource (GSP) details carried in the RUR.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ResourceDetails {
     /// Host name / IP of the resource.
     pub host: String,
@@ -204,7 +202,7 @@ pub struct ResourceDetails {
 }
 
 /// The OS-independent Resource Usage Record.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ResourceUsageRecord {
     /// Consumer details.
     pub user: UserDetails,

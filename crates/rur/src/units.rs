@@ -5,8 +5,6 @@
 //! by system CPU time. These newtypes keep the integer bookkeeping exact
 //! and make unit errors type errors.
 
-use serde::{Deserialize, Serialize};
-
 /// Milliseconds per hour — the denominator for per-hour pricing.
 pub const MS_PER_HOUR: u64 = 3_600_000;
 
@@ -14,9 +12,7 @@ pub const MS_PER_HOUR: u64 = 3_600_000;
 pub const BYTES_PER_MB: u64 = 1_000_000;
 
 /// A duration in milliseconds of virtual or wall time.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Duration(pub u64);
 
 impl Duration {
@@ -77,9 +73,7 @@ impl std::fmt::Display for Duration {
 }
 
 /// An amount of data in bytes (network traffic, storage footprints).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct DataSize(pub u64);
 
 impl DataSize {
@@ -124,9 +118,7 @@ impl std::fmt::Display for DataSize {
 
 /// The MB·hour composite the paper prices memory and storage in, tracked
 /// exactly as **MB·milliseconds** internally.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct MbHours(pub u64);
 
 impl MbHours {

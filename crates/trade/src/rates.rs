@@ -6,15 +6,13 @@
 //! each other. For every chargeable item in the rates record there must
 //! be a corresponding item in the RUR."
 
-use serde::{Deserialize, Serialize};
-
 use gridbank_rur::record::{ChargeableItem, ResourceUsageRecord};
 use gridbank_rur::{Credits, RurError};
 
 use crate::error::TradeError;
 
 /// A price per chargeable item — the GTS's rates record.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceRates {
     entries: Vec<(ChargeableItem, Credits)>,
 }
@@ -126,7 +124,7 @@ impl ServiceRates {
 
 /// A rates record bound to a provider and a validity window — what a GTS
 /// hands a broker during negotiation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RateQuote {
     /// Provider certificate name the quote binds.
     pub provider: String,

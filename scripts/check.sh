@@ -36,10 +36,13 @@ cargo fmt --all --check
 stage "cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Domain-invariant analysis (docs/STATIC_ANALYSIS.md): money arithmetic,
-# idempotency stamps, no-panic request paths, Display parsing, metric
-# registry. Exits non-zero on any violation or malformed allow
-# directive; the report includes the suppression count per directive.
+# Domain-invariant analysis (docs/STATIC_ANALYSIS.md), six rules: money
+# arithmetic, idempotency stamps, Display parsing, metric registry,
+# blocking under a lock in core, durable-file ordering. Panic-free
+# library code is the clippy stage above; the lock order is the
+# debug-build witness the workspace tests below run. Exits non-zero on
+# any violation or malformed allow directive; the report includes the
+# suppression count per directive.
 stage "gridbank-lint (deny violations; see docs/STATIC_ANALYSIS.md)"
 cargo run -q -p gridbank-lint
 
@@ -47,7 +50,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark + one retry rule guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark + one retry rule + one lock order guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -143,14 +146,38 @@ if grep -rnE --include='*.rs' \
   echo "retry guard: one retry rule, gridbank_core::resilient::RetryLink" >&2
   exit 1
 fi
+# One wall per invariant (docs/STATIC_ANALYSIS.md, EXPERIMENTS.md E31):
+# the lock order is declared once, in `sync::rank`, and checked by the
+# witness; panic-free library code is clippy's restriction lints. The
+# lexical lock-order rule, its parsed table and the lexical no-panic
+# rule cannot grow back, and db.rs builds no plain lock outside the
+# condvar-coupled commit queue.
+if grep -rnE --include='*.rs' \
+  'LockOrderSpec|LockClass|lock_discipline|Rule::LockOrder|Rule::NoPanic|NO_PANIC_SCOPE' \
+  crates tests examples src \
+  || awk '/^#\[cfg\((all\()?test/ { exit }
+      /^impl CommitQueue \{/ { queue = 1 } queue && /^\}/ { queue = 0 }
+      queue && /^    fn new\(/ { ctor = 1 } ctor && /^    \}/ { ctor = 0 }
+      !ctor && /(^|[^A-Za-z_])(Mutex|RwLock)::new\(/ {
+        print FILENAME ":" FNR ":" $0; found = 1 }
+      END { exit !found }' crates/core/src/db.rs; then
+  echo "lock-order guard: rank db.rs locks in sync::rank and wrap them in OrderedMutex/OrderedRwLock" >&2
+  exit 1
+fi
+echo "clippy restriction-lint allows in crates/{core,net,rur}/src:"
+grep -rnE '(allow|expect)\(.*clippy::(unwrap_used|expect_used|panic|unreachable|todo|unimplemented)\b' \
+  crates/core/src crates/net/src crates/rur/src | sed 's/^/  /' || echo "  (none)"
 scripts/loc.sh
 
-stage "tier-1: cargo build --release && cargo test"
+# The whole workspace, not only the root package's integration tests:
+# this is what runs the witness's seeded-inversion tests, the lint's
+# fixtures and every crate's unit tests.
+stage "tier-1: cargo build --release && cargo test --workspace"
 cargo build --release
 # The root package's release build does not cover the workspace
 # binary the smoke stages below shell out to; build it explicitly.
 cargo build --release -p gridbank-cli
-cargo test -q
+cargo test -q --workspace
 
 # Chaos suite (E15): `cargo test` above already ran it at its fixed
 # default seeds. Export CHAOS_SEED=<n> to additionally probe one extra
