@@ -100,6 +100,12 @@ impl GridCheque {
         bank_key
             .verify(&self.body.to_bytes(), &self.signature)
             .map_err(|_| BankError::InvalidInstrument("bad bank signature on cheque".into()))?;
+        self.check_terms(expect_payee, now_ms)
+    }
+
+    /// The checks [`Self::verify`] makes after the signature: the payee
+    /// binding (when given) and expiry.
+    fn check_terms(&self, expect_payee: Option<&str>, now_ms: u64) -> Result<(), BankError> {
         if let Some(p) = expect_payee {
             if self.body.payee_cert != p {
                 return Err(BankError::InvalidInstrument(format!(
@@ -165,13 +171,15 @@ impl ChequeOffice<'_> {
             expires_ms: now_ms.saturating_add(validity_ms),
             branch: self.branch,
         };
-        let signature = self.signer.sign(&body.to_bytes())?;
+        let signature = self.guarantee.sign_instrument(cheque_id, self.signer, &body.to_bytes())?;
         Ok(GridCheque { body, signature })
     }
 
     /// Redeems a cheque against a usage record. The redeemer must be the
     /// payee; the charge is recomputed from the RUR; payment is capped at
-    /// the reservation (§3.4) and the remainder released.
+    /// the reservation (§3.4) and the remainder released. A cheque that is
+    /// byte for byte the one this bank issued against its reservation is
+    /// recognised; any other has its bank signature verified.
     pub fn redeem(
         &self,
         cheque: &GridCheque,
@@ -180,7 +188,15 @@ impl ChequeOffice<'_> {
         payee_account: &AccountId,
         now_ms: u64,
     ) -> Result<Redemption, BankError> {
-        cheque.verify(&self.signer.verifying_key(), Some(redeemer_cert), now_ms)?;
+        if self.guarantee.recognises(
+            cheque.body.cheque_id,
+            &cheque.body.to_bytes(),
+            &cheque.signature,
+        ) {
+            cheque.check_terms(Some(redeemer_cert), now_ms)?;
+        } else {
+            cheque.verify(&self.signer.verifying_key(), Some(redeemer_cert), now_ms)?;
+        }
         rur.validate()?;
         // The RUR must name the payee as the provider — a cheque cannot be
         // redeemed with someone else's usage evidence.

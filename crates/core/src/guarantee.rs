@@ -9,12 +9,22 @@
 //! GridCheques and GridHash chains: `reserve` locks funds against an
 //! instrument id; `settle` pays the payee the actual charge (capped at the
 //! reservation) and releases the remainder; `release` returns everything.
+//!
+//! A reservation also remembers the instrument the bank signed against it
+//! ([`FundsGuarantee::sign_instrument`]), so a redemption presenting those
+//! exact bytes is recognised ([`FundsGuarantee::recognises`]) instead of
+//! having the bank re-verify its own signature. A failed payout, release
+//! or signature undoes its claim on the reservation: no error leaves funds
+//! locked that the sweeper cannot return.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::sync::Mutex;
 
+use gridbank_crypto::keys::SigningIdentity;
+use gridbank_crypto::merkle::MerkleSignature;
+use gridbank_crypto::sha256::{Digest, Sha256};
 use gridbank_rur::Credits;
 
 use crate::accounts::GbAccounts;
@@ -35,6 +45,35 @@ pub struct Reservation {
     /// Instrument expiry, virtual ms; `u64::MAX` when the caller manages
     /// lifetime itself. The sweeper releases overdue reservations.
     pub expires_ms: u64,
+    /// SHA-256 of the signed instrument this reservation backs, body ‖
+    /// signature encoding exactly as handed out; `None` until its body is
+    /// signed.
+    pub instrument: Option<Digest>,
+    /// Highest payword index paid out of a chain's reservation; 0 for a
+    /// cheque and for a chain nobody has redeemed yet.
+    pub redeemed_index: u32,
+}
+
+/// SHA-256 of `body ‖ signature.to_bytes()`, fed from the signature's
+/// fields so its 2.5 KB encoding is never copied into a buffer. Both
+/// instrument bodies decode field by field to a fixed end, so no other
+/// (body, signature) split of the same bytes is a well-formed instrument.
+fn instrument_digest(body: &[u8], signature: &MerkleSignature) -> Digest {
+    let mut h = Sha256::new();
+    h.update(body);
+    h.update(&(signature.leaf_index as u64).to_be_bytes());
+    for d in signature.ots.revealed.iter() {
+        h.update(d.as_bytes());
+    }
+    h.update(&(signature.path.len() as u64).to_be_bytes());
+    for d in &signature.path {
+        h.update(d.as_bytes());
+    }
+    h.finalize()
+}
+
+fn no_reservation(id: u64) -> BankError {
+    BankError::InvalidInstrument(format!("no reservation {id}"))
 }
 
 impl Reservation {
@@ -87,9 +126,75 @@ impl FundsGuarantee {
                 settled: Credits::ZERO,
                 closed: false,
                 expires_ms,
+                instrument: None,
+                redeemed_index: 0,
             },
         );
         Ok(id)
+    }
+
+    /// Signs the instrument `body` backed by reservation `id` and records
+    /// the SHA-256 of body and signature there. When the bank cannot sign
+    /// (its key is exhausted) the reservation is released, so no funds
+    /// stay locked behind an instrument that was never handed out.
+    pub fn sign_instrument(
+        &self,
+        id: u64,
+        signer: &SigningIdentity,
+        body: &[u8],
+    ) -> Result<MerkleSignature, BankError> {
+        let signature = match signer.sign(body) {
+            Ok(signature) => signature,
+            Err(e) => {
+                // The signing error is the one to report; a release that
+                // fails too leaves the reservation open for the sweeper.
+                let _ = self.release(id);
+                return Err(e.into());
+            }
+        };
+        let digest = instrument_digest(body, &signature);
+        if let Some(r) = self.reservations.lock().get_mut(&id) {
+            r.instrument = Some(digest);
+        }
+        Ok(signature)
+    }
+
+    /// Whether `body ‖ signature` is exactly the instrument this bank
+    /// signed against reservation `id`: then it needs no signature check.
+    /// Any other input — a changed byte, an unknown id, a bank that lost
+    /// its reservations — answers false and must be verified. Every call
+    /// counts one `core.instrument.recognised` or
+    /// `core.instrument.verified`, so the two partition redemptions.
+    pub fn recognises(&self, id: u64, body: &[u8], signature: &MerkleSignature) -> bool {
+        let digest = instrument_digest(body, signature);
+        let known = self.reservations.lock().get(&id).and_then(|r| r.instrument) == Some(digest);
+        gridbank_obs::count(
+            if known { "core.instrument.recognised" } else { "core.instrument.verified" },
+            1,
+        );
+        known
+    }
+
+    /// Closes open reservation `id` so that no concurrent settler or
+    /// sweeper can also move its funds; returns the drawer and the amount
+    /// still locked for it.
+    fn claim(&self, id: u64) -> Result<(AccountId, Credits), BankError> {
+        let mut map = self.reservations.lock();
+        let r = map.get_mut(&id).ok_or_else(|| no_reservation(id))?;
+        if r.closed {
+            return Err(BankError::AlreadyRedeemed(format!("reservation {id}")));
+        }
+        r.closed = true;
+        Ok((r.account, r.outstanding()))
+    }
+
+    /// Reopens a claimed reservation after the money movement behind the
+    /// claim failed, keeping `paid` (what did move) as settled.
+    fn reopen(&self, id: u64, paid: Credits) {
+        if let Some(r) = self.reservations.lock().get_mut(&id) {
+            r.closed = false;
+            r.settled = r.settled.saturating_add(paid);
+        }
     }
 
     /// Releases every open reservation whose expiry has passed — the
@@ -133,25 +238,23 @@ impl FundsGuarantee {
             return Err(BankError::NonPositiveAmount);
         }
         // Claim the reservation first so concurrent settlers can't both
-        // pay; the monetary ops below only touch the claimed amount.
-        let reservation = {
-            let mut map = self.reservations.lock();
-            let r = map
-                .get_mut(&id)
-                .ok_or_else(|| BankError::InvalidInstrument(format!("no reservation {id}")))?;
-            if r.closed {
-                return Err(BankError::AlreadyRedeemed(format!("reservation {id}")));
-            }
-            r.closed = true;
-            r.clone()
-        };
-        let pay = charge.min(reservation.outstanding());
-        let release = reservation.outstanding().checked_sub(pay)?;
+        // pay; the monetary ops below only touch the claimed amount, and
+        // each failure reopens the claim with what did move, so the
+        // sweeper still returns whatever stays locked.
+        let (drawer, outstanding) = self.claim(id)?;
+        let pay = charge.min(outstanding);
+        let release = outstanding.checked_sub(pay)?;
         if pay.is_positive() {
-            self.accounts.transfer_from_locked(&reservation.account, payee, pay, rur_blob)?;
+            if let Err(e) = self.accounts.transfer_from_locked(&drawer, payee, pay, rur_blob) {
+                self.reopen(id, Credits::ZERO);
+                return Err(e);
+            }
         }
         if release.is_positive() {
-            self.accounts.unlock_funds(&reservation.account, release)?;
+            if let Err(e) = self.accounts.unlock_funds(&drawer, release) {
+                self.reopen(id, pay);
+                return Err(e);
+            }
         }
         if let Some(r) = self.reservations.lock().get_mut(&id) {
             r.settled = r.settled.saturating_add(pay);
@@ -159,60 +262,71 @@ impl FundsGuarantee {
         Ok((pay, release))
     }
 
-    /// Settles part of the reservation *without closing it* — the
-    /// incremental redemption path used by pay-as-you-go hash chains.
-    pub fn settle_partial(
+    /// Pays a chain's paywords up to `index` out of its reservation
+    /// *without closing it* — the incremental redemption of pay-as-you-go
+    /// hash chains. Pays `value_per_word` for each word past the highest
+    /// index already paid; a replay of that index or a lower one is
+    /// refused. The index check and the headroom claim are one critical
+    /// section, and a failed payout gives both back.
+    pub fn settle_words(
         &self,
         id: u64,
+        index: u32,
+        value_per_word: Credits,
         payee: &AccountId,
-        charge: Credits,
         rur_blob: Vec<u8>,
     ) -> Result<Credits, BankError> {
-        if !charge.is_positive() {
-            return Err(BankError::NonPositiveAmount);
-        }
-        // Atomically check headroom and provisionally account the payment,
-        // carrying the account id out of the critical section rather than
-        // re-looking the reservation up afterwards.
-        let account = {
+        let (account, previous, amount) = {
             let mut map = self.reservations.lock();
-            let r = map
-                .get_mut(&id)
-                .ok_or_else(|| BankError::InvalidInstrument(format!("no reservation {id}")))?;
+            let r = map.get_mut(&id).ok_or_else(|| no_reservation(id))?;
+            let previous = r.redeemed_index;
+            if index <= previous {
+                return Err(BankError::AlreadyRedeemed(format!(
+                    "chain {id} already redeemed through index {previous}"
+                )));
+            }
+            let amount = value_per_word.checked_mul(i128::from(index.saturating_sub(previous)))?;
+            if !amount.is_positive() {
+                return Err(BankError::NonPositiveAmount);
+            }
             if r.closed {
                 return Err(BankError::AlreadyRedeemed(format!("reservation {id}")));
             }
-            if r.outstanding() < charge {
+            if r.outstanding() < amount {
                 return Err(BankError::InsufficientLockedFunds {
                     account: r.account,
-                    needed: charge,
+                    needed: amount,
                     locked: r.outstanding(),
                 });
             }
-            r.settled = r.settled.saturating_add(charge);
-            r.account
+            r.settled = r.settled.saturating_add(amount);
+            r.redeemed_index = index;
+            (r.account, previous, amount)
         };
-        self.accounts.transfer_from_locked(&account, payee, charge, rur_blob)?;
-        Ok(charge)
+        if let Err(e) = self.accounts.transfer_from_locked(&account, payee, amount, rur_blob) {
+            if let Some(r) = self.reservations.lock().get_mut(&id) {
+                r.settled = r.settled.checked_sub(amount).unwrap_or(Credits::ZERO);
+                // A later redeem that already claimed past `index` paid
+                // only its own delta; the words up to `index` stay unpaid
+                // and their funds locked until the chain closes or expires.
+                if r.redeemed_index == index {
+                    r.redeemed_index = previous;
+                }
+            }
+            return Err(e);
+        }
+        Ok(amount)
     }
 
     /// Releases the whole outstanding reservation back to the drawer
     /// (instrument expired unused). Terminal.
     pub fn release(&self, id: u64) -> Result<Credits, BankError> {
-        let reservation = {
-            let mut map = self.reservations.lock();
-            let r = map
-                .get_mut(&id)
-                .ok_or_else(|| BankError::InvalidInstrument(format!("no reservation {id}")))?;
-            if r.closed {
-                return Err(BankError::AlreadyRedeemed(format!("reservation {id}")));
-            }
-            r.closed = true;
-            r.clone()
-        };
-        let outstanding = reservation.outstanding();
+        let (drawer, outstanding) = self.claim(id)?;
         if outstanding.is_positive() {
-            self.accounts.unlock_funds(&reservation.account, outstanding)?;
+            if let Err(e) = self.accounts.unlock_funds(&drawer, outstanding) {
+                self.reopen(id, Credits::ZERO);
+                return Err(e);
+            }
         }
         Ok(outstanding)
     }
@@ -300,13 +414,20 @@ mod tests {
     fn partial_settlement_accumulates() {
         let (g, acc, a, p) = setup();
         let id = g.reserve(&a, Credits::from_gd(30)).unwrap();
-        g.settle_partial(id, &p, Credits::from_gd(10), vec![]).unwrap();
-        g.settle_partial(id, &p, Credits::from_gd(15), vec![]).unwrap();
+        let word = Credits::from_gd(1);
+        assert_eq!(g.settle_words(id, 10, word, &p, vec![]).unwrap(), Credits::from_gd(10));
+        assert_eq!(g.settle_words(id, 25, word, &p, vec![]).unwrap(), Credits::from_gd(15));
+        // A replayed or lower index pays nothing.
+        assert!(matches!(
+            g.settle_words(id, 25, word, &p, vec![]),
+            Err(BankError::AlreadyRedeemed(_))
+        ));
         // Exceeding the outstanding lock is refused.
         assert!(matches!(
-            g.settle_partial(id, &p, Credits::from_gd(6), vec![]),
+            g.settle_words(id, 31, word, &p, vec![]),
             Err(BankError::InsufficientLockedFunds { .. })
         ));
+        assert_eq!(g.get(id).unwrap().redeemed_index, 25);
         // Final settle closes and releases the tail.
         let (paid, released) = g.settle(id, &p, Credits::ZERO, vec![]).unwrap();
         assert_eq!(paid, Credits::ZERO);

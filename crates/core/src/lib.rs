@@ -35,6 +35,7 @@
 //! Money is exact fixed-point ([`gridbank_rur::Credits`]); every transfer
 //! preserves Σ(available+locked) — property-tested in `accounts`.
 
+#![forbid(unsafe_code)]
 // The workspace `clippy::arithmetic_side_effects` wall guards
 // production money paths; test fixtures may build inputs with plain
 // arithmetic (see docs/STATIC_ANALYSIS.md §lint wall).

@@ -20,9 +20,6 @@ use gridbank_crypto::sha256::{iterate_hash, sha256, Digest};
 use gridbank_rur::codec::{ByteReader, ByteWriter, Decode, Encode};
 use gridbank_rur::{Credits, RurError};
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use crate::sync::Mutex;
 
 use crate::db::AccountId;
@@ -155,23 +152,15 @@ impl GridHashChain {
     }
 }
 
-/// Bank-side chain issuance and redemption.
+/// Bank-side chain issuance and redemption. A chain's highest redeemed
+/// index lives on its reservation ([`FundsGuarantee::settle_words`]).
 pub struct PayWordOffice<'a> {
     /// Guarantee registry backing chain reservations.
     pub guarantee: &'a FundsGuarantee,
     /// Bank signing identity.
     pub signer: &'a SigningIdentity,
-    /// Per-chain highest index already redeemed.
-    pub redeemed: &'a Mutex<HashMap<u64, u32>>,
     /// Secret-generation stream (bank-internal).
     pub secrets: &'a Mutex<DeterministicStream>,
-}
-
-/// Shared redemption state, owned by the bank.
-#[derive(Clone, Default)]
-pub struct PayWordLedger {
-    /// chain_id → highest redeemed index.
-    pub redeemed: Arc<Mutex<HashMap<u64, u32>>>,
 }
 
 impl PayWordOffice<'_> {
@@ -219,13 +208,17 @@ impl PayWordOffice<'_> {
             issued_ms: now_ms,
             expires_ms: now_ms.saturating_add(validity_ms),
         };
-        let signature = self.signer.sign(&commitment.to_bytes())?;
+        let signature =
+            self.guarantee.sign_instrument(chain_id, self.signer, &commitment.to_bytes())?;
         Ok(GridHashChain { commitment, signature, chain })
     }
 
     /// Redeems up to payword `pay.index`. Pays the *delta* over the
     /// highest previously redeemed index — incremental redemption; a
-    /// replay of an old or equal index pays zero and errors.
+    /// replay of an old or equal index pays zero and errors. A commitment
+    /// and signature that are byte for byte the ones this bank issued
+    /// against the chain's reservation are recognised; any others have the
+    /// bank signature verified.
     pub fn redeem(
         &self,
         commitment: &ChainCommitment,
@@ -235,34 +228,26 @@ impl PayWordOffice<'_> {
         rur_blob: Vec<u8>,
         now_ms: u64,
     ) -> Result<Credits, BankError> {
-        GridHashChain::verify_commitment(commitment, signature, &self.signer.verifying_key())?;
+        if !self.guarantee.recognises(commitment.chain_id, &commitment.to_bytes(), signature) {
+            GridHashChain::verify_commitment(commitment, signature, &self.signer.verifying_key())?;
+        }
         if now_ms >= commitment.expires_ms {
             return Err(BankError::InvalidInstrument("chain expired".into()));
         }
         pay.verify(&commitment.root, commitment.length)?;
-
-        let delta = {
-            let mut redeemed = self.redeemed.lock();
-            let prev = redeemed.entry(commitment.chain_id).or_insert(0);
-            if pay.index <= *prev {
-                return Err(BankError::AlreadyRedeemed(format!(
-                    "chain {} already redeemed through index {prev}",
-                    commitment.chain_id
-                )));
-            }
-            let delta = pay.index.saturating_sub(*prev);
-            *prev = pay.index;
-            delta
-        };
-        let amount = commitment.value_per_word.checked_mul(delta as i128)?;
-        self.guarantee.settle_partial(commitment.chain_id, payee_account, amount, rur_blob)?;
-        Ok(amount)
+        self.guarantee.settle_words(
+            commitment.chain_id,
+            pay.index,
+            commitment.value_per_word,
+            payee_account,
+            rur_blob,
+        )
     }
 
     /// Closes out a chain after final redemption or expiry, releasing the
     /// unspent reservation to the drawer.
     pub fn close(&self, commitment: &ChainCommitment, now_ms: u64) -> Result<Credits, BankError> {
-        let redeemed_idx = *self.redeemed.lock().get(&commitment.chain_id).unwrap_or(&0);
+        let redeemed_idx = self.guarantee.get(commitment.chain_id).map_or(0, |r| r.redeemed_index);
         // Before expiry, only a fully spent chain may close early.
         if now_ms < commitment.expires_ms && redeemed_idx < commitment.length {
             return Err(BankError::InvalidInstrument(
@@ -288,12 +273,12 @@ mod tests {
     use crate::clock::Clock;
     use crate::db::Database;
     use gridbank_crypto::keys::KeyMaterial;
+    use std::sync::Arc;
 
     struct Fixture {
         guarantee: FundsGuarantee,
         accounts: GbAccounts,
         signer: SigningIdentity,
-        ledger: PayWordLedger,
         secrets: Mutex<DeterministicStream>,
         gsc: AccountId,
         gsp: AccountId,
@@ -313,7 +298,6 @@ mod tests {
             guarantee: FundsGuarantee::new(accounts.clone()),
             accounts,
             signer: SigningIdentity::generate_small(KeyMaterial { seed: 8 }, "bank"),
-            ledger: PayWordLedger::default(),
             secrets: Mutex::new(DeterministicStream::from_u64(77, b"chains")),
             gsc,
             gsp,
@@ -321,12 +305,7 @@ mod tests {
     }
 
     fn office<'a>(f: &'a Fixture) -> PayWordOffice<'a> {
-        PayWordOffice {
-            guarantee: &f.guarantee,
-            signer: &f.signer,
-            redeemed: &f.ledger.redeemed,
-            secrets: &f.secrets,
-        }
+        PayWordOffice { guarantee: &f.guarantee, signer: &f.signer, secrets: &f.secrets }
     }
 
     #[test]

@@ -120,7 +120,6 @@ pub struct GridBank {
     pub estimator: PriceEstimator,
     clock: Clock,
     config: GridBankConfig,
-    payword_redeemed: Mutex<HashMap<u64, u32>>,
     chain_secrets: Mutex<DeterministicStream>,
     descriptions: OrderedRwLock<HashMap<String, ResourceDescription>>,
     /// Idempotency keys currently being applied. With pipelining, two
@@ -215,7 +214,6 @@ impl GridBank {
             estimator: PriceEstimator::new(),
             clock,
             config,
-            payword_redeemed: Mutex::new(HashMap::new()),
             chain_secrets,
             descriptions: OrderedRwLock::new(rank::DESCRIPTIONS, "descriptions", HashMap::new()),
             in_flight_keys: Mutex::new(HashSet::new()),
@@ -372,7 +370,6 @@ impl GridBank {
         PayWordOffice {
             guarantee: &self.guarantee,
             signer: &self.signer,
-            redeemed: &self.payword_redeemed,
             secrets: &self.chain_secrets,
         }
     }

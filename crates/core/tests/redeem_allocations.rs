@@ -1,0 +1,158 @@
+//! What one in-process redeem allocates, pinned exactly. A redeem the bank
+//! recognises hashes the presented body and signature where they lie: a
+//! copy of the 2.5 KB signature encoding into a `Vec` of its own, or any
+//! other allocation added to `GridBank::handle` on these two paths, fails
+//! this test and has to move the pinned counts on purpose.
+
+// The one unsafe item in the package: a `GlobalAlloc` that counts. The
+// library itself is `#![forbid(unsafe_code)]`.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use gridbank_core::api::{BankRequest, BankResponse};
+use gridbank_core::clock::Clock;
+use gridbank_core::server::{GridBank, GridBankConfig};
+use gridbank_core::PayWord;
+use gridbank_crypto::cert::SubjectName;
+use gridbank_rur::record::{ChargeableItem, RurBuilder, UsageAmount};
+use gridbank_rur::units::Duration;
+use gridbank_rur::Credits;
+
+thread_local! {
+    /// Allocations made by this thread; const-initialised and without a
+    /// destructor, so reading it inside the allocator allocates nothing.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    ALLOCATIONS.with(|n| n.set(n.get().wrapping_add(1)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter beside the calls
+// touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with `layout`; all three arguments are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_during<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get).wrapping_sub(before), out)
+}
+
+const PAYER: &str = "/O=Grid/OU=Alloc/CN=payer";
+const PAYEE: &str = "/O=Grid/OU=Alloc/CN=payee";
+
+/// A memory-mode bank with a funded payer and a payee, telemetry off.
+fn bank() -> GridBank {
+    gridbank_obs::set_telemetry(false);
+    let bank = GridBank::new(
+        GridBankConfig { signer_height: 5, ..GridBankConfig::default() },
+        Clock::new(),
+    );
+    let payer = bank.accounts.create_account(PAYER, None).unwrap();
+    bank.accounts.create_account(PAYEE, None).unwrap();
+    let operator = "/O=GridBank/OU=Admin/CN=operator";
+    bank.admin.deposit(operator, &payer, Credits::from_gd(1_000)).unwrap();
+    bank
+}
+
+/// Allocations of each of `requests`, redeemed in turn by the payee; the
+/// first is the warm-up and is left out. Vectors that double as rows are
+/// appended allocate on some redeems and not others, so the pinned
+/// number is the fewest any redeem made.
+fn fewest_allocations(bank: &GridBank, requests: Vec<BankRequest>) -> u64 {
+    let payee = SubjectName(PAYEE.into());
+    let mut counts = Vec::with_capacity(requests.len());
+    for request in requests {
+        let (n, response) = allocations_during(|| bank.handle(&payee, request));
+        assert!(matches!(response, BankResponse::Redeemed { .. }), "{response:?}");
+        counts.push(n);
+    }
+    counts.into_iter().skip(1).min().unwrap()
+}
+
+#[test]
+fn a_recognised_payword_redeem_allocates_a_pinned_count() {
+    let bank = bank();
+    let issued = bank.handle(
+        &SubjectName(PAYER.into()),
+        BankRequest::RequestHashChain {
+            payee_cert: PAYEE.into(),
+            length: 8,
+            value_per_word: Credits::from_gd(1),
+            validity_ms: 1_000_000,
+        },
+    );
+    let BankResponse::HashChain { commitment, signature, chain } = issued else {
+        panic!("chain refused: {issued:?}");
+    };
+    let requests = (1..=8)
+        .map(|index| BankRequest::RedeemPayWord {
+            commitment: commitment.clone(),
+            signature: signature.clone(),
+            payword: PayWord { index, word: chain[index as usize] },
+            rur_blob: Vec::new(),
+        })
+        .collect();
+    assert_eq!(fewest_allocations(&bank, requests), 25, "RedeemPayWord allocations");
+}
+
+#[test]
+fn a_recognised_cheque_redeem_allocates_a_pinned_count() {
+    let bank = bank();
+    let rur = RurBuilder::default()
+        .user("h", PAYER)
+        .job("j", "app", 0, 3_600_000)
+        .resource("r", PAYEE, None, 1)
+        .line(ChargeableItem::Cpu, UsageAmount::Time(Duration::from_hours(1)), Credits::from_gd(1))
+        .build()
+        .unwrap();
+    let requests = (0..8)
+        .map(|_| {
+            let issued = bank.handle(
+                &SubjectName(PAYER.into()),
+                BankRequest::RequestCheque {
+                    payee_cert: PAYEE.into(),
+                    amount: Credits::from_gd(2),
+                    validity_ms: 1_000_000,
+                },
+            );
+            let BankResponse::Cheque(cheque) = issued else {
+                panic!("cheque refused: {issued:?}");
+            };
+            BankRequest::RedeemCheque { cheque, rur: rur.clone() }
+        })
+        .collect();
+    assert_eq!(fewest_allocations(&bank, requests), 37, "RedeemCheque allocations");
+}

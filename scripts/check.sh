@@ -50,7 +50,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark + one retry rule + one lock order guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one keystream + one benchmark + one retry rule + one lock order + one instrument record guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -162,6 +162,16 @@ if grep -rnE --include='*.rs' \
         print FILENAME ":" FNR ":" $0; found = 1 }
       END { exit !found }' crates/core/src/db.rs; then
   echo "lock-order guard: rank db.rs locks in sync::rank and wrap them in OrderedMutex/OrderedRwLock" >&2
+  exit 1
+fi
+# One record per instrument (docs/PROTOCOLS.md §3, EXPERIMENTS.md E32): a
+# chain's highest redeemed index lives on its reservation beside the
+# digest of what the bank issued, so a second per-chain index map beside
+# the reservations cannot grow back. The allocations of a recognised
+# redeem are pinned by crates/core/tests/redeem_allocations.rs, which the
+# workspace tests below run.
+if grep -rnE --include='*.rs' 'payword_redeemed|PayWordLedger' crates tests examples src; then
+  echo "instrument guard: a chain's redeemed index lives on its FundsGuarantee reservation" >&2
   exit 1
 fi
 echo "clippy restriction-lint allows in crates/{core,net,rur}/src:"

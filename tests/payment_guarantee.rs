@@ -153,6 +153,83 @@ fn expired_instruments_are_swept_back_to_drawers() {
     assert_eq!(released, Credits::from_gd(2));
 }
 
+/// A one-line RUR billing `hours` CPU-hours at 1 G$ from `provider`.
+fn rur_from(provider: &str, hours: u64) -> gridbank_suite::rur::ResourceUsageRecord {
+    RurBuilder::default()
+        .user("h", "/O=O/OU=U/CN=payer")
+        .job("j", "a", 0, hours * 3_600_000)
+        .resource("r", provider, None, 1)
+        .line(
+            ChargeableItem::Cpu,
+            UsageAmount::Time(Duration::from_hours(hours)),
+            Credits::from_gd(1),
+        )
+        .build()
+        .unwrap()
+}
+
+/// Advances past every expiry, sweeps, and checks nothing stays locked.
+fn swept_clean(bank: &Arc<GridBank>, payer: &mut InProcessBank, total: Credits) {
+    bank.clock().advance(1_000_000);
+    bank.sweep_expired_instruments();
+    assert_eq!(payer.my_account().unwrap().locked, Credits::ZERO);
+    assert_eq!(bank.total_funds(), total);
+}
+
+#[test]
+fn a_self_payable_cheque_that_fails_to_pay_stays_sweepable() {
+    let bank = bank();
+    let (mut alice, _gsp_port, _gsp) = funded_pair(&bank, 30);
+    let total = bank.total_funds();
+    let me = "/O=O/OU=U/CN=payer";
+    let cheque = alice.request_cheque(me, Credits::from_gd(10), 1_000).unwrap();
+    // The payout is a transfer from the drawer to itself, which the
+    // accounts layer refuses.
+    assert!(matches!(alice.redeem_cheque(cheque, rur_from(me, 3)), Err(BankError::Protocol(_))));
+    assert_eq!(alice.my_account().unwrap().locked, Credits::from_gd(10));
+    swept_clean(&bank, &mut alice, total);
+}
+
+#[test]
+fn a_self_payable_chain_that_fails_to_pay_stays_sweepable() {
+    let bank = bank();
+    let (mut alice, _gsp_port, _gsp) = funded_pair(&bank, 30);
+    let total = bank.total_funds();
+    let chain =
+        alice.request_hash_chain("/O=O/OU=U/CN=payer", 8, Credits::from_gd(1), 1_000).unwrap();
+    for _ in 0..2 {
+        // Refused the same way twice: the failed payout advanced nothing.
+        assert!(matches!(
+            alice.redeem_payword(
+                chain.commitment.clone(),
+                chain.signature.clone(),
+                chain.payword(3).unwrap(),
+                vec![]
+            ),
+            Err(BankError::Protocol(_))
+        ));
+    }
+    assert_eq!(alice.my_account().unwrap().locked, Credits::from_gd(8));
+    swept_clean(&bank, &mut alice, total);
+}
+
+#[test]
+fn an_instrument_the_bank_cannot_sign_locks_nothing() {
+    // Sixteen one-time leaves: sixteen cheques, then the key is spent.
+    let config = GridBankConfig { signer_height: 4, ..GridBankConfig::default() };
+    let bank = Arc::new(GridBank::new(config, Clock::new()));
+    let (mut alice, _gsp_port, gsp) = funded_pair(&bank, 30);
+    let total = bank.total_funds();
+    for _ in 0..16 {
+        alice.request_cheque(&gsp, Credits::from_gd(1), 1_000).unwrap();
+    }
+    let exhausted = |r: Result<(), BankError>| matches!(r, Err(BankError::Protocol(m)) if m.contains("signing identity exhausted"));
+    assert!(exhausted(alice.request_cheque(&gsp, Credits::from_gd(1), 1_000).map(drop)));
+    assert!(exhausted(alice.request_hash_chain(&gsp, 4, Credits::from_gd(1), 1_000).map(drop)));
+    assert_eq!(alice.my_account().unwrap().locked, Credits::from_gd(16));
+    swept_clean(&bank, &mut alice, total);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     /// Any interleaving of instrument issuance/redemption never lets the
