@@ -21,6 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::sync::{
     rank, AtomicBool, AtomicU64, Condvar, Mutex, OrderedMutex, OrderedRwLock, Ordering,
@@ -116,6 +117,8 @@ pub struct GridBank {
     /// The bank's signing identity (cheques, chains, confirmations,
     /// handshakes).
     pub signer: Arc<SigningIdentity>,
+    /// Wall time spent generating `signer`'s tree when the bank was built.
+    keygen_ms: i64,
     /// §4.2 price estimator.
     pub estimator: PriceEstimator,
     clock: Clock,
@@ -192,11 +195,13 @@ impl GridBank {
         let accounts = GbAccounts::new(db, clock.clone());
         let admin = GbAdmin::new(accounts.clone(), config.admins.iter().cloned());
         let guarantee = FundsGuarantee::new(accounts.clone());
+        let keygen = Instant::now();
         let signer = Arc::new(SigningIdentity::generate_with_height(
             config.key_material,
             &format!("gridbank-{}-{}", config.bank, config.branch),
             config.signer_height,
         ));
+        let keygen_ms = keygen.elapsed().as_millis() as i64;
         let chain_secrets = Mutex::new(DeterministicStream::from_u64(
             config.key_material.seed ^ 0x5EC2E75,
             b"gridbank-chain-secrets",
@@ -211,6 +216,7 @@ impl GridBank {
             admin,
             guarantee,
             signer,
+            keygen_ms,
             estimator: PriceEstimator::new(),
             clock,
             config,
@@ -498,11 +504,13 @@ impl GridBank {
             eprintln!("gridbank: incremental checkpoint failed: {e}");
         }
         // Published after every dispatch, the only place leaves are
-        // spent. The registry is process-wide: with several branches in
-        // one process the last writer wins, and `HealthReport` is the
+        // spent, with the time their generation took at boot beside them.
+        // The registry is process-wide: with several branches in one
+        // process the last writer wins, and `HealthReport` is the
         // per-branch reading.
         gridbank_obs::gauge_set("core.signer.remaining", self.signer.remaining() as i64);
         gridbank_obs::gauge_set("core.signer.capacity", self.signer.capacity() as i64);
+        gridbank_obs::gauge_set("core.signer.keygen_ms", self.keygen_ms);
         timer.record_named_label("rpc.server.latency_ns", variant);
         resp
     }

@@ -1,8 +1,10 @@
-//! What one in-process redeem allocates, pinned exactly. A redeem the bank
-//! recognises hashes the presented body and signature where they lie: a
-//! copy of the 2.5 KB signature encoding into a `Vec` of its own, or any
-//! other allocation added to `GridBank::handle` on these two paths, fails
-//! this test and has to move the pinned counts on purpose.
+//! What one in-process redeem or signed transfer allocates, pinned exactly.
+//! A redeem the bank recognises hashes the presented body and signature
+//! where they lie, and signing derives a one-time key's secrets without a
+//! formatted label: a copy of the 2.5 KB signature encoding into a `Vec`
+//! of its own, or any other allocation added to `GridBank::handle` on
+//! these paths, fails this test and has to move the pinned counts on
+//! purpose.
 
 // The one unsafe item in the package: a `GlobalAlloc` that counts. The
 // library itself is `#![forbid(unsafe_code)]`.
@@ -87,19 +89,28 @@ fn bank() -> GridBank {
     bank
 }
 
-/// Allocations of each of `requests`, redeemed in turn by the payee; the
-/// first is the warm-up and is left out. Vectors that double as rows are
-/// appended allocate on some redeems and not others, so the pinned
-/// number is the fewest any redeem made.
-fn fewest_allocations(bank: &GridBank, requests: Vec<BankRequest>) -> u64 {
-    let payee = SubjectName(PAYEE.into());
+/// Allocations of each of `requests`, made in turn by `caller` under the
+/// key beside it; the first is the warm-up and is left out. Vectors that
+/// double as rows are appended allocate on some requests and not others,
+/// so the pinned number is the fewest any request made.
+fn fewest_allocations(
+    bank: &GridBank,
+    caller: &str,
+    requests: Vec<(Option<u64>, BankRequest)>,
+    answered: fn(&BankResponse) -> bool,
+) -> u64 {
+    let caller = SubjectName(caller.into());
     let mut counts = Vec::with_capacity(requests.len());
-    for request in requests {
-        let (n, response) = allocations_during(|| bank.handle(&payee, request));
-        assert!(matches!(response, BankResponse::Redeemed { .. }), "{response:?}");
+    for (key, request) in requests {
+        let (n, response) = allocations_during(|| bank.handle_keyed(&caller, key, request));
+        assert!(answered(&response), "{response:?}");
         counts.push(n);
     }
     counts.into_iter().skip(1).min().unwrap()
+}
+
+fn redeemed(response: &BankResponse) -> bool {
+    matches!(response, BankResponse::Redeemed { .. })
 }
 
 #[test]
@@ -124,8 +135,10 @@ fn a_recognised_payword_redeem_allocates_a_pinned_count() {
             payword: PayWord { index, word: chain[index as usize] },
             rur_blob: Vec::new(),
         })
+        .map(|request| (None, request))
         .collect();
-    assert_eq!(fewest_allocations(&bank, requests), 25, "RedeemPayWord allocations");
+    let n = fewest_allocations(&bank, PAYEE, requests, redeemed);
+    assert_eq!(n, 25, "RedeemPayWord allocations");
 }
 
 #[test]
@@ -151,8 +164,31 @@ fn a_recognised_cheque_redeem_allocates_a_pinned_count() {
             let BankResponse::Cheque(cheque) = issued else {
                 panic!("cheque refused: {issued:?}");
             };
-            BankRequest::RedeemCheque { cheque, rur: rur.clone() }
+            (None, BankRequest::RedeemCheque { cheque, rur: rur.clone() })
         })
         .collect();
-    assert_eq!(fewest_allocations(&bank, requests), 37, "RedeemCheque allocations");
+    let n = fewest_allocations(&bank, PAYEE, requests, redeemed);
+    assert_eq!(n, 37, "RedeemCheque allocations");
+}
+
+/// A keyed pay-before transfer: debit, credit, the remembered response
+/// and one signature over the confirmation, whose one-time key is derived
+/// without allocating.
+#[test]
+fn a_signed_keyed_transfer_allocates_a_pinned_count() {
+    let bank = bank();
+    let payee = bank.accounts.account_by_cert(PAYEE).unwrap().id;
+    let requests = (1..=8)
+        .map(|key| {
+            let request = BankRequest::DirectTransfer {
+                to: payee,
+                amount: Credits::from_gd(1),
+                recipient_address: "payee.grid.org".into(),
+            };
+            (Some(key), request)
+        })
+        .collect();
+    let confirmed = |r: &BankResponse| matches!(r, BankResponse::Confirmed(_));
+    let n = fewest_allocations(&bank, PAYER, requests, confirmed);
+    assert_eq!(n, 54, "DirectTransfer allocations");
 }

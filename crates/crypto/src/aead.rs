@@ -1,10 +1,12 @@
 //! ChaCha20-Poly1305 (RFC 8439), implemented from scratch.
 //!
 //! The sealed channel in `gridbank-net` encrypts and authenticates every
-//! frame with it. ChaCha20 is 20 rounds of 32-bit add, rotate and xor over
-//! a 64-byte block; Poly1305 is evaluated in five 26-bit limbs with 64-bit
-//! products (the "donna-32" layout). Both work on the caller's buffer:
-//! [`seal_in_place`] and [`open_in_place`] allocate nothing.
+//! frame with it, and the one-time signing keys draw their secrets from
+//! its keystream (`keystream_fill`). ChaCha20 is 20 rounds of 32-bit add,
+//! rotate and xor over a 64-byte block; Poly1305 is evaluated in five
+//! 26-bit limbs with 64-bit products (the "donna-32" layout). Both work on
+//! the caller's buffer: [`seal_in_place`] and [`open_in_place`] allocate
+//! nothing.
 
 /// Bytes of key.
 pub const KEY_LEN: usize = 32;
@@ -74,6 +76,18 @@ fn chacha_xor(mut state: [u32; 16], buf: &mut [u8]) {
         for (byte, key) in chunk.iter_mut().zip(chacha_block(&state)) {
             *byte ^= key;
         }
+        state[12] = state[12].wrapping_add(1);
+    }
+}
+
+/// Fills `out` with the ChaCha20 keystream of `key` at nonce 0, from
+/// block 0 on. This is a key-derivation PRG, not a channel keystream: the
+/// one-time signing keys read their chain starts from it
+/// ([`crate::wots`]), each under a key that keys nothing else.
+pub(crate) fn keystream_fill(key: &[u8; KEY_LEN], out: &mut [u8]) {
+    let mut state = chacha_state(key, 0, &[0; NONCE_LEN]);
+    for chunk in out.chunks_mut(64) {
+        chunk.copy_from_slice(&chacha_block(&state)[..chunk.len()]);
         state[12] = state[12].wrapping_add(1);
     }
 }
@@ -323,6 +337,14 @@ mod tests {
              07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
              5af90bbf74a35be6b40b8eedf2785e42874d"
         );
+    }
+
+    #[test]
+    fn keystream_fill_is_chacha_xor_over_zeros_at_counter_0() {
+        let (mut filled, mut xored) = ([0xAAu8; 2_144], [0u8; 2_144]);
+        keystream_fill(&counting_key(), &mut filled);
+        chacha_xor(chacha_state(&counting_key(), 0, &[0; NONCE_LEN]), &mut xored);
+        assert_eq!(filled, xored);
     }
 
     #[test]

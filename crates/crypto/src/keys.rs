@@ -10,7 +10,8 @@ use crate::sha256::Digest;
 
 /// Default tree height: 2^10 = 1024 signatures per identity, enough for any
 /// scenario in the test/bench suite. Every leaf key is generated up front,
-/// about 0.3 ms each in a release build (`crypto.merkle.keygen_ms_h10`).
+/// about 0.3 ms of CPU each in a release build, spread over every core
+/// (`crypto.merkle.keygen_ms_h10` ≈ 160 ms on two cores).
 pub const DEFAULT_HEIGHT: usize = 10;
 
 /// Seed material for deterministic identity generation.
@@ -127,6 +128,50 @@ mod tests {
         }
         assert_eq!(id.remaining(), 0);
         assert!(matches!(id.sign(b"m"), Err(CryptoError::IdentityExhausted { .. })));
+    }
+
+    /// The root and the first revealed value were printed by this Python
+    /// script, which derives the keys from the layout in `merkle` and
+    /// `wots` with `hashlib`, `hmac` and the `cryptography` package's
+    /// ChaCha20, not from this crate:
+    ///
+    /// ```text
+    /// import hashlib, hmac
+    /// from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+    /// sha = lambda b: hashlib.sha256(b).digest()
+    /// seed = sha((1).to_bytes(8, "big"))
+    /// def starts(i):
+    ///     key = hmac.new(seed, b"kat/ots/" + i.to_bytes(8, "big"), hashlib.sha256).digest()
+    ///     prg = Cipher(algorithms.ChaCha20(key, bytes(16)), None).encryptor()
+    ///     ks = prg.update(bytes(67 * 32))
+    ///     return [ks[32 * c:32 * c + 32] for c in range(67)]
+    /// def walk(v, c, a, b):
+    ///     for p in range(a, b):
+    ///         v = sha(v + bytes([c, p]))
+    ///     return v
+    /// def leaf(i):
+    ///     pk = sha(b"".join(walk(s, c, 0, 15) for c, s in enumerate(starts(i))))
+    ///     return sha(b"\x00gridbank-leaf" + pk)
+    /// node = lambda l, r: sha(b"\x01gridbank-node" + l + r)
+    /// print("root", node(node(leaf(0), leaf(1)), node(leaf(2), leaf(3))).hex())
+    /// d = sha(b"known answer")
+    /// print("revealed0", walk(starts(0)[0], 0, 0, d[0] >> 4).hex())
+    /// ```
+    ///
+    /// Any change to the leaf key, the chain starts, a chain step or the
+    /// tree fails here; the verifier's side is pinned by every round trip.
+    #[test]
+    fn keys_match_an_independent_reference() {
+        let id = SigningIdentity::generate_with_height(KeyMaterial { seed: 1 }, "kat", 2);
+        assert_eq!(
+            id.verifying_key().0.to_hex(),
+            "3cfadfe3f5bdd6264b250c845fd78b8028f395aa7b135c59b2484ae3ed1bfa5f"
+        );
+        let sig = id.sign(b"known answer").unwrap();
+        assert_eq!(
+            sig.ots.revealed[0].to_hex(),
+            "fa79cce44cae2c6009f64eb0bef5d8c379fe7005ee7daa314defebe0b551d4b1"
+        );
     }
 
     #[test]

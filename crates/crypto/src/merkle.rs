@@ -217,13 +217,19 @@ pub struct MerkleSigner {
     next_leaf: AtomicUsize,
 }
 
+/// Fewest leaves a key-generation thread is given, so that a small tree
+/// is generated on the caller's thread alone.
+const MIN_LEAVES_PER_THREAD: usize = 64;
+
 impl MerkleSigner {
-    /// Generates an identity with `2^height` one-time keys.
+    /// Generates an identity with `2^height` one-time keys, the leaves on
+    /// every available core; the node levels, about one compression in
+    /// five hundred, are hashed after on the caller's thread.
     pub fn generate(stream: &DeterministicStream, height: usize) -> Self {
-        let leaves: Vec<Digest> = (0..1usize << height)
-            .map(|i| leaf_hash(wots::public_key(leaf_secrets(stream, i)).as_bytes()))
-            .collect();
-        let tree = MerkleTree::from_leaf_digests(&leaves);
+        let count = 1usize << height;
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let threads = cores.min(count / MIN_LEAVES_PER_THREAD).max(1);
+        let tree = MerkleTree::from_leaf_digests(&leaf_digests(stream, count, threads));
         MerkleSigner { stream_root: stream.clone(), tree, next_leaf: AtomicUsize::new(0) }
     }
 
@@ -251,15 +257,41 @@ impl MerkleSigner {
             .next_leaf
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < capacity).then_some(n + 1))
             .map_err(|_| CryptoError::IdentityExhausted { capacity })?;
-        let ots = wots::sign_digest(leaf_secrets(&self.stream_root, leaf_index), &sha256(message));
+        let ots = wots::sign_digest(&leaf_key(&self.stream_root, leaf_index), &sha256(message));
         let path = self.tree.auth_path(leaf_index).expect("claimed index is below capacity");
         Ok(MerkleSignature { leaf_index, ots, path })
     }
 }
 
-/// The secret stream of one-time key `index` under an identity's seed.
-fn leaf_secrets(stream: &DeterministicStream, index: usize) -> DeterministicStream {
-    stream.child(format!("ots-{index}").as_bytes())
+/// The key of one-time key `index` under an identity's stream: one HMAC
+/// block over `label ‖ "/ots/" ‖ index`, two compressions.
+fn leaf_key(stream: &DeterministicStream, index: usize) -> Digest {
+    stream.child_block(b"ots/", index as u64)
+}
+
+/// The leaf digests of one-time keys `0..count`, in index order, derived
+/// in `threads` contiguous ranges: the caller derives the first and a
+/// scoped thread each of the others, every one into its own part of the
+/// one vector, so no thread allocates.
+fn leaf_digests(stream: &DeterministicStream, count: usize, threads: usize) -> Vec<Digest> {
+    let mut leaves = vec![Digest::ZERO; count];
+    let per_thread = count.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut parts = leaves.chunks_mut(per_thread).enumerate();
+        let (_, mine) = parts.next().expect("a tree has at least one leaf");
+        for (k, part) in parts {
+            scope.spawn(move || fill_leaf_digests(stream, k * per_thread, part));
+        }
+        fill_leaf_digests(stream, 0, mine);
+    });
+    leaves
+}
+
+/// Writes the leaf digest of one-time key `first + j` into `out[j]`.
+fn fill_leaf_digests(stream: &DeterministicStream, first: usize, out: &mut [Digest]) {
+    for (index, leaf) in (first..).zip(out) {
+        *leaf = leaf_hash(wots::public_key(&leaf_key(stream, index)).as_bytes());
+    }
 }
 
 /// Verifies an MSS signature against an identity root: the one-time key
@@ -413,6 +445,16 @@ mod tests {
     }
 
     #[test]
+    fn a_one_leaf_identity_generates_and_signs() {
+        let signer = MerkleSigner::generate(&stream(b"one"), 0);
+        assert_eq!(signer.capacity(), 1);
+        let sig = signer.sign(b"only").unwrap();
+        assert!(sig.path.is_empty());
+        verify_merkle(&signer.public_root(), b"only", &sig).unwrap();
+        assert_eq!(signer.sign(b"again"), Err(CryptoError::IdentityExhausted { capacity: 1 }));
+    }
+
+    #[test]
     fn signature_bytes_round_trip() {
         let signer = MerkleSigner::generate(&stream(b"codec"), 3);
         let root = signer.public_root();
@@ -489,6 +531,22 @@ mod tests {
             let count_at = 8 + OneTimeSignature::ENCODED_LEN;
             shaped[count_at..count_at + 8].copy_from_slice(&claimed.to_be_bytes());
             prop_assert_eq!(MerkleSignature::from_bytes(&shaped).is_ok(), claimed == 2);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// However many threads derive the leaves, they are the ones one
+        /// serial pass derives, and `generate` builds that tree.
+        #[test]
+        fn no_split_changes_the_tree(height in 0usize..=8, threads in 1usize..=5) {
+            let stream = stream(b"split");
+            let count = 1usize << height;
+            let serial = leaf_digests(&stream, count, 1);
+            prop_assert_eq!(&leaf_digests(&stream, count, threads), &serial);
+            let generated = MerkleSigner::generate(&stream, height).public_root();
+            prop_assert_eq!(generated, MerkleTree::from_leaf_digests(&serial).root());
         }
     }
 }

@@ -56,6 +56,14 @@ impl DeterministicStream {
         Self::keyed(self.keyed.clone(), label)
     }
 
+    /// Block `index` of [`Self::child`]`(sublabel)`, without building the
+    /// child: no label is copied and nothing is allocated.
+    pub(crate) fn child_block(&self, sublabel: &[u8], index: u64) -> Digest {
+        let mut mac = self.keyed.clone();
+        mac.update(&self.label).update(b"/").update(sublabel).update(&index.to_be_bytes());
+        mac.finalize()
+    }
+
     fn refill(&mut self) {
         let mut mac = self.keyed.clone();
         mac.update(&self.label).update(&self.counter.to_be_bytes());
@@ -140,6 +148,15 @@ mod tests {
         let x = c1.next_digest();
         assert_ne!(x, c2.next_digest());
         assert_eq!(x, c1_again.next_digest());
+    }
+
+    #[test]
+    fn child_block_is_that_block_of_the_child() {
+        let parent = DeterministicStream::from_u64(9, b"root");
+        let mut child = parent.child(b"ots/");
+        for index in 0..3 {
+            assert_eq!(parent.child_block(b"ots/", index), child.next_digest());
+        }
     }
 
     #[test]

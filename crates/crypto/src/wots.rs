@@ -4,13 +4,15 @@
 //! same key reveals chain values an attacker can walk forward from).
 //! [`crate::merkle`] lifts these one-time keys into the multi-use Merkle
 //! signature scheme used for certificates and cheque signing, and is the
-//! only caller that may hand a leaf's secret stream to `sign_digest`.
+//! only caller that may hand a leaf key to `sign_digest`.
 //!
 //! Layout: the message digest is read as 64 base-16 digits, followed by
 //! the 3 base-16 digits of the checksum `Σ (15 − digit)`; each of the 67
-//! digits owns one hash chain of 15 steps. The secret key is the 67 chain
-//! starts, the public key the 67 chain ends, and the *compact* public key
-//! committed in Merkle leaves is the hash of all the ends. A signature
+//! digits owns one hash chain of 15 steps. The secret key is a 32-byte
+//! leaf key, whose ChaCha20 keystream ([`crate::aead`]) gives the 67 chain
+//! starts in its first 2,144 B (34 blocks); the public key is the 67 chain
+//! ends, and the *compact* public key committed in Merkle leaves is the
+//! hash of all the ends. A signature
 //! reveals, per chain, the value `digit` steps from the start; the
 //! verifier walks the remaining `15 − digit` steps, so verification
 //! *recomputes* the compact key instead of comparing against a carried
@@ -18,8 +20,8 @@
 //! cannot be walked backwards, so no other digest is signable from the
 //! revealed values. DESIGN.md §2 has the arithmetic behind `W = 16`.
 
+use crate::aead;
 use crate::error::CryptoError;
-use crate::rng::DeterministicStream;
 use crate::sha256::{sha256_one_block, Digest, Sha256, DIGEST_LEN};
 
 /// The Winternitz parameter: digits are base `W`.
@@ -110,23 +112,30 @@ fn walk(mut value: Digest, chain: usize, from: u8, to: u8) -> Digest {
     value
 }
 
+/// The 67 chain starts of `leaf_key`: the first 2,144 B of its ChaCha20
+/// keystream at nonce 0, counter 0.
+fn chain_starts(leaf_key: &Digest) -> [Digest; CHAINS] {
+    let mut starts = [[0u8; DIGEST_LEN]; CHAINS];
+    aead::keystream_fill(&leaf_key.0, starts.as_flattened_mut());
+    starts.map(Digest)
+}
+
 /// Derives a key's compact public half, SHA-256 over the 67 chain ends.
-/// `secrets` is the key's own stream, whose first 67 digests are the
-/// chain starts.
-pub(crate) fn public_key(mut secrets: DeterministicStream) -> Digest {
+pub(crate) fn public_key(leaf_key: &Digest) -> Digest {
     let mut ends = Sha256::new();
-    for chain in 0..CHAINS {
-        ends.update(walk(secrets.next_digest(), chain, 0, STEPS).as_bytes());
+    for (chain, start) in chain_starts(leaf_key).into_iter().enumerate() {
+        ends.update(walk(start, chain, 0, STEPS).as_bytes());
     }
     ends.finalize()
 }
 
 /// Signs a digest by walking each chain start to its digit. The caller
-/// must never pass the same `secrets` stream for two different digests.
-pub(crate) fn sign_digest(mut secrets: DeterministicStream, digest: &Digest) -> OneTimeSignature {
+/// must never pass the same `leaf_key` for two different digests.
+pub(crate) fn sign_digest(leaf_key: &Digest, digest: &Digest) -> OneTimeSignature {
     let mut revealed = Box::new([Digest::ZERO; CHAINS]);
-    for (chain, (slot, digit)) in revealed.iter_mut().zip(digits(digest)).enumerate() {
-        *slot = walk(secrets.next_digest(), chain, 0, digit);
+    let chains = revealed.iter_mut().zip(chain_starts(leaf_key)).zip(digits(digest));
+    for (chain, ((slot, start), digit)) in chains.enumerate() {
+        *slot = walk(start, chain, 0, digit);
     }
     OneTimeSignature { revealed }
 }
@@ -146,8 +155,8 @@ mod tests {
     use super::*;
     use crate::sha256::sha256;
 
-    fn secrets() -> DeterministicStream {
-        DeterministicStream::from_u64(0xD00D, b"wots-test")
+    fn leaf_key() -> Digest {
+        sha256(b"wots-test")
     }
 
     fn digest_with_digit(chain: usize, digit: u8) -> Digest {
@@ -163,20 +172,20 @@ mod tests {
 
     #[test]
     fn sign_verify_round_trip_and_wrong_message_rejected() {
-        let pk = public_key(secrets());
+        let pk = public_key(&leaf_key());
         let digest = sha256(b"pay 10 G$ to gsp-alpha");
-        let sig = sign_digest(secrets(), &digest);
+        let sig = sign_digest(&leaf_key(), &digest);
         assert_eq!(public_key_from_signature(&digest, &sig), pk);
         assert_ne!(public_key_from_signature(&sha256(b"pay 11 G$ to gsp-alpha"), &sig), pk);
     }
 
     #[test]
     fn wrong_key_rejected_and_generation_is_deterministic() {
-        let other = public_key(DeterministicStream::from_u64(0xD00D, b"other-label"));
-        assert_eq!(public_key(secrets()), public_key(secrets()));
-        assert_ne!(public_key(secrets()), other);
+        let other = public_key(&sha256(b"other leaf key"));
+        assert_eq!(public_key(&leaf_key()), public_key(&leaf_key()));
+        assert_ne!(public_key(&leaf_key()), other);
         let digest = sha256(b"msg");
-        assert_ne!(public_key_from_signature(&digest, &sign_digest(secrets(), &digest)), other);
+        assert_ne!(public_key_from_signature(&digest, &sign_digest(&leaf_key(), &digest)), other);
     }
 
     #[test]
@@ -212,17 +221,17 @@ mod tests {
         // forward, to where a digest with digit 8 there would reveal it.
         // That digest's checksum is one lower, so a checksum chain would
         // have to be walked *back*; the forgery recomputes another key.
-        let pk = public_key(secrets());
+        let pk = public_key(&leaf_key());
         for chain in 0..MSG_DIGITS {
             let signed = digest_with_digit(chain, 7);
             let target = digest_with_digit(chain, 8);
-            let mut forged = sign_digest(secrets(), &signed);
+            let mut forged = sign_digest(&leaf_key(), &signed);
             assert_eq!(public_key_from_signature(&signed, &forged), pk);
             forged.revealed[chain] = walk(forged.revealed[chain], chain, 7, 8);
             // The walked message chain now ends where the real key's does…
             assert_eq!(
                 walk(forged.revealed[chain], chain, 8, STEPS),
-                walk(sign_digest(secrets(), &target).revealed[chain], chain, 8, STEPS)
+                walk(sign_digest(&leaf_key(), &target).revealed[chain], chain, 8, STEPS)
             );
             // …and the signature is still refused, for both digests.
             assert_ne!(public_key_from_signature(&target, &forged), pk, "chain {chain}");
@@ -232,9 +241,9 @@ mod tests {
 
     #[test]
     fn a_flip_at_each_position_is_rejected() {
-        let pk = public_key(secrets());
+        let pk = public_key(&leaf_key());
         let digest = sha256(b"msg");
-        let sig = sign_digest(secrets(), &digest);
+        let sig = sign_digest(&leaf_key(), &digest);
         for chain in 0..CHAINS {
             let mut bad = sig.clone();
             bad.revealed[chain].0[chain % DIGEST_LEN] ^= 0x01;
@@ -259,7 +268,7 @@ mod tests {
     #[test]
     fn signature_encoding_round_trip_and_wrong_lengths() {
         let digest = sha256(b"encode me");
-        let sig = sign_digest(secrets(), &digest);
+        let sig = sign_digest(&leaf_key(), &digest);
         let mut bytes = Vec::new();
         sig.write_to(&mut bytes);
         assert_eq!(bytes.len(), OneTimeSignature::ENCODED_LEN);

@@ -50,7 +50,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one benchmark + one retry rule + one lock order + one instrument record guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one benchmark + one retry rule + one lock order + one instrument record guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -127,6 +127,18 @@ fi
 if grep -nE 'HmacSha256|hmac_sha256\(|fn keystream|tag_short' crates/net/src/channel.rs \
   || grep -rn --include='*.rs' 'tag_short' crates; then
   echo "seal guard: one seal, gridbank_crypto::aead::{seal_in_place, open_in_place}" >&2
+  exit 1
+fi
+# One leaf-secret derivation (EXPERIMENTS.md E34): a one-time key's 67
+# chain starts are the ChaCha20 keystream of its leaf key, and the leaf
+# key is one HMAC block of the identity's stream. The keystream fill in
+# aead.rs is a key-derivation PRG under a key that keys nothing else, not
+# a channel keystream, so it does not trip the one-seal guard's intent.
+# The HMAC block per chain start and the formatted per-leaf label cannot
+# grow back.
+if grep -nE 'DeterministicStream|next_digest' crates/crypto/src/wots.rs \
+  || grep -nF 'format!("ots-' crates/crypto/src/merkle.rs; then
+  echo "leaf-secret guard: chain starts come from aead::keystream_fill under merkle's leaf_key" >&2
   exit 1
 fi
 # One benchmark (EXPERIMENTS.md E29): `benchmark/` measures the payment
