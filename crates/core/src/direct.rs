@@ -127,7 +127,9 @@ pub fn direct_transfer_keyed(
         date_ms: accounts.clock().now_ms(),
         recipient_address: recipient_address.to_string(),
     };
+    let sign_timer = gridbank_obs::Stopwatch::start();
     let signature = signer.sign(&body.to_bytes())?;
+    sign_timer.record_named("core.signer.sign_ns");
     Ok(TransferConfirmation { body, signature })
 }
 

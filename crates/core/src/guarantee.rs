@@ -143,6 +143,7 @@ impl FundsGuarantee {
         signer: &SigningIdentity,
         body: &[u8],
     ) -> Result<MerkleSignature, BankError> {
+        let sign_timer = gridbank_obs::Stopwatch::start();
         let signature = match signer.sign(body) {
             Ok(signature) => signature,
             Err(e) => {
@@ -152,6 +153,7 @@ impl FundsGuarantee {
                 return Err(e.into());
             }
         };
+        sign_timer.record_named("core.signer.sign_ns");
         let digest = instrument_digest(body, &signature);
         if let Some(r) = self.reservations.lock().get_mut(&id) {
             r.instrument = Some(digest);

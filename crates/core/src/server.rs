@@ -614,7 +614,9 @@ impl GridBank {
                         date_ms: now,
                         recipient_address,
                     };
+                    let sign_timer = gridbank_obs::Stopwatch::start();
                     let signature = self.signer.sign(&body.to_bytes())?;
+                    sign_timer.record_named("core.signer.sign_ns");
                     return Ok(BankResponse::Confirmed(crate::direct::TransferConfirmation {
                         body,
                         signature,

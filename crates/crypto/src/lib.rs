@@ -19,13 +19,15 @@
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256, the primitive everything below
 //!   but [`aead`] is built from (PayWord hash chains in `gridbank-core` use
-//!   it directly).
+//!   it directly). One round function, run on one block or on four
+//!   independent blocks side by side.
 //! * [`hmac`] — HMAC-SHA256 and a simple HKDF-style key derivation.
 //! * [`aead`] — ChaCha20-Poly1305 (RFC 8439), the sealed channel's cipher
 //!   and MAC, and the one-time keys' PRG (ChaCha20 alone); the one
 //!   primitive not built on SHA-256.
 //! * [`wots`] — Winternitz one-time signatures (67 hash chains, 2,144 B),
-//!   their chain starts drawn from a leaf key's ChaCha20 keystream.
+//!   their chain starts drawn from a leaf key's ChaCha20 keystream and
+//!   their chains walked four to a compression pass.
 //! * [`merkle`] — Merkle trees and the Merkle signature scheme (MSS), turning
 //!   one-time Winternitz keys into a multi-use signing identity.
 //! * [`keys`] — seeded key generation and the [`keys::SigningIdentity`] type.

@@ -5,6 +5,13 @@
 //! The implementation is a straightforward, allocation-free translation of
 //! the specification: incremental [`Sha256`] hasher plus the one-shot
 //! [`sha256`] helper.
+//!
+//! The rounds exist once, in `compress_lanes`, written over `N`
+//! independent blocks held struct-of-arrays. [`Sha256`] compresses with
+//! its 1-lane instance; the Winternitz walker ([`crate::wots`]) hashes
+//! four chain steps per pass through the 4-lane instance,
+//! `one_block_lanes`, whose lanes LLVM interleaves on one core. Safe,
+//! portable Rust: no intrinsics and no per-target code.
 
 use std::fmt;
 
@@ -20,7 +27,8 @@ pub const DIGEST_LEN: usize = 32;
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
 impl Digest {
-    /// Digest of the empty message, useful as a sentinel.
+    /// All zero bytes, useful as a sentinel (not the digest of the empty
+    /// message, which is `e3b0c442…`).
     pub const ZERO: Digest = Digest([0u8; DIGEST_LEN]);
 
     /// Returns the raw bytes.
@@ -63,15 +71,6 @@ impl Digest {
     /// A short 8-hex-character prefix, handy for log lines and IDs.
     pub fn short(&self) -> String {
         self.to_hex()[..8].to_string()
-    }
-
-    /// XOR of two digests; used by tests and by keyed-stream whitening.
-    pub fn xor(&self, other: &Digest) -> Digest {
-        let mut out = [0u8; DIGEST_LEN];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *o = a ^ b;
-        }
-        Digest(out)
     }
 }
 
@@ -203,7 +202,7 @@ impl Sha256 {
     /// without consuming `self`. Panics on a longer tail or a hasher
     /// holding a partial block.
     // Inlined so that `sha256_one_block`'s fresh hasher folds away: each
-    // Winternitz chain step and PayWord step is one compression.
+    // PayWord step is one compression.
     #[inline]
     pub fn finalize_one_block(&self, tail: &[u8]) -> Digest {
         assert!(self.buf_len == 0, "{} bytes are buffered short of a block", self.buf_len);
@@ -226,42 +225,78 @@ impl Sha256 {
         Digest(out)
     }
 
+    /// One compression: the 1-lane instance of [`compress_lanes`].
+    #[inline]
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let mut words = [[0u32; 1]; 16];
+        for (word, chunk) in words.iter_mut().zip(block.chunks_exact(4)) {
+            word[0] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        let mut state = self.state.map(|word| [word]);
+        compress_lanes(&mut state, &words);
+        self.state = state.map(|[word]| word);
     }
+}
+
+/// Lanes the Winternitz walker hashes side by side: in standalone loops
+/// four beat two (no faster than one lane) and eight (spilled registers).
+pub(crate) const LANES: usize = 4;
+
+/// The SHA-256 compression function applied to `N` independent blocks at
+/// once. State and message are struct-of-arrays (`state[j][l]` is word `j`
+/// of lane `l`) and every operation is a plain loop over the lanes, which
+/// LLVM unrolls and interleaves, so the lanes' independent dependency
+/// chains fill one core's execution units. This is the only copy of the
+/// rounds.
+#[inline(always)]
+fn compress_lanes<const N: usize>(state: &mut [[u32; N]; 8], block: &[[u32; N]; 16]) {
+    let mut w = [[0u32; N]; 64];
+    w[..16].copy_from_slice(block);
+    for i in 16..64 {
+        #[allow(clippy::needless_range_loop)] // l indexes four rows of the schedule
+        for l in 0..N {
+            let (x, y) = (w[i - 15][l], w[i - 2][l]);
+            let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
+            let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
+            w[i][l] = w[i - 16][l].wrapping_add(s0).wrapping_add(w[i - 7][l]).wrapping_add(s1);
+        }
+    }
+    // K folded into the schedule, where one row's adds cover every lane
+    // together, so each round adds one term fewer per lane.
+    for (w, k) in w.iter_mut().zip(K) {
+        for word in w.iter_mut() {
+            *word = word.wrapping_add(k);
+        }
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for w in w.iter() {
+        let (mut new_a, mut new_e) = ([0u32; N], [0u32; N]);
+        for l in 0..N {
+            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
+            let ch = ((f[l] ^ g[l]) & e[l]) ^ g[l];
+            let t1 = h[l].wrapping_add(s1).wrapping_add(ch).wrapping_add(w[l]);
+            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
+            let maj = ((b[l] ^ c[l]) & a[l]) ^ (b[l] & c[l]);
+            new_e[l] = d[l].wrapping_add(t1);
+            new_a[l] = t1.wrapping_add(s0.wrapping_add(maj));
+        }
+        (h, g, f, e, d, c, b, a) = (g, f, e, new_e, c, b, a, new_a);
+    }
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for l in 0..N {
+            word[l] = word[l].wrapping_add(add[l]);
+        }
+    }
+}
+
+/// SHA-256 of [`LANES`] independent messages of one block each, already
+/// padded and read as big-endian words (`words[j][l]` is word `j` of lane
+/// `l`'s block); returns each lane's digest as big-endian words the same
+/// way. The Winternitz walker's one compression.
+pub(crate) fn one_block_lanes(words: &[[u32; LANES]; 16]) -> [[u32; LANES]; 8] {
+    let mut state = H0.map(|word| [word; LANES]);
+    compress_lanes(&mut state, words);
+    state
 }
 
 /// One-shot SHA-256 of `data`.
@@ -277,7 +312,7 @@ pub const ONE_BLOCK_MAX: usize = 55;
 
 /// SHA-256 of a message of at most [`ONE_BLOCK_MAX`] bytes in one
 /// compression ([`Sha256::finalize_one_block`] on a fresh hasher). A
-/// Winternitz signature is some five hundred of these back to back.
+/// PayWord chain is walked with these back to back.
 /// Panics on a longer message.
 pub fn sha256_one_block(msg: &[u8]) -> Digest {
     Sha256::new().finalize_one_block(msg)
@@ -305,6 +340,62 @@ pub fn iterate_hash(mut d: Digest, n: usize) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `msgs` padded into one block each, as [`one_block_lanes`] reads them.
+    fn padded_lanes(msgs: &[&[u8]; LANES]) -> [[u32; LANES]; 16] {
+        let mut words = [[0u32; LANES]; 16];
+        for (l, msg) in msgs.iter().enumerate() {
+            let mut block = [0u8; 64];
+            block[..msg.len()].copy_from_slice(msg);
+            block[msg.len()] = 0x80;
+            block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+            for (word, bytes) in words.iter_mut().zip(block.chunks_exact(4)) {
+                word[l] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            }
+        }
+        words
+    }
+
+    /// Lane `l` of [`one_block_lanes`]'s output as a digest.
+    fn lane_digest(state: &[[u32; LANES]; 8], l: usize) -> Digest {
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word[l].to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    #[test]
+    fn lanes_hash_abc_beside_other_messages() {
+        let max = [0xffu8; ONE_BLOCK_MAX];
+        let state = one_block_lanes(&padded_lanes(&[b"", &max, b"abc", b"a"]));
+        assert_eq!(
+            lane_digest(&state, 2).to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        for (l, msg) in [&b""[..], &max, b"abc", b"a"].iter().enumerate() {
+            assert_eq!(lane_digest(&state, l), sha256(msg), "lane {l}");
+        }
+    }
+
+    proptest! {
+        /// Every lane is the one-block SHA-256 of its own message, whatever
+        /// the other lanes hold.
+        #[test]
+        fn lanes_match_the_one_block_hash(
+            msgs in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..=ONE_BLOCK_MAX),
+                LANES,
+            ),
+        ) {
+            let lanes: [&[u8]; LANES] = std::array::from_fn(|l| &msgs[l][..]);
+            let state = one_block_lanes(&padded_lanes(&lanes));
+            for (l, msg) in lanes.iter().enumerate() {
+                prop_assert_eq!(lane_digest(&state, l), sha256_one_block(msg), "lane {}", l);
+            }
+        }
+    }
 
     // NIST / well-known vectors.
     #[test]
@@ -419,15 +510,6 @@ mod tests {
         let once_then_twice = iterate_hash(iterate_hash(x, 1), 2);
         assert_eq!(once_then_twice, iterate_hash(x, 3));
         assert_eq!(iterate_hash(x, 0), x);
-    }
-
-    #[test]
-    fn xor_properties() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        assert_eq!(a.xor(&b), b.xor(&a));
-        assert_eq!(a.xor(&a), Digest::ZERO);
-        assert_eq!(a.xor(&Digest::ZERO), a);
     }
 
     #[test]

@@ -19,10 +19,16 @@
 //! copy. Raising any message digit lowers the checksum, and a chain
 //! cannot be walked backwards, so no other digest is signable from the
 //! revealed values. DESIGN.md §2 has the arithmetic behind `W = 16`.
+//!
+//! The 67 chains of a key are independent, so one walker, `walk_chains`,
+//! takes every step of key generation, signing and verification: it
+//! hashes four chains at a time through the 4-lane SHA-256 compression
+//! (`sha256::one_block_lanes`), each lane producing the same bytes the
+//! one-step-per-compression walk would.
 
 use crate::aead;
 use crate::error::CryptoError;
-use crate::sha256::{sha256_one_block, Digest, Sha256, DIGEST_LEN};
+use crate::sha256::{one_block_lanes, Digest, Sha256, DIGEST_LEN, LANES};
 
 /// The Winternitz parameter: digits are base `W`.
 const W: usize = 16;
@@ -92,24 +98,61 @@ fn digits(digest: &Digest) -> [u8; CHAINS] {
     out
 }
 
-/// The hashed input of one chain step, `value ‖ chain ‖ position`: short
-/// enough for one SHA-256 compression, and distinct for every
-/// (chain, position) pair so no value is meaningful on a second chain or
-/// at a second height.
-fn step_input(value: &Digest, chain: u8, position: u8) -> [u8; DIGEST_LEN + 2] {
-    let mut input = [0u8; DIGEST_LEN + 2];
-    input[..DIGEST_LEN].copy_from_slice(value.as_bytes());
-    input[DIGEST_LEN] = chain;
-    input[DIGEST_LEN + 1] = position;
-    input
-}
+/// The bit length of one chain step's input, `value ‖ chain ‖ position`
+/// (34 B): word 15 of its padded block.
+const STEP_BITS: u32 = 8 * (DIGEST_LEN as u32 + 2);
 
-/// Walks `value` along `chain` from position `from` up to position `to`.
-fn walk(mut value: Digest, chain: usize, from: u8, to: u8) -> Digest {
-    for position in from..to {
-        value = sha256_one_block(&step_input(&value, chain as u8, position));
+/// Walks each chain `c` of `values` from position `from[c]` up to `to[c]`
+/// (none when `to[c] ≤ from[c]`), [`LANES`] chains to a compression.
+///
+/// Step `position` of chain `chain` hashes `value ‖ chain ‖ position`,
+/// which pads into one block: words 0–7 are the value, word 8 is
+/// `chain << 24 | position << 16 | 0x8000` (the two bytes, then the
+/// padding's `0x80`), and word 15 is [`STEP_BITS`]. The input is distinct
+/// for every (chain, position) pair, so no value is meaningful on a second
+/// chain or at a second height. Values stay big-endian words from load to
+/// store. Chains are taken longest first; a lane whose chain ends loads
+/// the next waiting one, and an idle lane's result is ignored.
+fn walk_chains(values: &mut [Digest; CHAINS], from: &[u8; CHAINS], to: &[u8; CHAINS]) {
+    let steps = |c: usize| to[c].saturating_sub(from[c]);
+    let mut order: [usize; CHAINS] = std::array::from_fn(|c| c);
+    order.sort_unstable_by_key(|&c| std::cmp::Reverse(steps(c)));
+    let mut waiting = order.into_iter().take_while(|&c| steps(c) > 0);
+    let mut words = [[0u32; LANES]; 16];
+    words[15] = [STEP_BITS; LANES];
+    let mut lanes: [Option<(usize, u8)>; LANES] = [None; LANES];
+    loop {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if lane.is_none() {
+                *lane = waiting.next().map(|c| {
+                    for (word, bytes) in words.iter_mut().zip(values[c].0.chunks_exact(4)) {
+                        word[l] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+                    }
+                    (c, from[c])
+                });
+            }
+            if let Some((chain, position)) = *lane {
+                words[8][l] = (chain as u32) << 24 | u32::from(position) << 16 | 0x8000;
+            }
+        }
+        if lanes.iter().all(Option::is_none) {
+            return;
+        }
+        let out = one_block_lanes(&words);
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let Some((chain, position)) = lane else { continue };
+            for (word, next) in words.iter_mut().zip(out) {
+                word[l] = next[l];
+            }
+            *position += 1;
+            if *position == to[*chain] {
+                for (bytes, word) in values[*chain].0.chunks_exact_mut(4).zip(&words) {
+                    bytes.copy_from_slice(&word[l].to_be_bytes());
+                }
+                *lane = None;
+            }
+        }
     }
-    value
 }
 
 /// The 67 chain starts of `leaf_key`: the first 2,144 B of its ChaCha20
@@ -120,40 +163,69 @@ fn chain_starts(leaf_key: &Digest) -> [Digest; CHAINS] {
     starts.map(Digest)
 }
 
+/// SHA-256 over the 67 chain ends: the compact public key.
+fn compact(ends: &[Digest; CHAINS]) -> Digest {
+    let mut h = Sha256::new();
+    for end in ends {
+        h.update(end.as_bytes());
+    }
+    h.finalize()
+}
+
 /// Derives a key's compact public half, SHA-256 over the 67 chain ends.
 pub(crate) fn public_key(leaf_key: &Digest) -> Digest {
-    let mut ends = Sha256::new();
-    for (chain, start) in chain_starts(leaf_key).into_iter().enumerate() {
-        ends.update(walk(start, chain, 0, STEPS).as_bytes());
-    }
-    ends.finalize()
+    let mut ends = chain_starts(leaf_key);
+    walk_chains(&mut ends, &[0; CHAINS], &[STEPS; CHAINS]);
+    compact(&ends)
 }
 
 /// Signs a digest by walking each chain start to its digit. The caller
 /// must never pass the same `leaf_key` for two different digests.
 pub(crate) fn sign_digest(leaf_key: &Digest, digest: &Digest) -> OneTimeSignature {
-    let mut revealed = Box::new([Digest::ZERO; CHAINS]);
-    let chains = revealed.iter_mut().zip(chain_starts(leaf_key)).zip(digits(digest));
-    for (chain, ((slot, start), digit)) in chains.enumerate() {
-        *slot = walk(start, chain, 0, digit);
-    }
+    let mut revealed = Box::new(chain_starts(leaf_key));
+    walk_chains(&mut revealed, &[0; CHAINS], &digits(digest));
     OneTimeSignature { revealed }
 }
 
 /// Recomputes the compact public key a signature on `digest` commits to;
 /// the signature is valid iff this equals the signer's key.
 pub fn public_key_from_signature(digest: &Digest, sig: &OneTimeSignature) -> Digest {
-    let mut ends = Sha256::new();
-    for (chain, (value, digit)) in sig.revealed.iter().zip(digits(digest)).enumerate() {
-        ends.update(walk(*value, chain, digit, STEPS).as_bytes());
-    }
-    ends.finalize()
+    let mut ends = *sig.revealed;
+    walk_chains(&mut ends, &digits(digest), &[STEPS; CHAINS]);
+    compact(&ends)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::sha256;
+    use crate::sha256::{sha256, sha256_one_block};
+    use proptest::prelude::*;
+
+    /// The reference step: the hashed input of one chain step, `value ‖
+    /// chain ‖ position`, laid out byte by byte.
+    fn step_input(value: &Digest, chain: u8, position: u8) -> [u8; DIGEST_LEN + 2] {
+        let mut input = [0u8; DIGEST_LEN + 2];
+        input[..DIGEST_LEN].copy_from_slice(value.as_bytes());
+        input[DIGEST_LEN] = chain;
+        input[DIGEST_LEN + 1] = position;
+        input
+    }
+
+    /// The reference walk: `value` along `chain` from position `from` up to
+    /// position `to`, one compression after another.
+    fn walk(mut value: Digest, chain: usize, from: u8, to: u8) -> Digest {
+        for position in from..to {
+            value = sha256_one_block(&step_input(&value, chain as u8, position));
+        }
+        value
+    }
+
+    /// [`walk_chains`] against [`walk`], chain by chain.
+    fn walks_match(values: [Digest; CHAINS], from: [u8; CHAINS], to: [u8; CHAINS]) -> bool {
+        let mut walked = values;
+        walk_chains(&mut walked, &from, &to);
+        (0..CHAINS).all(|c| walked[c] == walk(values[c], c, from[c], to[c]))
+    }
 
     fn leaf_key() -> Digest {
         sha256(b"wots-test")
@@ -263,6 +335,42 @@ mod tests {
         assert_eq!(seen.len(), CHAINS * usize::from(STEPS));
         // And a step is exactly one SHA-256 block once padded.
         assert!(step_input(&value, 0, 0).len() <= crate::sha256::ONE_BLOCK_MAX);
+    }
+
+    #[test]
+    fn the_walker_matches_the_reference_at_the_edges() {
+        let values: [Digest; CHAINS] = std::array::from_fn(|c| sha256(&[c as u8]));
+        // Every chain empty, every chain whole, and work on one chain only.
+        assert!(walks_match(values, [0; CHAINS], [0; CHAINS]));
+        assert!(walks_match(values, [STEPS; CHAINS], [STEPS; CHAINS]));
+        assert!(walks_match(values, [0; CHAINS], [STEPS; CHAINS]));
+        for chain in [0, 1, LANES, CHAINS - 1] {
+            let mut to = [0; CHAINS];
+            to[chain] = STEPS;
+            assert!(walks_match(values, [0; CHAINS], to), "chain {chain}");
+        }
+        // A start past the end walks nothing, as `from..to` is empty.
+        assert!(walks_match(values, [STEPS; CHAINS], [0; CHAINS]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lanes walk every chain to exactly the value the one-chain,
+        /// one-compression-per-step reference reaches.
+        #[test]
+        fn the_walker_matches_the_reference_walk(
+            starts in proptest::collection::vec(any::<u8>(), CHAINS * DIGEST_LEN),
+            spans in proptest::collection::vec((0..=STEPS, 0..=STEPS), CHAINS),
+        ) {
+            let mut values = [Digest::ZERO; CHAINS];
+            for (value, bytes) in values.iter_mut().zip(starts.chunks_exact(DIGEST_LEN)) {
+                value.0.copy_from_slice(bytes);
+            }
+            let from = std::array::from_fn(|c| spans[c].0.min(spans[c].1));
+            let to = std::array::from_fn(|c| spans[c].0.max(spans[c].1));
+            prop_assert!(walks_match(values, from, to));
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one benchmark + one retry rule + one lock order + one instrument record guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one chain walker + one benchmark + one retry rule + one lock order + one instrument record guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -139,6 +139,14 @@ fi
 if grep -nE 'DeterministicStream|next_digest' crates/crypto/src/wots.rs \
   || grep -nF 'format!("ots-' crates/crypto/src/merkle.rs; then
   echo "leaf-secret guard: chain starts come from aead::keystream_fill under merkle's leaf_key" >&2
+  exit 1
+fi
+# One chain walker (EXPERIMENTS.md E35): every Winternitz chain step is
+# taken by `walk_chains`, four chains to one `sha256::one_block_lanes`
+# pass. The chain-at-a-time walk survives only under #[cfg(test)], as the
+# reference the walker is tested against.
+if sed '/#\[cfg(test)\]/q' crates/crypto/src/wots.rs | grep -nE 'sha256_one_block|fn walk\('; then
+  echo "chain-walker guard: wots.rs walks chains only through walk_chains" >&2
   exit 1
 fi
 # One benchmark (EXPERIMENTS.md E29): `benchmark/` measures the payment

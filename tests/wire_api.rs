@@ -207,7 +207,10 @@ fn client_trace_context_propagates_into_server_spans_and_audit_trail() {
     let alice_acct = alice.create_account(None).unwrap();
     let gsp_acct = gsp.create_account(None).unwrap();
     admin.admin_deposit(alice_acct, Credits::from_gd(50)).unwrap();
+    let signed_before = obs::registry().histogram("core.signer.sign_ns").count();
     alice.direct_transfer(gsp_acct, Credits::from_gd(3), "gsp.host").unwrap();
+    // The confirmation's signature was timed on its own, inside dispatch.
+    assert!(obs::registry().histogram("core.signer.sign_ns").count() > signed_before);
     let st = alice.statement(alice_acct, 0, u64::MAX).unwrap();
 
     drop(root);
