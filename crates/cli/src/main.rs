@@ -392,8 +392,8 @@ fn run_market_demo(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The six server-side request stages (`server.stage.<name>_ns`).
-const STAGES: [&str; 6] = ["queue", "decode", "dispatch", "lock", "journal", "reply"];
+/// The five server-side request stages (`server.stage.<name>_ns`).
+const STAGES: [&str; 5] = ["decode", "dispatch", "lock", "journal", "reply"];
 
 /// Maps `--remote` addresses onto branch numbers: `bank` is an alias
 /// for branch 1, `branch-N` selects a specific branch.
@@ -448,13 +448,11 @@ fn spark(values: &[u64]) -> String {
 fn render_health(h: &HealthReport) -> String {
     let mut out = format!(
         "branch {:04} {}\n  journal flush lag {} · group-commit queue {}\n  \
-         workers {}/{} busy · {} connections\n  signer {}/{} leaves left\n",
+         {} connections\n  signer {}/{} leaves left\n",
         h.branch,
         h.state.name(),
         h.journal_flush_lag,
         h.group_commit_queue,
-        h.workers_busy,
-        h.workers_total,
         h.connections,
         h.signer_remaining,
         h.signer_capacity,
@@ -485,15 +483,13 @@ fn health_jsonl(h: &HealthReport) -> String {
         .collect();
     format!(
         "{{\"type\":\"health\",\"branch\":{},\"state\":\"{}\",\"journal_flush_lag\":{},\
-         \"group_commit_queue\":{},\"workers_busy\":{},\"workers_total\":{},\
-         \"connections\":{},\"signer_remaining\":{},\"signer_capacity\":{},\
+         \"group_commit_queue\":{},\"connections\":{},\
+         \"signer_remaining\":{},\"signer_capacity\":{},\
          \"peers\":[{}]}}",
         h.branch,
         h.state.name(),
         h.journal_flush_lag,
         h.group_commit_queue,
-        h.workers_busy,
-        h.workers_total,
         h.connections,
         h.signer_remaining,
         h.signer_capacity,
@@ -561,7 +557,7 @@ fn run_remote_metrics(args: &Args) -> Result<String, String> {
 /// `gridbank top`: a terminal dashboard over the ops plane. Boots the
 /// self-hosted federation, keeps a cross-branch payment load running,
 /// and between frames scrapes `OpsQuery::{Health,Metrics}` from
-/// branch 1 as the enrolled `OPS_ADMIN` — rendering throughput, the six
+/// branch 1 as the enrolled `OPS_ADMIN` — rendering throughput, the five
 /// `server.stage.*` histograms (count, p50/p95/p99, and a p95 trend
 /// sparkline across frames), peer reachability, and the health
 /// verdict. `--frames N` bounds the run (default 4) so it terminates.
@@ -610,12 +606,9 @@ fn run_top(args: &Args) -> Result<String, String> {
         let _ = writeln!(out, "── gridbank top · frame {frame}/{frames} ──");
         let _ = writeln!(
             out,
-            "branch {:04} {} · workers {}/{} busy · {} connections · \
-             {} req this frame ({total} total)",
+            "branch {:04} {} · {} connections · {} req this frame ({total} total)",
             health.branch,
             health.state.name(),
-            health.workers_busy,
-            health.workers_total,
             health.connections,
             total.saturating_sub(last_total),
         );
@@ -1173,7 +1166,7 @@ mod tests {
         // Server-side filtering narrows the scrape; bad targets error.
         let out =
             run(&args(&["metrics", "--remote", "branch-2", "--filter", "server.stage."])).unwrap();
-        assert!(out.contains("server.stage.queue_ns"), "{out}");
+        assert!(out.contains("server.stage.decode_ns"), "{out}");
         assert!(!out.contains("\"name\":\"rpc.server"), "{out}");
         assert!(run(&args(&["metrics", "--remote", "branch-9"])).is_err());
 

@@ -468,8 +468,8 @@ pub enum OpsQuery {
 pub enum HealthState {
     /// All signals nominal.
     Healthy,
-    /// Operating, but a resilience signal is degraded (worker pool
-    /// saturated, journal backlog, signing leaves running low).
+    /// Operating, but a resilience signal is degraded (journal backlog,
+    /// signing leaves running low).
     Degraded,
     /// A peer route is unreachable (cross-branch payments to it are
     /// failing), or the disk failed.
@@ -531,11 +531,7 @@ pub struct HealthReport {
     pub journal_flush_lag: u64,
     /// Batches currently queued in the group-commit queue.
     pub group_commit_queue: u64,
-    /// Worker threads currently executing a request.
-    pub workers_busy: u32,
-    /// Worker pool size.
-    pub workers_total: u32,
-    /// Live client connections.
+    /// Live client connections, each served by a thread of its own.
     pub connections: u32,
     /// One-time signing leaves the bank key has left: every confirmation,
     /// cheque and chain commitment consumes one, and none come back.
@@ -612,8 +608,6 @@ impl Encode for HealthReport {
         w.put_u8(self.state.tag());
         w.put_u64(self.journal_flush_lag);
         w.put_u64(self.group_commit_queue);
-        w.put_u32(self.workers_busy);
-        w.put_u32(self.workers_total);
         w.put_u32(self.connections);
         w.put_u64(self.signer_remaining);
         w.put_u64(self.signer_capacity);
@@ -631,8 +625,6 @@ impl Decode for HealthReport {
             .ok_or_else(|| RurError::Decode("bad health state tag".into()))?;
         let journal_flush_lag = r.get_u64()?;
         let group_commit_queue = r.get_u64()?;
-        let workers_busy = r.get_u32()?;
-        let workers_total = r.get_u32()?;
         let connections = r.get_u32()?;
         let signer_remaining = r.get_u64()?;
         let signer_capacity = r.get_u64()?;
@@ -649,8 +641,6 @@ impl Decode for HealthReport {
             state,
             journal_flush_lag,
             group_commit_queue,
-            workers_busy,
-            workers_total,
             connections,
             signer_remaining,
             signer_capacity,
@@ -1443,8 +1433,6 @@ mod tests {
                     state: HealthState::Degraded,
                     journal_flush_lag: 3,
                     group_commit_queue: 2,
-                    workers_busy: 4,
-                    workers_total: 8,
                     connections: 6,
                     signer_remaining: 700,
                     signer_capacity: 4096,

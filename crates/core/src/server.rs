@@ -12,20 +12,20 @@
 //! establish a connection. Otherwise connection is refused"), and serves
 //! the RPC loop per connection.
 //!
-//! Request execution is **pipelined**: each connection keeps a cheap
-//! reader thread that decodes frames and submits them to a shared,
-//! bounded worker pool ([`ServerTuning`]); workers run the bank dispatch
-//! and send each result through the connection's `ResponseWriter` as
-//! soon as it is ready. A full job queue blocks the readers —
-//! backpressure instead of unbounded thread growth.
+//! Each connection is served on **its own thread**, one request at a
+//! time: the thread opens a frame, decodes it, dispatches it into the
+//! bank, and seals and sends the response before it reads the next
+//! frame (`RpcServer::serve`). A client may still pipeline requests on
+//! one connection; they are answered in the order they were sent, and
+//! parallelism comes from connections. No queue sits between a request
+//! and the bank: a client that stops reading fills its bounded link,
+//! and that is the backpressure.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sync::{
-    rank, AtomicBool, AtomicU64, Condvar, Mutex, OrderedMutex, OrderedRwLock, Ordering,
-};
+use crate::sync::{rank, AtomicBool, AtomicU64, Condvar, Mutex, OrderedRwLock, Ordering};
 
 use gridbank_crypto::cert::{Certificate, SubjectName};
 use gridbank_crypto::keys::{KeyMaterial, SigningIdentity, VerifyingKey};
@@ -125,10 +125,11 @@ pub struct GridBank {
     config: GridBankConfig,
     chain_secrets: Mutex<DeterministicStream>,
     descriptions: OrderedRwLock<HashMap<String, ResourceDescription>>,
-    /// Idempotency keys currently being applied. With pipelining, two
-    /// requests carrying the same key can reach workers concurrently;
-    /// the duplicate waits here until the original finishes, then hits
-    /// the dedup cache instead of re-applying.
+    /// Idempotency keys currently being applied. A connection serves its
+    /// requests one at a time, but a resilient client can resend a key on
+    /// a second connection while the first copy is still being served on
+    /// the first; the duplicate waits here until the original finishes,
+    /// then hits the dedup cache instead of re-applying.
     in_flight_keys: Mutex<HashSet<(String, u64)>>,
     key_released: Condvar,
     /// Branch-aware routing (§6 federation). `None` means standalone:
@@ -136,9 +137,9 @@ pub struct GridBank {
     federation: OrderedRwLock<Option<Arc<crate::federation::FederationRouter>>>,
     /// Certificates trusted for the ops plane (`OpsQuery`).
     ops_admins: OrderedRwLock<HashSet<String>>,
-    /// Live front-end statistics feeding health reports; installed by
-    /// [`GridBankServer::start_tuned`], absent for in-process banks.
-    ops_source: OrderedRwLock<Option<Arc<dyn OpsSource>>>,
+    /// Connections open now, counted by the accept loop of the
+    /// [`GridBankServer`] serving this bank; 0 for in-process banks.
+    live_connections: Arc<AtomicU64>,
 }
 
 /// The canonical certificate name for an ops-plane administrator, the
@@ -146,21 +147,6 @@ pub struct GridBank {
 /// identities of `crate::federation`).
 pub fn ops_identity(name: &str) -> String {
     format!("/O=GridBank/OU=Ops/CN={name}")
-}
-
-/// Live statistics the network front-end exposes to the ops plane.
-///
-/// [`GridBank`] itself can report journal and federation health, but
-/// worker-pool saturation and connection counts live in the server; the
-/// server installs an implementation via
-/// [`GridBank::install_ops_source`].
-pub trait OpsSource: Send + Sync {
-    /// Worker threads currently executing a request.
-    fn workers_busy(&self) -> u32;
-    /// Worker threads in the pool.
-    fn workers_total(&self) -> u32;
-    /// Connections currently live.
-    fn connections(&self) -> u32;
 }
 
 impl GridBank {
@@ -226,7 +212,7 @@ impl GridBank {
             key_released: Condvar::new(),
             federation: OrderedRwLock::new(rank::FEDERATION, "federation", None),
             ops_admins,
-            ops_source: OrderedRwLock::new(rank::OPS_SOURCE, "ops-source", None),
+            live_connections: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -259,14 +245,8 @@ impl GridBank {
         self.ops_admins.write().insert(cert.into());
     }
 
-    /// Installs the front-end statistics feed for health reports;
-    /// called by [`GridBankServer::start_tuned`].
-    pub fn install_ops_source(&self, source: Arc<dyn OpsSource>) {
-        *self.ops_source.write() = Some(source);
-    }
-
     /// Assembles the structured health report the ops plane serves:
-    /// journal lag, group-commit backlog, worker saturation, signing
+    /// journal lag, group-commit backlog, live connections, signing
     /// leaves left, and per-peer clearing balances with route
     /// reachability, classified into an overall
     /// [`crate::api::HealthState`].
@@ -275,18 +255,13 @@ impl GridBank {
         let db = self.accounts.db();
         let journal_flush_lag = db.journal_flush_lag();
         let group_commit_queue = db.commit_queue_depth() as u64;
-        let source = self.ops_source.read().clone();
-        let (workers_busy, workers_total, connections) = match source {
-            Some(src) => (src.workers_busy(), src.workers_total(), src.connections()),
-            None => (0, 0, 0),
-        };
+        let connections = self.live_connections.load(Ordering::Relaxed).min(u32::MAX as u64) as u32;
         let peers = self.federation().map(|router| router.peer_health()).unwrap_or_default();
         // Classification: an unreachable peer branch means cross-branch
         // payments are failing now, so the branch is Unhealthy. A
-        // saturated worker pool or a journal trailing by more than one
-        // full commit group mean degraded service but nothing lost.
+        // journal trailing by more than one full commit group means
+        // degraded service but nothing lost.
         let unreachable = peers.iter().any(|p| !p.reachable);
-        let saturated = workers_total > 0 && workers_busy >= workers_total;
         let lagging = journal_flush_lag > db.group_commit().max_batch as u64;
         // The bank key is a finite supply of one-time leaves and an
         // exhausted one refuses every payment: below one fifth left the
@@ -300,7 +275,7 @@ impl GridBank {
         let disk_failed = !db.disk_healthy();
         let state = if unreachable || disk_failed {
             HealthState::Unhealthy
-        } else if saturated || lagging || signer_low {
+        } else if lagging || signer_low {
             HealthState::Degraded
         } else {
             HealthState::Healthy
@@ -310,8 +285,6 @@ impl GridBank {
             state,
             journal_flush_lag,
             group_commit_queue,
-            workers_busy,
-            workers_total,
             connections,
             signer_remaining,
             signer_capacity,
@@ -438,9 +411,9 @@ impl GridBank {
         gridbank_obs::count("rpc.server.requests", 1);
         let caller_cert = caller.base_identity().0;
         let keyed = idem_key.filter(|_| request.is_mutating());
-        // Serialize same-key arrivals before the cache lookup: with
-        // pipelined connections a duplicate can land on another worker
-        // while the original is mid-apply, and must wait for its stamp.
+        // Serialize same-key arrivals before the cache lookup: a retry on
+        // a second connection can arrive while the original is mid-apply
+        // on the first, and must wait for its stamp.
         // The lock stage covers this serialization point for every
         // request — near-zero for unkeyed reads, visible when duplicate
         // keys contend.
@@ -497,7 +470,7 @@ impl GridBank {
         // Checkpointing rides the request path (no dedicated thread):
         // after dispatch, with no database locks held, snapshot once the
         // journal tail reached the configured threshold.
-        // Concurrent workers skip instead of queueing; a no-op in
+        // Concurrent connections skip instead of queueing; a no-op in
         // non-durable mode.
         if let Err(e) = self.accounts.db().maybe_checkpoint() {
             gridbank_obs::count("db.snapshot.errors", 1);
@@ -845,15 +818,11 @@ impl ConnectionGate for BankGate {
 }
 
 /// Sizing knobs for the network front-end.
-///
-/// The defaults suit tests and small simulations; the reference
-/// benchmark (`benchmark/`) sets `workers` to the host's core count.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerTuning {
-    /// Worker threads executing requests, shared across connections.
+    /// Ignored; named only by benchmark/; deleted with ROADMAP 6(g).
     pub workers: usize,
-    /// Bound on the shared job queue. When it fills, connection readers
-    /// block on submit — backpressure toward the clients.
+    /// Ignored; named only by benchmark/; deleted with ROADMAP 6(g).
     pub queue_depth: usize,
     /// Connections beyond this are dropped at accept time (the client
     /// sees a failed handshake and may retry).
@@ -863,70 +832,6 @@ pub struct ServerTuning {
 impl Default for ServerTuning {
     fn default() -> Self {
         ServerTuning { workers: 4, queue_depth: 256, max_connections: 1024 }
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The shared bounded execution pool behind every connection.
-///
-/// Workers pull jobs from one bounded channel (receiver behind a mutex —
-/// the vendored channel is single-consumer) and exit when every submit
-/// handle is gone, so the pool drains naturally at shutdown.
-struct WorkerPool {
-    submit: crossbeam::channel::Sender<Job>,
-    /// Workers currently executing a job — the saturation signal the
-    /// ops plane reports.
-    busy: Arc<AtomicU64>,
-}
-
-impl WorkerPool {
-    fn start(tuning: ServerTuning) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded::<Job>(tuning.queue_depth.max(1));
-        let rx = Arc::new(OrderedMutex::new(rank::WORKER_INBOX, "worker-inbox", rx));
-        let busy = Arc::new(AtomicU64::new(0));
-        for _ in 0..tuning.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let busy = Arc::clone(&busy);
-            std::thread::spawn(move || loop {
-                // Hold the lock only while waiting, never while running
-                // the job, so workers execute in parallel.
-                // lint:allow(blocking-under-lock) the lock exists solely to share the
-                // receiver; it guards no bank state and jobs run outside it
-                let job = rx.lock().recv();
-                match job {
-                    Ok(job) => {
-                        busy.fetch_add(1, Ordering::Relaxed);
-                        job();
-                        busy.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    Err(_) => break,
-                }
-            });
-        }
-        WorkerPool { submit: tx, busy }
-    }
-}
-
-/// The server's [`OpsSource`]: worker saturation from the pool, live
-/// connections from the accept loop's gauge.
-struct ServerOps {
-    busy: Arc<AtomicU64>,
-    workers: u32,
-    live: Arc<AtomicU64>,
-}
-
-impl OpsSource for ServerOps {
-    fn workers_busy(&self) -> u32 {
-        self.busy.load(Ordering::Relaxed).min(u32::MAX as u64) as u32
-    }
-
-    fn workers_total(&self) -> u32 {
-        self.workers
-    }
-
-    fn connections(&self) -> u32 {
-        self.live.load(Ordering::Relaxed).min(u32::MAX as u64) as u32
     }
 }
 
@@ -982,11 +887,11 @@ pub struct GridBankServer {
 
 impl GridBankServer {
     /// Binds `address` on `network` and starts serving `bank` with the
-    /// given pool and admission sizing.
+    /// given admission cap.
     ///
-    /// Per connection, a reader thread decodes pipelined requests and
-    /// submits them to the shared bounded worker pool; workers dispatch
-    /// into the bank and complete the connection's `ResponseWriter`.
+    /// Each accepted connection gets a thread of its own, which runs the
+    /// handshake and then serves the connection's requests in order,
+    /// each to completion: open, decode, dispatch, seal, send.
     pub fn start_tuned(
         network: &Network,
         address: Address,
@@ -1001,15 +906,8 @@ impl GridBankServer {
         let stop2 = Arc::clone(&stop);
         let conns = Arc::clone(&connections);
         let clock = bank.clock().clone();
-        let pool = WorkerPool::start(tuning);
-        let live = Arc::new(AtomicU64::new(0));
-        bank.install_ops_source(Arc::new(ServerOps {
-            busy: Arc::clone(&pool.busy),
-            workers: tuning.workers.max(1) as u32,
-            live: Arc::clone(&live),
-        }));
+        let live = Arc::clone(&bank.live_connections);
         let accept_thread = std::thread::spawn(move || {
-            let gate = bank.gate();
             let mut conn_seq = 0u64;
             loop {
                 if stop2.load(Ordering::Relaxed) {
@@ -1035,15 +933,13 @@ impl GridBankServer {
                 let bank = Arc::clone(&bank);
                 let credentials = credentials.clone();
                 let clock = clock.clone();
-                let jobs = pool.submit.clone();
                 let mut nonces =
                     DeterministicStream::from_u64(nonce_seed ^ conn_seq, b"gridbank-server-nonce");
-                let gate_bank = Arc::clone(&gate.bank);
                 std::thread::spawn(move || {
                     let _guard = guard;
                     let config =
                         HandshakeConfig { ca_key: credentials.ca_key, now: clock.now_ms() };
-                    let gate = BankGate { bank: gate_bank };
+                    let gate = bank.gate();
                     let hs = server_handshake(
                         duplex,
                         &config,
@@ -1056,53 +952,30 @@ impl GridBankServer {
                         Ok(ok) => ok,
                         Err(_) => return, // refused or failed; nothing to serve
                     };
-                    let _ = RpcServer::serve_pipelined(channel, |req, writer| {
-                        let bank = Arc::clone(&bank);
-                        let peer = peer.clone();
-                        let writer = Arc::clone(writer);
-                        let job: Job = Box::new(move || {
-                            // Queue stage: reader decode → worker pickup.
-                            if let Some(enqueued) = req.enqueued {
-                                gridbank_obs::observe(
-                                    "server.stage.queue_ns",
-                                    enqueued.elapsed().as_nanos() as u64,
-                                );
-                            }
-                            let response = {
-                                // Join the client's trace so the dispatch
-                                // nests under the caller's rpc span.
-                                let mut span =
-                                    gridbank_obs::span_under(req.trace, "net", "rpc_serve");
-                                span.attr("peer", peer.base.0.clone());
-                                let decode_timer = gridbank_obs::Stopwatch::start();
-                                let decoded = BankRequest::from_bytes(&req.payload);
-                                decode_timer.record_named("server.stage.decode_ns");
-                                let dispatch_timer = gridbank_obs::Stopwatch::start();
-                                let resp = match decoded {
-                                    Ok(r) => bank.handle_keyed(&peer.subject, req.idem_key, r),
-                                    Err(e) => BankResponse::Error {
-                                        kind: crate::api::kinds::OTHER,
-                                        message: format!("malformed request: {e}"),
-                                        detail: 0,
-                                    },
-                                };
-                                dispatch_timer.record_named("server.stage.dispatch_ns");
-                                resp.to_bytes()
-                            };
-                            // An error here means the peer hung up; the
-                            // reader loop will notice and wind down.
-                            let reply_timer = gridbank_obs::Stopwatch::start();
-                            let _ = writer.complete(req.id, response);
-                            reply_timer.record_named("server.stage.reply_ns");
-                        });
-                        // Blocking on a full queue is the backpressure
-                        // path; an error means the pool is gone.
-                        jobs.send(job).map_err(|_| NetError::Disconnected)
+                    // An error ends the connection: the peer hung up, sent a
+                    // frame that failed its integrity check, or idled out.
+                    let _ = RpcServer::serve(channel, |req| {
+                        // Join the client's trace so the dispatch nests
+                        // under the caller's rpc span.
+                        let mut span = gridbank_obs::span_under(req.trace, "net", "rpc_serve");
+                        span.attr("peer", &peer.base.0);
+                        let decode_timer = gridbank_obs::Stopwatch::start();
+                        let decoded = BankRequest::from_bytes(req.payload);
+                        decode_timer.record_named("server.stage.decode_ns");
+                        let dispatch_timer = gridbank_obs::Stopwatch::start();
+                        let resp = match decoded {
+                            Ok(r) => bank.handle_keyed(&peer.subject, req.idem_key, r),
+                            Err(e) => BankResponse::Error {
+                                kind: crate::api::kinds::OTHER,
+                                message: format!("malformed request: {e}"),
+                                detail: 0,
+                            },
+                        };
+                        dispatch_timer.record_named("server.stage.dispatch_ns");
+                        resp.to_bytes()
                     });
                 });
             }
-            // Dropping the pool's submit handle lets workers exit once
-            // the last connection reader hangs up.
         });
         Ok(GridBankServer { stop, accept_thread: Some(accept_thread), address, connections })
     }

@@ -77,12 +77,8 @@ pub(crate) mod rank {
     pub const FEDERATION: u16 = 220;
     /// `GridBank.ops_admins` (leaf).
     pub const OPS_ADMINS: u16 = 230;
-    /// `GridBank.ops_source` (leaf).
-    pub const OPS_SOURCE: u16 = 240;
     /// `GridBank.descriptions` (leaf).
     pub const DESCRIPTIONS: u16 = 250;
-    /// The worker pool's shared inbox: held only while a worker waits.
-    pub const WORKER_INBOX: u16 = 260;
 }
 
 /// Debug-only held-lock bookkeeping. Everything in here is behind

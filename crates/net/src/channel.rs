@@ -19,13 +19,17 @@
 //! an integrity error, matching the GSS wrap/unwrap semantics GridBank
 //! assumes from Globus I/O. The sequence is checked before the tag, and a
 //! refused frame does not advance it.
+//!
+//! A channel is owned whole by one thread. The server's connection thread
+//! opens a request and seals its response on the same channel
+//! (`RpcServer::serve`), so the channel has no split halves.
 
 use gridbank_crypto::aead::{open_in_place, seal_in_place, KEY_LEN, NONCE_LEN, TAG_LEN};
 use gridbank_crypto::hmac::hkdf_expand;
 use gridbank_crypto::sha256::Digest;
 
 use crate::error::NetError;
-use crate::transport::{Duplex, RecvHalf, SendHalf};
+use crate::transport::Duplex;
 
 /// Bytes of sequence number in front of the ciphertext.
 const SEQ_LEN: usize = 8;
@@ -144,69 +148,6 @@ impl SecureChannel {
     /// The remote transport address (diagnostics).
     pub fn peer(&self) -> &crate::transport::Address {
         &self.duplex.peer
-    }
-
-    /// Splits the channel into independently owned sealed send and
-    /// receive halves. Each direction keeps its own strict sequence, so
-    /// the wire format is identical to an unsplit channel — the peer
-    /// cannot tell the difference. This is what lets a pipelined server
-    /// block on receive in one thread while workers send responses from
-    /// others.
-    pub fn split(self) -> (SecureSender, SecureReceiver) {
-        let (tx, rx) = self.duplex.split();
-        (
-            SecureSender { half: tx, keys: self.send_keys, seq: self.send_seq },
-            SecureReceiver { half: rx, keys: self.recv_keys, seq: self.recv_seq },
-        )
-    }
-}
-
-/// The sealing send half of a split [`SecureChannel`].
-pub struct SecureSender {
-    half: SendHalf,
-    keys: DirectionKeys,
-    seq: u64,
-}
-
-impl SecureSender {
-    /// Seals and sends one message (same semantics as
-    /// [`SecureChannel::send`]).
-    pub fn send(&mut self, plaintext: &[u8]) -> Result<(), NetError> {
-        let seq = self.seq;
-        self.seq += 1;
-        self.half.send(seal_frame(&self.keys, seq, plaintext))
-    }
-}
-
-/// The opening receive half of a split [`SecureChannel`].
-pub struct SecureReceiver {
-    half: RecvHalf,
-    keys: DirectionKeys,
-    seq: u64,
-}
-
-impl SecureReceiver {
-    /// Receives, authenticates, and opens one message.
-    pub fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        let frame = self.half.recv()?;
-        self.open(frame)
-    }
-
-    /// Receives with an explicit timeout.
-    pub fn recv_timeout(&mut self, timeout: std::time::Duration) -> Result<Vec<u8>, NetError> {
-        let frame = self.half.recv_timeout(timeout)?;
-        self.open(frame)
-    }
-
-    fn open(&mut self, frame: Vec<u8>) -> Result<Vec<u8>, NetError> {
-        let plain = open_frame(&self.keys, self.seq, frame)?;
-        self.seq += 1;
-        Ok(plain)
-    }
-
-    /// The remote transport address (diagnostics).
-    pub fn peer(&self) -> &crate::transport::Address {
-        &self.half.peer
     }
 }
 
@@ -348,34 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn split_channel_is_wire_compatible_with_unsplit_peer() {
-        let secret = sha256(b"shared");
-        let (c, mut s) = pair(&secret);
-        // Exchange a frame each way first so the split inherits nonzero
-        // sequence numbers.
-        let mut c = c;
-        c.send(b"pre").unwrap();
-        assert_eq!(s.recv().unwrap(), b"pre");
-        s.send(b"ack").unwrap();
-        assert_eq!(c.recv().unwrap(), b"ack");
-        let (mut ctx, mut crx) = c.split();
-        // Client halves talk to the unsplit server channel: sends from one
-        // thread while the receive half blocks in another.
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for _ in 0..3 {
-                    let m = s.recv().unwrap();
-                    s.send(&m).unwrap();
-                }
-            });
-            for msg in [&b"one"[..], b"two", b"three"] {
-                ctx.send(msg).unwrap();
-                assert_eq!(crx.recv().unwrap(), msg);
-            }
-        });
-    }
-
-    #[test]
     fn directions_use_distinct_keys() {
         // A frame sent client->server must not be accepted as server->client.
         let secret = sha256(b"s");
@@ -449,7 +362,8 @@ mod tests {
     /// every byte of it (sequence, ciphertext, tag) is refused, and a
     /// refused frame does not advance the receive sequence: the good frame
     /// still opens right after it.
-    fn tamper_sweep(split: bool) {
+    #[test]
+    fn every_truncation_and_bit_flip_is_refused_without_advancing_the_sequence() {
         let secret = sha256(b"s");
         let plain: Vec<u8> = (0u8..100).collect();
         let good = seal_frame(&direction_keys(secret.as_bytes(), b"c2s"), 0, &plain);
@@ -462,28 +376,11 @@ mod tests {
         });
         for bad in truncated.chain(flipped) {
             let (raw, server_link) = links();
-            let server = SecureChannel::new(server_link, &secret, false);
-            let mut recv: Box<dyn FnMut() -> Result<Vec<u8>, NetError>> = if split {
-                let (_, mut rx) = server.split();
-                Box::new(move || rx.recv())
-            } else {
-                let mut server = server;
-                Box::new(move || server.recv())
-            };
+            let mut server = SecureChannel::new(server_link, &secret, false);
             raw.send(bad.clone()).unwrap();
-            assert!(matches!(recv(), Err(NetError::ChannelIntegrity(_))), "opened {bad:?}");
+            assert!(matches!(server.recv(), Err(NetError::ChannelIntegrity(_))), "opened {bad:?}");
             raw.send(good.clone()).unwrap();
-            assert_eq!(recv().unwrap(), plain);
+            assert_eq!(server.recv().unwrap(), plain);
         }
-    }
-
-    #[test]
-    fn every_truncation_and_bit_flip_is_refused_without_advancing_the_sequence() {
-        tamper_sweep(false);
-    }
-
-    #[test]
-    fn a_split_receiver_refuses_every_truncation_and_bit_flip_too() {
-        tamper_sweep(true);
     }
 }

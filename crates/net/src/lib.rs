@@ -29,8 +29,9 @@
 //! * [`rpc`] — request/response correlation over a secure channel, the
 //!   shape every GridBank protocol message uses. Frame ids are
 //!   **correlation ids**: clients may pipeline many requests per
-//!   connection, and servers send each response as its worker finishes
-//!   (see `docs/PROTOCOLS.md` §1).
+//!   connection; the server runs each connection's requests one after
+//!   another on that connection's thread, so responses leave in request
+//!   order (see `docs/PROTOCOLS.md` §1).
 //! * [`fault`] — deterministic fault injection at the transport layer
 //!   (drop/duplicate/reorder/reset, seed-driven) for chaos testing.
 //!
@@ -63,10 +64,10 @@ pub mod rpc;
 pub mod transport;
 pub(crate) mod wire;
 
-pub use channel::{SecureChannel, SecureReceiver, SecureSender};
+pub use channel::SecureChannel;
 pub use error::NetError;
 pub use fault::{FaultCounts, FaultInjector, FaultPlan, FaultRates};
 pub use gate::{AdmissionDecision, ConnectionGate};
 pub use handshake::{client_handshake, server_handshake, HandshakeConfig, PeerIdentity};
-pub use rpc::{PipelinedRequest, ResponseWriter, RpcClient, RpcServer};
-pub use transport::{Address, Duplex, Listener, Network, RecvHalf, SendHalf};
+pub use rpc::{RpcClient, RpcServer};
+pub use transport::{Address, Duplex, Listener, Network};

@@ -8,27 +8,25 @@
 //! for other in-flight ids. [`RpcClient::call`] is the depth-1 special
 //! case.
 //!
-//! On the server, [`RpcServer::serve_pipelined`] — the one serve loop —
-//! splits the channel and hands each decoded request to an executor
-//! (typically a bounded worker pool); each worker sends its response
-//! through the shared [`ResponseWriter`] the moment it is ready, so
-//! **responses leave in completion order** and a slow request never
-//! holds back a fast one behind it. See `docs/PROTOCOLS.md` §1 for the
-//! pipelining state machine.
+//! On the server, [`RpcServer::serve`] — the one serve loop — runs each
+//! request to completion on the connection's own thread: it opens the
+//! frame, hands the borrowed [`Request`] to the handler, and seals and
+//! sends the handler's answer before it reads the next frame. One
+//! connection's **responses therefore leave in request order**;
+//! parallelism comes from connections, each served by its own thread.
+//! Clients still match responses by id. See `docs/PROTOCOLS.md` §1 for
+//! the pipelining state machine.
 //!
 //! Mutating requests may carry a client-generated **idempotency key**
 //! (flagged on the kind byte, like the trace context), which the server
 //! uses to deduplicate retries — see `docs/RESILIENCE.md`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use gridbank_obs::TraceContext;
 
-use crate::channel::{SecureChannel, SecureSender};
+use crate::channel::SecureChannel;
 use crate::error::NetError;
 use crate::handshake::PeerIdentity;
 
@@ -242,59 +240,33 @@ impl RpcClient {
     }
 }
 
-/// One decoded request handed to a pipelined executor. `id` is the
-/// client's correlation id, echoed verbatim on the response frame.
-pub struct PipelinedRequest {
-    /// Client correlation id to echo on the response.
+/// One opened request, borrowed from the frame it arrived in.
+pub struct Request<'a> {
+    /// Client correlation id, echoed on the response frame.
     pub id: u64,
     /// Trace context carried by the frame, if any.
     pub trace: Option<TraceContext>,
     /// Idempotency key carried by the frame, if any.
     pub idem_key: Option<u64>,
     /// Request payload.
-    pub payload: Vec<u8>,
-    /// When the read loop decoded the frame, stamped only while
-    /// telemetry is on. Executors subtract it at job start to measure
-    /// queue wait (`server.stage.queue_ns`).
-    pub enqueued: Option<std::time::Instant>,
+    pub payload: &'a [u8],
 }
 
-/// The response sender shared by the workers serving one pipelined
-/// connection. Workers complete requests in any order and each
-/// response goes on the wire at once; the client matches it to its
-/// request by correlation id.
-pub struct ResponseWriter {
-    sender: Mutex<SecureSender>,
-}
-
-impl ResponseWriter {
-    /// Seals and sends the response to correlation id `id`. An error
-    /// means the connection is gone; pending work for it can be
-    /// abandoned.
-    pub fn complete(&self, id: u64, response: Vec<u8>) -> Result<(), NetError> {
-        self.sender.lock().send(&encode(id, KIND_RESPONSE, None, None, &response))
-    }
-}
-
-/// Server-side connection loops.
+/// Server-side connection loop.
 pub struct RpcServer;
 
 impl RpcServer {
-    /// Serves one connection with pipelining: the channel is split, the
-    /// read loop decodes each request and hands it to `submit` together
-    /// with the shared [`ResponseWriter`]. `submit` is expected to
-    /// enqueue the request on an executor (e.g. a bounded worker pool)
-    /// whose workers eventually call [`ResponseWriter::complete`] once
-    /// per request. Returns when the peer disconnects; propagates
-    /// integrity and submit errors.
-    pub fn serve_pipelined<S>(channel: SecureChannel, mut submit: S) -> Result<(), NetError>
+    /// Serves one connection on the calling thread: each request is
+    /// opened, handed to `handle`, and answered with the bytes `handle`
+    /// returns, sealed on the same channel, before the next request is
+    /// read. Responses leave in request order. Returns when the peer
+    /// disconnects; propagates integrity and protocol errors.
+    pub fn serve<H>(mut channel: SecureChannel, mut handle: H) -> Result<(), NetError>
     where
-        S: FnMut(PipelinedRequest, &Arc<ResponseWriter>) -> Result<(), NetError>,
+        H: FnMut(Request<'_>) -> Vec<u8>,
     {
-        let (sender, mut receiver) = channel.split();
-        let writer = Arc::new(ResponseWriter { sender: Mutex::new(sender) });
         loop {
-            let msg = match receiver.recv() {
+            let msg = match channel.recv() {
                 Ok(m) => m,
                 Err(NetError::Disconnected) => return Ok(()),
                 Err(e) => return Err(e),
@@ -303,10 +275,14 @@ impl RpcServer {
             if kind != KIND_REQUEST {
                 return Err(NetError::Malformed(format!("expected request, got kind {kind}")));
             }
-            gridbank_obs::count("rpc.server.pipelined_requests", 1);
-            let enqueued = gridbank_obs::telemetry_enabled().then(std::time::Instant::now);
-            let req = PipelinedRequest { id, trace, idem_key, payload: payload.to_vec(), enqueued };
-            submit(req, &writer)?;
+            let response = handle(Request { id, trace, idem_key, payload });
+            let reply_timer = gridbank_obs::Stopwatch::start();
+            match channel.send(&encode(id, KIND_RESPONSE, None, None, &response)) {
+                Ok(()) => {}
+                Err(NetError::Disconnected) => return Ok(()),
+                Err(e) => return Err(e),
+            }
+            reply_timer.record_named("server.stage.reply_ns");
         }
     }
 }
@@ -333,17 +309,10 @@ mod tests {
         PeerIdentity { base: subject.clone(), subject }
     }
 
-    /// Serves `channel` with an inline executor: `handler` runs on the
-    /// read loop and its answer goes out before the next request is
-    /// read.
-    fn serve_inline(
-        channel: SecureChannel,
-        mut handler: impl FnMut(Option<u64>, &[u8]) -> Vec<u8>,
-    ) {
-        RpcServer::serve_pipelined(channel, |req, writer| {
-            writer.complete(req.id, handler(req.idem_key, &req.payload))
-        })
-        .unwrap();
+    /// Serves `channel` until the client hangs up, answering each
+    /// request with `handler(idempotency key, payload)`.
+    fn serve_with(channel: SecureChannel, mut handler: impl FnMut(Option<u64>, &[u8]) -> Vec<u8>) {
+        RpcServer::serve(channel, |req| handler(req.idem_key, req.payload)).unwrap();
     }
 
     #[test]
@@ -352,7 +321,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let p = peer("alice");
-                serve_inline(s, |_key, payload| {
+                serve_with(s, |_key, payload| {
                     let mut out = p.base.common_name().unwrap().as_bytes().to_vec();
                     out.push(b':');
                     out.extend_from_slice(payload);
@@ -370,7 +339,7 @@ mod tests {
     fn many_sequential_calls_keep_ids_aligned() {
         let (c, s) = channel_pair();
         std::thread::scope(|scope| {
-            scope.spawn(|| serve_inline(s, |_key, payload| payload.to_vec()));
+            scope.spawn(|| serve_with(s, |_key, payload| payload.to_vec()));
             let mut client = RpcClient::new(c, peer("bank"));
             for i in 0..100u32 {
                 let msg = i.to_be_bytes();
@@ -384,7 +353,7 @@ mod tests {
         let (c, s) = channel_pair();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                serve_inline(s, |key, _payload| key.unwrap_or(0).to_be_bytes().to_vec());
+                serve_with(s, |key, _payload| key.unwrap_or(0).to_be_bytes().to_vec());
             });
             let mut client = RpcClient::new(c, peer("bank"));
             assert_eq!(client.call(b"no-key").unwrap(), 0u64.to_be_bytes());
@@ -442,38 +411,33 @@ mod tests {
     }
 
     #[test]
-    fn slow_first_request_does_not_delay_a_fast_second() {
-        let (c, s) = channel_pair();
-        let (release, held) = std::sync::mpsc::channel::<()>();
+    fn responses_leave_in_request_order() {
+        // Three requests pipelined on one connection: the raw frames the
+        // server sends back carry their ids in the order they were sent,
+        // whatever each request costs to serve.
+        let (mut c, s) = channel_pair();
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // Executor: "slow" runs on its own thread and finishes
-                // only once released; everything else answers inline.
-                let mut slow = None;
-                let mut held = Some(held);
-                RpcServer::serve_pipelined(s, |req, writer| {
-                    let held = held.take().filter(|_| req.payload == b"slow");
-                    let Some(held) = held else {
-                        return writer.complete(req.id, req.payload);
-                    };
-                    let writer = Arc::clone(writer);
-                    slow = Some(std::thread::spawn(move || {
-                        held.recv().expect("the client releases the slow request");
-                        writer.complete(req.id, req.payload)
-                    }));
-                    Ok(())
-                })
-                .unwrap();
-                slow.expect("slow request seen").join().unwrap().unwrap();
+            scope.spawn(|| {
+                serve_with(s, |_key, payload| {
+                    if payload == b"slow" {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    payload.to_vec()
+                });
             });
-            let mut client = RpcClient::new(c, peer("bank"));
-            let slow = client.send_request(b"slow").unwrap();
-            let fast = client.send_request(b"fast").unwrap();
-            // The fast answer arrives while the slow one is still held.
-            assert_eq!(client.recv_response(fast).unwrap(), b"fast");
-            assert_eq!(client.in_flight(), 1);
-            release.send(()).unwrap();
-            assert_eq!(client.recv_response(slow).unwrap(), b"slow");
+            for (id, payload) in [(5u64, &b"slow"[..]), (3, b"fast"), (9, b"also fast")] {
+                c.send(&encode(id, KIND_REQUEST, None, None, payload)).unwrap();
+            }
+            let mut seen = Vec::new();
+            for _ in 0..3 {
+                let frame = c.recv().unwrap();
+                let (id, kind, trace, idem, _body) = decode(&frame).unwrap();
+                assert_eq!((kind, trace, idem), (KIND_RESPONSE, None, None));
+                seen.push(id);
+            }
+            assert_eq!(seen, [5, 3, 9]);
+            // Hanging up ends the serve loop cleanly.
+            drop(c);
         });
     }
 

@@ -6,6 +6,10 @@
 //! accept queue. Messages are whole byte vectors — the transport is
 //! message-oriented like Globus I/O's message mode, so no stream
 //! re-framing is needed above it.
+//!
+//! A [`Duplex`] end is owned whole by one thread: a server connection's
+//! thread receives each request and sends its response on the same end
+//! (`RpcServer::serve`), so the link is never split into halves.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,79 +55,53 @@ impl From<&str> for Address {
     }
 }
 
-/// Sends one message through the fault model (when installed): drops,
-/// duplicates, reorders, or resets per the link's verdict stream. Shared
-/// by [`Duplex`] and [`SendHalf`] so split and unsplit links behave
-/// identically.
-fn faulted_send(
-    tx: &Sender<Vec<u8>>,
-    faults: Option<&LinkFaults>,
-    msg: Vec<u8>,
-) -> Result<(), NetError> {
-    let raw_send = |m: Vec<u8>| tx.send(m).map_err(|_| NetError::Disconnected);
-    let Some(faults) = faults else {
-        return raw_send(msg);
-    };
-    if faults.is_reset() {
-        return Err(NetError::Disconnected);
-    }
-    let verdict = faults.draw();
-    match verdict {
-        FaultVerdict::Drop => return Ok(()),
-        FaultVerdict::Reset => {
-            faults.poison();
-            return Err(NetError::Disconnected);
-        }
-        _ => {}
-    }
-    // A message held back by an earlier reorder verdict goes out
-    // *after* this one, completing the one-slot swap.
-    let held = faults.take_held();
-    match verdict {
-        FaultVerdict::Duplicate => {
-            raw_send(msg.clone())?;
-            raw_send(msg)?;
-        }
-        FaultVerdict::Reorder if held.is_none() => faults.hold(msg),
-        _ => raw_send(msg)?,
-    }
-    if let Some(h) = held {
-        raw_send(h)?;
-    }
-    Ok(())
-}
-
-fn faulted_recv(
-    rx: &Receiver<Vec<u8>>,
-    faults: Option<&LinkFaults>,
-    timeout: StdDuration,
-) -> Result<Vec<u8>, NetError> {
-    if faults.is_some_and(|f| f.is_reset()) {
-        return Err(NetError::Disconnected);
-    }
-    rx.recv_timeout(timeout).map_err(|e| match e {
-        RecvTimeoutError::Timeout => NetError::Timeout,
-        RecvTimeoutError::Disconnected => NetError::Disconnected,
-    })
-}
-
 /// One end of a bidirectional message link.
 pub struct Duplex {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     /// Fault state for the direction this end sends in; `None` when no
-    /// injector was installed on the network. Shared (`Arc`) so the two
-    /// halves of a [`Duplex::split`] keep one verdict stream.
-    faults: Option<Arc<LinkFaults>>,
+    /// injector was installed on the network.
+    faults: Option<LinkFaults>,
     /// Address of the remote side, for diagnostics.
     pub peer: Address,
 }
 
 impl Duplex {
     /// Sends one message; fails if the peer hung up (or the link was
-    /// reset by fault injection).
+    /// reset by fault injection). Under an armed injector the link's
+    /// verdict stream may drop, duplicate, reorder or reset the message.
     pub fn send(&self, msg: Vec<u8>) -> Result<(), NetError> {
-        faulted_send(&self.tx, self.faults.as_deref(), msg)
+        let raw_send = |m: Vec<u8>| self.tx.send(m).map_err(|_| NetError::Disconnected);
+        let Some(faults) = &self.faults else {
+            return raw_send(msg);
+        };
+        if faults.is_reset() {
+            return Err(NetError::Disconnected);
+        }
+        let verdict = faults.draw();
+        match verdict {
+            FaultVerdict::Drop => return Ok(()),
+            FaultVerdict::Reset => {
+                faults.poison();
+                return Err(NetError::Disconnected);
+            }
+            _ => {}
+        }
+        // A message held back by an earlier reorder verdict goes out
+        // *after* this one, completing the one-slot swap.
+        let held = faults.take_held();
+        match verdict {
+            FaultVerdict::Duplicate => {
+                raw_send(msg.clone())?;
+                raw_send(msg)?;
+            }
+            FaultVerdict::Reorder if held.is_none() => faults.hold(msg),
+            _ => raw_send(msg)?,
+        }
+        if let Some(h) = held {
+            raw_send(h)?;
+        }
+        Ok(())
     }
 
     /// Receives one message with the default timeout.
@@ -133,7 +111,13 @@ impl Duplex {
 
     /// Receives one message, waiting at most `timeout`.
     pub fn recv_timeout(&self, timeout: StdDuration) -> Result<Vec<u8>, NetError> {
-        faulted_recv(&self.rx, self.faults.as_deref(), timeout)
+        if self.faults.as_ref().is_some_and(|f| f.is_reset()) {
+            return Err(NetError::Disconnected);
+        }
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
+        })
     }
 
     /// Non-blocking receive; `Ok(None)` when no message is waiting.
@@ -146,52 +130,6 @@ impl Duplex {
             Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
             Err(crossbeam::channel::TryRecvError::Disconnected) => Err(NetError::Disconnected),
         }
-    }
-
-    /// Splits the link into independently owned send and receive halves,
-    /// so one thread can block on receive while others send — the basis
-    /// of pipelined RPC serving. Fault state stays shared: a reset on
-    /// either half poisons both, and the send-direction verdict stream is
-    /// unchanged by the split.
-    pub fn split(self) -> (SendHalf, RecvHalf) {
-        let send = SendHalf { tx: self.tx, faults: self.faults.clone(), peer: self.peer.clone() };
-        let recv = RecvHalf { rx: self.rx, faults: self.faults, peer: self.peer };
-        (send, recv)
-    }
-}
-
-/// The sending half of a split [`Duplex`].
-pub struct SendHalf {
-    tx: Sender<Vec<u8>>,
-    faults: Option<Arc<LinkFaults>>,
-    /// Address of the remote side, for diagnostics.
-    pub peer: Address,
-}
-
-impl SendHalf {
-    /// Sends one message (same fault semantics as [`Duplex::send`]).
-    pub fn send(&self, msg: Vec<u8>) -> Result<(), NetError> {
-        faulted_send(&self.tx, self.faults.as_deref(), msg)
-    }
-}
-
-/// The receiving half of a split [`Duplex`].
-pub struct RecvHalf {
-    rx: Receiver<Vec<u8>>,
-    faults: Option<Arc<LinkFaults>>,
-    /// Address of the remote side, for diagnostics.
-    pub peer: Address,
-}
-
-impl RecvHalf {
-    /// Receives one message with the default timeout.
-    pub fn recv(&self) -> Result<Vec<u8>, NetError> {
-        self.recv_timeout(DEFAULT_TIMEOUT)
-    }
-
-    /// Receives one message, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: StdDuration) -> Result<Vec<u8>, NetError> {
-        faulted_recv(&self.rx, self.faults.as_deref(), timeout)
     }
 }
 
@@ -280,7 +218,7 @@ impl Network {
         let (client_faults, server_faults) = match self.injector.lock().as_ref() {
             Some(inj) => {
                 let (c, s) = inj.attach();
-                (Some(Arc::new(c)), Some(Arc::new(s)))
+                (Some(c), Some(s))
             }
             None => (None, None),
         };
@@ -504,53 +442,6 @@ mod tests {
             }
             assert_eq!(inj.counts().total(), 0);
         }
-    }
-
-    #[test]
-    fn split_halves_carry_traffic_and_share_reset_state() {
-        let net = Network::new();
-        let listener = net.bind(Address::new("bank")).unwrap();
-        let client = net.connect(Address::new("a"), &Address::new("bank")).unwrap();
-        let server = listener.accept().unwrap();
-        let (ctx, crx) = client.split();
-        assert_eq!(ctx.peer.0, "bank");
-        assert_eq!(crx.peer.0, "bank");
-        // Echo from another thread (which owns the server end) while this
-        // one drives the split halves.
-        let echo = std::thread::spawn(move || {
-            let msg = server.recv().unwrap();
-            server.send(msg).unwrap();
-            // Dropping both client halves hangs up the link like
-            // dropping a whole Duplex.
-            matches!(server.recv(), Err(NetError::Disconnected))
-        });
-        ctx.send(b"ping".to_vec()).unwrap();
-        assert_eq!(crx.recv().unwrap(), b"ping");
-        drop(ctx);
-        drop(crx);
-        assert!(echo.join().unwrap());
-    }
-
-    #[test]
-    fn split_halves_share_fault_reset() {
-        use crate::fault::{FaultInjector, FaultPlan, FaultRates};
-        let net = Network::new();
-        let inj = FaultInjector::new(FaultPlan {
-            seed: 5,
-            to_server: FaultRates { reset_pm: 1000, ..FaultRates::NONE },
-            to_client: FaultRates::NONE,
-            skip_first: 0,
-        });
-        net.install_faults(inj.clone());
-        inj.arm(true);
-        let listener = net.bind(Address::new("srv")).unwrap();
-        let client = net.connect(Address::new("cli"), &Address::new("srv")).unwrap();
-        let _server = listener.accept().unwrap();
-        let (ctx, crx) = client.split();
-        // The first send draws a reset verdict; the receive half observes
-        // the same poisoned link immediately.
-        assert_eq!(ctx.send(vec![1]), Err(NetError::Disconnected));
-        assert_eq!(crx.recv(), Err(NetError::Disconnected));
     }
 
     #[test]

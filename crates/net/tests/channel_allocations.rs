@@ -3,6 +3,10 @@
 //! allocates nothing. A per-block or per-frame scratch `Vec` in
 //! `channel.rs` fails this test (the from-scratch keystream it replaced
 //! made 86 allocations each way for this message).
+//!
+//! The serve loop opens a request in the buffer it arrived in and lends
+//! the payload to the handler: per request it allocates only the
+//! response's RPC frame and its sealed frame.
 
 // The one unsafe item in the package: a `GlobalAlloc` that counts. The
 // library itself is `#![forbid(unsafe_code)]`.
@@ -11,8 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use gridbank_crypto::cert::SubjectName;
 use gridbank_crypto::sha256::sha256;
-use gridbank_net::{Address, Network, SecureChannel};
+use gridbank_net::{Address, Network, PeerIdentity, RpcClient, RpcServer, SecureChannel};
 
 thread_local! {
     /// Allocations made by this thread; const-initialised and without a
@@ -85,4 +90,48 @@ fn sealing_allocates_the_frame_and_opening_allocates_nothing() {
     let (opening, opened) = allocations_during(|| receiver.recv());
     assert_eq!(opened.unwrap(), plain);
     assert_eq!((sealing, opening), (1, 0), "(sealing, opening) allocations");
+}
+
+/// Per request, on the serving thread: the handler's reply (here a copy
+/// of a ready-made one), the RPC frame around it and the sealed frame,
+/// three. Receiving and opening the request, decoding its header and
+/// lending its payload allocate nothing; the loop this replaced copied
+/// the payload too and read four with this harness.
+#[test]
+fn serving_a_request_allocates_the_reply_and_its_two_frames_only() {
+    const REQUESTS: usize = 8;
+    let net = Network::new();
+    let listener = net.bind(Address::new("srv")).unwrap();
+    let near = net.connect(Address::new("cli"), &Address::new("srv")).unwrap();
+    let far = listener.accept().unwrap();
+    let secret = sha256(b"serve allocation count");
+    let subject = SubjectName::new("O", "U", "bank");
+    let server_identity = PeerIdentity { base: subject.clone(), subject };
+    let mut client = RpcClient::new(SecureChannel::new(near, &secret, true), server_identity);
+    let server = SecureChannel::new(far, &secret, false);
+    // A PayWord redeem's size (`core.api.bytes_redeem`).
+    let request = vec![0xA5u8; 2735];
+    let reply = vec![0x5Au8; 64];
+
+    // Every request is queued before the server starts, so its thread
+    // never waits on the link while it is being counted.
+    let ids: Vec<u64> = (0..REQUESTS).map(|_| client.send_request(&request).unwrap()).collect();
+    let serving = std::thread::spawn(move || {
+        let mut marks = Vec::with_capacity(REQUESTS);
+        RpcServer::serve(server, |req| {
+            assert_eq!(req.payload.len(), 2735);
+            marks.push(ALLOCATIONS.with(Cell::get));
+            reply.clone()
+        })
+        .unwrap();
+        marks
+    });
+    for id in ids {
+        assert_eq!(client.recv_response(id).unwrap(), vec![0x5Au8; 64]);
+    }
+    drop(client);
+    let marks = serving.join().unwrap();
+    assert_eq!(marks.len(), REQUESTS);
+    let per_request: Vec<u64> = marks.windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(per_request, vec![3; REQUESTS - 1], "allocations between consecutive requests");
 }

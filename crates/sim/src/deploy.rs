@@ -62,8 +62,6 @@ pub struct DeployConfig {
     pub seed: u64,
     /// Height of the CA's signing tree: one leaf per issued certificate.
     pub ca_height: usize,
-    /// Worker-pool and admission sizing of every branch's server.
-    pub tuning: ServerTuning,
     /// The branches, in branch-number order starting at 1.
     pub branches: Vec<BranchConfig>,
 }
@@ -71,12 +69,7 @@ pub struct DeployConfig {
 impl DeployConfig {
     /// One in-memory branch.
     pub fn single(bank: GridBankConfig) -> Self {
-        DeployConfig {
-            seed: 1,
-            ca_height: 4,
-            tuning: ServerTuning::default(),
-            branches: vec![BranchConfig { bank, store: None }],
-        }
+        DeployConfig { seed: 1, ca_height: 4, branches: vec![BranchConfig { bank, store: None }] }
     }
 
     /// `n` federated in-memory branches; `bank(b)` configures branch `b`.
@@ -350,7 +343,7 @@ impl Deployment {
             Arc::clone(&bank),
             ServerCredentials { certificate, identity, ca_key: self.ca.verifying_key() },
             seed ^ 0x5E,
-            self.config.tuning,
+            ServerTuning::default(),
         )?;
         let router = (self.live.len() > 1).then(|| FederationRouter::install(&bank));
         self.live[index(branch)] = Some(Live { bank, router, recovery, _server: server });

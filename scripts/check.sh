@@ -50,7 +50,7 @@ cargo run -q -p gridbank-lint
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one chain walker + one benchmark + one retry rule + one lock order + one instrument record guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one chain walker + one benchmark + one retry rule + one lock order + one instrument record + one serve loop guards, first-party line count (scripts/loc.sh)"
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -196,6 +196,20 @@ if grep -rnE --include='*.rs' 'payword_redeemed|PayWordLedger' crates tests exam
   echo "instrument guard: a chain's redeemed index lives on its FundsGuarantee reservation" >&2
   exit 1
 fi
+# One serve loop (docs/PROTOCOLS.md §1, EXPERIMENTS.md E36): a request
+# runs to completion on its connection's thread, which opens, decodes,
+# dispatches, seals and sends it before reading the next. The worker pool,
+# its job queue and inbox lock, the queue-wait stage and the split channel
+# halves that let a worker answer from another thread cannot grow back,
+# and nothing under crates/ reads the two ServerTuning fields left only
+# for benchmark/ to set.
+if grep -rnE --include='*.rs' \
+  'WorkerPool|ResponseWriter|PipelinedRequest|SecureSender|SecureReceiver|SendHalf|RecvHalf|WORKER_INBOX|stage\.queue_ns' \
+  crates tests examples src \
+  || grep -rnE --include='*.rs' '\.(workers|queue_depth)\b' crates; then
+  echo "serve-loop guard: serve each request on its connection's thread (RpcServer::serve)" >&2
+  exit 1
+fi
 echo "clippy restriction-lint allows in crates/{core,net,rur}/src:"
 grep -rnE '(allow|expect)\(.*clippy::(unwrap_used|expect_used|panic|unreachable|todo|unimplemented)\b' \
   crates/core/src crates/net/src crates/rur/src | sed 's/^/  /' || echo "  (none)"
@@ -247,7 +261,7 @@ grep -q "clearing accounts net to zero" <<<"$fed_out" || {
 
 # Ops smoke (E18 companion): scrape a live branch over the wire with the
 # OPS_ADMIN-gated OpsQuery. The unauthorized probe must be refused, the
-# health report must classify Healthy, and all six server.stage.*
+# health report must classify Healthy, and all five server.stage.*
 # histograms must have recorded (docs/OBSERVABILITY.md §4).
 stage "ops smoke (docs/OBSERVABILITY.md §4)"
 ops_out="$(./target/release/gridbank metrics --remote bank --format jsonl)"
@@ -259,7 +273,7 @@ grep -q '"type":"health".*"state":"Healthy"' <<<"$ops_out" || {
   echo "ops smoke: live branch did not report Healthy" >&2
   exit 1
 }
-for stage in queue decode dispatch lock journal reply; do
+for stage in decode dispatch lock journal reply; do
   grep -Eq "\"name\":\"server\.stage\.${stage}_ns\",\"count\":[1-9]" <<<"$ops_out" || {
     echo "ops smoke: server.stage.${stage}_ns empty or missing" >&2
     exit 1

@@ -1,7 +1,8 @@
 //! E10 — pipelined RPC against a live bank: many in-flight requests per
-//! connection, responses matched by correlation id, exactly-once keyed
-//! mutations under concurrency and link faults (see `docs/PROTOCOLS.md`
-//! §1 for the pipelining state machine).
+//! connection, served in request order on the connection's thread and
+//! matched by correlation id, exactly-once keyed mutations across
+//! connections and under link faults (see `docs/PROTOCOLS.md` §1 for the
+//! pipelining state machine).
 
 // Test fixtures build inputs with plain arithmetic; the workspace
 // `clippy::arithmetic_side_effects` wall targets production money paths
@@ -12,25 +13,18 @@ use std::time::Duration;
 
 use gridbank_suite::bank::api::{BankRequest, BankResponse};
 use gridbank_suite::bank::client::GridBankClient;
-use gridbank_suite::bank::db::GroupCommitConfig;
-use gridbank_suite::bank::server::{GridBankConfig, ServerTuning};
+use gridbank_suite::bank::server::GridBankConfig;
 use gridbank_suite::bank::BankError;
 use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::net::fault::{FaultPlan, FaultRates};
 use gridbank_suite::rur::Credits;
 use gridbank_suite::sim::deploy::{DeployConfig, Deployment, Identity};
 
-fn world(tuning: ServerTuning) -> Deployment {
-    Deployment::boot(DeployConfig {
-        tuning,
-        ..DeployConfig::single(GridBankConfig {
-            signer_height: 9,
-            // A wide grouping window so pipelined workers share journal
-            // flushes — the configuration this suite is meant to stress.
-            group_commit: GroupCommitConfig { max_batch: 32, max_delay_micros: 500 },
-            ..GridBankConfig::default()
-        })
-    })
+fn world() -> Deployment {
+    Deployment::boot(DeployConfig::single(GridBankConfig {
+        signer_height: 9,
+        ..GridBankConfig::default()
+    }))
     .unwrap()
 }
 
@@ -44,9 +38,7 @@ fn connect(w: &Deployment, cn: &str, seed: u64) -> Result<GridBankClient, BankEr
 
 #[test]
 fn pipelined_transfers_settle_exactly_once() {
-    // A small worker pool (2 workers, shallow queue) so requests really
-    // do execute concurrently and out of submission order.
-    let w = world(ServerTuning { workers: 2, queue_depth: 8, max_connections: 64 });
+    let w = world();
     let mut alice = connect(&w, "alice", 10).unwrap();
     let alice_account = alice.create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 11).unwrap();
@@ -85,11 +77,10 @@ fn pipelined_transfers_settle_exactly_once() {
 
 #[test]
 fn duplicate_keys_in_one_pipeline_are_deduplicated() {
-    // The same idempotency key submitted twice back-to-back in one
-    // pipeline window: with 4 workers both copies can be mid-execution
-    // at once, and the in-flight key guard must still collapse them to
-    // a single applied transfer.
-    let w = world(ServerTuning { workers: 4, queue_depth: 16, max_connections: 64 });
+    // The same idempotency key submitted three times back-to-back in one
+    // pipeline window: the connection serves them in order, so the
+    // second and third copies find the first's stamp in the dedup cache.
+    let w = world();
     let mut alice = connect(&w, "alice", 20).unwrap();
     let alice_account = alice.create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 21).unwrap();
@@ -120,6 +111,28 @@ fn duplicate_keys_in_one_pipeline_are_deduplicated() {
     assert_eq!(w.bank(1).unwrap().all_transfers().len(), 1);
     assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(43));
     assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(7));
+
+    // The case the in-flight key guard is for: a resilient client resends
+    // a key on a second connection while the first copy may still be
+    // served on the first. Each connection has a server thread of its
+    // own, so the two copies race into the bank: one applies, the other
+    // waits for its stamp and answers with the same transaction.
+    let mut again = connect(&w, "alice", 22).unwrap();
+    const ROUNDS: u64 = 4;
+    for round in 0..ROUNDS {
+        let key = KEY + 1 + round;
+        let a = alice.send_pipelined(Some(key), &transfer).unwrap();
+        let b = again.send_pipelined(Some(key), &transfer).unwrap();
+        let (ta, tb) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| txid_of(again.recv_pipelined(b).unwrap()));
+            (txid_of(alice.recv_pipelined(a).unwrap()), other.join().unwrap())
+        });
+        assert_eq!(ta, tb, "round {round}: the two copies answered different transactions");
+    }
+    // One transfer row and one debit per key.
+    assert_eq!(w.bank(1).unwrap().all_transfers().len(), 1 + ROUNDS as usize);
+    assert_eq!(alice.my_account().unwrap().available, Credits::from_gd(43 - 7 * ROUNDS as i64));
+    assert_eq!(bob.my_account().unwrap().available, Credits::from_gd(7 + 7 * ROUNDS as i64));
 }
 
 #[test]
@@ -129,7 +142,7 @@ fn pipelined_batch_survives_reorder_faults_with_keyed_retries() {
     // of being silently misordered. The client reconnects and retries
     // the whole batch with the *same* keys; dedup keeps every transfer
     // exactly-once no matter where the batch was cut.
-    let w = world(ServerTuning::default());
+    let w = world();
     let alice_account = connect(&w, "alice", 30).unwrap().create_account(None).unwrap();
     let mut bob = connect(&w, "bob", 31).unwrap();
     let bob_account = bob.create_account(None).unwrap();
