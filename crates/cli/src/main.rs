@@ -74,27 +74,7 @@ impl Args {
 }
 
 fn parse_amount(s: &str) -> Result<Credits, String> {
-    // "12", "12.5", "0.000001" — up to 6 fraction digits.
-    let (whole, frac) = match s.split_once('.') {
-        Some((w, f)) => (w, f),
-        None => (s, ""),
-    };
-    if frac.len() > 6 {
-        return Err(format!("`{s}`: at most 6 decimal places (µG$ precision)"));
-    }
-    let negative = whole.starts_with('-');
-    let whole: i128 = whole.parse().map_err(|e| format!("`{s}`: {e}"))?;
-    let mut frac_val: i128 =
-        if frac.is_empty() { 0 } else { frac.parse().map_err(|e| format!("`{s}`: {e}"))? };
-    frac_val *= 10i128.pow(6 - frac.len() as u32);
-    if negative {
-        frac_val = -frac_val;
-    }
-    let micro = whole
-        .checked_mul(1_000_000)
-        .and_then(|w| w.checked_add(frac_val))
-        .ok_or_else(|| format!("`{s}`: amount out of range"))?;
-    Ok(Credits::from_micro(micro))
+    s.parse::<Credits>().map_err(|e| e.to_string())
 }
 
 fn parse_account(s: &str) -> Result<AccountId, String> {
@@ -943,8 +923,9 @@ mod tests {
         assert_eq!(parse_amount("12.5").unwrap(), Credits::from_micro(12_500_000));
         assert_eq!(parse_amount("0.000001").unwrap(), Credits::from_micro(1));
         assert_eq!(parse_amount("-3.25").unwrap(), Credits::from_micro(-3_250_000));
-        assert!(parse_amount("1.0000001").is_err());
-        assert!(parse_amount("abc").is_err());
+        for refused in ["1.0000001", "abc", "1.-5", "1.+5", "1.", "."] {
+            assert!(parse_amount(refused).is_err(), "{refused:?} must be refused");
+        }
     }
 
     #[test]

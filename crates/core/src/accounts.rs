@@ -310,37 +310,34 @@ impl GbAccounts {
     ) -> (u64, CommitRows) {
         let txid = self.db.allocate_transaction_id();
         let now = self.clock.now_ms();
-        let rows = CommitRows {
-            transactions: vec![
-                TransactionRecord {
-                    transaction_id: txid,
-                    account: *from,
-                    tx_type: TransactionType::Transfer,
-                    date_ms: now,
-                    amount: amount.negated(),
-                },
-                TransactionRecord {
-                    transaction_id: txid,
-                    account: *to,
-                    tx_type: TransactionType::Transfer,
-                    date_ms: now,
-                    amount,
-                },
-            ],
-            transfer: Some(TransferRecord {
+        let transactions = vec![
+            TransactionRecord {
                 transaction_id: txid,
+                account: *from,
+                tx_type: TransactionType::Transfer,
                 date_ms: now,
-                drawer: *from,
+                amount: amount.negated(),
+            },
+            TransactionRecord {
+                transaction_id: txid,
+                account: *to,
+                tx_type: TransactionType::Transfer,
+                date_ms: now,
                 amount,
-                recipient: *to,
-                rur_blob,
-                // Correlates this audit row with the active span trace
-                // (0 = no trace was active).
-                trace_id: gridbank_obs::current_trace_id(),
-            }),
-            idem: idem.map(|k| k.stamp(txid)),
-            ib_out: None,
+            },
+        ];
+        let transfer = TransferRecord {
+            transaction_id: txid,
+            date_ms: now,
+            drawer: *from,
+            amount,
+            recipient: *to,
+            rur_blob,
+            // Correlates this audit row with the active span trace
+            // (0 = no trace was active).
+            trace_id: gridbank_obs::current_trace_id(),
         };
+        let rows = CommitRows::transfer(transactions, transfer, idem.map(|k| k.stamp(txid)));
         (txid, rows)
     }
 

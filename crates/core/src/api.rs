@@ -712,7 +712,9 @@ impl BankRequest {
 
     /// Whether the request mutates bank state. Mutating requests are the
     /// ones a resilient client must stamp with an idempotency key before
-    /// retrying — re-sending a read is always safe.
+    /// retrying — re-sending a read is always safe. Every variant is
+    /// named: a new one fails to compile until it is classified.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn is_mutating(&self) -> bool {
         match self {
             BankRequest::MyAccount

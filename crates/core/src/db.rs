@@ -274,18 +274,33 @@ pub struct IdemStamp {
 /// Rows committed atomically with a two-account mutation — the audit
 /// trail and the dedup mark land in the journal in the same critical
 /// section as the balance updates, so a crash can never separate them.
+/// Outside this module a batch carries a transfer only when built by
+/// [`CommitRows::transfer`], which takes the transfer's stamp.
 #[derive(Default)]
 pub struct CommitRows {
     /// TRANSACTION RECORD rows (one per posted account entry).
     pub transactions: Vec<TransactionRecord>,
     /// The paired TRANSFER RECORD, if this mutation is a transfer.
-    pub transfer: Option<TransferRecord>,
+    transfer: Option<TransferRecord>,
     /// Idempotency stamp for exactly-once retry semantics.
-    pub idem: Option<IdemStamp>,
+    idem: Option<IdemStamp>,
     /// A cross-branch credit to record as owed, atomically with the
     /// drawer's debit — a crash can never separate "funds parked in
     /// clearing" from "credit owed to the remote payee".
     pub ib_out: Option<PendingIbCredit>,
+}
+
+impl CommitRows {
+    /// A transfer's batch: its TRANSACTION rows, its TRANSFER row and
+    /// the idempotency stamp (`None` for an unkeyed request), which lands
+    /// in the same journal batch as the transfer it covers.
+    pub fn transfer(
+        transactions: Vec<TransactionRecord>,
+        transfer: TransferRecord,
+        idem: Option<IdemStamp>,
+    ) -> CommitRows {
+        CommitRows { transactions, transfer: Some(transfer), idem, ib_out: None }
+    }
 }
 
 /// Bounded FIFO dedup cache for idempotency keys. Every stamp carries a

@@ -104,23 +104,12 @@ impl PriceEstimator {
         min_similarity_ppk: u64,
     ) -> Result<Credits, BankError> {
         let obs = self.observations.read();
-        let mut weighted_sum: i128 = 0;
-        let mut weight_total: i128 = 0;
-        for o in obs.iter() {
+        let comparable = obs.iter().filter_map(|o| {
             let w = similarity(desc, &o.desc);
-            if w < min_similarity_ppk {
-                continue;
-            }
-            // Saturating is fine here: this is a price *estimate*, not
-            // account arithmetic, and similarity weights are <= 1000.
-            weighted_sum =
-                weighted_sum.saturating_add(o.unit_price.micro().saturating_mul(w as i128));
-            weight_total = weight_total.saturating_add(w as i128);
-        }
-        if weight_total == 0 {
-            return Err(BankError::Protocol("no comparable transaction history".into()));
-        }
-        Ok(Credits::from_micro(weighted_sum.checked_div(weight_total).unwrap_or(0)))
+            (w >= min_similarity_ppk).then_some((o.unit_price, w))
+        });
+        Credits::weighted_mean(comparable)
+            .ok_or_else(|| BankError::Protocol("no comparable transaction history".into()))
     }
 }
 

@@ -507,6 +507,7 @@ impl DiskLog {
         first_lsn: u64,
         entries: &[JournalEntry],
     ) -> Result<(), BankError> {
+        crate::sync::may_block("log append");
         if head.bytes >= self.cfg.segment_bytes {
             head.rotate();
         }
@@ -553,6 +554,7 @@ impl DiskLog {
         through_lsn: u64,
         bytes: Vec<u8>,
     ) -> Result<u64, BankError> {
+        crate::sync::may_block("snapshot write");
         let dir = snapshot_dir(&self.cfg.dir);
         let len = bytes.len() as u64;
         let final_path = snapshot_path(&dir, through_lsn);
@@ -594,6 +596,7 @@ impl DiskLog {
     /// `COMPACTED` marker, and deletes the closed segments that end at
     /// or below it. Returns `(segments_dropped, snapshots_pruned)`.
     pub(crate) fn compact(&self) -> Result<(usize, usize), BankError> {
+        crate::sync::may_block("compaction");
         let retain = self.cfg.retain_snapshots.max(1);
         let snap_dir = snapshot_dir(&self.cfg.dir);
         let mut snaps = list_numbered(&snap_dir, "snap-", ".gbs")?;
@@ -639,6 +642,7 @@ impl DiskLog {
 }
 
 fn write_compacted_marker(dir: &Path, through: u64, fsync: bool) -> Result<(), BankError> {
+    crate::sync::may_block("compacted marker write");
     let mut w = ByteWriter::with_capacity(24);
     w.put_u32(COMPACTED_MAGIC);
     w.put_u32(FORMAT_VERSION);
@@ -688,6 +692,7 @@ fn read_compacted_marker(dir: &Path) -> u64 {
 
 /// Makes a file creation, rename or removal in `dir` durable.
 fn sync_dir(dir: &Path) -> Result<(), BankError> {
+    crate::sync::may_block("directory fsync");
     let synced = fs::File::open(dir).and_then(|d| d.sync_all());
     synced.map_err(|e| storage_err(&dir.display().to_string(), e))
 }

@@ -24,6 +24,9 @@
 //! bookkeeping compiles out entirely and the wrappers are plain
 //! newtypes around the underlying locks.
 //!
+//! [`may_block`] puts the same held-lock stack to a second use: which
+//! ranks may be held across blocking I/O ([`rank`] says).
+//!
 //! Two locks stay plain because they are coupled to a `Condvar`: the
 //! commit queue's `state` / `config` (`db.rs`) and the server's
 //! `in_flight_keys`. `Condvar::wait` releases and reacquires its mutex
@@ -50,6 +53,14 @@ pub(crate) use loom::sync::{Condvar, Mutex, RwLock};
 /// acquired while one is held — rank above everything a holder may
 /// have. A peer never calls back out while serving a federation
 /// request, so no thread holds two peer clients.
+///
+/// Ranks up to and including [`JOURNAL`] may be held across blocking
+/// I/O: the journal lock exists to serialize the log's append and fsync,
+/// and the locks below it are held for whole commits or settlement
+/// rounds. The tables and leaves above it never are — [`may_block`]
+/// checks this at each of the store's file-system entry points.
+///
+/// [`may_block`]: super::may_block
 pub(crate) mod rank {
     /// `FederationRouter.settle_lock`: held for a whole settlement round.
     pub const SETTLE_ROUND: u16 = 10;
@@ -120,6 +131,21 @@ mod witness {
         Token { rank }
     }
 
+    /// Panics if the thread holds a rank above `rank::JOURNAL`.
+    #[allow(clippy::panic, reason = "the witness is a debug-build tripwire; it exists to panic")]
+    pub(super) fn may_block(what: &str) {
+        HELD.with(|held| {
+            if let Some(&(rank, name)) =
+                held.borrow().iter().find(|&&(rank, _)| rank > super::rank::JOURNAL)
+            {
+                panic!(
+                    "blocking under a lock: {what} while holding {name} (rank {rank}) — \
+                     only ranks up to JOURNAL may be held across I/O, see sync::rank"
+                );
+            }
+        });
+    }
+
     impl Drop for Token {
         fn drop(&mut self) {
             HELD.with(|held| {
@@ -132,6 +158,17 @@ mod witness {
             });
         }
     }
+}
+
+/// Marks a call that may block the thread on I/O. In debug builds it
+/// panics if the thread holds any rank above [`rank::JOURNAL`]; in
+/// release builds it does nothing.
+#[inline]
+pub(crate) fn may_block(what: &str) {
+    #[cfg(debug_assertions)]
+    witness::may_block(what);
+    #[cfg(not(debug_assertions))]
+    let _ = what;
 }
 
 /// A mutex with a declared position in the global lock order.
@@ -296,6 +333,24 @@ mod tests {
         let journal = OrderedMutex::new(rank::JOURNAL, "journal", ());
         let _gj = journal.lock();
         let _ga = accounts.write(); // accounts after journal: the classic inversion
+    }
+
+    #[test]
+    fn blocking_is_allowed_up_to_the_journal_rank() {
+        let accounts = OrderedRwLock::new(rank::ACCOUNTS, "accounts", ());
+        let journal = OrderedMutex::new(rank::JOURNAL, "journal", ());
+        may_block("nothing held");
+        let _ga = accounts.write();
+        let _gj = journal.lock();
+        may_block("log append under the journal lock");
+    }
+
+    #[test]
+    #[should_panic(expected = "blocking under a lock: fsync while holding history")]
+    fn blocking_under_a_table_lock_panics() {
+        let history = OrderedRwLock::new(rank::HISTORY, "history", ());
+        let _gh = history.write();
+        may_block("fsync");
     }
 
     #[test]

@@ -192,15 +192,7 @@ impl<L: BankLink> ChargingModule<L> {
     /// (ceiling division). May exceed the chain length — callers compare
     /// against `commitment.length` to detect an underfunded chain.
     pub fn words_for_charge(commitment: &ChainCommitment, charge: Credits) -> u32 {
-        if !charge.is_positive() {
-            return 0;
-        }
-        // Both operands are positive here (guarded above; value_per_word
-        // is clamped to >= 1), so widening into u128 is exact and
-        // div_ceil replaces the overflow-prone `(a + b - 1) / b` idiom.
-        let per = commitment.value_per_word.micro().max(1) as u128;
-        let words = (charge.micro() as u128).div_ceil(per);
-        words.min(u32::MAX as u128) as u32
+        u32::try_from(charge.div_ceil(commitment.value_per_word)).unwrap_or(u32::MAX)
     }
 }
 

@@ -43,8 +43,16 @@ fn direction_keys(secret: &[u8], label: &[u8]) -> DirectionKeys {
     key
 }
 
-/// Frame `seq`'s nonce. Each connection's transcript differs, so no
-/// (key, nonce) pair repeats.
+/// Frame `seq`'s nonce. The key it is used under is derived from the
+/// handshake transcript T2 = H(T1 ‖ sig_S), so a (key, nonce) pair
+/// repeats only if a whole transcript does. The server's part of T1 is
+/// a nonce stream seeded with `nonce_seed ^ conn_seq`, and `conn_seq`
+/// restarts at 0 when a bank reboots. So does the signer's next leaf:
+/// until it resumes past every leaf already used, a rebooted bank
+/// repeats both its nonce stream and the one-time keys it signs T2 with,
+/// and a client that repeats its own hello derives the same keys again.
+/// Once the leaves resume, the server's fresh one-time signature alone
+/// keeps each T2 distinct.
 fn nonce(seq: u64) -> [u8; NONCE_LEN] {
     let mut nonce = [0u8; NONCE_LEN];
     nonce[NONCE_LEN - SEQ_LEN..].copy_from_slice(&seq.to_be_bytes());

@@ -274,7 +274,7 @@ mod tests {
         with_recorder(FlightConfig { slow_threshold_us: 1_000, capacity: 4 }, || {
             let root = root_span("test.flight", "slow_root");
             {
-                let _child = span("test.flight", "child");
+                let _child = span("net", "child");
                 std::thread::sleep(std::time::Duration::from_millis(3));
             }
             drop(root);

@@ -41,6 +41,83 @@ pub use trace::{
     telemetry_enabled, trace_ids, NullSink, Sink, SpanGuard, SpanRecord, TraceContext,
 };
 
+/// Registered metric-name prefixes: every name recorded through [`count`],
+/// [`gauge_set`], [`gauge_add`], [`observe`] or
+/// [`Stopwatch::record_named`] starts with one. The table under
+/// "Registered name prefixes" in docs/OBSERVABILITY.md lists the same
+/// names; a unit test holds the two equal.
+pub const METRIC_PREFIXES: [&str; 12] = [
+    "auction.", "broker.", "core.", "db.", "gsp.", "ib.", "market.", "net.", "obs.", "rpc.",
+    "server.", "sim.",
+];
+
+/// Registered span components: the component of every [`span`] and
+/// [`span_under`] is one of these, verbatim (same table).
+pub const SPAN_COMPONENTS: [&str; 9] = [
+    "net",
+    "server.security",
+    "server.accounts",
+    "server.payment",
+    "server.pricing",
+    "server.federation",
+    "server.ops",
+    "gsp.charging",
+    "broker.payment",
+];
+
+/// Debug builds panic on a metric name without a registered prefix,
+/// whether or not telemetry is on.
+#[inline]
+pub(crate) fn debug_check_metric(name: &str) {
+    debug_assert!(
+        METRIC_PREFIXES.iter().any(|p| name.starts_with(p)),
+        "metric {name:?} has no registered prefix (docs/OBSERVABILITY.md)"
+    );
+}
+
+/// Debug builds panic on an unregistered span component.
+#[inline]
+pub(crate) fn debug_check_component(component: &str) {
+    debug_assert!(
+        SPAN_COMPONENTS.contains(&component),
+        "span component {component:?} is not registered (docs/OBSERVABILITY.md)"
+    );
+}
+
 /// Serializes tests that flip process-global telemetry state.
 #[cfg(test)]
 pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The backticked names in the `| {kind} |` row of the doc's
+    /// "Registered name prefixes" table.
+    fn doc_row(kind: &str) -> Vec<&'static str> {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let section = doc.split("### Registered name prefixes").nth(1).expect("section");
+        let row = section.lines().find(|l| l.starts_with(&format!("| {kind} |"))).expect("row");
+        row.split('`').skip(1).step_by(2).collect()
+    }
+
+    #[test]
+    fn registered_names_match_the_doc_table() {
+        assert_eq!(doc_row("metric"), METRIC_PREFIXES);
+        assert_eq!(doc_row("span"), SPAN_COMPONENTS);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "metric \"bogus.fixture.hits\" has no registered prefix")]
+    fn an_unregistered_metric_panics_in_debug_builds() {
+        count("bogus.fixture.hits", 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "span component \"server.shadow\" is not registered")]
+    fn an_unregistered_span_component_panics_in_debug_builds() {
+        let _span = span("server.shadow", "fixture");
+    }
+}

@@ -363,6 +363,7 @@ impl Snapshot {
 /// a single relaxed load otherwise.
 #[inline]
 pub fn count(name: &str, delta: u64) {
+    crate::debug_check_metric(name);
     if telemetry_enabled() {
         registry().counter(name).add(delta);
     }
@@ -371,6 +372,7 @@ pub fn count(name: &str, delta: u64) {
 /// Sets the global gauge `name` when telemetry is enabled.
 #[inline]
 pub fn gauge_set(name: &str, value: i64) {
+    crate::debug_check_metric(name);
     if telemetry_enabled() {
         registry().gauge(name).set(value);
     }
@@ -380,6 +382,7 @@ pub fn gauge_set(name: &str, value: i64) {
 /// telemetry is enabled.
 #[inline]
 pub fn gauge_add(name: &str, delta: i64) {
+    crate::debug_check_metric(name);
     if telemetry_enabled() {
         registry().gauge(name).add(delta);
     }
@@ -389,6 +392,7 @@ pub fn gauge_add(name: &str, delta: i64) {
 /// enabled.
 #[inline]
 pub fn observe(name: &str, value: u64) {
+    crate::debug_check_metric(name);
     if telemetry_enabled() {
         registry().histogram(name).record(value);
     }
@@ -428,6 +432,7 @@ impl Stopwatch {
     /// registry is not even consulted.
     #[inline]
     pub fn record_named(self, name: &str) {
+        crate::debug_check_metric(name);
         if let Some(started) = self.0 {
             registry().histogram(name).record_duration(started.elapsed());
         }
@@ -438,6 +443,7 @@ impl Stopwatch {
     /// only built when the stopwatch actually ran.
     #[inline]
     pub fn record_named_label(self, name: &str, label: &str) {
+        crate::debug_check_metric(name);
         if let Some(started) = self.0 {
             registry().histogram(&format!("{name}/{label}")).record_duration(started.elapsed());
         }

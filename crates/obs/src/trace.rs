@@ -284,6 +284,7 @@ impl Drop for SpanGuard {
 /// Opens a span as a child of the thread's current span (or as a new
 /// trace root if none is open).
 pub fn span(component: &'static str, name: &'static str) -> SpanGuard {
+    crate::debug_check_component(component);
     if !telemetry_enabled() {
         return SpanGuard::INERT;
     }
@@ -308,6 +309,7 @@ pub fn span_under(
     component: &'static str,
     name: &'static str,
 ) -> SpanGuard {
+    crate::debug_check_component(component);
     if !telemetry_enabled() {
         return SpanGuard::INERT;
     }
@@ -422,7 +424,7 @@ mod tests {
         set_telemetry(false);
         let before = buffered_spans().len();
         {
-            let mut g = span("test", "noop");
+            let mut g = span("net", "noop");
             g.attr("k", 1);
             assert_eq!(g.trace_id(), 0);
             assert!(g.context().is_none());
@@ -438,7 +440,7 @@ mod tests {
             let root_ctx = root.context().expect("live root");
             let (inner_id, inner_parent, inner_trace);
             {
-                let inner = span("test.nest", "inner");
+                let inner = span("net", "inner");
                 let ctx = inner.context().expect("live inner");
                 inner_trace = ctx.trace_id;
                 inner_id = ctx.parent_span; // context points at self for children
@@ -462,7 +464,7 @@ mod tests {
             assert_eq!(parsed, ctx);
             assert!(TraceContext::from_bytes(&[0u8; 8]).is_none());
             {
-                let remote = span_under(Some(ctx), "test.remote", "server_side");
+                let remote = span_under(Some(ctx), "server.payment", "server_side");
                 let rc = remote.context().expect("live");
                 assert_eq!(rc.trace_id, 0xABCD);
             }
@@ -528,10 +530,10 @@ mod tests {
         with_telemetry(|| {
             let sink = Arc::new(CountingSink(AtomicU64::new(0)));
             set_sink(sink.clone());
-            drop(span("test.sink", "one"));
-            drop(span("test.sink", "two"));
+            drop(span("net", "one"));
+            drop(span("net", "two"));
             clear_sink();
-            drop(span("test.sink", "after"));
+            drop(span("net", "after"));
             assert_eq!(sink.0.load(Ordering::Relaxed), 2);
             let _ = take_spans();
         });

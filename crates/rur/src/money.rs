@@ -8,14 +8,17 @@
 //! uses a widened multiply-then-divide so a µG$-per-hour rate applied to a
 //! millisecond duration rounds deterministically (half-up at the µG$).
 
-// lint:allow-file(money-arith) fixed-point definition module: the checked helpers are built here from raw i128 ops, under proptest coverage
-// The same rationale exempts this one module from the workspace clippy
-// wall: everything downstream must go through the checked API built here.
+// The fixed-point definition module builds the checked helpers from raw
+// i128 ops, under proptest coverage, so it alone is exempt from the
+// workspace clippy wall: everything downstream goes through the checked
+// API built here, and outside `gridbank-rur` no product code reads the
+// raw integer (`scripts/check.sh`, "one money accessor").
 #![allow(clippy::arithmetic_side_effects)]
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::Neg;
+use std::str::FromStr;
 
 use crate::error::RurError;
 
@@ -120,7 +123,7 @@ impl Credits {
     /// histograms: negative amounts clamp to zero, amounts beyond
     /// `u64::MAX` saturate. Telemetry only — never accounting — like
     /// [`Credits::as_gd_f64`]; this is the one sanctioned way to turn
-    /// money into a metric value (`gridbank-lint` rejects ad-hoc casts).
+    /// money into a metric value.
     pub const fn metric_micro(self) -> u64 {
         if self.0 < 0 {
             0
@@ -129,6 +132,34 @@ impl Credits {
         } else {
             self.0 as u64
         }
+    }
+
+    /// How many `unit`s cover the amount: ⌈self / unit⌉ for a positive
+    /// amount, 0 otherwise. A `unit` below 1 µG$ counts as 1 µG$.
+    pub fn div_ceil(self, unit: Credits) -> u128 {
+        if self.0 <= 0 {
+            return 0;
+        }
+        self.0.unsigned_abs().div_ceil(unit.0.max(1).unsigned_abs())
+    }
+
+    /// The mean of `(amount, weight)` pairs weighted by `weight`,
+    /// truncated toward zero; `None` when the weights sum to zero. The
+    /// sums saturate: this is for estimates, never for balances.
+    pub fn weighted_mean(pairs: impl IntoIterator<Item = (Credits, u64)>) -> Option<Credits> {
+        let (mut sum, mut total) = (0i128, 0i128);
+        for (amount, weight) in pairs {
+            let weight = i128::from(weight);
+            sum = sum.saturating_add(amount.0.saturating_mul(weight));
+            total = total.saturating_add(weight);
+        }
+        sum.checked_div(total).map(Credits)
+    }
+
+    /// The amount's 16 little-endian bytes, for digests over ledger
+    /// state.
+    pub const fn to_le_bytes(self) -> [u8; 16] {
+        self.0.to_le_bytes()
     }
 
     /// Absolute value.
@@ -192,6 +223,34 @@ impl fmt::Display for Credits {
         let whole = abs / MICRO_PER_GD as u128;
         let frac = abs % MICRO_PER_GD as u128;
         write!(f, "{sign}G${whole}.{frac:06}")
+    }
+}
+
+impl FromStr for Credits {
+    type Err = RurError;
+
+    /// Parses `G$` written as decimal digits, an optional leading `-`
+    /// and at most six fraction digits: `12`, `12.5`, `-3.25`,
+    /// `0.000001`. Nothing else is accepted — no `+`, no sign after the
+    /// point, no empty part on either side of it.
+    fn from_str(s: &str) -> Result<Credits, RurError> {
+        let bad = |why: &str| RurError::Invalid { field: "amount", why: format!("`{s}`: {why}") };
+        let (negative, body) = match s.strip_prefix('-') {
+            Some(rest) => (true, rest),
+            None => (false, s),
+        };
+        let (whole, frac) = body.split_once('.').unwrap_or((body, "0"));
+        let digits = |part: &str| !part.is_empty() && part.bytes().all(|b| b.is_ascii_digit());
+        if !digits(whole) || !digits(frac) {
+            return Err(bad("expected digits, an optional leading `-` and at most one `.`"));
+        }
+        if frac.len() > 6 {
+            return Err(bad("at most 6 decimal places (µG$ precision)"));
+        }
+        // Whole digits then the fraction right-padded to six: µG$.
+        let micro: i128 =
+            format!("{whole}{frac:0<6}").parse().map_err(|_| bad("amount out of range"))?;
+        Ok(Credits(if negative { -micro } else { micro }))
     }
 }
 
@@ -260,6 +319,35 @@ mod tests {
     fn sum_saturates() {
         let total: Credits = vec![Credits::MAX, Credits::from_gd(1)].into_iter().sum();
         assert_eq!(total, Credits::MAX);
+    }
+
+    #[test]
+    fn amounts_parse_from_decimal_text() {
+        assert_eq!("12".parse::<Credits>().unwrap(), Credits::from_gd(12));
+        assert_eq!("12.5".parse::<Credits>().unwrap(), Credits::from_micro(12_500_000));
+        assert_eq!("0.000001".parse::<Credits>().unwrap(), Credits::from_micro(1));
+        assert_eq!("-3.25".parse::<Credits>().unwrap(), Credits::from_micro(-3_250_000));
+        assert_eq!("-0.5".parse::<Credits>().unwrap(), Credits::from_micro(-500_000));
+        for refused in ["1.-5", "1.+5", "1.", ".", ".5", "+1", "-", "", "1.0000001", "abc", "1e3"] {
+            assert!(refused.parse::<Credits>().is_err(), "{refused:?} must be refused");
+        }
+        let max = i128::MAX / MICRO_PER_GD;
+        assert!(format!("{max}").parse::<Credits>().is_ok());
+        assert!(format!("{}", max + 1).parse::<Credits>().is_err());
+    }
+
+    #[test]
+    fn ceiling_division_and_weighted_mean() {
+        let word = Credits::from_micro(300);
+        assert_eq!(Credits::from_micro(900).div_ceil(word), 3);
+        assert_eq!(Credits::from_micro(901).div_ceil(word), 4);
+        assert_eq!(Credits::ZERO.div_ceil(word), 0);
+        assert_eq!(Credits::from_micro(-5).div_ceil(word), 0);
+        assert_eq!(Credits::from_micro(7).div_ceil(Credits::ZERO), 7);
+        let pairs = [(Credits::from_micro(100), 1), (Credits::from_micro(200), 3)];
+        assert_eq!(Credits::weighted_mean(pairs), Some(Credits::from_micro(175)));
+        assert_eq!(Credits::weighted_mean([(Credits::from_micro(5), 0)]), None);
+        assert_eq!(Credits::from_micro(-2).to_le_bytes(), (-2i128).to_le_bytes());
     }
 
     proptest! {

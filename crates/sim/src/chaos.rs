@@ -85,12 +85,12 @@ pub struct ChaosReport {
     pub double_applied: usize,
     /// Acked transfers with no matching row at all (lost writes).
     pub lost_writes: usize,
-    /// Locked micro-credits remaining after expiry + sweep.
-    pub stranded_locked_micro: i128,
+    /// Funds still locked after expiry + sweep.
+    pub stranded_locked: Credits,
     /// Σ(available+locked) before faults were armed.
-    pub initial_total_micro: i128,
+    pub initial_total: Credits,
     /// Σ(available+locked) after the storm and the sweep.
-    pub final_total_micro: i128,
+    pub final_total: Credits,
     /// Faults the injector actually fired.
     pub faults: FaultCounts,
 }
@@ -98,7 +98,7 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Whether Σ(available+locked) survived the storm unchanged.
     pub fn conserved(&self) -> bool {
-        self.initial_total_micro == self.final_total_micro
+        self.initial_total == self.final_total
     }
 
     /// Total logical operations attempted.
@@ -126,7 +126,6 @@ const CHEQUE_VALIDITY_MS: u64 = 60_000;
 /// identifies one logical payment, so duplicates in the transfer table
 /// betray a double-apply.
 fn op_amount(consumer: usize, op: usize) -> Credits {
-    // lint:allow(money-arith) bounded literal inputs build distinct fixture amounts; cannot overflow
     Credits::from_micro(1_000_000 + (consumer as i128 + 1) * 10_000 + (op as i128 + 1))
 }
 
@@ -160,7 +159,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     for account in &consumer_accounts {
         admin.admin_deposit(*account, Credits::from_gd(1_000)).expect("deposit");
     }
-    report.initial_total_micro = bank.total_funds().micro();
+    report.initial_total = bank.total_funds();
 
     // ---- Storm. ----
     injector.arm(true);
@@ -239,11 +238,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
     // ---- Evidence. ----
     let transfers = bank.all_transfers();
-    let mut seen: std::collections::HashMap<(AccountId, AccountId, i128), usize> =
+    let mut seen: std::collections::HashMap<(AccountId, AccountId, Credits), usize> =
         std::collections::HashMap::new();
     for t in &transfers {
-        // lint:allow(money-arith) increments a usize occurrence counter; .micro() is only a map key
-        *seen.entry((t.drawer, t.recipient, t.amount.micro())).or_default() += 1;
+        *seen.entry((t.drawer, t.recipient, t.amount)).or_default() += 1;
     }
     report.double_applied = seen.values().filter(|&&n| n > 1).map(|n| n - 1).sum();
     for amount in &acked_amounts {
@@ -252,9 +250,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             report.lost_writes += 1;
         }
     }
-    report.stranded_locked_micro =
-        bank.all_accounts().iter().map(|a| a.locked.micro()).sum::<i128>();
-    report.final_total_micro = bank.total_funds().micro();
+    report.stranded_locked = bank
+        .all_accounts()
+        .iter()
+        .try_fold(Credits::ZERO, |sum, a| sum.checked_add(a.locked))
+        .expect("locked funds sum within Credits::MAX");
+    report.final_total = bank.total_funds();
     report
 }
 
@@ -278,7 +279,7 @@ mod tests {
         assert_eq!(report.acked_redemptions, 1);
         assert_eq!(report.double_applied, 0);
         assert_eq!(report.lost_writes, 0);
-        assert_eq!(report.stranded_locked_micro, 0);
+        assert_eq!(report.stranded_locked, Credits::ZERO);
         assert!(report.conserved());
         assert_eq!(report.faults.total(), 0);
     }

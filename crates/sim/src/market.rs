@@ -164,8 +164,8 @@ pub struct EconomyReport {
     pub residual_clearing: Credits,
     /// Inter-branch credits still unacknowledged after settlement.
     pub pending_after: usize,
-    /// Σ locked µG$ still reserved after sweeps and chain closes.
-    pub stranded_locked_micro: i128,
+    /// Σ locked funds still reserved after sweeps and chain closes.
+    pub stranded_locked: Credits,
     /// `ib.credit.stranded` counter movement across the run.
     pub stranded_credit_delta: u64,
     /// Journal length per branch.
@@ -197,8 +197,8 @@ impl EconomyReport {
         if self.pending_after != 0 {
             faults.push(format!("{} inter-branch credits still pending", self.pending_after));
         }
-        if self.stranded_locked_micro != 0 {
-            faults.push(format!("{}µG$ locked funds stranded", self.stranded_locked_micro));
+        if self.stranded_locked != Credits::ZERO {
+            faults.push(format!("{} locked funds stranded", self.stranded_locked));
         }
         if self.stranded_credit_delta != 0 {
             faults.push(format!("ib.credit.stranded moved by {}", self.stranded_credit_delta));
@@ -243,8 +243,8 @@ fn ledger_digest(banks: &[&Arc<GridBank>]) -> u64 {
             fnv(&mut h, &a.id.branch.to_le_bytes());
             fnv(&mut h, &a.id.number.to_le_bytes());
             fnv(&mut h, a.certificate_name.as_bytes());
-            fnv(&mut h, &a.available.micro().to_le_bytes());
-            fnv(&mut h, &a.locked.micro().to_le_bytes());
+            fnv(&mut h, &a.available.to_le_bytes());
+            fnv(&mut h, &a.locked.to_le_bytes());
         }
         fnv(&mut h, &(bank.accounts.db().journal_len() as u64).to_le_bytes());
     }
@@ -481,7 +481,6 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
         if population[b_to][rank] == payer_accounts[b_from][j] {
             rank = (rank + 1) % cfg.population_per_branch;
         }
-        // lint:allow(money-arith) bounded literal draw builds a fixture amount; cannot overflow
         let amount = Credits::from_micro((rng.random_range(50i64..500) * 1_000 + 7) as i128);
         payers[b_from][j]
             .direct_transfer(population[b_to][rank], amount, "spot.market")
@@ -637,22 +636,24 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
     // Evidence.
     let final_total = world.total_funds();
     let (residual_clearing, pending_after) = world.settlement_residue();
-    let stranded_locked_micro: i128 =
-        banks.iter().flat_map(|b| b.all_accounts()).map(|a| a.locked.micro()).sum();
+    let stranded_locked = banks
+        .iter()
+        .flat_map(|b| b.all_accounts())
+        .try_fold(Credits::ZERO, |sum, a| sum.checked_add(a.locked))
+        .map_err(|e| format!("locked funds: {e}"))?;
     let stranded_after =
         gridbank_obs::registry().snapshot().counter("ib.credit.stranded").unwrap_or(0);
 
     // Exactly-once: group the auction settlements by (drawer,
     // recipient, amount) and demand the ledger carry precisely that
     // many rows per group — the duplicate re-sends must not show.
-    let mut expected: HashMap<(AccountId, AccountId, i128), usize> = HashMap::new();
-    for (drawer, recipient, amount) in &settle_triples {
-        // lint:allow(money-arith) increments a usize occurrence counter; .micro() is only a map key
-        *expected.entry((*drawer, *recipient, amount.micro())).or_default() += 1;
+    let mut expected: HashMap<(AccountId, AccountId, Credits), usize> = HashMap::new();
+    for &triple in &settle_triples {
+        *expected.entry(triple).or_default() += 1;
     }
-    let mut observed: HashMap<(AccountId, AccountId, i128), usize> = HashMap::new();
+    let mut observed: HashMap<(AccountId, AccountId, Credits), usize> = HashMap::new();
     for t in banks[0].accounts.db().all_transfers() {
-        let key = (t.drawer, t.recipient, t.amount.micro());
+        let key = (t.drawer, t.recipient, t.amount);
         if expected.contains_key(&key) {
             *observed.entry(key).or_default() += 1;
         }
@@ -686,7 +687,7 @@ pub fn run_market(cfg: &EconomyConfig) -> Result<EconomyReport, String> {
         final_total,
         residual_clearing,
         pending_after,
-        stranded_locked_micro,
+        stranded_locked,
         stranded_credit_delta: stranded_after.saturating_sub(stranded_before),
         journal_len: [banks[0].accounts.db().journal_len(), banks[1].accounts.db().journal_len()],
         ledger_digest: ledger_digest(&banks),

@@ -268,7 +268,6 @@ pub fn run_cooperative(n: usize, rounds: usize, work_per_job: u64, seed: u64) ->
                     sys_pct: 0,
                 },
                 1,
-                // lint:allow(money-arith) u64::MAX/2 is a far-future deadline sentinel, not money
                 QosConstraints { deadline_ms: u64::MAX / 2, budget: Credits::from_gd(1_000) },
             );
             let provider_slice = std::slice::from_mut(&mut grid.providers[target]);

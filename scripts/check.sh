@@ -36,21 +36,26 @@ cargo fmt --all --check
 stage "cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Domain-invariant analysis (docs/STATIC_ANALYSIS.md), six rules: money
-# arithmetic, idempotency stamps, Display parsing, metric registry,
-# blocking under a lock in core, durable-file ordering. Panic-free
-# library code is the clippy stage above; the lock order is the
-# debug-build witness the workspace tests below run. Exits non-zero on
-# any violation or malformed allow directive; the report includes the
-# suppression count per directive.
-stage "gridbank-lint (deny violations; see docs/STATIC_ANALYSIS.md)"
-cargo run -q -p gridbank-lint
-
 # One way to boot a bank (DESIGN.md §4 "Booting a bank"): only the
 # server itself, the one Deployment and the standalone benchmark may
 # start a server, so a hand-rolled world cannot grow back. The
 # per-area line count is the number EXPERIMENTS.md E21 tracks.
-stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one chain walker + one benchmark + one retry rule + one lock order + one instrument record + one serve loop guards, first-party line count (scripts/loc.sh)"
+stage "one bootstrap + one client + one journal + one log + one lock + one history + one signature scheme + one seal + one leaf-secret derivation + one chain walker + one benchmark + one retry rule + one lock order + one money accessor + one error reading + one store I/O + one instrument record + one serve loop guards, first-party line count (scripts/loc.sh)"
+# Prints every line matching the ERE $1 in the files that follow, up to
+# each file's first column-0 `#[cfg(test)]` / `#[cfg(all(test, ...` (its
+# product code); fails if there is none.
+product_grep() {
+  local pattern="$1" file hits found=1
+  shift
+  for file in "$@"; do
+    hits="$(sed -E '/^#\[cfg\((all\()?test/,$d' "$file" | grep -nE "$pattern" || true)"
+    if [[ -n "$hits" ]]; then
+      sed "s|^|$file:|" <<<"$hits"
+      found=0
+    fi
+  done
+  return "$found"
+}
 if grep -rn --include='*.rs' 'GridBankServer::start' crates tests examples src \
   | grep -v -e '^crates/core/src/server.rs:' -e '^crates/sim/src/deploy.rs:'; then
   echo "bootstrap guard: start servers through gridbank_sim::deploy only" >&2
@@ -168,12 +173,13 @@ if grep -rnE --include='*.rs' \
   echo "retry guard: one retry rule, gridbank_core::resilient::RetryLink" >&2
   exit 1
 fi
-# One wall per invariant (docs/STATIC_ANALYSIS.md, EXPERIMENTS.md E31):
-# the lock order is declared once, in `sync::rank`, and checked by the
-# witness; panic-free library code is clippy's restriction lints. The
-# lexical lock-order rule, its parsed table and the lexical no-panic
-# rule cannot grow back, and db.rs builds no plain lock outside the
-# condvar-coupled commit queue.
+# One wall per invariant (docs/STATIC_ANALYSIS.md, EXPERIMENTS.md E31,
+# E37): the lock order is declared once, in `sync::rank`, and checked by
+# the witness; panic-free library code is clippy's restriction lints;
+# every rule of the deleted lexical analyser has an owner that checks
+# types or behaviour. The lexical rules, their parsed table, the
+# analyser and its allow directives cannot grow back, and db.rs builds
+# no plain lock outside the condvar-coupled commit queue.
 if grep -rnE --include='*.rs' \
   'LockOrderSpec|LockClass|lock_discipline|Rule::LockOrder|Rule::NoPanic|NO_PANIC_SCOPE' \
   crates tests examples src \
@@ -184,6 +190,39 @@ if grep -rnE --include='*.rs' \
         print FILENAME ":" FNR ":" $0; found = 1 }
       END { exit !found }' crates/core/src/db.rs; then
   echo "lock-order guard: rank db.rs locks in sync::rank and wrap them in OrderedMutex/OrderedRwLock" >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' --include='Cargo.toml' \
+  'gridbank[-_]lint|lint:(allow|allow-file)' crates tests examples src Cargo.toml; then
+  echo "wall guard: each invariant has one owner (docs/STATIC_ANALYSIS.md), not a lexical analyser" >&2
+  exit 1
+fi
+# One money accessor (docs/STATIC_ANALYSIS.md, EXPERIMENTS.md E37): money
+# arithmetic lives in gridbank-rur, whose clippy wall denies bare
+# arithmetic everywhere but the fixed-point definition module. Outside
+# it, product code never holds the raw integer of a `Credits`, so it
+# has nothing to do bare arithmetic on.
+if product_grep '\.micro\(\)|\.whole_gd\(\)|MICRO_PER_GD' \
+  $(find crates/*/src src -name '*.rs' -not -path 'crates/rur/*' | sort); then
+  echo "money guard: use the checked Credits API in gridbank-rur, not the raw integer" >&2
+  exit 1
+fi
+# One error reading (docs/STATIC_ANALYSIS.md, EXPERIMENTS.md E37): error
+# frames carry a structured `detail` and `error_from_wire` maps `kind` to
+# a typed BankError, so product code never parses human-readable error
+# text.
+if product_grep \
+  '\b(message|msg|to_string\(\))(\.[a-z_]+\(\))*\.(contains|split|splitn|rsplit|strip_prefix|strip_suffix|find|starts_with|ends_with|parse)\b' \
+  $(find crates/*/src src -name '*.rs' | sort); then
+  echo "error-text guard: match the structured error detail or kind, not its Display text" >&2
+  exit 1
+fi
+# One store I/O (docs/STATIC_ANALYSIS.md, EXPERIMENTS.md E37): core
+# touches the file system only in store.rs, whose entry points call
+# `sync::may_block`, so the witness sees every blocking call core makes.
+if product_grep 'fs::|File::|OpenOptions|sync_all\(|sync_data\(' \
+  $(find crates/core/src -name '*.rs' -not -name store.rs | sort); then
+  echo "store I/O guard: core does file-system I/O in store.rs only" >&2
   exit 1
 fi
 # One record per instrument (docs/PROTOCOLS.md §3, EXPERIMENTS.md E32): a
@@ -216,8 +255,9 @@ grep -rnE '(allow|expect)\(.*clippy::(unwrap_used|expect_used|panic|unreachable|
 scripts/loc.sh
 
 # The whole workspace, not only the root package's integration tests:
-# this is what runs the witness's seeded-inversion tests, the lint's
-# fixtures and every crate's unit tests.
+# this is what runs the witness's seeded-inversion and blocking tests,
+# the telemetry-name asserts, the durability-order test and every
+# crate's unit tests.
 stage "tier-1: cargo build --release && cargo test --workspace"
 cargo build --release
 # The root package's release build does not cover the workspace

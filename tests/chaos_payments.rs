@@ -21,6 +21,7 @@
 // (see docs/STATIC_ANALYSIS.md §lint wall).
 #![allow(clippy::arithmetic_side_effects)]
 
+use gridbank_suite::rur::Credits;
 use gridbank_suite::sim::chaos::{run_chaos, ChaosConfig};
 
 /// ≥20% uniform fault rate, per direction, per fault kind.
@@ -56,14 +57,15 @@ fn chaos_storm_preserves_exactly_once_and_conservation() {
             "seed {seed}: acked operations missing from the ledger: {report:?}"
         );
         assert_eq!(
-            report.stranded_locked_micro, 0,
+            report.stranded_locked,
+            Credits::ZERO,
             "seed {seed}: funds left locked after expiry + sweep: {report:?}"
         );
         assert!(
             report.conserved(),
             "seed {seed}: Σ(available+locked) changed: {} -> {} ({report:?})",
-            report.initial_total_micro,
-            report.final_total_micro
+            report.initial_total,
+            report.final_total
         );
     }
 }

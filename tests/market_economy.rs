@@ -69,6 +69,6 @@ fn population_scale_market_conserves_and_settles_exactly_once() {
     assert!(report.barter_volume > Credits::ZERO);
     assert!(report.payword_paid > Credits::ZERO);
     assert!(report.payword_released > Credits::ZERO, "unspent chain tails must release");
-    assert_eq!(report.stranded_locked_micro, 0);
+    assert_eq!(report.stranded_locked, Credits::ZERO);
     assert_eq!(report.stranded_credit_delta, 0);
 }

@@ -201,7 +201,6 @@ mod wire {
     /// Unique per-payment amount: a repeated deposit amount at the payee
     /// is proof of a double-applied `IbCredit`.
     fn op_amount(branch: u16, op: usize) -> Credits {
-        // lint:allow(money-arith) bounded literal inputs build distinct fixture amounts; cannot overflow
         Credits::from_micro(1_000_000 + (branch as i128) * 10_000 + op as i128 + 1)
     }
 
