@@ -427,12 +427,9 @@ fn spark(values: &[u64]) -> String {
 /// The health report as a human-readable block.
 fn render_health(h: &HealthReport) -> String {
     let mut out = format!(
-        "branch {:04} {}\n  journal flush lag {} · group-commit queue {}\n  \
-         {} connections\n  signer {}/{} leaves left\n",
+        "branch {:04} {}\n  {} connections\n  signer {}/{} leaves left\n",
         h.branch,
         h.state.name(),
-        h.journal_flush_lag,
-        h.group_commit_queue,
         h.connections,
         h.signer_remaining,
         h.signer_capacity,
@@ -462,14 +459,11 @@ fn health_jsonl(h: &HealthReport) -> String {
         })
         .collect();
     format!(
-        "{{\"type\":\"health\",\"branch\":{},\"state\":\"{}\",\"journal_flush_lag\":{},\
-         \"group_commit_queue\":{},\"connections\":{},\
+        "{{\"type\":\"health\",\"branch\":{},\"state\":\"{}\",\"connections\":{},\
          \"signer_remaining\":{},\"signer_capacity\":{},\
          \"peers\":[{}]}}",
         h.branch,
         h.state.name(),
-        h.journal_flush_lag,
-        h.group_commit_queue,
         h.connections,
         h.signer_remaining,
         h.signer_capacity,
@@ -595,11 +589,8 @@ fn run_top(args: &Args) -> Result<String, String> {
         last_total = total;
         let _ = writeln!(
             out,
-            "journal flush lag {} · group-commit queue {} · signer {}/{} leaves left",
-            health.journal_flush_lag,
-            health.group_commit_queue,
-            health.signer_remaining,
-            health.signer_capacity,
+            "signer {}/{} leaves left",
+            health.signer_remaining, health.signer_capacity,
         );
         let _ = writeln!(
             out,

@@ -526,11 +526,6 @@ pub struct HealthReport {
     pub branch: u16,
     /// Worst-signal-wins verdict.
     pub state: HealthState,
-    /// Journal entries submitted to the group-commit queue but not yet
-    /// flushed (tickets in flight).
-    pub journal_flush_lag: u64,
-    /// Batches currently queued in the group-commit queue.
-    pub group_commit_queue: u64,
     /// Live client connections, each served by a thread of its own.
     pub connections: u32,
     /// One-time signing leaves the bank key has left: every confirmation,
@@ -606,8 +601,6 @@ impl Encode for HealthReport {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.branch as u32);
         w.put_u8(self.state.tag());
-        w.put_u64(self.journal_flush_lag);
-        w.put_u64(self.group_commit_queue);
         w.put_u32(self.connections);
         w.put_u64(self.signer_remaining);
         w.put_u64(self.signer_capacity);
@@ -623,8 +616,6 @@ impl Decode for HealthReport {
         let branch = r.get_u32()? as u16;
         let state = HealthState::from_tag(r.get_u8()?)
             .ok_or_else(|| RurError::Decode("bad health state tag".into()))?;
-        let journal_flush_lag = r.get_u64()?;
-        let group_commit_queue = r.get_u64()?;
         let connections = r.get_u32()?;
         let signer_remaining = r.get_u64()?;
         let signer_capacity = r.get_u64()?;
@@ -636,16 +627,7 @@ impl Decode for HealthReport {
         for _ in 0..n {
             peers.push(PeerHealth::decode(r)?);
         }
-        Ok(HealthReport {
-            branch,
-            state,
-            journal_flush_lag,
-            group_commit_queue,
-            connections,
-            signer_remaining,
-            signer_capacity,
-            peers,
-        })
+        Ok(HealthReport { branch, state, connections, signer_remaining, signer_capacity, peers })
     }
 }
 
@@ -1433,8 +1415,6 @@ mod tests {
                 report: OpsReport::Health(HealthReport {
                     branch: 1,
                     state: HealthState::Degraded,
-                    journal_flush_lag: 3,
-                    group_commit_queue: 2,
                     connections: 6,
                     signer_remaining: 700,
                     signer_capacity: 4096,

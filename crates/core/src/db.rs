@@ -14,24 +14,18 @@
 //! Monetary fields are exact [`Credits`] rather than the paper's SQL
 //! `FLOAT` (see DESIGN.md §4).
 //!
-//! Journal appends from commit batches go through a **group-commit
-//! queue** ([`GroupCommitConfig`]): concurrent committers enqueue their
-//! entry batches and one of them, the elected leader, flushes every
-//! pending batch with a single journal acquisition. Each batch stays
-//! contiguous and per-account order is preserved (committers hold the
-//! accounts lock across submission), so crash-replay semantics are
-//! unchanged. Since every committer holds that one lock, at most one is
-//! ever inside the queue: it forms no groups and stays only because the
-//! benchmark names its configuration (ROADMAP item 8).
+//! Every commit appends its entry batch to the journal as one frame
+//! (one `fdatasync` in durable mode) while it still holds the accounts
+//! lock, so journal order is application order and crash replay
+//! rebuilds exactly what was acknowledged. With one writer at a time
+//! there is no group to form: sharing an fsync between commits waits
+//! for a per-connection drain (ROADMAP item 13).
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::sync::{
-    rank, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, OrderedMutex,
-    OrderedRwLock, Ordering,
-};
+use crate::sync::{rank, AtomicBool, AtomicU32, AtomicU64, OrderedMutex, OrderedRwLock, Ordering};
 
 use gridbank_rur::Credits;
 
@@ -304,9 +298,10 @@ impl CommitRows {
 }
 
 /// Bounded FIFO dedup cache for idempotency keys. Every stamp carries a
-/// sequence number from one database-wide counter; `order` is sorted by
-/// it, so the front is always the oldest stamp — also after recovery,
-/// which inserts stamps from the snapshot and from the journal tail.
+/// sequence number from one database-wide counter; `order` holds one
+/// entry per live stamp, sorted by it, so the front is always the oldest
+/// stamp — also after recovery, which inserts stamps from the snapshot
+/// and from the journal tail.
 struct IdemCache {
     capacity: usize,
     next_seq: u64,
@@ -315,10 +310,14 @@ struct IdemCache {
 }
 
 impl IdemCache {
+    /// Forgets a stamp and its place in `order`, so only live stamps
+    /// count against `capacity`.
     fn remove(&mut self, cert: &str, key: u64) -> bool {
-        // The `order` entry stays behind; its sequence number no longer
-        // matches anything in the map, so popping it later is a no-op.
-        self.map.remove(&(cert.to_string(), key)).is_some()
+        let Some((seq, _)) = self.map.remove(&(cert.to_string(), key)) else { return false };
+        if let Ok(at) = self.order.binary_search_by_key(&seq, |(s, _)| *s) {
+            self.order.remove(at);
+        }
+        true
     }
 
     /// Records a new stamp, evicting oldest-first down to `capacity`,
@@ -355,10 +354,8 @@ impl IdemCache {
     /// Evicts oldest-first down to `capacity`.
     fn trim(&mut self) {
         while self.order.len() > self.capacity {
-            if let Some((seq, old)) = self.order.pop_front() {
-                if self.map.get(&old).is_some_and(|(s, _)| *s == seq) {
-                    self.map.remove(&old);
-                }
+            if let Some((_, old)) = self.order.pop_front() {
+                self.map.remove(&old);
             }
         }
     }
@@ -367,160 +364,11 @@ impl IdemCache {
 /// Default bound on remembered idempotency keys per database.
 pub const DEFAULT_IDEM_CAPACITY: usize = 4096;
 
-/// Group-commit tuning for the write-ahead journal.
-#[derive(Clone, Copy, Debug)]
-pub struct GroupCommitConfig {
-    /// Most batches one leader flushes in a single journal acquisition.
-    /// `<= 1` disables grouping: every committer appends directly.
-    pub max_batch: usize,
-    /// Longest a flush leader lingers waiting for more committers to
-    /// join the group before flushing what it has.
-    pub max_delay_micros: u64,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig { max_batch: 64, max_delay_micros: 100 }
-    }
-}
-
-/// One committer's journal entries, queued for a grouped flush. The
-/// entries of a batch are appended contiguously, never interleaved with
-/// another batch's.
-struct PendingBatch {
-    ticket: u64,
-    entries: Vec<JournalEntry>,
-}
-
-struct CommitState {
-    pending: Vec<PendingBatch>,
-    /// A leader is currently gathering or flushing.
-    leader: bool,
-    next_ticket: u64,
-    /// Highest ticket whose entries have reached the journal.
-    flushed_through: u64,
-}
-
-/// The group-commit queue: committers enqueue entry batches; one becomes
-/// the flush leader, lingers briefly for stragglers, and appends every
-/// pending batch in ticket order under a single journal acquisition.
-///
-/// Committers call [`CommitQueue::submit`] while still holding the
-/// accounts lock, so two batches touching the same account can never
-/// race into the queue out of application order — the invariant recovery
-/// depends on (updates are absolute snapshots).
-struct CommitQueue {
-    state: Mutex<CommitState>,
-    /// Signals a gathering leader that another batch arrived.
-    arrived: Condvar,
-    /// Signals followers that a flush advanced `flushed_through`.
-    flushed: Condvar,
-    /// Threads currently inside `submit` — lets a leader flush
-    /// immediately when nobody else could still join the group.
-    writers: AtomicUsize,
-    config: Mutex<GroupCommitConfig>,
-}
-
-impl CommitQueue {
-    fn new() -> Self {
-        CommitQueue {
-            state: Mutex::new(CommitState {
-                pending: Vec::new(),
-                leader: false,
-                next_ticket: 1,
-                flushed_through: 0,
-            }),
-            arrived: Condvar::new(),
-            flushed: Condvar::new(),
-            writers: AtomicUsize::new(0),
-            config: Mutex::new(GroupCommitConfig::default()),
-        }
-    }
-
-    /// Appends `entries` to `journal` as one contiguous batch, returning
-    /// once they are flushed. Blocks at most `max_delay` waiting for a
-    /// group to form; with grouping disabled (`max_batch <= 1`), appends
-    /// directly.
-    fn submit(&self, entries: Vec<JournalEntry>, journal: &JournalStore) {
-        // The journal stage of request processing: everything between a
-        // committer arriving with entries and those entries reaching the
-        // journal (including group-formation linger and leader flushes).
-        let timer = gridbank_obs::Stopwatch::start();
-        self.submit_inner(entries, journal);
-        timer.record_named("server.stage.journal_ns");
-    }
-
-    fn submit_inner(&self, entries: Vec<JournalEntry>, journal: &JournalStore) {
-        let cfg = *self.config.lock();
-        if cfg.max_batch <= 1 {
-            journal.append(entries);
-            return;
-        }
-        self.writers.fetch_add(1, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        let ticket = st.next_ticket;
-        st.next_ticket = st.next_ticket.wrapping_add(1);
-        st.pending.push(PendingBatch { ticket, entries });
-        self.arrived.notify_all();
-        loop {
-            if st.flushed_through >= ticket {
-                break;
-            }
-            if st.leader {
-                // A leader is gathering or flushing; it will take our
-                // batch (it drains everything pending) — wait for it.
-                self.flushed.wait(&mut st);
-                continue;
-            }
-            st.leader = true;
-            // Linger for stragglers — but only while other writers are
-            // actually in flight; a lone committer flushes immediately.
-            // A pathological max_delay_micros that overflows Instant
-            // clamps to a bounded one-second linger rather than
-            // silently degrading to zero linger.
-            let now = Instant::now();
-            let deadline = now
-                .checked_add(Duration::from_micros(cfg.max_delay_micros))
-                .or_else(|| now.checked_add(Duration::from_secs(1)))
-                .unwrap_or(now);
-            while st.pending.len() < cfg.max_batch
-                && st.pending.len() < self.writers.load(Ordering::SeqCst)
-            {
-                if self.arrived.wait_until(&mut st, deadline).timed_out() {
-                    break;
-                }
-            }
-            st.pending.sort_by_key(|b| b.ticket);
-            let drained = std::mem::take(&mut st.pending);
-            let high = drained.last().map_or(st.flushed_through, |b| b.ticket);
-            drop(st);
-            let batches = drained.len();
-            {
-                // One contiguous flush: a single journal acquisition and
-                // (in durable mode) a single disk append + fsync for the
-                // whole group — the amortization the queue exists for.
-                let mut flat = Vec::with_capacity(
-                    drained.iter().fold(0usize, |n, b| n.saturating_add(b.entries.len())),
-                );
-                for batch in drained {
-                    flat.extend(batch.entries);
-                }
-                journal.append(flat);
-            }
-            gridbank_obs::count("db.journal.flushes", 1);
-            gridbank_obs::observe("db.journal.batch_size", batches as u64);
-            st = self.state.lock();
-            st.flushed_through = st.flushed_through.max(high);
-            st.leader = false;
-            self.flushed.notify_all();
-            // Loop re-checks: the leader drained its own ticket, so this
-            // terminates here; a woken follower may become the next
-            // leader for batches that arrived mid-flush.
-        }
-        drop(st);
-        self.writers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
+/// Named only by `benchmark/`, which sets it in its bank
+/// configuration; it holds nothing and changes nothing. Deleted with
+/// ROADMAP item 6(g).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GroupCommitConfig;
 
 /// What the journal lock guards: whatever an append writes to.
 #[derive(Default)]
@@ -541,8 +389,7 @@ struct Appended {
 /// the log's one writer lock. A commit is one frame in one file and
 /// frames land in LSN order, so LSN order, file order and commit order
 /// are one order and there is no second file an unlocked append could
-/// write in parallel; sharing the `fdatasync` is the group-commit
-/// queue's job (EXPERIMENTS.md E24).
+/// write in parallel (EXPERIMENTS.md E24).
 pub(crate) struct JournalStore {
     /// The LSN-order and snapshot-cut lock.
     appended: OrderedMutex<Appended>,
@@ -567,6 +414,15 @@ impl JournalStore {
             Some(disk) => disk.append(&mut appended.head, &entries),
             None => appended.entries = appended.entries.saturating_add(entries.len() as u64),
         }
+    }
+
+    /// Appends one commit's batch, still under its committer's accounts
+    /// lock: the journal stage of request processing, and one flush.
+    fn commit(&self, entries: Vec<JournalEntry>) {
+        let timer = gridbank_obs::Stopwatch::start();
+        self.append(entries);
+        gridbank_obs::count("db.journal.flushes", 1);
+        timer.record_named("server.stage.journal_ns");
     }
 }
 
@@ -725,7 +581,6 @@ pub struct Database {
     /// instant ([`Database::statement`]).
     history: OrderedRwLock<History>,
     journal: JournalStore,
-    commit: CommitQueue,
     idem: OrderedMutex<IdemCache>,
     ib_pending: OrderedMutex<BTreeMap<u64, PendingIbCredit>>,
     next_account: AtomicU32,
@@ -744,7 +599,6 @@ impl Database {
             accounts: OrderedRwLock::new(rank::ACCOUNTS, "accounts", Accounts::default()),
             history: OrderedRwLock::new(rank::HISTORY, "history", History::default()),
             journal: JournalStore::memory(),
-            commit: CommitQueue::new(),
             idem: OrderedMutex::new(
                 rank::IDEM_CACHE,
                 "idem-cache",
@@ -765,7 +619,7 @@ impl Database {
     /// Opens (or creates) a durable database at `cfg.dir` and recovers
     /// its state: the newest valid snapshot + replay of only the journal
     /// tail past it (docs/STORAGE.md §5). All subsequent commits are
-    /// written through to the log via the group-commit queue.
+    /// written through to the log, one frame per commit.
     /// Recovered idempotency stamps are all kept until the caller
     /// sets the bound ([`Database::set_idem_capacity`]).
     pub fn open(
@@ -828,30 +682,6 @@ impl Database {
         gridbank_obs::count("db.recovery.torn_tails", report.torn_tails as u64);
         gridbank_obs::observe("db.recovery.ms", report.elapsed_ms);
         Ok((db, report))
-    }
-
-    /// Replaces the group-commit tuning. Takes effect for subsequent
-    /// commits; `max_batch <= 1` turns grouping off entirely.
-    pub fn set_group_commit(&self, config: GroupCommitConfig) {
-        *self.commit.config.lock() = config;
-    }
-
-    /// The current group-commit tuning.
-    pub fn group_commit(&self) -> GroupCommitConfig {
-        *self.commit.config.lock()
-    }
-
-    /// Batches currently queued behind the group-commit leader — the
-    /// ops-plane's view of journal backlog.
-    pub fn commit_queue_depth(&self) -> usize {
-        self.commit.state.lock().pending.len()
-    }
-
-    /// Commit tickets issued but not yet flushed to the journal: how far
-    /// the write-ahead log trails its committers. Zero when idle.
-    pub fn journal_flush_lag(&self) -> u64 {
-        let st = self.commit.state.lock();
-        st.next_ticket.saturating_sub(1).saturating_sub(st.flushed_through)
     }
 
     /// Re-bounds the idempotency dedup cache. Capacity 0 disables
@@ -1046,10 +876,10 @@ impl Database {
             entries.push(JournalEntry::Transaction(tx));
         }
         *record = next;
-        // Submit while still holding the accounts lock: Update entries
+        // Journal while still holding the accounts lock: Update entries
         // are absolute snapshots, so per-account journal order must match
         // application order or recovery resurrects stale balances.
-        self.commit.submit(entries, &self.journal);
+        self.journal.commit(entries);
         drop(accounts);
         Ok(out)
     }
@@ -1096,12 +926,12 @@ impl Database {
         }
         accounts.records.insert(*a, snap_a.clone());
         accounts.records.insert(*b, snap_b.clone());
-        // Commit tables, stamp and pending credit, then hand the journal
-        // batch to the group-commit queue — all still under the accounts
-        // lock, so recovery order matches application order and no
-        // snapshot can see any of it before the batch has an LSN. The
-        // closure already succeeded by now; a member whose closure failed
-        // returned above and contributes nothing.
+        // Commit tables, stamp and pending credit, then journal the batch
+        // as one frame — all still under the accounts lock, so recovery
+        // order matches application order and no snapshot can see any of
+        // it before the batch has an LSN. The closure already succeeded by
+        // now; a commit whose closure failed returned above and journals
+        // nothing.
         let mut entries = Vec::with_capacity(rows.transactions.len().saturating_add(3));
         entries.push(JournalEntry::Update(snap_a));
         entries.push(JournalEntry::Update(snap_b));
@@ -1130,7 +960,7 @@ impl Database {
             self.ib_pending.lock().insert(credit.key, credit.clone());
             entries.push(JournalEntry::IbOut(credit));
         }
-        self.commit.submit(entries, &self.journal);
+        self.journal.commit(entries);
         drop(accounts);
         Ok(out)
     }
@@ -1323,8 +1153,8 @@ impl Database {
             transfers: &history.transfers,
             idem: (cache.order.iter())
                 .filter_map(|(seq, k)| {
-                    let (live, response) = cache.map.get(k)?;
-                    (live == seq).then_some((*seq, k.0.as_str(), k.1, response.as_slice()))
+                    let (_, response) = cache.map.get(k)?;
+                    Some((*seq, k.0.as_str(), k.1, response.as_slice()))
                 })
                 .collect(),
             pending: pending.values().collect(),
@@ -1832,6 +1662,31 @@ mod tests {
     }
 
     #[test]
+    fn an_invalidated_stamp_does_not_evict_a_live_one_early() {
+        // Capacity 2, two stamps live at every step: key 1 must still
+        // dedup after key 3 lands, or a retry of it applies twice.
+        let (db, cfg) = scratch_db("idem-invalidate");
+        db.set_idem_capacity(2);
+        db.idem_record("/CN=a", 1, vec![1]);
+        db.idem_record("/CN=a", 2, vec![2]);
+        db.idem_invalidate("/CN=a", 2);
+        db.idem_record("/CN=a", 3, vec![3]);
+        assert_eq!(db.idem_lookup("/CN=a", 1), Some(vec![1]), "live stamp evicted early");
+        assert_eq!(db.idem_lookup("/CN=a", 3), Some(vec![3]));
+        // Replaying the `IdemDrop` at open leaves no stale place behind
+        // either.
+        db.idem_invalidate("/CN=a", 3);
+        let db = reopen(db, &cfg);
+        db.set_idem_capacity(2);
+        db.idem_record("/CN=a", 4, vec![4]);
+        assert_eq!(db.idem_lookup("/CN=a", 1), Some(vec![1]), "live stamp evicted after replay");
+        assert_eq!(db.idem_lookup("/CN=a", 4), Some(vec![4]));
+        // The bound still binds.
+        db.idem_record("/CN=a", 5, vec![5]);
+        assert_eq!(db.idem_lookup("/CN=a", 1), None);
+    }
+
+    #[test]
     fn two_account_commit_batches_rows_atomically() {
         let (db, cfg) = scratch_db("batch-order");
         let ra = record(&db, "/CN=a", 10);
@@ -1860,6 +1715,7 @@ mod tests {
             idem: Some(IdemStamp { cert: "/CN=a".into(), key: 42, response: vec![7] }),
             ib_out: None,
         };
+        let before = db.journal_len();
         db.two_account_commit(
             &ida,
             &idb,
@@ -1871,6 +1727,7 @@ mod tests {
             rows,
         )
         .unwrap();
+        assert_eq!(db.journal_len(), before + 5);
         assert_eq!(db.idem_lookup("/CN=a", 42), Some(vec![7]));
         assert!(db.transfer_by_id(txid).is_some());
         assert_eq!(db.transactions_in_range(&ida, 0, 100).len(), 1);
@@ -1888,6 +1745,10 @@ mod tests {
         assert!(bad.is_err());
         assert_eq!(db.journal_len(), before);
         assert_eq!(db.idem_lookup("/CN=a", 43), None);
+        // Recovery agrees with live state.
+        let accounts = db.all_accounts();
+        let db = reopen(db, &cfg);
+        assert_eq!(db.all_accounts(), accounts);
         // The journal batch is contiguous: updates, rows, then the stamp.
         drop(db);
         let journal = journal_of(&cfg);
@@ -1900,9 +1761,8 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_coalesces_concurrent_transfers() {
-        let (db, cfg) = scratch_db("grouped");
-        db.set_group_commit(GroupCommitConfig { max_batch: 8, max_delay_micros: 500 });
+    fn concurrent_durable_transfers_journal_every_batch_whole_and_in_order() {
+        let (db, cfg) = scratch_db("concurrent");
         let mut ids = Vec::new();
         for i in 0..8 {
             let r = record(&db, &format!("/CN=gc{i}"), 100);
@@ -1910,7 +1770,7 @@ mod tests {
             db.insert_account(r).unwrap();
         }
         // Four threads transfer over disjoint account pairs, so every
-        // interleaving of their grouped batches is order-equivalent.
+        // interleaving of their commits is order-equivalent.
         std::thread::scope(|s| {
             for pair in ids.chunks(2) {
                 let (a, b) = (pair[0], pair[1]);
@@ -1928,39 +1788,37 @@ mod tests {
             }
         });
         assert_eq!(db.total_funds(), Credits::from_gd(800));
-        // Every batch reached the journal and recovery agrees with live
-        // state — grouping changed journal-lock traffic, not contents.
+        // Recovery agrees with live state.
         let (accounts, funds) = (db.all_accounts(), db.total_funds());
         let rebuilt = reopen(db, &cfg);
         assert_eq!(rebuilt.all_accounts(), accounts);
         assert_eq!(rebuilt.total_funds(), funds);
+        drop(rebuilt);
+        // Each transfer's two `Update`s sit side by side, and each
+        // pair's 25 transfers are all there, in the order they ran.
+        let journal = journal_of(&cfg);
+        let updates: Vec<&AccountRecord> = journal
+            .iter()
+            .filter_map(|e| match e {
+                JournalEntry::Update(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(updates.len(), 200, "an update is missing or doubled");
+        let mut done = [0i64; 4];
+        for batch in updates.chunks(2) {
+            let pair = ids.iter().position(|id| *id == batch[0].id).unwrap() / 2;
+            assert_eq!(batch[1].id, ids[pair * 2 + 1], "a batch was split: {batch:?}");
+            done[pair] += 1;
+            assert_eq!(batch[0].available, Credits::from_gd(100 - done[pair]));
+            assert_eq!(batch[1].available, Credits::from_gd(100 + done[pair]));
+        }
+        assert_eq!(done, [25; 4]);
     }
 
     #[test]
-    fn group_commit_disabled_appends_directly() {
-        let (db, cfg) = scratch_db("ungrouped");
-        db.set_group_commit(GroupCommitConfig { max_batch: 1, max_delay_micros: 10_000 });
-        let ra = record(&db, "/CN=a", 10);
-        let rb = record(&db, "/CN=b", 0);
-        let (ida, idb) = (ra.id, rb.id);
-        db.insert_account(ra).unwrap();
-        db.insert_account(rb).unwrap();
-        let before = db.journal_len();
-        db.with_two_accounts_mut(&ida, &idb, |a, b| {
-            a.available = a.available.checked_sub(Credits::from_gd(1))?;
-            b.available = b.available.checked_add(Credits::from_gd(1))?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(db.journal_len(), before + 2);
-        let accounts = db.all_accounts();
-        assert_eq!(reopen(db, &cfg).all_accounts(), accounts);
-    }
-
-    #[test]
-    fn failed_group_member_is_split_out_without_journal_rows() {
-        let (db, cfg) = scratch_db("split-out");
-        db.set_group_commit(GroupCommitConfig { max_batch: 4, max_delay_micros: 2_000 });
+    fn a_failed_commit_among_concurrent_ones_journals_nothing() {
+        let (db, cfg) = scratch_db("failed-commit");
         let accounts: Vec<_> = [100i64, 100, 100, 100, 0, 100]
             .iter()
             .enumerate()
@@ -1973,9 +1831,8 @@ mod tests {
         let poor = accounts[4];
         let (a0, a1, a2, a3, a5) =
             (accounts[0], accounts[1], accounts[2], accounts[3], accounts[5]);
-        // Three committers race into one group; the broke member must
-        // fail without contributing journal rows while the others' rows
-        // commit (abort-or-split, not abort-the-group).
+        // Three committers race; the broke one must fail without
+        // journaling anything while the others' rows commit.
         std::thread::scope(|s| {
             let db = &db;
             s.spawn(move || {
@@ -2011,7 +1868,7 @@ mod tests {
                 assert!(matches!(out, Err(BankError::InsufficientFunds { .. })));
             });
         });
-        // The failed member left no Update rows; recovery can't
+        // The failed commit left no Update rows; recovery can't
         // resurrect a half-applied transfer.
         assert_eq!(db.get_account(&poor).unwrap().available, Credits::ZERO);
         let accounts = db.all_accounts();
@@ -2112,113 +1969,19 @@ mod tests {
 }
 
 // ---------------------------------------------------------------------------
-// Loom model: the group-commit queue under concurrent submitters.
+// Loom models: commits racing snapshots, compaction and each other.
 // ---------------------------------------------------------------------------
 //
 // Built only under `RUSTFLAGS="--cfg loom"`: `crate::sync` swaps to the
-// vendored yield-injecting primitives and these models hammer
-// `CommitQueue::submit` across many randomized interleavings (see
-// docs/STATIC_ANALYSIS.md for how bounded the exploration is).
+// vendored yield-injecting primitives and these models run each race
+// across many randomized interleavings (see docs/STATIC_ANALYSIS.md for
+// how bounded the exploration is).
 
 #[cfg(all(loom, test))]
 mod loom_model {
     use super::*;
     use crate::store::{open_store, StoreConfig};
     use std::sync::Arc;
-
-    /// A journal entry tagged so it can be tracked through a flush.
-    fn entry(tag: u64) -> JournalEntry {
-        JournalEntry::Transaction(TransactionRecord {
-            transaction_id: tag,
-            account: AccountId::new(1, 1, 1),
-            tx_type: TransactionType::Transfer,
-            date_ms: 0,
-            amount: Credits::ZERO,
-        })
-    }
-
-    fn tag_of(e: &JournalEntry) -> u64 {
-        match e {
-            JournalEntry::Transaction(t) => t.transaction_id,
-            other => panic!("unexpected journal entry {other:?}"),
-        }
-    }
-
-    /// Three submitters, two 2-entry batches each, `max_batch = 2`: the
-    /// queue must run several flush rounds with leader handoff in
-    /// between. Every batch must land exactly once, stay contiguous,
-    /// and batches from one submitter must land in submission order.
-    #[test]
-    fn group_commit_loses_nothing_and_keeps_batches_contiguous() {
-        loom::model(|| {
-            let queue = Arc::new(CommitQueue::new());
-            *queue.config.lock() = GroupCommitConfig { max_batch: 2, max_delay_micros: 50 };
-            // The real sink: a scratch store's disk log, read back below.
-            let cfg = StoreConfig::scratch("loom-queue");
-            let (_empty, log) = open_store(1, 1, cfg.clone()).expect("open scratch store");
-            let journal = Arc::new(JournalStore { disk: Some(log), ..JournalStore::memory() });
-
-            let handles: Vec<_> = (0..3u64)
-                .map(|t| {
-                    let queue = Arc::clone(&queue);
-                    let journal = Arc::clone(&journal);
-                    loom::thread::spawn(move || {
-                        for b in 0..2u64 {
-                            let batch = t * 2 + b;
-                            queue.submit(vec![entry(batch * 2), entry(batch * 2 + 1)], &journal);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("submitter thread");
-            }
-
-            drop(journal);
-            let (state, _log) = open_store(1, 1, cfg.clone()).expect("read scratch store");
-            let _ = std::fs::remove_dir_all(&cfg.dir);
-            let tags: Vec<u64> = state.tail.iter().map(|(_lsn, e)| tag_of(e)).collect();
-            assert_eq!(tags.len(), 12, "lost or duplicated entries: {tags:?}");
-            let mut sorted = tags.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..12).collect::<Vec<_>>(), "entry set mangled: {tags:?}");
-            // Batches are contiguous: each even tag is immediately
-            // followed by its odd partner (submit promises a single
-            // journal acquisition per group, batch by batch).
-            for pair in tags.chunks(2) {
-                assert_eq!(pair[0] % 2, 0, "batch boundary misaligned: {tags:?}");
-                assert_eq!(pair[1], pair[0] + 1, "batch split across flushes: {tags:?}");
-            }
-            // Submitter order: thread t's first batch (first tag 4t)
-            // precedes its second (first tag 4t + 2).
-            let pos = |tag: u64| tags.iter().position(|&x| x == tag).expect("tag present");
-            for t in 0..3u64 {
-                assert!(pos(t * 4) < pos(t * 4 + 2), "submitter {t} batches reordered: {tags:?}");
-            }
-        });
-    }
-
-    /// A lone submitter with a large `max_batch` must not deadlock
-    /// waiting for a group that can never form: the linger loop is
-    /// bounded by the live-writer count, so a single writer flushes
-    /// immediately.
-    #[test]
-    fn lone_submitter_flushes_without_lingering() {
-        loom::model(|| {
-            let queue = Arc::new(CommitQueue::new());
-            // Deadline long enough that an accidental linger would make
-            // the model run visibly slow rather than racing past it.
-            *queue.config.lock() = GroupCommitConfig { max_batch: 64, max_delay_micros: 100_000 };
-            let journal = Arc::new(JournalStore::memory());
-            let h = {
-                let queue = Arc::clone(&queue);
-                let journal = Arc::clone(&journal);
-                loom::thread::spawn(move || queue.submit(vec![entry(1)], &journal))
-            };
-            h.join().expect("submitter thread");
-            assert_eq!(journal.appended.lock().entries, 1);
-        });
-    }
 
     fn funded_account(db: &Database, cert: &str, gd: i64) -> AccountRecord {
         AccountRecord {

@@ -87,8 +87,7 @@ pub struct GridBankConfig {
     /// 0 disables deduplication — chaos tests use that to prove their
     /// double-charge assertions have teeth.
     pub idem_capacity: usize,
-    /// Group-commit tuning for the write-ahead journal (`max_batch <= 1`
-    /// turns grouping off).
+    /// Holds nothing; named only by `benchmark/` (ROADMAP item 6(g)).
     pub group_commit: crate::db::GroupCommitConfig,
 }
 
@@ -103,7 +102,7 @@ impl Default for GridBankConfig {
             signer_height: 12,
             gate_mode: GateMode::AllowEnrollment,
             idem_capacity: crate::db::DEFAULT_IDEM_CAPACITY,
-            group_commit: crate::db::GroupCommitConfig::default(),
+            group_commit: crate::db::GroupCommitConfig,
         }
     }
 }
@@ -165,7 +164,7 @@ impl GridBank {
     /// state, audit rows, *and consumed idempotency keys* are restored,
     /// so a client retrying a request the pre-crash bank already applied
     /// still gets the original (deduplicated) outcome. All subsequent
-    /// commits write through to disk via the group-commit queue, and the
+    /// commits write through to disk, one frame each, and the
     /// server checkpoints whenever the log is `store.snapshot_every`
     /// entries past the newest snapshot.
     pub fn open_durable(
@@ -179,7 +178,6 @@ impl GridBank {
 
     fn with_database(config: GridBankConfig, clock: Clock, db: Arc<Database>) -> Self {
         db.set_idem_capacity(config.idem_capacity);
-        db.set_group_commit(config.group_commit);
         let accounts = GbAccounts::new(db, clock.clone());
         let admin = GbAdmin::new(accounts.clone(), config.admins.iter().cloned());
         let guarantee = FundsGuarantee::new(accounts.clone());
@@ -248,23 +246,16 @@ impl GridBank {
     }
 
     /// Assembles the structured health report the ops plane serves:
-    /// journal lag, group-commit backlog, live connections, signing
-    /// leaves left, and per-peer clearing balances with route
-    /// reachability, classified into an overall
+    /// live connections, signing leaves left, and per-peer clearing
+    /// balances with route reachability, classified into an overall
     /// [`crate::api::HealthState`].
     pub fn health_report(&self) -> crate::api::HealthReport {
         use crate::api::HealthState;
-        let db = self.accounts.db();
-        let journal_flush_lag = db.journal_flush_lag();
-        let group_commit_queue = db.commit_queue_depth() as u64;
         let connections = self.live_connections.load(Ordering::Relaxed).min(u32::MAX as u64) as u32;
         let peers = self.federation().map(|router| router.peer_health()).unwrap_or_default();
         // Classification: an unreachable peer branch means cross-branch
-        // payments are failing now, so the branch is Unhealthy. A
-        // journal trailing by more than one full commit group means
-        // degraded service but nothing lost.
+        // payments are failing now, so the branch is Unhealthy.
         let unreachable = peers.iter().any(|p| !p.reachable);
-        let lagging = journal_flush_lag > db.group_commit().max_batch as u64;
         // The bank key is a finite supply of one-time leaves and an
         // exhausted one refuses every payment: below one fifth left the
         // operator still has time to roll the key.
@@ -274,10 +265,10 @@ impl GridBank {
         // A failed disk append means acknowledgements are no longer
         // crash-durable (docs/STORAGE.md §3.4) — Unhealthy, like an
         // unreachable peer: operators must act now.
-        let disk_failed = !db.disk_healthy();
+        let disk_failed = !self.accounts.db().disk_healthy();
         let state = if unreachable || disk_failed {
             HealthState::Unhealthy
-        } else if lagging || signer_low {
+        } else if signer_low {
             HealthState::Degraded
         } else {
             HealthState::Healthy
@@ -285,8 +276,6 @@ impl GridBank {
         crate::api::HealthReport {
             branch: self.config.branch,
             state,
-            journal_flush_lag,
-            group_commit_queue,
             connections,
             signer_remaining,
             signer_capacity,

@@ -343,9 +343,9 @@ impl Snapshot {
 // ---------------------------------------------------------------------------
 
 /// Appends one commit batch to `out` as one frame (docs/STORAGE.md
-/// §2.2). A commit batch is one `JournalStore::append` call — a
-/// transfer with its rows and stamp, or a whole group-commit flush — so
-/// it is acknowledged, and recovered, whole or not at all.
+/// §2.2). A commit batch is one `JournalStore::append` call — for a
+/// transfer, its updates, rows and stamp — so it is acknowledged, and
+/// recovered, whole or not at all.
 fn encode_frame(out: &mut Vec<u8>, first_lsn: u64, entries: &[JournalEntry]) {
     let mut w = ByteWriter::with_capacity(entries.len().saturating_mul(96));
     w.put_u64(first_lsn);
@@ -441,8 +441,7 @@ impl LogHead {
 /// The open, append-only side of the store: the LSN allocator, the
 /// checkpoint position and the compaction pass. Appends write
 /// through the caller's `LogHead` under the [`crate::db`] journal
-/// lock; the group-commit queue amortizes the per-batch `fsync` exactly
-/// as it amortizes the journal acquisition.
+/// lock, one frame and one `fsync` per commit batch.
 pub struct DiskLog {
     cfg: StoreConfig,
     /// Next LSN to assign: one per entry, consecutive within a batch
@@ -483,8 +482,7 @@ impl DiskLog {
     /// Appends `entries` as one commit batch — one frame — assigning
     /// consecutive LSNs. The caller holds the journal lock that owns
     /// `head`, so LSN order equals commit order and file order. One
-    /// `write_all` and at most one `fdatasync` per call; batching is the
-    /// group-commit leader's job.
+    /// `write_all` and at most one `fdatasync` per call.
     pub(crate) fn append(&self, head: &mut LogHead, entries: &[JournalEntry]) {
         if entries.is_empty() {
             return;

@@ -27,18 +27,17 @@
 //! [`may_block`] puts the same held-lock stack to a second use: which
 //! ranks may be held across blocking I/O ([`rank`] says).
 //!
-//! Two locks stay plain because they are coupled to a `Condvar`: the
-//! commit queue's `state` / `config` (`db.rs`) and the server's
-//! `in_flight_keys`. `Condvar::wait` releases and reacquires its mutex
-//! while parked, which a strict held-stack cannot model.
+//! One lock stays plain because it is coupled to a `Condvar`: the
+//! server's `in_flight_keys`. `Condvar::wait` releases and reacquires
+//! its mutex while parked, which a strict held-stack cannot model.
 
 #[cfg(not(loom))]
 pub(crate) use parking_lot::{Condvar, Mutex, RwLock};
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 #[cfg(loom)]
 pub(crate) use loom::sync::{Condvar, Mutex, RwLock};
 
@@ -71,8 +70,8 @@ pub(crate) mod rank {
     pub const CLEARING: u16 = 40;
     /// `Database.accounts`.
     pub const ACCOUNTS: u16 = 80;
-    /// `JournalStore.appended`: taken inside the accounts lock by the
-    /// commit queue's leader (docs/STORAGE.md §3.2).
+    /// `JournalStore.appended`: taken inside the accounts lock by each
+    /// commit's append (docs/STORAGE.md §3.2).
     pub const JOURNAL: u16 = 110;
     /// `Database.history`.
     pub const HISTORY: u16 = 120;

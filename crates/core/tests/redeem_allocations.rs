@@ -138,7 +138,7 @@ fn a_recognised_payword_redeem_allocates_a_pinned_count() {
         .map(|request| (None, request))
         .collect();
     let n = fewest_allocations(&bank, PAYEE, requests, redeemed);
-    assert_eq!(n, 25, "RedeemPayWord allocations");
+    assert_eq!(n, 23, "RedeemPayWord allocations");
 }
 
 #[test]
@@ -168,7 +168,7 @@ fn a_recognised_cheque_redeem_allocates_a_pinned_count() {
         })
         .collect();
     let n = fewest_allocations(&bank, PAYEE, requests, redeemed);
-    assert_eq!(n, 37, "RedeemCheque allocations");
+    assert_eq!(n, 33, "RedeemCheque allocations");
 }
 
 /// A keyed pay-before transfer: debit, credit, the remembered response
@@ -190,5 +190,5 @@ fn a_signed_keyed_transfer_allocates_a_pinned_count() {
         .collect();
     let confirmed = |r: &BankResponse| matches!(r, BankResponse::Confirmed(_));
     let n = fewest_allocations(&bank, PAYER, requests, confirmed);
-    assert_eq!(n, 54, "DirectTransfer allocations");
+    assert_eq!(n, 52, "DirectTransfer allocations");
 }

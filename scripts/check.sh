@@ -179,15 +179,12 @@ fi
 # every rule of the deleted lexical analyser has an owner that checks
 # types or behaviour. The lexical rules, their parsed table, the
 # analyser and its allow directives cannot grow back, and db.rs builds
-# no plain lock outside the condvar-coupled commit queue.
+# no plain lock at all.
 if grep -rnE --include='*.rs' \
   'LockOrderSpec|LockClass|lock_discipline|Rule::LockOrder|Rule::NoPanic|NO_PANIC_SCOPE' \
   crates tests examples src \
   || awk '/^#\[cfg\((all\()?test/ { exit }
-      /^impl CommitQueue \{/ { queue = 1 } queue && /^\}/ { queue = 0 }
-      queue && /^    fn new\(/ { ctor = 1 } ctor && /^    \}/ { ctor = 0 }
-      !ctor && /(^|[^A-Za-z_])(Mutex|RwLock)::new\(/ {
-        print FILENAME ":" FNR ":" $0; found = 1 }
+      /(^|[^A-Za-z_])(Mutex|RwLock)::new\(/ { print FILENAME ":" FNR ":" $0; found = 1 }
       END { exit !found }' crates/core/src/db.rs; then
   echo "lock-order guard: rank db.rs locks in sync::rank and wrap them in OrderedMutex/OrderedRwLock" >&2
   exit 1
@@ -364,8 +361,8 @@ fi
 
 # Opt-in concurrency stages (docs/STATIC_ANALYSIS.md). LOOM=1 rebuilds
 # core with the yield-injecting sync facade and runs the models listed
-# there (group-commit queue, idempotency dedup, snapshots racing
-# commits, transfer-vs-compaction, creation/rename racing a credit).
+# there (idempotency dedup, snapshots racing commits,
+# transfer-vs-compaction, creation/rename racing a credit).
 # LOOM_ITERS / LOOM_SEED tune the exploration (defaults 128 / fixed).
 if [[ -n "${LOOM:-}" ]]; then
   stage "loom models (RUSTFLAGS=--cfg loom)"

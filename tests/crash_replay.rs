@@ -229,23 +229,16 @@ fn crash_between_apply_and_ack_keeps_the_retry_exactly_once() {
 
 #[test]
 fn failed_group_commit_member_never_reaches_the_journal() {
-    // Group commit coalesces concurrent DirectTransfer batches into one
-    // journal flush. A member whose application fails (insufficient
-    // funds) must be split out of the group: its Update/Transfer/Idem
-    // rows never reach the journal, while the concurrent successful
-    // members commit normally — and the post-crash bank agrees.
+    // Concurrent keyed DirectTransfers each journal their batch as one
+    // frame under the accounts lock. One whose application fails
+    // (insufficient funds) must journal nothing: no Update/Transfer/Idem
+    // row of it reaches the journal, while the concurrent successful
+    // ones commit normally — and the post-crash bank agrees.
     use gridbank_suite::bank::api::{BankRequest, BankResponse};
-    use gridbank_suite::bank::db::GroupCommitConfig;
     use gridbank_suite::bank::server::{GridBank, GridBankConfig};
     use gridbank_suite::crypto::cert::SubjectName;
 
-    let config = || GridBankConfig {
-        signer_height: 6,
-        // A wide grouping window so the concurrent committers below
-        // genuinely share flushes.
-        group_commit: GroupCommitConfig { max_batch: 16, max_delay_micros: 2_000 },
-        ..GridBankConfig::default()
-    };
+    let config = || GridBankConfig { signer_height: 6, ..GridBankConfig::default() };
     let store = StoreConfig::scratch("crash-group");
     let (bank, _) = GridBank::open_durable(config(), Clock::new(), store.clone()).unwrap();
     let operator = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
@@ -281,8 +274,8 @@ fn failed_group_commit_member_never_reaches_the_journal() {
         }
         let (bank, transfer, broke) = (&bank, transfer.clone(), &broke);
         scope.spawn(move || {
-            // Zero balance: application fails before anything is queued
-            // for the group, so the flush proceeds without this member.
+            // Zero balance: application fails before anything is
+            // journaled, while the other transfers commit around it.
             let reply = bank.handle_keyed(broke, Some(2000), transfer);
             assert!(matches!(reply, BankResponse::Error { .. }), "broke payer: {reply:?}");
         });
@@ -295,14 +288,14 @@ fn failed_group_commit_member_never_reaches_the_journal() {
         .iter()
         .filter(|e| matches!(e, JournalEntry::Update(r) if r.id == broke_account))
         .collect();
-    assert!(broke_deposits.is_empty(), "failed member left journal rows: {broke_deposits:?}");
+    assert!(broke_deposits.is_empty(), "failed transfer left journal rows: {broke_deposits:?}");
     assert!(
         !journal.iter().any(|e| matches!(e, JournalEntry::Idem { key: 2000, .. })),
-        "failed member must not consume its idempotency key"
+        "failed transfer must not consume its idempotency key"
     );
 
     // Crash and reopen: the rebuilt bank matches the live one, the four
-    // successful transfers survived, and the failed member's retry (same
+    // successful transfers survived, and the failed transfer's retry (same
     // key) applies cleanly once funded.
     let (rebuilt, _) = GridBank::open_durable(config(), Clock::new(), store).unwrap();
     assert_eq!(rebuilt.all_accounts(), all);
