@@ -1064,7 +1064,7 @@ mod tests {
         drop(db);
 
         let out = run(&args(&["store", "--dir", dir.to_str().unwrap()])).unwrap();
-        assert!(out.contains("format v4"), "{out}");
+        assert!(out.contains("format v5"), "{out}");
         // One segment closed by the checkpoint, one holding the tail.
         assert!(out.contains("log segments                  2\n"), "{out}");
         assert!(out.contains("torn tail                    no\n"), "{out}");

@@ -16,7 +16,7 @@ use gridbank_rur::{Credits, RurError};
 
 use crate::cheque::{ChequeBody, GridCheque};
 use crate::db::{AccountId, AccountRecord, TransactionRecord, TransactionType, TransferRecord};
-use crate::direct::{ConfirmationBody, TransferConfirmation};
+use crate::direct::{BatchProof, ConfirmationBody, TransferConfirmation};
 use crate::error::BankError;
 use crate::payword::{ChainCommitment, PayWord};
 use crate::pricing::ResourceDescription;
@@ -157,6 +157,23 @@ fn get_digest(r: &mut ByteReader<'_>) -> Result<Digest, RurError> {
     let mut a = [0u8; DIGEST_LEN];
     a.copy_from_slice(b);
     Ok(Digest(a))
+}
+
+/// `index ‖ count`, then the audit path with no length of its own: the
+/// path of a batch of `count` is ⌈log₂ count⌉ digests long.
+fn put_batch_proof(w: &mut ByteWriter, proof: &BatchProof) {
+    w.put_u32(proof.index);
+    w.put_u32(proof.count);
+    for digest in &proof.path {
+        put_digest(w, digest);
+    }
+}
+
+fn get_batch_proof(r: &mut ByteReader<'_>) -> Result<BatchProof, RurError> {
+    let index = r.get_u32()?;
+    let count = r.get_u32()?;
+    let path = (0..BatchProof::path_len(count)).map(|_| get_digest(r)).collect::<Result<_, _>>()?;
+    Ok(BatchProof { index, count, path })
 }
 
 impl Encode for GridCheque {
@@ -1171,6 +1188,7 @@ impl Encode for BankResponse {
             BankResponse::Confirmed(conf) => {
                 w.put_u8(4);
                 w.put_bytes(&conf.body.to_bytes());
+                put_batch_proof(w, &conf.batch);
                 put_sig(w, &conf.signature);
             }
             BankResponse::Cheque(cheque) => {
@@ -1259,6 +1277,7 @@ impl Decode for BankResponse {
             3 => BankResponse::Confirmation { transaction_id: r.get_u64()? },
             4 => BankResponse::Confirmed(TransferConfirmation {
                 body: ConfirmationBody::from_bytes(r.get_bytes()?)?,
+                batch: get_batch_proof(r)?,
                 signature: get_sig(r)?,
             }),
             5 => BankResponse::Cheque(GridCheque::decode(r)?),

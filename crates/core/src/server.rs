@@ -12,14 +12,15 @@
 //! establish a connection. Otherwise connection is refused"), and serves
 //! the RPC loop per connection.
 //!
-//! Each connection is served on **its own thread**, one request at a
-//! time: the thread opens a frame, decodes it, dispatches it into the
-//! bank, and seals and sends the response before it reads the next
-//! frame (`RpcServer::serve`). A client may still pipeline requests on
-//! one connection; they are answered in the order they were sent, and
+//! Each connection is served on **its own thread**, a drain at a time:
+//! the thread takes every frame waiting in its link, decodes each and
+//! dispatches it into the drain's batch, signs the drain's transfer
+//! confirmations once, and seals and sends the responses before it reads
+//! again (`RpcServer::serve`). A client may pipeline requests on one
+//! connection; they are answered in the order they were sent, and
 //! parallelism comes from connections. No queue sits between a request
-//! and the bank: a client that stops reading fills its bounded link,
-//! and that is the backpressure.
+//! and the bank: a client that stops reading fills its bounded link, and
+//! that is the backpressure.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -546,25 +547,34 @@ impl GridBankServer {
                     };
                     // An error ends the connection: the peer hung up, sent a
                     // frame that failed its integrity check, or idled out.
-                    let _ = RpcServer::serve(channel, |req| {
-                        // Join the client's trace so the dispatch nests
-                        // under the caller's rpc span.
-                        let mut span = gridbank_obs::span_under(req.trace, "net", "rpc_serve");
-                        span.attr("peer", &peer.base.0);
-                        let decode_timer = gridbank_obs::Stopwatch::start();
-                        let decoded = BankRequest::from_bytes(req.payload);
-                        decode_timer.record_named("server.stage.decode_ns");
-                        let dispatch_timer = gridbank_obs::Stopwatch::start();
-                        let resp = match decoded {
-                            Ok(r) => bank.handle_keyed(&peer.subject, req.idem_key, r),
-                            Err(e) => BankResponse::Error {
-                                kind: crate::api::kinds::OTHER,
-                                message: format!("malformed request: {e}"),
-                                detail: 0,
-                            },
-                        };
-                        dispatch_timer.record_named("server.stage.dispatch_ns");
-                        resp.to_bytes()
+                    // Each drain is one batch: its transfer confirmations
+                    // share a signature. The batch and the answers' buffer
+                    // live as long as the connection.
+                    let mut batch = bank.batch(&peer.subject);
+                    let mut answers = Vec::new();
+                    let _ = RpcServer::serve(channel, |requests, responses| {
+                        for req in requests {
+                            // Join the client's trace so the dispatch nests
+                            // under the caller's rpc span.
+                            let mut span = gridbank_obs::span_under(req.trace, "net", "rpc_serve");
+                            span.attr("peer", &peer.base.0);
+                            let decode_timer = gridbank_obs::Stopwatch::start();
+                            let decoded = BankRequest::from_bytes(req.payload);
+                            decode_timer.record_named("server.stage.decode_ns");
+                            let dispatch_timer = gridbank_obs::Stopwatch::start();
+                            let answer = match decoded {
+                                Ok(r) => batch.answer(req.idem_key, r, &mut answers),
+                                Err(e) => BankResponse::Error {
+                                    kind: crate::api::kinds::OTHER,
+                                    message: format!("malformed request: {e}"),
+                                    detail: 0,
+                                },
+                            };
+                            dispatch_timer.record_named("server.stage.dispatch_ns");
+                            answers.push(answer);
+                        }
+                        batch.close(&mut answers);
+                        responses.extend(answers.drain(..).map(|a| a.to_bytes()));
                     });
                 });
             }
@@ -821,6 +831,110 @@ mod tests {
         let r6 = rebuilt.handle_keyed(&alice, Some(77), transfer());
         assert!(matches!(r6, BankResponse::Confirmation { .. } | BankResponse::Confirmed(_)));
         assert_eq!(gsp_balance(&rebuilt), before);
+    }
+
+    /// A payer and a payee enrolled on `b`, the payer holding G$50.
+    fn payer_and_payee(b: &GridBank) -> (SubjectName, crate::db::AccountId) {
+        let alice = subject("alice");
+        let gsp = subject("gsp");
+        let BankResponse::AccountCreated { account: alice_acct } =
+            b.handle(&alice, BankRequest::CreateAccount { organization: None })
+        else {
+            panic!()
+        };
+        let BankResponse::AccountCreated { account: gsp_acct } =
+            b.handle(&gsp, BankRequest::CreateAccount { organization: None })
+        else {
+            panic!()
+        };
+        let admin = SubjectName("/O=GridBank/OU=Admin/CN=operator".into());
+        b.handle(
+            &admin,
+            BankRequest::AdminDeposit { account: alice_acct, amount: Credits::from_gd(50) },
+        );
+        (alice, gsp_acct)
+    }
+
+    #[test]
+    fn an_unreadable_remembered_response_is_not_reapplied() {
+        let b = bank();
+        let (alice, gsp_acct) = payer_and_payee(&b);
+        let transfer = || BankRequest::DirectTransfer {
+            to: gsp_acct,
+            amount: Credits::from_gd(10),
+            recipient_address: "gsp.grid.org".into(),
+        };
+        let first = b.handle_keyed(&alice, Some(5), transfer());
+        assert!(matches!(first, BankResponse::Confirmed(_)), "{first:?}");
+        // The stamp survives, but what it remembers no longer decodes.
+        b.accounts.db().idem_upgrade(&alice.base_identity().0, 5, vec![0xFF]);
+        let retry = b.handle_keyed(&alice, Some(5), transfer());
+        assert!(matches!(retry, BankResponse::Error { .. }), "{retry:?}");
+        let held = b.accounts.account_details(&gsp_acct).unwrap().available;
+        assert_eq!(held, Credits::from_gd(10), "the retry applied the transfer again");
+        assert_eq!(b.all_transfers().len(), 1);
+    }
+
+    #[test]
+    fn a_batch_answers_in_order_with_one_signature() {
+        let b = bank();
+        let (alice, gsp_acct) = payer_and_payee(&b);
+        let transfer = |gd| BankRequest::DirectTransfer {
+            to: gsp_acct,
+            amount: Credits::from_gd(gd),
+            recipient_address: "gsp.grid.org".into(),
+        };
+        let remaining = b.signer.remaining();
+        let answers = b.handle_batch(
+            &alice,
+            [(None, BankRequest::MyAccount), (Some(1), transfer(1)), (None, transfer(2))],
+        );
+        let [BankResponse::Account(_), BankResponse::Confirmed(c1), BankResponse::Confirmed(c2)] =
+            &answers[..]
+        else {
+            panic!("{answers:?}")
+        };
+        assert_eq!((c1.body.amount, c2.body.amount), (Credits::from_gd(1), Credits::from_gd(2)));
+        assert_eq!((c1.batch.index, c2.batch.index, c1.batch.count), (0, 1, 2));
+        assert_eq!(c1.signature.leaf_index, c2.signature.leaf_index);
+        c1.verify(&b.verifying_key()).unwrap();
+        c2.verify(&b.verifying_key()).unwrap();
+        assert_eq!(b.signer.remaining(), remaining - 1, "one leaf for the batch");
+        // The keyed receipt's stamp remembers the signed response.
+        let again = b.handle_keyed(&alice, Some(1), transfer(1));
+        let BankResponse::Confirmed(remembered) = again else { panic!("{again:?}") };
+        assert_eq!(remembered.batch, c1.batch);
+    }
+
+    #[test]
+    fn a_key_repeated_in_a_batch_closes_the_batch_and_answers_once() {
+        let b = bank();
+        let (alice, gsp_acct) = payer_and_payee(&b);
+        let transfer = BankRequest::DirectTransfer {
+            to: gsp_acct,
+            amount: Credits::from_gd(3),
+            recipient_address: "gsp.grid.org".into(),
+        };
+        let answers = b.handle_batch(
+            &alice,
+            [(Some(9), transfer.clone()), (Some(9), transfer.clone()), (Some(10), transfer)],
+        );
+        let receipts: Vec<_> = answers
+            .iter()
+            .map(|a| match a {
+                BankResponse::Confirmed(c) => c,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        // The repeat found the first copy's signed stamp: the batch was
+        // closed before the second copy waited for the key.
+        assert_eq!(receipts[0].body, receipts[1].body);
+        assert_eq!(receipts[0].batch.count, 1);
+        assert_ne!(receipts[2].signature.leaf_index, receipts[0].signature.leaf_index);
+        assert_eq!(b.all_transfers().len(), 2);
+        for r in receipts {
+            r.verify(&b.verifying_key()).unwrap();
+        }
     }
 
     #[test]

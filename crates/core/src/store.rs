@@ -29,7 +29,7 @@ use crate::error::BankError;
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 
 /// Store format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 const MANIFEST_MAGIC: u32 = 0x4742_4D46; // "GBMF"
 const SEGMENT_MAGIC: u32 = 0x4742_5347; // "GBSG"

@@ -171,9 +171,11 @@ fn a_recognised_cheque_redeem_allocates_a_pinned_count() {
     assert_eq!(n, 33, "RedeemCheque allocations");
 }
 
-/// A keyed pay-before transfer: debit, credit, the remembered response
-/// and one signature over the confirmation, whose one-time key is derived
-/// without allocating.
+/// A keyed pay-before transfer as a batch of one: debit, credit, the
+/// remembered response, the confirmation waiting for its batch (one
+/// entry), the batch's one-leaf tree and one signature over its root,
+/// whose one-time key is derived without allocating. The signature moves
+/// into the batch's last receipt, and a batch of one has an empty path.
 #[test]
 fn a_signed_keyed_transfer_allocates_a_pinned_count() {
     let bank = bank();
@@ -190,5 +192,5 @@ fn a_signed_keyed_transfer_allocates_a_pinned_count() {
         .collect();
     let confirmed = |r: &BankResponse| matches!(r, BankResponse::Confirmed(_));
     let n = fewest_allocations(&bank, PAYER, requests, confirmed);
-    assert_eq!(n, 52, "DirectTransfer allocations");
+    assert_eq!(n, 53, "DirectTransfer allocations");
 }

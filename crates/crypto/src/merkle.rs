@@ -5,8 +5,9 @@
 //! one-time public keys, and each signature carries the one-time
 //! signature, the leaf index, and the authentication path up to the root.
 //!
-//! The tree is also reused on its own (without signatures) by the PayWord
-//! module in `gridbank-core` for batched commitment of hash-chain roots.
+//! The tree is also used on its own: `gridbank-core` commits a batch of
+//! transfer confirmations to one root, signs the root once, and hands each
+//! receipt its leaf's auth path (`direct::sign_receipts`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -33,47 +34,51 @@ pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
 ///
 /// Leaf count is padded to the next power of two by repeating the last
 /// leaf digest, a standard construction that keeps auth paths uniform.
+/// Because of the padding, a path alone does not say how many leaves are
+/// real: a protocol that commits to a count of leaves must sign the count
+/// beside the root (CVE-2012-2459 is the bug when it does not).
 #[derive(Clone, Debug)]
 pub struct MerkleTree {
-    /// `levels[0]` = leaves (padded), last level = `[root]`.
-    levels: Vec<Vec<Digest>>,
+    /// Every level end to end in one buffer: the `width` (padded) leaves
+    /// first, then each parent level, the root last.
+    nodes: Vec<Digest>,
+    /// Padded leaf count, a power of two.
+    width: usize,
     real_leaves: usize,
 }
 
 impl MerkleTree {
-    /// Builds a tree over already-hashed leaf digests.
+    /// Builds a tree over already-hashed leaf digests, growing the parent
+    /// levels in the leaves' own buffer.
     ///
     /// Panics if `leaves` is empty (an empty commitment is meaningless).
-    pub fn from_leaf_digests(leaves: &[Digest]) -> Self {
-        assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
-        let real_leaves = leaves.len();
+    pub fn from_leaf_digests(mut nodes: Vec<Digest>) -> Self {
+        assert!(!nodes.is_empty(), "Merkle tree needs at least one leaf");
+        let real_leaves = nodes.len();
         let width = real_leaves.next_power_of_two();
-        let mut level: Vec<Digest> = Vec::with_capacity(width);
-        level.extend_from_slice(leaves);
-        let pad = *leaves.last().expect("nonempty");
-        level.resize(width, pad);
-
-        let mut levels = vec![level];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len() / 2);
-            for pair in prev.chunks_exact(2) {
-                next.push(node_hash(&pair[0], &pair[1]));
+        nodes.reserve_exact(2 * width - 1 - real_leaves);
+        let pad = *nodes.last().expect("nonempty");
+        nodes.resize(width, pad);
+        let (mut start, mut len) = (0, width);
+        while len > 1 {
+            for left in (start..start + len).step_by(2) {
+                let parent = node_hash(&nodes[left], &nodes[left + 1]);
+                nodes.push(parent);
             }
-            levels.push(next);
+            start += len;
+            len /= 2;
         }
-        MerkleTree { levels, real_leaves }
+        MerkleTree { nodes, width, real_leaves }
     }
 
     /// Builds a tree by hashing raw leaf payloads first.
     pub fn from_payloads<T: AsRef<[u8]>>(payloads: &[T]) -> Self {
-        let leaves: Vec<Digest> = payloads.iter().map(|p| leaf_hash(p.as_ref())).collect();
-        Self::from_leaf_digests(&leaves)
+        Self::from_leaf_digests(payloads.iter().map(|p| leaf_hash(p.as_ref())).collect())
     }
 
     /// The committed root.
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("nonempty")[0]
+        *self.nodes.last().expect("nonempty")
     }
 
     /// Number of real (unpadded) leaves.
@@ -88,7 +93,7 @@ impl MerkleTree {
 
     /// Tree height (number of levels above the leaves).
     pub fn height(&self) -> usize {
-        self.levels.len() - 1
+        self.width.trailing_zeros() as usize
     }
 
     /// Authentication path for leaf `index`: one sibling digest per tree
@@ -98,9 +103,11 @@ impl MerkleTree {
             return None;
         }
         let mut siblings = Vec::with_capacity(self.height());
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            siblings.push(level[idx ^ 1]);
+        let (mut start, mut len, mut idx) = (0, self.width, index);
+        while len > 1 {
+            siblings.push(self.nodes[start + (idx ^ 1)]);
+            start += len;
+            len /= 2;
             idx >>= 1;
         }
         Some(siblings)
@@ -229,7 +236,7 @@ impl MerkleSigner {
         let count = 1usize << height;
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let threads = cores.min(count / MIN_LEAVES_PER_THREAD).max(1);
-        let tree = MerkleTree::from_leaf_digests(&leaf_digests(stream, count, threads));
+        let tree = MerkleTree::from_leaf_digests(leaf_digests(stream, count, threads));
         MerkleSigner { stream_root: stream.clone(), tree, next_leaf: AtomicUsize::new(0) }
     }
 
@@ -546,7 +553,7 @@ mod tests {
             let serial = leaf_digests(&stream, count, 1);
             prop_assert_eq!(&leaf_digests(&stream, count, threads), &serial);
             let generated = MerkleSigner::generate(&stream, height).public_root();
-            prop_assert_eq!(generated, MerkleTree::from_leaf_digests(&serial).root());
+            prop_assert_eq!(generated, MerkleTree::from_leaf_digests(serial).root());
         }
     }
 }

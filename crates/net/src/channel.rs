@@ -147,6 +147,15 @@ impl SecureChannel {
         self.open(frame)
     }
 
+    /// Opens a frame that is already waiting, without blocking;
+    /// `Ok(None)` when the link holds none.
+    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        match self.duplex.try_recv()? {
+            Some(frame) => self.open(frame).map(Some),
+            None => Ok(None),
+        }
+    }
+
     fn open(&mut self, frame: Vec<u8>) -> Result<Vec<u8>, NetError> {
         let plain = open_frame(&self.recv_keys, self.recv_seq, frame)?;
         self.recv_seq += 1;

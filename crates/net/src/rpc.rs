@@ -8,12 +8,14 @@
 //! for other in-flight ids. [`RpcClient::call`] is the depth-1 special
 //! case.
 //!
-//! On the server, [`RpcServer::serve`] — the one serve loop — runs each
-//! request to completion on the connection's own thread: it opens the
-//! frame, hands the borrowed [`Request`] to the handler, and seals and
-//! sends the handler's answer before it reads the next frame. One
-//! connection's **responses therefore leave in request order**;
-//! parallelism comes from connections, each served by its own thread.
+//! On the server, [`RpcServer::serve`] — the one serve loop — serves a
+//! connection on its own thread, a drain at a time: it waits for one
+//! frame, takes every frame already waiting behind it, hands the borrowed
+//! [`Request`]s to the handler together, and seals and sends the
+//! handler's answers before it reads again. One connection's
+//! **responses therefore leave in request order**; parallelism comes
+//! from connections, each served by its own thread. A drain is what the
+//! bank signs as one batch of receipts.
 //! Clients still match responses by id. See `docs/PROTOCOLS.md` §1 for
 //! the pipelining state machine.
 //!
@@ -29,6 +31,7 @@ use gridbank_obs::TraceContext;
 use crate::channel::SecureChannel;
 use crate::error::NetError;
 use crate::handshake::PeerIdentity;
+use crate::transport::LINK_CAPACITY;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_RESPONSE: u8 = 1;
@@ -52,6 +55,20 @@ fn encode(
     let trace_len = trace.map_or(0, |_| TraceContext::WIRE_LEN);
     let idem_len = idem_key.map_or(0, |_| 8);
     let mut out = Vec::with_capacity(9 + trace_len + idem_len + payload.len());
+    encode_into(&mut out, id, kind, trace, idem_key, payload);
+    out
+}
+
+/// Writes the frame [`encode`] builds into `out`, replacing what it held.
+fn encode_into(
+    out: &mut Vec<u8>,
+    id: u64,
+    kind: u8,
+    trace: Option<TraceContext>,
+    idem_key: Option<u64>,
+    payload: &[u8],
+) {
+    out.clear();
     out.extend_from_slice(&id.to_be_bytes());
     let mut kind_byte = kind;
     if trace.is_some() {
@@ -68,7 +85,6 @@ fn encode(
         out.extend_from_slice(&key.to_be_bytes());
     }
     out.extend_from_slice(payload);
-    out
 }
 
 /// A decoded frame: `(id, kind, trace context, idempotency key, payload)`.
@@ -252,37 +268,74 @@ pub struct Request<'a> {
     pub payload: &'a [u8],
 }
 
+/// Reads a request frame, lending its payload.
+fn request(msg: &[u8]) -> Result<Request<'_>, NetError> {
+    let (id, kind, trace, idem_key, payload) = decode(msg)?;
+    if kind != KIND_REQUEST {
+        return Err(NetError::Malformed(format!("expected request, got kind {kind}")));
+    }
+    Ok(Request { id, trace, idem_key, payload })
+}
+
 /// Server-side connection loop.
 pub struct RpcServer;
 
 impl RpcServer {
-    /// Serves one connection on the calling thread: each request is
-    /// opened, handed to `handle`, and answered with the bytes `handle`
-    /// returns, sealed on the same channel, before the next request is
-    /// read. Responses leave in request order. Returns when the peer
-    /// disconnects; propagates integrity and protocol errors.
+    /// Serves one connection on the calling thread. It blocks for one
+    /// request, then drains every request already waiting in the link (at
+    /// most [`LINK_CAPACITY`]), opens them all, and hands them to `handle`
+    /// in the order they were sent. `handle` pushes one response per
+    /// request, in the same order, and the loop seals and sends them before
+    /// it reads again: responses leave in request order, and a drain's
+    /// responses leave together. Returns when the peer disconnects;
+    /// propagates integrity and protocol errors.
     pub fn serve<H>(mut channel: SecureChannel, mut handle: H) -> Result<(), NetError>
     where
-        H: FnMut(Request<'_>) -> Vec<u8>,
+        H: FnMut(&[Request<'_>], &mut Vec<Vec<u8>>),
     {
+        // Reused from drain to drain: the opened frames, the handler's
+        // responses and the RPC frame each response is sealed from.
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut responses: Vec<Vec<u8>> = Vec::new();
+        let mut out = Vec::new();
         loop {
-            let msg = match channel.recv() {
-                Ok(m) => m,
-                Err(NetError::Disconnected) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            let (id, kind, trace, idem_key, payload) = decode(&msg)?;
-            if kind != KIND_REQUEST {
-                return Err(NetError::Malformed(format!("expected request, got kind {kind}")));
-            }
-            let response = handle(Request { id, trace, idem_key, payload });
-            let reply_timer = gridbank_obs::Stopwatch::start();
-            match channel.send(&encode(id, KIND_RESPONSE, None, None, &response)) {
-                Ok(()) => {}
+            frames.clear();
+            match channel.recv() {
+                Ok(m) => frames.push(m),
                 Err(NetError::Disconnected) => return Ok(()),
                 Err(e) => return Err(e),
             }
-            reply_timer.record_named("server.stage.reply_ns");
+            while frames.len() < LINK_CAPACITY {
+                match channel.try_recv() {
+                    Ok(Some(m)) => frames.push(m),
+                    // A hang-up ends the drain; the next read reports it.
+                    Ok(None) | Err(NetError::Disconnected) => break,
+                    Err(e) => return Err(e),
+                }
+            }
+            let mut requests = Vec::with_capacity(frames.len());
+            for m in &frames {
+                requests.push(request(m)?);
+            }
+            responses.clear();
+            handle(&requests, &mut responses);
+            if responses.len() != requests.len() {
+                return Err(NetError::Malformed(format!(
+                    "{} responses to {} requests",
+                    responses.len(),
+                    requests.len()
+                )));
+            }
+            for (req, response) in requests.iter().zip(&responses) {
+                let reply_timer = gridbank_obs::Stopwatch::start();
+                encode_into(&mut out, req.id, KIND_RESPONSE, None, None, response);
+                match channel.send(&out) {
+                    Ok(()) => {}
+                    Err(NetError::Disconnected) => return Ok(()),
+                    Err(e) => return Err(e),
+                }
+                reply_timer.record_named("server.stage.reply_ns");
+            }
         }
     }
 }
@@ -312,7 +365,10 @@ mod tests {
     /// Serves `channel` until the client hangs up, answering each
     /// request with `handler(idempotency key, payload)`.
     fn serve_with(channel: SecureChannel, mut handler: impl FnMut(Option<u64>, &[u8]) -> Vec<u8>) {
-        RpcServer::serve(channel, |req| handler(req.idem_key, req.payload)).unwrap();
+        RpcServer::serve(channel, |requests, responses| {
+            responses.extend(requests.iter().map(|req| handler(req.idem_key, req.payload)));
+        })
+        .unwrap();
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::fault::{FaultInjector, FaultVerdict, LinkFaults};
 
 /// Capacity of each direction of a duplex link; a full peer applies
 /// backpressure rather than unbounded buffering.
-const LINK_CAPACITY: usize = 256;
+pub const LINK_CAPACITY: usize = 256;
 
 /// Capacity of a listener's accept queue.
 const ACCEPT_CAPACITY: usize = 1024;

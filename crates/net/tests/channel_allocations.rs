@@ -6,7 +6,7 @@
 //!
 //! The serve loop opens a request in the buffer it arrived in and lends
 //! the payload to the handler: per request it allocates only the
-//! response's RPC frame and its sealed frame.
+//! response's sealed frame, and per drain the list of requests it lends.
 
 // The one unsafe item in the package: a `GlobalAlloc` that counts. The
 // library itself is `#![forbid(unsafe_code)]`.
@@ -14,6 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Barrier};
 
 use gridbank_crypto::cert::SubjectName;
 use gridbank_crypto::sha256::sha256;
@@ -92,14 +93,18 @@ fn sealing_allocates_the_frame_and_opening_allocates_nothing() {
     assert_eq!((sealing, opening), (1, 0), "(sealing, opening) allocations");
 }
 
-/// Per request, on the serving thread: the handler's reply (here a copy
-/// of a ready-made one), the RPC frame around it and the sealed frame,
-/// three. Receiving and opening the request, decoding its header and
-/// lending its payload allocate nothing; the loop this replaced copied
-/// the payload too and read four with this harness.
+/// On the serving thread, a drain of `n` requests allocates `2n + 1`:
+/// per request the handler's reply (here a copy of a ready-made one) and
+/// its sealed frame, and once per drain the list of requests lent to the
+/// handler. Receiving and opening the requests, decoding their headers
+/// and lending their payloads allocate nothing, and the RPC frame around
+/// each reply is built in a buffer the loop keeps. A batch of one
+/// therefore costs the three allocations a request cost before the loop
+/// drained (reply, RPC frame, sealed frame).
 #[test]
-fn serving_a_request_allocates_the_reply_and_its_two_frames_only() {
-    const REQUESTS: usize = 8;
+fn serving_a_drain_allocates_the_replies_their_frames_and_one_list() {
+    // The drains the server will take, in order.
+    const WINDOWS: [usize; 4] = [8, 8, 1, 3];
     let net = Network::new();
     let listener = net.bind(Address::new("srv")).unwrap();
     let near = net.connect(Address::new("cli"), &Address::new("srv")).unwrap();
@@ -113,25 +118,48 @@ fn serving_a_request_allocates_the_reply_and_its_two_frames_only() {
     let request = vec![0xA5u8; 2735];
     let reply = vec![0x5Au8; 64];
 
-    // Every request is queued before the server starts, so its thread
-    // never waits on the link while it is being counted.
-    let ids: Vec<u64> = (0..REQUESTS).map(|_| client.send_request(&request).unwrap()).collect();
-    let serving = std::thread::spawn(move || {
-        let mut marks = Vec::with_capacity(REQUESTS);
-        RpcServer::serve(server, |req| {
-            assert_eq!(req.payload.len(), 2735);
-            marks.push(ALLOCATIONS.with(Cell::get));
-            reply.clone()
-        })
-        .unwrap();
-        marks
+    // The handler meets the client once it holds a drain, and holds the
+    // drain until the client has queued the next window whole: every
+    // drain is exactly one window, and the server never waits on an empty
+    // link while it is counted. The first drain sizes every buffer the
+    // loop reuses; its cost is left out.
+    let held = Arc::new(Barrier::new(2));
+    let mut send_window =
+        |n: usize| -> Vec<u64> { (0..n).map(|_| client.send_request(&request).unwrap()).collect() };
+    let mut ids = send_window(WINDOWS[0]);
+    let serving = std::thread::spawn({
+        let held = Arc::clone(&held);
+        move || {
+            // (allocations so far, requests in the drain) at each drain.
+            let mut marks: Vec<(u64, usize)> = Vec::with_capacity(WINDOWS.len());
+            RpcServer::serve(server, |requests, responses| {
+                marks.push((ALLOCATIONS.with(Cell::get), requests.len()));
+                held.wait();
+                held.wait();
+                for req in requests {
+                    assert_eq!(req.payload.len(), 2735);
+                    responses.push(reply.clone());
+                }
+            })
+            .unwrap();
+            marks
+        }
     });
+    for n in &WINDOWS[1..] {
+        held.wait();
+        ids.extend(send_window(*n));
+        held.wait();
+    }
+    held.wait();
+    held.wait();
     for id in ids {
         assert_eq!(client.recv_response(id).unwrap(), vec![0x5Au8; 64]);
     }
     drop(client);
     let marks = serving.join().unwrap();
-    assert_eq!(marks.len(), REQUESTS);
-    let per_request: Vec<u64> = marks.windows(2).map(|w| w[1] - w[0]).collect();
-    assert_eq!(per_request, vec![3; REQUESTS - 1], "allocations between consecutive requests");
+    assert_eq!(marks.iter().map(|m| m.1).collect::<Vec<_>>(), WINDOWS);
+    // Each drain's cost is read from its mark to the next one's.
+    let costs: Vec<u64> = marks.windows(2).skip(1).map(|w| w[1].0 - w[0].0).collect();
+    let pinned: Vec<u64> = WINDOWS[1..3].iter().map(|&n| 2 * n as u64 + 1).collect();
+    assert_eq!(costs, pinned, "allocations of each drain of n after the first, against 2n + 1");
 }

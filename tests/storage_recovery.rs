@@ -717,6 +717,30 @@ fn a_version_3_store_is_refused() {
     }
 }
 
+#[test]
+fn a_version_4_store_is_refused() {
+    // FORMAT_VERSION 4 remembered a transfer confirmation under a
+    // signature of its own; a version-5 stamp carries its receipt batch's
+    // proof beside the signature, and no reader decodes the old one.
+    let store = StoreConfig::scratch("v4-manifest");
+    std::fs::create_dir_all(&store.dir).unwrap();
+    let mut manifest = Vec::new();
+    for word in [0x4742_4D46u32, 4, 1, 1] {
+        manifest.extend_from_slice(&word.to_be_bytes()); // "GBMF", version, bank, branch
+    }
+    let check = store::fnv64(&manifest);
+    manifest.extend_from_slice(&check.to_le_bytes());
+    std::fs::write(store.dir.join("MANIFEST"), manifest).unwrap();
+
+    match GridBank::open_durable(config(), Clock::new(), store) {
+        Err(BankError::Storage(why)) => {
+            assert!(why.contains("unsupported store version 4"), "unexpected message: {why}")
+        }
+        Ok(_) => panic!("a version-4 store must be refused"),
+        Err(other) => panic!("wrong error: {other}"),
+    }
+}
+
 /// PR 11's open finding (ROADMAP item 1): about once in 200–500
 /// kill/reopen cycles the reopened `state_digest()` differed from the
 /// pre-kill one. Each cycle here races two cheque-paying threads against
