@@ -371,6 +371,19 @@ pub enum BankRequest {
         /// Binary RUR evidence (may be empty for interim redemptions).
         rur_blob: Vec<u8>,
     },
+    /// Redeem GridHash chain by its id: the short form of
+    /// [`BankRequest::RedeemPayWord`] for a chain the bank holds a
+    /// reservation for. The bank checks the word against the chain's
+    /// terms and the last word paid, both kept on that reservation; the
+    /// caller must be the payee.
+    RedeemPayWordById {
+        /// Chain id (the commitment's `chain_id`).
+        chain_id: u64,
+        /// Highest payword being redeemed.
+        payword: PayWord,
+        /// Binary RUR evidence (may be empty for interim redemptions).
+        rur_blob: Vec<u8>,
+    },
     /// Close a hash chain (release unspent reservation after expiry).
     CloseHashChain {
         /// The commitment to close.
@@ -694,6 +707,7 @@ impl BankRequest {
             BankRequest::RedeemCheque { .. } => "RedeemCheque",
             BankRequest::RequestHashChain { .. } => "RequestHashChain",
             BankRequest::RedeemPayWord { .. } => "RedeemPayWord",
+            BankRequest::RedeemPayWordById { .. } => "RedeemPayWordById",
             BankRequest::CloseHashChain { .. } => "CloseHashChain",
             BankRequest::RegisterResourceDescription { .. } => "RegisterResourceDescription",
             BankRequest::EstimatePrice { .. } => "EstimatePrice",
@@ -731,6 +745,7 @@ impl BankRequest {
             | BankRequest::RedeemCheque { .. }
             | BankRequest::RequestHashChain { .. }
             | BankRequest::RedeemPayWord { .. }
+            | BankRequest::RedeemPayWordById { .. }
             | BankRequest::CloseHashChain { .. }
             | BankRequest::RegisterResourceDescription { .. }
             | BankRequest::RedeemChequeBatch { .. }
@@ -764,6 +779,7 @@ impl BankRequest {
             | BankRequest::RedeemCheque { .. }
             | BankRequest::RequestHashChain { .. }
             | BankRequest::RedeemPayWord { .. }
+            | BankRequest::RedeemPayWordById { .. }
             | BankRequest::CloseHashChain { .. }
             | BankRequest::RedeemChequeBatch { .. } => "server.payment",
             BankRequest::RegisterResourceDescription { .. } | BankRequest::EstimatePrice { .. } => {
@@ -1050,6 +1066,13 @@ impl Encode for BankRequest {
                 w.put_u8(22);
                 query.encode(w);
             }
+            BankRequest::RedeemPayWordById { chain_id, payword, rur_blob } => {
+                w.put_u8(23);
+                w.put_u64(*chain_id);
+                w.put_u32(payword.index);
+                put_digest(w, &payword.word);
+                w.put_bytes(rur_blob);
+            }
         }
     }
 }
@@ -1153,6 +1176,11 @@ impl Decode for BankRequest {
                 gross_out: Credits::decode(r)?,
             },
             22 => BankRequest::OpsQuery { query: OpsQuery::decode(r)? },
+            23 => BankRequest::RedeemPayWordById {
+                chain_id: r.get_u64()?,
+                payword: PayWord { index: r.get_u32()?, word: get_digest(r)? },
+                rur_blob: r.get_bytes()?.to_vec(),
+            },
             t => return Err(RurError::Decode(format!("unknown request tag {t}"))),
         })
     }
@@ -1373,10 +1401,34 @@ mod tests {
             },
             BankRequest::OpsQuery { query: OpsQuery::Health },
             BankRequest::OpsQuery { query: OpsQuery::Traces },
+            BankRequest::RedeemPayWordById {
+                chain_id: 77,
+                payword: PayWord { index: 5, word: Digest([0xA5; DIGEST_LEN]) },
+                rur_blob: vec![4, 2],
+            },
         ];
         for req in cases {
             let back = round_trip_request(req.clone());
             assert_eq!(format!("{back:?}"), format!("{req:?}"));
+        }
+    }
+
+    /// A redeem by chain id carries the id, the index and the word, with
+    /// no commitment and no signature: 53 bytes with no usage record,
+    /// against ≈ 2.7 KB for the full `RedeemPayWord`.
+    #[test]
+    fn a_redeem_by_chain_id_encodes_in_at_most_64_bytes() {
+        let short = BankRequest::RedeemPayWordById {
+            chain_id: u64::MAX,
+            payword: PayWord { index: u32::MAX, word: Digest([0xFF; DIGEST_LEN]) },
+            rur_blob: Vec::new(),
+        };
+        let bytes = short.to_bytes();
+        assert_eq!(bytes.len(), 53);
+        assert!(bytes.len() <= 64);
+        assert_eq!(bytes[0], 23);
+        for cut in 0..bytes.len() {
+            assert!(BankRequest::from_bytes(&bytes[..cut]).is_err(), "decoded {cut} bytes");
         }
     }
 

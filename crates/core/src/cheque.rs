@@ -211,30 +211,6 @@ impl ChequeOffice<'_> {
             self.guarantee.settle(cheque.body.cheque_id, payee_account, charge, rur.to_bytes())?;
         Ok(Redemption { cheque_id: cheque.body.cheque_id, paid, released })
     }
-
-    /// Batch redemption ("This can be done in batches", §3.1): each entry
-    /// settles independently; failures don't abort the rest.
-    pub fn redeem_batch(
-        &self,
-        batch: &[(GridCheque, ResourceUsageRecord)],
-        redeemer_cert: &str,
-        payee_account: &AccountId,
-        now_ms: u64,
-    ) -> Vec<Result<Redemption, BankError>> {
-        batch
-            .iter()
-            .map(|(cheque, rur)| self.redeem(cheque, rur, redeemer_cert, payee_account, now_ms))
-            .collect()
-    }
-
-    /// Cancels an unredeemed cheque after expiry, returning the locked
-    /// funds to the drawer.
-    pub fn reclaim_expired(&self, cheque: &GridCheque, now_ms: u64) -> Result<Credits, BankError> {
-        if now_ms < cheque.body.expires_ms {
-            return Err(BankError::InvalidInstrument("cheque has not expired yet".into()));
-        }
-        self.guarantee.release(cheque.body.cheque_id)
-    }
 }
 
 #[cfg(test)]
@@ -383,29 +359,12 @@ mod tests {
     }
 
     #[test]
-    fn expired_cheque_rejected_then_reclaimed() {
+    fn expired_cheque_rejected() {
         let f = fixture();
         let o = office(&f);
         let cheque = o.issue(&f.gsc, "/CN=gsp-alpha", Credits::from_gd(10), 0, 500).unwrap();
         let rur = rur_for("/CN=gsp-alpha", 1, 5);
         assert!(o.redeem(&cheque, &rur, "/CN=gsp-alpha", &f.gsp, 600).is_err());
-        // Reclaim before expiry is refused, after expiry returns the lock.
-        assert!(o.reclaim_expired(&cheque, 400).is_err());
-        assert_eq!(o.reclaim_expired(&cheque, 600).unwrap(), Credits::from_gd(10));
-        assert_eq!(f.accounts.account_details(&f.gsc).unwrap().available, Credits::from_gd(100));
-    }
-
-    #[test]
-    fn batch_redemption_is_independent() {
-        let f = fixture();
-        let o = office(&f);
-        let c1 = o.issue(&f.gsc, "/CN=gsp-alpha", Credits::from_gd(10), 0, 10_000_000).unwrap();
-        let c2 = o.issue(&f.gsc, "/CN=gsp-alpha", Credits::from_gd(10), 0, 10_000_000).unwrap();
-        let good = rur_for("/CN=gsp-alpha", 1, 5);
-        let bad = rur_for("/CN=gsp-beta", 1, 5);
-        let results = o.redeem_batch(&[(c1, good), (c2, bad)], "/CN=gsp-alpha", &f.gsp, 100);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert_eq!(f.accounts.account_details(&f.gsp).unwrap().available, Credits::from_gd(5));
+        assert_eq!(f.accounts.account_details(&f.gsc).unwrap().locked, Credits::from_gd(10));
     }
 }

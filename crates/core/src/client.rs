@@ -16,6 +16,7 @@
 
 use gridbank_crypto::cert::ProxyCertificate;
 use gridbank_crypto::keys::{SigningIdentity, VerifyingKey};
+use gridbank_crypto::merkle::MerkleSignature;
 use gridbank_crypto::rng::DeterministicStream;
 use gridbank_crypto::sha256::Digest;
 use gridbank_net::rpc::RpcClient;
@@ -40,7 +41,7 @@ pub struct ClientHashChain {
     /// The signed commitment (share with the GSP).
     pub commitment: ChainCommitment,
     /// Bank signature over the commitment.
-    pub signature: gridbank_crypto::merkle::MerkleSignature,
+    pub signature: MerkleSignature,
     /// `w_0..=w_n`.
     pub chain: Vec<Digest>,
 }
@@ -134,6 +135,10 @@ impl BankLink for WireLink {
 /// The typed §5.2/§5.2.1/§6 API over a link.
 pub struct BankClient<L: BankLink> {
     link: L,
+    /// The chain commitment and signature the bank last paid a word of
+    /// over this link: a redeem presenting exactly these names the chain
+    /// by id alone ([`BankClient::redeem_payword`]).
+    paid_chain: Option<(ChainCommitment, MerkleSignature)>,
 }
 
 /// A connected, authenticated GridBank client.
@@ -192,7 +197,7 @@ impl GridBankClient {
 impl<L: BankLink> BankClient<L> {
     /// The typed API over `link`.
     pub fn over(link: L) -> Self {
-        BankClient { link }
+        BankClient { link, paid_chain: None }
     }
 
     /// Gives the link back (to hand it to a
@@ -383,18 +388,33 @@ impl<L: BankLink> BankClient<L> {
     }
 
     /// Redeem GridHash chain up to `payword` (§5.2); returns the amount
-    /// newly paid.
+    /// newly paid. The first paid redeem of a chain over this link ships
+    /// the commitment and signature (`RedeemPayWord`); while later ones
+    /// present byte for byte the same pair, they name the chain by id
+    /// alone (`RedeemPayWordById`), and the bank answers them from the
+    /// chain's reservation as it would have answered the full form.
     pub fn redeem_payword(
         &mut self,
         commitment: ChainCommitment,
-        signature: gridbank_crypto::merkle::MerkleSignature,
+        signature: MerkleSignature,
         payword: PayWord,
         rur_blob: Vec<u8>,
     ) -> Result<Credits, BankError> {
-        match self.call(&BankRequest::RedeemPayWord { commitment, signature, payword, rur_blob })? {
-            BankResponse::Redeemed { paid, .. } => Ok(paid),
-            other => Err(unexpected(other)),
+        let paid_before =
+            self.paid_chain.as_ref().is_some_and(|(c, s)| *c == commitment && *s == signature);
+        let request = if paid_before {
+            BankRequest::RedeemPayWordById { chain_id: commitment.chain_id, payword, rur_blob }
+        } else {
+            BankRequest::RedeemPayWord { commitment, signature, payword, rur_blob }
+        };
+        let paid = match self.call(&request)? {
+            BankResponse::Redeemed { paid, .. } => paid,
+            other => return Err(unexpected(other)),
+        };
+        if let BankRequest::RedeemPayWord { commitment, signature, .. } = request {
+            self.paid_chain = Some((commitment, signature));
         }
+        Ok(paid)
     }
 
     /// Closes a hash chain, releasing the unspent reservation.

@@ -13,9 +13,13 @@
 //! A reservation also remembers the instrument the bank signed against it
 //! ([`FundsGuarantee::sign_instrument`]), so a redemption presenting those
 //! exact bytes is recognised ([`FundsGuarantee::recognises`]) instead of
-//! having the bank re-verify its own signature. A failed payout, release
-//! or signature undoes its claim on the reservation: no error leaves funds
-//! locked that the sweeper cannot return.
+//! having the bank re-verify its own signature. A hash chain's
+//! reservation also keeps the chain's terms and the last word paid
+//! ([`ChainTerms`]), so a redeem that names the chain by id alone is
+//! checked with one hash per word it pays ([`FundsGuarantee::settle_words`]).
+//! A failed payout, release or signature undoes its claim on the
+//! reservation: no error leaves funds locked that the sweeper cannot
+//! return.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,6 +34,7 @@ use gridbank_rur::Credits;
 use crate::accounts::GbAccounts;
 use crate::db::AccountId;
 use crate::error::BankError;
+use crate::payword::PayWord;
 
 /// State of one reservation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,9 +54,33 @@ pub struct Reservation {
     /// signature encoding exactly as handed out; `None` until its body is
     /// signed.
     pub instrument: Option<Digest>,
-    /// Highest payword index paid out of a chain's reservation; 0 for a
-    /// cheque and for a chain nobody has redeemed yet.
-    pub redeemed_index: u32,
+    /// The terms of the hash chain this reservation backs; `None` for a
+    /// cheque.
+    pub chain: Option<ChainTerms>,
+}
+
+/// What a chain's reservation keeps of the chain the bank issued against
+/// it: enough to pay a word that names the chain by id alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChainTerms {
+    /// Payee certificate name the chain is bound to.
+    pub payee_cert: String,
+    /// Chain length `n`.
+    pub length: u32,
+    /// Value of each payword.
+    pub value_per_word: Credits,
+    /// The highest word paid and its index: `w_0` at index 0 until the
+    /// first redeem.
+    pub paid: PayWord,
+}
+
+/// The outcome of a compare-and-commit on a chain's paid word.
+enum WordClaim {
+    /// The words past the expected index are claimed: `amount` moves from
+    /// `drawer`'s locked funds.
+    Claimed { drawer: AccountId, amount: Credits },
+    /// Another redeem moved the paid word first; check against this one.
+    Moved(PayWord),
 }
 
 /// SHA-256 of `body ‖ signature.to_bytes()`, fed from the signature's
@@ -127,10 +156,18 @@ impl FundsGuarantee {
                 closed: false,
                 expires_ms,
                 instrument: None,
-                redeemed_index: 0,
+                chain: None,
             },
         );
         Ok(id)
+    }
+
+    /// Records on reservation `id` the terms of the hash chain it backs,
+    /// its root as the word paid at index 0.
+    pub fn record_chain(&self, id: u64, terms: ChainTerms) {
+        if let Some(r) = self.reservations.lock().get_mut(&id) {
+            r.chain = Some(terms);
+        }
     }
 
     /// Signs the instrument `body` backed by reservation `id` and records
@@ -264,60 +301,105 @@ impl FundsGuarantee {
         Ok((pay, release))
     }
 
-    /// Pays a chain's paywords up to `index` out of its reservation
+    /// Pays a chain's paywords up to `pay.index` out of its reservation
     /// *without closing it* — the incremental redemption of pay-as-you-go
-    /// hash chains. Pays `value_per_word` for each word past the highest
-    /// index already paid; a replay of that index or a lower one is
-    /// refused. The index check and the headroom claim are one critical
-    /// section, and a failed payout gives both back.
+    /// hash chains — to `caller_cert`, who must be the chain's payee,
+    /// resolved to an account by `payee`. Pays the chain's value per word
+    /// for each word past the highest index paid, checked with one hash
+    /// per word from the last word paid ([`PayWord::verify_from`]); a
+    /// genuine word at that index or a lower one is already redeemed.
+    ///
+    /// The check, the claim on the reservation's headroom and the new
+    /// paid word are one compare-and-commit: the hashing runs outside the
+    /// lock, and the claim commits only if the word it was checked
+    /// against is still the last one paid, else it checks again against
+    /// the newer one. A failed payout puts back the old word with its
+    /// index.
     pub fn settle_words(
         &self,
         id: u64,
-        index: u32,
-        value_per_word: Credits,
-        payee: &AccountId,
+        pay: &PayWord,
+        caller_cert: &str,
+        now_ms: u64,
+        payee: impl FnOnce() -> Result<AccountId, BankError>,
         rur_blob: Vec<u8>,
     ) -> Result<Credits, BankError> {
-        let (account, previous, amount) = {
-            let mut map = self.reservations.lock();
-            let r = map.get_mut(&id).ok_or_else(|| no_reservation(id))?;
-            let previous = r.redeemed_index;
-            if index <= previous {
-                return Err(BankError::AlreadyRedeemed(format!(
-                    "chain {id} already redeemed through index {previous}"
+        let (mut from, length) = {
+            let map = self.reservations.lock();
+            let r = map.get(&id).ok_or_else(|| no_reservation(id))?;
+            let chain = r.chain.as_ref().ok_or_else(|| {
+                BankError::InvalidInstrument(format!("reservation {id} backs no hash chain"))
+            })?;
+            if chain.payee_cert != caller_cert {
+                return Err(BankError::NotAuthorized(format!(
+                    "chain payable to `{}`, not `{caller_cert}`",
+                    chain.payee_cert
                 )));
             }
-            let amount = value_per_word.checked_mul(i128::from(index.saturating_sub(previous)))?;
-            if !amount.is_positive() {
-                return Err(BankError::NonPositiveAmount);
+            if now_ms >= r.expires_ms {
+                return Err(BankError::InvalidInstrument("chain expired".into()));
             }
-            if r.closed {
-                return Err(BankError::AlreadyRedeemed(format!("reservation {id}")));
-            }
-            if r.outstanding() < amount {
-                return Err(BankError::InsufficientLockedFunds {
-                    account: r.account,
-                    needed: amount,
-                    locked: r.outstanding(),
-                });
-            }
-            r.settled = r.settled.saturating_add(amount);
-            r.redeemed_index = index;
-            (r.account, previous, amount)
+            (chain.paid, chain.length)
         };
-        if let Err(e) = self.accounts.transfer_from_locked(&account, payee, amount, rur_blob) {
+        let payee = payee()?;
+        let (drawer, amount) = loop {
+            pay.verify_from(&from, length)?;
+            if pay.index <= from.index {
+                return Err(BankError::AlreadyRedeemed(format!(
+                    "chain {id} already redeemed through index {}",
+                    from.index
+                )));
+            }
+            match self.claim_words(id, &from, pay)? {
+                WordClaim::Claimed { drawer, amount } => break (drawer, amount),
+                WordClaim::Moved(paid) => from = paid,
+            }
+        };
+        if let Err(e) = self.accounts.transfer_from_locked(&drawer, &payee, amount, rur_blob) {
             if let Some(r) = self.reservations.lock().get_mut(&id) {
                 r.settled = r.settled.checked_sub(amount).unwrap_or(Credits::ZERO);
-                // A later redeem that already claimed past `index` paid
-                // only its own delta; the words up to `index` stay unpaid
-                // and their funds locked until the chain closes or expires.
-                if r.redeemed_index == index {
-                    r.redeemed_index = previous;
+                // A later redeem that already claimed past `pay.index` paid
+                // only its own delta; the words up to `pay.index` stay
+                // unpaid and their funds locked until the chain closes or
+                // expires.
+                if let Some(chain) = r.chain.as_mut().filter(|c| c.paid.index == pay.index) {
+                    chain.paid = from;
                 }
             }
             return Err(e);
         }
         Ok(amount)
+    }
+
+    /// Claims the words from `from` up to `pay` if `from` is still the
+    /// chain's last word paid, making `pay` the last word paid.
+    fn claim_words(&self, id: u64, from: &PayWord, pay: &PayWord) -> Result<WordClaim, BankError> {
+        let mut map = self.reservations.lock();
+        let r = map.get_mut(&id).ok_or_else(|| no_reservation(id))?;
+        let outstanding = r.outstanding();
+        let (closed, drawer) = (r.closed, r.account);
+        let chain = r.chain.as_mut().ok_or_else(|| no_reservation(id))?;
+        if chain.paid.index != from.index {
+            return Ok(WordClaim::Moved(chain.paid));
+        }
+        let words = i128::from(pay.index.saturating_sub(from.index));
+        let amount = chain.value_per_word.checked_mul(words)?;
+        if !amount.is_positive() {
+            return Err(BankError::NonPositiveAmount);
+        }
+        if closed {
+            return Err(BankError::AlreadyRedeemed(format!("reservation {id}")));
+        }
+        if outstanding < amount {
+            return Err(BankError::InsufficientLockedFunds {
+                account: drawer,
+                needed: amount,
+                locked: outstanding,
+            });
+        }
+        chain.paid = *pay;
+        r.settled = r.settled.saturating_add(amount);
+        Ok(WordClaim::Claimed { drawer, amount })
     }
 
     /// Releases the whole outstanding reservation back to the drawer
@@ -412,30 +494,99 @@ mod tests {
         assert!(g.reserve(&a, Credits::ZERO).is_err());
     }
 
+    /// A chain of `n` words over reservation `id`, payable to `/CN=gsp`
+    /// at G$1 a word: `w[k]` is word `k`, `w[0]` the root.
+    fn chain(g: &FundsGuarantee, id: u64, n: u32) -> Vec<Digest> {
+        let mut w = vec![gridbank_crypto::sha256::sha256(b"tip")];
+        for _ in 0..n {
+            let next = gridbank_crypto::sha256::sha256(w[w.len() - 1].as_bytes());
+            w.push(next);
+        }
+        w.reverse();
+        g.record_chain(
+            id,
+            ChainTerms {
+                payee_cert: "/CN=gsp".into(),
+                length: n,
+                value_per_word: Credits::from_gd(1),
+                paid: PayWord { index: 0, word: w[0] },
+            },
+        );
+        w
+    }
+
     #[test]
     fn partial_settlement_accumulates() {
         let (g, acc, a, p) = setup();
         let id = g.reserve(&a, Credits::from_gd(30)).unwrap();
-        let word = Credits::from_gd(1);
-        assert_eq!(g.settle_words(id, 10, word, &p, vec![]).unwrap(), Credits::from_gd(10));
-        assert_eq!(g.settle_words(id, 25, word, &p, vec![]).unwrap(), Credits::from_gd(15));
+        let w = chain(&g, id, 31);
+        let word = |index: u32| PayWord { index, word: w[index as usize] };
+        let pay = |index| g.settle_words(id, &word(index), "/CN=gsp", 0, || Ok(p), vec![]);
+        assert_eq!(pay(10).unwrap(), Credits::from_gd(10));
+        assert_eq!(pay(25).unwrap(), Credits::from_gd(15));
         // A replayed or lower index pays nothing.
+        assert!(matches!(pay(25), Err(BankError::AlreadyRedeemed(_))));
+        assert!(matches!(pay(3), Err(BankError::AlreadyRedeemed(_))));
+        // A word that is not the chain's at its index is refused.
+        let forged = PayWord { index: 26, word: w[27] };
         assert!(matches!(
-            g.settle_words(id, 25, word, &p, vec![]),
-            Err(BankError::AlreadyRedeemed(_))
+            g.settle_words(id, &forged, "/CN=gsp", 0, || Ok(p), vec![]),
+            Err(BankError::InvalidInstrument(_))
         ));
         // Exceeding the outstanding lock is refused.
-        assert!(matches!(
-            g.settle_words(id, 31, word, &p, vec![]),
-            Err(BankError::InsufficientLockedFunds { .. })
-        ));
-        assert_eq!(g.get(id).unwrap().redeemed_index, 25);
+        assert!(matches!(pay(31), Err(BankError::InsufficientLockedFunds { .. })));
+        assert_eq!(g.get(id).unwrap().chain.unwrap().paid, word(25));
         // Final settle closes and releases the tail.
         let (paid, released) = g.settle(id, &p, Credits::ZERO, vec![]).unwrap();
         assert_eq!(paid, Credits::ZERO);
         assert_eq!(released, Credits::from_gd(5));
         assert_eq!(acc.account_details(&p).unwrap().available, Credits::from_gd(25));
         assert_eq!(acc.account_details(&a).unwrap().available, Credits::from_gd(75));
+    }
+
+    #[test]
+    fn a_failed_payout_puts_back_the_old_word_with_its_index() {
+        let (g, acc, a, p) = setup();
+        let id = g.reserve(&a, Credits::from_gd(8)).unwrap();
+        let w = chain(&g, id, 8);
+        let word = |index: u32| PayWord { index, word: w[index as usize] };
+        g.settle_words(id, &word(2), "/CN=gsp", 0, || Ok(p), vec![]).unwrap();
+        // Paying the drawer's own locked funds to itself fails in the
+        // accounts layer, after the claim.
+        assert!(g.settle_words(id, &word(5), "/CN=gsp", 0, || Ok(a), vec![]).is_err());
+        let r = g.get(id).unwrap();
+        assert_eq!((r.chain.unwrap().paid, r.settled), (word(2), Credits::from_gd(2)));
+        // The words it claimed are paid to the payee from the old word.
+        assert_eq!(
+            g.settle_words(id, &word(5), "/CN=gsp", 0, || Ok(p), vec![]).unwrap(),
+            Credits::from_gd(3)
+        );
+        assert_eq!(acc.account_details(&p).unwrap().available, Credits::from_gd(5));
+    }
+
+    #[test]
+    fn chain_words_go_only_to_the_payee_before_expiry() {
+        let (g, _acc, a, p) = setup();
+        let id = g.reserve_until(&a, Credits::from_gd(8), 100).unwrap();
+        let w = chain(&g, id, 8);
+        let one = PayWord { index: 1, word: w[1] };
+        assert!(matches!(
+            g.settle_words(id, &one, "/CN=gsc", 0, || Ok(a), vec![]),
+            Err(BankError::NotAuthorized(_))
+        ));
+        assert!(matches!(
+            g.settle_words(id, &one, "/CN=gsp", 100, || Ok(p), vec![]),
+            Err(BankError::InvalidInstrument(m)) if m == "chain expired"
+        ));
+        assert!(matches!(
+            g.settle_words(id + 1, &one, "/CN=gsp", 0, || Ok(p), vec![]),
+            Err(BankError::InvalidInstrument(m)) if m.contains("no reservation")
+        ));
+        let cheque = g.reserve(&a, Credits::from_gd(1)).unwrap();
+        assert!(matches!(
+            g.settle_words(cheque, &one, "/CN=gsp", 0, || Ok(p), vec![]),
+            Err(BankError::InvalidInstrument(_))
+        ));
     }
 
     #[test]

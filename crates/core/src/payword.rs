@@ -10,8 +10,9 @@
 //! (§3.4 guarantee). The GSC holds the full chain and pays the GSP by
 //! revealing successive paywords: revealing `w_k` proves entitlement to
 //! `k` paywords because `H^k(w_k) = w_0` is one-way. The GSP redeems
-//! incrementally or at the end; the bank tracks the highest index paid per
-//! chain, so replaying an old payword pays nothing.
+//! incrementally or at the end; the bank keeps the highest word paid per
+//! chain, so replaying an old payword pays nothing, and a new word is
+//! checked by hashing it back to the last word paid, not to the root.
 
 use gridbank_crypto::keys::{SigningIdentity, VerifyingKey};
 use gridbank_crypto::merkle::MerkleSignature;
@@ -24,7 +25,7 @@ use crate::sync::Mutex;
 
 use crate::db::AccountId;
 use crate::error::BankError;
-use crate::guarantee::FundsGuarantee;
+use crate::guarantee::{ChainTerms, FundsGuarantee};
 
 /// One revealed payword: the preimage and its index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,6 +49,34 @@ impl PayWord {
             return Err(BankError::InvalidInstrument(
                 "payword does not hash to the committed root".into(),
             ));
+        }
+        Ok(())
+    }
+
+    /// Verifies this payword against `paid`, a word already known to lie
+    /// on the same chain (its root at index 0, or the last word paid),
+    /// with one hash per index between the two: a later word must hash
+    /// to `paid`, an earlier one must be what `paid` hashes to. For a
+    /// `paid` on the chain this accepts exactly what [`PayWord::verify`]
+    /// against the root accepts.
+    pub fn verify_from(&self, paid: &PayWord, max_len: u32) -> Result<(), BankError> {
+        if self.index == 0 || self.index > max_len {
+            return Err(BankError::InvalidInstrument(format!(
+                "payword index {} outside 1..={max_len}",
+                self.index
+            )));
+        }
+        let linked = match self.index.checked_sub(paid.index) {
+            Some(ahead) => iterate_hash(self.word, ahead as usize) == paid.word,
+            None => {
+                iterate_hash(paid.word, paid.index.saturating_sub(self.index) as usize) == self.word
+            }
+        };
+        if !linked {
+            return Err(BankError::InvalidInstrument(format!(
+                "payword does not hash to the word paid at index {}",
+                paid.index
+            )));
         }
         Ok(())
     }
@@ -152,8 +181,9 @@ impl GridHashChain {
     }
 }
 
-/// Bank-side chain issuance and redemption. A chain's highest redeemed
-/// index lives on its reservation ([`FundsGuarantee::settle_words`]).
+/// Bank-side chain issuance and redemption. A chain's terms and the last
+/// word paid live on its reservation ([`ChainTerms`],
+/// [`FundsGuarantee::settle_words`]).
 pub struct PayWordOffice<'a> {
     /// Guarantee registry backing chain reservations.
     pub guarantee: &'a FundsGuarantee,
@@ -208,6 +238,15 @@ impl PayWordOffice<'_> {
             issued_ms: now_ms,
             expires_ms: now_ms.saturating_add(validity_ms),
         };
+        self.guarantee.record_chain(
+            chain_id,
+            ChainTerms {
+                payee_cert: payee_cert.to_string(),
+                length,
+                value_per_word,
+                paid: PayWord { index: 0, word: commitment.root },
+            },
+        );
         let signature =
             self.guarantee.sign_instrument(chain_id, self.signer, &commitment.to_bytes())?;
         Ok(GridHashChain { commitment, signature, chain })
@@ -218,7 +257,8 @@ impl PayWordOffice<'_> {
     /// replay of an old or equal index pays zero and errors. A commitment
     /// and signature that are byte for byte the ones this bank issued
     /// against the chain's reservation are recognised; any others have the
-    /// bank signature verified.
+    /// bank signature verified. The word is then paid from the
+    /// reservation's record, as [`PayWordOffice::redeem_by_id`] pays it.
     pub fn redeem(
         &self,
         commitment: &ChainCommitment,
@@ -234,20 +274,42 @@ impl PayWordOffice<'_> {
         if now_ms >= commitment.expires_ms {
             return Err(BankError::InvalidInstrument("chain expired".into()));
         }
-        pay.verify(&commitment.root, commitment.length)?;
         self.guarantee.settle_words(
             commitment.chain_id,
-            pay.index,
-            commitment.value_per_word,
-            payee_account,
+            pay,
+            &commitment.payee_cert,
+            now_ms,
+            || Ok(*payee_account),
             rur_blob,
         )
+    }
+
+    /// Redeems up to payword `pay.index` of chain `chain_id` from the
+    /// chain's reservation alone: the bank checks that `caller_cert` is
+    /// the payee it recorded at issue, that the chain has not expired, and
+    /// that the word hashes to the last word paid. Counts one
+    /// `core.instrument.by_id`.
+    pub fn redeem_by_id(
+        &self,
+        chain_id: u64,
+        pay: &PayWord,
+        caller_cert: &str,
+        payee: impl FnOnce() -> Result<AccountId, BankError>,
+        rur_blob: Vec<u8>,
+        now_ms: u64,
+    ) -> Result<Credits, BankError> {
+        gridbank_obs::count("core.instrument.by_id", 1);
+        self.guarantee.settle_words(chain_id, pay, caller_cert, now_ms, payee, rur_blob)
     }
 
     /// Closes out a chain after final redemption or expiry, releasing the
     /// unspent reservation to the drawer.
     pub fn close(&self, commitment: &ChainCommitment, now_ms: u64) -> Result<Credits, BankError> {
-        let redeemed_idx = self.guarantee.get(commitment.chain_id).map_or(0, |r| r.redeemed_index);
+        let redeemed_idx = self
+            .guarantee
+            .get(commitment.chain_id)
+            .and_then(|r| r.chain)
+            .map_or(0, |chain| chain.paid.index);
         // Before expiry, only a fully spent chain may close early.
         if now_ms < commitment.expires_ms && redeemed_idx < commitment.length {
             return Err(BankError::InvalidInstrument(
@@ -273,6 +335,7 @@ mod tests {
     use crate::clock::Clock;
     use crate::db::Database;
     use gridbank_crypto::keys::KeyMaterial;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     struct Fixture {
@@ -443,5 +506,74 @@ mod tests {
         let c1 = o.issue(&f.gsc, "/CN=gsp", 4, Credits::from_gd(1), 0, 10_000).unwrap();
         let c2 = o.issue(&f.gsc, "/CN=gsp", 4, Credits::from_gd(1), 0, 10_000).unwrap();
         assert_ne!(c1.commitment.root, c2.commitment.root);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Checking each word against the last word accepted, as the bank
+        /// does, accepts exactly the words that hash to the root: over
+        /// index sequences that climb, repeat and fall back, with every
+        /// fourth word on average taken from another index or another
+        /// chain.
+        #[test]
+        fn the_delta_check_accepts_what_the_root_check_accepts(
+            tip in any::<u64>(),
+            steps in proptest::collection::vec((-3i64..=6, 0u8..8), 1..40),
+        ) {
+            const N: u32 = 24;
+            let mut chain = vec![sha256(&tip.to_be_bytes())];
+            for _ in 0..N {
+                let next = sha256(chain[chain.len() - 1].as_bytes());
+                chain.push(next);
+            }
+            chain.reverse();
+            let root = chain[0];
+            let mut paid = PayWord { index: 0, word: root };
+            let mut index = 0i64;
+            for (step, swap) in steps {
+                index = (index + step).clamp(0, i64::from(N) + 1);
+                let at = index as u32;
+                let word = match swap {
+                    0 => chain[((at + 1) % (N + 1)) as usize],
+                    1 => sha256(&[swap, at as u8]),
+                    _ => chain.get(at as usize).copied().unwrap_or(root),
+                };
+                let pay = PayWord { index: at, word };
+                let by_root = pay.verify(&root, N).is_ok();
+                prop_assert_eq!(pay.verify_from(&paid, N).is_ok(), by_root);
+                if by_root && at > paid.index {
+                    paid = pay;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_redeem_by_id_pays_from_the_reservation_alone() {
+        let f = fixture();
+        let o = office(&f);
+        let chain = o.issue(&f.gsc, "/CN=gsp", 10, Credits::from_gd(1), 0, 1_000).unwrap();
+        let id = chain.commitment.chain_id;
+        let by_id = |k: u32, cert: &str, now| {
+            o.redeem_by_id(id, &chain.payword(k).unwrap(), cert, || Ok(f.gsp), vec![], now)
+        };
+        assert_eq!(by_id(4, "/CN=gsp", 10).unwrap(), Credits::from_gd(4));
+        assert!(matches!(by_id(6, "/CN=alice", 10), Err(BankError::NotAuthorized(_))));
+        assert!(matches!(by_id(4, "/CN=gsp", 10), Err(BankError::AlreadyRedeemed(_))));
+        assert!(matches!(by_id(6, "/CN=gsp", 1_000), Err(BankError::InvalidInstrument(_))));
+        // The full form and the short form advance the same record.
+        let full = o.redeem(
+            &chain.commitment,
+            &chain.signature,
+            &chain.payword(7).unwrap(),
+            &f.gsp,
+            vec![],
+            20,
+        );
+        assert_eq!(full.unwrap(), Credits::from_gd(3));
+        assert_eq!(by_id(10, "/CN=gsp", 30).unwrap(), Credits::from_gd(3));
+        assert_eq!(f.accounts.account_details(&f.gsp).unwrap().available, Credits::from_gd(10));
+        assert_eq!(o.close(&chain.commitment, 40).unwrap(), Credits::ZERO);
     }
 }

@@ -543,7 +543,11 @@ impl GridBankServer {
                     );
                     let (channel, peer) = match hs {
                         Ok(ok) => ok,
-                        Err(_) => return, // refused or failed; nothing to serve
+                        // Refused or failed: nothing to serve, but counted.
+                        Err(_) => {
+                            gridbank_obs::count("net.server.handshake_failures", 1);
+                            return;
+                        }
                     };
                     // An error ends the connection: the peer hung up, sent a
                     // frame that failed its integrity check, or idled out.

@@ -452,6 +452,17 @@ impl GridBank {
                 )?;
                 Ok(Answer(BankResponse::Redeemed { paid, released: Credits::ZERO }))
             }
+            BankRequest::RedeemPayWordById { chain_id, payword, rur_blob } => {
+                let paid = self.payword_office().redeem_by_id(
+                    chain_id,
+                    &payword,
+                    caller_cert,
+                    || Ok(self.accounts.account_by_cert(caller_cert)?.id),
+                    rur_blob,
+                    now,
+                )?;
+                Ok(Answer(BankResponse::Redeemed { paid, released: Credits::ZERO }))
+            }
             BankRequest::CloseHashChain { commitment } => {
                 self.require_owner_or_admin(caller_cert, &commitment.drawer)?;
                 let released = self.payword_office().close(&commitment, now)?;

@@ -15,9 +15,12 @@ use std::cell::Cell;
 
 use gridbank_core::api::{BankRequest, BankResponse};
 use gridbank_core::clock::Clock;
+use gridbank_core::payword::ChainCommitment;
 use gridbank_core::server::{GridBank, GridBankConfig};
 use gridbank_core::PayWord;
 use gridbank_crypto::cert::SubjectName;
+use gridbank_crypto::merkle::MerkleSignature;
+use gridbank_crypto::sha256::Digest;
 use gridbank_rur::record::{ChargeableItem, RurBuilder, UsageAmount};
 use gridbank_rur::units::Duration;
 use gridbank_rur::Credits;
@@ -113,9 +116,9 @@ fn redeemed(response: &BankResponse) -> bool {
     matches!(response, BankResponse::Redeemed { .. })
 }
 
-#[test]
-fn a_recognised_payword_redeem_allocates_a_pinned_count() {
-    let bank = bank();
+/// A chain of eight words, payable to the payee: its commitment, its
+/// signature and its words `w_0..=w_8`.
+fn issue_chain(bank: &GridBank) -> (ChainCommitment, MerkleSignature, Vec<Digest>) {
     let issued = bank.handle(
         &SubjectName(PAYER.into()),
         BankRequest::RequestHashChain {
@@ -128,6 +131,13 @@ fn a_recognised_payword_redeem_allocates_a_pinned_count() {
     let BankResponse::HashChain { commitment, signature, chain } = issued else {
         panic!("chain refused: {issued:?}");
     };
+    (commitment, signature, chain)
+}
+
+#[test]
+fn a_recognised_payword_redeem_allocates_a_pinned_count() {
+    let bank = bank();
+    let (commitment, signature, chain) = issue_chain(&bank);
     let requests = (1..=8)
         .map(|index| BankRequest::RedeemPayWord {
             commitment: commitment.clone(),
@@ -139,6 +149,25 @@ fn a_recognised_payword_redeem_allocates_a_pinned_count() {
         .collect();
     let n = fewest_allocations(&bank, PAYEE, requests, redeemed);
     assert_eq!(n, 23, "RedeemPayWord allocations");
+}
+
+/// The short form allocates what the full form does less the eight of
+/// encoding the commitment, which only the full form hashes to recognise
+/// it: 15 against 23.
+#[test]
+fn a_payword_redeem_by_chain_id_allocates_a_pinned_count() {
+    let bank = bank();
+    let (commitment, _, chain) = issue_chain(&bank);
+    let requests = (1..=8)
+        .map(|index| BankRequest::RedeemPayWordById {
+            chain_id: commitment.chain_id,
+            payword: PayWord { index, word: chain[index as usize] },
+            rur_blob: Vec::new(),
+        })
+        .map(|request| (None, request))
+        .collect();
+    let n = fewest_allocations(&bank, PAYEE, requests, redeemed);
+    assert_eq!(n, 15, "RedeemPayWordById allocations");
 }
 
 #[test]

@@ -254,8 +254,10 @@ scripts/loc.sh
 # The whole workspace, not only the root package's integration tests:
 # this is what runs the witness's seeded-inversion and blocking tests,
 # the telemetry-name asserts, the durability-order test and every
-# crate's unit tests.
-stage "tier-1: cargo build --release && cargo test --workspace"
+# crate's unit tests. The root manifest's `default-members` makes the
+# bare tier-1 command (`cargo build --release && cargo test -q`) run the
+# same set.
+stage "release build (root package + every crate, CLI included) + cargo test -q --workspace"
 cargo build --release
 # The root package's release build does not cover the workspace
 # binary the smoke stages below shell out to; build it explicitly.

@@ -14,15 +14,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gridbank_suite::bank::api::{BankRequest, BankResponse};
+use gridbank_suite::bank::client::GridBankClient;
 use gridbank_suite::bank::db::TransactionType;
 use gridbank_suite::bank::resilient::{Connector, ResilientBankClient, UNREACHABLE_AFTER};
 use gridbank_suite::bank::server::GridBankConfig;
 use gridbank_suite::bank::store::StoreConfig;
 use gridbank_suite::bank::BankError;
-use gridbank_suite::crypto::cert::SubjectName;
+use gridbank_suite::crypto::cert::{create_proxy, CertificateAuthority, SubjectName};
+use gridbank_suite::crypto::keys::{KeyMaterial, SigningIdentity};
+use gridbank_suite::crypto::rng::DeterministicStream;
 use gridbank_suite::net::fault::{FaultPlan, FaultRates};
+use gridbank_suite::net::transport::Address;
 use gridbank_suite::rur::Credits;
-use gridbank_suite::sim::deploy::{BranchConfig, DeployConfig, Deployment, OPERATOR};
+use gridbank_suite::sim::deploy::{address, BranchConfig, DeployConfig, Deployment, OPERATOR};
 
 fn bank_config() -> GridBankConfig {
     GridBankConfig { signer_height: 8, ..GridBankConfig::default() }
@@ -267,4 +271,50 @@ fn a_route_is_unreachable_after_eight_failed_attempts_until_one_round_trip() {
         }
         assert!(route.reachable());
     }
+}
+
+/// A client whose certificate another CA signed is refused at the
+/// handshake, and the server counts the refusal instead of dropping it
+/// unseen. No other test here fails a server handshake, so the
+/// process-wide counter moves by this one dial only.
+#[test]
+fn a_handshake_refused_for_a_foreign_ca_is_counted() {
+    let world = Deployment::boot(DeployConfig::single(bank_config())).unwrap();
+    let foreign = CertificateAuthority::new(
+        SubjectName::new("Elsewhere", "CA", "Root"),
+        SigningIdentity::generate_small(KeyMaterial { seed: 0xF0 }, "foreign-ca"),
+    );
+    let key = SigningIdentity::generate_small(KeyMaterial { seed: 0xF1 }, "client");
+    let dn = subject("stranger");
+    let certificate = foreign.issue(dn, key.verifying_key(), 0, u64::MAX / 2).unwrap();
+    let proxy_key = SigningIdentity::generate_small(KeyMaterial { seed: 0xF2 }, "proxy");
+    let proxy =
+        create_proxy(&key, &certificate, proxy_key.verifying_key(), 0, u64::MAX / 2, 1).unwrap();
+
+    gridbank_suite::obs::set_telemetry(true);
+    let failures = || {
+        gridbank_suite::obs::registry()
+            .snapshot()
+            .counter("net.server.handshake_failures")
+            .unwrap_or(0)
+    };
+    let before = failures();
+    let dialled = GridBankClient::connect(
+        &world.network,
+        Address::new("stranger#1"),
+        &address(1),
+        world.ca.verifying_key(),
+        world.clock.now_ms(),
+        &proxy,
+        &proxy_key,
+        &mut DeterministicStream::from_u64(0xF3, b"nonce"),
+    );
+    assert!(dialled.is_err(), "a foreign-CA client was served");
+    // The server thread counts after the client has seen the refusal.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while failures() == before && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(failures() - before, 1);
+    gridbank_suite::obs::set_telemetry(false);
 }

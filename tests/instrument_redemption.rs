@@ -5,7 +5,9 @@
 //! body or a flipped signature byte is an invalid instrument, a replayed
 //! payword index is already redeemed, and a bank that lost its
 //! reservations in a reboot refuses a genuine instrument it no longer
-//! holds funds for.
+//! holds funds for. Once the bank has paid a chain over a link, the
+//! client names the chain by id alone, and the bank answers that short
+//! form from the chain's reservation with the same outcomes.
 
 // Test fixtures build inputs with plain arithmetic; the workspace
 // `clippy::arithmetic_side_effects` wall targets production money paths
@@ -14,12 +16,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use gridbank_suite::bank::api::{BankRequest, BankResponse, OpsQuery, OpsReport};
+use gridbank_suite::bank::api::{kinds, BankRequest, BankResponse, OpsQuery, OpsReport};
 use gridbank_suite::bank::clock::Clock;
 use gridbank_suite::bank::port::InProcessBank;
 use gridbank_suite::bank::server::{ops_identity, GridBank, GridBankConfig};
 use gridbank_suite::bank::store::StoreConfig;
-use gridbank_suite::bank::BankError;
+use gridbank_suite::bank::{BankError, PayWord};
 use gridbank_suite::crypto::cert::SubjectName;
 use gridbank_suite::crypto::merkle::MerkleSignature;
 use gridbank_suite::rur::codec::{Decode, Encode};
@@ -205,6 +207,7 @@ fn every_redeem_is_either_recognised_or_verified() {
     let before = |name| counter(&w.bank, name);
     let (recognised, verified) =
         (before("core.instrument.recognised"), before("core.instrument.verified"));
+    let by_id = before("core.instrument.by_id");
 
     let cheque = w.payer.request_cheque(PAYEE, Credits::from_gd(10), 100_000).unwrap();
     let chain = w.payer.request_hash_chain(PAYEE, 8, Credits::from_gd(1), 100_000).unwrap();
@@ -225,9 +228,165 @@ fn every_redeem_is_either_recognised_or_verified() {
     forged.signature = flipped(&cheque.signature);
     invalid(w.payee.redeem_cheque(forged, rur(1)));
     w.payee.redeem_cheque(cheque, rur(1)).unwrap();
+    // The short form, decoded off the wire too, is neither: it presents
+    // no instrument to recognise or verify.
+    for k in 5..=8 {
+        let request = BankRequest::RedeemPayWordById {
+            chain_id: chain.commitment.chain_id,
+            payword: chain.payword(k).unwrap(),
+            rur_blob: Vec::new(),
+        };
+        let decoded = BankRequest::from_bytes(&request.to_bytes()).unwrap();
+        let response = w.bank.handle(&SubjectName(PAYEE.into()), decoded);
+        assert!(matches!(response, BankResponse::Redeemed { .. }), "{response:?}");
+    }
 
     let after = |name| counter(&w.bank, name);
     assert_eq!(after("core.instrument.recognised") - recognised, 5);
     assert_eq!(after("core.instrument.verified") - verified, 1);
+    assert_eq!(after("core.instrument.by_id") - by_id, 4);
     gridbank_suite::obs::set_telemetry(false);
+}
+
+/// `payee` asks for `word` of chain `chain_id` by id alone, as the
+/// client does once the bank has paid that chain over its link.
+fn redeem_by_id(
+    client: &mut InProcessBank,
+    chain_id: u64,
+    payword: PayWord,
+) -> Result<Credits, BankError> {
+    match client.call_keyed(
+        None,
+        &BankRequest::RedeemPayWordById { chain_id, payword, rur_blob: Vec::new() },
+    )? {
+        BankResponse::Redeemed { paid, .. } => Ok(paid),
+        other => panic!("unexpected answer {other:?}"),
+    }
+}
+
+#[test]
+fn a_redeem_by_chain_id_decides_as_the_full_form_does() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    gridbank_suite::obs::set_telemetry(true);
+    let mut w = World::new();
+    let chain = w.payer.request_hash_chain(PAYEE, 8, Credits::from_gd(1), 100_000).unwrap();
+    let (commitment, signature) = (chain.commitment.clone(), chain.signature.clone());
+    let id = commitment.chain_id;
+    let word = |k| chain.payword(k).unwrap();
+    let by_id_before = counter(&w.bank, "core.instrument.by_id");
+
+    // The first paid word ships the instrument; every later one through
+    // the same client names the chain by id.
+    let paid = w.payee.redeem_payword(commitment.clone(), signature.clone(), word(2), vec![]);
+    assert_eq!(paid.unwrap(), Credits::from_gd(2));
+    let paid = w.payee.redeem_payword(commitment.clone(), signature.clone(), word(4), vec![]);
+    assert_eq!(paid.unwrap(), Credits::from_gd(2));
+    // Replays, at the last index paid and below it.
+    already_redeemed(w.payee.redeem_payword(
+        commitment.clone(),
+        signature.clone(),
+        word(4),
+        vec![],
+    ));
+    already_redeemed(w.payee.redeem_payword(
+        commitment.clone(),
+        signature.clone(),
+        word(3),
+        vec![],
+    ));
+    // A word that does not hash to the last word paid.
+    let wrong = PayWord { index: 5, word: word(6).word };
+    invalid(w.payee.redeem_payword(commitment.clone(), signature.clone(), wrong, vec![]));
+    assert_eq!(counter(&w.bank, "core.instrument.by_id") - by_id_before, 4);
+    // A caller who is not the payee, and an id the bank holds nothing for.
+    let refused = redeem_by_id(&mut w.payer, id, word(5));
+    assert!(matches!(refused, Err(BankError::NotAuthorized(_))), "{refused:?}");
+    lost_reservation(redeem_by_id(&mut w.payee, id + 1_000, word(5)));
+    // After expiry.
+    w.bank.clock().advance(100_000);
+    let expired = w.payee.redeem_payword(commitment.clone(), signature.clone(), word(5), vec![]);
+    assert!(
+        matches!(&expired, Err(BankError::InvalidInstrument(m)) if m.contains("chain expired")),
+        "{expired:?}"
+    );
+    assert_eq!(w.payee.my_account().unwrap().available, Credits::from_gd(4));
+
+    // A rebooted bank refuses the short form as it refuses the full one.
+    let mut w = w.reboot();
+    lost_reservation(redeem_by_id(&mut w.payee, id, word(5)));
+    gridbank_suite::obs::set_telemetry(false);
+}
+
+/// Two threads leave a [`SpinBarrier::wait`] within nanoseconds of each
+/// other, where a sleeping barrier wakes them tens of microseconds apart,
+/// longer than a redeem takes.
+#[derive(Default)]
+struct SpinBarrier {
+    arrived: std::sync::atomic::AtomicU64,
+}
+
+impl SpinBarrier {
+    /// Waits for the other thread's `round`-th arrival; `round` counts
+    /// this thread's calls from 1.
+    fn wait(&self, round: u64) {
+        use std::sync::atomic::Ordering::SeqCst;
+        self.arrived.fetch_add(1, SeqCst);
+        while self.arrived.load(SeqCst) < 2 * round {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// Two connections redeem the interleaved words of the same chains at
+/// once: each word is checked against the last word paid outside the
+/// reservation's lock, so a redeem that checked against a word another
+/// has since replaced must check again. Paid exactly once per word, the
+/// payee holds the value of every chain's highest index.
+#[test]
+fn interleaved_redeems_of_one_chain_pay_each_word_once() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const CHAINS: u32 = 4;
+    const WORDS: u32 = 400;
+    let mut w = World::new();
+    let value = Credits::from_micro(100);
+    let chains: Vec<_> = (0..CHAINS)
+        .map(|_| w.payer.request_hash_chain(PAYEE, WORDS, value, 1_000_000).unwrap())
+        .collect();
+    let barrier = SpinBarrier::default();
+    // A thread records what it did not expect and keeps to the barrier,
+    // so a fault fails the assertions below instead of stranding the
+    // other thread at the barrier.
+    let unexpected: Vec<BankResponse> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..2u32)
+            .map(|parity| {
+                let (bank, chains, barrier) = (&w.bank, &chains, &barrier);
+                s.spawn(move || {
+                    let payee = SubjectName(PAYEE.into());
+                    let mut unexpected = Vec::new();
+                    let mut round = 0;
+                    for chain in chains {
+                        for k in (1..=WORDS).filter(|k| k % 2 == parity) {
+                            round += 1;
+                            barrier.wait(round);
+                            let request = BankRequest::RedeemPayWordById {
+                                chain_id: chain.commitment.chain_id,
+                                payword: chain.payword(k).unwrap(),
+                                rur_blob: Vec::new(),
+                            };
+                            match bank.handle(&payee, request) {
+                                BankResponse::Redeemed { .. } => {}
+                                BankResponse::Error { kind: kinds::ALREADY_REDEEMED, .. } => {}
+                                other => unexpected.push(other),
+                            }
+                        }
+                    }
+                    unexpected
+                })
+            })
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
+    });
+    assert!(unexpected.is_empty(), "{unexpected:?}");
+    let expected = Credits::from_micro(100 * i128::from(WORDS * CHAINS));
+    assert_eq!(w.payee.my_account().unwrap().available, expected);
 }
