@@ -252,50 +252,44 @@ impl GbAccounts {
         })
     }
 
-    /// Transfer from locked funds (§3.2): pays a guaranteed instrument.
-    pub fn transfer_from_locked(
+    /// Settles a guaranteed instrument (§3.2, §3.4) in one commit: pays
+    /// `pay` out of `from`'s locked funds to `to`, with the transfer's
+    /// rows, and returns `release` of them to `from`'s available balance.
+    /// One journal frame holds both, so no crash or refusal can separate
+    /// the payout from the release: a refused settlement moves nothing.
+    pub fn settle_locked(
         &self,
         from: &AccountId,
         to: &AccountId,
-        amount: Credits,
+        pay: Credits,
+        release: Credits,
         rur_blob: Vec<u8>,
-    ) -> Result<u64, BankError> {
-        self.transfer_from_locked_keyed(from, to, amount, rur_blob, None)
-    }
-
-    /// [`GbAccounts::transfer_from_locked`] with an optional idempotency
-    /// stamp committed atomically with the payout.
-    pub fn transfer_from_locked_keyed(
-        &self,
-        from: &AccountId,
-        to: &AccountId,
-        amount: Credits,
-        rur_blob: Vec<u8>,
-        idem: Option<IdemKey>,
-    ) -> Result<u64, BankError> {
-        if !amount.is_positive() {
+    ) -> Result<(), BankError> {
+        if !pay.is_positive() || release.is_negative() {
             return Err(BankError::NonPositiveAmount);
         }
-        let (txid, rows) = self.transfer_rows(from, to, amount, rur_blob, idem);
+        let (_, rows) = self.transfer_rows(from, to, pay, rur_blob, None);
         self.db.two_account_commit(
             from,
             to,
             |a, b| {
-                if a.locked < amount {
+                let claimed = pay.checked_add(release)?;
+                if a.locked < claimed {
                     return Err(BankError::InsufficientLockedFunds {
                         account: a.id,
-                        needed: amount,
+                        needed: claimed,
                         locked: a.locked,
                     });
                 }
-                a.locked = a.locked.checked_sub(amount)?;
-                b.available = b.available.checked_add(amount)?;
+                a.locked = a.locked.checked_sub(claimed)?;
+                a.available = a.available.checked_add(release)?;
+                b.available = b.available.checked_add(pay)?;
                 Ok(())
             },
             rows,
         )?;
-        self.note_transfer(amount);
-        Ok(txid)
+        self.note_transfer(pay);
+        Ok(())
     }
 
     /// Builds the audit rows for a transfer so they can be committed in
@@ -458,10 +452,15 @@ mod tests {
             assert!(matches!(acc.lock_funds(&a, amt), Err(BankError::NonPositiveAmount)));
             assert!(matches!(acc.unlock_funds(&a, amt), Err(BankError::NonPositiveAmount)));
             assert!(matches!(
-                acc.transfer_from_locked(&a, &b, amt, vec![]),
+                acc.settle_locked(&a, &b, amt, Credits::ZERO, vec![]),
                 Err(BankError::NonPositiveAmount)
             ));
         }
+        acc.lock_funds(&a, Credits::from_gd(5)).unwrap();
+        assert!(matches!(
+            acc.settle_locked(&a, &b, Credits::from_gd(1), Credits::from_gd(-1), vec![]),
+            Err(BankError::NonPositiveAmount)
+        ));
     }
 
     #[test]
@@ -475,9 +474,17 @@ mod tests {
         // Locked funds can't be locked again beyond available.
         assert!(acc.lock_funds(&a, Credits::from_gd(61)).is_err());
 
-        // Pay 25 from the lock, release the other 15.
-        acc.transfer_from_locked(&a, &b, Credits::from_gd(25), vec![]).unwrap();
-        acc.unlock_funds(&a, Credits::from_gd(15)).unwrap();
+        // Claiming more than the lock holds moves nothing.
+        assert!(matches!(
+            acc.settle_locked(&a, &b, Credits::from_gd(25), Credits::from_gd(16), vec![]),
+            Err(BankError::InsufficientLockedFunds { .. })
+        ));
+        assert_eq!(acc.account_details(&a).unwrap(), r);
+
+        // Pay 25 from the lock and release the other 15, in one commit.
+        let entries = acc.db().journal_len();
+        acc.settle_locked(&a, &b, Credits::from_gd(25), Credits::from_gd(15), vec![]).unwrap();
+        assert_eq!(acc.db().journal_len(), entries + 5, "two updates, two legs, one transfer");
         let r = acc.account_details(&a).unwrap();
         assert_eq!(r.available, Credits::from_gd(75));
         assert_eq!(r.locked, Credits::ZERO);
@@ -485,7 +492,7 @@ mod tests {
 
         // Over-claiming the lock fails.
         assert!(matches!(
-            acc.transfer_from_locked(&a, &b, Credits::from_gd(1), vec![]),
+            acc.settle_locked(&a, &b, Credits::from_gd(1), Credits::ZERO, vec![]),
             Err(BankError::InsufficientLockedFunds { .. })
         ));
         assert!(acc.unlock_funds(&a, Credits::from_gd(1)).is_err());
@@ -602,9 +609,10 @@ mod tests {
                                 let _ = acc.lock_funds(&me, Credits::from_gd(2));
                             }
                             2 => {
-                                let _ = acc.transfer_from_locked(
+                                let _ = acc.settle_locked(
                                     &me,
                                     &other,
+                                    Credits::from_gd(1),
                                     Credits::from_gd(1),
                                     vec![],
                                 );
@@ -640,7 +648,7 @@ mod tests {
                 let _ = match op {
                     0 => acc.transfer(&from, &to, amount, vec![]).map(|_| ()),
                     1 => acc.lock_funds(&from, amount),
-                    2 => acc.transfer_from_locked(&from, &to, amount, vec![]).map(|_| ()),
+                    2 => acc.settle_locked(&from, &to, amount, Credits::from_gd(amt % 3), vec![]),
                     _ => acc.unlock_funds(&from, amount),
                 };
                 // Invariants that must hold after every op, success or not:

@@ -19,7 +19,7 @@
 //! lock, so journal order is application order and crash replay
 //! rebuilds exactly what was acknowledged. With one writer at a time
 //! there is no group to form: sharing an fsync between commits waits
-//! for a per-connection drain (ROADMAP item 13).
+//! for a per-connection drain (ROADMAP item 18).
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};

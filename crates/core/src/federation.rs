@@ -452,23 +452,6 @@ impl FederationRouter {
         Ok(Some(NettingEngine::pair(self.local_branch, peer_branch, gross_out, ack)))
     }
 
-    /// Per-pair settlement preview without draining anything: the pairs
-    /// a settlement round *would* produce from current clearing
-    /// balances. Diagnostics (`gridbank branches`).
-    pub fn settlement_preview(&self) -> Vec<PairSettlement> {
-        self.peer_branches()
-            .into_iter()
-            .map(|peer| {
-                NettingEngine::pair(
-                    self.local_branch,
-                    peer,
-                    self.clearing_balance(peer),
-                    Credits::ZERO,
-                )
-            })
-            .collect()
-    }
-
     /// Starts the settlement daemon: a thread running
     /// [`FederationRouter::settle_once`] every `interval` until the
     /// returned handle is dropped.

@@ -227,12 +227,11 @@ impl FundsGuarantee {
         Ok((r.account, r.outstanding()))
     }
 
-    /// Reopens a claimed reservation after the money movement behind the
-    /// claim failed, keeping `paid` (what did move) as settled.
-    fn reopen(&self, id: u64, paid: Credits) {
+    /// Reopens a claimed reservation after the commit behind the claim
+    /// was refused; a refused commit moved nothing.
+    fn reopen(&self, id: u64) {
         if let Some(r) = self.reservations.lock().get_mut(&id) {
             r.closed = false;
-            r.settled = r.settled.saturating_add(paid);
         }
     }
 
@@ -264,8 +263,8 @@ impl FundsGuarantee {
 
     /// Settles `charge` (capped at the outstanding reservation) to
     /// `payee`, attaching `rur_blob` as evidence, and releases the
-    /// remainder. Returns `(paid, released)`. Terminal for the
-    /// reservation.
+    /// remainder, in one commit ([`GbAccounts::settle_locked`]). Returns
+    /// `(paid, released)`. Terminal for the reservation.
     pub fn settle(
         &self,
         id: u64,
@@ -277,23 +276,22 @@ impl FundsGuarantee {
             return Err(BankError::NonPositiveAmount);
         }
         // Claim the reservation first so concurrent settlers can't both
-        // pay; the monetary ops below only touch the claimed amount, and
-        // each failure reopens the claim with what did move, so the
-        // sweeper still returns whatever stays locked.
+        // pay; the one commit below only touches the claimed amount, and
+        // a refused commit moves nothing and reopens the claim, so a
+        // later settle or the sweeper still finds it all locked.
         let (drawer, outstanding) = self.claim(id)?;
         let pay = charge.min(outstanding);
         let release = outstanding.checked_sub(pay)?;
-        if pay.is_positive() {
-            if let Err(e) = self.accounts.transfer_from_locked(&drawer, payee, pay, rur_blob) {
-                self.reopen(id, Credits::ZERO);
-                return Err(e);
-            }
-        }
-        if release.is_positive() {
-            if let Err(e) = self.accounts.unlock_funds(&drawer, release) {
-                self.reopen(id, pay);
-                return Err(e);
-            }
+        let moved = if pay.is_positive() {
+            self.accounts.settle_locked(&drawer, payee, pay, release, rur_blob)
+        } else if release.is_positive() {
+            self.accounts.unlock_funds(&drawer, release)
+        } else {
+            Ok(())
+        };
+        if let Err(e) = moved {
+            self.reopen(id);
+            return Err(e);
         }
         if let Some(r) = self.reservations.lock().get_mut(&id) {
             r.settled = r.settled.saturating_add(pay);
@@ -355,7 +353,9 @@ impl FundsGuarantee {
                 WordClaim::Moved(paid) => from = paid,
             }
         };
-        if let Err(e) = self.accounts.transfer_from_locked(&drawer, &payee, amount, rur_blob) {
+        if let Err(e) =
+            self.accounts.settle_locked(&drawer, &payee, amount, Credits::ZERO, rur_blob)
+        {
             if let Some(r) = self.reservations.lock().get_mut(&id) {
                 r.settled = r.settled.checked_sub(amount).unwrap_or(Credits::ZERO);
                 // A later redeem that already claimed past `pay.index` paid
@@ -408,7 +408,7 @@ impl FundsGuarantee {
         let (drawer, outstanding) = self.claim(id)?;
         if outstanding.is_positive() {
             if let Err(e) = self.accounts.unlock_funds(&drawer, outstanding) {
-                self.reopen(id, Credits::ZERO);
+                self.reopen(id);
                 return Err(e);
             }
         }
@@ -448,6 +448,27 @@ mod tests {
         assert_eq!(r.available, Credits::from_gd(75));
         assert_eq!(r.locked, Credits::ZERO);
         assert_eq!(acc.account_details(&p).unwrap().available, Credits::from_gd(25));
+    }
+
+    #[test]
+    fn a_refused_settlement_moves_nothing_and_stays_open() {
+        let (g, acc, a, p) = setup();
+        let id = g.reserve(&a, Credits::from_gd(40)).unwrap();
+        let drawer = acc.account_details(&a).unwrap();
+        // Paying the drawer itself is refused by the commit, which then
+        // moves neither the payout nor the release.
+        assert!(matches!(
+            g.settle(id, &a, Credits::from_gd(25), vec![]),
+            Err(BankError::Protocol(_))
+        ));
+        assert_eq!(acc.account_details(&a).unwrap(), drawer);
+        let r = g.get(id).unwrap();
+        assert_eq!((r.closed, r.settled), (false, Credits::ZERO));
+        // A later valid settle pays from the whole reservation.
+        let settled = g.settle(id, &p, Credits::from_gd(25), vec![]).unwrap();
+        assert_eq!(settled, (Credits::from_gd(25), Credits::from_gd(15)));
+        let r = acc.account_details(&a).unwrap();
+        assert_eq!((r.available, r.locked), (Credits::from_gd(75), Credits::ZERO));
     }
 
     #[test]

@@ -297,111 +297,6 @@ pub fn run_cooperative(n: usize, rounds: usize, work_per_job: u64, seed: u64) ->
     }
 }
 
-/// The event-driven market: per-arrival dispatch through the
-/// discrete-event engine, yielding response-time statistics the batched
-/// driver cannot produce.
-pub struct DesMarketReport {
-    /// Jobs completed.
-    pub completed: usize,
-    /// Jobs that could not be served.
-    pub failed: usize,
-    /// Total paid.
-    pub total_paid: Credits,
-    /// Per-job response times (arrival → completion), ms.
-    pub response_times_ms: Vec<u64>,
-    /// Virtual time at which the last event fired.
-    pub horizon_ms: u64,
-    /// Events processed by the engine.
-    pub events: u64,
-}
-
-impl DesMarketReport {
-    /// Mean response time in ms.
-    pub fn mean_response_ms(&self) -> f64 {
-        crate::metrics::mean(&self.response_times_ms.iter().map(|&v| v as f64).collect::<Vec<_>>())
-    }
-}
-
-struct DesWorld {
-    grid: GridScenario,
-    brokers: Vec<GridResourceBroker<DirectLink>>,
-    completed: usize,
-    failed: usize,
-    total_paid: Credits,
-    response_times_ms: Vec<u64>,
-    deadline_ms: u64,
-}
-
-/// Runs the open market through the discrete-event engine: every workload
-/// arrival is an event; each dispatch advances the shared bank clock to
-/// the event time, so certificate expiry and quote windows see real time.
-pub fn run_open_market_des(config: &ScenarioConfig) -> DesMarketReport {
-    let grid = build_grid(&config.topology);
-    let consumers = config.workload.consumers.max(1);
-    let mut brokers = Vec::with_capacity(consumers);
-    for ci in 0..consumers {
-        let deposit = config.budget.checked_mul(4).unwrap_or(config.budget);
-        brokers.push(grid.new_consumer(&format!("des-consumer-{ci:02}"), deposit, config.budget));
-    }
-    let mut world = DesWorld {
-        grid,
-        brokers,
-        completed: 0,
-        failed: 0,
-        total_paid: Credits::ZERO,
-        response_times_ms: Vec::new(),
-        deadline_ms: config.deadline_ms,
-    };
-
-    let mut sim = crate::engine::Simulator::new();
-    for event in config.workload.generate() {
-        let algorithm = config.algorithm;
-        sim.schedule_at(event.arrival_ms, move |w: &mut DesWorld, s| {
-            // Virtual wall time follows the event queue.
-            w.grid.clock.advance_to(s.now_ms());
-            let batch = JobBatch {
-                application: "des".into(),
-                tasks: vec![event.job.clone()],
-                qos: QosConstraints {
-                    deadline_ms: s.now_ms() + w.deadline_ms,
-                    budget: w.brokers[event.consumer].gbpm.tracker.remaining(),
-                },
-            };
-            match w.brokers[event.consumer].run_batch(
-                algorithm,
-                &batch,
-                &mut w.grid.providers,
-                s.now_ms(),
-            ) {
-                Ok(r) if r.completed == 1 => {
-                    w.completed += 1;
-                    w.total_paid = w.total_paid.saturating_add(r.total_paid);
-                    w.response_times_ms.push(r.makespan_ms);
-                }
-                _ => w.failed += 1,
-            }
-        });
-    }
-    let events = sim.run(&mut world);
-    if gridbank_obs::telemetry_enabled() {
-        let c = gridbank_obs::Collector::new("open_market_des");
-        c.add("jobs_completed", world.completed as u64);
-        c.add("jobs_failed", world.failed as u64);
-        c.add("events", events);
-        for &rt in &world.response_times_ms {
-            c.observe("response_time_ms", rt);
-        }
-    }
-    DesMarketReport {
-        completed: world.completed,
-        failed: world.failed,
-        total_paid: world.total_paid,
-        response_times_ms: world.response_times_ms,
-        horizon_ms: sim.now_ms(),
-        events,
-    }
-}
-
 /// Competitive-model outcome (§4.2).
 #[derive(Clone, Debug)]
 pub struct CompetitiveReport {
@@ -528,25 +423,6 @@ mod tests {
         // Heterogeneity is real: speeds differ across the ring.
         let speeds: std::collections::HashSet<u32> = report.rows.iter().map(|r| r.speed).collect();
         assert!(speeds.len() > 1);
-    }
-
-    #[test]
-    fn des_market_processes_every_arrival_in_order() {
-        let config = small_config();
-        let report = run_open_market_des(&config);
-        assert_eq!(report.events as usize, config.workload.count);
-        assert_eq!(report.completed + report.failed, config.workload.count);
-        assert!(report.completed > 0);
-        assert!(report.total_paid.is_positive());
-        assert_eq!(report.response_times_ms.len(), report.completed);
-        // The horizon is at least the last arrival.
-        let last_arrival = config.workload.generate().last().unwrap().arrival_ms;
-        assert!(report.horizon_ms >= last_arrival);
-        assert!(report.mean_response_ms() > 0.0);
-        // Deterministic.
-        let again = run_open_market_des(&config);
-        assert_eq!(again.total_paid, report.total_paid);
-        assert_eq!(again.response_times_ms, report.response_times_ms);
     }
 
     #[test]

@@ -333,6 +333,34 @@ grep -q "invariants: conservation, exactly-once settlement, zero stranded credit
   exit 1
 }
 
+# Examples smoke: each program under examples/ runs to its end in
+# release and prints its closing line. quickstart and payment_strategies
+# issue and redeem cheques, so a cheque's one-commit settlement runs here
+# too; multi_branch's last line is its federation conservation check.
+stage "examples smoke (examples/*.rs)"
+cargo build --release --examples
+declare -A closing_line=(
+  [quickstart]="Done: consumer, provider and bank agree, with a signed audit trail."
+  [payment_strategies]="at the price of a longer makespan — the classic Nimrod-G result."
+  [cooperative_barter]="at equilibrium, exactly the property §4.1 asks for."
+  [competitive_market]='  hpc-lab buys 2 units from gsp-01 at G$7.000000'
+  [multi_branch]='federation conservation check: total funds = G$300.000000'
+)
+for src in examples/*.rs; do
+  example="$(basename "$src" .rs)"
+  want="${closing_line[$example]:-}"
+  [[ -n "$want" ]] || {
+    echo "examples smoke: no closing line listed for $example" >&2
+    exit 1
+  }
+  last="$("./target/release/examples/$example" | tail -n 1)"
+  [[ "$last" == "$want" ]] || {
+    echo "examples smoke: $example ended with \"$last\", not \"$want\"" >&2
+    exit 1
+  }
+  echo "$example: $last"
+done
+
 # Docs link check: every relative markdown link target in README/DESIGN/
 # docs must exist on disk — doc rot fails the gate, not review.
 stage "docs dead-link check"

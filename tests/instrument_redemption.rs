@@ -185,7 +185,7 @@ fn payword_redemption_decides_as_the_signature_does() {
 
 fn counter(bank: &GridBank, name: &str) -> u64 {
     let watch = SubjectName(ops_identity("watch"));
-    let query = OpsQuery::Metrics { filter: Some("core.instrument.".into()) };
+    let query = OpsQuery::Metrics { filter: Some(name.into()) };
     let BankResponse::OpsReport { report: OpsReport::Metrics { jsonl } } =
         bank.handle(&watch, BankRequest::OpsQuery { query })
     else {
@@ -389,4 +389,44 @@ fn interleaved_redeems_of_one_chain_pay_each_word_once() {
     assert!(unexpected.is_empty(), "{unexpected:?}");
     let expected = Credits::from_micro(100 * i128::from(WORDS * CHAINS));
     assert_eq!(w.payee.my_account().unwrap().available, expected);
+}
+
+/// A cheque charged less than its reservation settles in one commit: the
+/// payout and the release of the rest are one journal frame, so the
+/// redeem costs one flush.
+#[test]
+fn a_partial_cheque_redeem_is_one_journal_frame() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    gridbank_suite::obs::set_telemetry(true);
+    let mut w = World::new();
+    let cheque = w.payer.request_cheque(PAYEE, Credits::from_gd(10), 100_000).unwrap();
+    let flushes = counter(&w.bank, "db.journal.flushes");
+    let entries = w.bank.accounts.db().journal_len();
+
+    let redeemed = w.payee.redeem_cheque(cheque, rur(3)).unwrap();
+    assert_eq!(redeemed, (Credits::from_gd(3), Credits::from_gd(7)));
+    assert_eq!(counter(&w.bank, "db.journal.flushes") - flushes, 1);
+    // Two account updates, two TRANSACTION rows, one TRANSFER row.
+    assert_eq!(w.bank.accounts.db().journal_len() - entries, 5);
+    let payer = w.payer.my_account().unwrap();
+    assert_eq!((payer.available, payer.locked), (Credits::from_gd(97), Credits::ZERO));
+    gridbank_suite::obs::set_telemetry(false);
+}
+
+/// The partial-charge redeem is whole on disk: after a kill and reopen
+/// the drawer has nothing locked and the state digest is the one the
+/// bank had before the kill.
+#[test]
+fn a_partial_cheque_redeem_survives_a_kill_whole() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut w = World::new();
+    let cheque = w.payer.request_cheque(PAYEE, Credits::from_gd(10), 100_000).unwrap();
+    w.payee.redeem_cheque(cheque, rur(4)).unwrap();
+    let digest = w.bank.accounts.db().state_digest();
+
+    let mut w = w.reboot();
+    assert_eq!(w.bank.accounts.db().state_digest(), digest);
+    let payer = w.payer.my_account().unwrap();
+    assert_eq!((payer.available, payer.locked), (Credits::from_gd(96), Credits::ZERO));
+    assert_eq!(w.payee.my_account().unwrap().available, Credits::from_gd(4));
 }
